@@ -20,7 +20,7 @@
 #include "qos/classifier.hpp"
 #include "stats/table.hpp"
 #include "traffic/sink.hpp"
-#include "traffic/source.hpp"
+#include "traffic/flowset.hpp"
 
 namespace {
 
@@ -165,15 +165,18 @@ E2eResult run_ipsec_e2e(ipsec::CipherSuite suite, bool charge_crypto) {
   qos::SlaProbe probe;
   traffic::MeasurementSink sink(probe, bb.topo.scheduler());
   sink.bind(gw2);
-  traffic::FlowSpec f;
-  f.src = ip::Ipv4Address::must_parse("10.1.0.1");
-  f.dst = ip::Ipv4Address::must_parse("10.2.0.1");
+  traffic::FlowSet flows(bb.topo.scheduler(), &probe, bb.topo.seed());
+  traffic::FlowSet::FlowDef f;
+  f.flow_id = 1;
+  f.from_site = flows.add_site(gw1, ip::Ipv4Address::must_parse("10.1.0.1"));
+  f.to_site = flows.add_site(gw2, ip::Ipv4Address::must_parse("10.2.0.1"));
+  f.rate_bps = 20e6;
   f.vpn = v;
   f.payload_bytes = 1372;
-  traffic::CbrSource src(gw1, f, 1, &probe, 20e6);
+  flows.add_flow(f);
   sink.expect_flow(1, qos::Phb::kBe, v);
   const sim::SimTime t0 = bb.topo.scheduler().now();
-  src.run(t0, t0 + 3 * sim::kSecond);
+  flows.run(t0 + 3 * sim::kSecond);
   bb.topo.run_until(t0 + 5 * sim::kSecond);
 
   const auto& r = probe.report(qos::Phb::kBe);
@@ -198,15 +201,18 @@ E2eResult run_mpls_e2e() {
   qos::SlaProbe probe;
   traffic::MeasurementSink sink(probe, bb.topo.scheduler());
   sink.bind(*b.ce);
-  traffic::FlowSpec f;
-  f.src = ip::Ipv4Address::must_parse("10.1.0.1");
-  f.dst = ip::Ipv4Address::must_parse("10.2.0.1");
+  traffic::FlowSet flows(bb.topo.scheduler(), &probe, bb.topo.seed());
+  traffic::FlowSet::FlowDef f;
+  f.flow_id = 1;
+  f.from_site = flows.add_site(*a.ce, ip::Ipv4Address::must_parse("10.1.0.1"));
+  f.to_site = flows.add_site(*b.ce, ip::Ipv4Address::must_parse("10.2.0.1"));
+  f.rate_bps = 20e6;
   f.vpn = v;
   f.payload_bytes = 1372;
-  traffic::CbrSource src(*a.ce, f, 1, &probe, 20e6);
+  flows.add_flow(f);
   sink.expect_flow(1, qos::Phb::kBe, v);
   const sim::SimTime t0 = bb.topo.scheduler().now();
-  src.run(t0, t0 + 3 * sim::kSecond);
+  flows.run(t0 + 3 * sim::kSecond);
   bb.topo.run_until(t0 + 5 * sim::kSecond);
   const auto& r = probe.report(qos::Phb::kBe);
   return E2eResult{r.goodput_bps(3.0) / 1e6, r.latency_s.mean() * 1e3, 0};

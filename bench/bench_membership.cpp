@@ -18,7 +18,7 @@
 #include "backbone/fixtures.hpp"
 #include "stats/table.hpp"
 #include "traffic/sink.hpp"
-#include "traffic/source.hpp"
+#include "traffic/flowset.hpp"
 #include "vpn/directory.hpp"
 
 namespace {
@@ -73,33 +73,34 @@ int main_impl() {
   sink.bind(*v2_a.ce);
   sink.bind(*v2_b.ce);
 
-  std::vector<std::unique_ptr<traffic::Source>> sources;
+  traffic::FlowSet flows(bb.topo.scheduler(), &probe, bb.topo.seed());
+  traffic::FlowSet::FlowDef f;
+  f.rate_bps = 100e3;
   std::uint32_t flow = 1;
   for (std::size_t i = 0; i < v1_sites.size(); ++i) {
     const std::size_t next = (i + 1) % v1_sites.size();
-    traffic::FlowSpec f;
-    f.src = ip::Ipv4Address(10, std::uint8_t(i == 0 ? 1 : i + 1), 0, 1);
-    f.dst = ip::Ipv4Address(10, std::uint8_t(next == 0 ? 1 : next + 1), 0, 1);
+    f.flow_id = flow;
+    f.from_site = flows.add_site(
+        *v1_sites[i].ce,
+        ip::Ipv4Address(10, std::uint8_t(i == 0 ? 1 : i + 1), 0, 1));
+    f.to_site = flows.add_site(
+        *v1_sites[next].ce,
+        ip::Ipv4Address(10, std::uint8_t(next == 0 ? 1 : next + 1), 0, 1));
     f.vpn = v1;
-    sources.push_back(std::make_unique<traffic::CbrSource>(
-        *v1_sites[i].ce, f, flow, &probe, 100e3));
+    flows.add_flow(f);
     sink.expect_flow(flow, qos::Phb::kBe, v1);
     ++flow;
   }
-  {  // V2 flow with V1-identical addresses
-    traffic::FlowSpec f;
-    f.src = ip::Ipv4Address::must_parse("10.1.0.1");
-    f.dst = ip::Ipv4Address::must_parse("10.2.0.1");
-    f.vpn = v2;
-    sources.push_back(std::make_unique<traffic::CbrSource>(
-        *v2_a.ce, f, flow, &probe, 100e3));
-    sink.expect_flow(flow, qos::Phb::kBe, v2);
-    ++flow;
-  }
+  // V2 flow with V1-identical addresses.
+  f.flow_id = flow;
+  f.from_site =
+      flows.add_site(*v2_a.ce, ip::Ipv4Address::must_parse("10.1.0.1"));
+  f.to_site = flows.add_site(*v2_b.ce, ip::Ipv4Address::must_parse("10.2.0.1"));
+  f.vpn = v2;
+  flows.add_flow(f);
+  sink.expect_flow(flow, qos::Phb::kBe, v2);
   const sim::SimTime traffic_start = bb.topo.scheduler().now();
-  for (auto& s : sources) {
-    s->run(traffic_start, traffic_start + sim::kSecond);
-  }
+  flows.run(traffic_start + sim::kSecond);
 
   // Mid-traffic leave: site #5 departs; its routes must be withdrawn.
   bb.topo.scheduler().schedule_at(
@@ -115,10 +116,8 @@ int main_impl() {
   const bool withdrawn =
       vrf->table().lookup(ip::Ipv4Address::must_parse("10.5.0.1")) == nullptr;
 
-  std::uint64_t sent = 0;
-  for (auto& s : sources) sent += s->packets_sent();
   stats::Table iso{"metric", "value"};
-  iso.add_row({"packets sent", std::to_string(sent)});
+  iso.add_row({"packets sent", std::to_string(flows.packets_sent())});
   iso.add_row({"packets delivered", std::to_string(sink.delivered())});
   iso.add_row({"cross-VPN leaks", std::to_string(sink.leaks())});
   iso.add_row({"withdrawn prefix unreachable after leave",

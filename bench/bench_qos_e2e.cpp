@@ -21,8 +21,8 @@
 #include "qos/queues.hpp"
 #include "stats/table.hpp"
 #include "traffic/dispatcher.hpp"
+#include "traffic/flowset.hpp"
 #include "traffic/sink.hpp"
-#include "traffic/source.hpp"
 #include "traffic/tcp_lite.hpp"
 
 namespace {
@@ -89,43 +89,40 @@ RunResult run_with_queue(const char* label, const LateQueueFactory& queue,
 
   // Offered load: 0.4 (EF) + 1.6 (AF) + 4.0 (BE) = 6 Mb/s into a 4 Mb/s
   // core — 1.5x overload.
-  std::vector<std::unique_ptr<traffic::Source>> sources;
+  using Kind = traffic::FlowSet::Kind;
+  traffic::FlowSet flows(bb.topo.scheduler(), &probe, bb.topo.seed());
   std::uint32_t flow = 1;
-  auto add_flow = [&](qos::Phb phb, std::uint16_t port, std::size_t payload,
-                      auto maker) {
-    traffic::FlowSpec f;
-    f.src = ip::Ipv4Address(10, 1, 0, std::uint8_t(flow));
-    f.dst = ip::Ipv4Address(10, 2, 0, std::uint8_t(flow));
+  auto add_flow = [&](qos::Phb phb, std::uint16_t port, std::uint32_t payload,
+                      Kind kind, double rate_bps) {
+    traffic::FlowSet::FlowDef f;
+    f.flow_id = flow;
+    f.from_site = flows.add_site(*site_a.ce,
+                                 ip::Ipv4Address(10, 1, 0, std::uint8_t(flow)));
+    f.to_site = flows.add_site(*site_b.ce,
+                               ip::Ipv4Address(10, 2, 0, std::uint8_t(flow)));
+    f.kind = kind;
+    f.rate_bps = rate_bps;
     f.dst_port = port;
     f.payload_bytes = payload;
     f.vpn = v;
     f.phb = phb;
-    sources.push_back(maker(f, flow));
+    flows.add_flow(f);
     sink.expect_flow(flow, phb, v);
     ++flow;
   };
   for (int i = 0; i < 2; ++i) {  // 2 voice calls, 200 kb/s each
-    add_flow(qos::Phb::kEf, 16400, 172, [&](auto f, auto id) {
-      return std::make_unique<traffic::CbrSource>(*site_a.ce, f, id, &probe,
-                                                  200e3);
-    });
+    add_flow(qos::Phb::kEf, 16400, 172, Kind::kCbr, 200e3);
   }
   for (int i = 0; i < 2; ++i) {  // 2 video streams, 800 kb/s mean
-    add_flow(qos::Phb::kAf21, 5004, 1172, [&](auto f, auto id) {
-      return std::make_unique<traffic::OnOffSource>(*site_a.ce, f, id, &probe,
-                                                    1.6e6, 0.2, 0.2);
-    });
+    add_flow(qos::Phb::kAf21, 5004, 1172, Kind::kOnOff, 1.6e6);
   }
   for (int i = 0; i < 4; ++i) {  // bulk data, 1 Mb/s mean each
-    add_flow(qos::Phb::kBe, 80, 1472, [&](auto f, auto id) {
-      return std::make_unique<traffic::PoissonSource>(*site_a.ce, f, id,
-                                                      &probe, 1e6);
-    });
+    add_flow(qos::Phb::kBe, 80, 1472, Kind::kPoisson, 1e6);
   }
 
   const sim::SimTime t0 = bb.topo.scheduler().now();
   const double duration_s = 5.0;
-  for (auto& s : sources) s->run(t0, t0 + sim::from_seconds(duration_s));
+  flows.run(t0 + sim::from_seconds(duration_s));
   bb.topo.run_until(t0 + sim::from_seconds(duration_s + 2.0));
 
   std::printf("--- core scheduler: %s ---\n%s\n", label,
@@ -185,14 +182,19 @@ ElasticResult run_elastic(bool diffserv_core, std::uint64_t seed) {
   at_b.attach(*b.ce);
 
   qos::SlaProbe probe;
-  traffic::FlowSpec voice;
-  voice.src = ip::Ipv4Address::must_parse("10.1.0.1");
-  voice.dst = ip::Ipv4Address::must_parse("10.2.0.1");
+  traffic::FlowSet voice_src(bb.topo.scheduler(), &probe, bb.topo.seed());
+  traffic::FlowSet::FlowDef voice;
+  voice.flow_id = 99;
+  voice.from_site =
+      voice_src.add_site(*a.ce, ip::Ipv4Address::must_parse("10.1.0.1"));
+  voice.to_site =
+      voice_src.add_site(*b.ce, ip::Ipv4Address::must_parse("10.2.0.1"));
+  voice.rate_bps = 400e3;
   voice.dst_port = 16400;
   voice.payload_bytes = 172;
   voice.vpn = v;
   voice.phb = qos::Phb::kEf;
-  traffic::CbrSource voice_src(*a.ce, voice, 99, &probe, 400e3);
+  voice_src.add_flow(voice);
   at_b.register_flow(99, [&](const net::Packet& p, vpn::VpnId) {
     probe.record_delivered(qos::Phb::kEf, 99,
                            bb.topo.scheduler().now() - p.created_at,
@@ -213,7 +215,7 @@ ElasticResult run_elastic(bool diffserv_core, std::uint64_t seed) {
 
   const sim::SimTime t0 = bb.topo.scheduler().now();
   const double duration = 6.0;
-  voice_src.run(t0, t0 + sim::from_seconds(duration));
+  voice_src.run(t0 + sim::from_seconds(duration));
   bulk1.start(t0);
   bulk2.start(t0 + 41 * sim::kMillisecond);
   bb.topo.scheduler().schedule_at(t0 + sim::from_seconds(duration), [&] {

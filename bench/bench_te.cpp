@@ -17,8 +17,8 @@
 
 #include "backbone/fixtures.hpp"
 #include "stats/table.hpp"
+#include "traffic/flowset.hpp"
 #include "traffic/sink.hpp"
-#include "traffic/source.hpp"
 
 namespace {
 
@@ -64,20 +64,30 @@ AggregateResult run(bool use_te, std::uint64_t seed) {
   sink.bind(*a_dst.ce);
   sink.bind(*b_dst.ce);
 
-  traffic::FlowSpec fa;
-  fa.src = ip::Ipv4Address::must_parse("10.1.0.1");
-  fa.dst = ip::Ipv4Address::must_parse("10.2.0.1");
+  // Poisson rather than CBR so the two aggregates interleave honestly on
+  // the shared FIFO instead of phase-locking.
+  traffic::FlowSet flows(bb.topo.scheduler(), &probe, bb.topo.seed());
+  traffic::FlowSet::FlowDef fa;
+  fa.flow_id = 1;
+  fa.from_site =
+      flows.add_site(*a_src.ce, ip::Ipv4Address::must_parse("10.1.0.1"));
+  fa.to_site =
+      flows.add_site(*a_dst.ce, ip::Ipv4Address::must_parse("10.2.0.1"));
+  fa.kind = traffic::FlowSet::Kind::kPoisson;
+  fa.rate_bps = 6e6;
   fa.vpn = va;
   fa.phb = qos::Phb::kAf21;
   fa.payload_bytes = 972;
-  traffic::FlowSpec fb = fa;
+  traffic::FlowSet::FlowDef fb = fa;
+  fb.flow_id = 2;
+  fb.from_site =
+      flows.add_site(*b_src.ce, ip::Ipv4Address::must_parse("10.1.0.1"));
+  fb.to_site =
+      flows.add_site(*b_dst.ce, ip::Ipv4Address::must_parse("10.2.0.1"));
   fb.vpn = vb;
   fb.phb = qos::Phb::kAf11;
-
-  // Poisson rather than CBR so the two aggregates interleave honestly on
-  // the shared FIFO instead of phase-locking.
-  traffic::PoissonSource src_a(*a_src.ce, fa, 1, &probe, 6e6);
-  traffic::PoissonSource src_b(*b_src.ce, fb, 2, &probe, 6e6);
+  flows.add_flow(fa);
+  flows.add_flow(fb);
   sink.expect_flow(1, qos::Phb::kAf21, va);
   sink.expect_flow(2, qos::Phb::kAf11, vb);
 
@@ -86,8 +96,7 @@ AggregateResult run(bool use_te, std::uint64_t seed) {
   (void)lsp_a;
   (void)lsp_b;
 
-  src_a.run(t0, t0 + sim::from_seconds(duration_s));
-  src_b.run(t0, t0 + sim::from_seconds(duration_s));
+  flows.run(t0 + sim::from_seconds(duration_s));
   bb.topo.run_until(t0 + sim::from_seconds(duration_s + 2.0));
 
   AggregateResult r;

@@ -10,8 +10,8 @@
 #include <cstdio>
 
 #include "backbone/fixtures.hpp"
+#include "traffic/flowset.hpp"
 #include "traffic/sink.hpp"
-#include "traffic/source.hpp"
 
 using namespace mvpn;
 
@@ -53,29 +53,33 @@ int main() {
   for (auto* ce : bb.ces()) sink.bind(*ce);
 
   std::uint32_t flow_id = 1;
-  std::vector<std::unique_ptr<traffic::Source>> sources;
+  traffic::FlowSet flows(bb.topo.scheduler(), &probe, bb.topo.seed());
   auto flow = [&](backbone::MplsBackbone::Site& from, const char* src,
-                  const char* dst, vpn::VpnId vpn, const char* what) {
-    traffic::FlowSpec f;
-    f.src = ip::Ipv4Address::must_parse(src);
-    f.dst = ip::Ipv4Address::must_parse(dst);
+                  backbone::MplsBackbone::Site& to, const char* dst,
+                  vpn::VpnId vpn, const char* what) {
+    traffic::FlowSet::FlowDef f;
+    f.flow_id = flow_id;
+    f.from_site = flows.add_site(*from.ce, ip::Ipv4Address::must_parse(src));
+    f.to_site = flows.add_site(*to.ce, ip::Ipv4Address::must_parse(dst));
+    f.kind = traffic::FlowSet::Kind::kPoisson;
+    f.rate_bps = 200e3;
     f.vpn = vpn;
-    sources.push_back(std::make_unique<traffic::PoissonSource>(
-        *from.ce, f, flow_id, &probe, 200e3));
+    flows.add_flow(f);
     sink.expect_flow(flow_id, qos::Phb::kBe, vpn);
     std::printf("flow %u: %-34s %s -> %s\n", flow_id, what, src, dst);
     ++flow_id;
   };
 
   // Intra-company traffic (overlapping addresses on both sides).
-  flow(manu_hq, "10.1.0.5", "10.2.0.9", manu, "manufacturer HQ -> plant");
+  flow(manu_hq, "10.1.0.5", manu_plant, "10.2.0.9", manu,
+       "manufacturer HQ -> plant");
   // Both companies reach the shared portal through the extranet import.
-  flow(manu_hq, "10.1.0.5", "192.168.10.80", extranet,
+  flow(manu_hq, "10.1.0.5", portal, "192.168.10.80", extranet,
        "manufacturer -> portal (extranet)");
-  flow(supp_hq, "10.1.0.7", "192.168.10.80", extranet,
+  flow(supp_hq, "10.1.0.7", portal, "192.168.10.80", extranet,
        "supplier     -> portal (extranet)");
 
-  for (auto& s : sources) s->run(0, sim::kSecond);
+  flows.run(sim::kSecond);
   bb.topo.run_until(3 * sim::kSecond);
 
   std::printf("\ndelivered=%llu leaks=%llu\n",

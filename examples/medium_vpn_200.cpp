@@ -13,8 +13,8 @@
 #include <memory>
 
 #include "backbone/fixtures.hpp"
+#include "traffic/flowset.hpp"
 #include "traffic/sink.hpp"
-#include "traffic/source.hpp"
 #include "vpn/diagnostics.hpp"
 
 using namespace mvpn;
@@ -81,34 +81,39 @@ int main() {
   for (auto& s : sites) sink.bind(*s.ce);
   for (auto& s : other_sites) sink.bind(*s.ce);
 
-  std::vector<std::unique_ptr<traffic::Source>> sources;
+  traffic::FlowSet flows(bb.topo.scheduler(), &probe, bb.topo.seed());
+  traffic::FlowSet::FlowDef f;
+  f.kind = traffic::FlowSet::Kind::kPoisson;
+  f.rate_bps = 100e3;
   std::uint32_t flow = 1;
   for (int k = 0; k < 40; ++k) {
     const auto i = static_cast<std::size_t>(
         rng.uniform_int(0, kSites - 1));
     auto j = static_cast<std::size_t>(rng.uniform_int(0, kSites - 1));
     if (j == i) j = (j + 1) % kSites;
-    traffic::FlowSpec f;
-    f.src = ip::Ipv4Address(sites[i].prefix.address().value() + 1);
-    f.dst = ip::Ipv4Address(sites[j].prefix.address().value() + 1);
+    f.flow_id = flow;
+    f.from_site = flows.add_site(
+        *sites[i].ce, ip::Ipv4Address(sites[i].prefix.address().value() + 1));
+    f.to_site = flows.add_site(
+        *sites[j].ce, ip::Ipv4Address(sites[j].prefix.address().value() + 1));
     f.vpn = corp;
-    sources.push_back(std::make_unique<traffic::PoissonSource>(
-        *sites[i].ce, f, flow, &probe, 100e3));
+    flows.add_flow(f);
     sink.expect_flow(flow, qos::Phb::kBe, corp);
     ++flow;
   }
   for (int k = 0; k < 2; ++k) {
-    traffic::FlowSpec f;
-    f.src = ip::Ipv4Address(10, 1, std::uint8_t(k), 1);
-    f.dst = ip::Ipv4Address(10, 1, std::uint8_t(k + 1), 1);
+    f.flow_id = flow;
+    f.from_site = flows.add_site(*other_sites[k].ce,
+                                 ip::Ipv4Address(10, 1, std::uint8_t(k), 1));
+    f.to_site = flows.add_site(*other_sites[k + 1].ce,
+                               ip::Ipv4Address(10, 1, std::uint8_t(k + 1), 1));
     f.vpn = other;
-    sources.push_back(std::make_unique<traffic::PoissonSource>(
-        *other_sites[k].ce, f, flow, &probe, 100e3));
+    flows.add_flow(f);
     sink.expect_flow(flow, qos::Phb::kBe, other);
     ++flow;
   }
   const sim::SimTime t0 = bb.topo.scheduler().now();
-  for (auto& s : sources) s->run(t0, t0 + sim::kSecond);
+  flows.run(t0 + sim::kSecond);
   bb.topo.run_until(t0 + 3 * sim::kSecond);
 
   std::printf("%s", probe.to_table(1.0).render().c_str());

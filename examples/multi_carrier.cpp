@@ -11,8 +11,8 @@
 #include <cstdio>
 
 #include "backbone/fixtures.hpp"
+#include "traffic/flowset.hpp"
 #include "traffic/sink.hpp"
-#include "traffic/source.hpp"
 #include "vpn/diagnostics.hpp"
 
 using namespace mvpn;
@@ -47,29 +47,34 @@ int main() {
   traffic::MeasurementSink sink(probe, bb.topo.scheduler());
   sink.bind(*hq.ce);
   sink.bind(*plant.ce);
-  traffic::FlowSpec f;
-  f.src = ip::Ipv4Address::must_parse("10.1.0.5");
-  f.dst = ip::Ipv4Address::must_parse("10.2.0.9");
+  traffic::FlowSet flows(bb.topo.scheduler(), &probe, bb.topo.seed());
+  const std::uint32_t at_hq =
+      flows.add_site(*hq.ce, ip::Ipv4Address::must_parse("10.1.0.5"));
+  const std::uint32_t at_plant =
+      flows.add_site(*plant.ce, ip::Ipv4Address::must_parse("10.2.0.9"));
+  traffic::FlowSet::FlowDef f;
+  f.flow_id = 1;
+  f.from_site = at_hq;
+  f.to_site = at_plant;
+  f.rate_bps = 500e3;
   f.vpn = corp_a;
-  traffic::CbrSource to_plant(*hq.ce, f, 1, &probe, 500e3);
+  flows.add_flow(f);
   sink.expect_flow(1, qos::Phb::kBe, corp_b);
-  traffic::FlowSpec g;
-  g.src = ip::Ipv4Address::must_parse("10.2.0.9");
-  g.dst = ip::Ipv4Address::must_parse("10.1.0.5");
-  g.vpn = corp_b;
-  traffic::CbrSource to_hq(*plant.ce, g, 2, &probe, 500e3);
+  f.flow_id = 2;
+  f.from_site = at_plant;
+  f.to_site = at_hq;
+  f.vpn = corp_b;
+  flows.add_flow(f);
   sink.expect_flow(2, qos::Phb::kBe, corp_a);
 
   const sim::SimTime t0 = bb.topo.scheduler().now();
-  to_plant.run(t0, t0 + sim::kSecond);
-  to_hq.run(t0, t0 + sim::kSecond);
+  flows.run(t0 + sim::kSecond);
   bb.topo.run_until(t0 + 3 * sim::kSecond);
 
   std::printf("%s", probe.to_table(1.0).render().c_str());
   std::printf("\ndelivered %llu/%llu, leaks %llu\n",
               static_cast<unsigned long long>(sink.delivered()),
-              static_cast<unsigned long long>(to_plant.packets_sent() +
-                                              to_hq.packets_sent()),
+              static_cast<unsigned long long>(flows.packets_sent()),
               static_cast<unsigned long long>(sink.leaks()));
   return sink.leaks() == 0 ? 0 : 1;
 }

@@ -10,8 +10,8 @@
 
 #include "backbone/fixtures.hpp"
 #include "qos/queues.hpp"
+#include "traffic/flowset.hpp"
 #include "traffic/sink.hpp"
-#include "traffic/source.hpp"
 
 using namespace mvpn;
 
@@ -57,43 +57,38 @@ void run(bool diffserv_core) {
   traffic::MeasurementSink sink(probe, bb.topo.scheduler());
   sink.bind(*dc.ce);
 
-  std::vector<std::unique_ptr<traffic::Source>> sources;
+  using Kind = traffic::FlowSet::Kind;
+  traffic::FlowSet flows(bb.topo.scheduler(), &probe, bb.topo.seed());
   std::uint32_t id = 1;
-  auto add = [&](std::unique_ptr<traffic::Source> s, qos::Phb phb) {
-    sink.expect_flow(id, phb, v);
-    sources.push_back(std::move(s));
-    ++id;
-  };
-  auto spec = [&](std::uint16_t port, std::size_t payload, qos::Phb phb) {
-    traffic::FlowSpec f;
-    f.src = ip::Ipv4Address(10, 1, 0, std::uint8_t(id));
-    f.dst = ip::Ipv4Address(10, 2, 0, std::uint8_t(id));
+  auto add = [&](Kind kind, double rate_bps, std::uint16_t port,
+                 std::uint32_t payload, qos::Phb phb) {
+    traffic::FlowSet::FlowDef f;
+    f.flow_id = id;
+    f.from_site =
+        flows.add_site(*hq.ce, ip::Ipv4Address(10, 1, 0, std::uint8_t(id)));
+    f.to_site =
+        flows.add_site(*dc.ce, ip::Ipv4Address(10, 2, 0, std::uint8_t(id)));
+    f.kind = kind;
+    f.rate_bps = rate_bps;
+    f.on_s = 0.3;
+    f.off_s = 0.2;
     f.dst_port = port;
     f.payload_bytes = payload;
     f.vpn = v;
     f.phb = phb;
-    return f;
+    flows.add_flow(f);
+    sink.expect_flow(id, phb, v);
+    ++id;
   };
   // Two G.711-ish calls (~200 kb/s each), one video stream, three bulk
   // transfers: ~6 Mb/s offered into the 4 Mb/s core.
-  add(std::make_unique<traffic::CbrSource>(
-          *hq.ce, spec(16400, 172, qos::Phb::kEf), id, &probe, 200e3),
-      qos::Phb::kEf);
-  add(std::make_unique<traffic::CbrSource>(
-          *hq.ce, spec(16402, 172, qos::Phb::kEf), id, &probe, 200e3),
-      qos::Phb::kEf);
-  add(std::make_unique<traffic::OnOffSource>(
-          *hq.ce, spec(5004, 1172, qos::Phb::kAf21), id, &probe, 2e6, 0.3,
-          0.2),
-      qos::Phb::kAf21);
-  for (int i = 0; i < 3; ++i) {
-    add(std::make_unique<traffic::PoissonSource>(
-            *hq.ce, spec(80, 1472, qos::Phb::kBe), id, &probe, 1.4e6),
-        qos::Phb::kBe);
-  }
+  add(Kind::kCbr, 200e3, 16400, 172, qos::Phb::kEf);
+  add(Kind::kCbr, 200e3, 16402, 172, qos::Phb::kEf);
+  add(Kind::kOnOff, 2e6, 5004, 1172, qos::Phb::kAf21);
+  for (int i = 0; i < 3; ++i) add(Kind::kPoisson, 1.4e6, 80, 1472, qos::Phb::kBe);
 
   const double duration = 5.0;
-  for (auto& s : sources) s->run(0, sim::from_seconds(duration));
+  flows.run(sim::from_seconds(duration));
   bb.topo.run_until(sim::from_seconds(duration + 2.0));
 
   std::printf("=== core: %s ===\n%s\n",

@@ -10,8 +10,8 @@
 #include <cstdio>
 
 #include "backbone/fixtures.hpp"
+#include "traffic/flowset.hpp"
 #include "traffic/sink.hpp"
-#include "traffic/source.hpp"
 
 using namespace mvpn;
 
@@ -67,23 +67,29 @@ int main() {
   qos::SlaProbe probe("acme");
   traffic::MeasurementSink sink(probe, bb.topo.scheduler());
   sink.bind(*branch.ce);
-  traffic::FlowSpec flow;
-  flow.src = ip::Ipv4Address::must_parse("10.1.0.10");
-  flow.dst = ip::Ipv4Address::must_parse("10.2.0.20");
+  traffic::FlowSet flows(bb.topo.scheduler(), &probe, bb.topo.seed());
+  traffic::FlowSet::FlowDef flow;
+  flow.flow_id = 1;
+  flow.from_site =
+      flows.add_site(*hq.ce, ip::Ipv4Address::must_parse("10.1.0.10"));
+  flow.to_site =
+      flows.add_site(*branch.ce, ip::Ipv4Address::must_parse("10.2.0.20"));
+  flow.kind = traffic::FlowSet::Kind::kCbr;
+  flow.rate_bps = 1e6;
   flow.vpn = acme;
   flow.phb = qos::Phb::kBe;
-  traffic::CbrSource source(*hq.ce, flow, /*flow_id=*/1, &probe, 1e6);
+  flows.add_flow(flow);
   sink.expect_flow(1, qos::Phb::kBe, acme);
 
   std::printf("\nfirst packet's journey:\n");
-  source.run(0, sim::kSecond);
+  flows.run(sim::kSecond);
   bb.topo.run_until(2 * sim::kSecond);
 
   // 6. The SLA report.
   std::printf("\n%s", probe.to_table(1.0).render().c_str());
   std::printf("\ndelivered %llu/%llu packets, %llu cross-VPN leaks\n",
               static_cast<unsigned long long>(sink.delivered()),
-              static_cast<unsigned long long>(source.packets_sent()),
+              static_cast<unsigned long long>(flows.packets_sent()),
               static_cast<unsigned long long>(sink.leaks()));
   return 0;
 }

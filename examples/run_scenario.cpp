@@ -47,9 +47,6 @@
 //                       path only; overrides the scenario's `run
 //                       flowcache=`). Results are identical either way —
 //                       use for A/B verification and benchmarking.
-//   --legacy-sources    build traffic from per-flow Source objects instead
-//                       of the SoA FlowSet engine (overrides the scenario's
-//                       `run sources=`). Results are identical either way.
 //   --verbose           print partition diagnostics (cut size, per-shard
 //                       node/CE/flow balance, lookahead) to stderr
 //
@@ -100,8 +97,7 @@ int usage(const char* prog) {
                "          [--flow-records FILE] [--flow-records-bin FILE]\n"
                "          [--flow-report] [--flow-profile FILE]\n"
                "          [--partition-profile FILE]\n"
-               "          [--shards N] [--no-flowcache] [--legacy-sources]\n"
-               "          [--legacy-updates] [--full-spf] [--control-metrics]\n"
+               "          [--shards N] [--no-flowcache] [--control-metrics]\n"
                "          [--verbose]\n"
                "          [--topogen \"p=.. pe=.. ce=.. flows=..\"]\n"
                "          [scenario.scn]\n",
@@ -118,9 +114,6 @@ int main(int argc, char** argv) {
   std::string partition_profile_path;
   unsigned long shards = 0;  // 0: use the scenario file's setting
   int flowcache = -1;        // -1: use the scenario file's setting
-  int legacy_sources = -1;   // -1: use the scenario file's setting
-  int legacy_updates = -1;   // -1: use the scenario file's setting
-  int full_spf = -1;         // -1: use the scenario file's setting
   bool verbose = false;
   for (int i = 1; i < argc; ++i) {
     auto value = [&]() -> const char* {
@@ -188,12 +181,6 @@ int main(int argc, char** argv) {
       if (shards == 0 || shards > 64) return usage(argv[0]);
     } else if (std::strcmp(argv[i], "--no-flowcache") == 0) {
       flowcache = 0;
-    } else if (std::strcmp(argv[i], "--legacy-sources") == 0) {
-      legacy_sources = 1;
-    } else if (std::strcmp(argv[i], "--legacy-updates") == 0) {
-      legacy_updates = 1;
-    } else if (std::strcmp(argv[i], "--full-spf") == 0) {
-      full_spf = 1;
     } else if (std::strcmp(argv[i], "--control-metrics") == 0) {
       obs.control_metrics = true;
     } else if (std::strcmp(argv[i], "--verbose") == 0) {
@@ -249,8 +236,7 @@ int main(int argc, char** argv) {
   if (!scenario_path.empty()) {
     return mvpn::backbone::run_scenario_file(
         scenario_path, std::cout, obs, static_cast<std::uint32_t>(shards),
-        flowcache, verbose, std::move(partition_weights), legacy_sources,
-        legacy_updates, full_spf);
+        flowcache, verbose, std::move(partition_weights));
   }
 
   std::string text;
@@ -280,9 +266,6 @@ int main(int argc, char** argv) {
     scenario->set_shards(static_cast<std::uint32_t>(shards));
   }
   if (flowcache >= 0) scenario->set_flowcache(flowcache != 0);
-  if (legacy_sources >= 0) scenario->set_legacy_sources(legacy_sources != 0);
-  if (legacy_updates >= 0) scenario->set_legacy_updates(legacy_updates != 0);
-  if (full_spf >= 0) scenario->set_full_spf(full_spf != 0);
   scenario->set_verbose(verbose);
   scenario->set_partition_weights(std::move(partition_weights));
   return scenario->run(std::cout) ? 0 : 1;

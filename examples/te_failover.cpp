@@ -10,8 +10,8 @@
 #include <cstdio>
 
 #include "backbone/fixtures.hpp"
+#include "traffic/flowset.hpp"
 #include "traffic/sink.hpp"
-#include "traffic/source.hpp"
 
 using namespace mvpn;
 
@@ -59,16 +59,21 @@ int main() {
   qos::SlaProbe probe("finance");
   traffic::MeasurementSink sink(probe, bb.topo.scheduler());
   sink.bind(*site_b.ce);
-  traffic::FlowSpec f;
-  f.src = ip::Ipv4Address::must_parse("10.1.0.1");
-  f.dst = ip::Ipv4Address::must_parse("10.2.0.1");
+  traffic::FlowSet flows(bb.topo.scheduler(), &probe, bb.topo.seed());
+  traffic::FlowSet::FlowDef f;
+  f.flow_id = 1;
+  f.from_site =
+      flows.add_site(*site_a.ce, ip::Ipv4Address::must_parse("10.1.0.1"));
+  f.to_site =
+      flows.add_site(*site_b.ce, ip::Ipv4Address::must_parse("10.2.0.1"));
+  f.rate_bps = 2e6;
   f.vpn = v;
   f.phb = qos::Phb::kAf21;
-  traffic::CbrSource src(*site_a.ce, f, 1, &probe, 2e6);
+  flows.add_flow(f);
   sink.expect_flow(1, qos::Phb::kAf21, v);
 
   const sim::SimTime t0 = bb.topo.scheduler().now();
-  src.run(t0, t0 + 4 * sim::kSecond);
+  flows.run(t0 + 4 * sim::kSecond);
 
   bb.topo.scheduler().schedule_at(t0 + sim::kSecond, [&] {
     std::printf("[%7.1f ms] *** link P0-P1 fails ***\n",

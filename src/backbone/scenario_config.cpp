@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <chrono>
+#include <cmath>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -56,21 +57,35 @@ Line tokenize(const std::string& raw) {
   return line;
 }
 
-bool to_double(const std::string& s, double& out) {
-  try {
-    std::size_t used = 0;
-    out = std::stod(s, &used);
-    return used == s.size();
-  } catch (...) {
-    return false;
-  }
+/// The keys each directive reads. Anything else on the line is an error
+/// naming the key, so a typo such as `rat=` cannot silently fall back to a
+/// default. (`topology generated` keys are checked by apply_topogen_param.)
+const std::map<std::string, std::vector<std::string>>& directive_keys() {
+  static const std::map<std::string, std::vector<std::string>> keys = {
+      {"backbone",
+       {"p", "pe", "core_bw", "edge_bw", "seed", "bgp", "rr", "core_queue"}},
+      {"vpn", {}},
+      {"extranet", {}},
+      {"site", {"pe", "prefix"}},
+      {"classify", {"site", "dstport", "class"}},
+      {"police", {"site", "class", "cir", "cbs", "ebs"}},
+      {"shape", {"site", "class", "rate", "burst"}},
+      {"flow",
+       {"vpn", "from", "to", "rate", "on", "off", "class", "port", "size",
+        "start", "premark"}},
+      {"run", {"for", "shards", "flowcache"}},
+  };
+  return keys;
 }
 
-bool to_size(const std::string& s, std::size_t& out) {
-  double d;
-  if (!to_double(s, d) || d < 0) return false;
-  out = static_cast<std::size_t>(d);
-  return true;
+/// Parse a finite, strictly positive double.
+bool to_positive(const std::string& s, double& out) {
+  return to_double(s, out) && std::isfinite(out) && out > 0;
+}
+
+/// Parse a duration in seconds within [0, kMaxScenarioSeconds].
+bool to_duration(const std::string& s, double& out) {
+  return to_double(s, out) && out >= 0 && out <= kMaxScenarioSeconds;
 }
 
 std::optional<qos::Phb> phb_by_name(const std::string& name) {
@@ -229,6 +244,16 @@ std::optional<Scenario> Scenario::parse(const std::string& text,
     ++line_no;
     const Line line = tokenize(raw);
     if (line.directive.empty()) continue;
+    const auto known = directive_keys().find(line.directive);
+    if (known != directive_keys().end()) {
+      for (const auto& [key, value] : line.kv) {
+        if (std::find(known->second.begin(), known->second.end(), key) ==
+            known->second.end()) {
+          return fail(line_no, "unknown key " + key + "= on " +
+                                   line.directive + " line");
+        }
+      }
+    }
     auto kv = [&](const char* key) -> std::optional<std::string> {
       auto it = line.kv.find(key);
       if (it == line.kv.end()) return std::nullopt;
@@ -313,11 +338,6 @@ std::optional<Scenario> Scenario::parse(const std::string& text,
       auto prefix = ip::Prefix::parse(*v);
       if (!prefix) return fail(line_no, "bad prefix= " + *v);
       site.prefix = *prefix;
-      if (auto p = kv("pref")) {
-        std::size_t pref;
-        if (!to_size(*p, pref)) return fail(line_no, "bad pref=");
-        site.pref = static_cast<std::uint32_t>(pref);
-      }
       sc.sites_.push_back(site);
     } else if (line.directive == "classify") {
       ClassifyDecl c;
@@ -354,20 +374,27 @@ std::optional<Scenario> Scenario::parse(const std::string& text,
         PoliceDecl p;
         p.site = site;
         p.phb = phb;
-        if (auto v = kv("cir")) to_double(*v, p.cir);
-        if (auto v = kv("cbs")) to_double(*v, p.cbs);
-        if (auto v = kv("ebs")) to_double(*v, p.ebs);
-        if (p.cir <= 0 || p.cbs <= 0 || p.ebs <= 0) {
+        const auto cir = kv("cir");
+        const auto cbs = kv("cbs");
+        const auto ebs = kv("ebs");
+        if (!cir || !cbs || !ebs) {
           return fail(line_no, "police needs cir=, cbs=, ebs= > 0");
         }
+        if (!to_positive(*cir, p.cir)) return fail(line_no, "bad cir=");
+        if (!to_positive(*cbs, p.cbs)) return fail(line_no, "bad cbs=");
+        if (!to_positive(*ebs, p.ebs)) return fail(line_no, "bad ebs=");
         sc.polices_.push_back(p);
       } else {
         ShapeDecl s;
         s.site = site;
         s.phb = phb;
-        if (auto v = kv("rate")) to_double(*v, s.rate);
-        if (auto v = kv("burst")) to_double(*v, s.burst);
-        if (s.rate <= 0) return fail(line_no, "shape needs rate= > 0");
+        const auto rate = kv("rate");
+        const auto burst = kv("burst");
+        if (!rate || !burst) {
+          return fail(line_no, "shape needs rate=, burst= > 0");
+        }
+        if (!to_positive(*rate, s.rate)) return fail(line_no, "bad rate=");
+        if (!to_positive(*burst, s.burst)) return fail(line_no, "bad burst=");
         sc.shapes_.push_back(s);
       }
     } else if (line.directive == "flow") {
@@ -390,10 +417,20 @@ std::optional<Scenario> Scenario::parse(const std::string& text,
         if (!to_size(*x, f.to)) return fail(line_no, "bad to=");
       }
       if (auto x = kv("rate")) {
-        if (!to_double(*x, f.rate)) return fail(line_no, "bad rate=");
+        if (!to_positive(*x, f.rate) || f.rate < kMinFlowRateBps) {
+          return fail(line_no, "bad rate= (want >= 1 b/s)");
+        }
       }
-      if (auto x = kv("on")) to_double(*x, f.on_s);
-      if (auto x = kv("off")) to_double(*x, f.off_s);
+      if (auto x = kv("on")) {
+        if (!to_duration(*x, f.on_s) || f.on_s <= 0) {
+          return fail(line_no, "bad on=");
+        }
+      }
+      if (auto x = kv("off")) {
+        if (!to_duration(*x, f.off_s) || f.off_s <= 0) {
+          return fail(line_no, "bad off=");
+        }
+      }
       if (auto x = kv("class")) {
         auto phb = phb_by_name(*x);
         if (!phb) return fail(line_no, "unknown class= " + *x);
@@ -405,10 +442,13 @@ std::optional<Scenario> Scenario::parse(const std::string& text,
         f.port = static_cast<std::uint16_t>(p);
       }
       if (auto x = kv("size")) {
-        if (!to_size(*x, f.size)) return fail(line_no, "bad size=");
+        if (!to_size(*x, f.size) || f.size > kMaxPayloadBytes) {
+          return fail(line_no, "bad size= (want 0.." +
+                                   std::to_string(kMaxPayloadBytes) + ")");
+        }
       }
       if (auto x = kv("start")) {
-        if (!to_double(*x, f.start_s) || f.start_s < 0) {
+        if (!to_duration(*x, f.start_s)) {
           return fail(line_no, "bad start=");
         }
       }
@@ -416,7 +456,7 @@ std::optional<Scenario> Scenario::parse(const std::string& text,
       sc.flows_.push_back(f);
     } else if (line.directive == "run") {
       if (auto v = kv("for")) {
-        if (!to_double(*v, sc.run_for_s_) || sc.run_for_s_ <= 0) {
+        if (!to_duration(*v, sc.run_for_s_) || sc.run_for_s_ <= 0) {
           return fail(line_no, "bad for=");
         }
       }
@@ -434,33 +474,6 @@ std::optional<Scenario> Scenario::parse(const std::string& text,
           sc.flowcache_ = false;
         } else {
           return fail(line_no, "bad flowcache= (want on|off)");
-        }
-      }
-      if (auto v = kv("sources")) {
-        if (*v == "legacy") {
-          sc.legacy_sources_ = true;
-        } else if (*v == "flowset") {
-          sc.legacy_sources_ = false;
-        } else {
-          return fail(line_no, "bad sources= (want flowset|legacy)");
-        }
-      }
-      if (auto v = kv("updates")) {
-        if (*v == "legacy") {
-          sc.legacy_updates_ = true;
-        } else if (*v == "packed") {
-          sc.legacy_updates_ = false;
-        } else {
-          return fail(line_no, "bad updates= (want packed|legacy)");
-        }
-      }
-      if (auto v = kv("spf")) {
-        if (*v == "full") {
-          sc.full_spf_ = true;
-        } else if (*v == "incremental") {
-          sc.full_spf_ = false;
-        } else {
-          return fail(line_no, "bad spf= (want incremental|full)");
         }
       }
     } else {
@@ -552,11 +565,6 @@ bool Scenario::run(std::ostream& out) const {
   MplsBackbone bb(cfg);
   net::Topology& topo = bb.topo;
 
-  // Control-plane A/B switches, applied before any protocol starts so the
-  // whole convergence runs in the selected mode.
-  bb.bgp.set_packing(!legacy_updates_);
-  bb.igp.set_full_spf(full_spf_);
-
   // "red" core spec: swap RED onto the core directions while the links are
   // still idle. The clock reads through the topology's ambient scheduler
   // accessor (a sharded run answers with the shard clock of whichever
@@ -604,11 +612,7 @@ bool Scenario::run(std::ostream& out) const {
   }
   std::vector<MplsBackbone::Site> built;
   for (const auto& s : sites_) {
-    // add_site has no pref parameter on the fixture; attach manually for
-    // preference-carrying sites via the service.
-    auto site = bb.add_site(vpn_ids.at(s.vpn), s.pe, s.prefix);
-    built.push_back(site);
-    (void)s.pref;  // single-homed declarations: pref is a tie-break no-op
+    built.push_back(bb.add_site(vpn_ids.at(s.vpn), s.pe, s.prefix));
   }
 
   // flowcache=off: force every router (P, PE, CE) onto the slow path so
@@ -751,10 +755,6 @@ bool Scenario::run(std::ostream& out) const {
     if (!runtime) return sink;
     return *shard_sinks[topo.shard_of(built[site].ce->id())];
   };
-  auto probe_at = [&](std::size_t site) -> qos::SlaProbe& {
-    if (!runtime) return probe;
-    return *shard_probes[topo.shard_of(built[site].ce->id())];
-  };
   auto merge_shard_observers = [&] {
     probe = qos::SlaProbe("scenario");
     for (const auto& sp : shard_probes) probe.merge_from(*sp);
@@ -887,13 +887,10 @@ bool Scenario::run(std::ostream& out) const {
     }
   }
 
-  std::vector<std::unique_ptr<traffic::Source>> sources;
-  std::vector<double> source_start_s;  // parallel to `sources`
   std::vector<std::unique_ptr<traffic::TcpLiteFlow>> tcp_flows;
-  // Default engine: one SoA FlowSet per engine lane (the serial scheduler,
-  // or each shard's) holding every cbr/poisson/onoff flow whose source CE
-  // lives on that lane — byte-identical to the legacy per-flow Source
-  // objects, which `run sources=legacy` brings back for A/B runs.
+  // One SoA FlowSet per engine lane (the serial scheduler, or each
+  // shard's) holding every cbr/poisson/onoff flow whose source CE lives on
+  // that lane.
   std::vector<std::unique_ptr<traffic::FlowSet>> flowsets(
       runtime ? runtime->shard_count() : 1);
   auto flowset_at = [&](std::size_t site) -> traffic::FlowSet& {
@@ -933,46 +930,23 @@ bool Scenario::run(std::ostream& out) const {
       continue;
     }
     const vpn::VpnId flow_vpn = vpn_ids.at(f.vpn);
-    if (legacy_sources_) {
-      traffic::FlowSpec spec;
-      spec.src = ip::Ipv4Address(built[f.from].prefix.address().value() + 1);
-      spec.dst = ip::Ipv4Address(built[f.to].prefix.address().value() + 1);
-      spec.dst_port = f.port;
-      spec.payload_bytes = f.size;
-      spec.vpn = flow_vpn;
-      spec.phb = f.phb;
-      spec.premark = f.premark;
-      qos::SlaProbe* flow_probe = &probe_at(f.from);
-      if (f.kind == "cbr") {
-        sources.push_back(std::make_unique<traffic::CbrSource>(
-            ce, spec, flow_id, flow_probe, f.rate));
-      } else if (f.kind == "poisson") {
-        sources.push_back(std::make_unique<traffic::PoissonSource>(
-            ce, spec, flow_id, flow_probe, f.rate));
-      } else {
-        sources.push_back(std::make_unique<traffic::OnOffSource>(
-            ce, spec, flow_id, flow_probe, f.rate, f.on_s, f.off_s));
-      }
-      source_start_s.push_back(f.start_s);
-    } else {
-      traffic::FlowSet::FlowDef d;
-      d.flow_id = flow_id;
-      d.from_site = static_cast<std::uint32_t>(f.from);
-      d.to_site = static_cast<std::uint32_t>(f.to);
-      d.kind = f.kind == "cbr"       ? traffic::FlowSet::Kind::kCbr
-               : f.kind == "poisson" ? traffic::FlowSet::Kind::kPoisson
-                                     : traffic::FlowSet::Kind::kOnOff;
-      d.rate_bps = f.rate;
-      d.on_s = f.on_s;
-      d.off_s = f.off_s;
-      d.vpn = flow_vpn;
-      d.phb = f.phb;
-      d.premark = f.premark;
-      d.dst_port = f.port;
-      d.payload_bytes = static_cast<std::uint32_t>(f.size);
-      d.start = t0 + sim::from_seconds(f.start_s);
-      flowset_at(f.from).add_flow(d);
-    }
+    traffic::FlowSet::FlowDef d;
+    d.flow_id = flow_id;
+    d.from_site = static_cast<std::uint32_t>(f.from);
+    d.to_site = static_cast<std::uint32_t>(f.to);
+    d.kind = f.kind == "cbr"       ? traffic::FlowSet::Kind::kCbr
+             : f.kind == "poisson" ? traffic::FlowSet::Kind::kPoisson
+                                   : traffic::FlowSet::Kind::kOnOff;
+    d.rate_bps = f.rate;
+    d.on_s = f.on_s;
+    d.off_s = f.off_s;
+    d.vpn = flow_vpn;
+    d.phb = f.phb;
+    d.premark = f.premark;
+    d.dst_port = f.port;
+    d.payload_bytes = static_cast<std::uint32_t>(f.size);
+    d.start = t0 + sim::from_seconds(f.start_s);
+    flowset_at(f.from).add_flow(d);
     // When dispatchers own the sinks, route measured flows through them.
     if (any_tcp) {
       dispatcher_for(f.to).register_flow(
@@ -990,10 +964,6 @@ bool Scenario::run(std::ostream& out) const {
     ++flow_id;
   }
 
-  for (std::size_t i = 0; i < sources.size(); ++i) {
-    sources[i]->run(t0 + sim::from_seconds(source_start_s[i]),
-                    t0 + sim::from_seconds(run_for_s_));
-  }
   for (auto& fs : flowsets) {
     if (fs) fs->run(t0 + sim::from_seconds(run_for_s_));
   }
@@ -1193,8 +1163,7 @@ int run_scenario_file(const std::string& path, std::ostream& out) {
 int run_scenario_file(const std::string& path, std::ostream& out,
                       const ObsOptions& obs, std::uint32_t shards,
                       int flowcache, bool verbose,
-                      std::vector<std::uint64_t> partition_weights,
-                      int legacy_sources, int legacy_updates, int full_spf) {
+                      std::vector<std::uint64_t> partition_weights) {
   std::ifstream in(path);
   if (!in) {
     out << "cannot open " << path << "\n";
@@ -1211,9 +1180,6 @@ int run_scenario_file(const std::string& path, std::ostream& out,
   scenario->set_obs(obs);
   if (shards != 0) scenario->set_shards(shards);
   if (flowcache >= 0) scenario->set_flowcache(flowcache != 0);
-  if (legacy_sources >= 0) scenario->set_legacy_sources(legacy_sources != 0);
-  if (legacy_updates >= 0) scenario->set_legacy_updates(legacy_updates != 0);
-  if (full_spf >= 0) scenario->set_full_spf(full_spf != 0);
   scenario->set_verbose(verbose);
   scenario->set_partition_weights(std::move(partition_weights));
   return scenario->run(out) ? 0 : 1;

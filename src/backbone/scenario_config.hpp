@@ -10,7 +10,6 @@
 #include "backbone/topogen.hpp"
 #include "obs/trace.hpp"
 #include "traffic/sink.hpp"
-#include "traffic/source.hpp"
 
 namespace mvpn::backbone {
 
@@ -46,9 +45,8 @@ struct ObsOptions {
 
   /// Register control-plane counters (SPF full/incremental/skipped runs,
   /// BGP updates sent/packed, wire bytes, Adj-RIB occupancy) under
-  /// `control/...`. Off by default for the same reason as engine_metrics:
-  /// the values depend on the updates=/spf= mode, and scenario
-  /// byte-identity compares metrics snapshots across modes.
+  /// `control/...`. Off by default, like engine_metrics: they count how
+  /// the control plane did its work, not what the run delivered.
   bool control_metrics = false;
 
   /// Per-flow telemetry plane (obs::FlowStatsTable + FlowExporter): one
@@ -100,26 +98,24 @@ struct ObsOptions {
 ///   vpn corp
 ///   extranet corp partner                  # corp imports partner's routes
 ///   site corp pe=0 prefix=10.1.0.0/16      # site index = declaration order
-///   site corp pe=1 prefix=10.2.0.0/16 pref=200
+///   site corp pe=1 prefix=10.2.0.0/16
 ///   classify site=0 dstport=16384-16484 class=EF
 ///   police  site=0 class=EF cir=62500 cbs=4000 ebs=4000   # bytes/s, bytes
-///   shape   site=0 class=AF11 rate=125000 burst=3000
+///   shape   site=0 class=AF11 rate=125000 burst=3000    # bytes/s, bytes
 ///   flow cbr     vpn=corp from=0 to=1 rate=200e3 class=EF port=16400 size=172
 ///   flow poisson vpn=corp from=0 to=1 rate=1e6 size=1472
 ///   flow onoff   vpn=corp from=0 to=1 rate=2e6 on=0.3 off=0.2 class=AF21 port=5004
 ///   flow tcp     vpn=corp from=0 to=1 class=BE port=80 size=1432   # greedy elastic
 ///   run for=5 shards=4 flowcache=off       # seconds of traffic (+2 s drain);
 ///                                          # shards>1 = parallel engine;
-///                                          # flowcache=off: slow path only;
-///                                          # sources=legacy: per-flow Source
-///                                          # objects instead of the FlowSet
-///                                          # engine (A/B, byte-identical)
-///                                          # updates=legacy: per-route BGP
-///                                          # messages instead of packed
-///                                          # update groups (A/B)
-///                                          # spf=full: full Dijkstra per
-///                                          # LSA install instead of
-///                                          # incremental SPF (A/B)
+///                                          # flowcache=off: slow path only
+///
+/// Each directive accepts only the keys shown; an unknown key is a parse
+/// error that names it. Counts (p=, pe=, seed=, ...) must be finite,
+/// non-negative and in range; rate=, on=, off=, cir=, cbs=, ebs= and
+/// burst= must be finite and > 0 (a flow rate= at least 1 b/s);
+/// durations (for=, start=, on=, off=) at most 1e6 s; size= at most
+/// 65507 bytes.
 ///
 /// Flows start when the control plane has converged — together by default,
 /// or offset by `start=SECONDS` on a flow line (generated topologies set
@@ -167,30 +163,6 @@ class Scenario {
   void set_verbose(bool on) { verbose_ = on; }
   [[nodiscard]] bool verbose() const noexcept { return verbose_; }
 
-  /// Build cbr/poisson/onoff flows as per-flow Source objects instead of
-  /// the SoA FlowSet engine (also settable via `run sources=legacy`).
-  /// Results are byte-identical either way — the toggle exists for A/B
-  /// verification and benchmarking of the megaflow engine.
-  void set_legacy_sources(bool on) { legacy_sources_ = on; }
-  [[nodiscard]] bool legacy_sources() const noexcept {
-    return legacy_sources_;
-  }
-
-  /// Send one BGP message per (route, peer) instead of packed per-peer
-  /// update groups (also settable via `run updates=legacy`). Final RIBs
-  /// and traffic results are byte-identical either way — the toggle is
-  /// the control-plane fastpath's A/B guard.
-  void set_legacy_updates(bool on) { legacy_updates_ = on; }
-  [[nodiscard]] bool legacy_updates() const noexcept {
-    return legacy_updates_;
-  }
-
-  /// Run a full Dijkstra on every LSA install instead of incremental SPF
-  /// (also settable via `run spf=full`). Identical next-hop tables either
-  /// way; the toggle exists for A/B verification and SPF-work accounting.
-  void set_full_spf(bool on) { full_spf_ = on; }
-  [[nodiscard]] bool full_spf() const noexcept { return full_spf_; }
-
   /// Per-node flow weights for the partitioner (a measured FlowProfile's
   /// node_weight vector, typically from a prior run's --flow-profile).
   /// Empty (the default) keeps the node-count plan. Sharding is
@@ -229,7 +201,6 @@ class Scenario {
     std::string vpn;
     std::size_t pe = 0;
     ip::Prefix prefix;
-    std::uint32_t pref = 100;
   };
   struct ClassifyDecl {
     std::size_t site = 0;
@@ -273,9 +244,6 @@ class Scenario {
   std::uint32_t shards_ = 1;
   bool flowcache_ = true;
   bool verbose_ = false;
-  bool legacy_sources_ = false;
-  bool legacy_updates_ = false;
-  bool full_spf_ = false;
   std::vector<std::uint64_t> partition_weights_;
   std::optional<TopogenParams> topogen_;
   ObsOptions obs_;
@@ -288,15 +256,10 @@ class Scenario {
 /// `verbose` prints partition diagnostics to stderr.
 /// `partition_weights` feeds the flow-weighted partitioner (see
 /// Scenario::set_partition_weights).
-/// `legacy_sources` 0/1 overrides `run sources=` (-1 leaves the file's
-/// choice); `legacy_updates` and `full_spf` likewise override
-/// `run updates=` / `run spf=`.
 int run_scenario_file(const std::string& path, std::ostream& out);
 int run_scenario_file(const std::string& path, std::ostream& out,
                       const ObsOptions& obs, std::uint32_t shards = 0,
                       int flowcache = -1, bool verbose = false,
-                      std::vector<std::uint64_t> partition_weights = {},
-                      int legacy_sources = -1, int legacy_updates = -1,
-                      int full_spf = -1);
+                      std::vector<std::uint64_t> partition_weights = {});
 
 }  // namespace mvpn::backbone

@@ -1,7 +1,9 @@
 #include "backbone/topogen.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -9,23 +11,6 @@
 
 namespace mvpn::backbone {
 namespace {
-
-bool to_double(const std::string& s, double& out) {
-  try {
-    std::size_t used = 0;
-    out = std::stod(s, &used);
-    return used == s.size();
-  } catch (...) {
-    return false;
-  }
-}
-
-bool to_size(const std::string& s, std::size_t& out) {
-  double d = 0;
-  if (!to_double(s, d) || d < 0) return false;
-  out = static_cast<std::size_t>(d);
-  return true;
-}
 
 /// 64-bit FNV-1a, folded incrementally.
 struct Fnv {
@@ -52,6 +37,28 @@ struct Fnv {
 
 }  // namespace
 
+bool to_double(const std::string& s, double& out) {
+  try {
+    std::size_t used = 0;
+    out = std::stod(s, &used);
+    return used == s.size();
+  } catch (...) {
+    return false;
+  }
+}
+
+bool to_size(const std::string& s, std::size_t& out) {
+  double d = 0;
+  // 2^64 as a double: every finite value below it converts exactly.
+  constexpr double kLimit =
+      static_cast<double>(std::numeric_limits<std::size_t>::max());
+  if (!to_double(s, d) || !std::isfinite(d) || d < 0 || d >= kLimit) {
+    return false;
+  }
+  out = static_cast<std::size_t>(d);
+  return true;
+}
+
 bool apply_topogen_param(TopogenParams& params, const std::string& key,
                          const std::string& value) {
   if (key == "p") return to_size(value, params.p);
@@ -61,8 +68,14 @@ bool apply_topogen_param(TopogenParams& params, const std::string& key,
   if (key == "flows") return to_size(value, params.flows);
   if (key == "core_bw") return to_double(value, params.core_bw_bps);
   if (key == "edge_bw") return to_double(value, params.edge_bw_bps);
-  if (key == "rate") return to_double(value, params.rate_bps);
-  if (key == "size") return to_size(value, params.size);
+  if (key == "rate") {
+    return to_double(value, params.rate_bps) &&
+           params.rate_bps >= kMinFlowRateBps &&
+           params.rate_bps < std::numeric_limits<double>::infinity();
+  }
+  if (key == "size") {
+    return to_size(value, params.size) && params.size <= kMaxPayloadBytes;
+  }
   if (key == "seed") {
     std::size_t s = 0;
     if (!to_size(value, s)) return false;

@@ -35,6 +35,22 @@ struct TopogenParams {
   std::uint64_t seed = 1;
 };
 
+/// Strict numeric parsing shared by the scenario and topogen front ends:
+/// the whole token must parse. to_size also rejects negative, non-finite
+/// and out-of-range values instead of casting them.
+bool to_double(const std::string& s, double& out);
+bool to_size(const std::string& s, std::size_t& out);
+
+/// Largest flow payload a scenario may declare: an IPv4 datagram's 65535
+/// bytes less the 20-byte IP and 8-byte L4 headers.
+inline constexpr std::size_t kMaxPayloadBytes = 65507;
+/// Slowest flow rate a scenario may declare, in b/s: one maximum-size
+/// packet every ~6 simulated days, far inside the tick range.
+inline constexpr double kMinFlowRateBps = 1.0;
+/// Longest duration (for=, start=, on=, off=) a scenario may declare, in
+/// seconds; exponential draws around it stay inside the tick range.
+inline constexpr double kMaxScenarioSeconds = 1e6;
+
 /// Apply one "key=value" pair to `params`. Returns false (and leaves
 /// `params` untouched) for an unknown key or unparsable value; shared by
 /// the scenario directive and the run_scenario --topogen spec string.

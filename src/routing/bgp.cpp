@@ -97,34 +97,10 @@ std::vector<ip::NodeId> Bgp::advertise_targets(ip::NodeId node,
   return out;
 }
 
-void Bgp::send_update(ip::NodeId from, ip::NodeId to, const VpnRoute& route) {
-  VpnRoute copy = route;
-  cp_.send_session(from, to, "bgp.update", route.wire_bytes(),
-                   [this, to, from, copy = std::move(copy)] {
-                     receive_update(to, from, copy);
-                   });
-}
-
-void Bgp::send_withdraw(ip::NodeId from, ip::NodeId to,
-                        const VpnRouteKey& key) {
-  cp_.send_session(from, to, "bgp.withdraw", withdraw_wire_bytes(key),
-                   [this, to, from, key] { receive_withdraw(to, from, key); });
-}
-
 void Bgp::propagate(ip::NodeId node, ip::NodeId sender, const VpnRouteKey& key,
                     const VpnRoute* route) {
   std::vector<ip::NodeId> targets = advertise_targets(node, sender);
   if (targets.empty()) return;
-  if (!packing_) {
-    for (ip::NodeId peer : targets) {
-      if (route != nullptr) {
-        send_update(node, peer, *route);
-      } else {
-        send_withdraw(node, peer, key);
-      }
-    }
-    return;
-  }
   CompactRoute compact;
   const CompactRoute* payload = nullptr;
   if (route != nullptr) {
@@ -132,9 +108,9 @@ void Bgp::propagate(ip::NodeId node, ip::NodeId sender, const VpnRouteKey& key,
     payload = &compact;
   }
   if (ribout_.enqueue(node, std::move(targets), key, payload)) {
-    // Zero-delay flush: the packed message leaves at the same tick the
-    // per-route messages would have, so session-delay arrival instants —
-    // and therefore the whole decision cascade — match the legacy path.
+    // Zero-delay flush: the packed message leaves at the tick the route
+    // changed, so session-delay arrival instants — and therefore the whole
+    // decision cascade — do not depend on how NLRI were grouped.
     cp_.topology().scheduler().schedule_in(0, [this, node] { flush(node); });
   }
 }

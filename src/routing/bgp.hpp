@@ -20,14 +20,11 @@ namespace mvpn::routing {
 /// the scalability story (experiments E1/E7 count its sessions, messages
 /// and per-node state).
 ///
-/// Two emission paths, byte-identical in final routing state:
-///  * packed (default) — advertisements and withdraws stage through a
-///    per-speaker RibOut (update groups keyed by export-policy peer set),
-///    flushed by one scheduled event per speaker per flush instant into
-///    MTU-bounded multi-NLRI messages (INTERNALS.md §15);
-///  * legacy (`set_packing(false)`) — one session event and one message
-///    per (route, peer), the pre-packing baseline the A/B guards compare
-///    against.
+/// Advertisements and withdraws stage through a per-speaker RibOut (update
+/// groups keyed by export-policy peer set), flushed by one scheduled event
+/// per speaker per flush instant into MTU-bounded multi-NLRI messages
+/// (INTERNALS.md §15). Final Loc-RIBs are pinned by the fingerprints in
+/// tests/golden/loc_rib.txt.
 class Bgp {
  public:
   enum class Mode { kFullMesh, kRouteReflector };
@@ -64,12 +61,6 @@ class Bgp {
       std::function<void(ip::NodeId at, const VpnRoute& route, bool withdrawn)>;
   void on_route(RouteObserver cb) { observers_.push_back(std::move(cb)); }
 
-  /// A/B switch: packed update groups (default) vs one message per
-  /// (route, peer). Same final RIBs either way; only event/message counts
-  /// and wire-byte accounting differ.
-  void set_packing(bool on) noexcept { packing_ = on; }
-  [[nodiscard]] bool packing() const noexcept { return packing_; }
-
   /// --- introspection -----------------------------------------------------
   [[nodiscard]] std::size_t session_count() const noexcept {
     return sessions_.size();
@@ -84,7 +75,7 @@ class Bgp {
   [[nodiscard]] const std::vector<ip::NodeId>& speakers() const noexcept {
     return speakers_;
   }
-  /// Update-group staging counters (packed path only).
+  /// Update-group staging counters.
   [[nodiscard]] const RibOut& rib_out() const noexcept { return ribout_; }
   /// Interned route-target set pool shared by every speaker's RIB.
   [[nodiscard]] const RtSetPool& rt_pool() const noexcept { return pool_; }
@@ -115,16 +106,14 @@ class Bgp {
   /// `sender` (kInvalidNode = locally originated).
   [[nodiscard]] std::vector<ip::NodeId> advertise_targets(
       ip::NodeId node, ip::NodeId sender) const;
-  /// Route the (re-)advertisement or withdraw (`route` null) of `key`
-  /// through the RibOut (packed) or straight to per-peer messages (legacy).
+  /// Stage the (re-)advertisement or withdraw (`route` null) of `key` in
+  /// the RibOut.
   void propagate(ip::NodeId node, ip::NodeId sender, const VpnRouteKey& key,
                  const VpnRoute* route);
   /// Drain `node`'s update groups into packed session messages.
   void flush(ip::NodeId node);
   void apply_packed(ip::NodeId at, ip::NodeId from,
                     const std::vector<RibOut::Entry>& entries);
-  void send_update(ip::NodeId from, ip::NodeId to, const VpnRoute& route);
-  void send_withdraw(ip::NodeId from, ip::NodeId to, const VpnRouteKey& key);
 
   static bool better(const VpnRoute& a, const VpnRoute& b) noexcept;
   static bool better_compact(const CompactRoute& a,
@@ -139,7 +128,6 @@ class Bgp {
   std::vector<RouteObserver> observers_;
   RtSetPool pool_;
   RibOut ribout_;
-  bool packing_ = true;
   bool started_ = false;
 };
 

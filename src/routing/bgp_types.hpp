@@ -50,9 +50,6 @@ struct VpnRoute {
   std::uint32_t local_pref = 100;
   ip::NodeId originator = ip::kInvalidNode;
 
-  [[nodiscard]] std::size_t wire_bytes() const noexcept {
-    return 48 + 8 * route_targets.size();
-  }
   [[nodiscard]] bool has_target(const RouteTarget& rt) const noexcept {
     for (const auto& t : route_targets) {
       if (t == rt) return true;
@@ -74,14 +71,6 @@ inline constexpr std::size_t kBgpHeaderBytes = 19;
 [[nodiscard]] inline std::size_t vpn_nlri_wire_bytes(
     const VpnRouteKey& key) noexcept {
   return 12 + (key.second.length() + 7) / 8;
-}
-
-/// Wire size of a stand-alone withdraw for `key`: header + MP_UNREACH_NLRI
-/// attribute overhead + the NLRI itself. Replaces the old hardcoded 27 B
-/// that ignored the prefix entirely.
-[[nodiscard]] inline std::size_t withdraw_wire_bytes(
-    const VpnRouteKey& key) noexcept {
-  return kBgpHeaderBytes + 8 + vpn_nlri_wire_bytes(key);
 }
 
 }  // namespace mvpn::routing

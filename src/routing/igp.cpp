@@ -84,12 +84,6 @@ bool Igp::install_classified(RouterState& st, const Lsa& lsa,
   if (had_prev) old_links = prev->links;
   if (!st.lsdb.install(lsa)) return false;  // not newer
 
-  if (full_spf_) {
-    // Legacy semantics: every newer install schedules a full rebuild; no
-    // diff bookkeeping needed.
-    *spf_needed = true;
-    return true;
-  }
   if (!had_prev) {
     // First copy of this origin: no diff base — next run rebuilds fully.
     st.dirty_full = true;
@@ -351,7 +345,7 @@ void Igp::run_spf(ip::NodeId router) {
   st.spf_scheduled = false;
   std::vector<DirtyEdge> dirty = std::move(st.dirty);
   st.dirty.clear();
-  const bool force_full = full_spf_ || !st.spf_valid || st.dirty_full;
+  const bool force_full = !st.spf_valid || st.dirty_full;
   st.dirty_full = false;
 
   std::set<ip::NodeId> seeds;

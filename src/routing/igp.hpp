@@ -31,9 +31,10 @@ namespace mvpn::routing {
 /// the next run classifies against the stored shortest-path solution —
 /// provably non-affecting changes skip the run, decrease-only changes
 /// re-run Dijkstra seeded from the affected region, and anything touching
-/// the current shortest-path DAG falls back to a full rebuild.
-/// `set_full_spf(true)` restores the legacy rebuild-on-every-install
-/// behavior for A/B identity checks.
+/// the current shortest-path DAG falls back to a full rebuild. Cold
+/// convergence always runs the full rebuild, so a fixture built directly at
+/// a network's final costs is the reference an incremental history must
+/// reproduce.
 class Igp {
  public:
   struct NextHopEntry {
@@ -113,15 +114,11 @@ class Igp {
     return te_only_installs_;
   }
   /// Edge relaxations across all runs — the SPF-work metric the churn
-  /// bench compares between incremental and full modes.
+  /// bench reports.
   [[nodiscard]] std::uint64_t edges_relaxed() const noexcept {
     return edges_relaxed_;
   }
   [[nodiscard]] SpfCounters router_spf_counters(ip::NodeId router) const;
-
-  /// A/B switch: full Dijkstra on every install (legacy) vs incremental.
-  void set_full_spf(bool on) noexcept { full_spf_ = on; }
-  [[nodiscard]] bool full_spf() const noexcept { return full_spf_; }
 
   /// Subscribe to SPF completion at a router (LDP and the routers' FIB
   /// sync hook in from here).
@@ -199,7 +196,6 @@ class Igp {
   std::uint64_t spf_skipped_ = 0;
   std::uint64_t te_only_installs_ = 0;
   std::uint64_t edges_relaxed_ = 0;
-  bool full_spf_ = false;
   std::vector<std::function<void(ip::NodeId)>> spf_callbacks_;
 };
 

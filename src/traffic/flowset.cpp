@@ -4,8 +4,6 @@
 #include <cassert>
 #include <cmath>
 
-#include "traffic/source.hpp"
-
 namespace mvpn::traffic {
 
 FlowSet::FlowSet(sim::Scheduler& sched, qos::SlaProbe* probe,
@@ -57,9 +55,8 @@ void FlowSet::add_flow(const FlowDef& def) {
   to_site_.push_back(def.to_site);
   tmpl_.push_back(intern_template(def));
   Param p;
-  // Same arithmetic as the legacy constructors: CBR stores its exact tick
-  // interval, Poisson the mean gap in seconds (what exponential() takes),
-  // on/off the peak-rate tick interval.
+  // CBR stores its exact tick interval, Poisson the mean gap in seconds
+  // (what exponential() takes), on/off the peak-rate tick interval.
   if (def.kind == Kind::kPoisson) {
     p.mean_s =
         sim::to_seconds(interval_for_rate(def.rate_bps, def.payload_bytes));
@@ -69,7 +66,7 @@ void FlowSet::add_flow(const FlowDef& def) {
   param_.push_back(p);
   sent_.push_back(0);
   burst_pkts_.push_back(0);
-  // Materialize the exact stream state the legacy Source constructor builds.
+  // Per-flow stream: a pure function of (topology seed, flow id).
   rng_.push_back(sim::Rng::stream(master_seed_, def.flow_id).state());
   start_.push_back(def.start);
 }
@@ -133,9 +130,8 @@ void FlowSet::run(sim::SimTime stop) {
   rng_.shrink_to_fit();
   heap_.reserve(flow_count());
   for (std::uint32_t row = 0; row < flow_count(); ++row) {
-    // Clamp like Source::run; a flow that would first fire at or past stop
-    // never enters the calendar (legacy schedules the event and emit()
-    // returns without output — same observable behaviour, one less event).
+    // Clamp late-armed starts to now; a flow that would first fire at or
+    // past stop never enters the calendar.
     const sim::SimTime at = std::max(start_[row], now);
     if (at < stop) cal_push(CalEntry{at, next_seq(), row});
   }
@@ -169,8 +165,10 @@ void FlowSet::emit(std::uint32_t row, sim::SimTime now) {
   vpn::Router& attach = *from.attach;
 
   net::PacketPtr p = attach.topology().packet_factory().make();
-  // Identical id scheme to Source::emit: a pure function of the flow, so
-  // packet identities match the legacy engine bit for bit.
+  // Re-stamp the factory id with (flow, sequence): a pure function of the
+  // flow, so traces carry the same packet identities no matter how many
+  // other flows allocate concurrently — or which shard's pool the packet
+  // came from. Control-plane packets keep factory ids (all < 2^32).
   p->id = (std::uint64_t{flow_id_[row]} << 32) | (sent_[row] + 1);
   p->flow_id = flow_id_[row];
   p->created_at = now;
@@ -207,20 +205,20 @@ sim::SimTime FlowSet::next_interval(std::uint32_t row) {
     case Kind::kOnOff: {
       const sim::SimTime on = param_[row].interval;
       if (burst_pkts_[row] > 0) {
-        // Mid-burst: legacy decrements burst_remaining_ by one on-interval
-        // and returns it; the packet count was fixed at draw time below.
+        // Mid-burst: one on-interval per packet; the packet count was fixed
+        // at draw time below.
         --burst_pkts_[row];
         return on;
       }
-      // Burst over: same two draws in the same order as OnOffSource.
+      // Burst over: draw the off gap, then the next burst length.
       sim::Rng r;
       r.set_state(rng_[row]);
       const sim::SimTime off = sim::from_seconds(r.exponential(t.mean_off_s));
       const sim::SimTime burst = sim::from_seconds(r.exponential(t.mean_on_s));
       rng_[row] = r.state();
-      // Legacy keeps the burst as a tick budget decremented by on-interval
-      // per packet, which yields exactly ceil(burst / on) on-gap returns
-      // before the next draw. Store that count: u32 instead of i64.
+      // A burst of `burst` ticks at one packet per on-interval is
+      // ceil(burst / on) on-gap returns before the next draw. Store that
+      // count: u32 instead of an i64 tick budget.
       burst_pkts_[row] =
           (burst > 0 && on > 0)
               ? static_cast<std::uint32_t>((burst + on - 1) / on)

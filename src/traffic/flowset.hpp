@@ -11,32 +11,42 @@
 
 namespace mvpn::traffic {
 
-/// Compact structure-of-arrays traffic engine for the 10^5–10^6 flow
-/// regime. One FlowSet replaces thousands of per-flow Source objects on a
-/// scheduler lane (the serial scheduler, or one shard's scheduler): flow
-/// state lives in parallel vectors at 62 bytes per flow, and emission is
-/// driven by a per-set calendar — a 4-ary (tick, seq) min-heap of 16-byte
-/// entries — that keeps exactly ONE scheduler event armed at the earliest
-/// due instant and batch-emits every flow due at that tick, instead of one
-/// InlineCallable closure per packet.
+/// Emission interval for an IP-level rate: one header+payload packet every
+/// `pkt_bits / rate_bps` seconds, truncated to ticks by from_seconds.
+[[nodiscard]] inline sim::SimTime interval_for_rate(
+    double rate_bps, std::size_t payload_bytes) noexcept {
+  const double pkt_bits = static_cast<double>(net::kIpv4HeaderBytes +
+                                              net::kL4HeaderBytes +
+                                              payload_bytes) *
+                          8.0;
+  return sim::from_seconds(pkt_bits / rate_bps);
+}
+
+/// The traffic engine: every CBR, Poisson and on/off flow in the simulator
+/// is a row of a FlowSet. One FlowSet serves one scheduler lane (the serial
+/// scheduler, or one shard's scheduler): flow state lives in parallel
+/// vectors at 62 bytes per flow, and emission is driven by a per-set
+/// calendar — a 4-ary (tick, seq) min-heap of 16-byte entries — that keeps
+/// exactly ONE scheduler event armed at the earliest due instant and
+/// batch-emits every flow due at that tick, instead of one closure per
+/// packet.
 ///
-/// Byte identity with the legacy Source path is the design constraint, not
-/// an aspiration: packet ids are the same pure function
-/// `(flow_id << 32) | seq`, per-flow RNG streams are the same
-/// `Rng::stream(topology seed, flow_id)` states advanced by the same draws,
-/// and emission instants come from the same interval arithmetic
-/// (`interval_for_rate`, `from_seconds` truncation included). Same-tick
-/// emissions replay the legacy order because the calendar orders entries by
-/// (tick, monotone insertion seq) exactly like the scheduler's
-/// (time, insertion-seq) heap, and a batch re-inserts each flow only after
-/// emitting it — see INTERNALS.md §14 for the full argument.
+/// Everything observable is a pure function of the flow declarations:
+/// packet ids are `(flow_id << 32) | seq`, per-flow RNG streams are
+/// `Rng::stream(topology seed, flow_id)` advanced by a fixed draw sequence,
+/// and emission instants come from `interval_for_rate` with `from_seconds`
+/// truncation. Same-tick emissions run in (tick, monotone insertion seq)
+/// order, the scheduler's own FIFO tie-break, and a batch re-inserts each
+/// flow only after emitting it. The per-packet logs and SLA reports this
+/// produces are pinned by the checked-in outputs under tests/golden/ (see
+/// INTERNALS.md §14).
 class FlowSet {
  public:
   enum class Kind : std::uint8_t { kCbr, kPoisson, kOnOff };
 
   /// Build-time description of one flow. Sites are pre-registered router
   /// attachments (add_site); `start` is an absolute instant, clamped to
-  /// the scheduler's now at run() like Source::run does.
+  /// the scheduler's now at run().
   struct FlowDef {
     std::uint32_t flow_id = 0;
     std::uint32_t from_site = 0;
@@ -58,7 +68,7 @@ class FlowSet {
   /// `sched` must be the scheduler that owns every attachment router's
   /// events (the shard scheduler under a parallel run); `probe` gets the
   /// sent-side SLA accounting (may be null); `master_seed` is the topology
-  /// seed the legacy path derives per-flow streams from.
+  /// seed per-flow streams derive from.
   FlowSet(sim::Scheduler& sched, qos::SlaProbe* probe,
           std::uint64_t master_seed);
   ~FlowSet();
@@ -74,11 +84,10 @@ class FlowSet {
   void add_flow(const FlowDef& def);
 
   /// Arm the calendar: every flow is inserted at max(start, now) in
-  /// declaration order (the order legacy sources schedule their first
-  /// events), flows whose clamped start falls at or past `stop` are
-  /// dropped (legacy emits nothing for them either), and one scheduler
-  /// event is armed at the earliest tick. Also trims build-time slack:
-  /// after run() the SoA vectors are shrunk to size.
+  /// declaration order, flows whose clamped start falls at or past `stop`
+  /// are dropped, and one scheduler event is armed at the earliest tick.
+  /// Also trims build-time slack: after run() the SoA vectors are shrunk
+  /// to size.
   void run(sim::SimTime stop);
 
   [[nodiscard]] std::size_t flow_count() const noexcept {
@@ -107,7 +116,7 @@ class FlowSet {
  private:
   /// Per-kind emission parameter, 8 bytes. CBR and on/off store an exact
   /// tick interval; Poisson stores the mean gap in seconds because that is
-  /// what the legacy source feeds to exponential().
+  /// what exponential() takes.
   union Param {
     sim::SimTime interval;
     double mean_s;

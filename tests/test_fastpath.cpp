@@ -9,8 +9,8 @@
 #include "backbone/scenario_config.hpp"
 #include "obs/trace.hpp"
 #include "qos/sla.hpp"
+#include "test_flows.hpp"
 #include "traffic/sink.hpp"
-#include "traffic/source.hpp"
 
 namespace mvpn {
 namespace {
@@ -43,11 +43,9 @@ struct FlowFixture {
         static_cast<std::uint32_t>(obs::Category::kFastpath));
     sink.emplace(probe, bb.topo.scheduler());
     sink->bind(*site_b.ce);
-    traffic::FlowSpec f;
-    f.src = ip::Ipv4Address::must_parse("10.1.0.1");
-    f.dst = ip::Ipv4Address::must_parse("10.2.0.1");
-    f.vpn = v;
-    src.emplace(*site_a.ce, f, 1, &probe, rate_bps);
+    src.emplace(bb.topo.scheduler(), &probe, bb.topo.seed());
+    src->add_flow(testutil::flow_between(*src, 1, *site_a.ce, "10.1.0.1",
+                                         *site_b.ce, "10.2.0.1", rate_bps, v));
     sink->expect_flow(1, qos::Phb::kBe, v);
   }
 
@@ -56,7 +54,7 @@ struct FlowFixture {
   MplsBackbone::Site site_a, site_b;
   qos::SlaProbe probe;
   std::optional<traffic::MeasurementSink> sink;
-  std::optional<traffic::CbrSource> src;
+  std::optional<traffic::FlowSet> src;
 };
 
 BackboneConfig small_backbone(std::uint64_t seed) {
@@ -72,7 +70,7 @@ BackboneConfig small_backbone(std::uint64_t seed) {
 TEST(Fastpath, SteadyFlowHitsCacheAfterFirstPacket) {
   FlowFixture fx(small_backbone(11));
   const sim::SimTime t0 = fx.bb.topo.scheduler().now();
-  fx.src->run(t0, t0 + sim::kSecond);
+  fx.src->run(t0 + sim::kSecond);
   fx.bb.topo.run_until(t0 + 2 * sim::kSecond);
 
   EXPECT_EQ(fx.sink->delivered(), fx.src->packets_sent());
@@ -108,7 +106,7 @@ TEST(Fastpath, DisabledCacheStillDeliversWithZeroStats) {
     }
   }
   const sim::SimTime t0 = fx.bb.topo.scheduler().now();
-  fx.src->run(t0, t0 + sim::kSecond);
+  fx.src->run(t0 + sim::kSecond);
   fx.bb.topo.run_until(t0 + 2 * sim::kSecond);
 
   EXPECT_EQ(fx.sink->delivered(), fx.src->packets_sent());
@@ -127,7 +125,7 @@ TEST(Fastpath, LdpWithdrawInvalidatesAndReResolves) {
   cfg.pe_count = 3;  // PE2 exists only to have an unrelated FEC to withdraw
   FlowFixture fx(cfg);
   const sim::SimTime t0 = fx.bb.topo.scheduler().now();
-  fx.src->run(t0, t0 + sim::kSecond);
+  fx.src->run(t0 + sim::kSecond);
 
   const sim::SimTime t_mut = t0 + sim::kSecond / 2;
   std::uint64_t gen_before = 0;
@@ -157,7 +155,7 @@ TEST(Fastpath, LdpWithdrawInvalidatesAndReResolves) {
 TEST(Fastpath, LdpWithdrawOfUsedFecStopsTraffic) {
   FlowFixture fx(small_backbone(17));
   const sim::SimTime t0 = fx.bb.topo.scheduler().now();
-  fx.src->run(t0, t0 + sim::kSecond);
+  fx.src->run(t0 + sim::kSecond);
 
   const sim::SimTime t_mut = t0 + sim::kSecond / 2;
   std::uint64_t delivered_at_mut = 0;
@@ -203,15 +201,13 @@ TEST(Fastpath, RsvpRerouteInvalidatesTunnelResolution) {
   qos::SlaProbe probe;
   traffic::MeasurementSink sink(probe, bb.topo.scheduler());
   sink.bind(*site_b.ce);
-  traffic::FlowSpec f;
-  f.src = ip::Ipv4Address::must_parse("10.1.0.1");
-  f.dst = ip::Ipv4Address::must_parse("10.2.0.1");
-  f.vpn = v;
-  traffic::CbrSource src(*site_a.ce, f, 1, &probe, 500e3);
+  traffic::FlowSet src(bb.topo.scheduler(), &probe, bb.topo.seed());
+  src.add_flow(testutil::flow_between(src, 1, *site_a.ce, "10.1.0.1",
+                                      *site_b.ce, "10.2.0.1", 500e3, v));
   sink.expect_flow(1, qos::Phb::kBe, v);
 
   const sim::SimTime t0 = bb.topo.scheduler().now();
-  src.run(t0, t0 + 4 * sim::kSecond);
+  src.run(t0 + 4 * sim::kSecond);
   const sim::SimTime t_fail = t0 + sim::kSecond;
   std::uint64_t gen_before = 0;
   bb.topo.scheduler().schedule_at(t_fail, [&] {
@@ -243,7 +239,7 @@ TEST(Fastpath, RsvpRerouteInvalidatesTunnelResolution) {
 TEST(Fastpath, VrfRouteReplaceInvalidates) {
   FlowFixture fx(small_backbone(23));
   const sim::SimTime t0 = fx.bb.topo.scheduler().now();
-  fx.src->run(t0, t0 + sim::kSecond);
+  fx.src->run(t0 + sim::kSecond);
 
   const sim::SimTime t_mut = t0 + sim::kSecond / 2;
   std::uint64_t gen_before = 0;
@@ -282,7 +278,7 @@ TEST(Fastpath, LinkFailureReconvergenceInvalidates) {
   cfg.seed = 29;
   FlowFixture fx(cfg, 200e3);
   const sim::SimTime t0 = fx.bb.topo.scheduler().now();
-  fx.src->run(t0, t0 + 4 * sim::kSecond);
+  fx.src->run(t0 + 4 * sim::kSecond);
 
   const sim::SimTime t_fail = t0 + sim::kSecond;
   std::uint64_t gen_before = 0;
@@ -335,7 +331,7 @@ TEST(Fastpath, ClassifierMutationReclassifiesNextPacket) {
     }
   });
 
-  fx.src->run(t0, t0 + sim::kSecond);
+  fx.src->run(t0 + sim::kSecond);
   fx.bb.topo.scheduler().schedule_at(t_mut, [&] {
     qos::MatchRule all;  // port-blind: matches the flow from now on
     all.mark = qos::Phb::kAf21;

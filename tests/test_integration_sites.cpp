@@ -3,8 +3,8 @@
 #include "backbone/fixtures.hpp"
 #include "qos/queues.hpp"
 #include "routing/hello.hpp"
+#include "test_flows.hpp"
 #include "traffic/sink.hpp"
-#include "traffic/source.hpp"
 
 namespace mvpn {
 namespace {
@@ -40,30 +40,30 @@ TEST(Integration, AnyToAnyAcrossFourSitesTwoVpns) {
   for (auto& s : v1_sites) sink.bind(*s.ce);
   for (auto& s : v2_sites) sink.bind(*s.ce);
 
-  std::vector<std::unique_ptr<traffic::CbrSource>> sources;
-  std::uint32_t flow = 1;
+  traffic::FlowSet flows(bb.topo.scheduler(), &probe, bb.topo.seed());
+  traffic::FlowSet::FlowDef f;
+  f.rate_bps = 100e3;
   auto wire = [&](std::vector<MplsBackbone::Site>& sites, vpn::VpnId vpn) {
     for (std::size_t i = 0; i < sites.size(); ++i) {
       for (std::size_t j = 0; j < sites.size(); ++j) {
         if (i == j) continue;
-        traffic::FlowSpec f;
-        f.src = ip::Ipv4Address(10, std::uint8_t(i + 1), 0, 1);
-        f.dst = ip::Ipv4Address(10, std::uint8_t(j + 1), 0, 1);
+        ++f.flow_id;
+        f.from_site = flows.add_site(
+            *sites[i].ce, ip::Ipv4Address(10, std::uint8_t(i + 1), 0, 1));
+        f.to_site = flows.add_site(
+            *sites[j].ce, ip::Ipv4Address(10, std::uint8_t(j + 1), 0, 1));
         f.vpn = vpn;
-        sources.push_back(std::make_unique<traffic::CbrSource>(
-            *sites[i].ce, f, flow, &probe, 100e3));
-        sink.expect_flow(flow, qos::Phb::kBe, vpn);
-        ++flow;
+        flows.add_flow(f);
+        sink.expect_flow(f.flow_id, qos::Phb::kBe, vpn);
       }
     }
   };
   wire(v1_sites, v1);
   wire(v2_sites, v2);
-  for (auto& s : sources) s->run(0, sim::kSecond);
+  flows.run(sim::kSecond);
   bb.topo.run_until(3 * sim::kSecond);
 
-  std::uint64_t sent = 0;
-  for (auto& s : sources) sent += s->packets_sent();
+  const std::uint64_t sent = flows.packets_sent();
   EXPECT_GT(sent, 0u);
   EXPECT_EQ(sink.delivered(), sent);
   EXPECT_EQ(sink.leaks(), 0u);
@@ -98,21 +98,17 @@ TEST(Integration, OverlayVpnEndToEnd) {
   traffic::MeasurementSink sink(probe, bb.topo.scheduler());
   sink.bind(a2);
   sink.bind(b2);
-  traffic::FlowSpec f;
-  f.src = ip::Ipv4Address::must_parse("10.1.0.1");
-  f.dst = ip::Ipv4Address::must_parse("10.2.0.1");
-  f.vpn = v1;
-  traffic::CbrSource s1(a1, f, 1, &probe, 200e3);
+  traffic::FlowSet flows(bb.topo.scheduler(), &probe, bb.topo.seed());
+  flows.add_flow(testutil::flow_between(flows, 1, a1, "10.1.0.1", a2,
+                                        "10.2.0.1", 200e3, v1));
   sink.expect_flow(1, qos::Phb::kBe, v1);
-  traffic::FlowSpec g = f;
-  g.vpn = v2;
-  traffic::CbrSource s2(b1, g, 2, &probe, 200e3);
+  flows.add_flow(testutil::flow_between(flows, 2, b1, "10.1.0.1", b2,
+                                        "10.2.0.1", 200e3, v2));
   sink.expect_flow(2, qos::Phb::kBe, v2);
-  s1.run(0, sim::kSecond);
-  s2.run(0, sim::kSecond);
+  flows.run(sim::kSecond);
   bb.topo.run_until(2 * sim::kSecond);
 
-  EXPECT_EQ(sink.delivered(), s1.packets_sent() + s2.packets_sent());
+  EXPECT_EQ(sink.delivered(), flows.packets_sent());
   EXPECT_EQ(sink.leaks(), 0u);
 }
 
@@ -170,18 +166,17 @@ TEST(Integration, IpsecVpnEndToEnd) {
   qos::SlaProbe probe;
   traffic::MeasurementSink sink(probe, bb.topo.scheduler());
   sink.bind(gw2);
-  traffic::FlowSpec f;
-  f.src = ip::Ipv4Address::must_parse("10.1.0.1");
-  f.dst = ip::Ipv4Address::must_parse("10.2.0.1");
-  f.vpn = v1;
+  traffic::FlowSet flows(bb.topo.scheduler(), &probe, bb.topo.seed());
+  traffic::FlowSet::FlowDef f = testutil::flow_between(
+      flows, 1, gw1, "10.1.0.1", gw2, "10.2.0.1", 200e3, v1);
   f.phb = qos::Phb::kEf;
   f.premark = true;
-  traffic::CbrSource src(gw1, f, 1, &probe, 200e3);
+  flows.add_flow(f);
   sink.expect_flow(1, qos::Phb::kEf, v1);
-  src.run(0, sim::kSecond);
+  flows.run(sim::kSecond);
   bb.topo.run_until(3 * sim::kSecond);
 
-  EXPECT_EQ(sink.delivered(), src.packets_sent());
+  EXPECT_EQ(sink.delivered(), flows.packets_sent());
   EXPECT_EQ(sink.leaks(), 0u);
   EXPECT_GT(esp_seen, 0u);
   EXPECT_EQ(clear_seen, 0u);
@@ -210,20 +205,16 @@ TEST(Integration, IpsecOverlappingAddressSpaces) {
   traffic::MeasurementSink sink(probe, bb.topo.scheduler());
   sink.bind(a2);
   sink.bind(b2);
-  traffic::FlowSpec f;
-  f.src = ip::Ipv4Address::must_parse("10.1.0.1");
-  f.dst = ip::Ipv4Address::must_parse("10.2.0.1");
-  f.vpn = v1;
-  traffic::CbrSource s1(a1, f, 1, &probe, 100e3);
+  traffic::FlowSet flows(bb.topo.scheduler(), &probe, bb.topo.seed());
+  flows.add_flow(testutil::flow_between(flows, 1, a1, "10.1.0.1", a2,
+                                        "10.2.0.1", 100e3, v1));
   sink.expect_flow(1, qos::Phb::kBe, v1);
-  traffic::FlowSpec g = f;
-  g.vpn = v2;
-  traffic::CbrSource s2(b1, g, 2, &probe, 100e3);
+  flows.add_flow(testutil::flow_between(flows, 2, b1, "10.1.0.1", b2,
+                                        "10.2.0.1", 100e3, v2));
   sink.expect_flow(2, qos::Phb::kBe, v2);
-  s1.run(0, sim::kSecond);
-  s2.run(0, sim::kSecond);
+  flows.run(sim::kSecond);
   bb.topo.run_until(3 * sim::kSecond);
-  EXPECT_EQ(sink.delivered(), s1.packets_sent() + s2.packets_sent());
+  EXPECT_EQ(sink.delivered(), flows.packets_sent());
   EXPECT_EQ(sink.leaks(), 0u);
 }
 
@@ -250,15 +241,13 @@ TEST(Integration, TeLspFailoverKeepsVpnTrafficFlowing) {
   qos::SlaProbe probe;
   traffic::MeasurementSink sink(probe, bb.topo.scheduler());
   sink.bind(*site_b.ce);
-  traffic::FlowSpec f;
-  f.src = ip::Ipv4Address::must_parse("10.1.0.1");
-  f.dst = ip::Ipv4Address::must_parse("10.2.0.1");
-  f.vpn = v;
-  traffic::CbrSource src(*site_a.ce, f, 1, &probe, 500e3);
+  traffic::FlowSet flows(bb.topo.scheduler(), &probe, bb.topo.seed());
+  flows.add_flow(testutil::flow_between(flows, 1, *site_a.ce, "10.1.0.1",
+                                        *site_b.ce, "10.2.0.1", 500e3, v));
   sink.expect_flow(1, qos::Phb::kBe, v);
 
   const sim::SimTime t0 = bb.topo.scheduler().now();
-  src.run(t0, t0 + 4 * sim::kSecond);
+  flows.run(t0 + 4 * sim::kSecond);
 
   // Fail the hot link after 1 s of traffic.
   bb.topo.scheduler().schedule_at(t0 + sim::kSecond, [&] {
@@ -313,27 +302,21 @@ TEST(Integration, InterAsVpnAcrossTwoProviders) {
   sink.bind(*site_a.ce);
   sink.bind(*site_b.ce);
   sink.bind(*other_site.ce);
-  traffic::FlowSpec f;
-  f.src = ip::Ipv4Address::must_parse("10.1.0.1");
-  f.dst = ip::Ipv4Address::must_parse("10.2.0.1");
-  f.vpn = va;  // ground truth: it is the same corp VPN end to end
-  traffic::CbrSource a_to_b(*site_a.ce, f, 1, &probe, 300e3);
+  traffic::FlowSet flows(bb.topo.scheduler(), &probe, bb.topo.seed());
+  // Ground truth: it is the same corp VPN end to end.
+  flows.add_flow(testutil::flow_between(flows, 1, *site_a.ce, "10.1.0.1",
+                                        *site_b.ce, "10.2.0.1", 300e3, va));
   sink.expect_flow(1, qos::Phb::kBe, vb);  // delivered within B's VRF id
-  traffic::FlowSpec g;
-  g.src = ip::Ipv4Address::must_parse("10.2.0.1");
-  g.dst = ip::Ipv4Address::must_parse("10.1.0.1");
-  g.vpn = vb;
-  traffic::CbrSource b_to_a(*site_b.ce, g, 2, &probe, 300e3);
+  flows.add_flow(testutil::flow_between(flows, 2, *site_b.ce, "10.2.0.1",
+                                        *site_a.ce, "10.1.0.1", 300e3, vb));
   sink.expect_flow(2, qos::Phb::kBe, va);
-  a_to_b.run(0, sim::kSecond);
-  b_to_a.run(0, sim::kSecond);
+  flows.run(sim::kSecond);
   bb.topo.run_until(3 * sim::kSecond);
 
   // VPN ids are provider-local; the sink compares against the delivering
   // VRF. Any mismatch beyond that mapping (e.g. delivery into "other")
   // would show up as a leak or unknown flow.
-  EXPECT_EQ(sink.delivered(),
-            a_to_b.packets_sent() + b_to_a.packets_sent());
+  EXPECT_EQ(sink.delivered(), flows.packets_sent());
   EXPECT_EQ(sink.unknown_flows(), 0u);
   // va and vb are both id 1 in their provider-local spaces, so the
   // ground-truth check is exact; "other" (id 2) must never receive any.
@@ -379,28 +362,24 @@ TEST(Integration, DiffServOverMplsProtectsEfUnderCongestion) {
   traffic::MeasurementSink sink(probe, bb.topo.scheduler());
   sink.bind(*site_b.ce);
 
-  traffic::FlowSpec voice_flow;
-  voice_flow.src = ip::Ipv4Address::must_parse("10.1.0.1");
-  voice_flow.dst = ip::Ipv4Address::must_parse("10.2.0.1");
+  traffic::FlowSet flows(bb.topo.scheduler(), &probe, bb.topo.seed());
+  traffic::FlowSet::FlowDef voice_flow = testutil::flow_between(
+      flows, 1, *site_a.ce, "10.1.0.1", *site_b.ce, "10.2.0.1", 200e3, v);
   voice_flow.dst_port = 16400;
   voice_flow.payload_bytes = 172;  // 200 B voice frames
-  voice_flow.vpn = v;
   voice_flow.phb = qos::Phb::kEf;
-  traffic::CbrSource voice_src(*site_a.ce, voice_flow, 1, &probe, 200e3);
+  flows.add_flow(voice_flow);
   sink.expect_flow(1, qos::Phb::kEf, v);
 
-  traffic::FlowSpec bulk;
-  bulk.src = ip::Ipv4Address::must_parse("10.1.0.2");
-  bulk.dst = ip::Ipv4Address::must_parse("10.2.0.2");
+  traffic::FlowSet::FlowDef bulk = testutil::flow_between(
+      flows, 2, *site_a.ce, "10.1.0.2", *site_b.ce, "10.2.0.2", 2.5e6, v);
+  bulk.kind = traffic::FlowSet::Kind::kPoisson;
   bulk.dst_port = 80;
   bulk.payload_bytes = 1472;
-  bulk.vpn = v;
-  bulk.phb = qos::Phb::kBe;
-  traffic::PoissonSource bulk_src(*site_a.ce, bulk, 2, &probe, 2.5e6);
+  flows.add_flow(bulk);
   sink.expect_flow(2, qos::Phb::kBe, v);
 
-  voice_src.run(0, 3 * sim::kSecond);
-  bulk_src.run(0, 3 * sim::kSecond);
+  flows.run(3 * sim::kSecond);
   bb.topo.run_until(6 * sim::kSecond);
 
   const auto& ef = probe.report(qos::Phb::kEf);
@@ -529,14 +508,12 @@ TEST(Integration, MultihomedSiteSurvivesPeFailure) {
   qos::SlaProbe probe;
   traffic::MeasurementSink sink(probe, bb.topo.scheduler());
   sink.bind(mh_ce);
-  traffic::FlowSpec f;
-  f.src = ip::Ipv4Address::must_parse("10.2.0.1");
-  f.dst = ip::Ipv4Address::must_parse("10.1.0.1");
-  f.vpn = v;
-  traffic::CbrSource src(*remote.ce, f, 1, &probe, 400e3);
+  traffic::FlowSet flows(bb.topo.scheduler(), &probe, bb.topo.seed());
+  flows.add_flow(testutil::flow_between(flows, 1, *remote.ce, "10.2.0.1",
+                                        mh_ce, "10.1.0.1", 400e3, v));
   sink.expect_flow(1, qos::Phb::kBe, v);
   const sim::SimTime t0 = bb.topo.scheduler().now();
-  src.run(t0, t0 + 4 * sim::kSecond);
+  flows.run(t0 + 4 * sim::kSecond);
 
   bb.topo.scheduler().schedule_at(t0 + sim::kSecond, [&] {
     bb.service.fail_pe(bb.pe(0));  // primary attachment dies
@@ -571,14 +548,13 @@ TEST(Integration, MplsSelfHealsWhereOverlayCircuitsDie) {
   qos::SlaProbe m_probe;
   traffic::MeasurementSink m_sink(m_probe, mpls_bb.topo.scheduler());
   m_sink.bind(*m_b.ce);
-  traffic::FlowSpec f;
-  f.src = ip::Ipv4Address::must_parse("10.1.0.1");
-  f.dst = ip::Ipv4Address::must_parse("10.2.0.1");
-  f.vpn = v;
-  traffic::CbrSource m_src(*m_a.ce, f, 1, &m_probe, 200e3);
+  traffic::FlowSet m_flows(mpls_bb.topo.scheduler(), &m_probe,
+                           mpls_bb.topo.seed());
+  m_flows.add_flow(testutil::flow_between(m_flows, 1, *m_a.ce, "10.1.0.1",
+                                          *m_b.ce, "10.2.0.1", 200e3, v));
   m_sink.expect_flow(1, qos::Phb::kBe, v);
   const sim::SimTime t0 = mpls_bb.topo.scheduler().now();
-  m_src.run(t0, t0 + 4 * sim::kSecond);
+  m_flows.run(t0 + 4 * sim::kSecond);
 
   // Fail the link PE0 currently uses at t0+1s.
   mpls_bb.topo.scheduler().schedule_at(t0 + sim::kSecond, [&] {
@@ -607,9 +583,11 @@ TEST(Integration, MplsSelfHealsWhereOverlayCircuitsDie) {
   qos::SlaProbe o_probe;
   traffic::MeasurementSink o_sink(o_probe, ov.topo.scheduler());
   o_sink.bind(o_b);
-  traffic::CbrSource o_src(o_a, f, 1, &o_probe, 200e3);
+  traffic::FlowSet o_flows(ov.topo.scheduler(), &o_probe, ov.topo.seed());
+  o_flows.add_flow(testutil::flow_between(o_flows, 1, o_a, "10.1.0.1", o_b,
+                                          "10.2.0.1", 200e3, v));
   o_sink.expect_flow(1, qos::Phb::kBe, ovv);
-  o_src.run(0, 4 * sim::kSecond);
+  o_flows.run(4 * sim::kSecond);
   // Fail the SW0-SW1 core link the circuit is pinned to.
   ov.topo.scheduler().schedule_at(sim::kSecond, [&] {
     ov.topo.link(0).set_up(false);
@@ -652,14 +630,12 @@ TEST(Integration, HelloDrivenFailureRecoveryEndToEnd) {
   qos::SlaProbe probe;
   traffic::MeasurementSink sink(probe, bb.topo.scheduler());
   sink.bind(*site_b.ce);
-  traffic::FlowSpec f;
-  f.src = ip::Ipv4Address::must_parse("10.1.0.1");
-  f.dst = ip::Ipv4Address::must_parse("10.2.0.1");
-  f.vpn = v;
-  traffic::CbrSource src(*site_a.ce, f, 1, &probe, 500e3);
+  traffic::FlowSet flows(bb.topo.scheduler(), &probe, bb.topo.seed());
+  flows.add_flow(testutil::flow_between(flows, 1, *site_a.ce, "10.1.0.1",
+                                        *site_b.ce, "10.2.0.1", 500e3, v));
   sink.expect_flow(1, qos::Phb::kBe, v);
   const sim::SimTime t0 = bb.topo.scheduler().now();
-  src.run(t0, t0 + 4 * sim::kSecond);
+  flows.run(t0 + 4 * sim::kSecond);
 
   // ONLY the physical failure — detection and recovery are automatic.
   bb.topo.scheduler().schedule_at(t0 + sim::kSecond, [&] {
@@ -727,32 +703,28 @@ TEST(Integration, EncryptedVoiceKeepsQosOnlyWithDscpCopy) {
     traffic::MeasurementSink sink(probe, bb.topo.scheduler());
     sink.bind(*site_b.ce);
 
-    traffic::FlowSpec voice_flow;
-    voice_flow.src = ip::Ipv4Address::must_parse("10.1.0.1");
-    voice_flow.dst = ip::Ipv4Address::must_parse("10.2.0.1");
+    traffic::FlowSet flows(bb.topo.scheduler(), &probe, bb.topo.seed());
+    traffic::FlowSet::FlowDef voice_flow = testutil::flow_between(
+        flows, 1, *site_a.ce, "10.1.0.1", *site_b.ce, "10.2.0.1", 200e3, v);
     voice_flow.dst_port = 16400;
     voice_flow.payload_bytes = 172;
-    voice_flow.vpn = v;
     voice_flow.phb = qos::Phb::kEf;
-    traffic::CbrSource voice_src(*site_a.ce, voice_flow, 1, &probe, 200e3);
+    flows.add_flow(voice_flow);
     sink.expect_flow(1, qos::Phb::kEf, v);
 
     // Unencrypted bulk congests the core.
-    traffic::FlowSpec bulk;
-    bulk.src = ip::Ipv4Address::must_parse("10.1.0.2");
-    bulk.dst = ip::Ipv4Address::must_parse("10.2.0.2");
+    traffic::FlowSet::FlowDef bulk = testutil::flow_between(
+        flows, 2, *site_a.ce, "10.1.0.2", *site_b.ce, "10.2.0.2", 2.5e6, v);
+    bulk.kind = traffic::FlowSet::Kind::kPoisson;
     bulk.dst_port = 80;
     bulk.payload_bytes = 1472;
-    bulk.vpn = v;
-    bulk.phb = qos::Phb::kBe;
-    traffic::PoissonSource bulk_src(*site_a.ce, bulk, 2, &probe, 2.5e6);
+    flows.add_flow(bulk);
     sink.expect_flow(2, qos::Phb::kBe, v);
 
     // Bulk matches the SA policy too (a site-to-site tunnel carries all
     // inter-site traffic), so both flows are encrypted — which is exactly
     // the regime the paper discusses.
-    voice_src.run(0, 3 * sim::kSecond);
-    bulk_src.run(0, 3 * sim::kSecond);
+    flows.run(3 * sim::kSecond);
     bb.topo.run_until(6 * sim::kSecond);
 
     EXPECT_EQ(sink.leaks(), 0u);

@@ -19,8 +19,8 @@
 #include "qos/sla.hpp"
 #include "stats/histogram.hpp"
 #include "stats/log_histogram.hpp"
+#include "test_flows.hpp"
 #include "traffic/sink.hpp"
-#include "traffic/source.hpp"
 
 namespace {
 
@@ -262,13 +262,11 @@ TEST(LatencyAnatomy, ComponentsSumExactlyToEndToEndDelay) {
     ASSERT_GT(p.delay.prop, 0);
   });
 
-  traffic::FlowSpec f;
-  f.src = ip::Ipv4Address::must_parse("10.1.0.1");
-  f.dst = ip::Ipv4Address::must_parse("10.2.0.1");
-  f.vpn = v;
-  traffic::CbrSource src(*site_a.ce, f, 1, &probe, 400e3);
+  traffic::FlowSet flows(bb.topo.scheduler(), &probe, bb.topo.seed());
+  flows.add_flow(testutil::flow_between(flows, 1, *site_a.ce, "10.1.0.1",
+                                        *site_b.ce, "10.2.0.1", 400e3, v));
   sink.expect_flow(1, qos::Phb::kBe, v);
-  src.run(0, sim::kSecond);
+  flows.run(sim::kSecond);
   bb.topo.run_until(3 * sim::kSecond);
 
   EXPECT_GT(checked, 0u);
@@ -290,13 +288,12 @@ TEST(LatencyAnatomy, CollectorAggregatesMatchDeliveredTraffic) {
                               p.delay.prop, p.delay.proc);
   });
 
-  traffic::FlowSpec f;
-  f.src = ip::Ipv4Address::must_parse("10.1.0.1");
-  f.dst = ip::Ipv4Address::must_parse("10.2.0.1");
-  f.vpn = fig.vpn1;
-  traffic::CbrSource src(*fig.v1_site1.ce, f, 1, &probe, 300e3);
+  traffic::FlowSet flows(bb.topo.scheduler(), &probe, bb.topo.seed());
+  flows.add_flow(testutil::flow_between(flows, 1, *fig.v1_site1.ce,
+                                        "10.1.0.1", *fig.v1_site2.ce,
+                                        "10.2.0.1", 300e3, fig.vpn1));
   sink.expect_flow(1, qos::Phb::kBe, fig.vpn1);
-  src.run(0, sim::kSecond);
+  flows.run(sim::kSecond);
   bb.topo.run_until(3 * sim::kSecond);
 
   ASSERT_GT(sink.delivered(), 0u);

@@ -24,8 +24,8 @@
 #include "sim/scheduler.hpp"
 #include "sim/spsc_channel.hpp"
 #include "sim/time.hpp"
+#include "traffic/flowset.hpp"
 #include "traffic/sink.hpp"
-#include "traffic/source.hpp"
 #include "vpn/router.hpp"
 
 namespace mvpn {
@@ -487,6 +487,47 @@ TEST(ShardedDeterminism, ParallelRunsAreRepeatable) {
 
 // --- Flow caches across epoch boundaries ----------------------------------
 
+/// Arm `flows` synchronized 1 Mb/s CBR flows around the site ring (flow i
+/// from site i to site i + 1, ids 1000..) until `stop`: one FlowSet per
+/// shard lane, sent-side accounting on the source's lane probe, delivery
+/// expectations on the destination's lane sink.
+std::vector<std::unique_ptr<traffic::FlowSet>> run_ring_flows(
+    backbone::MplsBackbone& bb, net::ShardRuntime& runtime,
+    const std::vector<backbone::MplsBackbone::Site>& sites, vpn::VpnId v,
+    std::size_t flows,
+    const std::vector<std::unique_ptr<qos::SlaProbe>>& probes,
+    const std::vector<std::unique_ptr<traffic::MeasurementSink>>& sinks,
+    sim::SimTime stop) {
+  std::vector<std::unique_ptr<traffic::FlowSet>> sets;
+  for (std::uint32_t s = 0; s < runtime.shard_count(); ++s) {
+    sets.push_back(std::make_unique<traffic::FlowSet>(
+        runtime.shard_scheduler(s), probes[s].get(), bb.topo.seed()));
+  }
+  auto lane_of = [&](std::size_t site) {
+    return bb.topo.shard_of(sites[site].ce->id());
+  };
+  for (std::size_t i = 0; i < flows; ++i) {
+    const std::size_t a = i % sites.size();
+    const std::size_t b = (i + 1) % sites.size();
+    traffic::FlowSet& set = *sets[lane_of(a)];
+    traffic::FlowSet::FlowDef f;
+    f.flow_id = static_cast<std::uint32_t>(1000 + i);
+    f.from_site = set.add_site(
+        *sites[a].ce,
+        ip::Ipv4Address(10, std::uint8_t(1 + a), 0, std::uint8_t(1 + i % 200)));
+    f.to_site = set.add_site(
+        *sites[b].ce,
+        ip::Ipv4Address(10, std::uint8_t(1 + b), 0, std::uint8_t(1 + i % 200)));
+    f.rate_bps = 1e6;
+    f.dst_port = static_cast<std::uint16_t>(20000 + i);
+    f.vpn = v;
+    sinks[lane_of(b)]->expect_flow(f.flow_id, qos::Phb::kBe, v);
+    set.add_flow(f);
+  }
+  for (auto& set : sets) set->run(stop);
+  return sets;
+}
+
 TEST(ShardedFlowcache, HitRatePersistsAcrossEpochBoundaries) {
   backbone::MplsBackbone bb(bench_config());
   const vpn::VpnId v = bb.service.create_vpn("T");
@@ -517,25 +558,9 @@ TEST(ShardedFlowcache, HitRatePersistsAcrossEpochBoundaries) {
   for (auto& site : sites) sinks[lane_of(site)]->bind(*site.ce);
 
   constexpr std::size_t kFlows = 64;
-  std::vector<std::unique_ptr<traffic::CbrSource>> sources;
-  for (std::size_t i = 0; i < kFlows; ++i) {
-    const std::size_t a = i % sites.size();
-    const std::size_t b = (i + 1) % sites.size();
-    traffic::FlowSpec f;
-    f.src = ip::Ipv4Address(10, std::uint8_t(1 + a), 0,
-                            std::uint8_t(1 + i % 200));
-    f.dst = ip::Ipv4Address(10, std::uint8_t(1 + b), 0,
-                            std::uint8_t(1 + i % 200));
-    f.dst_port = static_cast<std::uint16_t>(20000 + i);
-    f.vpn = v;
-    const auto id = static_cast<std::uint32_t>(1000 + i);
-    sinks[lane_of(sites[b])]->expect_flow(id, qos::Phb::kBe, v);
-    sources.push_back(std::make_unique<traffic::CbrSource>(
-        *sites[a].ce, f, id, probes[lane_of(sites[a])].get(), 1e6));
-  }
-
   const sim::SimTime t0 = bb.topo.base_scheduler().now();
-  for (auto& s : sources) s->run(t0, t0 + sim::from_seconds(1.0));
+  const auto flows = run_ring_flows(bb, *runtime, sites, v, kFlows, probes,
+                                    sinks, t0 + sim::from_seconds(1.0));
   runtime->run_until(t0 + sim::from_seconds(1.5));
 
   const std::uint64_t windows = runtime->windows();
@@ -643,25 +668,9 @@ TEST(SyncProfiler, WorkerTimestampsMonotoneAndReportCoherent) {
   for (auto& site : sites) sinks[lane_of(site)]->bind(*site.ce);
 
   constexpr std::size_t kFlows = 64;
-  std::vector<std::unique_ptr<traffic::CbrSource>> sources;
-  for (std::size_t i = 0; i < kFlows; ++i) {
-    const std::size_t a = i % sites.size();
-    const std::size_t b = (i + 1) % sites.size();
-    traffic::FlowSpec f;
-    f.src = ip::Ipv4Address(10, std::uint8_t(1 + a), 0,
-                            std::uint8_t(1 + i % 200));
-    f.dst = ip::Ipv4Address(10, std::uint8_t(1 + b), 0,
-                            std::uint8_t(1 + i % 200));
-    f.dst_port = static_cast<std::uint16_t>(20000 + i);
-    f.vpn = v;
-    const auto id = static_cast<std::uint32_t>(1000 + i);
-    sinks[lane_of(sites[b])]->expect_flow(id, qos::Phb::kBe, v);
-    sources.push_back(std::make_unique<traffic::CbrSource>(
-        *sites[a].ce, f, id, probes[lane_of(sites[a])].get(), 1e6));
-  }
-
   const sim::SimTime t0 = bb.topo.base_scheduler().now();
-  for (auto& s : sources) s->run(t0, t0 + sim::from_seconds(1.0));
+  const auto flows = run_ring_flows(bb, *runtime, sites, v, kFlows, probes,
+                                    sinks, t0 + sim::from_seconds(1.0));
   // Run past the source window so every in-flight packet drains back to its
   // pool before the runtime (which owns the per-shard pools) tears down.
   runtime->run_until(t0 + sim::from_seconds(1.5));

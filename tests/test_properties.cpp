@@ -8,8 +8,8 @@
 #include "ipsec/esp.hpp"
 #include "qos/queues.hpp"
 #include "qos/token_bucket.hpp"
+#include "test_flows.hpp"
 #include "traffic/sink.hpp"
-#include "traffic/source.hpp"
 
 namespace mvpn {
 namespace {
@@ -170,25 +170,28 @@ TEST_P(IsolationFuzz, RandomVpnMeshNeverLeaks) {
     for (auto& s : vs) sink.bind(*s.ce);
   }
 
-  std::vector<std::unique_ptr<traffic::Source>> sources;
-  std::uint32_t flow = 1;
+  traffic::FlowSet flows(bb.topo.scheduler(), &probe, bb.topo.seed());
+  traffic::FlowSet::FlowDef f;
+  f.kind = traffic::FlowSet::Kind::kPoisson;
+  f.rate_bps = 50e3;
   for (std::size_t v = 0; v < kVpns; ++v) {
     for (int k = 0; k < 8; ++k) {
       const auto i = static_cast<std::size_t>(rng.uniform_int(0, 3));
       auto j = static_cast<std::size_t>(rng.uniform_int(0, 3));
       if (j == i) j = (j + 1) % kSitesPerVpn;
-      traffic::FlowSpec f;
-      f.src = ip::Ipv4Address(10, std::uint8_t(i + 1), 0, 1);
-      f.dst = ip::Ipv4Address(10, std::uint8_t(j + 1), 0,
-                              std::uint8_t(rng.uniform_int(1, 200)));
+      ++f.flow_id;
+      f.from_site = flows.add_site(
+          *sites[v][i].ce, ip::Ipv4Address(10, std::uint8_t(i + 1), 0, 1));
+      f.to_site = flows.add_site(
+          *sites[v][j].ce,
+          ip::Ipv4Address(10, std::uint8_t(j + 1), 0,
+                          std::uint8_t(rng.uniform_int(1, 200))));
       f.vpn = vpns[v];
-      sources.push_back(std::make_unique<traffic::PoissonSource>(
-          *sites[v][i].ce, f, flow, &probe, 50e3));
-      sink.expect_flow(flow, qos::Phb::kBe, vpns[v]);
-      ++flow;
+      flows.add_flow(f);
+      sink.expect_flow(f.flow_id, qos::Phb::kBe, vpns[v]);
     }
   }
-  for (auto& s : sources) s->run(0, sim::kSecond);
+  flows.run(sim::kSecond);
   bb.topo.run_until(3 * sim::kSecond);
 
   EXPECT_GT(sink.delivered(), 0u);
@@ -233,31 +236,29 @@ TEST_P(RandomTopology, AnyToAnyReachabilityAndIsolationHold) {
   for (auto& vs : sites) {
     for (auto& s : vs) sink.bind(*s.ce);
   }
-  std::vector<std::unique_ptr<traffic::Source>> sources;
-  std::uint32_t flow = 1;
+  traffic::FlowSet flows(bb->topo.scheduler(), &probe, bb->topo.seed());
+  traffic::FlowSet::FlowDef f;
+  f.rate_bps = 50e3;
   for (std::size_t v = 0; v < kVpns; ++v) {
     for (std::size_t i = 0; i < 3; ++i) {
       for (std::size_t j = 0; j < 3; ++j) {
         if (i == j) continue;
-        traffic::FlowSpec f;
-        f.src = ip::Ipv4Address(10, std::uint8_t(i + 1), 0, 1);
-        f.dst = ip::Ipv4Address(10, std::uint8_t(j + 1), 0, 1);
+        ++f.flow_id;
+        f.from_site = flows.add_site(
+            *sites[v][i].ce, ip::Ipv4Address(10, std::uint8_t(i + 1), 0, 1));
+        f.to_site = flows.add_site(
+            *sites[v][j].ce, ip::Ipv4Address(10, std::uint8_t(j + 1), 0, 1));
         f.vpn = vpns[v];
-        sources.push_back(std::make_unique<traffic::CbrSource>(
-            *sites[v][i].ce, f, flow, &probe, 50e3));
-        sink.expect_flow(flow, qos::Phb::kBe, vpns[v]);
-        ++flow;
+        flows.add_flow(f);
+        sink.expect_flow(f.flow_id, qos::Phb::kBe, vpns[v]);
       }
     }
   }
-  for (auto& s : sources) s->run(0, sim::kSecond);
+  flows.run(sim::kSecond);
   bb->topo.run_until(3 * sim::kSecond);
 
-  std::uint64_t sent = 0;
-  for (auto& s : sources) {
-    sent += static_cast<traffic::CbrSource*>(s.get())->packets_sent();
-  }
-  EXPECT_EQ(sink.delivered(), sent) << "p=" << p_count << " pe=" << pe_count;
+  EXPECT_EQ(sink.delivered(), flows.packets_sent())
+      << "p=" << p_count << " pe=" << pe_count;
   EXPECT_EQ(sink.leaks(), 0u);
   EXPECT_EQ(sink.unknown_flows(), 0u);
 }
@@ -313,13 +314,16 @@ INSTANTIATE_TEST_SUITE_P(SiteCounts, BgpModeEquivalence,
 // --- Control-plane message growth is linear in sites -------------------------
 
 TEST(ScalingShape, BgpMessagesLinearInSites) {
-  auto messages_for = [](std::size_t sites, bool packed) {
+  struct Counts {
+    std::uint64_t nlri = 0;      ///< route advertisements, one per peer
+    std::uint64_t messages = 0;  ///< packed UPDATE messages carrying them
+  };
+  auto counts_for = [](std::size_t sites) {
     backbone::BackboneConfig cfg;
     cfg.p_count = 2;
     cfg.pe_count = 4;
     cfg.seed = 5;
     backbone::MplsBackbone bb(cfg);
-    bb.bgp.set_packing(packed);
     const vpn::VpnId v = bb.service.create_vpn("V");
     for (std::size_t i = 0; i < sites; ++i) {
       bb.add_site(v, i % 4,
@@ -328,19 +332,21 @@ TEST(ScalingShape, BgpMessagesLinearInSites) {
                              24));
     }
     bb.start_and_converge();
-    return bb.cp.message_count("bgp.update");
+    return Counts{bb.bgp.rib_out().nlri_packed(),
+                  bb.cp.message_count("bgp.update")};
   };
-  // The per-route baseline is the linearity law: doubling sites doubles
-  // updates (within rounding) — linear, not quadratic.
-  const auto m8 = messages_for(8, false);
-  const auto m16 = messages_for(16, false);
-  const auto m32 = messages_for(32, false);
-  EXPECT_NEAR(static_cast<double>(m16) / static_cast<double>(m8), 2.0, 0.2);
-  EXPECT_NEAR(static_cast<double>(m32) / static_cast<double>(m16), 2.0, 0.2);
-  // Update packing amortizes same-instant NLRI into shared messages, so it
-  // must beat the per-route baseline by a wide margin at equal scale.
-  const auto p32 = messages_for(32, true);
-  EXPECT_LE(p32 * 2, m32);
+  // NLRI per (route, peer) is the linearity law: doubling sites doubles
+  // them (within rounding) — linear, not quadratic.
+  const Counts c8 = counts_for(8);
+  const Counts c16 = counts_for(16);
+  const Counts c32 = counts_for(32);
+  EXPECT_NEAR(static_cast<double>(c16.nlri) / static_cast<double>(c8.nlri),
+              2.0, 0.2);
+  EXPECT_NEAR(static_cast<double>(c32.nlri) / static_cast<double>(c16.nlri),
+              2.0, 0.2);
+  // Update packing amortizes same-instant NLRI into shared messages, so
+  // messages must stay well below one per NLRI at equal scale.
+  EXPECT_LE(c32.messages * 2, c32.nlri);
 }
 
 // --- Determinism --------------------------------------------------------------
@@ -359,13 +365,15 @@ RunOutcome run_once(std::uint64_t seed) {
   qos::SlaProbe probe;
   traffic::MeasurementSink sink(probe, s.backbone->topo.scheduler());
   sink.bind(*s.v1_site2.ce);
-  traffic::FlowSpec f;
-  f.src = ip::Ipv4Address::must_parse("10.1.0.1");
-  f.dst = ip::Ipv4Address::must_parse("10.2.0.1");
-  f.vpn = s.vpn1;
-  traffic::PoissonSource src(*s.v1_site1.ce, f, 1, &probe, 300e3);
+  traffic::FlowSet flows(s.backbone->topo.scheduler(), &probe,
+                         s.backbone->topo.seed());
+  traffic::FlowSet::FlowDef f = testutil::flow_between(
+      flows, 1, *s.v1_site1.ce, "10.1.0.1", *s.v1_site2.ce, "10.2.0.1", 300e3,
+      s.vpn1);
+  f.kind = traffic::FlowSet::Kind::kPoisson;
+  flows.add_flow(f);
   sink.expect_flow(1, qos::Phb::kBe, s.vpn1);
-  src.run(0, sim::kSecond);
+  flows.run(sim::kSecond);
   s.backbone->topo.run_until(2 * sim::kSecond);
   return RunOutcome{sink.delivered(), s.backbone->cp.total_messages(),
                     s.backbone->topo.scheduler().now(),
@@ -398,13 +406,13 @@ TEST(HotPath, SteadyStateZeroAllocation) {
   qos::SlaProbe probe;
   traffic::MeasurementSink sink(probe, s.backbone->topo.scheduler());
   sink.bind(*s.v1_site2.ce);
-  traffic::FlowSpec f;
-  f.src = ip::Ipv4Address::must_parse("10.1.0.1");
-  f.dst = ip::Ipv4Address::must_parse("10.2.0.1");
-  f.vpn = s.vpn1;
-  traffic::CbrSource src(*s.v1_site1.ce, f, 1, &probe, 500e3);
+  traffic::FlowSet flows(s.backbone->topo.scheduler(), &probe,
+                         s.backbone->topo.seed());
+  flows.add_flow(testutil::flow_between(flows, 1, *s.v1_site1.ce, "10.1.0.1",
+                                        *s.v1_site2.ce, "10.2.0.1", 500e3,
+                                        s.vpn1));
   sink.expect_flow(1, qos::Phb::kBe, s.vpn1);
-  src.run(0, 3 * sim::kSecond);
+  flows.run(3 * sim::kSecond);
 
   // Warm-up: first packets grow the pools to working-set size.
   s.backbone->topo.run_until(sim::kSecond / 2);

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "backbone/scenario_config.hpp"
+#include "golden.hpp"
 
 namespace mvpn::backbone {
 namespace {
@@ -40,7 +42,7 @@ vpn corp
 vpn partner
 extranet corp partner
 site corp pe=0 prefix=10.1.0.0/16
-site corp pe=1 prefix=10.2.0.0/16 pref=200
+site corp pe=1 prefix=10.2.0.0/16
 site partner pe=1 prefix=192.168.0.0/16
 classify site=0 dstport=16384-16484 class=EF
 classify site=0 dstport=5004 class=AF21
@@ -117,7 +119,98 @@ INSTANTIATE_TEST_SUITE_P(
         BadCase{"police_missing_rates",
                 "backbone p=1 pe=1\nvpn v\nsite v pe=0 "
                 "prefix=10.0.0.0/8\npolice site=0 class=EF\n",
-                "cir="}));
+                "cir="},
+        // Non-finite and out-of-range numbers fail instead of casting.
+        BadCase{"p_inf", "backbone p=inf pe=1\n", "bad p="},
+        BadCase{"pe_nan", "backbone p=1 pe=nan\n", "bad pe="},
+        BadCase{"seed_huge", "backbone p=1 pe=1 seed=1e300\n", "bad seed="},
+        BadCase{"rate_zero",
+                "backbone p=1 pe=1\nvpn v\nsite v pe=0 prefix=10.0.0.0/8\n"
+                "flow cbr vpn=v from=0 to=0 rate=0\n",
+                "bad rate="},
+        BadCase{"rate_negative",
+                "backbone p=1 pe=1\nvpn v\nsite v pe=0 prefix=10.0.0.0/8\n"
+                "flow cbr vpn=v from=0 to=0 rate=-2e5\n",
+                "bad rate="},
+        BadCase{"rate_garbage",
+                "backbone p=1 pe=1\nvpn v\nsite v pe=0 prefix=10.0.0.0/8\n"
+                "flow cbr vpn=v from=0 to=0 rate=fast\n",
+                "bad rate="},
+        BadCase{"on_zero",
+                "backbone p=1 pe=1\nvpn v\nsite v pe=0 prefix=10.0.0.0/8\n"
+                "flow onoff vpn=v from=0 to=0 on=0\n",
+                "bad on="},
+        BadCase{"off_garbage",
+                "backbone p=1 pe=1\nvpn v\nsite v pe=0 prefix=10.0.0.0/8\n"
+                "flow onoff vpn=v from=0 to=0 off=later\n",
+                "bad off="},
+        BadCase{"size_too_big",
+                "backbone p=1 pe=1\nvpn v\nsite v pe=0 prefix=10.0.0.0/8\n"
+                "flow cbr vpn=v from=0 to=0 size=65508\n",
+                "bad size="},
+        BadCase{"cir_garbage",
+                "backbone p=1 pe=1\nvpn v\nsite v pe=0 prefix=10.0.0.0/8\n"
+                "police site=0 class=EF cir=lots cbs=4000 ebs=4000\n",
+                "bad cir="},
+        BadCase{"cbs_negative",
+                "backbone p=1 pe=1\nvpn v\nsite v pe=0 prefix=10.0.0.0/8\n"
+                "police site=0 class=EF cir=62500 cbs=-1 ebs=4000\n",
+                "bad cbs="},
+        BadCase{"ebs_nan",
+                "backbone p=1 pe=1\nvpn v\nsite v pe=0 prefix=10.0.0.0/8\n"
+                "police site=0 class=EF cir=62500 cbs=4000 ebs=nan\n",
+                "bad ebs="},
+        BadCase{"shape_rate_garbage",
+                "backbone p=1 pe=1\nvpn v\nsite v pe=0 prefix=10.0.0.0/8\n"
+                "shape site=0 class=AF11 rate=x burst=3000\n",
+                "bad rate="},
+        BadCase{"shape_burst_zero",
+                "backbone p=1 pe=1\nvpn v\nsite v pe=0 prefix=10.0.0.0/8\n"
+                "shape site=0 class=AF11 rate=125000 burst=0\n",
+                "bad burst="},
+        BadCase{"shape_missing_burst",
+                "backbone p=1 pe=1\nvpn v\nsite v pe=0 prefix=10.0.0.0/8\n"
+                "shape site=0 class=AF11 rate=125000\n",
+                "burst="},
+        BadCase{"rate_below_floor",
+                "backbone p=1 pe=1\nvpn v\nsite v pe=0 prefix=10.0.0.0/8\n"
+                "flow cbr vpn=v from=0 to=0 rate=1e-300\n",
+                "bad rate="},
+        BadCase{"rate_inf",
+                "backbone p=1 pe=1\nvpn v\nsite v pe=0 prefix=10.0.0.0/8\n"
+                "flow cbr vpn=v from=0 to=0 rate=inf\n",
+                "bad rate="},
+        BadCase{"start_inf",
+                "backbone p=1 pe=1\nvpn v\nsite v pe=0 prefix=10.0.0.0/8\n"
+                "flow cbr vpn=v from=0 to=0 start=inf\n",
+                "bad start="},
+        BadCase{"for_huge",
+                "backbone p=1 pe=1\nvpn v\nsite v pe=0 prefix=10.0.0.0/8\n"
+                "run for=1e300\n",
+                "bad for="},
+        BadCase{"topogen_rate_zero", "topology generated rate=0\n",
+                "bad topogen rate=0"},
+        // Unknown keys are named, whether typos or retired switches.
+        BadCase{"typo_key",
+                "backbone p=1 pe=1\nvpn v\nsite v pe=0 prefix=10.0.0.0/8\n"
+                "flow cbr vpn=v from=0 to=0 rat=200e3\n",
+                "unknown key rat="},
+        BadCase{"site_pref_key",
+                "backbone p=1 pe=1\nvpn v\n"
+                "site v pe=0 prefix=10.0.0.0/8 pref=200\n",
+                "unknown key pref="},
+        BadCase{"retired_sources_key",
+                "backbone p=1 pe=1\nvpn v\nsite v pe=0 prefix=10.0.0.0/8\n"
+                "run for=1 sources=legacy\n",
+                "unknown key sources="},
+        BadCase{"retired_updates_key",
+                "backbone p=1 pe=1\nvpn v\nsite v pe=0 prefix=10.0.0.0/8\n"
+                "run for=1 updates=legacy\n",
+                "unknown key updates="},
+        BadCase{"retired_spf_key",
+                "backbone p=1 pe=1\nvpn v\nsite v pe=0 prefix=10.0.0.0/8\n"
+                "run for=1 spf=full\n",
+                "unknown key spf="}));
 
 TEST(ScenarioParse, ErrorCarriesLineNumber) {
   ScenarioError err;
@@ -127,46 +220,6 @@ TEST(ScenarioParse, ErrorCarriesLineNumber) {
       "site corp pe=0 prefix=BOGUS\n";
   EXPECT_FALSE(Scenario::parse(text, &err).has_value());
   EXPECT_EQ(err.line, 3u);
-}
-
-TEST(ScenarioParse, RunSourcesDirective) {
-  const std::string legacy =
-      std::string(kMinimal) + "run for=1 sources=legacy\n";
-  const std::string flowset =
-      std::string(kMinimal) + "run for=1 sources=flowset\n";
-  ScenarioError err;
-  auto sl = Scenario::parse(legacy, &err);
-  ASSERT_TRUE(sl.has_value()) << err.message;
-  EXPECT_TRUE(sl->legacy_sources());
-  auto sf = Scenario::parse(flowset, &err);
-  ASSERT_TRUE(sf.has_value()) << err.message;
-  EXPECT_FALSE(sf->legacy_sources());
-  const std::string bad = std::string(kMinimal) + "run for=1 sources=magic\n";
-  EXPECT_FALSE(Scenario::parse(bad, &err).has_value());
-  EXPECT_NE(err.message.find("sources="), std::string::npos) << err.message;
-}
-
-TEST(ScenarioParse, RunUpdatesAndSpfDirectives) {
-  ScenarioError err;
-  auto packed = Scenario::parse(
-      std::string(kMinimal) + "run for=1 updates=packed spf=incremental\n",
-      &err);
-  ASSERT_TRUE(packed.has_value()) << err.message;
-  EXPECT_FALSE(packed->legacy_updates());
-  EXPECT_FALSE(packed->full_spf());
-  auto legacy = Scenario::parse(
-      std::string(kMinimal) + "run for=1 updates=legacy spf=full\n", &err);
-  ASSERT_TRUE(legacy.has_value()) << err.message;
-  EXPECT_TRUE(legacy->legacy_updates());
-  EXPECT_TRUE(legacy->full_spf());
-  EXPECT_FALSE(Scenario::parse(
-                   std::string(kMinimal) + "run for=1 updates=turbo\n", &err)
-                   .has_value());
-  EXPECT_NE(err.message.find("updates="), std::string::npos) << err.message;
-  EXPECT_FALSE(
-      Scenario::parse(std::string(kMinimal) + "run for=1 spf=psychic\n", &err)
-          .has_value());
-  EXPECT_NE(err.message.find("spf="), std::string::npos) << err.message;
 }
 
 TEST(ScenarioRun, EndToEndDeliversWithoutLeaks) {
@@ -227,31 +280,19 @@ run for=3
   EXPECT_EQ(report.find("goodput 0.00", pos), std::string::npos) << report;
 }
 
-TEST(ScenarioRun, LegacyAndFlowSetSourcesProduceIdenticalReports) {
-  // The megaflow A/B contract at scenario level: the full run() output —
-  // SLA tables, per-class rows, delivery accounting — must be byte-equal
-  // between per-flow Source objects and the FlowSet engine.
-  const char* text = R"(
-backbone p=2 pe=2 core_bw=4e6 edge_bw=20e6 seed=21 core_queue=prio
-vpn corp
-site corp pe=0 prefix=10.1.0.0/16
-site corp pe=1 prefix=10.2.0.0/16
-classify site=0 dstport=16400 class=EF
-flow cbr vpn=corp from=0 to=1 rate=200e3 class=EF port=16400 size=172
-flow poisson vpn=corp from=0 to=1 rate=1e6 size=1472
-flow onoff vpn=corp from=0 to=1 rate=2e6 on=0.3 off=0.2 class=AF21 port=5004 start=0.01
-run for=2
-)";
+TEST(ScenarioRun, GeneratedTopologyMatchesGolden) {
+  // A small generated ISP: every flow kind, premarked classes, per-flow
+  // start offsets. The report must match the recorded one byte for byte.
   ScenarioError err;
-  auto sc = Scenario::parse(text, &err);
+  auto sc = Scenario::parse(
+      "topology generated p=4 pe=8 ce=2 flows=256 seed=5\nrun for=0.5\n",
+      &err);
   ASSERT_TRUE(sc.has_value()) << err.message;
-  std::ostringstream with_flowset;
-  EXPECT_TRUE(sc->run(with_flowset));
-  sc->set_legacy_sources(true);
-  std::ostringstream with_legacy;
-  EXPECT_TRUE(sc->run(with_legacy));
-  EXPECT_EQ(with_flowset.str(), with_legacy.str());
-  EXPECT_NE(with_flowset.str().find("delivered="), std::string::npos);
+  std::ostringstream out;
+  EXPECT_TRUE(sc->run(out));
+  const std::string golden_text = golden::read_text("topogen_small.txt");
+  ASSERT_FALSE(golden_text.empty());
+  EXPECT_EQ(out.str(), golden_text);
 }
 
 TEST(ScenarioRun, MixedTcpRunAccountsPlainFlows) {
@@ -286,12 +327,22 @@ TEST(ScenarioFile, MissingFileIsUsageError) {
   EXPECT_NE(out.str().find("cannot open"), std::string::npos);
 }
 
-TEST(ScenarioFile, ShippedDemoSceneParsesAndRuns) {
-  std::ostringstream out;
-  const int rc = run_scenario_file(
-      std::string(MVPN_SOURCE_DIR) + "/examples/scenarios/branch_office.scn",
-      out);
-  EXPECT_EQ(rc, 0) << out.str();
+TEST(ScenarioFile, ShippedDemoSceneMatchesGoldenSerialAndSharded) {
+  const std::string path =
+      std::string(MVPN_SOURCE_DIR) + "/examples/scenarios/branch_office.scn";
+  const std::string golden_text = golden::read_text("branch_office.txt");
+  ASSERT_FALSE(golden_text.empty());
+  std::ostringstream serial;
+  EXPECT_EQ(run_scenario_file(path, serial), 0) << serial.str();
+  EXPECT_EQ(serial.str(), golden_text);
+  // Four shards requested (the planner uses three on this backbone): the
+  // first line adds engine figures; the SLA table and the delivery line
+  // after it must not move.
+  std::ostringstream sharded;
+  EXPECT_EQ(run_scenario_file(path, sharded, ObsOptions{}, 4), 0);
+  const auto body = [](const std::string& s) { return s.substr(s.find('\n')); };
+  EXPECT_EQ(body(sharded.str()), body(golden_text));
+  EXPECT_NE(sharded.str().find(" shards (lookahead"), std::string::npos);
 }
 
 }  // namespace

@@ -1,15 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "backbone/fixtures.hpp"
+#include "golden.hpp"
 #include "qos/queues.hpp"
+#include "test_flows.hpp"
 #include "traffic/dispatcher.hpp"
 #include "traffic/flowset.hpp"
 #include "traffic/sink.hpp"
-#include "traffic/source.hpp"
 #include "traffic/tcp_lite.hpp"
 
 namespace mvpn::traffic {
@@ -18,61 +20,51 @@ namespace {
 using backbone::Figure2Scenario;
 using backbone::make_figure2_scenario;
 
-TEST(CbrSource, RateIsExact) {
-  Figure2Scenario s = make_figure2_scenario(101);
+/// One flow of `kind` from VPN 1's site 1 to site 2 of a fresh Figure-2
+/// fixture, run for `run_s` seconds after convergence; returns packets
+/// sent, after checking every one was delivered.
+std::uint64_t sent_by_one_flow(std::uint64_t seed, FlowSet::Kind kind,
+                               double rate_bps, double run_s) {
+  Figure2Scenario s = make_figure2_scenario(seed);
   s.backbone->start_and_converge();
   qos::SlaProbe probe;
   MeasurementSink sink(probe, s.backbone->topo.scheduler());
   sink.bind(*s.v1_site2.ce);
-  FlowSpec f;
-  f.src = ip::Ipv4Address::must_parse("10.1.0.1");
-  f.dst = ip::Ipv4Address::must_parse("10.2.0.1");
-  f.vpn = s.vpn1;
-  f.payload_bytes = 472;  // 500 B at IP level
-  CbrSource src(*s.v1_site1.ce, f, 1, &probe, 1e6);
+  FlowSet flows(s.backbone->topo.scheduler(), &probe, s.backbone->topo.seed());
+  FlowSet::FlowDef f =
+      testutil::flow_between(flows, 1, *s.v1_site1.ce, "10.1.0.1",
+                             *s.v1_site2.ce, "10.2.0.1", rate_bps, s.vpn1);
+  f.kind = kind;
+  f.on_s = 0.1;
+  f.off_s = 0.1;
+  flows.add_flow(f);
   sink.expect_flow(1, qos::Phb::kBe, s.vpn1);
   const sim::SimTime t0 = s.backbone->topo.scheduler().now();
-  src.run(t0, t0 + 2 * sim::kSecond);
-  s.backbone->topo.run_until(t0 + 4 * sim::kSecond);
-  // 1 Mb/s at 4000 bits per packet = 250 pps for 2 s.
-  EXPECT_NEAR(static_cast<double>(src.packets_sent()), 500.0, 2.0);
-  EXPECT_EQ(sink.delivered(), src.packets_sent());
+  flows.run(t0 + sim::from_seconds(run_s));
+  s.backbone->topo.run_until(t0 + sim::from_seconds(run_s + 2.0));
+  EXPECT_EQ(sink.delivered(), flows.packets_sent());
+  return flows.packets_sent();
 }
 
-TEST(PoissonSource, MeanRateApproximates) {
-  Figure2Scenario s = make_figure2_scenario(102);
-  s.backbone->start_and_converge();
-  qos::SlaProbe probe;
-  MeasurementSink sink(probe, s.backbone->topo.scheduler());
-  sink.bind(*s.v1_site2.ce);
-  FlowSpec f;
-  f.src = ip::Ipv4Address::must_parse("10.1.0.1");
-  f.dst = ip::Ipv4Address::must_parse("10.2.0.1");
-  f.vpn = s.vpn1;
-  PoissonSource src(*s.v1_site1.ce, f, 1, &probe, 1e6);
-  sink.expect_flow(1, qos::Phb::kBe, s.vpn1);
-  src.run(0, 4 * sim::kSecond);
-  s.backbone->topo.run_until(6 * sim::kSecond);
-  EXPECT_NEAR(static_cast<double>(src.packets_sent()), 1000.0, 100.0);
+TEST(FlowSet, CbrRateIsExact) {
+  // 1 Mb/s at 4000 bits per packet (500 B at IP level) = 250 pps for 2 s.
+  EXPECT_NEAR(static_cast<double>(
+                  sent_by_one_flow(101, FlowSet::Kind::kCbr, 1e6, 2.0)),
+              500.0, 2.0);
 }
 
-TEST(OnOffSource, DutyCycleScalesThroughput) {
-  Figure2Scenario s = make_figure2_scenario(103);
-  s.backbone->start_and_converge();
-  qos::SlaProbe probe;
-  MeasurementSink sink(probe, s.backbone->topo.scheduler());
-  sink.bind(*s.v1_site2.ce);
-  FlowSpec f;
-  f.src = ip::Ipv4Address::must_parse("10.1.0.1");
-  f.dst = ip::Ipv4Address::must_parse("10.2.0.1");
-  f.vpn = s.vpn1;
+TEST(FlowSet, PoissonMeanRateApproximates) {
+  EXPECT_NEAR(static_cast<double>(
+                  sent_by_one_flow(102, FlowSet::Kind::kPoisson, 1e6, 4.0)),
+              1000.0, 100.0);
+}
+
+TEST(FlowSet, OnOffDutyCycleScalesThroughput) {
   // 2 Mb/s peak, 50% duty → ~1 Mb/s mean.
-  OnOffSource src(*s.v1_site1.ce, f, 1, &probe, 2e6, 0.1, 0.1);
-  sink.expect_flow(1, qos::Phb::kBe, s.vpn1);
-  src.run(0, 4 * sim::kSecond);
-  s.backbone->topo.run_until(6 * sim::kSecond);
   const double mean_bps =
-      static_cast<double>(src.packets_sent()) * 500 * 8 / 4.0;
+      static_cast<double>(
+          sent_by_one_flow(103, FlowSet::Kind::kOnOff, 2e6, 4.0)) *
+      500 * 8 / 4.0;
   EXPECT_GT(mean_bps, 0.6e6);
   EXPECT_LT(mean_bps, 1.4e6);
 }
@@ -103,87 +95,51 @@ TEST(FlowDispatcher, RoutesByFlowIdWithDefault) {
   EXPECT_EQ(fallback, 2);
 }
 
-/// (packet id, emission instant) pairs observed at the destination CE, plus
-/// per-flow sent counts — everything a byte-identity comparison between the
-/// legacy Source path and the FlowSet engine needs. The packet id encodes
-/// (flow_id << 32) | seq, so equal logs mean equal flows, sequence numbers,
-/// emission instants and delivery order.
-struct MixResult {
-  std::vector<std::pair<std::uint64_t, sim::SimTime>> log;
-  std::vector<std::uint64_t> sent;
-};
-
 /// Run `defs` (with `start` interpreted relative to convergence) on a fresh
-/// Figure-2 fixture for `run_s` seconds, via per-flow legacy sources or one
-/// FlowSet. All flows go site1 → site2 of VPN 1.
-MixResult run_mix(std::uint64_t seed,
-                  const std::vector<FlowSet::FlowDef>& defs, double run_s,
-                  bool legacy) {
+/// Figure-2 fixture for `run_s` seconds, all flows site1 → site2 of VPN 1,
+/// and summarize the (packet id, emission instant) pairs observed at the
+/// destination CE the way tests/golden/flowset_logs.txt records them: FNV-1a
+/// digest, packet count, then per-flow sent counts. The packet id encodes
+/// (flow_id << 32) | seq, so an equal digest means equal flows, sequence
+/// numbers, emission instants and delivery order.
+std::vector<std::string> run_mix(std::uint64_t seed,
+                                 const std::vector<FlowSet::FlowDef>& defs,
+                                 double run_s) {
   Figure2Scenario s = make_figure2_scenario(seed);
   s.backbone->start_and_converge();
   qos::SlaProbe probe;
-  MixResult r;
+  golden::Fnv digest;
+  std::uint64_t packets = 0;
   s.v1_site2.ce->add_delivery_tap([&](const net::Packet& p, vpn::VpnId) {
-    r.log.emplace_back(p.id, p.created_at);
+    digest.mix(p.id);
+    digest.mix(static_cast<std::uint64_t>(p.created_at));
+    ++packets;
   });
   sim::Scheduler& sched = s.backbone->topo.scheduler();
   const sim::SimTime t0 = sched.now();
   const sim::SimTime stop = t0 + sim::from_seconds(run_s);
-  const auto src_host = ip::Ipv4Address::must_parse("10.1.0.1");
-  const auto dst_host = ip::Ipv4Address::must_parse("10.2.0.1");
-  if (legacy) {
-    std::vector<std::unique_ptr<Source>> srcs;
-    for (const FlowSet::FlowDef& d : defs) {
-      FlowSpec f;
-      f.src = src_host;
-      f.dst = dst_host;
-      f.src_port = d.src_port;
-      f.dst_port = d.dst_port;
-      f.protocol = d.protocol;
-      f.payload_bytes = d.payload_bytes;
-      f.vpn = s.vpn1;
-      f.phb = d.phb;
-      f.premark = d.premark;
-      switch (d.kind) {
-        case FlowSet::Kind::kCbr:
-          srcs.push_back(std::make_unique<CbrSource>(
-              *s.v1_site1.ce, f, d.flow_id, &probe, d.rate_bps));
-          break;
-        case FlowSet::Kind::kPoisson:
-          srcs.push_back(std::make_unique<PoissonSource>(
-              *s.v1_site1.ce, f, d.flow_id, &probe, d.rate_bps));
-          break;
-        case FlowSet::Kind::kOnOff:
-          srcs.push_back(std::make_unique<OnOffSource>(
-              *s.v1_site1.ce, f, d.flow_id, &probe, d.rate_bps, d.on_s,
-              d.off_s));
-          break;
-      }
-      srcs.back()->run(t0 + d.start, stop);
-    }
-    s.backbone->topo.run_until(stop + sim::kSecond);
-    for (const auto& src : srcs) r.sent.push_back(src->packets_sent());
-  } else {
-    FlowSet fs(sched, &probe, s.backbone->topo.seed());
-    const std::uint32_t from = fs.add_site(*s.v1_site1.ce, src_host);
-    const std::uint32_t to = fs.add_site(*s.v1_site2.ce, dst_host);
-    for (FlowSet::FlowDef d : defs) {
-      d.from_site = from;
-      d.to_site = to;
-      d.vpn = s.vpn1;
-      d.start = t0 + d.start;
-      fs.add_flow(d);
-    }
-    fs.run(stop);
-    s.backbone->topo.run_until(stop + sim::kSecond);
-    for (std::uint32_t row = 0; row < defs.size(); ++row) {
-      r.sent.push_back(fs.packets_sent(row));
-    }
+  FlowSet fs(sched, &probe, s.backbone->topo.seed());
+  const std::uint32_t from =
+      fs.add_site(*s.v1_site1.ce, ip::Ipv4Address::must_parse("10.1.0.1"));
+  const std::uint32_t to =
+      fs.add_site(*s.v1_site2.ce, ip::Ipv4Address::must_parse("10.2.0.1"));
+  for (FlowSet::FlowDef d : defs) {
+    d.from_site = from;
+    d.to_site = to;
+    d.vpn = s.vpn1;
+    d.start = t0 + d.start;
+    fs.add_flow(d);
   }
-  return r;
+  fs.run(stop);
+  s.backbone->topo.run_until(stop + sim::kSecond);
+  std::vector<std::string> summary{digest.hex(), std::to_string(packets)};
+  for (std::uint32_t row = 0; row < defs.size(); ++row) {
+    summary.push_back(std::to_string(fs.packets_sent(row)));
+  }
+  return summary;
 }
 
-TEST(FlowSet, ByteIdenticalToLegacySourcesAcrossKinds) {
+TEST(FlowSet, MixedKindsMatchGoldenPacketLog) {
   std::vector<FlowSet::FlowDef> defs(3);
   defs[0].flow_id = 1;
   defs[0].kind = FlowSet::Kind::kCbr;
@@ -205,21 +161,22 @@ TEST(FlowSet, ByteIdenticalToLegacySourcesAcrossKinds) {
   defs[2].dst_port = 5004;
   defs[2].start = sim::from_seconds(0.02);
 
-  const MixResult legacy = run_mix(7101, defs, 2.0, true);
-  const MixResult flowset = run_mix(7101, defs, 2.0, false);
-  EXPECT_EQ(legacy.sent, flowset.sent);
-  ASSERT_EQ(legacy.log.size(), flowset.log.size());
-  EXPECT_TRUE(legacy.log == flowset.log);
-  // Sanity: the comparison covered real traffic from every source kind.
-  EXPECT_GT(legacy.log.size(), 500u);
-  for (std::uint64_t sent : legacy.sent) EXPECT_GT(sent, 50u);
+  const std::vector<std::string> golden_row =
+      golden::row("flowset_logs.txt", "kinds");
+  ASSERT_EQ(golden_row.size(), 5u);
+  EXPECT_EQ(run_mix(7101, defs, 2.0), golden_row);
+  // Sanity: the golden log covers real traffic from every flow kind.
+  EXPECT_GT(std::stoull(golden_row[1]), 500u);
+  for (std::size_t i = 2; i < golden_row.size(); ++i) {
+    EXPECT_GT(std::stoull(golden_row[i]), 50u);
+  }
 }
 
-TEST(FlowSet, OnOffResidueMatchesLegacyBurstBookkeeping) {
+TEST(FlowSet, OnOffResidueMatchesGoldenBurstBookkeeping) {
   // One on/off flow over enough sim time for hundreds of burst cycles: the
-  // SoA packets-remaining residue must reproduce the legacy
-  // `burst_remaining_` time-residue arithmetic draw for draw — same RNG
-  // consumption, same emission instants, same per-burst packet counts.
+  // packets-remaining residue (ceil(burst / on-interval) per drawn burst)
+  // must reproduce the recorded log draw for draw — same RNG consumption,
+  // same emission instants, same per-burst packet counts.
   std::vector<FlowSet::FlowDef> defs(1);
   defs[0].flow_id = 11;
   defs[0].kind = FlowSet::Kind::kOnOff;
@@ -227,12 +184,12 @@ TEST(FlowSet, OnOffResidueMatchesLegacyBurstBookkeeping) {
   defs[0].on_s = 0.03;
   defs[0].off_s = 0.01;
 
-  const MixResult legacy = run_mix(7102, defs, 30.0, true);
-  const MixResult flowset = run_mix(7102, defs, 30.0, false);
-  EXPECT_EQ(legacy.sent, flowset.sent);
-  EXPECT_GT(legacy.sent.at(0), 5000u);  // many bursts, many residue cycles
-  ASSERT_EQ(legacy.log.size(), flowset.log.size());
-  EXPECT_TRUE(legacy.log == flowset.log);
+  const std::vector<std::string> golden_row =
+      golden::row("flowset_logs.txt", "onoff_residue");
+  ASSERT_EQ(golden_row.size(), 3u);
+  EXPECT_EQ(run_mix(7102, defs, 30.0), golden_row);
+  // Many bursts, many residue cycles.
+  EXPECT_GT(std::stoull(golden_row[2]), 5000u);
 }
 
 TEST(FlowSet, StateStaysUnder64BytesPerFlow) {
@@ -461,14 +418,13 @@ TEST(TcpLite, ElasticYieldsToPriorityVoice) {
   at_b.attach(*b.ce);
 
   qos::SlaProbe voice_probe;
-  traffic::FlowSpec voice;
-  voice.src = ip::Ipv4Address::must_parse("10.1.0.1");
-  voice.dst = ip::Ipv4Address::must_parse("10.2.0.1");
+  FlowSet voice_src(bb.topo.scheduler(), &voice_probe, bb.topo.seed());
+  FlowSet::FlowDef voice = testutil::flow_between(
+      voice_src, 9, *a.ce, "10.1.0.1", *b.ce, "10.2.0.1", 200e3, v);
   voice.dst_port = 16400;
   voice.payload_bytes = 172;
-  voice.vpn = v;
   voice.phb = qos::Phb::kEf;
-  CbrSource voice_src(*a.ce, voice, 9, &voice_probe, 200e3);
+  voice_src.add_flow(voice);
   at_b.register_flow(9, [&](const net::Packet& p, vpn::VpnId) {
     voice_probe.record_delivered(qos::Phb::kEf, 9,
                                  bb.topo.scheduler().now() - p.created_at,
@@ -482,7 +438,7 @@ TEST(TcpLite, ElasticYieldsToPriorityVoice) {
   TcpLiteFlow bulk(*a.ce, at_a, *b.ce, at_b, 1, c);
 
   const sim::SimTime t0 = bb.topo.scheduler().now();
-  voice_src.run(t0, t0 + 5 * sim::kSecond);
+  voice_src.run(t0 + 5 * sim::kSecond);
   bulk.start(t0);
   bb.topo.scheduler().schedule_at(t0 + 5 * sim::kSecond,
                                   [&] { bulk.stop(); });

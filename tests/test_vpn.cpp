@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "backbone/fixtures.hpp"
+#include "test_flows.hpp"
 #include "traffic/sink.hpp"
-#include "traffic/source.hpp"
 #include "vpn/diagnostics.hpp"
 #include "vpn/directory.hpp"
 #include "vpn/oam.hpp"
@@ -97,16 +97,17 @@ TEST(Router, ShaperSmoothsEdgeTraffic) {
   qos::SlaProbe probe;
   traffic::MeasurementSink sink(probe, s.backbone->topo.scheduler());
   sink.bind(*s.v1_site2.ce);
-  traffic::FlowSpec f;
-  f.src = ip::Ipv4Address::must_parse("10.1.0.1");
-  f.dst = ip::Ipv4Address::must_parse("10.2.0.1");
-  f.vpn = s.vpn1;
+  traffic::FlowSet flows(s.backbone->topo.scheduler(), &probe,
+                         s.backbone->topo.seed());
+  traffic::FlowSet::FlowDef f = testutil::flow_between(
+      flows, 1, *s.v1_site1.ce, "10.1.0.1", *s.v1_site2.ce, "10.2.0.1", 2e6,
+      s.vpn1);
   f.phb = qos::Phb::kAf11;
   f.premark = true;
-  traffic::CbrSource src(*s.v1_site1.ce, f, 1, &probe, 2e6);
+  flows.add_flow(f);
   sink.expect_flow(1, qos::Phb::kAf11, s.vpn1);
   const sim::SimTime t0 = s.backbone->topo.scheduler().now();
-  src.run(t0, t0 + 2 * sim::kSecond);
+  flows.run(t0 + 2 * sim::kSecond);
   s.backbone->topo.run_until(t0 + 6 * sim::kSecond);
 
   const auto& r = probe.report(qos::Phb::kAf11);
@@ -187,27 +188,24 @@ TEST(Figure2, AnyToAnyWithinVpnAndIsolationAcross) {
   sink.bind(*s.v1_site2.ce);
   sink.bind(*s.v2_site2.ce);
 
-  traffic::FlowSpec f;
-  f.src = ip::Ipv4Address::must_parse("10.1.0.1");
-  f.dst = ip::Ipv4Address::must_parse("10.2.0.1");
-  f.vpn = s.vpn1;
-  f.phb = qos::Phb::kBe;
-  traffic::CbrSource v1(*s.v1_site1.ce, f, 1, &probe, 500e3);
+  traffic::FlowSet flows(s.backbone->topo.scheduler(), &probe,
+                         s.backbone->topo.seed());
+  flows.add_flow(testutil::flow_between(flows, 1, *s.v1_site1.ce, "10.1.0.1",
+                                        *s.v1_site2.ce, "10.2.0.1", 500e3,
+                                        s.vpn1));
   sink.expect_flow(1, qos::Phb::kBe, s.vpn1);
-
-  traffic::FlowSpec g = f;
-  g.vpn = s.vpn2;
-  traffic::CbrSource v2(*s.v2_site1.ce, g, 2, &probe, 500e3);
+  flows.add_flow(testutil::flow_between(flows, 2, *s.v2_site1.ce, "10.1.0.1",
+                                        *s.v2_site2.ce, "10.2.0.1", 500e3,
+                                        s.vpn2));
   sink.expect_flow(2, qos::Phb::kBe, s.vpn2);
 
-  v1.run(0, sim::kSecond);
-  v2.run(0, sim::kSecond);
+  flows.run(sim::kSecond);
   s.backbone->topo.run_until(3 * sim::kSecond);
 
   EXPECT_GT(sink.delivered(), 0u);
   EXPECT_EQ(sink.leaks(), 0u);
   EXPECT_EQ(sink.unknown_flows(), 0u);
-  EXPECT_EQ(v1.packets_sent() + v2.packets_sent(), sink.delivered());
+  EXPECT_EQ(flows.packets_sent(), sink.delivered());
 }
 
 TEST(Figure3, CeRoutersNeedNoVpnState) {

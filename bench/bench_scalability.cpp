@@ -158,58 +158,6 @@ void set_all_flowcache(backbone::MplsBackbone& bb, bool on) {
   }
 }
 
-ThroughputResult run_throughput(std::size_t flows, double sim_seconds,
-                                bool tracing, bool flowcache = true) {
-  backbone::BackboneConfig cfg;
-  cfg.p_count = 6;
-  cfg.pe_count = 8;
-  cfg.seed = 7;
-  backbone::MplsBackbone bb(cfg);
-  // Tracing-on phase: flight recorder armed for every category, so each
-  // enqueue/dequeue/label-op/delivery pays the full record() cost. The
-  // tracing-off phase leaves the recorder disabled — the hot path sees
-  // only the predictable mask check.
-  if (tracing) bb.topo.recorder().enable(obs::kAllCategories);
-
-  const vpn::VpnId v = bb.service.create_vpn("T");
-  std::vector<backbone::MplsBackbone::Site> sites;
-  for (std::size_t i = 0; i < cfg.pe_count; ++i) {
-    sites.push_back(bb.add_site(
-        v, i,
-        ip::Prefix(ip::Ipv4Address(10, std::uint8_t(1 + i), 0, 0), 16)));
-  }
-  bb.start_and_converge();
-  // After add_site: the CE routers must see the disable too.
-  if (!flowcache) set_all_flowcache(bb, false);
-
-  qos::SlaProbe probe("throughput");
-  traffic::MeasurementSink sink(probe, bb.topo.scheduler());
-  for (auto& site : sites) sink.bind(*site.ce);
-
-  traffic::FlowSet fset(bb.topo.scheduler(), &probe, bb.topo.seed());
-  add_ring_flows(
-      sites, flows, 1, v, qos::Phb::kBe,
-      [&](std::size_t) -> traffic::FlowSet& { return fset; },
-      [&](std::size_t, std::uint32_t id) {
-        sink.expect_flow(id, qos::Phb::kBe, v);
-      });
-
-  const sim::SimTime t0 = bb.topo.scheduler().now();
-  const std::uint64_t ev0 = bb.topo.scheduler().executed_count();
-  const auto wall0 = std::chrono::steady_clock::now();
-  fset.run(t0 + sim::from_seconds(sim_seconds));
-  bb.topo.run_until(t0 + sim::from_seconds(sim_seconds + 0.5));
-  const auto wall1 = std::chrono::steady_clock::now();
-
-  ThroughputResult r;
-  r.flows = flows;
-  r.sim_seconds = sim_seconds;
-  r.delivered = sink.delivered();
-  r.events = bb.topo.scheduler().executed_count() - ev0;
-  r.wall_s = std::chrono::duration<double>(wall1 - wall0).count();
-  return r;
-}
-
 void keep_best(ThroughputResult& best, const ThroughputResult& r) {
   if (best.wall_s == 0 || r.wall_s < best.wall_s) best = r;
 }
@@ -250,6 +198,9 @@ struct ShardedResult {
   double setup_s = 0.0;
   std::size_t src_state_bytes = 0;
   std::size_t src_calendar_bytes = 0;
+  /// Router flow-cache totals over the whole topology (ring runs).
+  std::uint64_t cache_hits = 0;
+  std::uint64_t cache_misses = 0;
 };
 
 /// Peak resident set size of this process in kB (VmHWM from
@@ -273,13 +224,35 @@ void keep_best(ShardedResult& best, ShardedResult r) {
   }
 }
 
-ShardedResult run_sharded(std::uint32_t shards, std::size_t flows,
-                          double sim_seconds) {
+/// The hand-built ring workloads of the throughput, sharded and
+/// flowcache phases: a `p`P/`pe`PE backbone (seed 7) with one site per PE
+/// and `flows` 1 Mb/s CBR flows around the site ring (add_ring_flows).
+struct RingSpec {
+  std::size_t p = 8;
+  std::size_t pe = 16;
+  std::uint32_t shards = 1;
+  std::size_t flows = 64;
+  double sim_seconds = 5.0;
+  std::size_t stride = 1;
+  qos::Phb phb = qos::Phb::kBe;
+  /// Flight recorder armed for every category, so each enqueue/dequeue/
+  /// label-op/delivery pays the full record() cost; off, the hot path
+  /// sees only the predictable mask check.
+  bool tracing = false;
+  bool flowcache = true;
+  /// 255 decoy port ranges the traffic never hits ahead of the one rule
+  /// it always does (marking AF21) on every CE: the slow path walks the
+  /// whole list for every packet.
+  bool decoy_classifiers = false;
+};
+
+ShardedResult run_ring(const RingSpec& spec) {
   backbone::BackboneConfig cfg;
-  cfg.p_count = 8;
-  cfg.pe_count = 16;
+  cfg.p_count = spec.p;
+  cfg.pe_count = spec.pe;
   cfg.seed = 7;
   backbone::MplsBackbone bb(cfg);
+  if (spec.tracing) bb.topo.recorder().enable(obs::kAllCategories);
 
   const vpn::VpnId v = bb.service.create_vpn("T");
   std::vector<backbone::MplsBackbone::Site> sites;
@@ -288,82 +261,91 @@ ShardedResult run_sharded(std::uint32_t shards, std::size_t flows,
         v, i,
         ip::Prefix(ip::Ipv4Address(10, std::uint8_t(1 + i), 0, 0), 16)));
   }
-  bb.start_and_converge();
-
-  std::unique_ptr<net::ShardRuntime> runtime;
-  if (shards > 1) {
-    backbone::ShardPlan plan = backbone::compute_shard_plan(bb.topo, shards);
-    if (plan.parallel() && plan.lookahead > 0) {
-      runtime = std::make_unique<net::ShardRuntime>(
-          bb.topo, std::move(plan.node_shard), plan.shard_count,
-          plan.lookahead);
+  if (spec.decoy_classifiers) {
+    for (auto& site : sites) {
+      auto classifier = std::make_unique<qos::CbqClassifier>();
+      for (int k = 0; k < 255; ++k) {
+        qos::MatchRule decoy;
+        decoy.dst_port = qos::PortRange{
+            static_cast<std::uint16_t>(1000 + 10 * (k % 64)),
+            static_cast<std::uint16_t>(1005 + 10 * (k % 64))};
+        decoy.mark = qos::Phb::kAf11;
+        classifier->add_rule(decoy);
+      }
+      qos::MatchRule data;
+      data.dst_port = qos::PortRange{20000, 29999};
+      data.mark = qos::Phb::kAf21;
+      classifier->add_rule(data);
+      site.ce->set_classifier(std::move(classifier));
     }
   }
+  bb.start_and_converge();
+  // After add_site: the CE routers must see the disable too.
+  if (!spec.flowcache) set_all_flowcache(bb, false);
+
+  const std::unique_ptr<net::ShardRuntime> runtime =
+      backbone::make_shard_runtime(
+          bb.topo, backbone::compute_shard_plan(bb.topo, spec.shards));
 
   // One probe/sink lane per shard: sent-side counters accumulate on the
   // source CE's shard, deliveries on the destination's, with each sink
-  // reading its own shard's clock. Serial runs use a single lane.
-  const std::uint32_t lanes = runtime ? runtime->shard_count() : 1;
+  // reading its own shard's clock.
+  const std::uint32_t lanes = runtime->shard_count();
   std::vector<std::unique_ptr<qos::SlaProbe>> probes;
   std::vector<std::unique_ptr<traffic::MeasurementSink>> sinks;
   for (std::uint32_t s = 0; s < lanes; ++s) {
     probes.push_back(
         std::make_unique<qos::SlaProbe>("lane" + std::to_string(s)));
     sinks.push_back(std::make_unique<traffic::MeasurementSink>(
-        *probes[s],
-        runtime ? runtime->shard_scheduler(s) : bb.topo.scheduler()));
+        *probes[s], runtime->shard_scheduler(s)));
   }
   auto lane_of = [&](const backbone::MplsBackbone::Site& site) {
-    return runtime ? bb.topo.shard_of(site.ce->id()) : 0U;
+    return runtime->shard_of(site.ce->id());
   };
   for (auto& site : sites) sinks[lane_of(site)]->bind(*site.ce);
 
   std::vector<std::unique_ptr<traffic::FlowSet>> fsets;
   for (std::uint32_t s = 0; s < lanes; ++s) {
     fsets.push_back(std::make_unique<traffic::FlowSet>(
-        runtime ? runtime->shard_scheduler(s) : bb.topo.scheduler(),
-        probes[s].get(), bb.topo.seed()));
+        runtime->shard_scheduler(s), probes[s].get(), bb.topo.seed()));
   }
   add_ring_flows(
-      sites, flows, 1, v, qos::Phb::kBe,
+      sites, spec.flows, spec.stride, v, spec.phb,
       [&](std::size_t a) -> traffic::FlowSet& {
         return *fsets[lane_of(sites[a])];
       },
       [&](std::size_t b, std::uint32_t id) {
-        sinks[lane_of(sites[b])]->expect_flow(id, qos::Phb::kBe, v);
+        sinks[lane_of(sites[b])]->expect_flow(id, spec.phb, v);
       });
 
   const sim::SimTime t0 = bb.topo.base_scheduler().now();
-  const std::uint64_t ev0 = bb.topo.base_scheduler().executed_count();
+  const std::uint64_t ev0 = runtime->executed_count();
   const auto wall0 = std::chrono::steady_clock::now();
-  for (auto& fs : fsets) fs->run(t0 + sim::from_seconds(sim_seconds));
-  const sim::SimTime t_end = t0 + sim::from_seconds(sim_seconds + 0.5);
-  if (runtime) {
-    runtime->run_until(t_end);
-  } else {
-    bb.topo.run_until(t_end);
-  }
+  for (auto& fs : fsets) fs->run(t0 + sim::from_seconds(spec.sim_seconds));
+  runtime->run_until(t0 + sim::from_seconds(spec.sim_seconds + 0.5));
   const auto wall1 = std::chrono::steady_clock::now();
 
   ShardedResult r;
-  r.thr.flows = flows;
-  r.thr.sim_seconds = sim_seconds;
+  r.thr.flows = spec.flows;
+  r.thr.sim_seconds = spec.sim_seconds;
   for (auto& s : sinks) r.thr.delivered += s->delivered();
-  r.thr.events = bb.topo.base_scheduler().executed_count() - ev0;
-  if (runtime) {
-    for (std::uint32_t s = 0; s < runtime->shard_count(); ++s) {
-      r.thr.events += runtime->shard_scheduler(s).executed_count();
-    }
-    r.windows = runtime->windows();
-    r.widened = runtime->widened_windows();
-    r.handoffs = runtime->handoffs();
-    r.batches = runtime->delivery_batches();
-    runtime->finish();
-  }
+  r.thr.events = runtime->executed_count() - ev0;
+  r.windows = runtime->windows();
+  r.widened = runtime->widened_windows();
+  r.handoffs = runtime->handoffs();
+  r.batches = runtime->delivery_batches();
+  runtime->finish();
   r.thr.wall_s = std::chrono::duration<double>(wall1 - wall0).count();
   qos::SlaProbe master("master");
   for (auto& p : probes) master.merge_from(*p);
-  r.sla_csv = master.to_csv(sim_seconds);
+  r.sla_csv = master.to_csv(spec.sim_seconds);
+  for (std::size_t i = 0; i < bb.topo.node_count(); ++i) {
+    if (auto* router = dynamic_cast<vpn::Router*>(
+            &bb.topo.node(static_cast<ip::NodeId>(i)))) {
+      r.cache_hits += router->flowcache_stats().hits;
+      r.cache_misses += router->flowcache_stats().misses;
+    }
+  }
   return r;
 }
 
@@ -538,11 +520,15 @@ int run_sharded_phases(const char* json_path) {
   // Interleave the serial pass with the sharded ones rep by rep and keep
   // each side's best wall time: the speedup denominator comes from this
   // same run, so machine-load drift cannot land on only one side.
+  auto ring = [](std::uint32_t shards) {
+    return run_ring(
+        {.shards = shards, .flows = kFlows, .sim_seconds = kSimSeconds});
+  };
   ShardedResult serial, two, four;
   for (int i = 0; i < 3; ++i) {
-    keep_best(serial, run_sharded(1, kFlows, kSimSeconds));
-    keep_best(two, run_sharded(2, kFlows, kSimSeconds));
-    keep_best(four, run_sharded(4, kFlows, kSimSeconds));
+    keep_best(serial, ring(1));
+    keep_best(two, ring(2));
+    keep_best(four, ring(4));
   }
   return report_sharded_phases("bench_scalability_sharded", "8P/16PE", serial,
                                two, four, json_path);
@@ -588,62 +574,34 @@ ShardedResult run_topogen(const backbone::GeneratedPlan& plan,
   }
   bb.start_and_converge();
 
-  std::unique_ptr<net::ShardRuntime> runtime;
-  if (shards > 1) {
-    backbone::ShardPlan plan_s = backbone::compute_shard_plan(
-        bb.topo, shards,
-        opt.weights != nullptr ? *opt.weights : std::vector<std::uint64_t>{});
-    if (plan_s.parallel() && plan_s.lookahead > 0) {
-      runtime = std::make_unique<net::ShardRuntime>(
-          bb.topo, std::move(plan_s.node_shard), plan_s.shard_count,
-          plan_s.lookahead);
-    }
-  }
+  const std::unique_ptr<net::ShardRuntime> runtime =
+      backbone::make_shard_runtime(
+          bb.topo, backbone::compute_shard_plan(
+                       bb.topo, shards,
+                       opt.weights != nullptr ? *opt.weights
+                                              : std::vector<std::uint64_t>{}));
 
-  // Profiled variants attach the epoch-level sync profiler; sharded runs
-  // also get a cache sampler summing the per-router flow-cache counters by
-  // shard, so the report carries per-shard hit rates. The profiler lives
-  // until after report() below — past the runtime's last run_until.
+  // Profiled variants attach the epoch-level sync profiler, with a cache
+  // sampler summing the per-router flow-cache counters by shard so the
+  // report carries per-shard hit rates. The profiler lives until after
+  // report() below — past the runtime's last run_until.
   std::unique_ptr<obs::SyncProfiler> prof;
   if (profile) {
-    prof = std::make_unique<obs::SyncProfiler>(
-        runtime ? runtime->shard_count() : 1);
-    if (runtime) {
-      auto by_shard =
-          std::make_shared<std::vector<std::vector<const vpn::Router*>>>(
-              runtime->shard_count());
-      for (std::size_t i = 0; i < bb.topo.node_count(); ++i) {
-        const auto id = static_cast<ip::NodeId>(i);
-        if (const auto* r = dynamic_cast<vpn::Router*>(&bb.topo.node(id))) {
-          (*by_shard)[bb.topo.shard_of(id)].push_back(r);
-        }
-      }
-      prof->set_cache_sampler([by_shard](std::uint32_t shard,
-                                         std::uint64_t& hits,
-                                         std::uint64_t& misses) {
-        hits = 0;
-        misses = 0;
-        for (const vpn::Router* r : (*by_shard)[shard]) {
-          hits += r->flowcache_stats().hits;
-          misses += r->flowcache_stats().misses;
-        }
-      });
-      runtime->set_profiler(prof.get());
-    }
+    prof = std::make_unique<obs::SyncProfiler>(runtime->shard_count());
+    backbone::attach_sync_profiler(*runtime, bb.topo, *prof);
   }
 
-  const std::uint32_t lanes = runtime ? runtime->shard_count() : 1;
+  const std::uint32_t lanes = runtime->shard_count();
   std::vector<std::unique_ptr<qos::SlaProbe>> probes;
   std::vector<std::unique_ptr<traffic::MeasurementSink>> sinks;
   for (std::uint32_t s = 0; s < lanes; ++s) {
     probes.push_back(
         std::make_unique<qos::SlaProbe>("lane" + std::to_string(s)));
     sinks.push_back(std::make_unique<traffic::MeasurementSink>(
-        *probes[s],
-        runtime ? runtime->shard_scheduler(s) : bb.topo.scheduler()));
+        *probes[s], runtime->shard_scheduler(s)));
   }
   auto lane_of = [&](std::size_t site) {
-    return runtime ? bb.topo.shard_of(sites[site].ce->id()) : 0U;
+    return runtime->shard_of(sites[site].ce->id());
   };
   for (std::size_t s = 0; s < sites.size(); ++s) {
     sinks[lane_of(s)]->bind(*sites[s].ce);
@@ -656,8 +614,7 @@ ShardedResult run_topogen(const backbone::GeneratedPlan& plan,
   const auto setup0 = std::chrono::steady_clock::now();
   for (std::uint32_t s = 0; s < lanes; ++s) {
     fsets.push_back(std::make_unique<traffic::FlowSet>(
-        runtime ? runtime->shard_scheduler(s) : bb.topo.scheduler(),
-        probes[s].get(), plan.backbone.seed));
+        runtime->shard_scheduler(s), probes[s].get(), plan.backbone.seed));
     for (std::size_t i = 0; i < sites.size(); ++i) {
       fsets[s]->add_site(
           *sites[i].ce,
@@ -690,51 +647,31 @@ ShardedResult run_topogen(const backbone::GeneratedPlan& plan,
           .count();
 
   // Flow-accounting variants mirror the scenario layer's wiring (§13): one
-  // table per lane, scanned at 0.25 s instants — a periodic engine action
-  // when sharded, a chunked run to the same edges when serial — so the
-  // flow-on pass prices the full telemetry pipeline.
+  // table per lane, scanned at 0.25 s instants by a periodic engine action,
+  // so the flow-on pass prices the full telemetry pipeline.
   std::unique_ptr<obs::FlowExporter> fexp;
-  std::vector<std::unique_ptr<obs::FlowStatsTable>> ftables;
-  const sim::SimTime scan_period = sim::from_seconds(0.25);
+  std::vector<std::unique_ptr<obs::FlowStatsTable>> ftable_store;
+  std::vector<obs::FlowStatsTable*> ftables;
+  const sim::SimTime t0 = bb.topo.base_scheduler().now();
   if (opt.flow) {
     fexp = std::make_unique<obs::FlowExporter>();
     // <= 50% table load keeps the probe window from ever filling, so the
     // eviction/spill path stays off the hot path.
     const std::size_t flow_slots = std::max(
         obs::FlowStatsTable::kDefaultSlots, 2 * plan.flows.size());
-    if (runtime) {
-      std::vector<obs::FlowStatsTable*> ptrs;
-      for (std::uint32_t s = 0; s < runtime->shard_count(); ++s) {
-        ftables.push_back(std::make_unique<obs::FlowStatsTable>(
-            &runtime->shard_scheduler(s), flow_slots));
-        ptrs.push_back(ftables.back().get());
-      }
-      runtime->set_flow_stats(std::move(ptrs));
-    } else {
-      ftables.push_back(std::make_unique<obs::FlowStatsTable>(
-          &bb.topo.scheduler(), flow_slots));
-      bb.topo.set_flow_stats(ftables.front().get());
+    for (std::uint32_t s = 0; s < lanes; ++s) {
+      ftable_store.push_back(std::make_unique<obs::FlowStatsTable>(
+          &runtime->shard_scheduler(s), flow_slots));
+      ftables.push_back(ftable_store.back().get());
     }
+    runtime->set_flow_stats(ftables);
+    const sim::SimTime scan_period = sim::from_seconds(0.25);
+    runtime->add_periodic_action(
+        t0 + scan_period, scan_period,
+        [&](sim::SimTime at) { fexp->scan(ftables, at); });
   }
-  auto flow_scan = [&](sim::SimTime at) {
-    // Single-lane runs take the exporter's table-resident fastpath.
-    if (ftables.size() == 1) {
-      fexp->scan_table(*ftables.front(), at);
-      return;
-    }
-    for (auto& t : ftables) fexp->merge_table(*t);
-    fexp->scan(at);
-  };
 
-  const sim::SimTime t0 = bb.topo.base_scheduler().now();
-  const std::uint64_t ev0 = bb.topo.base_scheduler().executed_count();
-  if (fexp && runtime) {
-    auto next = std::make_shared<sim::SimTime>(t0 + scan_period);
-    runtime->add_periodic_action(*next, scan_period, [&, next] {
-      flow_scan(*next);
-      *next += scan_period;
-    });
-  }
+  const std::uint64_t ev0 = runtime->executed_count();
   const auto wall0 = std::chrono::steady_clock::now();
   const sim::SimTime t_stop = t0 + sim::from_seconds(sim_seconds);
   for (auto& fs : fsets) fs->run(t_stop);
@@ -742,33 +679,7 @@ ShardedResult run_topogen(const backbone::GeneratedPlan& plan,
   setup_s += std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                            wall0)
                  .count();
-  const sim::SimTime t_end = t0 + sim::from_seconds(sim_seconds + 0.5);
-  auto serial_run = [&](sim::SimTime until) {
-    if (fexp) {
-      for (sim::SimTime at = t0 + scan_period; at <= until;
-           at += scan_period) {
-        bb.topo.run_until(at - 1);
-        flow_scan(at);
-      }
-    }
-    bb.topo.run_until(until);
-  };
-  if (runtime) {
-    runtime->run_until(t_end);
-  } else if (prof) {
-    // Serial profiled pass: the whole run is one execution phase.
-    const std::uint64_t e0 = bb.topo.scheduler().executed_count();
-    const auto p0 = std::chrono::steady_clock::now();
-    serial_run(t_end);
-    prof->record_serial(
-        static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - p0)
-                .count()),
-        bb.topo.scheduler().executed_count() - e0);
-  } else {
-    serial_run(t_end);
-  }
+  runtime->run_until(t0 + sim::from_seconds(sim_seconds + 0.5));
   const auto wall1 = std::chrono::steady_clock::now();
 
   ShardedResult r;
@@ -780,28 +691,17 @@ ShardedResult run_topogen(const backbone::GeneratedPlan& plan,
     r.src_calendar_bytes += fs->calendar_bytes();
   }
   for (auto& s : sinks) r.thr.delivered += s->delivered();
-  r.thr.events = bb.topo.base_scheduler().executed_count() - ev0;
-  if (runtime) {
-    for (std::uint32_t s = 0; s < runtime->shard_count(); ++s) {
-      r.thr.events += runtime->shard_scheduler(s).executed_count();
-    }
-    r.windows = runtime->windows();
-    r.widened = runtime->widened_windows();
-    r.handoffs = runtime->handoffs();
-    r.batches = runtime->delivery_batches();
-    runtime->finish();
-  }
+  r.thr.events = runtime->executed_count() - ev0;
+  r.windows = runtime->windows();
+  r.widened = runtime->widened_windows();
+  r.handoffs = runtime->handoffs();
+  r.batches = runtime->delivery_batches();
   r.thr.wall_s = std::chrono::duration<double>(wall1 - wall0).count();
   if (fexp) {
-    if (ftables.size() == 1) {
-      fexp->flush_table(*ftables.front());
-    } else {
-      for (auto& t : ftables) fexp->merge_table(*t);
-      fexp->flush();
-    }
+    fexp->flush(ftables);
     r.flow_records = fexp->records().size();
-    if (!runtime) bb.topo.set_flow_stats(nullptr);
   }
+  runtime->finish();
   if (opt.measure_profile) {
     r.node_weight = backbone::measure_flow_profile(bb.topo).node_weight;
   }
@@ -1172,98 +1072,24 @@ int run_megaflow_phases(const char* json_path) {
 // — delivered counts and the per-class SLA table must match byte for byte
 // — so the only thing allowed to move is the wall clock.
 
-struct FlowcacheResult {
-  ThroughputResult thr;
-  std::string sla_csv;
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-};
-
-FlowcacheResult run_flowcache(bool cache_on, std::size_t flows,
-                              double sim_seconds) {
-  backbone::BackboneConfig cfg;
-  cfg.p_count = 8;
-  cfg.pe_count = 8;
-  cfg.seed = 7;
-  backbone::MplsBackbone bb(cfg);
-
-  const vpn::VpnId v = bb.service.create_vpn("F");
-  std::vector<backbone::MplsBackbone::Site> sites;
-  for (std::size_t i = 0; i < cfg.pe_count; ++i) {
-    sites.push_back(bb.add_site(
-        v, i,
-        ip::Prefix(ip::Ipv4Address(10, std::uint8_t(1 + i), 0, 0), 16)));
-  }
-  for (auto& site : sites) {
-    auto classifier = std::make_unique<qos::CbqClassifier>();
-    // 255 decoy ranges the traffic never hits, then the one it always
-    // does: the slow path walks the whole list for every packet.
-    for (int k = 0; k < 255; ++k) {
-      qos::MatchRule decoy;
-      decoy.dst_port =
-          qos::PortRange{static_cast<std::uint16_t>(1000 + 10 * (k % 64)),
-                         static_cast<std::uint16_t>(1005 + 10 * (k % 64))};
-      decoy.mark = qos::Phb::kAf11;
-      classifier->add_rule(decoy);
-    }
-    qos::MatchRule data;
-    data.dst_port = qos::PortRange{20000, 29999};
-    data.mark = qos::Phb::kAf21;
-    classifier->add_rule(data);
-    site.ce->set_classifier(std::move(classifier));
-  }
-  bb.start_and_converge();
-  // After add_site: the CE routers must see the disable too.
-  if (!cache_on) set_all_flowcache(bb, false);
-
-  qos::SlaProbe probe("flowcache");
-  traffic::MeasurementSink sink(probe, bb.topo.scheduler());
-  for (auto& site : sites) sink.bind(*site.ce);
-
-  // AF21 is what the CE classifier will mark.
-  traffic::FlowSet fset(bb.topo.scheduler(), &probe, bb.topo.seed());
-  add_ring_flows(
-      sites, flows, sites.size() / 2, v, qos::Phb::kAf21,
-      [&](std::size_t) -> traffic::FlowSet& { return fset; },
-      [&](std::size_t, std::uint32_t id) {
-        sink.expect_flow(id, qos::Phb::kAf21, v);
-      });
-
-  const sim::SimTime t0 = bb.topo.scheduler().now();
-  const std::uint64_t ev0 = bb.topo.scheduler().executed_count();
-  const auto wall0 = std::chrono::steady_clock::now();
-  fset.run(t0 + sim::from_seconds(sim_seconds));
-  bb.topo.run_until(t0 + sim::from_seconds(sim_seconds + 0.5));
-  const auto wall1 = std::chrono::steady_clock::now();
-
-  FlowcacheResult r;
-  r.thr.flows = flows;
-  r.thr.sim_seconds = sim_seconds;
-  r.thr.delivered = sink.delivered();
-  r.thr.events = bb.topo.scheduler().executed_count() - ev0;
-  r.thr.wall_s = std::chrono::duration<double>(wall1 - wall0).count();
-  r.sla_csv = probe.to_csv(sim_seconds);
-  for (std::size_t i = 0; i < bb.topo.node_count(); ++i) {
-    if (auto* router = dynamic_cast<vpn::Router*>(
-            &bb.topo.node(static_cast<ip::NodeId>(i)))) {
-      r.hits += router->flowcache_stats().hits;
-      r.misses += router->flowcache_stats().misses;
-    }
-  }
-  return r;
-}
-
 int run_flowcache_phases(const char* json_path) {
   constexpr std::size_t kFlows = 64;
   constexpr double kSimSeconds = 5.0;
   // Interleave the variants and keep each side's best wall time, so
   // machine-load drift cannot land on only one side of the ratio.
-  FlowcacheResult off, on;
+  RingSpec spec{.p = 8,
+                .pe = 8,
+                .flows = kFlows,
+                .sim_seconds = kSimSeconds,
+                .stride = 4,  // the opposite PE on the 8-PE ring
+                .phb = qos::Phb::kAf21,  // what the CE classifier marks
+                .decoy_classifiers = true};
+  ShardedResult off, on;
   for (int i = 0; i < 3; ++i) {
-    FlowcacheResult o = run_flowcache(false, kFlows, kSimSeconds);
-    FlowcacheResult n = run_flowcache(true, kFlows, kSimSeconds);
-    if (off.thr.wall_s == 0 || o.thr.wall_s < off.thr.wall_s) off = std::move(o);
-    if (on.thr.wall_s == 0 || n.thr.wall_s < on.thr.wall_s) on = std::move(n);
+    spec.flowcache = false;
+    keep_best(off, run_ring(spec));
+    spec.flowcache = true;
+    keep_best(on, run_ring(spec));
   }
   print_throughput(off.thr, "flowcache off", "8P/8PE, 256-rule CEs");
   std::printf("\n");
@@ -1276,9 +1102,9 @@ int run_flowcache_phases(const char* json_path) {
           ? on.thr.packets_per_sec() / off.thr.packets_per_sec()
           : 0.0;
   const double hit_rate =
-      on.hits + on.misses > 0
-          ? static_cast<double>(on.hits) /
-                static_cast<double>(on.hits + on.misses)
+      on.cache_hits + on.cache_misses > 0
+          ? static_cast<double>(on.cache_hits) /
+                static_cast<double>(on.cache_hits + on.cache_misses)
           : 0.0;
   std::printf("  fastpath speedup  : %.2fx (hit rate %.4f)\n", speedup,
               hit_rate);
@@ -1290,10 +1116,10 @@ int run_flowcache_phases(const char* json_path) {
                  static_cast<unsigned long long>(on.thr.delivered),
                  off.sla_csv == on.sla_csv ? "equal" : "differ");
   }
-  if (off.hits + off.misses != 0) {
+  if (off.cache_hits + off.cache_misses != 0) {
     std::fprintf(stderr,
                  "flowcache-off run still touched the cache (%llu lookups)\n",
-                 static_cast<unsigned long long>(off.hits + off.misses));
+                 static_cast<unsigned long long>(off.cache_hits + off.cache_misses));
     return 1;
   }
 
@@ -1323,8 +1149,8 @@ int run_flowcache_phases(const char* json_path) {
         static_cast<unsigned long long>(off.thr.delivered),
         identical ? "true" : "false", off.thr.packets_per_sec(),
         on.thr.packets_per_sec(), speedup,
-        static_cast<unsigned long long>(on.hits),
-        static_cast<unsigned long long>(on.misses), hit_rate);
+        static_cast<unsigned long long>(on.cache_hits),
+        static_cast<unsigned long long>(on.cache_misses), hit_rate);
     std::fclose(f);
   }
   return identical ? 0 : 1;
@@ -1417,8 +1243,10 @@ int run_throughput_phases(const char* json_path, const char* baseline_path,
   // tracing-overhead ratio.
   ThroughputResult off, on;
   for (int i = 0; i < 5; ++i) {
-    keep_best(off, run_throughput(64, 5.0, false, flowcache));
-    keep_best(on, run_throughput(64, 5.0, true, flowcache));
+    RingSpec spec{.p = 6, .pe = 8, .flowcache = flowcache};
+    keep_best(off, run_ring(spec).thr);
+    spec.tracing = true;
+    keep_best(on, run_ring(spec).thr);
   }
   print_throughput(off, "tracing off");
   std::printf("\n");

@@ -38,8 +38,9 @@
 //
 // Engine options:
 //   --shards N          partition the topology into N shards and run the
-//                       traffic phase on the parallel engine (default 1 =
-//                       serial; overrides the scenario's `run shards=`)
+//                       traffic phase on the parallel engine (default 1:
+//                       the one-lane runtime, no worker threads; overrides
+//                       the scenario's `run shards=`)
 //   --partition-profile FILE  flow-weighted partitioning: balance shards
 //                       by the measured per-node flow weights in FILE (a
 //                       --flow-profile output) instead of node counts
@@ -70,6 +71,7 @@
 
 #include "backbone/partition.hpp"
 #include "backbone/scenario_config.hpp"
+#include "backbone/topogen.hpp"
 
 namespace {
 
@@ -112,7 +114,7 @@ int main(int argc, char** argv) {
   std::string scenario_path;
   std::string topogen_spec;
   std::string partition_profile_path;
-  unsigned long shards = 0;  // 0: use the scenario file's setting
+  std::size_t shards = 0;    // 0: use the scenario file's setting
   int flowcache = -1;        // -1: use the scenario file's setting
   bool verbose = false;
   for (int i = 1; i < argc; ++i) {
@@ -131,15 +133,17 @@ int main(int argc, char** argv) {
       const char* v = value();
       if (v == nullptr) return usage(argv[0]);
       obs.metrics_json_path = v;
-      // CLI metrics runs want the whole picture; sharded runs add the
-      // engine/* gauges (naturally engine-configuration-dependent, which
-      // is why programmatic byte-identity comparisons leave this off).
+      // CLI metrics runs want the whole picture, including the engine/*
+      // gauges (naturally engine-configuration-dependent, which is why
+      // programmatic byte-identity comparisons leave this off).
       obs.engine_metrics = true;
     } else if (std::strcmp(argv[i], "--snapshot-period") == 0) {
       const char* v = value();
       if (v == nullptr) return usage(argv[0]);
-      obs.snapshot_period_s = std::atof(v);
-      if (obs.snapshot_period_s <= 0) return usage(argv[0]);
+      if (!mvpn::backbone::to_double(v, obs.snapshot_period_s) ||
+          obs.snapshot_period_s <= 0) {
+        return usage(argv[0]);
+      }
     } else if (std::strcmp(argv[i], "--spans") == 0) {
       const char* v = value();
       if (v == nullptr) return usage(argv[0]);
@@ -177,8 +181,10 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--shards") == 0) {
       const char* v = value();
       if (v == nullptr) return usage(argv[0]);
-      shards = std::strtoul(v, nullptr, 10);
-      if (shards == 0 || shards > 64) return usage(argv[0]);
+      if (!mvpn::backbone::to_size(v, shards) || shards == 0 ||
+          shards > 64) {
+        return usage(argv[0]);
+      }
     } else if (std::strcmp(argv[i], "--no-flowcache") == 0) {
       flowcache = 0;
     } else if (std::strcmp(argv[i], "--control-metrics") == 0) {

@@ -4,11 +4,13 @@
 #include <functional>
 #include <istream>
 #include <limits>
+#include <memory>
 #include <numeric>
 #include <ostream>
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "vpn/router.hpp"
 
@@ -52,6 +54,39 @@ class UnionFind {
 };
 
 }  // namespace
+
+std::unique_ptr<net::ShardRuntime> make_shard_runtime(net::Topology& topo,
+                                                      ShardPlan plan) {
+  if (!plan.parallel() || plan.lookahead <= 0) {
+    plan.shard_count = 1;
+    plan.node_shard.assign(topo.node_count(), 0);
+  }
+  return std::make_unique<net::ShardRuntime>(
+      topo, std::move(plan.node_shard), plan.shard_count, plan.lookahead);
+}
+
+void attach_sync_profiler(net::ShardRuntime& runtime,
+                          const net::Topology& topo,
+                          obs::SyncProfiler& profiler) {
+  auto by_shard = std::make_shared<std::vector<std::vector<const vpn::Router*>>>(
+      runtime.shard_count());
+  for (std::size_t i = 0; i < topo.node_count(); ++i) {
+    const auto id = static_cast<ip::NodeId>(i);
+    if (const auto* r = dynamic_cast<const vpn::Router*>(&topo.node(id))) {
+      (*by_shard)[runtime.shard_of(id)].push_back(r);
+    }
+  }
+  profiler.set_cache_sampler([by_shard](std::uint32_t shard,
+                                        std::uint64_t& hits,
+                                        std::uint64_t& misses) {
+    for (const vpn::Router* r : (*by_shard)[shard]) {
+      const vpn::Router::FlowCacheStats fc = r->flowcache_stats();
+      hits += fc.hits;
+      misses += fc.misses;
+    }
+  });
+  runtime.set_profiler(&profiler);
+}
 
 ShardPlan compute_shard_plan(const net::Topology& topo, std::uint32_t shards) {
   return compute_shard_plan(topo, shards, {});

@@ -2,10 +2,13 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
 #include <vector>
 
 #include "net/link.hpp"
+#include "net/shard_runtime.hpp"
 #include "net/topology.hpp"
+#include "obs/sync_profiler.hpp"
 #include "sim/time.hpp"
 
 namespace mvpn::backbone {
@@ -64,6 +67,20 @@ struct ShardPlan {
 [[nodiscard]] ShardPlan compute_shard_plan(
     const net::Topology& topo, std::uint32_t shards,
     const std::vector<std::uint64_t>& node_weight);
+
+/// Bring up the engine `plan` asks for on the converged topology: its
+/// shards when it splits the topology over a cut with a positive
+/// lookahead, else one lane (the serial engine; see net::ShardRuntime).
+[[nodiscard]] std::unique_ptr<net::ShardRuntime> make_shard_runtime(
+    net::Topology& topo, ShardPlan plan);
+
+/// Attach `profiler` to `runtime` with a flow-cache sampler that sums every
+/// vpn::Router's hit/miss counters by the shard the runtime maps it to
+/// (the profiler layer cannot see routers). The profiler must outlive the
+/// runtime's last run_until().
+void attach_sync_profiler(net::ShardRuntime& runtime,
+                          const net::Topology& topo,
+                          obs::SyncProfiler& profiler);
 
 /// Measured per-node / per-link flow-weight vectors — the `--flow-profile`
 /// output and the flow-weighted partitioner's input. Weights are link

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <chrono>
 #include <cmath>
 #include <fstream>
 #include <iostream>
@@ -115,62 +114,106 @@ bool parse_port_range(const std::string& s, std::uint16_t& lo,
   return true;
 }
 
-/// RED profile for "red" / "red:min,max,maxp" core specs; nullopt for any
-/// other discipline. RED queues are not built through the QueueDiscFactory
-/// (it carries no arguments): they need a clock and a per-node RNG, so the
-/// scenario swaps them onto the core links after construction.
-std::optional<qos::RedParams> red_params_for(const std::string& spec,
+/// Split "a,b,c" into doubles; false on an empty or unparsable element.
+bool parse_number_list(const std::string& s, std::vector<double>& out) {
+  std::size_t pos = 0;
+  for (;;) {
+    const std::size_t comma = s.find(',', pos);
+    double v = 0;
+    if (!to_double(s.substr(pos, comma - pos), v)) return false;
+    out.push_back(v);
+    if (comma == std::string::npos) return true;
+    pos = comma + 1;
+  }
+}
+
+/// A `core_queue=` value: the discipline and its numeric arguments (the
+/// wfq/drr weights, or RED's min_th, max_th, max_p).
+struct CoreQueue {
+  std::string kind = "fifo";
+  std::vector<double> args;
+};
+
+/// RED profile of a "red" / "red:min[,max[,maxp]]" core queue (missing
+/// arguments keep the RedParams defaults); nullopt for any other kind. RED
+/// queues are not built through the QueueDiscFactory (it carries no
+/// arguments): they need a clock and a per-node RNG, so the scenario swaps
+/// them onto the core links after construction.
+std::optional<qos::RedParams> red_params_for(const CoreQueue& q,
                                              double core_bw_bps) {
-  if (spec != "red" && spec.rfind("red:", 0) != 0) return std::nullopt;
+  if (q.kind != "red") return std::nullopt;
   qos::RedParams rp;
   rp.bandwidth_bps = core_bw_bps;
-  const auto colon = spec.find(':');
-  if (colon != std::string::npos) {
-    std::istringstream ws(spec.substr(colon + 1));
-    std::string w;
-    std::vector<double> v;
-    double d = 0;
-    while (std::getline(ws, w, ',')) {
-      if (to_double(w, d)) v.push_back(d);
-    }
-    if (!v.empty()) rp.min_th = v[0];
-    if (v.size() > 1) rp.max_th = v[1];
-    if (v.size() > 2) rp.max_p = v[2];
-  }
+  if (!q.args.empty()) rp.min_th = q.args[0];
+  if (q.args.size() > 1) rp.max_th = q.args[1];
+  if (q.args.size() > 2) rp.max_p = q.args[2];
   return rp;
 }
 
-/// Build a core queue factory from "fifo", "prio", "wfq:8,3,1", "drr:8,3,1".
-/// ("red" specs return the default factory; see red_params_for.)
-net::QueueDiscFactory queue_factory_for(const std::string& spec) {
-  if (spec == "fifo" || spec.empty()) return {};
-  if (spec == "prio") {
+/// Parse a `core_queue=` value: fifo, prio, wfq:W,..., drr:W,..., red or
+/// red:MIN[,MAX[,MAXP]]. wfq weights must be finite and > 0, drr weights
+/// integers in [1, 2^32), and RED needs 0 <= min < max (finite) and
+/// 0 < maxp <= 1. On failure returns nullopt and sets `*why` (when
+/// non-null).
+std::optional<CoreQueue> parse_core_queue(const std::string& spec,
+                                          std::string* why) {
+  CoreQueue q;
+  const std::size_t colon = spec.find(':');
+  q.kind = spec.substr(0, colon);
+  const bool has_args = colon != std::string::npos;
+  auto bad = [&](const std::string& msg) {
+    if (why != nullptr) *why = "bad core_queue=" + spec + " (" + msg + ")";
+    return std::optional<CoreQueue>{};
+  };
+  if (q.kind == "fifo" || q.kind == "prio") {
+    if (has_args) return bad(q.kind + " takes no arguments");
+    return q;
+  }
+  if (q.kind != "wfq" && q.kind != "drr" && q.kind != "red") {
+    return bad("want fifo, prio, wfq:W,..., drr:W,... or red[:MIN,MAX,MAXP]");
+  }
+  if (q.kind != "red" && !has_args) return bad(q.kind + " needs weights");
+  if (has_args && !parse_number_list(spec.substr(colon + 1), q.args)) {
+    return bad("unparsable number");
+  }
+  for (const double w : q.args) {
+    if (q.kind == "wfq" && !(std::isfinite(w) && w > 0)) {
+      return bad("wfq weights must be finite and > 0");
+    }
+    if (q.kind == "drr" &&
+        !(w >= 1 && w < 4294967296.0 && w == std::floor(w))) {
+      return bad("drr weights must be integers in [1, 2^32)");
+    }
+  }
+  if (q.kind == "red") {
+    if (q.args.size() > 3) return bad("red takes at most MIN,MAX,MAXP");
+    const qos::RedParams rp = *red_params_for(q, 0);
+    if (!(rp.min_th >= 0 && rp.min_th < rp.max_th &&
+          std::isfinite(rp.max_th) && rp.max_p > 0 && rp.max_p <= 1)) {
+      return bad("red needs 0 <= MIN < MAX and 0 < MAXP <= 1");
+    }
+  }
+  return q;
+}
+
+/// The core queue factory of a parsed spec. (RED returns the default
+/// factory; see red_params_for.)
+net::QueueDiscFactory queue_factory_for(const CoreQueue& q) {
+  if (q.kind == "prio") {
     return [] {
       return std::make_unique<qos::PriorityQueueDisc>(
           3, 100, qos::ef_af_be_selector());
     };
   }
-  const auto colon = spec.find(':');
-  const std::string kind = spec.substr(0, colon);
-  std::vector<double> weights;
-  if (colon != std::string::npos) {
-    std::istringstream ws(spec.substr(colon + 1));
-    std::string w;
-    while (std::getline(ws, w, ',')) {
-      double v;
-      if (to_double(w, v)) weights.push_back(v);
-    }
-  }
-  if (weights.empty()) weights = {8, 3, 1};
-  if (kind == "wfq") {
-    return [weights] {
+  if (q.kind == "wfq") {
+    return [weights = q.args] {
       return std::make_unique<qos::WfqQueueDisc>(weights, 100,
                                                  qos::ef_af_be_selector());
     };
   }
-  if (kind == "drr") {
+  if (q.kind == "drr") {
     std::vector<std::uint32_t> iw;
-    for (double w : weights) iw.push_back(static_cast<std::uint32_t>(w));
+    for (const double w : q.args) iw.push_back(static_cast<std::uint32_t>(w));
     return [iw] {
       return std::make_unique<qos::DrrQueueDisc>(iw, 100,
                                                  qos::ef_af_be_selector());
@@ -284,13 +327,13 @@ std::optional<Scenario> Scenario::parse(const std::string& text,
         }
       }
       if (auto v = kv("core_bw")) {
-        if (!to_double(*v, sc.backbone_.core_bw_bps)) {
-          return fail(line_no, "bad core_bw=");
+        if (!to_positive(*v, sc.backbone_.core_bw_bps)) {
+          return fail(line_no, "bad core_bw= (want finite > 0)");
         }
       }
       if (auto v = kv("edge_bw")) {
-        if (!to_double(*v, sc.backbone_.edge_bw_bps)) {
-          return fail(line_no, "bad edge_bw=");
+        if (!to_positive(*v, sc.backbone_.edge_bw_bps)) {
+          return fail(line_no, "bad edge_bw= (want finite > 0)");
         }
       }
       if (auto v = kv("seed")) {
@@ -313,7 +356,11 @@ std::optional<Scenario> Scenario::parse(const std::string& text,
           return fail(line_no, "bad rr=");
         }
       }
-      if (auto v = kv("core_queue")) sc.core_queue_spec_ = *v;
+      if (auto v = kv("core_queue")) {
+        std::string why;
+        if (!parse_core_queue(*v, &why)) return fail(line_no, why);
+        sc.core_queue_spec_ = *v;
+      }
     } else if (line.directive == "vpn") {
       if (line.positional.size() != 1) {
         return fail(line_no, "vpn needs exactly one name");
@@ -559,19 +606,89 @@ std::optional<Scenario> Scenario::parse(const std::string& text,
   return sc;
 }
 
-bool Scenario::run(std::ostream& out) const {
-  BackboneConfig cfg = backbone_;
-  cfg.core_queue = queue_factory_for(core_queue_spec_);
-  MplsBackbone bb(cfg);
-  net::Topology& topo = bb.topo;
+/// One Scenario::run, stage by stage: build, converge, partition,
+/// observers, arm traffic, run, report. Every engine configuration takes
+/// the same path — a serial run is a one-lane ShardRuntime — so probes,
+/// sinks, flow tables and FlowSets exist per lane and fold the same way at
+/// every shard count. Member order is the teardown contract: traffic
+/// objects die before the runtime whose schedulers they were armed on, and
+/// the runtime before the backbone it is installed on.
+struct Scenario::Run {
+  Run(const Scenario& scenario, std::ostream& os)
+      : sc(scenario),
+        out(os),
+        // parse() accepted the spec, so it parses again.
+        core_queue(*parse_core_queue(scenario.core_queue_spec_, nullptr)),
+        bb([this] {
+          BackboneConfig c = sc.backbone_;
+          c.core_queue = queue_factory_for(core_queue);
+          return c;
+        }()),
+        topo(bb.topo),
+        any_tcp(std::any_of(sc.flows_.begin(), sc.flows_.end(),
+                            [](const FlowDecl& f) { return f.kind == "tcp"; })) {}
 
+  void build();
+  void converge();
+  void partition();
+  void observers();
+  void arm_traffic();
+  void run();
+  bool report();
+
+  /// Refresh the folded observers the metric gauges and the report read:
+  /// `probe` from the lane probes, the latency collector from the shards.
+  void fold() {
+    probe = qos::SlaProbe("scenario");
+    for (const auto& lp : lane_probes) probe.merge_from(*lp);
+    runtime->fold_latency();
+  }
+  [[nodiscard]] std::uint32_t lane_of(std::size_t site) const {
+    return runtime->shard_of(built[site].ce->id());
+  }
+  traffic::FlowDispatcher& dispatcher_for(std::size_t site);
+  traffic::FlowSet& flowset_at(std::size_t site);
+
+  const Scenario& sc;
+  std::ostream& out;
+  CoreQueue core_queue;
+  MplsBackbone bb;
+  net::Topology& topo;
+  /// TCP-lite shares congestion state across its two endpoint CEs, which
+  /// may land on different shards: any tcp flow pins the run to one lane.
+  const bool any_tcp;
+  std::map<std::string, vpn::VpnId> vpn_ids;
+  std::vector<MplsBackbone::Site> built;
+
+  qos::SlaProbe probe{"scenario"};  ///< folded from lane_probes
+  obs::LatencyCollector latency;    ///< the topology's collector
+  std::unique_ptr<obs::SyncProfiler> sync_prof;
+  std::unique_ptr<net::ShardRuntime> runtime;
+  /// Per lane: sent-side counters accumulate on the source CE's lane,
+  /// deliveries on the destination CE's, each sink reading its lane clock.
+  std::vector<std::unique_ptr<qos::SlaProbe>> lane_probes;
+  std::vector<std::unique_ptr<traffic::MeasurementSink>> lane_sinks;
+  std::unique_ptr<obs::FlowExporter> flow_exporter;
+  std::vector<std::unique_ptr<obs::FlowStatsTable>> flow_table_store;
+  std::vector<obs::FlowStatsTable*> flow_tables;  ///< one per lane
+  obs::MetricsRegistry registry;
+  std::optional<obs::PeriodicSnapshots> snapshots;
+  std::map<std::size_t, std::unique_ptr<traffic::FlowDispatcher>> dispatch;
+  std::vector<std::unique_ptr<traffic::TcpLiteFlow>> tcp_flows;
+  /// One SoA FlowSet per lane, holding every cbr/poisson/onoff flow whose
+  /// source CE lives there; created on a lane's first flow.
+  std::vector<std::unique_ptr<traffic::FlowSet>> flowsets;
+  sim::SimTime t0 = 0;
+};
+
+void Scenario::Run::build() {
   // "red" core spec: swap RED onto the core directions while the links are
   // still idle. The clock reads through the topology's ambient scheduler
   // accessor (a sharded run answers with the shard clock of whichever
   // worker services the queue), and each direction's RNG is seeded from
   // (topology seed, transmitting node, link) so drop decisions never
   // depend on draw order across queues.
-  if (auto rp = red_params_for(core_queue_spec_, cfg.core_bw_bps)) {
+  if (auto rp = red_params_for(core_queue, sc.backbone_.core_bw_bps)) {
     std::vector<bool> core_node(topo.node_count(), false);
     for (const auto* p : bb.ps()) core_node[p->id()] = true;
     for (const auto* pe : bb.pes()) core_node[pe->id()] = true;
@@ -584,7 +701,7 @@ bool Scenario::run(std::ostream& out) const {
         link.set_queue_from(
             from,
             std::make_unique<qos::RedQueueDisc>(
-                *rp, [&topo] { return topo.scheduler().now(); },
+                *rp, [&t = topo] { return t.scheduler().now(); },
                 sim::Rng::stream(
                     topo.seed(),
                     0x52ED0000ULL + (std::uint64_t{from} << 20) + l)));
@@ -595,29 +712,27 @@ bool Scenario::run(std::ostream& out) const {
   // Arm the flight recorder before convergence so control-plane events
   // (LDP mappings, LSP signaling) land in the trace alongside the data
   // plane.
-  if (obs_.enabled()) {
-    if (obs_.ring_capacity != 0) {
-      bb.topo.recorder().set_capacity(obs_.ring_capacity);
+  if (sc.obs_.enabled()) {
+    if (sc.obs_.ring_capacity != 0) {
+      topo.recorder().set_capacity(sc.obs_.ring_capacity);
     }
-    bb.topo.recorder().enable(obs_.trace_mask);
+    topo.recorder().enable(sc.obs_.trace_mask);
   }
 
-  std::map<std::string, vpn::VpnId> vpn_ids;
-  for (const auto& name : vpns_) {
+  for (const auto& name : sc.vpns_) {
     vpn_ids[name] = bb.service.create_vpn(name);
   }
-  for (const auto& [importer, exported] : extranets_) {
+  for (const auto& [importer, exported] : sc.extranets_) {
     bb.service.add_extranet_import(vpn_ids.at(importer),
                                    vpn_ids.at(exported));
   }
-  std::vector<MplsBackbone::Site> built;
-  for (const auto& s : sites_) {
+  for (const auto& s : sc.sites_) {
     built.push_back(bb.add_site(vpn_ids.at(s.vpn), s.pe, s.prefix));
   }
 
   // flowcache=off: force every router (P, PE, CE) onto the slow path so
   // A/B runs can verify the fastpath changes nothing but speed.
-  if (!flowcache_) {
+  if (!sc.flowcache_) {
     for (std::size_t i = 0; i < topo.node_count(); ++i) {
       if (auto* r = dynamic_cast<vpn::Router*>(
               &topo.node(static_cast<ip::NodeId>(i)))) {
@@ -625,10 +740,12 @@ bool Scenario::run(std::ostream& out) const {
       }
     }
   }
+}
 
+void Scenario::Run::converge() {
   bb.start_and_converge();
 
-  for (const auto& c : classifies_) {
+  for (const auto& c : sc.classifies_) {
     vpn::Router& ce = *built[c.site].ce;
     if (ce.classifier() == nullptr) {
       ce.set_classifier(std::make_unique<qos::CbqClassifier>());
@@ -638,281 +755,189 @@ bool Scenario::run(std::ostream& out) const {
     rule.mark = c.phb;
     ce.classifier()->add_rule(rule);
   }
-  for (const auto& p : polices_) {
+  for (const auto& p : sc.polices_) {
     built[p.site].ce->add_policer(p.phb, p.cir, p.cbs, p.ebs);
   }
-  for (const auto& s : shapes_) {
+  for (const auto& s : sc.shapes_) {
     built[s.site].ce->add_shaper(s.phb, s.rate, s.burst);
   }
 
-  // TCP flows need a dispatcher on each endpoint; the measurement sink
-  // handles everything the dispatchers do not claim. They also pin the run
-  // to the serial engine: TCP-lite shares congestion state across its two
-  // endpoint CEs, which may land on different shards.
-  const bool any_tcp =
-      std::any_of(flows_.begin(), flows_.end(),
-                  [](const FlowDecl& f) { return f.kind == "tcp"; });
-
-  qos::SlaProbe probe("scenario");
-  traffic::MeasurementSink sink(probe, topo.scheduler());
-
   // Per-hop delay decomposition: links/routers stamp DelayAnatomy always;
   // the collector aggregates only when one of the latency outputs is on.
-  // The tap reads through the ambient accessor so a sharded run records
-  // into the delivering shard's collector (merged into `latency` between
-  // windows), and a serial run into `latency` directly.
-  obs::LatencyCollector latency;
-  if (obs_.latency_enabled()) {
+  // Armed before partition(): a sharded runtime gives each shard its own
+  // collector only when the topology has one. The tap reads through the
+  // ambient accessor so a sharded run records into the delivering shard's
+  // collector (folded into `latency` between windows).
+  if (sc.obs_.latency_enabled()) {
     topo.set_latency_collector(&latency);
     for (const auto& site : built) {
-      site.ce->add_delivery_tap([&topo](const net::Packet& p, vpn::VpnId) {
-        if (obs::LatencyCollector* lc = topo.latency_collector()) {
+      site.ce->add_delivery_tap([&t = topo](const net::Packet& p, vpn::VpnId) {
+        if (obs::LatencyCollector* lc = t.latency_collector()) {
           lc->record_delivery(p.trace_class(), p.delay.queue, p.delay.tx,
                               p.delay.prop, p.delay.proc);
         }
       });
     }
   }
+}
 
-  // Parallel engine: partition the converged topology and bring up the
-  // shard runtime. Everything before this point ran serially; everything
-  // after it that touches the topology from the coordinator thread still
-  // resolves to the serial objects (sim::current_shard() is kNoShard).
-  std::unique_ptr<net::ShardRuntime> runtime;
-  if (shards_ > 1 && !any_tcp) {
-    ShardPlan plan = compute_shard_plan(topo, shards_, partition_weights_);
-    if (verbose_) {
-      report_shard_plan(plan, topo, std::cerr, partition_weights_);
-      if (plan.parallel()) {
-        // Flow balance: the partitioner only sees topology, so report how
-        // the declared traffic sources actually land on the shards.
-        std::vector<std::size_t> srcs(plan.shard_count, 0);
-        for (const auto& f : flows_) {
-          ++srcs[plan.node_shard[built[f.from].ce->id()]];
-        }
-        for (std::uint32_t s = 0; s < plan.shard_count; ++s) {
-          std::cerr << "partition: shard " << s << ": " << srcs[s]
-                    << " flow sources\n";
-        }
-      }
-    }
-    if (plan.parallel() && plan.lookahead > 0) {
-      runtime = std::make_unique<net::ShardRuntime>(
-          topo, std::move(plan.node_shard), plan.shard_count, plan.lookahead);
-    }
-  } else if (shards_ > 1 && any_tcp) {
-    out << "shards=" << shards_
+void Scenario::Run::partition() {
+  // Partition the converged topology and bring up the runtime. Everything
+  // before this point ran on the topology's scheduler; everything after it
+  // that touches the topology from this thread still resolves to the
+  // serial objects (sim::current_shard() is kNoShard).
+  if (sc.shards_ > 1 && any_tcp) {
+    out << "shards=" << sc.shards_
         << " requested; tcp flows pin the run to the serial engine\n";
   }
+  const std::uint32_t want = any_tcp ? 1 : sc.shards_;
+  ShardPlan plan = compute_shard_plan(topo, want, sc.partition_weights_);
+  if (sc.verbose_ && want > 1) {
+    report_shard_plan(plan, topo, std::cerr, sc.partition_weights_);
+    if (plan.parallel()) {
+      // Flow balance: the partitioner only sees topology, so report how
+      // the declared traffic sources actually land on the shards.
+      std::vector<std::size_t> srcs(plan.shard_count, 0);
+      for (const auto& f : sc.flows_) {
+        ++srcs[plan.node_shard[built[f.from].ce->id()]];
+      }
+      for (std::uint32_t s = 0; s < plan.shard_count; ++s) {
+        std::cerr << "partition: shard " << s << ": " << srcs[s]
+                  << " flow sources\n";
+      }
+    }
+  }
+  runtime = make_shard_runtime(topo, std::move(plan));
+}
+
+void Scenario::Run::observers() {
+  const ObsOptions& obs = sc.obs_;
+  const std::uint32_t lanes = runtime->shard_count();
+  const sim::SimTime now = topo.base_scheduler().now();
 
   // Engine sync telemetry: per-epoch phase timings + load-imbalance
-  // attribution. Serial runs get a one-lane serial report so profiled
-  // bench passes always emit the same JSON shape.
-  std::unique_ptr<obs::SyncProfiler> sync_prof;
-  if (obs_.sync_enabled()) {
-    sync_prof = std::make_unique<obs::SyncProfiler>(
-        runtime ? runtime->shard_count() : 1);
-    if (runtime) {
-      // The profiler layer cannot see routers; sample the per-shard flow
-      // caches here, where both the topology and the shard map are known.
-      auto by_shard = std::make_shared<
-          std::vector<std::vector<const vpn::Router*>>>(
-          runtime->shard_count());
-      for (std::size_t i = 0; i < topo.node_count(); ++i) {
-        const auto id = static_cast<ip::NodeId>(i);
-        if (const auto* r = dynamic_cast<const vpn::Router*>(&topo.node(id))) {
-          (*by_shard)[topo.shard_of(id)].push_back(r);
-        }
-      }
-      sync_prof->set_cache_sampler(
-          [by_shard](std::uint32_t shard, std::uint64_t& hits,
-                     std::uint64_t& misses) {
-            for (const vpn::Router* r : (*by_shard)[shard]) {
-              const vpn::Router::FlowCacheStats fc = r->flowcache_stats();
-              hits += fc.hits;
-              misses += fc.misses;
-            }
-          });
-      runtime->set_profiler(sync_prof.get());
-    }
+  // attribution, or one serial execution phase on one lane.
+  if (obs.sync_enabled()) {
+    sync_prof = std::make_unique<obs::SyncProfiler>(lanes);
+    attach_sync_profiler(*runtime, topo, *sync_prof);
   }
 
-  // Per-shard SLA observers: each flow's sent-side counters accumulate in
-  // the source CE's shard, delivery-side in the destination CE's shard;
-  // merge_shard_observers folds them into `probe`/`latency` (whose
-  // addresses the metric gauges captured) at every snapshot and at the end.
-  std::vector<std::unique_ptr<qos::SlaProbe>> shard_probes;
-  std::vector<std::unique_ptr<traffic::MeasurementSink>> shard_sinks;
-  if (runtime) {
-    for (std::uint32_t s = 0; s < runtime->shard_count(); ++s) {
-      shard_probes.push_back(
-          std::make_unique<qos::SlaProbe>("shard" + std::to_string(s)));
-      shard_sinks.push_back(std::make_unique<traffic::MeasurementSink>(
-          *shard_probes.back(), runtime->shard_scheduler(s)));
-    }
+  for (std::uint32_t s = 0; s < lanes; ++s) {
+    lane_probes.push_back(
+        std::make_unique<qos::SlaProbe>("lane" + std::to_string(s)));
+    lane_sinks.push_back(std::make_unique<traffic::MeasurementSink>(
+        *lane_probes.back(), runtime->shard_scheduler(s)));
   }
-  auto sink_at = [&](std::size_t site) -> traffic::MeasurementSink& {
-    if (!runtime) return sink;
-    return *shard_sinks[topo.shard_of(built[site].ce->id())];
-  };
-  auto merge_shard_observers = [&] {
-    probe = qos::SlaProbe("scenario");
-    for (const auto& sp : shard_probes) probe.merge_from(*sp);
-    if (obs_.latency_enabled()) {
-      latency.reset();
-      for (std::uint32_t s = 0; s < runtime->shard_count(); ++s) {
-        latency.merge_from(runtime->shard_latency(s));
-      }
-    }
-  };
 
-  // Per-flow telemetry plane: one accounting table per engine lane (the
-  // serial scheduler, or each shard's), drained into the exporter at exact
-  // scan instants. The sharded driver is a between-window periodic action
-  // (every shard rests past all events before the instant, none at or
-  // after); the serial driver reproduces that same edge by chunking the
-  // run, so the record stream is byte-identical across shard counts. It
-  // must register before the metrics action below so coincident instants
-  // scan first in both modes.
-  std::unique_ptr<obs::FlowExporter> flow_exporter;
-  std::vector<std::unique_ptr<obs::FlowStatsTable>> flow_tables;
-  sim::SimTime flow_scan_period = 0;
-  auto flow_scan = [&](sim::SimTime at) {
-    // Single-lane runs cut records straight out of the table (the
-    // accumulations never leave their slots); sharded runs must fold the
-    // per-shard halves of each flow together first.
-    if (flow_tables.size() == 1) {
-      flow_exporter->scan_table(*flow_tables.front(), at);
-      return;
-    }
-    for (auto& ft : flow_tables) flow_exporter->merge_table(*ft);
-    flow_exporter->scan(at);
-  };
-  if (obs_.flow_enabled()) {
+  // Per-flow telemetry plane: one accounting table per lane, drained into
+  // the exporter at exact scan instants by a between-window periodic
+  // action (every lane rests past all events before the instant, none at
+  // or after), so the record stream is byte-identical across shard
+  // counts. It registers before the metrics action below so coincident
+  // instants scan first.
+  if (obs.flow_enabled()) {
     obs::FlowExporter::Options fopt;
-    fopt.active_timeout = sim::from_seconds(obs_.flow_active_timeout_s);
-    fopt.idle_timeout = sim::from_seconds(obs_.flow_idle_timeout_s);
+    fopt.active_timeout = sim::from_seconds(obs.flow_active_timeout_s);
+    fopt.idle_timeout = sim::from_seconds(obs.flow_idle_timeout_s);
     flow_exporter = std::make_unique<obs::FlowExporter>(fopt);
-    if (obs_.flow_scan_period_s > 0) {
-      flow_scan_period = sim::from_seconds(obs_.flow_scan_period_s);
-    }
     // Size the tables for the declared flow population: at <= 50% load the
     // probe window practically never fills, so the spill path stays off
-    // the hot path (and a serial run keeps the table-resident fastpath).
+    // the hot path (and one lane keeps the table-resident exporter path).
     const std::size_t flow_slots =
-        std::max(obs::FlowStatsTable::kDefaultSlots, 2 * flows_.size());
-    if (runtime) {
-      std::vector<obs::FlowStatsTable*> ptrs;
-      for (std::uint32_t s = 0; s < runtime->shard_count(); ++s) {
-        flow_tables.push_back(std::make_unique<obs::FlowStatsTable>(
-            &runtime->shard_scheduler(s), flow_slots));
-        ptrs.push_back(flow_tables.back().get());
-      }
-      runtime->set_flow_stats(std::move(ptrs));
-      if (flow_scan_period > 0) {
-        // The action has no instant parameter; track it alongside.
-        auto next = std::make_shared<sim::SimTime>(
-            topo.base_scheduler().now() + flow_scan_period);
-        runtime->add_periodic_action(*next, flow_scan_period, [&, next] {
-          flow_scan(*next);
-          *next += flow_scan_period;
-        });
-      }
-    } else {
-      flow_tables.push_back(std::make_unique<obs::FlowStatsTable>(
-          &topo.base_scheduler(), flow_slots));
-      topo.set_flow_stats(flow_tables.front().get());
+        std::max(obs::FlowStatsTable::kDefaultSlots, 2 * sc.flows_.size());
+    for (std::uint32_t s = 0; s < lanes; ++s) {
+      flow_table_store.push_back(std::make_unique<obs::FlowStatsTable>(
+          &runtime->shard_scheduler(s), flow_slots));
+      flow_tables.push_back(flow_table_store.back().get());
+    }
+    runtime->set_flow_stats(flow_tables);
+    if (obs.flow_scan_period_s > 0) {
+      const sim::SimTime period = sim::from_seconds(obs.flow_scan_period_s);
+      runtime->add_periodic_action(now + period, period,
+                                   [this](sim::SimTime at) {
+                                     flow_exporter->scan(flow_tables, at);
+                                   });
     }
   }
 
-  obs::MetricsRegistry registry;
-  std::optional<obs::PeriodicSnapshots> snapshots;
-  if (obs_.enabled() && !obs_.metrics_json_path.empty()) {
+  if (obs.enabled() && !obs.metrics_json_path.empty()) {
     obs::register_topology_metrics(topo, registry);
     register_sla_metrics(registry, probe);
     obs::register_latency_metrics(latency, registry, cs_class_namer());
-    if (obs_.engine_metrics && runtime) {
+    if (obs.engine_metrics) {
       obs::register_engine_metrics(*runtime, registry);
       if (sync_prof) obs::register_sync_metrics(*sync_prof, registry);
+      if (flow_exporter) {
+        obs::register_flow_metrics(*flow_exporter, flow_tables, registry);
+      }
     }
-    if (obs_.control_metrics) {
+    if (obs.control_metrics) {
       obs::register_control_metrics(bb.cp, bb.bgp, bb.igp, registry);
     }
-    if (obs_.engine_metrics && flow_exporter) {
-      std::vector<obs::FlowStatsTable*> tptrs;
-      tptrs.reserve(flow_tables.size());
-      for (const auto& ft : flow_tables) tptrs.push_back(ft.get());
-      obs::register_flow_metrics(*flow_exporter, tptrs, registry);
-    }
-    snapshots.emplace(registry, topo.base_scheduler());
-    const sim::SimTime period = sim::from_seconds(obs_.snapshot_period_s);
-    if (runtime) {
-      // Same capture instants as PeriodicSnapshots::start() (first one a
-      // full period in), but as a between-window global action: all shards
-      // rest at the capture time, and the fold below makes the serial
-      // observers the gauges read consistent before each sample.
-      runtime->add_periodic_action(topo.base_scheduler().now() + period,
-                                   period, [&] {
-                                     merge_shard_observers();
-                                     snapshots->capture();
-                                   });
-    } else {
-      snapshots->start(period);
+    // First capture a full period in; the fold makes the observers the
+    // gauges read consistent before each sample.
+    snapshots.emplace(registry);
+    const sim::SimTime period = sim::from_seconds(obs.snapshot_period_s);
+    runtime->add_periodic_action(now + period, period,
+                                 [this](sim::SimTime at) {
+                                   fold();
+                                   snapshots->capture(at);
+                                 });
+  }
+}
+
+traffic::FlowDispatcher& Scenario::Run::dispatcher_for(std::size_t site) {
+  auto& d = dispatch[site];
+  if (!d) {
+    d = std::make_unique<traffic::FlowDispatcher>();
+    d->attach(*built[site].ce);
+  }
+  return *d;
+}
+
+traffic::FlowSet& Scenario::Run::flowset_at(std::size_t site) {
+  const std::uint32_t lane = lane_of(site);
+  auto& fs = flowsets[lane];
+  if (!fs) {
+    fs = std::make_unique<traffic::FlowSet>(runtime->shard_scheduler(lane),
+                                            lane_probes[lane].get(),
+                                            topo.seed());
+    // Register every site up front so FlowSet site indices coincide with
+    // scenario site indices on all lanes (destinations may live on other
+    // shards; only their host address is read).
+    for (const auto& sb : built) {
+      fs->add_site(*sb.ce, ip::Ipv4Address(sb.prefix.address().value() + 1));
     }
   }
+  return *fs;
+}
 
-  std::map<std::size_t, std::unique_ptr<traffic::FlowDispatcher>> dispatch;
-  auto dispatcher_for = [&](std::size_t site) -> traffic::FlowDispatcher& {
-    auto& d = dispatch[site];
-    if (!d) {
-      d = std::make_unique<traffic::FlowDispatcher>();
-      d->attach(*built[site].ce);
-    }
-    return *d;
-  };
+void Scenario::Run::arm_traffic() {
+  // TCP flows need a dispatcher on each endpoint; lane 0's sink (the only
+  // lane — tcp pins the run) handles everything the dispatchers do not
+  // claim. Otherwise each CE delivers into its lane's sink.
   if (any_tcp) {
+    traffic::MeasurementSink* sink = lane_sinks.front().get();
     for (std::size_t s = 0; s < built.size(); ++s) {
       dispatcher_for(s).set_default(
-          [&sink](const net::Packet& p, vpn::VpnId vpn) {
+          [sink](const net::Packet& p, vpn::VpnId vpn) {
             // A delivery neither a TCP endpoint nor a measured-flow handler
             // claimed. Account it in the sink — it surfaces in the final
             // delivered/leaks/unknown line (and fails the run when nonzero)
             // instead of vanishing from the SLA accounting.
-            sink.on_delivery(p, vpn);
+            sink->on_delivery(p, vpn);
           });
     }
   } else {
     for (std::size_t s = 0; s < built.size(); ++s) {
-      sink_at(s).bind(*built[s].ce);
+      lane_sinks[lane_of(s)]->bind(*built[s].ce);
     }
   }
 
-  std::vector<std::unique_ptr<traffic::TcpLiteFlow>> tcp_flows;
-  // One SoA FlowSet per engine lane (the serial scheduler, or each
-  // shard's) holding every cbr/poisson/onoff flow whose source CE lives on
-  // that lane.
-  std::vector<std::unique_ptr<traffic::FlowSet>> flowsets(
-      runtime ? runtime->shard_count() : 1);
-  auto flowset_at = [&](std::size_t site) -> traffic::FlowSet& {
-    const std::uint32_t lane =
-        runtime ? topo.shard_of(built[site].ce->id()) : 0;
-    auto& fs = flowsets[lane];
-    if (!fs) {
-      fs = std::make_unique<traffic::FlowSet>(
-          runtime ? runtime->shard_scheduler(lane) : topo.scheduler(),
-          runtime ? shard_probes[lane].get() : &probe, topo.seed());
-      // Register every site up front so FlowSet site indices coincide with
-      // scenario site indices on all lanes (destinations may live on other
-      // shards; only their host address is read).
-      for (const auto& sb : built) {
-        fs->add_site(*sb.ce, ip::Ipv4Address(sb.prefix.address().value() + 1));
-      }
-    }
-    return *fs;
-  };
+  flowsets.resize(runtime->shard_count());
   std::uint32_t flow_id = 1;
-  const sim::SimTime t0 = bb.topo.scheduler().now();
-  for (const auto& f : flows_) {
+  t0 = topo.base_scheduler().now();
+  for (const auto& f : sc.flows_) {
     vpn::Router& ce = *built[f.from].ce;
     if (f.kind == "tcp") {
       traffic::TcpLiteFlow::Config tc;
@@ -947,145 +972,98 @@ bool Scenario::run(std::ostream& out) const {
     d.payload_bytes = static_cast<std::uint32_t>(f.size);
     d.start = t0 + sim::from_seconds(f.start_s);
     flowset_at(f.from).add_flow(d);
-    // When dispatchers own the sinks, route measured flows through them.
+    // When dispatchers own the sinks, route measured flows through them,
+    // into lane 0's probe (`probe` is only the fold).
     if (any_tcp) {
+      qos::SlaProbe* lp = lane_probes.front().get();
       dispatcher_for(f.to).register_flow(
-          flow_id, [&probe, phb = f.phb, &bb](const net::Packet& p,
-                                              vpn::VpnId) {
-            probe.record_delivered(phb, p.flow_id,
-                                   bb.topo.scheduler().now() - p.created_at,
-                                   net::kIpv4HeaderBytes +
-                                       net::kL4HeaderBytes +
-                                       p.payload_bytes);
+          flow_id,
+          [lp, phb = f.phb, &t = topo](const net::Packet& p, vpn::VpnId) {
+            lp->record_delivered(phb, p.flow_id,
+                                 t.scheduler().now() - p.created_at,
+                                 net::kIpv4HeaderBytes + net::kL4HeaderBytes +
+                                     p.payload_bytes);
           });
     } else {
-      sink_at(f.to).expect_flow(flow_id, f.phb, flow_vpn);
+      lane_sinks[lane_of(f.to)]->expect_flow(flow_id, f.phb, flow_vpn);
     }
     ++flow_id;
   }
 
   for (auto& fs : flowsets) {
-    if (fs) fs->run(t0 + sim::from_seconds(run_for_s_));
+    if (fs) fs->run(t0 + sim::from_seconds(sc.run_for_s_));
   }
   for (auto& t : tcp_flows) {
     t->start(t0);
-    bb.topo.scheduler().schedule_at(t0 + sim::from_seconds(run_for_s_),
-                                    [flow = t.get()] { flow->stop(); });
+    topo.base_scheduler().schedule_at(t0 + sim::from_seconds(sc.run_for_s_),
+                                      [flow = t.get()] { flow->stop(); });
   }
-  const sim::SimTime t_end = t0 + sim::from_seconds(run_for_s_ + 2.0);
-  // Serial runs with the flow exporter armed advance in scan-sized chunks:
-  // run every event strictly before the scan instant, scan, continue. This
-  // reproduces the edge the sharded periodic action rides, so the two
-  // engines cut identical record streams.
-  auto serial_run = [&](sim::SimTime until) {
-    if (flow_exporter && flow_scan_period > 0) {
-      for (sim::SimTime at = t0 + flow_scan_period; at <= until;
-           at += flow_scan_period) {
-        topo.run_until(at - 1);
-        flow_scan(at);
-      }
-    }
-    topo.run_until(until);
-  };
-  if (runtime) {
-    runtime->run_until(t_end);
-  } else if (sync_prof) {
-    const std::uint64_t ev0 = topo.base_scheduler().executed_count();
-    const auto w0 = std::chrono::steady_clock::now();
-    serial_run(t_end);
-    sync_prof->record_serial(
-        static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - w0)
-                .count()),
-        topo.base_scheduler().executed_count() - ev0);
-  } else {
-    serial_run(t_end);
-  }
+}
 
-  if (flow_exporter) {
-    // Whatever is still accumulating after the drain window exports with
-    // cause=final; detach the serial table before teardown.
-    if (flow_tables.size() == 1) {
-      flow_exporter->flush_table(*flow_tables.front());
-    } else {
-      for (auto& ft : flow_tables) flow_exporter->merge_table(*ft);
-      flow_exporter->flush();
-    }
-    if (!runtime) topo.set_flow_stats(nullptr);
-  }
+void Scenario::Run::run() {
+  runtime->run_until(t0 + sim::from_seconds(sc.run_for_s_ + 2.0));
+  // Whatever is still accumulating after the drain window exports with
+  // cause=final.
+  if (flow_exporter) flow_exporter->flush(flow_tables);
+  // Fold the lanes a final time, then tear the runtime down before any
+  // report reads the topology: finish() merges shard trace rings into the
+  // master recorder and restores the serial view.
+  fold();
+  runtime->finish();
+}
 
-  // Tear the shard runtime down before any report below reads the
-  // topology: fold the per-shard observers a final time, then finish()
-  // merges shard trace rings into the master recorder and restores the
-  // serial view.
-  std::uint64_t parallel_windows = 0;
-  std::uint64_t parallel_widened = 0;
-  std::uint64_t parallel_handoffs = 0;
-  std::uint64_t parallel_batches = 0;
-  std::uint32_t parallel_shards = 0;
-  sim::SimTime parallel_lookahead = 0;
-  if (runtime) {
-    merge_shard_observers();
-    parallel_shards = runtime->shard_count();
-    parallel_lookahead = runtime->lookahead();
-    parallel_windows = runtime->windows();
-    parallel_widened = runtime->widened_windows();
-    parallel_handoffs = runtime->handoffs();
-    parallel_batches = runtime->delivery_batches();
-    runtime->finish();
-  }
-
+bool Scenario::Run::report() {
+  const ObsOptions& obs = sc.obs_;
+  const double run_for_s = sc.run_for_s_;
   out << "converged in "
       << sim::to_seconds(bb.service.last_route_change_at()) * 1e3
-      << " ms; ran " << run_for_s_ << " s of traffic";
-  if (parallel_shards != 0) {
-    out << " on " << parallel_shards << " shards (lookahead "
-        << sim::to_seconds(parallel_lookahead) * 1e6 << " us, "
-        << parallel_windows << " windows, " << parallel_widened
-        << " widened, " << parallel_handoffs << " cross-shard handoffs, "
-        << parallel_batches << " batched deliveries)";
+      << " ms; ran " << run_for_s << " s of traffic";
+  if (runtime->shard_count() > 1) {
+    out << " on " << runtime->shard_count() << " shards (lookahead "
+        << sim::to_seconds(runtime->lookahead()) * 1e6 << " us, "
+        << runtime->windows() << " windows, " << runtime->widened_windows()
+        << " widened, " << runtime->handoffs() << " cross-shard handoffs, "
+        << runtime->delivery_batches() << " batched deliveries)";
   }
   out << "\n\n";
-  out << probe.to_table(run_for_s_).render();
+  out << probe.to_table(run_for_s).render();
   for (std::size_t i = 0; i < tcp_flows.size(); ++i) {
     out << "tcp flow " << tcp_flows[i]->flow_id() << ": goodput "
-        << stats::Table::num(tcp_flows[i]->goodput_bps(run_for_s_) / 1e6, 2)
+        << stats::Table::num(tcp_flows[i]->goodput_bps(run_for_s) / 1e6, 2)
         << " Mb/s, retransmits " << tcp_flows[i]->retransmits() << "\n";
   }
-  if (obs_.latency_enabled()) {
-    const obs::NodeNamer lnamer = obs::topology_node_namer(bb.topo);
-    if (obs_.latency_report) {
+  if (obs.latency_enabled()) {
+    const obs::NodeNamer lnamer = obs::topology_node_namer(topo);
+    if (obs.latency_report) {
       out << "\nlatency anatomy: per-hop decomposition\n"
           << latency.hop_table(lnamer, cs_class_namer()).render()
           << "\nlatency anatomy: per-class delay budget\n"
           << latency.class_table(cs_class_namer()).render();
     }
-    if (!obs_.latency_json_path.empty()) {
-      std::ofstream lf(obs_.latency_json_path);
+    if (!obs.latency_json_path.empty()) {
+      std::ofstream lf(obs.latency_json_path);
       latency.write_json(lf, lnamer, cs_class_namer());
     }
   }
-  if (obs_.enabled()) {
-    const obs::FlightRecorder& rec = bb.topo.recorder();
-    const obs::NodeNamer namer = obs::topology_node_namer(bb.topo);
+  if (obs.enabled()) {
+    const obs::FlightRecorder& rec = topo.recorder();
+    const obs::NodeNamer namer = obs::topology_node_namer(topo);
     if (snapshots) {
-      snapshots->stop();
-      snapshots->capture();  // final state after the drain
-      std::ofstream mf(obs_.metrics_json_path);
+      snapshots->capture(topo.base_scheduler().now());  // after the drain
+      std::ofstream mf(obs.metrics_json_path);
       snapshots->write_json(mf);
     }
-    if (!obs_.events_jsonl_path.empty()) {
-      std::ofstream ef(obs_.events_jsonl_path);
+    if (!obs.events_jsonl_path.empty()) {
+      std::ofstream ef(obs.events_jsonl_path);
       obs::write_jsonl(rec, ef, namer);
     }
-    if (!obs_.chrome_trace_path.empty()) {
-      std::ofstream cf(obs_.chrome_trace_path);
+    if (!obs.chrome_trace_path.empty()) {
+      std::ofstream cf(obs.chrome_trace_path);
       obs::write_chrome_trace(rec, cf, namer, sync_prof.get());
     }
-    if (!obs_.spans_trace_path.empty()) {
+    if (!obs.spans_trace_path.empty()) {
       const obs::SpanAnalysis spans = obs::analyze_spans(rec);
-      std::ofstream sf(obs_.spans_trace_path);
+      std::ofstream sf(obs.spans_trace_path);
       obs::write_span_chrome_trace(spans, sf, namer);
     }
     out << "\nobs: " << rec.size() << " trace events held ("
@@ -1099,9 +1077,9 @@ bool Scenario::run(std::ostream& out) const {
   }
   if (sync_prof) {
     const obs::SyncProfiler::Report srep = sync_prof->report();
-    if (obs_.sync_report) out << '\n' << srep.to_table();
-    if (!obs_.sync_json_path.empty()) {
-      std::ofstream sf(obs_.sync_json_path);
+    if (obs.sync_report) out << '\n' << srep.to_table();
+    if (!obs.sync_json_path.empty()) {
+      std::ofstream sf(obs.sync_json_path);
       srep.write_json(sf);
       sf << '\n';
     }
@@ -1117,43 +1095,64 @@ bool Scenario::run(std::ostream& out) const {
     obs::PhbNamer pnamer = [](std::uint8_t phb) {
       return qos::to_string(static_cast<qos::Phb>(phb));
     };
-    if (obs_.flow_report) {
+    if (obs.flow_report) {
       out << "\nflow conformance: offered vs delivered per VPN x class ("
           << flow_exporter->records().size() << " flow records)\n"
           << flow_exporter->rollup_table(vnamer, pnamer).render();
     }
-    if (!obs_.flow_records_path.empty()) {
-      std::ofstream ff(obs_.flow_records_path);
-      flow_exporter->write_jsonl(ff, obs::topology_node_namer(bb.topo),
-                                 vnamer, pnamer);
+    if (!obs.flow_records_path.empty()) {
+      std::ofstream ff(obs.flow_records_path);
+      flow_exporter->write_jsonl(ff, obs::topology_node_namer(topo), vnamer,
+                                 pnamer);
     }
-    if (!obs_.flow_records_bin_path.empty()) {
-      std::ofstream fb(obs_.flow_records_bin_path, std::ios::binary);
+    if (!obs.flow_records_bin_path.empty()) {
+      std::ofstream fb(obs.flow_records_bin_path, std::ios::binary);
       flow_exporter->write_binary(fb);
     }
   }
-  if (!obs_.flow_profile_path.empty()) {
+  if (!obs.flow_profile_path.empty()) {
     // Measured off link transmit counters, which the run maintains whether
     // or not flow accounting was armed.
-    std::ofstream pf(obs_.flow_profile_path);
+    std::ofstream pf(obs.flow_profile_path);
     write_flow_profile(measure_flow_profile(topo), topo, pf);
   }
 
   // Isolation / accounting verdict. In dispatcher mode (tcp present) the
   // sink only sees what no handler claimed, so `delivered` there counts
-  // strays — and `unknown` nonzero means packets escaped SLA accounting,
-  // which used to be silently dropped by the no-op default handler.
-  std::uint64_t delivered = sink.delivered();
-  std::uint64_t leaks = sink.leaks();
-  std::uint64_t unknown = sink.unknown_flows();
-  for (const auto& ss : shard_sinks) {
-    delivered += ss->delivered();
-    leaks += ss->leaks();
-    unknown += ss->unknown_flows();
+  // strays — and `unknown` nonzero means packets escaped SLA accounting.
+  std::uint64_t delivered = 0;
+  std::uint64_t leaks = 0;
+  std::uint64_t unknown = 0;
+  for (const auto& ls : lane_sinks) {
+    delivered += ls->delivered();
+    leaks += ls->leaks();
+    unknown += ls->unknown_flows();
   }
   out << "\ndelivered=" << delivered << " leaks=" << leaks
       << " unknown=" << unknown << "\n";
   return leaks == 0 && unknown == 0;
+}
+
+bool Scenario::run(std::ostream& out) const {
+  // The metrics action fires once per period: a non-finite period, or one
+  // that rounds below the 1 ns clock tick, has no capture instants.
+  if (obs_.enabled() && !obs_.metrics_json_path.empty()) {
+    const double p = obs_.snapshot_period_s;
+    if (!std::isfinite(p) || p > kMaxScenarioSeconds ||
+        sim::from_seconds(p) < 1) {
+      out << "bad snapshot period " << p
+          << " s (want a finite value from 1e-9 to 1e6)\n";
+      return false;
+    }
+  }
+  Run r(*this, out);
+  r.build();
+  r.converge();
+  r.partition();
+  r.observers();
+  r.arm_traffic();
+  r.run();
+  return r.report();
 }
 
 int run_scenario_file(const std::string& path, std::ostream& out) {

@@ -37,8 +37,8 @@ struct ObsOptions {
   bool sync_report = false;           ///< print the sync profile table
   std::string sync_json_path;         ///< machine-readable sync report
 
-  /// Register engine counters (windows, widened, handoffs, ...) with the
-  /// metrics registry on sharded runs. Off by default because the values
+  /// Register engine counters (shards, windows, widened, handoffs, ...)
+  /// with the metrics registry. Off by default because the values
   /// are engine-configuration-dependent — the cross-shard byte-identity
   /// checks compare metrics snapshots across shard counts.
   bool engine_metrics = false;
@@ -89,7 +89,8 @@ struct ObsOptions {
 /// from a text file instead of C++ ('#' starts a comment):
 ///
 ///   backbone p=2 pe=2 core_bw=4e6 edge_bw=20e6 seed=7 bgp=mesh
-///            core_queue=wfq:8,3,1          # fifo | prio | wfq:w,... | drr:w,...
+///            core_queue=wfq:8,3,1          # fifo | prio | wfq:w,... |
+///                                          # drr:w,... | red[:min,max,maxp]
 ///
 /// Or, instead of hand-written backbone/vpn/site/flow lines, a generated
 /// ISP-scale topology (see backbone/topogen.hpp for the parameters):
@@ -112,10 +113,12 @@ struct ObsOptions {
 ///
 /// Each directive accepts only the keys shown; an unknown key is a parse
 /// error that names it. Counts (p=, pe=, seed=, ...) must be finite,
-/// non-negative and in range; rate=, on=, off=, cir=, cbs=, ebs= and
-/// burst= must be finite and > 0 (a flow rate= at least 1 b/s);
-/// durations (for=, start=, on=, off=) at most 1e6 s; size= at most
-/// 65507 bytes.
+/// non-negative and in range; core_bw=, edge_bw=, rate=, on=, off=, cir=,
+/// cbs=, ebs= and burst= must be finite and > 0 (a flow rate= at least
+/// 1 b/s); durations (for=, start=, on=, off=) at most 1e6 s; size= at
+/// most 65507 bytes. core_queue= wfq weights must be finite and > 0, drr
+/// weights integers in [1, 2^32), and red needs 0 <= min < max and
+/// 0 < maxp <= 1.
 ///
 /// Flows start when the control plane has converged — together by default,
 /// or offset by `start=SECONDS` on a flow line (generated topologies set
@@ -197,6 +200,8 @@ class Scenario {
   [[nodiscard]] double run_seconds() const noexcept { return run_for_s_; }
 
  private:
+  struct Run;  ///< one run()'s state and stages (scenario_config.cpp)
+
   struct SiteDecl {
     std::string vpn;
     std::size_t pe = 0;

@@ -66,8 +66,14 @@ bool apply_topogen_param(TopogenParams& params, const std::string& key,
   if (key == "ce") return to_size(value, params.ce);
   if (key == "pod") return to_size(value, params.pod);
   if (key == "flows") return to_size(value, params.flows);
-  if (key == "core_bw") return to_double(value, params.core_bw_bps);
-  if (key == "edge_bw") return to_double(value, params.edge_bw_bps);
+  if (key == "core_bw") {
+    return to_double(value, params.core_bw_bps) &&
+           std::isfinite(params.core_bw_bps) && params.core_bw_bps > 0;
+  }
+  if (key == "edge_bw") {
+    return to_double(value, params.edge_bw_bps) &&
+           std::isfinite(params.edge_bw_bps) && params.edge_bw_bps > 0;
+  }
   if (key == "rate") {
     return to_double(value, params.rate_bps) &&
            params.rate_bps >= kMinFlowRateBps &&

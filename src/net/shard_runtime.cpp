@@ -26,12 +26,27 @@ ShardRuntime::ShardRuntime(Topology& topo,
                            std::vector<std::uint32_t> node_shard,
                            std::uint32_t shard_count, sim::SimTime lookahead)
     : topo_(topo), lookahead_(lookahead) {
-  if (shard_count < 2) {
-    throw std::invalid_argument(
-        "ShardRuntime: need at least 2 shards (run serially otherwise)");
+  if (shard_count == 0) {
+    throw std::invalid_argument("ShardRuntime: need at least 1 shard");
   }
   if (node_shard.size() < topo.node_count()) {
     throw std::invalid_argument("ShardRuntime: node_shard map is incomplete");
+  }
+  for (const std::uint32_t s : node_shard) {
+    if (s >= shard_count) {
+      throw std::invalid_argument("ShardRuntime: node mapped past shard_count");
+    }
+  }
+  binding_.node_shard = std::move(node_shard);
+
+  if (shard_count == 1) {
+    // Lane 0 is the topology itself; no binding is installed, so the
+    // ambient accessors (and Link's handoff test) stay on the serial path.
+    binding_.schedulers.push_back(&topo_.base_scheduler());
+    engine_ = std::make_unique<sim::ParallelEngine>(
+        std::vector<sim::ParallelEngine::ShardRef>{{0, &topo_.base_scheduler()}},
+        lookahead_, nullptr);
+    return;
   }
 
   const sim::SimTime now = topo_.base_scheduler().now();
@@ -56,7 +71,6 @@ ShardRuntime::ShardRuntime(Topology& topo,
   // shard thread releasing a pre-existing packet is a partitioning bug.
   topo_.packet_factory().pool().set_owner_shard(sim::kNoShard);
 
-  binding_.node_shard = std::move(node_shard);
   for (std::uint32_t s = 0; s < shard_count; ++s) {
     binding_.schedulers.push_back(&ctxs_[s]->sched);
     binding_.factories.push_back(&ctxs_[s]->factory);
@@ -94,15 +108,47 @@ ShardRuntime::ShardRuntime(Topology& topo,
 
 ShardRuntime::~ShardRuntime() { finish(); }
 
+void ShardRuntime::run_until(sim::SimTime t_end) {
+  if (profiler_ == nullptr || !ctxs_.empty()) {
+    engine_->run_until(t_end);
+    return;
+  }
+  // One lane has no epochs to observe: the whole call is one execution
+  // phase of the serial report.
+  const std::uint64_t ev0 = executed_count();
+  const std::uint64_t t0 = steady_ns();
+  engine_->run_until(t_end);
+  profiler_->record_serial(steady_ns() - t0, executed_count() - ev0);
+}
+
+std::uint64_t ShardRuntime::executed_count() const noexcept {
+  std::uint64_t n = topo_.base_scheduler().executed_count();
+  for (const auto& ctx : ctxs_) n += ctx->sched.executed_count();
+  return n;
+}
+
 void ShardRuntime::set_profiler(obs::SyncProfiler* profiler) {
   profiler_ = profiler;
   per_src_handoffs_.assign(shard_count(), 0);
   engine_->set_observer(profiler);
 }
 
+void ShardRuntime::fold_latency() {
+  obs::LatencyCollector* into = topo_.latency_collector();
+  if (into == nullptr || ctxs_.empty()) return;
+  into->reset();
+  for (const auto& ctx : ctxs_) into->merge_from(ctx->latency);
+}
+
 void ShardRuntime::set_flow_stats(std::vector<obs::FlowStatsTable*> tables) {
   if (tables.size() != shard_count()) {
     throw std::invalid_argument("ShardRuntime::set_flow_stats: need one table per shard");
+  }
+  if (ctxs_.empty()) {
+    serial_flow_stats_ = topo_.flow_stats();
+    topo_.set_flow_stats(tables.front());
+    binding_.flow_stats = std::move(tables);
+    return;
   }
   binding_.flow_stats = std::move(tables);
   for (LinkId id = 0; id < topo_.link_count(); ++id) {
@@ -264,6 +310,10 @@ void ShardRuntime::schedule_delivery(Handoff&& env) {
 void ShardRuntime::finish() {
   if (finished_) return;
   finished_ = true;
+  if (ctxs_.empty()) {
+    if (!binding_.flow_stats.empty()) topo_.set_flow_stats(serial_flow_stats_);
+    return;
+  }
   topo_.uninstall_sharding();
 
   // Fold shard trace rings into the master recorder in global (time,

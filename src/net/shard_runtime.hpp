@@ -25,6 +25,15 @@ namespace mvpn::net {
 /// down and folds per-shard trace rings into the master recorder, leaving
 /// the topology exactly as a serial run would.
 ///
+/// One shard is the serial engine, driven through the same API: lane 0
+/// *is* the topology's own scheduler, packet pool, recorder and latency
+/// collector, so no worker thread, barrier, handoff staging or
+/// ShardBinding exists and the topology's ambient accessors keep their
+/// one-null-test serial path. run_until() advances lane 0 inline between
+/// periodic actions (sim::ParallelEngine's one-shard mode) and, with a
+/// profiler attached, records the whole call as one serial execution
+/// phase.
+///
 /// Handoff transport: each (src, dst) shard pair owns a plain staging
 /// vector. The producing worker appends during its window; the
 /// coordinator drains all staging between windows. No atomics or locks
@@ -56,9 +65,11 @@ class ShardRuntime {
 
   /// `node_shard` maps every NodeId to [0, shard_count); `lookahead` is
   /// the minimum propagation delay over cut links (backbone::ShardPlan
-  /// computes both). Installs the sharded view, aligns every shard clock
-  /// to the topology's current instant, and repoints link-queue tracing at
-  /// the owning shard's recorder.
+  /// computes both; one shard ignores it). With two or more shards,
+  /// installs the sharded view, aligns every shard clock to the topology's
+  /// current instant, and repoints link-queue tracing at the owning
+  /// shard's recorder. Throws std::invalid_argument on zero shards or a
+  /// map that misses a node or names a shard out of range.
   ShardRuntime(Topology& topo, std::vector<std::uint32_t> node_shard,
                std::uint32_t shard_count, sim::SimTime lookahead);
   ~ShardRuntime();
@@ -74,14 +85,19 @@ class ShardRuntime {
   void handoff(std::uint32_t dst_shard, sim::SimTime deliver_at,
                ip::NodeId to, ip::IfIndex iface, const Packet& p);
 
-  /// Drive the sharded simulation to exactly `t_end`.
-  void run_until(sim::SimTime t_end) { engine_->run_until(t_end); }
+  /// Drive the simulation to exactly `t_end`.
+  void run_until(sim::SimTime t_end);
 
-  /// Global action between windows (metrics snapshots): see
+  /// Global action between windows (metrics snapshots, flow scans): see
   /// sim::ParallelEngine::add_periodic_action.
   void add_periodic_action(sim::SimTime first, sim::SimTime period,
-                           std::function<void()> fn) {
+                           std::function<void(sim::SimTime at)> fn) {
     engine_->add_periodic_action(first, period, std::move(fn));
+  }
+  void add_periodic_action(sim::SimTime first, sim::SimTime period,
+                           std::function<void()> fn) {
+    engine_->add_periodic_action(
+        first, period, [fn = std::move(fn)](sim::SimTime) { fn(); });
   }
 
   /// Attach an epoch-level sync profiler: the engine feeds it worker and
@@ -96,9 +112,16 @@ class ShardRuntime {
   /// the runtime): fills ShardBinding::flow_stats so the ambient
   /// Topology::flow_stats() answers per worker, and repoints every link
   /// queue's drop funnel at the transmitting node's shard table — exactly
-  /// the treatment queue trace contexts get. finish() restores the
-  /// topology's serial table. Install while quiescent, before run_until().
+  /// the treatment queue trace contexts get. One shard installs its table
+  /// as the topology's own. finish() restores the topology's serial table.
+  /// Install while quiescent, before run_until().
   void set_flow_stats(std::vector<obs::FlowStatsTable*> tables);
+
+  /// Fold every shard's latency collector into the topology's own (the
+  /// one Topology::set_latency_collector installed), replacing what it
+  /// held. Lane 0 of one shard records there directly, so that is a no-op.
+  /// Call while quiescent (between windows or after the run).
+  void fold_latency();
 
   /// Tear down the sharded view: uninstall, merge shard trace rings into
   /// the master recorder in global (time, shard) order, restore queue
@@ -107,8 +130,15 @@ class ShardRuntime {
   void finish();
 
   [[nodiscard]] std::uint32_t shard_count() const noexcept {
-    return static_cast<std::uint32_t>(ctxs_.size());
+    return static_cast<std::uint32_t>(binding_.schedulers.size());
   }
+  /// Owning shard of node `n` (0 for every node of one shard).
+  [[nodiscard]] std::uint32_t shard_of(ip::NodeId n) const noexcept {
+    return binding_.node_shard[n];
+  }
+  /// Events executed so far by every scheduler the run drives (the
+  /// topology's own plus each shard's).
+  [[nodiscard]] std::uint64_t executed_count() const noexcept;
   [[nodiscard]] sim::SimTime lookahead() const noexcept { return lookahead_; }
   [[nodiscard]] std::uint64_t windows() const noexcept {
     return engine_->windows();
@@ -128,13 +158,7 @@ class ShardRuntime {
   }
 
   [[nodiscard]] sim::Scheduler& shard_scheduler(std::uint32_t s) {
-    return ctxs_[s]->sched;
-  }
-  [[nodiscard]] obs::LatencyCollector& shard_latency(std::uint32_t s) {
-    return ctxs_[s]->latency;
-  }
-  [[nodiscard]] obs::FlightRecorder& shard_recorder(std::uint32_t s) {
-    return ctxs_[s]->recorder;
+    return *binding_.schedulers[s];
   }
 
  private:
@@ -166,7 +190,12 @@ class ShardRuntime {
 
   Topology& topo_;
   sim::SimTime lookahead_;
+  /// The node map and lane schedulers for every shard count; installed on
+  /// the topology only with two or more shards.
   ShardBinding binding_;
+  /// One shard: the topology's table before set_flow_stats(), restored by
+  /// finish().
+  obs::FlowStatsTable* serial_flow_stats_ = nullptr;
   std::vector<std::unique_ptr<ShardCtx>> ctxs_;
   std::vector<Batch> staging_;       ///< k*k per-(src,dst) handoff staging
   std::vector<std::uint64_t> seqs_;  ///< per-channel, touched by src only

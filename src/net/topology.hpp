@@ -186,14 +186,6 @@ class Topology {
     return shards_->node_shard[n];
   }
 
-  /// The scheduler that executes events for node `n` — its shard's under a
-  /// parallel run, the serial scheduler otherwise. Use when scheduling onto
-  /// a specific node from coordinator context (e.g. traffic source start).
-  [[nodiscard]] sim::Scheduler& scheduler_for(ip::NodeId n) noexcept {
-    const std::uint32_t s = shard_of(n);
-    return s == sim::kNoShard ? scheduler_ : *shards_->schedulers[s];
-  }
-
   /// Install/remove the sharded runtime view. Only while quiescent.
   void install_sharding(const ShardBinding* binding,
                         ShardRuntime* runtime) noexcept {
@@ -207,7 +199,6 @@ class Topology {
   [[nodiscard]] ShardRuntime* shard_runtime() const noexcept {
     return shard_runtime_;
   }
-  [[nodiscard]] bool sharded() const noexcept { return shards_ != nullptr; }
 
   /// Run the simulation until `t_end` (serial driver).
   void run_until(sim::SimTime t_end) { scheduler_.run_until(t_end); }

@@ -207,7 +207,7 @@ void FlowStatsTable::drain(const std::function<void(const Slot&)>& fn) {
     Slot& s = slots_[idx];
     // A duplicate live entry (slot re-claimed after an eviction) was
     // emptied when its first entry drained; stale generations and
-    // tombstones (slots released by a scan_table() cut) likewise skip.
+    // tombstones (slots released by a table-resident cut) likewise skip.
     if (!is_live(s)) continue;
     if (!spill_.empty()) {
       // A flow that spilled and later re-claimed its slot exists in both
@@ -342,18 +342,23 @@ void FlowExporter::cut_slots(std::vector<FlowStatsTable::Slot*>& due,
   }
 }
 
-void FlowExporter::scan_table(FlowStatsTable& table, sim::SimTime now) {
+bool FlowExporter::table_resident(
+    const std::vector<FlowStatsTable*>& tables) const {
   // flows_ can only be populated by a previous fallback merge, and
-  // spill_free() is sticky, so this branch chooses the same path for the
-  // rest of the run once a spill has ever happened.
-  if (!flows_.empty() || !table.spill_free()) {
-    merge_table(table);
+  // spill_free() is sticky, so a run that ever spilled stays merged.
+  return tables.size() == 1 && flows_.empty() && tables.front()->spill_free();
+}
+
+void FlowExporter::scan(const std::vector<FlowStatsTable*>& tables,
+                        sim::SimTime now) {
+  if (!table_resident(tables)) {
+    for (FlowStatsTable* t : tables) merge_table(*t);
     scan(now);
     return;
   }
   std::vector<FlowStatsTable::Slot*> idle;
   std::vector<FlowStatsTable::Slot*> active;
-  table.for_each_live([&](FlowStatsTable::Slot& s) {
+  tables.front()->for_each_live([&](FlowStatsTable::Slot& s) {
     if (now - s.last_seen >= opt_.idle_timeout) {
       idle.push_back(&s);
     } else if (now - s.first_seen >= opt_.active_timeout) {
@@ -364,14 +369,14 @@ void FlowExporter::scan_table(FlowStatsTable& table, sim::SimTime now) {
   cut_slots(active, Cause::kActive);
 }
 
-void FlowExporter::flush_table(FlowStatsTable& table) {
-  if (!flows_.empty() || !table.spill_free()) {
-    merge_table(table);
+void FlowExporter::flush(const std::vector<FlowStatsTable*>& tables) {
+  if (!table_resident(tables)) {
+    for (FlowStatsTable* t : tables) merge_table(*t);
     flush();
     return;
   }
   std::vector<FlowStatsTable::Slot*> rest;
-  table.for_each_live(
+  tables.front()->for_each_live(
       [&](FlowStatsTable::Slot& s) { rest.push_back(&s); });
   cut_slots(rest, Cause::kFinal);
 }

@@ -261,17 +261,20 @@ class FlowExporter {
   /// End of run: cut every remaining flow (Cause::kFinal).
   void flush();
 
-  /// Serial fastpath for a single-lane run: apply the timeout rules
-  /// directly over the table's live slots. Accumulations stay in place
+  /// One scan instant over a run's accounting tables, one per engine
+  /// lane. Several tables must fold together first (merge_table() each,
+  /// then scan()); a single table takes the table-resident path instead:
+  /// the timeout rules walk its live slots, accumulations stay in place
   /// across scans and only due flows are copied out as records, so the
   /// per-scan cost is a walk of the live list instead of a full
-  /// drain-and-merge into flows_. Falls back to merge_table()+scan()
-  /// permanently the first time a spill appears — the two paths emit
-  /// byte-identical record streams, so the mode switch never shows.
-  void scan_table(FlowStatsTable& table, sim::SimTime now);
+  /// drain-and-merge into flows_. That path falls back to merge+scan
+  /// permanently the first time a spill appears — both emit byte-identical
+  /// record streams, so neither the table count nor the switch shows.
+  void scan(const std::vector<FlowStatsTable*>& tables, sim::SimTime now);
 
-  /// End-of-run counterpart of scan_table(): cut every remaining flow.
-  void flush_table(FlowStatsTable& table);
+  /// End-of-run counterpart of scan(tables, now): cut every remaining
+  /// flow, by the same path selection.
+  void flush(const std::vector<FlowStatsTable*>& tables);
 
   [[nodiscard]] const std::vector<Record>& records() const noexcept {
     return records_;
@@ -350,8 +353,13 @@ class FlowExporter {
   /// a cut never re-hashes a key it already found during scan().
   void cut(std::vector<FlowMap::iterator>& due, Cause cause);
 
-  /// scan_table()'s emission half: sort due slots by (flow id, key), copy
-  /// them into records, release them in place.
+  /// Whether scan(tables)/flush(tables) may work on the one table in
+  /// place (no fold needed, nothing ever spilled or merged).
+  [[nodiscard]] bool table_resident(
+      const std::vector<FlowStatsTable*>& tables) const;
+
+  /// The table-resident emission half: sort due slots by (flow id, key),
+  /// copy them into records, release them in place.
   void cut_slots(std::vector<FlowStatsTable::Slot*>& due, Cause cause);
 
   Options opt_;

@@ -141,21 +141,8 @@ void MetricsRegistry::counter_destroyed(stats::Counter& c) {
   hooked_.erase(it);
 }
 
-void PeriodicSnapshots::start(sim::SimTime period) {
-  period_ = period;
-  if (running_ || period_ <= 0) return;
-  running_ = true;
-  sched_.schedule_in(period_, [this] { tick(); });
-}
-
-void PeriodicSnapshots::tick() {
-  if (!running_) return;
-  capture();
-  sched_.schedule_in(period_, [this] { tick(); });
-}
-
-void PeriodicSnapshots::capture() {
-  snapshots_.push_back(Timed{sched_.now(), registry_.snapshot()});
+void PeriodicSnapshots::capture(sim::SimTime at) {
+  snapshots_.push_back(Timed{at, registry_.snapshot()});
 }
 
 void PeriodicSnapshots::write_json(std::ostream& out) const {

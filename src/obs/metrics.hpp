@@ -7,7 +7,7 @@
 #include <string>
 #include <vector>
 
-#include "sim/scheduler.hpp"
+#include "sim/time.hpp"
 #include "stats/counter.hpp"
 #include "stats/histogram.hpp"
 
@@ -81,20 +81,20 @@ class MetricsRegistry : public stats::CounterHook {
   bool hook_installed_ = false;
 };
 
-/// Periodic metrics capture driven by the simulation clock: every
-/// `period`, reads the registry and appends a timestamped snapshot.
-/// write_json() emits the whole series as a JSON array of
-/// {"t_s": <sim seconds>, "metrics": {...}} objects.
+/// A timestamped series of registry snapshots. The cadence comes from the
+/// caller — a periodic engine action (net::ShardRuntime) captures at each
+/// instant, between windows, on every shard count. write_json() emits the
+/// whole series as a JSON array of {"t_s": <sim seconds>, "metrics": {...}}
+/// objects.
 class PeriodicSnapshots {
  public:
-  PeriodicSnapshots(const MetricsRegistry& registry, sim::Scheduler& sched)
-      : registry_(registry), sched_(sched) {}
+  explicit PeriodicSnapshots(const MetricsRegistry& registry)
+      : registry_(registry) {}
 
-  /// Begin capturing every `period` (first capture after one period).
-  void start(sim::SimTime period);
-  void stop() noexcept { running_ = false; }
-  /// Capture one snapshot immediately.
-  void capture();
+  /// Read the registry now and stamp the sample `at` (simulated time).
+  /// Engine global actions pass their instant: they run at `at` while the
+  /// lane clocks still read `at - 1`.
+  void capture(sim::SimTime at);
 
   [[nodiscard]] std::size_t count() const noexcept {
     return snapshots_.size();
@@ -102,17 +102,12 @@ class PeriodicSnapshots {
   void write_json(std::ostream& out) const;
 
  private:
-  void tick();
-
   struct Timed {
     sim::SimTime at = 0;
     std::vector<MetricsRegistry::Sample> samples;
   };
 
   const MetricsRegistry& registry_;
-  sim::Scheduler& sched_;
-  sim::SimTime period_ = 0;
-  bool running_ = false;
   std::vector<Timed> snapshots_;
 };
 

@@ -28,7 +28,7 @@ ParallelEngine::ParallelEngine(std::vector<ShardRef> shards,
   if (shards_.empty()) {
     throw std::invalid_argument("ParallelEngine: no shards");
   }
-  if (lookahead_ < 1) {
+  if (shards_.size() > 1 && lookahead_ < 1) {
     throw std::invalid_argument(
         "ParallelEngine: lookahead must be at least 1 ns of cross-shard "
         "latency — a zero-delay cut admits same-instant interactions that "
@@ -48,7 +48,7 @@ ParallelEngine::~ParallelEngine() {
 }
 
 void ParallelEngine::add_periodic_action(SimTime first, SimTime period,
-                                         std::function<void()> fn) {
+                                         std::function<void(SimTime)> fn) {
   if (period < 1) {
     throw std::invalid_argument("ParallelEngine: action period must be >= 1");
   }
@@ -138,13 +138,37 @@ void ParallelEngine::fire_global(SimTime at) {
   if (global_ != nullptr) global_->run_until(at);
   for (Action& a : actions_) {
     while (a.fn && a.at <= at) {
-      a.fn();
+      a.fn(a.at);
       a.at += a.period;
     }
   }
 }
 
+void ParallelEngine::run_inline(SimTime t_end) {
+  Scheduler& lane = *shards_.front().scheduler;
+  // The lane may have been advanced directly since the last call.
+  if (lane.now() > frontier_) frontier_ = lane.now();
+  while (frontier_ < t_end) {
+    const SimTime global_at = next_global_time();
+    SimTime target = t_end;
+    if (global_at != Scheduler::kNoEventTime && global_at - 1 < target) {
+      target = global_at - 1;
+    }
+    if (target > frontier_) {
+      lane.run_until(target);
+      frontier_ = target;
+    } else {
+      fire_global(global_at);
+    }
+  }
+  if (global_ != nullptr && global_->now() <= t_end) global_->run_until(t_end);
+}
+
 void ParallelEngine::run_until(SimTime t_end) {
+  if (shards_.size() == 1) {
+    run_inline(t_end);
+    return;
+  }
   start_workers();
   while (frontier_ < t_end) {
     rethrow_worker_error();

@@ -42,6 +42,13 @@ namespace mvpn::sim {
 /// consistent instant — metrics snapshots, leftover events on the serial
 /// "global" scheduler — registers as a global action executed between
 /// windows, when all shards rest at the same time.
+///
+/// One shard is the serial engine: no worker thread is started, the
+/// barrier is never opened and the exchange never runs. run_until()
+/// advances the shard inline in windows bounded only by the next global
+/// instant - 1 and `t_end`, so global actions keep the same
+/// tick-before-data edge they have under K shards, and the lookahead is
+/// irrelevant (nothing crosses a cut).
 class ParallelEngine {
  public:
   struct ShardRef {
@@ -49,9 +56,10 @@ class ParallelEngine {
     Scheduler* scheduler = nullptr;
   };
 
-  /// `lookahead` must be >= 1 ns (the minimum cross-shard latency).
-  /// `global` (optional) is the serial scheduler whose residual events —
-  /// anything not owned by a shard — run between windows at exact times.
+  /// With two or more shards `lookahead` must be >= 1 ns (the minimum
+  /// cross-shard latency). `global` (optional) is the serial scheduler
+  /// whose residual events — anything not owned by a shard — run between
+  /// windows at exact times; it must not be one of the shard schedulers.
   ParallelEngine(std::vector<ShardRef> shards, SimTime lookahead,
                  Scheduler* global);
   ~ParallelEngine();
@@ -74,11 +82,13 @@ class ParallelEngine {
     return observer_;
   }
 
-  /// Run `fn` between windows at `first`, `first + period`, ... — each
-  /// invocation sees every shard past all events before that instant and
-  /// none at or after it (the serial tick-before-data convention).
+  /// Run `fn(at)` between windows at `at` = `first`, `first + period`,
+  /// ... — each invocation sees every shard past all events before that
+  /// instant and none at or after it (the serial tick-before-data
+  /// convention). Shard clocks then read `at - 1`, so an action that
+  /// stamps its output takes the instant from the argument.
   void add_periodic_action(SimTime first, SimTime period,
-                           std::function<void()> fn);
+                           std::function<void(SimTime at)> fn);
 
   /// Drive all shards (and global actions) to exactly `t_end`. May be
   /// called repeatedly with increasing times; workers persist in between.
@@ -104,9 +114,10 @@ class ParallelEngine {
   struct Action {
     SimTime at = 0;
     SimTime period = 0;  ///< 0: one-shot
-    std::function<void()> fn;
+    std::function<void(SimTime)> fn;
   };
 
+  void run_inline(SimTime t_end);
   void worker(ShardRef shard);
   void start_workers();
   [[nodiscard]] SimTime next_global_time() const;

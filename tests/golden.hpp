@@ -17,12 +17,17 @@ inline std::string path(const std::string& file) {
   return std::string(MVPN_GOLDEN_DIR) + "/" + file;
 }
 
-/// The whole file; empty when it cannot be read.
-inline std::string read_text(const std::string& file) {
-  std::ifstream in(path(file));
+/// Every byte of the file at `full_path`; empty when it cannot be read.
+inline std::string slurp(const std::string& full_path) {
+  std::ifstream in(full_path, std::ios::binary);
   std::stringstream buf;
   buf << in.rdbuf();
   return buf.str();
+}
+
+/// The whole golden file; empty when it cannot be read.
+inline std::string read_text(const std::string& file) {
+  return slurp(path(file));
 }
 
 /// The fields after `key` on the row of a whitespace-separated table file
@@ -52,6 +57,12 @@ struct Fnv {
       h *= 1099511628211ull;
     }
   }
+  void mix_bytes(const std::string& bytes) {
+    for (const char c : bytes) {
+      h ^= static_cast<unsigned char>(c);
+      h *= 1099511628211ull;
+    }
+  }
   [[nodiscard]] std::string hex() const {
     char buf[17];
     std::snprintf(buf, sizeof(buf), "%016llx",
@@ -59,6 +70,24 @@ struct Fnv {
     return buf;
   }
 };
+
+/// FNV-1a over every byte of `bytes` — the digest streams.txt holds.
+inline std::string fnv_bytes(const std::string& bytes) {
+  Fnv f;
+  f.mix_bytes(bytes);
+  return f.hex();
+}
+
+/// Empty when `bytes` matches row `key` of streams.txt (digest, length);
+/// otherwise what differs.
+inline std::string stream_mismatch(const std::string& key,
+                                   const std::string& bytes) {
+  const std::vector<std::string> want = row("streams.txt", key);
+  const std::string got = fnv_bytes(bytes) + " " + std::to_string(bytes.size());
+  if (want.size() == 2 && got == want[0] + " " + want[1]) return "";
+  return key + ": got " + got + ", want " +
+         (want.size() == 2 ? want[0] + " " + want[1] : "no row");
+}
 
 /// Fold one speaker's Loc-RIB into `f`: the node id, then each route's
 /// key and attributes in Loc-RIB order. The fingerprints in loc_rib.txt

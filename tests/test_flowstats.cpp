@@ -221,7 +221,7 @@ TEST(FlowStats, ProbingKeepsCollidingKeysResident) {
   EXPECT_EQ(flows, 8u);
 }
 
-/// The serial table-resident fastpath (scan_table/flush_table) must emit
+/// The single-table resident fastpath of scan(tables)/flush(tables) must emit
 /// a byte-identical record stream to the drain-and-merge path it
 /// shortcuts — across idle cuts, active cuts, slot reclaim through a
 /// tombstone, and shared-5-tuple folding.
@@ -247,12 +247,12 @@ TEST(FlowStats, ScanTableMatchesMergeScanByteForByte) {
     touch_both(key_of(9), 7, 70);
     touch_both(key_of(9), 8, 70);
     if (ms > 0 && ms % 25 == 0) {
-      ex_fast.scan_table(fast, clock.now());
+      ex_fast.scan({&fast}, clock.now());
       ex_slow.merge_table(slow);
       ex_slow.scan(clock.now());
     }
   }
-  ex_fast.flush_table(fast);
+  ex_fast.flush({&fast});
   ex_slow.merge_table(slow);
   ex_slow.flush();
   EXPECT_TRUE(fast.spill_free());  // the fastpath actually ran
@@ -265,7 +265,7 @@ TEST(FlowStats, ScanTableMatchesMergeScanByteForByte) {
 }
 
 /// A deliberately overloaded table (16 keys, 2 slots) spills immediately;
-/// scan_table must then fall back to drain-and-merge for the rest of the
+/// the single-table scan must then fall back to drain-and-merge for the rest of the
 /// run and still match it byte for byte.
 TEST(FlowStats, ScanTableFallbackOnSpillMatchesMergeScan) {
   sim::Scheduler clock;
@@ -283,14 +283,14 @@ TEST(FlowStats, ScanTableFallbackOnSpillMatchesMergeScan) {
       slow.record_offered(key_of(f), f, 100, 1, 1, 0);
     }
     if (ms > 0 && ms % 25 == 0) {
-      ex_fast.scan_table(fast, clock.now());
+      ex_fast.scan({&fast}, clock.now());
       ex_slow.merge_table(slow);
       ex_slow.scan(clock.now());
     }
   }
   EXPECT_GT(fast.evictions(), 0u);
   EXPECT_FALSE(fast.spill_free());
-  ex_fast.flush_table(fast);
+  ex_fast.flush({&fast});
   ex_slow.merge_table(slow);
   ex_slow.flush();
   std::ostringstream a;

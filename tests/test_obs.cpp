@@ -18,6 +18,7 @@
 #include "qos/queues.hpp"
 #include "routing/control_plane.hpp"
 #include "routing/igp.hpp"
+#include "sim/parallel_engine.hpp"
 #include "sim/scheduler.hpp"
 #include "vpn/diagnostics.hpp"
 #include "vpn/oam.hpp"
@@ -293,17 +294,19 @@ TEST(MetricsRegistry, PeriodicSnapshotsFollowSimClock) {
   std::uint64_t ticks = 0;
   reg.add_gauge("ticks", [&ticks] { return static_cast<double>(++ticks); });
 
-  obs::PeriodicSnapshots snaps(reg, sched);
-  snaps.start(10 * sim::kMillisecond);
-  sched.run_until(55 * sim::kMillisecond);
+  obs::PeriodicSnapshots snaps(reg);
+  sim::ParallelEngine engine({{0, &sched}}, 0, nullptr);
+  engine.add_periodic_action(10 * sim::kMillisecond, 10 * sim::kMillisecond,
+                             [&snaps](sim::SimTime at) { snaps.capture(at); });
+  engine.run_until(55 * sim::kMillisecond);
   EXPECT_EQ(snaps.count(), 5u);
-  snaps.stop();
-  sched.run_until(100 * sim::kMillisecond);
-  EXPECT_EQ(snaps.count(), 5u);
+  snaps.capture(sched.now());
 
   std::ostringstream os;
   snaps.write_json(os);
-  EXPECT_NE(os.str().find("\"t_s\":0.01"), std::string::npos);
+  EXPECT_NE(os.str().find("\"t_s\":0.01,"), std::string::npos);
+  EXPECT_NE(os.str().find("\"t_s\":0.05,"), std::string::npos);
+  EXPECT_NE(os.str().find("\"t_s\":0.055,"), std::string::npos);
   EXPECT_NE(os.str().find("\"ticks\":1"), std::string::npos);
 }
 

@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <cstdint>
 #include <fstream>
 #include <functional>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -15,8 +17,10 @@
 #include "backbone/fixtures.hpp"
 #include "backbone/partition.hpp"
 #include "backbone/scenario_config.hpp"
+#include "golden.hpp"
 #include "ip/address.hpp"
 #include "net/shard_runtime.hpp"
+#include "obs/metrics.hpp"
 #include "obs/sync_profiler.hpp"
 #include "qos/sla.hpp"
 #include "sim/epoch_barrier.hpp"
@@ -249,8 +253,9 @@ TEST(ParallelEngine, GlobalActionsFireBetweenWindows) {
   sim::Scheduler global;
   std::vector<sim::SimTime> stamps;
   sim::ParallelEngine engine({{0, &shard}}, sim::kMillisecond, &global);
-  engine.add_periodic_action(5 * sim::kMillisecond, 5 * sim::kMillisecond,
-                             [&] { stamps.push_back(global.now()); });
+  engine.add_periodic_action(
+      5 * sim::kMillisecond, 5 * sim::kMillisecond,
+      [&](sim::SimTime) { stamps.push_back(global.now()); });
   engine.run_until(20 * sim::kMillisecond);
   ASSERT_EQ(stamps.size(), 4U);
   for (std::size_t i = 0; i < stamps.size(); ++i) {
@@ -258,6 +263,35 @@ TEST(ParallelEngine, GlobalActionsFireBetweenWindows) {
                              sim::kMillisecond);
   }
   EXPECT_EQ(global.now(), 20 * sim::kMillisecond);
+}
+
+TEST(ParallelEngine, OneShardActionSeesEventsBeforeItsInstantOnly) {
+  // The one-shard engine runs inline, in windows that end at the next
+  // action - 1: an action at T has seen the event at T - 1, not the ones
+  // at T, and is handed T itself while the lane clock reads T - 1.
+  constexpr sim::SimTime kT = 5 * sim::kMillisecond;
+  sim::Scheduler lane;
+  std::vector<sim::SimTime> ran;
+  for (const sim::SimTime at : {kT - 1, kT, kT, kT + 1}) {
+    lane.schedule_at(at, [&ran, &lane] { ran.push_back(lane.now()); });
+  }
+  sim::ParallelEngine engine({{0, &lane}}, 0, nullptr);
+  std::vector<std::size_t> seen;
+  std::vector<sim::SimTime> instants;
+  std::vector<sim::SimTime> clocks;
+  engine.add_periodic_action(kT, kT, [&](sim::SimTime at) {
+    seen.push_back(ran.size());
+    instants.push_back(at);
+    clocks.push_back(lane.now());
+  });
+  engine.run_until(2 * kT);
+  ASSERT_EQ(seen.size(), 2U);
+  EXPECT_EQ(seen[0], 1U);  // only the event at T - 1
+  EXPECT_EQ(seen[1], 4U);  // everything up to 2T - 1
+  EXPECT_EQ(instants, (std::vector<sim::SimTime>{kT, 2 * kT}));
+  EXPECT_EQ(clocks, (std::vector<sim::SimTime>{kT - 1, 2 * kT - 1}));
+  EXPECT_EQ(lane.now(), 2 * kT);
+  EXPECT_EQ(engine.windows(), 0U);
 }
 
 // --- Adaptive window sizing -----------------------------------------------
@@ -377,7 +411,7 @@ TEST(Partitioner, PlanIsDeterministic) {
 // --- End-to-end determinism: serial vs sharded scenario runs --------------
 
 constexpr const char* kDeterminismScenario = R"(
-backbone p=4 pe=8 seed=11 core_queue=prio:3
+backbone p=4 pe=8 seed=11 core_queue=fifo
 vpn corp
 vpn partner
 site corp pe=0 prefix=10.1.0.0/16
@@ -396,19 +430,15 @@ run for=2
 )";
 
 struct ScenarioOutputs {
-  std::string report;        ///< run() output minus the converged banner
+  std::string report;        ///< run() output minus the converged banner,
+                             ///< including the flow conformance rollup
   std::string metrics_json;
   std::string latency_json;
+  std::string flow_jsonl;    ///< flow-record stream, one JSON per line
+  std::string flow_bin;      ///< the same records, binary framing
   std::string sync_json;     ///< only when the run profiled
   bool ok = false;
 };
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path);
-  std::stringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
 
 /// The converged banner names the engine ("on N shards ..."), which is the
 /// one intended textual difference between serial and parallel runs; drop
@@ -440,6 +470,9 @@ ScenarioOutputs run_scenario_with_shards(std::uint32_t shards,
   backbone::ObsOptions obs;
   obs.metrics_json_path = dir + "/par_metrics_" + tag + ".json";
   obs.latency_json_path = dir + "/par_latency_" + tag + ".json";
+  obs.flow_records_path = dir + "/par_flow_" + tag + ".jsonl";
+  obs.flow_records_bin_path = dir + "/par_flow_" + tag + ".bin";
+  obs.flow_report = true;
   if (sync_profile) {
     obs.sync_json_path = dir + "/par_sync_" + tag + ".json";
   }
@@ -449,12 +482,16 @@ ScenarioOutputs run_scenario_with_shards(std::uint32_t shards,
   std::ostringstream report;
   out.ok = sc->run(report);
   out.report = strip_converged_line(report.str());
-  out.metrics_json = slurp(obs.metrics_json_path);
-  out.latency_json = slurp(obs.latency_json_path);
+  out.metrics_json = golden::slurp(obs.metrics_json_path);
+  out.latency_json = golden::slurp(obs.latency_json_path);
+  out.flow_jsonl = golden::slurp(obs.flow_records_path);
+  out.flow_bin = golden::slurp(obs.flow_records_bin_path);
   EXPECT_FALSE(out.metrics_json.empty());
   EXPECT_FALSE(out.latency_json.empty());
+  EXPECT_FALSE(out.flow_jsonl.empty());
+  EXPECT_FALSE(out.flow_bin.empty());
   if (sync_profile) {
-    out.sync_json = slurp(obs.sync_json_path);
+    out.sync_json = golden::slurp(obs.sync_json_path);
     EXPECT_FALSE(out.sync_json.empty());
   }
   return out;
@@ -463,6 +500,13 @@ ScenarioOutputs run_scenario_with_shards(std::uint32_t shards,
 TEST(ShardedDeterminism, TwoAndFourShardsMatchSerialByteForByte) {
   const ScenarioOutputs serial = run_scenario_with_shards(1);
   ASSERT_TRUE(serial.ok);
+  // The serial snapshots and decomposition are pinned by checked-in
+  // digests, so "matches serial" cannot drift along with serial.
+  EXPECT_EQ(golden::stream_mismatch("determinism_metrics",
+                                    serial.metrics_json), "");
+  EXPECT_EQ(golden::stream_mismatch("determinism_latency",
+                                    serial.latency_json), "");
+  EXPECT_NE(serial.report.find("flow conformance"), std::string::npos);
   for (std::uint32_t shards : {2U, 4U}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
     const ScenarioOutputs par = run_scenario_with_shards(shards);
@@ -472,6 +516,8 @@ TEST(ShardedDeterminism, TwoAndFourShardsMatchSerialByteForByte) {
     EXPECT_EQ(par.report, serial.report);
     EXPECT_EQ(par.metrics_json, serial.metrics_json);
     EXPECT_EQ(par.latency_json, serial.latency_json);
+    EXPECT_EQ(par.flow_jsonl, serial.flow_jsonl);
+    EXPECT_EQ(par.flow_bin, serial.flow_bin);
   }
 }
 
@@ -487,80 +533,86 @@ TEST(ShardedDeterminism, ParallelRunsAreRepeatable) {
 
 // --- Flow caches across epoch boundaries ----------------------------------
 
-/// Arm `flows` synchronized 1 Mb/s CBR flows around the site ring (flow i
-/// from site i to site i + 1, ids 1000..) until `stop`: one FlowSet per
-/// shard lane, sent-side accounting on the source's lane probe, delivery
-/// expectations on the destination's lane sink.
-std::vector<std::unique_ptr<traffic::FlowSet>> run_ring_flows(
-    backbone::MplsBackbone& bb, net::ShardRuntime& runtime,
-    const std::vector<backbone::MplsBackbone::Site>& sites, vpn::VpnId v,
-    std::size_t flows,
-    const std::vector<std::unique_ptr<qos::SlaProbe>>& probes,
-    const std::vector<std::unique_ptr<traffic::MeasurementSink>>& sinks,
-    sim::SimTime stop) {
-  std::vector<std::unique_ptr<traffic::FlowSet>> sets;
-  for (std::uint32_t s = 0; s < runtime.shard_count(); ++s) {
-    sets.push_back(std::make_unique<traffic::FlowSet>(
-        runtime.shard_scheduler(s), probes[s].get(), bb.topo.seed()));
-  }
-  auto lane_of = [&](std::size_t site) {
-    return bb.topo.shard_of(sites[site].ce->id());
-  };
-  for (std::size_t i = 0; i < flows; ++i) {
-    const std::size_t a = i % sites.size();
-    const std::size_t b = (i + 1) % sites.size();
-    traffic::FlowSet& set = *sets[lane_of(a)];
-    traffic::FlowSet::FlowDef f;
-    f.flow_id = static_cast<std::uint32_t>(1000 + i);
-    f.from_site = set.add_site(
-        *sites[a].ce,
-        ip::Ipv4Address(10, std::uint8_t(1 + a), 0, std::uint8_t(1 + i % 200)));
-    f.to_site = set.add_site(
-        *sites[b].ce,
-        ip::Ipv4Address(10, std::uint8_t(1 + b), 0, std::uint8_t(1 + i % 200)));
-    f.rate_bps = 1e6;
-    f.dst_port = static_cast<std::uint16_t>(20000 + i);
-    f.vpn = v;
-    sinks[lane_of(b)]->expect_flow(f.flow_id, qos::Phb::kBe, v);
-    set.add_flow(f);
-  }
-  for (auto& set : sets) set->run(stop);
-  return sets;
-}
-
-TEST(ShardedFlowcache, HitRatePersistsAcrossEpochBoundaries) {
-  backbone::MplsBackbone bb(bench_config());
-  const vpn::VpnId v = bb.service.create_vpn("T");
+/// A converged 8P/16PE backbone with one site per PE; start_runtime()
+/// brings up the engine with one SLA probe/sink lane per shard.
+struct RingNetwork {
+  backbone::MplsBackbone bb{bench_config()};
+  vpn::VpnId v = bb.service.create_vpn("T");
   std::vector<backbone::MplsBackbone::Site> sites;
-  for (std::size_t i = 0; i < 16; ++i) {
-    sites.push_back(bb.add_site(
-        v, i,
-        ip::Prefix(ip::Ipv4Address(10, std::uint8_t(1 + i), 0, 0), 16)));
-  }
-  bb.start_and_converge();
-
-  backbone::ShardPlan plan = backbone::compute_shard_plan(bb.topo, 4);
-  ASSERT_TRUE(plan.parallel());
-  auto runtime = std::make_unique<net::ShardRuntime>(
-      bb.topo, std::move(plan.node_shard), plan.shard_count, plan.lookahead);
-
+  std::unique_ptr<net::ShardRuntime> runtime;
   std::vector<std::unique_ptr<qos::SlaProbe>> probes;
   std::vector<std::unique_ptr<traffic::MeasurementSink>> sinks;
-  for (std::uint32_t s = 0; s < runtime->shard_count(); ++s) {
-    probes.push_back(
-        std::make_unique<qos::SlaProbe>("lane" + std::to_string(s)));
-    sinks.push_back(std::make_unique<traffic::MeasurementSink>(
-        *probes[s], runtime->shard_scheduler(s)));
+
+  RingNetwork() {
+    for (std::size_t i = 0; i < 16; ++i) {
+      sites.push_back(bb.add_site(
+          v, i,
+          ip::Prefix(ip::Ipv4Address(10, std::uint8_t(1 + i), 0, 0), 16)));
+    }
+    bb.start_and_converge();
   }
-  auto lane_of = [&](const backbone::MplsBackbone::Site& site) {
-    return bb.topo.shard_of(site.ce->id());
-  };
-  for (auto& site : sites) sinks[lane_of(site)]->bind(*site.ce);
+
+  void start_runtime(std::uint32_t shards) {
+    runtime = backbone::make_shard_runtime(
+        bb.topo, backbone::compute_shard_plan(bb.topo, shards));
+    for (std::uint32_t s = 0; s < runtime->shard_count(); ++s) {
+      probes.push_back(
+          std::make_unique<qos::SlaProbe>("lane" + std::to_string(s)));
+      sinks.push_back(std::make_unique<traffic::MeasurementSink>(
+          *probes[s], runtime->shard_scheduler(s)));
+    }
+    for (std::size_t i = 0; i < sites.size(); ++i) {
+      sinks[lane_of(i)]->bind(*sites[i].ce);
+    }
+  }
+
+  [[nodiscard]] std::uint32_t lane_of(std::size_t site) const {
+    return runtime->shard_of(sites[site].ce->id());
+  }
+
+  /// Arm `flows` synchronized 1 Mb/s CBR flows around the site ring (flow
+  /// i from site i to site i + 1, ids 1000..) until `stop`: one FlowSet
+  /// per lane, sent-side accounting on the source's lane probe, delivery
+  /// expectations on the destination's lane sink.
+  std::vector<std::unique_ptr<traffic::FlowSet>> ring_flows(
+      std::size_t flows, sim::SimTime stop) {
+    std::vector<std::unique_ptr<traffic::FlowSet>> sets;
+    for (std::uint32_t s = 0; s < runtime->shard_count(); ++s) {
+      sets.push_back(std::make_unique<traffic::FlowSet>(
+          runtime->shard_scheduler(s), probes[s].get(), bb.topo.seed()));
+    }
+    for (std::size_t i = 0; i < flows; ++i) {
+      const std::size_t a = i % sites.size();
+      const std::size_t b = (i + 1) % sites.size();
+      traffic::FlowSet& set = *sets[lane_of(a)];
+      traffic::FlowSet::FlowDef f;
+      f.flow_id = static_cast<std::uint32_t>(1000 + i);
+      f.from_site = set.add_site(*sites[a].ce,
+                                 ip::Ipv4Address(10, std::uint8_t(1 + a), 0,
+                                                 std::uint8_t(1 + i % 200)));
+      f.to_site = set.add_site(*sites[b].ce,
+                               ip::Ipv4Address(10, std::uint8_t(1 + b), 0,
+                                               std::uint8_t(1 + i % 200)));
+      f.rate_bps = 1e6;
+      f.dst_port = static_cast<std::uint16_t>(20000 + i);
+      f.vpn = v;
+      sinks[lane_of(b)]->expect_flow(f.flow_id, qos::Phb::kBe, v);
+      set.add_flow(f);
+    }
+    for (auto& set : sets) set->run(stop);
+    return sets;
+  }
+};
+
+TEST(ShardedFlowcache, HitRatePersistsAcrossEpochBoundaries) {
+  RingNetwork net;
+  net.start_runtime(4);
+  net::ShardRuntime* runtime = net.runtime.get();
+  ASSERT_EQ(runtime->shard_count(), 4U);
 
   constexpr std::size_t kFlows = 64;
-  const sim::SimTime t0 = bb.topo.base_scheduler().now();
-  const auto flows = run_ring_flows(bb, *runtime, sites, v, kFlows, probes,
-                                    sinks, t0 + sim::from_seconds(1.0));
+  const sim::SimTime t0 = net.bb.topo.base_scheduler().now();
+  const auto flows = net.ring_flows(kFlows, t0 + sim::from_seconds(1.0));
   runtime->run_until(t0 + sim::from_seconds(1.5));
 
   const std::uint64_t windows = runtime->windows();
@@ -568,14 +620,14 @@ TEST(ShardedFlowcache, HitRatePersistsAcrossEpochBoundaries) {
   runtime->finish();
 
   std::uint64_t delivered = 0;
-  for (auto& s : sinks) delivered += s->delivered();
+  for (auto& s : net.sinks) delivered += s->delivered();
   EXPECT_GT(delivered, 0U);
 
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
-  for (std::size_t i = 0; i < bb.topo.node_count(); ++i) {
+  for (std::size_t i = 0; i < net.bb.topo.node_count(); ++i) {
     if (auto* r = dynamic_cast<vpn::Router*>(
-            &bb.topo.node(static_cast<ip::NodeId>(i)))) {
+            &net.bb.topo.node(static_cast<ip::NodeId>(i)))) {
       hits += r->flowcache_stats().hits;
       misses += r->flowcache_stats().misses;
     }
@@ -598,6 +650,99 @@ TEST(ShardedFlowcache, HitRatePersistsAcrossEpochBoundaries) {
   EXPECT_GE(hit_rate, 0.98);
 }
 
+// --- One-lane runtime ------------------------------------------------------
+
+/// The Threads field of /proc/self/status; 0 where it is unavailable.
+std::uint64_t thread_count() {
+  std::ifstream f("/proc/self/status");
+  std::string line;
+  while (std::getline(f, line)) {
+    if (line.rfind("Threads:", 0) == 0) {
+      return std::strtoull(line.c_str() + 8, nullptr, 10);
+    }
+  }
+  return 0;
+}
+
+TEST(OneLaneRuntime, RunsInlineWithoutThreadsOrBinding) {
+  RingNetwork net;
+  net.start_runtime(1);
+  net::Topology& topo = net.bb.topo;
+  net::ShardRuntime& runtime = *net.runtime;
+  // Lane 0 is the topology itself; no sharded view is installed.
+  EXPECT_EQ(runtime.shard_count(), 1U);
+  EXPECT_EQ(&runtime.shard_scheduler(0), &topo.base_scheduler());
+  EXPECT_EQ(topo.shard_runtime(), nullptr);
+
+  const sim::SimTime t0 = topo.base_scheduler().now();
+  const auto flows = net.ring_flows(32, t0 + sim::from_seconds(0.2));
+
+  const std::uint64_t before = thread_count();
+  ASSERT_GT(before, 0U);
+  std::uint64_t during = 0;
+  runtime.add_periodic_action(t0 + sim::from_seconds(0.1),
+                              sim::from_seconds(1.0),
+                              [&during] { during = thread_count(); });
+  const std::uint64_t ev0 = runtime.executed_count();
+  runtime.run_until(t0 + sim::from_seconds(0.3));
+  EXPECT_EQ(during, before);
+  EXPECT_EQ(thread_count(), before);
+  EXPECT_EQ(topo.base_scheduler().now(), t0 + sim::from_seconds(0.3));
+  EXPECT_GT(runtime.executed_count(), ev0);
+  EXPECT_GT(net.sinks[0]->delivered(), 0U);
+  EXPECT_EQ(runtime.windows(), 0U);
+  EXPECT_EQ(runtime.handoffs(), 0U);
+}
+
+TEST(OneLaneRuntime, SnapshotActionStampsItsInstant) {
+  RingNetwork net;
+  net.start_runtime(1);
+  net::Topology& topo = net.bb.topo;
+  net::ShardRuntime& runtime = *net.runtime;
+  obs::MetricsRegistry registry;
+  registry.add_gauge("clock_ns", [&topo] {
+    return static_cast<double>(topo.base_scheduler().now());
+  });
+  obs::PeriodicSnapshots snapshots(registry);
+  const sim::SimTime t0 = topo.base_scheduler().now();
+  const sim::SimTime period = 100 * sim::kMillisecond;
+  runtime.add_periodic_action(
+      t0 + period, period,
+      [&snapshots](sim::SimTime at) { snapshots.capture(at); });
+  runtime.run_until(t0 + 3 * period);
+  ASSERT_EQ(snapshots.count(), 3U);
+
+  // Each snapshot is stamped with its instant T while the lane clock the
+  // gauge read still sat at T - 1.
+  std::ostringstream js;
+  snapshots.write_json(js);
+  const std::string json = js.str();
+  for (int i = 1; i <= 3; ++i) {
+    const sim::SimTime at = t0 + i * period;
+    std::ostringstream want;
+    want << "{\"t_s\":" << sim::to_seconds(at)
+         << ",\"metrics\":{\"clock_ns\":" << static_cast<double>(at - 1)
+         << "}}";
+    EXPECT_NE(json.find(want.str()), std::string::npos)
+        << want.str() << " in " << json;
+  }
+}
+
+TEST(OneLaneRuntime, RejectsZeroShardsAndIncompleteMaps) {
+  RingNetwork net;
+  net::Topology& topo = net.bb.topo;
+  const std::vector<std::uint32_t> full(topo.node_count(), 0);
+  EXPECT_THROW(net::ShardRuntime(topo, full, 0, 0), std::invalid_argument);
+  const std::vector<std::uint32_t> partial(topo.node_count() - 1, 0);
+  EXPECT_THROW(net::ShardRuntime(topo, partial, 1, 0),
+               std::invalid_argument);
+  std::vector<std::uint32_t> past = full;
+  past.back() = 1;
+  EXPECT_THROW(net::ShardRuntime(topo, past, 1, 0), std::invalid_argument);
+  // None of the failed constructions left a view behind.
+  EXPECT_EQ(topo.shard_runtime(), nullptr);
+}
+
 // --- Epoch profiler against the real engine -------------------------------
 
 TEST(ShardedDeterminism, ProfilerOnRunIsByteIdenticalAndEmitsReport) {
@@ -617,60 +762,40 @@ TEST(ShardedDeterminism, ProfilerOnRunIsByteIdenticalAndEmitsReport) {
   EXPECT_NE(profiled.sync_json.find("\"shards\":4"), std::string::npos)
       << profiled.sync_json;
   EXPECT_TRUE(plain.sync_json.empty());
+
+  // A serial profiled run reports one execution phase under the same JSON
+  // keys it always had.
+  const ScenarioOutputs serial =
+      run_scenario_with_shards(1, /*sync_profile=*/true);
+  ASSERT_TRUE(serial.ok);
+  EXPECT_NE(serial.sync_json.find("\"serial\":true"), std::string::npos)
+      << serial.sync_json;
+  // Every quoted token of the report is a key (its values are numbers).
+  std::string keys;
+  const std::string& js = serial.sync_json;
+  for (std::size_t open = js.find('"'); open != std::string::npos;) {
+    const std::size_t close = js.find('"', open + 1);
+    ASSERT_NE(close, std::string::npos) << js;
+    keys += (keys.empty() ? "" : " ") + js.substr(open + 1, close - open - 1);
+    open = js.find('"', close + 1);
+  }
+  std::string golden_keys = golden::read_text("sync_serial_keys.txt");
+  while (!golden_keys.empty() && golden_keys.back() == '\n') {
+    golden_keys.pop_back();
+  }
+  EXPECT_EQ(keys, golden_keys);
 }
 
 TEST(SyncProfiler, WorkerTimestampsMonotoneAndReportCoherent) {
-  backbone::MplsBackbone bb(bench_config());
-  const vpn::VpnId v = bb.service.create_vpn("T");
-  std::vector<backbone::MplsBackbone::Site> sites;
-  for (std::size_t i = 0; i < 16; ++i) {
-    sites.push_back(bb.add_site(
-        v, i,
-        ip::Prefix(ip::Ipv4Address(10, std::uint8_t(1 + i), 0, 0), 16)));
-  }
-  bb.start_and_converge();
-
-  backbone::ShardPlan plan = backbone::compute_shard_plan(bb.topo, 4);
-  ASSERT_TRUE(plan.parallel());
-  auto runtime = std::make_unique<net::ShardRuntime>(
-      bb.topo, std::move(plan.node_shard), plan.shard_count, plan.lookahead);
-
+  RingNetwork net;
+  net.start_runtime(4);
+  net::ShardRuntime* runtime = net.runtime.get();
+  ASSERT_EQ(runtime->shard_count(), 4U);
   obs::SyncProfiler prof(runtime->shard_count());
-  std::vector<std::vector<const vpn::Router*>> by_shard(
-      runtime->shard_count());
-  for (std::size_t i = 0; i < bb.topo.node_count(); ++i) {
-    const auto id = static_cast<ip::NodeId>(i);
-    if (auto* r = dynamic_cast<vpn::Router*>(&bb.topo.node(id))) {
-      by_shard[bb.topo.shard_of(id)].push_back(r);
-    }
-  }
-  prof.set_cache_sampler([&by_shard](std::uint32_t shard,
-                                     std::uint64_t& cache_hits,
-                                     std::uint64_t& cache_misses) {
-    for (const auto* r : by_shard[shard]) {
-      cache_hits += r->flowcache_stats().hits;
-      cache_misses += r->flowcache_stats().misses;
-    }
-  });
-  runtime->set_profiler(&prof);
+  backbone::attach_sync_profiler(*runtime, net.bb.topo, prof);
 
-  std::vector<std::unique_ptr<qos::SlaProbe>> probes;
-  std::vector<std::unique_ptr<traffic::MeasurementSink>> sinks;
-  for (std::uint32_t s = 0; s < runtime->shard_count(); ++s) {
-    probes.push_back(
-        std::make_unique<qos::SlaProbe>("lane" + std::to_string(s)));
-    sinks.push_back(std::make_unique<traffic::MeasurementSink>(
-        *probes[s], runtime->shard_scheduler(s)));
-  }
-  auto lane_of = [&](const backbone::MplsBackbone::Site& site) {
-    return bb.topo.shard_of(site.ce->id());
-  };
-  for (auto& site : sites) sinks[lane_of(site)]->bind(*site.ce);
-
-  constexpr std::size_t kFlows = 64;
-  const sim::SimTime t0 = bb.topo.base_scheduler().now();
-  const auto flows = run_ring_flows(bb, *runtime, sites, v, kFlows, probes,
-                                    sinks, t0 + sim::from_seconds(1.0));
+  const sim::SimTime t0 = net.bb.topo.base_scheduler().now();
+  const auto flows = net.ring_flows(64, t0 + sim::from_seconds(1.0));
   // Run past the source window so every in-flight packet drains back to its
   // pool before the runtime (which owns the per-shard pools) tears down.
   runtime->run_until(t0 + sim::from_seconds(1.5));

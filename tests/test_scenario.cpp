@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "backbone/scenario_config.hpp"
 #include "golden.hpp"
@@ -59,6 +63,18 @@ run for=2
   EXPECT_EQ(sc->vpn_count(), 2u);
   EXPECT_EQ(sc->site_count(), 3u);
   EXPECT_EQ(sc->flow_count(), 3u);
+}
+
+TEST(ScenarioParse, CoreQueueKindsAccepted) {
+  for (const char* q : {"fifo", "prio", "wfq:8,3,1", "wfq:0.5", "drr:4,2,1",
+                        "red", "red:10", "red:30,90,0.1", "red:0,1,1"}) {
+    const std::string text =
+        std::string("backbone p=1 pe=2 core_queue=") + q + "\nvpn v\n" +
+        "site v pe=0 prefix=10.1.0.0/16\n";
+    ScenarioError err;
+    EXPECT_TRUE(Scenario::parse(text, &err).has_value())
+        << q << ": " << err.message;
+  }
 }
 
 struct BadCase {
@@ -190,6 +206,62 @@ INSTANTIATE_TEST_SUITE_P(
                 "bad for="},
         BadCase{"topogen_rate_zero", "topology generated rate=0\n",
                 "bad topogen rate=0"},
+        // Link bandwidths feed transmission_time: zero or non-finite
+        // values used to abort the run with a time in the past.
+        BadCase{"core_bw_zero", "backbone p=1 pe=1 core_bw=0\n",
+                "bad core_bw="},
+        BadCase{"core_bw_negative", "backbone p=1 pe=1 core_bw=-1\n",
+                "bad core_bw="},
+        BadCase{"core_bw_nan", "backbone p=1 pe=1 core_bw=nan\n",
+                "bad core_bw="},
+        BadCase{"edge_bw_inf", "backbone p=1 pe=1 edge_bw=inf\n",
+                "bad edge_bw="},
+        BadCase{"topogen_core_bw_zero", "topology generated core_bw=0\n",
+                "bad topogen core_bw=0"},
+        BadCase{"topogen_core_bw_nan", "topology generated core_bw=nan\n",
+                "bad topogen core_bw=nan"},
+        BadCase{"topogen_edge_bw_negative",
+                "topology generated edge_bw=-1\n",
+                "bad topogen edge_bw=-1"},
+        BadCase{"topogen_edge_bw_inf", "topology generated edge_bw=inf\n",
+                "bad topogen edge_bw=inf"},
+        // core_queue= is checked at parse time, naming the key.
+        BadCase{"core_queue_unknown", "backbone p=1 pe=1 core_queue=bogus\n",
+                "bad core_queue=bogus"},
+        BadCase{"core_queue_prio_args", "backbone p=1 pe=1 core_queue=prio:3\n",
+                "bad core_queue=prio:3"},
+        BadCase{"core_queue_wfq_no_weights", "backbone p=1 pe=1 core_queue=wfq\n",
+                "bad core_queue=wfq"},
+        BadCase{"core_queue_wfq_zero",
+                "backbone p=1 pe=1 core_queue=wfq:8,0,1\n",
+                "bad core_queue=wfq:8,0,1"},
+        BadCase{"core_queue_wfq_garbage",
+                "backbone p=1 pe=1 core_queue=wfq:8,x,1\n",
+                "bad core_queue=wfq:8,x,1"},
+        BadCase{"core_queue_wfq_trailing_comma",
+                "backbone p=1 pe=1 core_queue=wfq:8,3,\n",
+                "bad core_queue=wfq:8,3,"},
+        BadCase{"core_queue_drr_negative_nan",
+                "backbone p=1 pe=1 core_queue=drr:-1,nan,1\n",
+                "bad core_queue=drr:-1,nan,1"},
+        BadCase{"core_queue_drr_fraction",
+                "backbone p=1 pe=1 core_queue=drr:1.5,1\n",
+                "bad core_queue=drr:1.5,1"},
+        BadCase{"core_queue_drr_too_big",
+                "backbone p=1 pe=1 core_queue=drr:4294967296\n",
+                "bad core_queue=drr:4294967296"},
+        BadCase{"core_queue_red_inverted",
+                "backbone p=1 pe=1 core_queue=red:90,30,0.1\n",
+                "bad core_queue=red:90,30,0.1"},
+        BadCase{"core_queue_red_maxp",
+                "backbone p=1 pe=1 core_queue=red:30,90,1.5\n",
+                "bad core_queue=red:30,90,1.5"},
+        BadCase{"core_queue_red_min_negative",
+                "backbone p=1 pe=1 core_queue=red:-1\n",
+                "bad core_queue=red:-1"},
+        BadCase{"core_queue_red_too_many",
+                "backbone p=1 pe=1 core_queue=red:1,2,0.5,4\n",
+                "bad core_queue=red:1,2,0.5,4"},
         // Unknown keys are named, whether typos or retired switches.
         BadCase{"typo_key",
                 "backbone p=1 pe=1\nvpn v\nsite v pe=0 prefix=10.0.0.0/8\n"
@@ -280,19 +352,79 @@ run for=3
   EXPECT_EQ(report.find("goodput 0.00", pos), std::string::npos) << report;
 }
 
+/// Both flow-record outputs of a run, under the temp dir.
+ObsOptions flow_record_obs(const std::string& key) {
+  const std::string base = ::testing::TempDir() + "/golden_flow_" + key;
+  ObsOptions obs;
+  obs.flow_records_path = base + ".jsonl";
+  obs.flow_records_bin_path = base + ".bin";
+  return obs;
+}
+
+/// The JSON-lines and binary record streams a run wrote, against golden
+/// rows `<key>_jsonl` and `<key>_bin` of streams.txt.
+void expect_golden_flow_records(const ObsOptions& obs, const std::string& key) {
+  const std::string jsonl = golden::slurp(obs.flow_records_path);
+  const std::string bin = golden::slurp(obs.flow_records_bin_path);
+  EXPECT_EQ(golden::stream_mismatch(key + "_jsonl", jsonl), "");
+  EXPECT_EQ(golden::stream_mismatch(key + "_bin", bin), "");
+}
+
+/// The report after the first line, which names the engine.
+std::string body(const std::string& report) {
+  return report.substr(report.find('\n'));
+}
+
 TEST(ScenarioRun, GeneratedTopologyMatchesGolden) {
   // A small generated ISP: every flow kind, premarked classes, per-flow
-  // start offsets. The report must match the recorded one byte for byte.
-  ScenarioError err;
-  auto sc = Scenario::parse(
-      "topology generated p=4 pe=8 ce=2 flows=256 seed=5\nrun for=0.5\n",
-      &err);
-  ASSERT_TRUE(sc.has_value()) << err.message;
-  std::ostringstream out;
-  EXPECT_TRUE(sc->run(out));
+  // start offsets. The report and the flow-record streams must match the
+  // recorded ones byte for byte, serially and on four shards.
   const std::string golden_text = golden::read_text("topogen_small.txt");
   ASSERT_FALSE(golden_text.empty());
-  EXPECT_EQ(out.str(), golden_text);
+  for (std::uint32_t shards : {1U, 4U}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ScenarioError err;
+    auto sc = Scenario::parse(
+        "topology generated p=4 pe=8 ce=2 flows=256 seed=5\nrun for=0.5\n",
+        &err);
+    ASSERT_TRUE(sc.has_value()) << err.message;
+    const std::string key = "topogen_small_s" + std::to_string(shards);
+    const ObsOptions obs = flow_record_obs(key);
+    sc->set_obs(obs);
+    sc->set_shards(shards);
+    std::ostringstream out;
+    EXPECT_TRUE(sc->run(out));
+    EXPECT_EQ(body(out.str()), body(golden_text));
+    if (shards == 1) {
+      EXPECT_EQ(out.str(), golden_text);
+    }
+    expect_golden_flow_records(obs, key);
+  }
+}
+
+TEST(ScenarioRun, RejectsSnapshotPeriodWithoutCaptureInstants) {
+  // A period that is non-finite or rounds below the 1 ns clock has no
+  // capture instants: one diagnostic line and `false`, at every shard
+  // count, before anything is built.
+  for (const double period : {1e-12, std::nan(""), 0.0, -1.0}) {
+    for (std::uint32_t shards : {1U, 2U}) {
+      SCOPED_TRACE("period=" + std::to_string(period) +
+                   " shards=" + std::to_string(shards));
+      ScenarioError err;
+      auto sc = Scenario::parse(kMinimal, &err);
+      ASSERT_TRUE(sc.has_value()) << err.message;
+      ObsOptions obs;
+      obs.metrics_json_path = ::testing::TempDir() + "/bad_period.json";
+      obs.snapshot_period_s = period;
+      sc->set_obs(obs);
+      sc->set_shards(shards);
+      std::ostringstream out;
+      EXPECT_FALSE(sc->run(out));
+      const std::string text = out.str();
+      EXPECT_EQ(text.rfind("bad snapshot period", 0), 0U) << text;
+      EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 1) << text;
+    }
+  }
 }
 
 TEST(ScenarioRun, MixedTcpRunAccountsPlainFlows) {
@@ -333,16 +465,19 @@ TEST(ScenarioFile, ShippedDemoSceneMatchesGoldenSerialAndSharded) {
   const std::string golden_text = golden::read_text("branch_office.txt");
   ASSERT_FALSE(golden_text.empty());
   std::ostringstream serial;
-  EXPECT_EQ(run_scenario_file(path, serial), 0) << serial.str();
+  const ObsOptions serial_obs = flow_record_obs("branch_office_s1");
+  EXPECT_EQ(run_scenario_file(path, serial, serial_obs), 0) << serial.str();
   EXPECT_EQ(serial.str(), golden_text);
+  expect_golden_flow_records(serial_obs, "branch_office_s1");
   // Four shards requested (the planner uses three on this backbone): the
   // first line adds engine figures; the SLA table and the delivery line
-  // after it must not move.
+  // after it must not move, nor must the flow records.
   std::ostringstream sharded;
-  EXPECT_EQ(run_scenario_file(path, sharded, ObsOptions{}, 4), 0);
-  const auto body = [](const std::string& s) { return s.substr(s.find('\n')); };
+  const ObsOptions sharded_obs = flow_record_obs("branch_office_s4");
+  EXPECT_EQ(run_scenario_file(path, sharded, sharded_obs, 4), 0);
   EXPECT_EQ(body(sharded.str()), body(golden_text));
   EXPECT_NE(sharded.str().find(" shards (lookahead"), std::string::npos);
+  expect_golden_flow_records(sharded_obs, "branch_office_s4");
 }
 
 }  // namespace

@@ -15,8 +15,7 @@
 //    fresh network built at the final costs and converged cold.
 //
 // Pass `--json FILE` for the machine-readable summary run_benchmarks.sh
-// guards on; `--cold-boot-only` runs just the 10^5-route cold boot (the
-// ASan smoke configuration).
+// guards on.
 
 #include <chrono>
 #include <cstdint>
@@ -349,29 +348,10 @@ void json_bool(std::ofstream& o, bool b) { o << (b ? "true" : "false"); }
 
 int main(int argc, char** argv) {
   std::string json_path;
-  bool cold_boot_only = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--cold-boot-only") == 0) {
-      cold_boot_only = true;
     }
-  }
-
-  if (cold_boot_only) {
-    // ASan smoke: the 10^5-route cold boot alone, small fabric.
-    const ColdBootRun big = cold_boot(4, 1, 25000);
-    std::printf(
-        "cold boot (4 PE + 1 RR, 100000 routes): %.2fs, "
-        "%llu msgs, %zu routes/speaker, %.1f adj-rib B/route\n",
-        big.wall_s, static_cast<unsigned long long>(big.messages),
-        big.routes_per_speaker,
-        big.rib_routes ? double(big.rib_bytes) / double(big.rib_routes) : 0.0);
-    if (big.routes_per_speaker != 100000) {
-      std::fprintf(stderr, "cold boot failed to converge\n");
-      return 1;
-    }
-    return 0;
   }
 
   std::printf(

@@ -1,28 +1,87 @@
 #include "mpls/ldp.hpp"
 
+#include <algorithm>
+
 namespace mvpn::mpls {
+
+namespace {
+
+/// The label `nb` advertised in `lib`, if any.
+const std::uint32_t* remote_label(
+    const std::vector<std::pair<ip::NodeId, std::uint32_t>>& lib,
+    ip::NodeId nb) {
+  for (const auto& [from, label] : lib) {
+    if (from == nb) return &label;
+  }
+  return nullptr;
+}
+
+}  // namespace
 
 Ldp::Ldp(routing::ControlPlane& cp, routing::Igp& igp, MplsDomain& domain)
     : cp_(cp), igp_(igp), domain_(domain) {
   igp_.on_spf([this](ip::NodeId router) { on_spf(router); });
 }
 
-void Ldp::enable_router(ip::NodeId router) { enabled_[router] = true; }
+void Ldp::enable_router(ip::NodeId router) {
+  if (router >= enabled_.size()) enabled_.resize(router + 1, false);
+  enabled_[router] = true;
+}
 
 std::vector<ip::NodeId> Ldp::ldp_neighbors(ip::NodeId router) const {
   std::vector<ip::NodeId> out;
   for (const net::Adjacency& adj : cp_.topology().adjacencies(router)) {
-    auto it = enabled_.find(adj.neighbor);
-    if (it != enabled_.end() && it->second) out.push_back(adj.neighbor);
+    if (enabled(adj.neighbor)) out.push_back(adj.neighbor);
   }
   return out;
 }
 
+std::vector<Ldp::FecId>::const_iterator Ldp::lower_bound(
+    const ip::Prefix& fec) const {
+  return std::lower_bound(
+      by_prefix_.begin(), by_prefix_.end(), fec,
+      [this](FecId id, const ip::Prefix& p) { return fecs_[id] < p; });
+}
+
+Ldp::FecId Ldp::intern(const ip::Prefix& fec) {
+  const auto it = lower_bound(fec);
+  if (it != by_prefix_.end() && fecs_[*it] == fec) return *it;
+  const auto id = static_cast<FecId>(fecs_.size());
+  fecs_.push_back(fec);
+  announced_.push_back(false);
+  by_prefix_.insert(it, id);
+  return id;
+}
+
+std::optional<Ldp::FecId> Ldp::fec_id(const ip::Prefix& fec) const {
+  const auto it = lower_bound(fec);
+  if (it == by_prefix_.end() || fecs_[*it] != fec) return std::nullopt;
+  return *it;
+}
+
+Ldp::FecState& Ldp::fec_state(ip::NodeId router, FecId id) {
+  if (router >= lib_.size()) lib_.resize(router + 1);
+  std::vector<FecState>& row = lib_[router];
+  if (id >= row.size()) row.resize(fecs_.size());
+  return row[id];
+}
+
+const Ldp::FecState* Ldp::known(ip::NodeId router, FecId id) const {
+  if (router >= lib_.size() || id >= lib_[router].size()) return nullptr;
+  const FecState& st = lib_[router][id];
+  return st.owner == ip::kInvalidNode ? nullptr : &st;
+}
+
+std::size_t Ldp::fec_count() const {
+  return static_cast<std::size_t>(
+      std::count(announced_.begin(), announced_.end(), true));
+}
+
 void Ldp::announce_egress(ip::NodeId egress, const ip::Prefix& fec) {
   ++generation_;
-  owners_[fec] = egress;
-  FecState& st = state_[egress][fec];
-  st.owner = egress;
+  const FecId id = intern(fec);
+  announced_[id] = true;
+  fec_state(egress, id).owner = egress;
   obs::FlightRecorder& rec = cp_.topology().recorder();
   if (rec.enabled(obs::Category::kSignaling)) {
     // Anchors the span analysis: mapping latency is measured from this
@@ -33,38 +92,41 @@ void Ldp::announce_egress(ip::NodeId egress, const ip::Prefix& fec) {
                 .type = obs::EventType::kLdpAnnounce});
   }
   // Egress requests PHP: advertise implicit-null.
-  advertise(egress, fec, egress, net::kImplicitNullLabel);
+  advertise(egress, id, egress, net::kImplicitNullLabel);
 }
 
-void Ldp::advertise(ip::NodeId router, const ip::Prefix& fec,
-                    ip::NodeId owner, std::uint32_t label) {
+void Ldp::advertise(ip::NodeId router, FecId id, ip::NodeId owner,
+                    std::uint32_t label) {
   for (ip::NodeId nb : ldp_neighbors(router)) {
     cp_.send_adjacent(router, nb, "ldp.mapping", 30,
-                      [this, nb, router, fec, owner, label] {
-                        receive_mapping(nb, router, fec, owner, label);
+                      [this, nb, router, id, owner, label] {
+                        receive_mapping(nb, router, id, owner, label);
                       });
   }
 }
 
-void Ldp::learn_fec(ip::NodeId router, const ip::Prefix& fec,
-                    ip::NodeId owner) {
-  FecState& st = state_[router][fec];
+void Ldp::learn_fec(ip::NodeId router, FecId id, ip::NodeId owner) {
+  FecState& st = fec_state(router, id);
   if (st.owner != ip::kInvalidNode) return;  // already known
   st.owner = owner;
   if (router == owner) return;
   // Independent control: allocate and advertise immediately.
   st.local_label = domain_.state_of(router).allocator.allocate();
-  advertise(router, fec, owner, *st.local_label);
+  advertise(router, id, owner, *st.local_label);
 }
 
-void Ldp::receive_mapping(ip::NodeId at, ip::NodeId from,
-                          const ip::Prefix& fec, ip::NodeId owner,
-                          std::uint32_t label) {
-  auto en = enabled_.find(at);
-  if (en == enabled_.end() || !en->second) return;
-  learn_fec(at, fec, owner);
-  FecState& st = state_[at][fec];
-  st.remote_labels[from] = label;  // liberal retention
+void Ldp::receive_mapping(ip::NodeId at, ip::NodeId from, FecId id,
+                          ip::NodeId owner, std::uint32_t label) {
+  if (!enabled(at)) return;
+  learn_fec(at, id, owner);
+  auto& lib = fec_state(at, id).remote_labels;
+  const auto it = std::find_if(lib.begin(), lib.end(),
+                               [from](const auto& m) { return m.first == from; });
+  if (it == lib.end()) {
+    lib.emplace_back(from, label);
+  } else {
+    it->second = label;  // liberal retention: newest mapping wins
+  }
   ++generation_;
   obs::FlightRecorder& rec = cp_.topology().recorder();
   if (rec.enabled(obs::Category::kSignaling)) {
@@ -74,11 +136,11 @@ void Ldp::receive_mapping(ip::NodeId at, ip::NodeId from,
                 .type = obs::EventType::kLdpMapping,
                 .aux = static_cast<std::uint8_t>(from & 0xFF)});
   }
-  refresh_lfib(at, fec);
+  refresh_lfib(at, id);
 }
 
-void Ldp::refresh_lfib(ip::NodeId router, const ip::Prefix& fec) {
-  FecState& st = state_[router][fec];
+void Ldp::refresh_lfib(ip::NodeId router, FecId id) {
+  const FecState& st = lib_[router][id];
   if (router == st.owner || !st.local_label) return;
   Lfib& lfib = domain_.state_of(router).lfib;
 
@@ -87,8 +149,8 @@ void Ldp::refresh_lfib(ip::NodeId router, const ip::Prefix& fec) {
     lfib.remove(*st.local_label);
     return;
   }
-  auto remote = st.remote_labels.find(nh->via);
-  if (remote == st.remote_labels.end()) {
+  const std::uint32_t* remote = remote_label(st.remote_labels, nh->via);
+  if (remote == nullptr) {
     // Next hop has not given us a label yet; entry stays absent until the
     // mapping arrives (liberal retention will then satisfy it instantly).
     lfib.remove(*st.local_label);
@@ -99,12 +161,12 @@ void Ldp::refresh_lfib(ip::NodeId router, const ip::Prefix& fec) {
   entry.in_label = *st.local_label;
   entry.next_hop = nh->via;
   entry.out_iface = nh->iface;
-  entry.fec = fec;
-  if (remote->second == net::kImplicitNullLabel) {
+  entry.fec = fecs_[id];
+  if (*remote == net::kImplicitNullLabel) {
     entry.op = LabelOp::kPop;  // penultimate hop: pop and forward
   } else {
     entry.op = LabelOp::kSwap;
-    entry.out_label = remote->second;
+    entry.out_label = *remote;
   }
   lfib.install(entry);
 }
@@ -113,53 +175,53 @@ void Ldp::on_spf(ip::NodeId router) {
   // The IGP next hop feeds both the LFIB entries refreshed here and every
   // ftn() answer, so any SPF invalidates cached FTN resolutions.
   ++generation_;
-  auto it = state_.find(router);
-  if (it == state_.end()) return;
-  for (auto& [fec, st] : it->second) refresh_lfib(router, fec);
+  for (FecId id : by_prefix_) {
+    if (known(router, id) != nullptr) refresh_lfib(router, id);
+  }
 }
 
 void Ldp::withdraw_fec(const ip::Prefix& fec) {
   ++generation_;
-  for (auto& [router, fecs] : state_) {
-    auto fit = fecs.find(fec);
-    if (fit == fecs.end()) continue;
-    if (fit->second.local_label) {
-      domain_.state_of(router).lfib.remove(*fit->second.local_label);
+  const std::optional<FecId> id = fec_id(fec);
+  if (!id) return;
+  for (ip::NodeId router = 0; router < lib_.size(); ++router) {
+    const FecState* st = known(router, *id);
+    if (st == nullptr) continue;
+    if (st->local_label) {
+      domain_.state_of(router).lfib.remove(*st->local_label);
     }
-    fecs.erase(fit);
+    lib_[router][*id] = FecState{};
   }
-  owners_.erase(fec);
+  announced_[*id] = false;
 }
 
 std::optional<Ldp::Ftn> Ldp::ftn(ip::NodeId router,
                                  const ip::Prefix& fec) const {
-  auto rit = state_.find(router);
-  if (rit == state_.end()) return std::nullopt;
-  auto fit = rit->second.find(fec);
-  if (fit == rit->second.end()) return std::nullopt;
-  const FecState& st = fit->second;
+  const std::optional<FecId> id = fec_id(fec);
+  if (!id) return std::nullopt;
+  const FecState* st = known(router, *id);
+  if (st == nullptr) return std::nullopt;
 
-  const routing::Igp::NextHopEntry* nh = igp_.next_hop(router, st.owner);
+  const routing::Igp::NextHopEntry* nh = igp_.next_hop(router, st->owner);
   if (nh == nullptr) return std::nullopt;
-  auto remote = st.remote_labels.find(nh->via);
-  if (remote == st.remote_labels.end()) return std::nullopt;
+  const std::uint32_t* remote = remote_label(st->remote_labels, nh->via);
+  if (remote == nullptr) return std::nullopt;
 
   Ftn f;
   f.next_hop = nh->via;
   f.out_iface = nh->iface;
-  if (remote->second == net::kImplicitNullLabel) {
+  if (*remote == net::kImplicitNullLabel) {
     f.implicit_null = true;
   } else {
-    f.out_label = remote->second;
+    f.out_label = *remote;
   }
   return f;
 }
 
 std::size_t Ldp::bindings_at(ip::NodeId router) const {
-  auto rit = state_.find(router);
-  if (rit == state_.end()) return 0;
+  if (router >= lib_.size()) return 0;
   std::size_t n = 0;
-  for (const auto& [fec, st] : rit->second) n += st.remote_labels.size();
+  for (const FecState& st : lib_[router]) n += st.remote_labels.size();
   return n;
 }
 

@@ -1,7 +1,8 @@
 #pragma once
 
-#include <map>
+#include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "mpls/domain.hpp"
@@ -53,9 +54,8 @@ class Ldp {
 
   /// Label bindings (LIB size) held at `router` — a state metric for E1.
   [[nodiscard]] std::size_t bindings_at(ip::NodeId router) const;
-  [[nodiscard]] std::size_t fec_count() const noexcept {
-    return owners_.size();
-  }
+  /// FECs announced and not withdrawn.
+  [[nodiscard]] std::size_t fec_count() const;
 
   /// Bumped on every mapping / withdraw / SPF re-point; flow caches
   /// validate cached FTN resolutions against it.
@@ -64,18 +64,39 @@ class Ldp {
   }
 
  private:
+  /// Dense id of an interned FEC prefix (INTERNALS.md §15).
+  using FecId = std::uint32_t;
+
+  /// One FEC at one router. `owner` is kInvalidNode until the router
+  /// learns the FEC (and again after a withdraw).
   struct FecState {
     ip::NodeId owner = ip::kInvalidNode;
     std::optional<std::uint32_t> local_label;  // none at the egress (PHP)
-    std::map<ip::NodeId, std::uint32_t> remote_labels;  // LIB, per neighbor
+    /// LIB: the label each neighbor advertised (liberal retention).
+    std::vector<std::pair<ip::NodeId, std::uint32_t>> remote_labels;
   };
 
-  void learn_fec(ip::NodeId router, const ip::Prefix& fec, ip::NodeId owner);
-  void advertise(ip::NodeId router, const ip::Prefix& fec, ip::NodeId owner,
+  /// First entry of `by_prefix_` whose prefix is not below `fec`.
+  [[nodiscard]] std::vector<FecId>::const_iterator lower_bound(
+      const ip::Prefix& fec) const;
+  /// Id of `fec`, interning it on first sight.
+  FecId intern(const ip::Prefix& fec);
+  /// Id of `fec`, or nullopt when it was never announced.
+  [[nodiscard]] std::optional<FecId> fec_id(const ip::Prefix& fec) const;
+  /// `router`'s row entry for `id`, growing the row to every interned FEC.
+  FecState& fec_state(ip::NodeId router, FecId id);
+  /// `router`'s entry for `id` when it knows the FEC, else nullptr.
+  [[nodiscard]] const FecState* known(ip::NodeId router, FecId id) const;
+  [[nodiscard]] bool enabled(ip::NodeId router) const {
+    return router < enabled_.size() && enabled_[router];
+  }
+
+  void learn_fec(ip::NodeId router, FecId id, ip::NodeId owner);
+  void advertise(ip::NodeId router, FecId id, ip::NodeId owner,
                  std::uint32_t label);
-  void receive_mapping(ip::NodeId at, ip::NodeId from, const ip::Prefix& fec,
+  void receive_mapping(ip::NodeId at, ip::NodeId from, FecId id,
                        ip::NodeId owner, std::uint32_t label);
-  void refresh_lfib(ip::NodeId router, const ip::Prefix& fec);
+  void refresh_lfib(ip::NodeId router, FecId id);
   void on_spf(ip::NodeId router);
 
   [[nodiscard]] std::vector<ip::NodeId> ldp_neighbors(ip::NodeId router) const;
@@ -83,9 +104,11 @@ class Ldp {
   routing::ControlPlane& cp_;
   routing::Igp& igp_;
   MplsDomain& domain_;
-  std::map<ip::NodeId, bool> enabled_;
-  std::map<ip::NodeId, std::map<ip::Prefix, FecState>> state_;
-  std::map<ip::Prefix, ip::NodeId> owners_;
+  std::vector<bool> enabled_;                 ///< by node id
+  std::vector<ip::Prefix> fecs_;              ///< by FEC id
+  std::vector<FecId> by_prefix_;              ///< FEC ids in prefix order
+  std::vector<bool> announced_;               ///< by FEC id
+  std::vector<std::vector<FecState>> lib_;    ///< [router][FEC id]
   std::uint64_t generation_ = 1;
 };
 

@@ -1,9 +1,7 @@
 #include "routing/igp.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <queue>
-#include <set>
 #include <stdexcept>
 
 namespace mvpn::routing {
@@ -22,46 +20,50 @@ struct Candidate {
 using CandidateQueue =
     std::priority_queue<Candidate, std::vector<Candidate>, std::greater<>>;
 
+/// Add `n` to the ascending id set `set` (no-op when present).
+void insert_sorted(std::vector<ip::NodeId>& set, ip::NodeId n) {
+  const auto it = std::lower_bound(set.begin(), set.end(), n);
+  if (it == set.end() || *it != n) set.insert(it, n);
+}
+
 }  // namespace
 
 Igp::Igp(ControlPlane& cp) : cp_(cp) {}
 
 void Igp::add_router(ip::NodeId router) {
+  if (router >= routers_.size()) routers_.resize(router + 1);
   if (routers_[router].active) return;
   routers_[router].active = true;
   members_.push_back(router);
 }
 
 bool Igp::is_member(ip::NodeId router) const {
-  auto it = routers_.find(router);
-  return it != routers_.end() && it->second.active;
+  return router < routers_.size() && routers_[router].active;
 }
 
 Igp::RouterState& Igp::state(ip::NodeId router) {
-  auto it = routers_.find(router);
-  if (it == routers_.end() || !it->second.active) {
+  if (!is_member(router)) {
     throw std::invalid_argument("Igp: node is not a member router");
   }
-  return it->second;
+  return routers_[router];
 }
 
 const Igp::RouterState& Igp::state(ip::NodeId router) const {
-  auto it = routers_.find(router);
-  if (it == routers_.end() || !it->second.active) {
+  if (!is_member(router)) {
     throw std::invalid_argument("Igp: node is not a member router");
   }
-  return it->second;
+  return routers_[router];
 }
 
 void Igp::start() {
   for (ip::NodeId r : members_) originate_and_flood(r);
 }
 
-Lsa Igp::build_lsa(ip::NodeId router) {
+std::shared_ptr<const Lsa> Igp::build_lsa(ip::NodeId router) {
   RouterState& st = state(router);
-  Lsa lsa;
-  lsa.origin = router;
-  lsa.sequence = ++st.lsa_seq;
+  auto lsa = std::make_shared<Lsa>();
+  lsa->origin = router;
+  lsa->sequence = ++st.lsa_seq;
   for (const net::Adjacency& adj : cp_.topology().adjacencies(router)) {
     if (!is_member(adj.neighbor)) continue;  // IGP covers provider core only
     const net::Link& link = cp_.topology().link(adj.link);
@@ -71,20 +73,18 @@ Lsa Igp::build_lsa(ip::NodeId router) {
     l.cost = link.config().igp_cost;
     l.capacity_bps = link.config().bandwidth_bps;
     l.reservable_bps = te_reservable(router, adj.link);
-    lsa.links.push_back(l);
+    lsa->links.push_back(l);
   }
   return lsa;
 }
 
-bool Igp::install_classified(RouterState& st, const Lsa& lsa,
+bool Igp::install_classified(RouterState& st,
+                             const std::shared_ptr<const Lsa>& lsa,
                              bool* spf_needed) {
-  const Lsa* prev = st.lsdb.find(lsa.origin);
-  const bool had_prev = prev != nullptr;
-  std::vector<LsaLink> old_links;
-  if (had_prev) old_links = prev->links;
-  if (!st.lsdb.install(lsa)) return false;  // not newer
+  std::shared_ptr<const Lsa> prev;
+  if (!st.lsdb.install(lsa, &prev)) return false;  // not newer
 
-  if (!had_prev) {
+  if (prev == nullptr) {
     // First copy of this origin: no diff base — next run rebuilds fully.
     st.dirty_full = true;
     *spf_needed = true;
@@ -94,34 +94,45 @@ bool Igp::install_classified(RouterState& st, const Lsa& lsa,
   // Diff adjacency sets keyed by (neighbor, link). Cost changes and
   // edge add/removals dirty the graph; pure TE attribute refreshes
   // (reservable/capacity) do not alter shortest paths and skip SPF
-  // scheduling entirely.
-  bool topo_change = false;
-  std::map<std::pair<ip::NodeId, net::LinkId>, std::uint32_t> old_cost;
-  for (const LsaLink& l : old_links) old_cost[{l.neighbor, l.link}] = l.cost;
-  for (const LsaLink& l : lsa.links) {
-    auto it = old_cost.find({l.neighbor, l.link});
-    if (it == old_cost.end()) {
-      st.dirty.push_back({lsa.origin, l.neighbor, kInfCost, l.cost});
-      topo_change = true;
-    } else {
-      if (it->second != l.cost) {
-        st.dirty.push_back({lsa.origin, l.neighbor, it->second, l.cost});
-        topo_change = true;
-      }
-      old_cost.erase(it);
+  // scheduling entirely. Both lists are short and built in interface
+  // order, so each new link is matched against the old list directly,
+  // trying its own position first.
+  const std::vector<LsaLink>& old_links = prev->links;
+  std::vector<bool> matched(old_links.size(), false);
+  const std::size_t dirty_before = st.dirty.size();
+  for (std::size_t i = 0; i < lsa->links.size(); ++i) {
+    const LsaLink& l = lsa->links[i];
+    auto same = [&](std::size_t j) {
+      return !matched[j] && old_links[j].neighbor == l.neighbor &&
+             old_links[j].link == l.link;
+    };
+    std::size_t j = i;
+    if (j >= old_links.size() || !same(j)) {
+      j = 0;
+      while (j < old_links.size() && !same(j)) ++j;
+    }
+    if (j == old_links.size()) {
+      st.dirty.push_back({lsa->origin, l.neighbor, kInfCost, l.cost});
+      continue;
+    }
+    matched[j] = true;
+    if (old_links[j].cost != l.cost) {
+      st.dirty.push_back({lsa->origin, l.neighbor, old_links[j].cost, l.cost});
     }
   }
-  for (const auto& [nl, cost] : old_cost) {
-    st.dirty.push_back({lsa.origin, nl.first, cost, kInfCost});
-    topo_change = true;
+  for (std::size_t j = 0; j < old_links.size(); ++j) {
+    if (matched[j]) continue;
+    st.dirty.push_back(
+        {lsa->origin, old_links[j].neighbor, old_links[j].cost, kInfCost});
   }
+  const bool topo_change = st.dirty.size() != dirty_before;
   if (!topo_change) ++te_only_installs_;
   *spf_needed = topo_change;
   return true;
 }
 
 void Igp::originate_and_flood(ip::NodeId router) {
-  const Lsa lsa = build_lsa(router);
+  const std::shared_ptr<const Lsa> lsa = build_lsa(router);
   RouterState& st = state(router);
   bool spf_needed = false;
   if (!install_classified(st, lsa, &spf_needed)) return;
@@ -129,19 +140,18 @@ void Igp::originate_and_flood(ip::NodeId router) {
   flood(router, lsa, ip::kInvalidNode);
 }
 
-void Igp::flood(ip::NodeId at, const Lsa& lsa, ip::NodeId except) {
+void Igp::flood(ip::NodeId at, const std::shared_ptr<const Lsa>& lsa,
+                ip::NodeId except) {
   for (const net::Adjacency& adj : cp_.topology().adjacencies(at)) {
     if (adj.neighbor == except || !is_member(adj.neighbor)) continue;
     const ip::NodeId to = adj.neighbor;
-    Lsa copy = lsa;
-    cp_.send_adjacent(at, to, "igp.lsa", lsa.wire_bytes(),
-                      [this, to, copy = std::move(copy), at] {
-                        receive_lsa(to, copy, at);
-                      });
+    cp_.send_adjacent(at, to, "igp.lsa", lsa->wire_bytes(),
+                      [this, to, lsa, at] { receive_lsa(to, lsa, at); });
   }
 }
 
-void Igp::receive_lsa(ip::NodeId at, Lsa lsa, ip::NodeId from) {
+void Igp::receive_lsa(ip::NodeId at, const std::shared_ptr<const Lsa>& lsa,
+                      ip::NodeId from) {
   RouterState& st = state(at);
   bool spf_needed = false;
   if (!install_classified(st, lsa, &spf_needed)) return;  // stop the flood
@@ -159,15 +169,15 @@ void Igp::schedule_spf(ip::NodeId router) {
 
 void Igp::classify_dirty(const RouterState& st,
                          const std::vector<DirtyEdge>& dirty,
-                         std::set<ip::NodeId>* seeds,
+                         std::vector<ip::NodeId>* seeds,
                          bool* increase_affected) const {
   auto dist = [&](ip::NodeId n) {
-    auto it = st.best.find(n);
-    return it == st.best.end() ? kInfCost : it->second;
+    return n < st.best.size() ? st.best[n] : kInfCost;
   };
   auto is_parent = [&](ip::NodeId child, ip::NodeId parent) {
-    auto it = st.parents.find(child);
-    return it != st.parents.end() && it->second.count(parent) > 0;
+    if (child >= st.parents.size()) return false;
+    const std::vector<ip::NodeId>& ps = st.parents[child];
+    return std::binary_search(ps.begin(), ps.end(), parent);
   };
   constexpr std::uint64_t kInf64 = ~std::uint64_t{0};
   for (const DirtyEdge& e : dirty) {
@@ -188,8 +198,8 @@ void Igp::classify_dirty(const RouterState& st,
       // <= (not <) so a new equal-cost parent still triggers a run — ECMP
       // sets are part of the solution.
       if (via_u <= dv || via_v <= du) {
-        if (du != kInfCost) seeds->insert(e.u);
-        if (dv != kInfCost) seeds->insert(e.v);
+        if (du != kInfCost) insert_sorted(*seeds, e.u);
+        if (dv != kInfCost) insert_sorted(*seeds, e.v);
       }
     } else {
       // Increase or removal: affects paths only when the edge lies on the
@@ -210,133 +220,121 @@ void Igp::classify_dirty(const RouterState& st,
   }
 }
 
+void Igp::dijkstra(RouterState& st, const std::vector<ip::NodeId>& seeds,
+                   bool complete_parents) {
+  auto& best = st.best;
+  auto& parents = st.parents;
+  CandidateQueue pq;
+  for (ip::NodeId s : seeds) pq.push(Candidate{best[s], s});
+
+  while (!pq.empty()) {
+    const Candidate c = pq.top();
+    pq.pop();
+    if (c.cost > best[c.node]) continue;  // stale
+    const Lsa* lsa = st.lsdb.find(c.node);
+    if (lsa == nullptr) continue;
+    for (const LsaLink& l : lsa->links) {
+      // Two-way connectivity check: the neighbor must advertise the link.
+      const Lsa* back = st.lsdb.find(l.neighbor);
+      if (back == nullptr) continue;
+      const bool two_way =
+          std::any_of(back->links.begin(), back->links.end(),
+                      [&](const LsaLink& bl) { return bl.link == l.link; });
+      if (!two_way) continue;
+      ++edges_relaxed_;
+      const std::uint32_t ncost = c.cost + l.cost;
+      std::uint32_t& nb = best[l.neighbor];
+      if (ncost < nb) {
+        nb = ncost;
+        parents[l.neighbor].assign(1, c.node);
+        pq.push(Candidate{ncost, l.neighbor});
+        continue;
+      }
+      if (ncost == nb) {
+        insert_sorted(parents[l.neighbor], c.node);  // equal-cost alternate
+      }
+      // Reverse-parent completion: when this pop improved c.node, a
+      // settled unchanged neighbor that is now an equal-cost predecessor
+      // would never forward-relax into us — pick it up here. Any such
+      // neighbor's distance (c.cost - l.cost < c.cost) is final by the
+      // nondecreasing-pop invariant, so the equality test is exact.
+      if (complete_parents && l.cost > 0 && nb + l.cost == c.cost) {
+        insert_sorted(parents[c.node], l.neighbor);
+      }
+    }
+  }
+}
+
 void Igp::full_spf_run(ip::NodeId router, RouterState& st) {
   // Single-source Dijkstra over the router's LSDB with multi-parent
   // bookkeeping: every equal-cost predecessor is retained so the ECMP
   // first-hop set can be derived afterwards.
-  std::map<ip::NodeId, std::uint32_t> best;
-  std::map<ip::NodeId, std::set<ip::NodeId>> parents;
-  CandidateQueue pq;
-  pq.push(Candidate{0, router});
-  best[router] = 0;
-
-  while (!pq.empty()) {
-    const Candidate c = pq.top();
-    pq.pop();
-    const auto cur = best.find(c.node);
-    if (cur == best.end() || c.cost > cur->second) continue;  // stale
-    const Lsa* lsa = st.lsdb.find(c.node);
-    if (lsa == nullptr) continue;
-    for (const LsaLink& l : lsa->links) {
-      const Lsa* back = st.lsdb.find(l.neighbor);
-      if (back == nullptr) continue;
-      const bool two_way =
-          std::any_of(back->links.begin(), back->links.end(),
-                      [&](const LsaLink& bl) { return bl.link == l.link; });
-      if (!two_way) continue;
-      ++edges_relaxed_;
-      const std::uint32_t ncost = c.cost + l.cost;
-      auto it = best.find(l.neighbor);
-      if (it == best.end() || ncost < it->second) {
-        best[l.neighbor] = ncost;
-        parents[l.neighbor] = {c.node};
-        pq.push(Candidate{ncost, l.neighbor});
-      } else if (ncost == it->second) {
-        parents[l.neighbor].insert(c.node);  // equal-cost alternate
-      }
-    }
-  }
-  st.best = std::move(best);
-  st.parents = std::move(parents);
+  st.best.assign(routers_.size(), kInfCost);
+  st.parents.resize(routers_.size());
+  for (std::vector<ip::NodeId>& ps : st.parents) ps.clear();
+  st.best[router] = 0;
+  dijkstra(st, {router}, /*complete_parents=*/false);
 }
 
 void Igp::incremental_spf_run(RouterState& st,
-                              const std::set<ip::NodeId>& seeds) {
+                              const std::vector<ip::NodeId>& seeds) {
   // Seeded re-relaxation: every path changed by a decrease-only dirty set
   // crosses one of the changed edges, so pushing the (still finitely
   // distanced) endpoints re-explores exactly the affected cone. Distances
   // only decrease; pops settle in nondecreasing cost order, which is what
-  // makes the reverse-parent completion below sound (INTERNALS.md §15).
-  auto& best = st.best;
-  auto& parents = st.parents;
-  CandidateQueue pq;
-  for (ip::NodeId s : seeds) pq.push(Candidate{best.at(s), s});
-
-  while (!pq.empty()) {
-    const Candidate c = pq.top();
-    pq.pop();
-    const auto cur = best.find(c.node);
-    if (cur == best.end() || c.cost > cur->second) continue;  // stale
-    const Lsa* lsa = st.lsdb.find(c.node);
-    if (lsa == nullptr) continue;
-    for (const LsaLink& l : lsa->links) {
-      const Lsa* back = st.lsdb.find(l.neighbor);
-      if (back == nullptr) continue;
-      const bool two_way =
-          std::any_of(back->links.begin(), back->links.end(),
-                      [&](const LsaLink& bl) { return bl.link == l.link; });
-      if (!two_way) continue;
-      ++edges_relaxed_;
-      const std::uint32_t ncost = c.cost + l.cost;
-      auto it = best.find(l.neighbor);
-      if (it == best.end() || ncost < it->second) {
-        best[l.neighbor] = ncost;
-        parents[l.neighbor] = {c.node};
-        pq.push(Candidate{ncost, l.neighbor});
-      } else {
-        if (ncost == it->second) {
-          parents[l.neighbor].insert(c.node);  // equal-cost alternate
-        }
-        // Reverse-parent completion: when this pop improved c.node, a
-        // settled unchanged neighbor that is now an equal-cost predecessor
-        // would never forward-relax into us — pick it up here. Any such
-        // neighbor's distance (c.cost - l.cost < c.cost) is final by the
-        // nondecreasing-pop invariant, so the equality test is exact.
-        if (l.cost > 0 && it->second + l.cost == c.cost) {
-          parents[c.node].insert(l.neighbor);
-        }
-      }
-    }
-  }
+  // makes the reverse-parent completion sound (INTERNALS.md §15).
+  st.best.resize(routers_.size(), kInfCost);
+  st.parents.resize(routers_.size());
+  dijkstra(st, seeds, /*complete_parents=*/true);
 }
 
 void Igp::rebuild_next_hops(ip::NodeId router, RouterState& st) {
-  st.next_hops.clear();
-  static const std::set<ip::NodeId> kNoParents;
-  auto parents_of = [&](ip::NodeId n) -> const std::set<ip::NodeId>& {
-    auto it = st.parents.find(n);
-    return it == st.parents.end() ? kNoParents : it->second;
-  };
-
-  // Memoized first-hop-set computation over the parent DAG.
-  std::map<ip::NodeId, std::set<ip::NodeId>> first_hops;
-  std::function<const std::set<ip::NodeId>&(ip::NodeId)> fh =
-      [&](ip::NodeId dest) -> const std::set<ip::NodeId>& {
-    auto memo = first_hops.find(dest);
-    if (memo != first_hops.end()) return memo->second;
-    std::set<ip::NodeId> hops;
-    for (ip::NodeId p : parents_of(dest)) {
+  // First-hop sets over the parent DAG, settled in (distance, id) order:
+  // costs are positive, so every parent is strictly closer than its child
+  // and its set is final before any child merges it. Sets live back to
+  // back in one arena, each sorted ascending.
+  const std::size_t n = st.best.size();
+  std::vector<std::uint64_t> order;  // (distance << 32) | node id
+  for (ip::NodeId v = 0; v < n; ++v) {
+    if (v != router && st.best[v] != kInfCost) {
+      order.push_back((std::uint64_t{st.best[v]} << 32) | v);
+    }
+  }
+  std::sort(order.begin(), order.end());
+  std::vector<ip::NodeId> arena;
+  std::vector<std::uint32_t> first(n, 0), last(n, 0);
+  for (const std::uint64_t key : order) {
+    const auto dest = static_cast<ip::NodeId>(key & 0xFFFFFFFFu);
+    const auto begin = static_cast<std::uint32_t>(arena.size());
+    for (ip::NodeId p : st.parents[dest]) {
       if (p == router) {
-        hops.insert(dest);
+        arena.push_back(dest);
       } else {
-        const auto& up = fh(p);
-        hops.insert(up.begin(), up.end());
+        for (std::uint32_t i = first[p]; i < last[p]; ++i) {
+          const ip::NodeId hop = arena[i];  // copy: push_back may reallocate
+          arena.push_back(hop);
+        }
       }
     }
-    return first_hops.emplace(dest, std::move(hops)).first->second;
-  };
+    std::sort(arena.begin() + begin, arena.end());
+    arena.erase(std::unique(arena.begin() + begin, arena.end()), arena.end());
+    first[dest] = begin;
+    last[dest] = static_cast<std::uint32_t>(arena.size());
+  }
 
-  for (const auto& [dest, cost] : st.best) {
+  const net::Node& self = cp_.topology().node(router);
+  st.next_hops.resize(n);
+  for (ip::NodeId dest = 0; dest < n; ++dest) {
+    std::vector<NextHopEntry>& entries = st.next_hops[dest];
+    entries.clear();
     if (dest == router) continue;
-    std::vector<NextHopEntry> entries;
-    for (ip::NodeId hop : fh(dest)) {  // std::set: sorted by id
+    for (std::uint32_t i = first[dest]; i < last[dest]; ++i) {
       NextHopEntry entry;
-      entry.via = hop;
-      entry.iface = cp_.topology().node(router).interface_to(hop);
-      entry.cost = cost;
+      entry.via = arena[i];
+      entry.iface = self.interface_to(arena[i]);
+      entry.cost = st.best[dest];
       entries.push_back(entry);
     }
-    if (!entries.empty()) st.next_hops[dest] = std::move(entries);
   }
 }
 
@@ -348,7 +346,7 @@ void Igp::run_spf(ip::NodeId router) {
   const bool force_full = !st.spf_valid || st.dirty_full;
   st.dirty_full = false;
 
-  std::set<ip::NodeId> seeds;
+  std::vector<ip::NodeId> seeds;
   bool increase_affected = false;
   if (!force_full) {
     classify_dirty(st, dirty, &seeds, &increase_affected);
@@ -416,17 +414,17 @@ double Igp::te_reservable(ip::NodeId from, net::LinkId link) const {
 const Igp::NextHopEntry* Igp::next_hop(ip::NodeId router,
                                        ip::NodeId dest) const {
   const RouterState& st = state(router);
-  auto it = st.next_hops.find(dest);
-  if (it == st.next_hops.end() || it->second.empty()) return nullptr;
-  return &it->second.front();
+  if (dest >= st.next_hops.size() || st.next_hops[dest].empty()) {
+    return nullptr;
+  }
+  return &st.next_hops[dest].front();
 }
 
 std::vector<Igp::NextHopEntry> Igp::next_hops_ecmp(ip::NodeId router,
                                                    ip::NodeId dest) const {
   const RouterState& st = state(router);
-  auto it = st.next_hops.find(dest);
-  return it == st.next_hops.end() ? std::vector<NextHopEntry>{}
-                                  : it->second;
+  return dest < st.next_hops.size() ? st.next_hops[dest]
+                                    : std::vector<NextHopEntry>{};
 }
 
 Igp::SpfCounters Igp::router_spf_counters(ip::NodeId router) const {
@@ -450,9 +448,9 @@ const LinkStateDb& Igp::lsdb(ip::NodeId router) const {
 
 bool Igp::synchronized() const {
   for (ip::NodeId a : members_) {
-    const RouterState& st = routers_.at(a);
+    const RouterState& st = routers_[a];
     for (ip::NodeId b : members_) {
-      const RouterState& origin = routers_.at(b);
+      const RouterState& origin = routers_[b];
       const Lsa* have = st.lsdb.find(b);
       if (have == nullptr || have->sequence != origin.lsa_seq) return false;
     }

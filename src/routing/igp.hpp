@@ -2,8 +2,7 @@
 
 #include <functional>
 #include <map>
-#include <set>
-#include <unordered_map>
+#include <memory>
 #include <vector>
 
 #include "routing/control_plane.hpp"
@@ -140,19 +139,23 @@ class Igp {
     std::uint32_t new_cost = kInfCost;
   };
 
+  /// Everything one member router knows and computed, in node-indexed
+  /// vectors (node ids are dense; INTERNALS.md §15).
   struct RouterState {
     bool active = false;
     LinkStateDb lsdb;
-    /// Per destination: the ECMP next-hop set (element 0 is primary).
-    std::unordered_map<ip::NodeId, std::vector<NextHopEntry>> next_hops;
+    /// Per destination id: the ECMP next-hop set, ascending by neighbor id
+    /// (element 0 is primary); empty when unreachable.
+    std::vector<std::vector<NextHopEntry>> next_hops;
     bool spf_scheduled = false;
     std::uint32_t lsa_seq = 0;
 
     /// --- incremental-SPF state (INTERNALS.md §15) ----------------------
-    /// Shortest-path solution of the last executed run: distance and
-    /// equal-cost predecessor set per reachable node.
-    std::map<ip::NodeId, std::uint32_t> best;
-    std::map<ip::NodeId, std::set<ip::NodeId>> parents;
+    /// Shortest-path solution of the last executed run, per node id:
+    /// distance (kInfCost when unreached) and the equal-cost predecessor
+    /// set, ascending.
+    std::vector<std::uint32_t> best;
+    std::vector<std::vector<ip::NodeId>> parents;
     bool spf_valid = false;   ///< best/parents reflect some prior run
     std::vector<DirtyEdge> dirty;  ///< graph changes since that run
     bool dirty_full = false;  ///< a brand-new origin appeared: no diff base
@@ -161,31 +164,42 @@ class Igp {
 
   RouterState& state(ip::NodeId router);
   const RouterState& state(ip::NodeId router) const;
-  Lsa build_lsa(ip::NodeId router);
+  std::shared_ptr<const Lsa> build_lsa(ip::NodeId router);
   void originate_and_flood(ip::NodeId router);
-  void flood(ip::NodeId at, const Lsa& lsa, ip::NodeId except);
-  void receive_lsa(ip::NodeId at, Lsa lsa, ip::NodeId from);
+  void flood(ip::NodeId at, const std::shared_ptr<const Lsa>& lsa,
+             ip::NodeId except);
+  void receive_lsa(ip::NodeId at, const std::shared_ptr<const Lsa>& lsa,
+                   ip::NodeId from);
   /// Install `lsa` into `st`, recording adjacency diffs vs the previous
   /// copy. Returns false when not newer (flood stops); sets `*spf_needed`
   /// when the change can alter shortest paths.
-  bool install_classified(RouterState& st, const Lsa& lsa, bool* spf_needed);
+  bool install_classified(RouterState& st,
+                          const std::shared_ptr<const Lsa>& lsa,
+                          bool* spf_needed);
   void schedule_spf(ip::NodeId router);
   void run_spf(ip::NodeId router);
   /// Classify the dirty set against the stored solution: fill `seeds` with
-  /// re-relaxation start nodes for affecting decreases and flag whether
-  /// any increase touches the current shortest-path DAG.
+  /// re-relaxation start nodes for affecting decreases (ascending, no
+  /// duplicates) and flag whether any increase touches the current
+  /// shortest-path DAG.
   void classify_dirty(const RouterState& st,
                       const std::vector<DirtyEdge>& dirty,
-                      std::set<ip::NodeId>* seeds,
+                      std::vector<ip::NodeId>* seeds,
                       bool* increase_affected) const;
+  /// The Dijkstra loop of both runs: settle from `seeds` (at their stored
+  /// distances) in (cost, node) order, relaxing two-way links and keeping
+  /// every equal-cost parent; `complete_parents` adds the incremental
+  /// run's reverse-parent completion.
+  void dijkstra(RouterState& st, const std::vector<ip::NodeId>& seeds,
+                bool complete_parents);
   void full_spf_run(ip::NodeId router, RouterState& st);
   void incremental_spf_run(RouterState& st,
-                           const std::set<ip::NodeId>& seeds);
+                           const std::vector<ip::NodeId>& seeds);
   void rebuild_next_hops(ip::NodeId router, RouterState& st);
 
   ControlPlane& cp_;
   std::vector<ip::NodeId> members_;
-  std::map<ip::NodeId, RouterState> routers_;
+  std::vector<RouterState> routers_;  ///< by node id
   std::map<std::pair<net::LinkId, ip::NodeId>, double> te_reserved_;
   double te_factor_ = 1.0;
   sim::SimTime spf_delay_ = 30 * sim::kMillisecond;

@@ -2,20 +2,21 @@
 
 #include <algorithm>
 #include <limits>
+#include <map>
 #include <queue>
 
 namespace mvpn::routing {
 
-bool LinkStateDb::install(const Lsa& lsa) {
-  auto it = db_.find(lsa.origin);
-  if (it != db_.end() && it->second.sequence >= lsa.sequence) return false;
-  db_[lsa.origin] = lsa;
+bool LinkStateDb::install(std::shared_ptr<const Lsa> lsa,
+                          std::shared_ptr<const Lsa>* replaced) {
+  const ip::NodeId origin = lsa->origin;
+  if (origin >= db_.size()) db_.resize(origin + 1);
+  std::shared_ptr<const Lsa>& slot = db_[origin];
+  if (slot != nullptr && slot->sequence >= lsa->sequence) return false;
+  if (slot == nullptr) ++size_;
+  if (replaced != nullptr) *replaced = std::move(slot);
+  slot = std::move(lsa);
   return true;
-}
-
-const Lsa* LinkStateDb::find(ip::NodeId origin) const {
-  auto it = db_.find(origin);
-  return it == db_.end() ? nullptr : &it->second;
 }
 
 ComputedPath shortest_path(const LinkStateDb& db, ip::NodeId from,

@@ -1,7 +1,7 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <memory>
 #include <vector>
 
 #include "ip/route_table.hpp"
@@ -32,21 +32,29 @@ struct Lsa {
   }
 };
 
-/// Per-router link-state database.
+/// Per-router link-state database: one slot per origin node id (node ids
+/// are dense), each holding an immutable LSA. A flooded origination is one
+/// shared object, referenced by every LSDB it reaches and by every flood
+/// message still in flight.
 class LinkStateDb {
  public:
   /// Install `lsa` if it is newer than what we have. Returns true when the
-  /// database changed (callers then schedule SPF and re-flood).
-  bool install(const Lsa& lsa);
-
-  [[nodiscard]] const Lsa* find(ip::NodeId origin) const;
-  [[nodiscard]] const std::map<ip::NodeId, Lsa>& all() const noexcept {
-    return db_;
+  /// database changed (callers then schedule SPF and re-flood); the copy
+  /// it displaced, if any, is moved into `*replaced`.
+  bool install(std::shared_ptr<const Lsa> lsa,
+               std::shared_ptr<const Lsa>* replaced = nullptr);
+  bool install(const Lsa& lsa) {
+    return install(std::make_shared<const Lsa>(lsa));
   }
-  [[nodiscard]] std::size_t size() const noexcept { return db_.size(); }
+
+  [[nodiscard]] const Lsa* find(ip::NodeId origin) const noexcept {
+    return origin < db_.size() ? db_[origin].get() : nullptr;
+  }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
 
  private:
-  std::map<ip::NodeId, Lsa> db_;
+  std::vector<std::shared_ptr<const Lsa>> db_;
+  std::size_t size_ = 0;
 };
 
 /// Result of an SPF/CSPF computation: the node sequence from source to

@@ -1,5 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "backbone/fixtures.hpp"
+#include "backbone/topogen.hpp"
+#include "golden.hpp"
 #include "mpls/domain.hpp"
 #include "mpls/ldp.hpp"
 #include "mpls/lfib.hpp"
@@ -392,6 +400,127 @@ TEST(Ldp, UnknownFecHasNoFtn) {
   EXPECT_EQ(f.ldp.bindings_at(a.id()), 0u);
 }
 
+// --- Dense LIB edge cases (FEC ids, per-router rows) ----------------------
+
+/// Follow `fec`'s label-switched path from `ingress` through the LFIBs;
+/// returns the node that receives the packet unlabeled (kInvalidNode when
+/// the path breaks).
+ip::NodeId lsp_tail(MplsFixture& f, ip::NodeId ingress, const ip::Prefix& fec) {
+  const auto ftn = f.ldp.ftn(ingress, fec);
+  if (!ftn) return ip::kInvalidNode;
+  ip::NodeId at = ftn->next_hop;
+  if (ftn->implicit_null) return at;
+  std::uint32_t label = ftn->out_label;
+  for (std::size_t hops = 0; hops < f.routers.size(); ++hops) {
+    const LfibEntry* e = f.domain.state_of(at).lfib.lookup(label);
+    if (e == nullptr) return ip::kInvalidNode;
+    at = e->next_hop;
+    if (e->op == LabelOp::kPop) return at;
+    label = e->out_label;
+  }
+  return ip::kInvalidNode;
+}
+
+TEST(Ldp, FecAnnouncedAfterConvergenceResolvesAtEveryLsr) {
+  // The second FEC's id lies past every router's existing LIB row.
+  MplsFixture f;
+  auto& a = f.add("a");
+  auto& b = f.add("b");
+  auto& c = f.add("c");
+  auto& d = f.add("d");
+  f.link(a, b);
+  f.link(b, c);
+  f.link(c, d);
+  f.link(d, a, 3);
+  f.converge();
+  const ip::Prefix first = ip::Prefix::host(b.loopback());
+  f.ldp.announce_egress(b.id(), first);
+  f.topo.scheduler().run();
+  const ip::Prefix late = ip::Prefix::host(d.loopback());
+  f.ldp.announce_egress(d.id(), late);
+  f.topo.scheduler().run();
+
+  EXPECT_EQ(f.ldp.fec_count(), 2u);
+  for (const Router* r : f.routers) {
+    if (r != &d) {
+      EXPECT_EQ(lsp_tail(f, r->id(), late), d.id()) << r->name();
+    }
+    if (r != &b) {
+      EXPECT_EQ(lsp_tail(f, r->id(), first), b.id()) << r->name();
+    }
+  }
+}
+
+TEST(Ldp, WithdrawThenReannounceRestoresFtns) {
+  MplsFixture f;
+  auto& a = f.add("a");
+  auto& b = f.add("b");
+  auto& c = f.add("c");
+  f.link(a, b);
+  f.link(b, c);
+  f.converge();
+  const ip::Prefix fec = ip::Prefix::host(c.loopback());
+  f.ldp.announce_egress(c.id(), fec);
+  f.topo.scheduler().run();
+  const auto before = f.ldp.ftn(a.id(), fec);
+  ASSERT_TRUE(before.has_value());
+
+  f.ldp.withdraw_fec(fec);
+  EXPECT_FALSE(f.ldp.ftn(a.id(), fec).has_value());
+  EXPECT_FALSE(f.ldp.ftn(b.id(), fec).has_value());
+  EXPECT_EQ(f.ldp.fec_count(), 0u);
+  EXPECT_EQ(f.ldp.bindings_at(a.id()), 0u);
+  EXPECT_EQ(f.domain.state_of(b.id()).lfib.lookup(before->out_label),
+            nullptr);
+
+  f.ldp.announce_egress(c.id(), fec);
+  f.topo.scheduler().run();
+  EXPECT_EQ(f.ldp.fec_count(), 1u);
+  const auto after = f.ldp.ftn(a.id(), fec);
+  ASSERT_TRUE(after.has_value());
+  EXPECT_EQ(after->next_hop, b.id());
+  EXPECT_FALSE(after->implicit_null);
+  EXPECT_EQ(lsp_tail(f, a.id(), fec), c.id());
+  // Independent control allocates a fresh label on re-learning.
+  EXPECT_NE(after->out_label, before->out_label);
+}
+
+TEST(Ldp, QueriesOutsideTheDenseRangeAreEmpty) {
+  MplsFixture f;
+  auto& a = f.add("a");
+  auto& b = f.add("b");
+  f.link(a, b);
+  // An IGP member that does not speak LDP, and a CE that runs neither.
+  auto& igp_only = f.topo.add_node<Router>("igp_only", Role::kP);
+  f.igp.add_router(igp_only.id());
+  f.link(b, igp_only);
+  auto& ce = f.topo.add_node<Router>("ce", Role::kCe);
+  f.link(a, ce);
+  f.converge();
+  const ip::Prefix fec = ip::Prefix::host(b.loopback());
+  f.ldp.announce_egress(b.id(), fec);
+  f.topo.scheduler().run();
+  ASSERT_TRUE(f.ldp.ftn(a.id(), fec).has_value());
+
+  const auto beyond = static_cast<ip::NodeId>(f.topo.node_count() + 7);
+  EXPECT_FALSE(
+      f.ldp.ftn(a.id(), ip::Prefix::must_parse("9.9.9.9/32")).has_value());
+  EXPECT_FALSE(f.ldp.ftn(ce.id(), fec).has_value());
+  EXPECT_FALSE(f.ldp.ftn(igp_only.id(), fec).has_value());
+  EXPECT_FALSE(f.ldp.ftn(beyond, fec).has_value());
+  EXPECT_EQ(f.ldp.bindings_at(ce.id()), 0u);
+  EXPECT_EQ(f.ldp.bindings_at(beyond), 0u);
+  f.ldp.withdraw_fec(ip::Prefix::must_parse("9.9.9.9/32"));  // never known
+  EXPECT_EQ(f.ldp.fec_count(), 1u);
+
+  EXPECT_EQ(f.igp.next_hop(a.id(), beyond), nullptr);
+  EXPECT_TRUE(f.igp.next_hops_ecmp(a.id(), beyond).empty());
+  EXPECT_EQ(f.igp.next_hop(a.id(), ce.id()), nullptr);
+  EXPECT_TRUE(f.igp.next_hops_ecmp(a.id(), ce.id()).empty());
+  ASSERT_NE(f.igp.next_hop(a.id(), igp_only.id()), nullptr);
+  EXPECT_EQ(f.igp.next_hop(a.id(), igp_only.id())->via, b.id());
+}
+
 TEST(RsvpTe, ExplicitRouteThroughDownLinkFails) {
   MplsFixture f;
   auto& a = f.add("a");
@@ -438,6 +567,147 @@ TEST(RsvpTe, NonAdjacentExplicitRouteFails) {
 TEST(RsvpTe, UnknownLspThrows) {
   MplsFixture f;
   EXPECT_THROW(f.rsvp.lsp(42), std::out_of_range);
+}
+
+
+// --- Control-plane goldens (tests/golden/control_plane.txt) ---------------
+
+/// A generated backbone (topogen spec: p, pe, ce) with its VPNs and sites,
+/// started and converged the way the scenario layer and perfbench build it.
+std::unique_ptr<backbone::MplsBackbone> converged_topogen(
+    const std::string& spec) {
+  backbone::TopogenParams params;
+  std::string err;
+  EXPECT_TRUE(backbone::parse_topogen_spec(spec, params, &err)) << err;
+  const backbone::GeneratedPlan plan = backbone::generate_plan(params);
+  auto bb = std::make_unique<backbone::MplsBackbone>(plan.backbone);
+  std::vector<vpn::VpnId> vpns;
+  for (const std::string& name : plan.vpns) {
+    vpns.push_back(bb->service.create_vpn(name));
+  }
+  for (const backbone::PlanSite& s : plan.sites) {
+    bb->add_site(vpns[s.vpn], s.pe, s.prefix);
+  }
+  bb->start_and_converge();
+  return bb;
+}
+
+/// FNV-1a over every IGP member's ECMP next-hop table (router, dest, via,
+/// iface, cost), every LSR's LFIB entries, and the FTN of every PE toward
+/// every PE loopback, each folded in node order.
+std::string control_plane_fingerprint(backbone::MplsBackbone& bb) {
+  golden::Fnv f;
+  std::vector<ip::NodeId> members = bb.igp.members();
+  std::sort(members.begin(), members.end());
+  const auto nodes = static_cast<ip::NodeId>(bb.topo.node_count());
+  for (ip::NodeId router : members) {
+    for (ip::NodeId dest = 0; dest < nodes; ++dest) {
+      for (const routing::Igp::NextHopEntry& e :
+           bb.igp.next_hops_ecmp(router, dest)) {
+        f.mix(router);
+        f.mix(dest);
+        f.mix(e.via);
+        f.mix(e.iface);
+        f.mix(e.cost);
+      }
+    }
+  }
+  for (ip::NodeId router : members) {
+    const LsrState* lsr = bb.domain.find(router);
+    if (lsr == nullptr) continue;
+    for (const LfibEntry& e : lsr->lfib.entries()) {
+      f.mix(router);
+      f.mix(e.in_label);
+      f.mix(static_cast<std::uint64_t>(e.op));
+      f.mix(e.out_label);
+      f.mix(e.next_hop);
+      f.mix(e.out_iface);
+      f.mix(e.vrf_id);
+      f.mix((std::uint64_t{e.fec.address().value()} << 8) | e.fec.length());
+    }
+  }
+  for (const Router* ingress : bb.pes()) {
+    for (const Router* egress : bb.pes()) {
+      const auto ftn =
+          bb.ldp.ftn(ingress->id(), ip::Prefix::host(egress->loopback()));
+      f.mix(ingress->id());
+      f.mix(egress->id());
+      if (!ftn) {
+        f.mix(~std::uint64_t{0});
+        continue;
+      }
+      f.mix(ftn->out_label);
+      f.mix(ftn->next_hop);
+      f.mix(ftn->out_iface);
+      f.mix(ftn->implicit_null ? 1 : 0);
+    }
+  }
+  return f.hex();
+}
+
+/// The control_plane.txt row for `bb`'s current state: fingerprint, then
+/// igp.lsa and ldp.mapping messages and the SPF full / incremental /
+/// skipped / edges-relaxed counters.
+std::vector<std::string> control_plane_row(backbone::MplsBackbone& bb) {
+  return {control_plane_fingerprint(bb),
+          std::to_string(bb.cp.message_count("igp.lsa")),
+          std::to_string(bb.cp.message_count("ldp.mapping")),
+          std::to_string(bb.igp.spf_full_runs()),
+          std::to_string(bb.igp.spf_incremental_runs()),
+          std::to_string(bb.igp.spf_skipped()),
+          std::to_string(bb.igp.edges_relaxed())};
+}
+
+std::string joined(const std::vector<std::string>& fields) {
+  std::string out;
+  for (const std::string& f : fields) out += (out.empty() ? "" : " ") + f;
+  return out;
+}
+
+TEST(ControlPlaneGolden, ColdBootMatchesRecordedRows) {
+  for (const auto& [key, spec] :
+       {std::pair<std::string, std::string>{"topogen_p4_pe8_ce2",
+                                            "p=4 pe=8 ce=2"},
+        {"topogen_p16_pe64_ce2", "p=16 pe=64 ce=2"}}) {
+    const auto bb = converged_topogen(spec);
+    EXPECT_EQ(joined(control_plane_row(*bb)),
+              joined(golden::row("control_plane.txt", key)))
+        << key;
+  }
+}
+
+TEST(ControlPlaneGolden, CoreLinkFailureAndRestoreMatchRecordedRows) {
+  // Fail the P0-P1 core link, converge, then restore it: the failed state
+  // has its own row, and the restored network must answer every next-hop,
+  // LFIB and FTN query exactly as the cold boot did.
+  const auto bb = converged_topogen("p=16 pe=64 ce=2");
+  const std::string cold = control_plane_fingerprint(*bb);
+  net::LinkId core = net::kInvalidLink;
+  for (const net::Adjacency& adj : bb->topo.adjacencies(bb->p(0).id())) {
+    if (adj.neighbor == bb->p(1).id()) core = adj.link;
+  }
+  ASSERT_NE(core, net::kInvalidLink);
+
+  bb->topo.link(core).set_up(false);
+  bb->igp.notify_link_change(core);
+  bb->topo.scheduler().run();
+  EXPECT_EQ(joined(control_plane_row(*bb)),
+            joined(golden::row("control_plane.txt",
+                               "topogen_p16_pe64_ce2_p0p1_down")));
+
+  bb->topo.link(core).set_up(true);
+  bb->igp.notify_link_change(core);
+  bb->topo.scheduler().run();
+  const std::vector<std::string> restored = control_plane_row(*bb);
+  EXPECT_EQ(restored[0], cold);
+  const std::vector<std::string> cold_row =
+      golden::row("control_plane.txt", "topogen_p16_pe64_ce2");
+  ASSERT_FALSE(cold_row.empty());
+  EXPECT_EQ(cold, cold_row[0]);
+  // The restore's own message and SPF work (incremental runs) is pinned too.
+  EXPECT_EQ(joined(restored),
+            joined(golden::row("control_plane.txt",
+                               "topogen_p16_pe64_ce2_p0p1_restored")));
 }
 
 }  // namespace

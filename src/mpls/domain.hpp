@@ -1,6 +1,7 @@
 #pragma once
 
-#include <map>
+#include <memory>
+#include <vector>
 
 #include "ip/route_table.hpp"
 #include "mpls/lfib.hpp"
@@ -18,12 +19,17 @@ struct LsrState {
 /// plane (vpn::Router) reads its own LsrState for label lookups.
 class MplsDomain {
  public:
-  /// State for `node`, created on first use.
-  [[nodiscard]] LsrState& state_of(ip::NodeId node) { return states_[node]; }
+  /// State for `node`, created on first use. The reference stays valid for
+  /// the domain's lifetime (routers keep a pointer to their own state).
+  [[nodiscard]] LsrState& state_of(ip::NodeId node) {
+    if (node >= states_.size()) states_.resize(node + 1);
+    if (!states_[node]) states_[node] = std::make_unique<LsrState>();
+    return *states_[node];
+  }
 
+  /// State for `node`; nullptr when state_of never created it.
   [[nodiscard]] const LsrState* find(ip::NodeId node) const {
-    auto it = states_.find(node);
-    return it == states_.end() ? nullptr : &it->second;
+    return node < states_.size() ? states_[node].get() : nullptr;
   }
 
   /// Total labels allocated across the domain (state-size metric for E1).
@@ -32,7 +38,7 @@ class MplsDomain {
   [[nodiscard]] std::size_t total_lfib_entries() const;
 
  private:
-  std::map<ip::NodeId, LsrState> states_;
+  std::vector<std::unique_ptr<LsrState>> states_;  ///< by node id
 };
 
 }  // namespace mvpn::mpls

@@ -28,14 +28,6 @@ void Ldp::enable_router(ip::NodeId router) {
   enabled_[router] = true;
 }
 
-std::vector<ip::NodeId> Ldp::ldp_neighbors(ip::NodeId router) const {
-  std::vector<ip::NodeId> out;
-  for (const net::Adjacency& adj : cp_.topology().adjacencies(router)) {
-    if (enabled(adj.neighbor)) out.push_back(adj.neighbor);
-  }
-  return out;
-}
-
 std::vector<Ldp::FecId>::const_iterator Ldp::lower_bound(
     const ip::Prefix& fec) const {
   return std::lower_bound(
@@ -97,12 +89,14 @@ void Ldp::announce_egress(ip::NodeId egress, const ip::Prefix& fec) {
 
 void Ldp::advertise(ip::NodeId router, FecId id, ip::NodeId owner,
                     std::uint32_t label) {
-  for (ip::NodeId nb : ldp_neighbors(router)) {
+  cp_.topology().for_each_adjacency(router, [&](const net::Adjacency& adj) {
+    const ip::NodeId nb = adj.neighbor;
+    if (!enabled(nb)) return;  // LDP neighbors: enabled adjacent routers
     cp_.send_adjacent(router, nb, "ldp.mapping", 30,
                       [this, nb, router, id, owner, label] {
                         receive_mapping(nb, router, id, owner, label);
                       });
-  }
+  });
 }
 
 void Ldp::learn_fec(ip::NodeId router, FecId id, ip::NodeId owner) {

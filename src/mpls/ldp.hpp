@@ -99,8 +99,6 @@ class Ldp {
   void refresh_lfib(ip::NodeId router, FecId id);
   void on_spf(ip::NodeId router);
 
-  [[nodiscard]] std::vector<ip::NodeId> ldp_neighbors(ip::NodeId router) const;
-
   routing::ControlPlane& cp_;
   routing::Igp& igp_;
   MplsDomain& domain_;

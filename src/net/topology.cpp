@@ -40,12 +40,8 @@ void Topology::set_flow_stats(obs::FlowStatsTable* table) noexcept {
 
 std::vector<Adjacency> Topology::adjacencies(ip::NodeId node_id) const {
   std::vector<Adjacency> out;
-  const Node& n = node(node_id);
-  for (const Interface& intf : n.interfaces()) {
-    if (intf.link == kInvalidLink) continue;
-    if (!link(intf.link).up()) continue;
-    out.push_back(Adjacency{intf.peer, intf.index, intf.link});
-  }
+  for_each_adjacency(node_id,
+                     [&out](const Adjacency& adj) { out.push_back(adj); });
   return out;
 }
 

@@ -75,6 +75,15 @@ class Topology {
 
   /// Links incident to `node` that are administratively up.
   [[nodiscard]] std::vector<Adjacency> adjacencies(ip::NodeId node) const;
+  /// Call `fn(const Adjacency&)` for each link `adjacencies(node)` would
+  /// list, in the same order, without building the vector.
+  template <typename F>
+  void for_each_adjacency(ip::NodeId node_id, F&& fn) const {
+    for (const Interface& intf : node(node_id).interfaces()) {
+      if (intf.link == kInvalidLink || !link(intf.link).up()) continue;
+      fn(Adjacency{intf.peer, intf.index, intf.link});
+    }
+  }
 
   /// Deliver `p` to `to`'s receive() — called by links after propagation.
   void deliver(ip::NodeId to, ip::IfIndex in_if, PacketPtr p);

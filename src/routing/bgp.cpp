@@ -2,15 +2,35 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 namespace mvpn::routing {
 
 Bgp::Bgp(ControlPlane& cp, Mode mode) : cp_(cp), mode_(mode) {}
 
+Bgp::SpeakerState& Bgp::speaker(ip::NodeId node) {
+  return const_cast<SpeakerState&>(std::as_const(*this).speaker(node));
+}
+
+const Bgp::SpeakerState& Bgp::speaker(ip::NodeId node) const {
+  if (node >= state_.size() || !state_[node].enrolled) {
+    throw std::out_of_range("Bgp: node " + std::to_string(node) +
+                            " is not a speaker");
+  }
+  return state_[node];
+}
+
+Bgp::SpeakerState& Bgp::enroll(ip::NodeId node) {
+  if (node >= state_.size()) state_.resize(node + 1);
+  state_[node].enrolled = true;
+  return state_[node];
+}
+
 void Bgp::add_speaker(ip::NodeId pe) {
   if (started_) throw std::logic_error("Bgp: add_speaker after start");
-  if (state_.count(pe) != 0) return;
-  state_[pe];  // default-construct
+  if (pe < state_.size() && state_[pe].enrolled) return;
+  enroll(pe);
   speakers_.push_back(pe);
 }
 
@@ -19,20 +39,15 @@ void Bgp::add_route_reflector(ip::NodeId rr) {
   if (mode_ != Mode::kRouteReflector) {
     throw std::logic_error("Bgp: reflectors require kRouteReflector mode");
   }
-  auto& st = state_[rr];
+  SpeakerState& st = enroll(rr);
   if (st.reflector) return;
   st.reflector = true;
   reflectors_.push_back(rr);
 }
 
-bool Bgp::is_reflector(ip::NodeId node) const {
-  auto it = state_.find(node);
-  return it != state_.end() && it->second.reflector;
-}
-
 void Bgp::add_session(ip::NodeId a, ip::NodeId b) {
-  state_.at(a).peers.push_back(b);
-  state_.at(b).peers.push_back(a);
+  state_[a].peers.push_back(b);
+  state_[b].peers.push_back(a);
   sessions_.emplace_back(a, b);
   // OPEN exchange, one message each way.
   cp_.send_session(a, b, "bgp.open", 29, [] {});
@@ -64,12 +79,6 @@ void Bgp::start() {
   }
 }
 
-bool Bgp::better(const VpnRoute& a, const VpnRoute& b) noexcept {
-  if (a.local_pref != b.local_pref) return a.local_pref > b.local_pref;
-  if (a.originator != b.originator) return a.originator < b.originator;
-  return a.next_hop.value() < b.next_hop.value();
-}
-
 bool Bgp::better_compact(const CompactRoute& a, const CompactRoute& b) noexcept {
   if (a.local_pref != b.local_pref) return a.local_pref > b.local_pref;
   if (a.originator != b.originator) return a.originator < b.originator;
@@ -78,7 +87,7 @@ bool Bgp::better_compact(const CompactRoute& a, const CompactRoute& b) noexcept 
 
 std::vector<ip::NodeId> Bgp::advertise_targets(ip::NodeId node,
                                                ip::NodeId sender) const {
-  const SpeakerState& st = state_.at(node);
+  const SpeakerState& st = state_[node];
   std::vector<ip::NodeId> out;
   if (sender == ip::kInvalidNode) {
     // Locally originated: advertise to every peer.
@@ -97,17 +106,11 @@ std::vector<ip::NodeId> Bgp::advertise_targets(ip::NodeId node,
   return out;
 }
 
-void Bgp::propagate(ip::NodeId node, ip::NodeId sender, const VpnRouteKey& key,
-                    const VpnRoute* route) {
+void Bgp::propagate(ip::NodeId node, ip::NodeId sender, NlriId id,
+                    const CompactRoute* route) {
   std::vector<ip::NodeId> targets = advertise_targets(node, sender);
   if (targets.empty()) return;
-  CompactRoute compact;
-  const CompactRoute* payload = nullptr;
-  if (route != nullptr) {
-    compact = compress(*route, pool_);
-    payload = &compact;
-  }
-  if (ribout_.enqueue(node, std::move(targets), key, payload)) {
+  if (ribout_.enqueue(node, std::move(targets), id, route)) {
     // Zero-delay flush: the packed message leaves at the tick the route
     // changed, so session-delay arrival instants — and therefore the whole
     // decision cascade — do not depend on how NLRI were grouped.
@@ -116,18 +119,16 @@ void Bgp::propagate(ip::NodeId node, ip::NodeId sender, const VpnRouteKey& key,
 }
 
 void Bgp::flush(ip::NodeId node) {
-  SpeakerState& st = state_.at(node);
-  for (RibOut::Message& m : ribout_.drain(node, pool_)) {
+  for (RibOut::Message& m : ribout_.drain(node, pool_, nlri_)) {
     // Withdraw-only messages keep their own wire type so session-teardown
     // and convergence experiments can still count withdraws.
     const char* type = m.reach > 0 ? "bgp.update" : "bgp.withdraw";
     for (ip::NodeId peer : *m.peers) {
-      // A peer that vanished between enqueue and flush (session teardown)
-      // silently loses the queued update — its TCP session is gone.
-      if (std::find(st.peers.begin(), st.peers.end(), peer) ==
-          st.peers.end()) {
-        continue;
-      }
+      // A peer that failed between enqueue and flush (session teardown)
+      // silently loses the queued update — its TCP session is gone. Group
+      // peers were session peers at enqueue, and only fail_speaker ends a
+      // session, so the flag is the whole liveness test.
+      if (state_[peer].failed) continue;
       cp_.send_session(node, peer, type, m.wire_bytes,
                        [this, node, peer, entries = m.entries] {
                          apply_packed(peer, node, *entries);
@@ -138,50 +139,38 @@ void Bgp::flush(ip::NodeId node) {
 
 void Bgp::apply_packed(ip::NodeId at, ip::NodeId from,
                        const std::vector<RibOut::Entry>& entries) {
+  SpeakerState& st = state_[at];
   for (const RibOut::Entry& e : entries) {
     if (e.withdraw) {
-      receive_withdraw(at, from, e.key);
-    } else {
-      receive_update(at, from, materialize(e.key, e.route, pool_));
+      if (st.adj_rib_in.erase(e.nlri, from)) decide(at, e.nlri);
+    } else if (e.route.originator != at) {  // originator loop guard
+      st.adj_rib_in.upsert(e.nlri, from, e.route);
+      decide(at, e.nlri);
     }
   }
 }
 
 void Bgp::originate(ip::NodeId pe, VpnRoute route) {
   route.originator = pe;
-  SpeakerState& st = state_.at(pe);
-  const VpnRouteKey key{route.rd, route.prefix};
-  st.adj_rib_in.upsert(key, ip::kInvalidNode, compress(route, pool_));
-  decide(pe, key);
+  SpeakerState& st = speaker(pe);
+  const NlriId id = nlri_.intern({route.rd, route.prefix});
+  st.adj_rib_in.upsert(id, ip::kInvalidNode, compress(route, pool_));
+  decide(pe, id);
 }
 
 void Bgp::withdraw(ip::NodeId pe, const RouteDistinguisher& rd,
                    const ip::Prefix& prefix) {
-  SpeakerState& st = state_.at(pe);
-  const VpnRouteKey key{rd, prefix};
-  if (!st.adj_rib_in.erase(key, ip::kInvalidNode)) return;
-  decide(pe, key);
+  SpeakerState& st = speaker(pe);
+  const NlriId id = nlri_.find({rd, prefix});
+  if (id == kNoNlri || !st.adj_rib_in.erase(id, ip::kInvalidNode)) return;
+  decide(pe, id);
 }
 
-void Bgp::receive_update(ip::NodeId at, ip::NodeId from, VpnRoute route) {
-  SpeakerState& st = state_.at(at);
-  if (route.originator == at) return;  // originator loop guard
-  const VpnRouteKey key{route.rd, route.prefix};
-  st.adj_rib_in.upsert(key, from, compress(route, pool_));
-  decide(at, key);
-}
-
-void Bgp::receive_withdraw(ip::NodeId at, ip::NodeId from, VpnRouteKey key) {
-  SpeakerState& st = state_.at(at);
-  if (!st.adj_rib_in.erase(key, from)) return;
-  decide(at, key);
-}
-
-void Bgp::decide(ip::NodeId node, const VpnRouteKey& key) {
-  SpeakerState& st = state_.at(node);
+void Bgp::decide(ip::NodeId node, NlriId id) {
+  SpeakerState& st = state_[node];
   const CompactRoute* new_best = nullptr;
   ip::NodeId new_sender = ip::kInvalidNode;
-  st.adj_rib_in.for_each(key, [&](ip::NodeId sender, const CompactRoute& r) {
+  st.adj_rib_in.for_each(id, [&](ip::NodeId sender, const CompactRoute& r) {
     // Chain order is insertion-dependent, so the tie-break the old
     // std::map sweep got implicitly — lowest sender wins a full attribute
     // tie — is explicit here.
@@ -192,37 +181,43 @@ void Bgp::decide(ip::NodeId node, const VpnRouteKey& key) {
     }
   });
 
-  auto loc_it = st.loc_rib.find(key);
+  if (new_best == nullptr &&
+      (id >= st.loc_rib.size() || !st.loc_rib[id].present)) {
+    return;  // nothing changed
+  }
+  if (id >= st.loc_rib.size()) st.loc_rib.resize(nlri_.size());
+  LocEntry& loc = st.loc_rib[id];
+  const VpnRouteKey& key = nlri_.key(id);
   if (new_best == nullptr) {
-    if (loc_it == st.loc_rib.end()) return;  // nothing changed
     // Best path lost: withdraw downstream, notify observers.
-    const ip::NodeId old_sender = st.best_sender[key];
-    st.loc_rib.erase(loc_it);
-    st.best_sender.erase(key);
+    const ip::NodeId old_sender = loc.sender;
+    loc = LocEntry{};
+    --st.loc_rib_size;
     VpnRoute gone;
     gone.rd = key.first;
     gone.prefix = key.second;
     for (const auto& cb : observers_) cb(node, gone, true);
-    propagate(node, old_sender, key, nullptr);
+    propagate(node, old_sender, id, nullptr);
     return;
   }
 
-  VpnRoute best_route = materialize(key, *new_best, pool_);
-  const bool changed =
-      loc_it == st.loc_rib.end() ||
-      loc_it->second.next_hop != best_route.next_hop ||
-      loc_it->second.vpn_label != best_route.vpn_label ||
-      loc_it->second.originator != best_route.originator ||
-      loc_it->second.route_targets != best_route.route_targets;
-  if (!changed) return;
-
-  VpnRoute& stored = st.loc_rib[key] = std::move(best_route);
-  st.best_sender[key] = new_sender;
-  for (const auto& cb : observers_) cb(node, stored, false);
-  propagate(node, new_sender, key, &stored);
+  // Any attribute difference is a change. A move to another sender with
+  // identical attributes is not, and keeps the stored sender.
+  if (loc.present && loc.compact == *new_best) return;
+  if (!loc.present) ++st.loc_rib_size;
+  const CompactRoute best = *new_best;
+  loc.present = true;
+  loc.sender = new_sender;
+  loc.compact = best;
+  loc.route = materialize(key, best, pool_);
+  for (const auto& cb : observers_) cb(node, loc.route, false);
+  propagate(node, new_sender, id, &best);
 }
 
 void Bgp::fail_speaker(ip::NodeId pe) {
+  // Before start there are no sessions, so nothing can have been learned
+  // from `pe`.
+  if (!started_) return;
   // Drop sessions touching `pe`.
   for (auto it = sessions_.begin(); it != sessions_.end();) {
     if (it->first == pe || it->second == pe) {
@@ -234,49 +229,63 @@ void Bgp::fail_speaker(ip::NodeId pe) {
   // Updates the dead speaker staged but never flushed die with its
   // sessions.
   ribout_.drop_node(pe);
-  for (auto& [node, st] : state_) {
-    if (node == pe) continue;
+  if (pe < state_.size()) state_[pe].failed = true;
+  for (ip::NodeId node = 0; node < state_.size(); ++node) {
+    SpeakerState& st = state_[node];
+    if (!st.enrolled || node == pe) continue;
     auto& peers = st.peers;
     peers.erase(std::remove(peers.begin(), peers.end(), pe), peers.end());
     // Flush Adj-RIB-In entries learned from the dead peer and re-decide
-    // the affected keys (sorted, matching the legacy sweep order).
-    for (const VpnRouteKey& key : st.adj_rib_in.erase_sender(pe)) {
-      decide(node, key);
-    }
+    // the affected keys in (RD, prefix) order, so the resulting messages
+    // do not depend on intern order.
+    std::vector<NlriId> affected = st.adj_rib_in.erase_sender(pe);
+    std::sort(affected.begin(), affected.end(), [this](NlriId a, NlriId b) {
+      return nlri_.key(a) < nlri_.key(b);
+    });
+    for (NlriId id : affected) decide(node, id);
   }
 }
 
 std::size_t Bgp::loc_rib_size(ip::NodeId node) const {
-  return state_.at(node).loc_rib.size();
+  return speaker(node).loc_rib_size;
 }
 
 std::size_t Bgp::adj_rib_in_size(ip::NodeId node) const {
-  return state_.at(node).adj_rib_in.route_count();
+  return speaker(node).adj_rib_in.route_count();
 }
 
 std::size_t Bgp::adj_rib_bytes() const {
-  std::size_t n = pool_.bytes();
-  for (const auto& [node, st] : state_) n += st.adj_rib_in.bytes();
+  std::size_t n = pool_.bytes() + nlri_.bytes();
+  for (const SpeakerState& st : state_) n += st.adj_rib_in.bytes();
   return n;
 }
 
 std::size_t Bgp::adj_rib_routes() const {
   std::size_t n = 0;
-  for (const auto& [node, st] : state_) n += st.adj_rib_in.route_count();
+  for (const SpeakerState& st : state_) n += st.adj_rib_in.route_count();
   return n;
 }
 
 const VpnRoute* Bgp::best(ip::NodeId node, const VpnRouteKey& key) const {
-  const SpeakerState& st = state_.at(node);
-  auto it = st.loc_rib.find(key);
-  return it == st.loc_rib.end() ? nullptr : &it->second;
+  const SpeakerState& st = speaker(node);
+  const NlriId id = nlri_.find(key);
+  if (id >= st.loc_rib.size() || !st.loc_rib[id].present) return nullptr;
+  return &st.loc_rib[id].route;
 }
 
 std::vector<VpnRoute> Bgp::loc_rib(ip::NodeId node) const {
+  const SpeakerState& st = speaker(node);
+  std::vector<NlriId> ids;
+  ids.reserve(st.loc_rib_size);
+  for (NlriId id = 0; id < st.loc_rib.size(); ++id) {
+    if (st.loc_rib[id].present) ids.push_back(id);
+  }
+  std::sort(ids.begin(), ids.end(), [this](NlriId a, NlriId b) {
+    return nlri_.key(a) < nlri_.key(b);
+  });
   std::vector<VpnRoute> out;
-  const SpeakerState& st = state_.at(node);
-  out.reserve(st.loc_rib.size());
-  for (const auto& [key, route] : st.loc_rib) out.push_back(route);
+  out.reserve(ids.size());
+  for (NlriId id : ids) out.push_back(st.loc_rib[id].route);
   return out;
 }
 

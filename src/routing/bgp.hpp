@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -23,8 +22,10 @@ namespace mvpn::routing {
 /// Advertisements and withdraws stage through a per-speaker RibOut (update
 /// groups keyed by export-policy peer set), flushed by one scheduled event
 /// per speaker per flush instant into MTU-bounded multi-NLRI messages
-/// (INTERNALS.md §15). Final Loc-RIBs are pinned by the fingerprints in
-/// tests/golden/loc_rib.txt.
+/// (INTERNALS.md §15). Each (RD, prefix) is interned to a dense `NlriId`
+/// on first origination; speakers are indexed by node id and their
+/// Adj-RIB-In and Loc-RIB by NLRI id (§15.2). Final Loc-RIBs are pinned
+/// by the fingerprints in tests/golden/loc_rib.txt and vpn_routes.txt.
 class Bgp {
  public:
   enum class Mode { kFullMesh, kRouteReflector };
@@ -56,21 +57,37 @@ class Bgp {
   void fail_speaker(ip::NodeId pe);
 
   /// Fired whenever a speaker's Loc-RIB best path for some key changes.
-  /// `withdrawn` means the key now has no route at that speaker.
+  /// `withdrawn` means the key now has no route at that speaker. The route
+  /// reference is valid for the call only; an observer must not originate
+  /// or withdraw synchronously.
   using RouteObserver =
       std::function<void(ip::NodeId at, const VpnRoute& route, bool withdrawn)>;
   void on_route(RouteObserver cb) { observers_.push_back(std::move(cb)); }
 
   /// --- introspection -----------------------------------------------------
+  /// Per-speaker queries throw std::out_of_range for a node that is not a
+  /// speaker or reflector.
   [[nodiscard]] std::size_t session_count() const noexcept {
     return sessions_.size();
   }
   [[nodiscard]] std::size_t loc_rib_size(ip::NodeId node) const;
   [[nodiscard]] std::size_t adj_rib_in_size(ip::NodeId node) const;
+  /// Best route for `key` at `node`; nullptr when it has none.
   [[nodiscard]] const VpnRoute* best(ip::NodeId node, const VpnRouteKey& key)
       const;
+  /// `node`'s Loc-RIB sorted by (RD, prefix).
   [[nodiscard]] std::vector<VpnRoute> loc_rib(ip::NodeId node) const;
-  [[nodiscard]] bool is_reflector(ip::NodeId node) const;
+  [[nodiscard]] bool is_reflector(ip::NodeId node) const noexcept {
+    return node < state_.size() && state_[node].reflector;
+  }
+  /// Interned id of `key`, or kNoNlri when no speaker ever originated it.
+  [[nodiscard]] NlriId nlri_id(const VpnRouteKey& key) const noexcept {
+    return nlri_.find(key);
+  }
+  /// Keys interned so far; every NlriId is below this.
+  [[nodiscard]] std::size_t nlri_count() const noexcept {
+    return nlri_.size();
+  }
   [[nodiscard]] Mode mode() const noexcept { return mode_; }
   [[nodiscard]] const std::vector<ip::NodeId>& speakers() const noexcept {
     return speakers_;
@@ -79,43 +96,54 @@ class Bgp {
   [[nodiscard]] const RibOut& rib_out() const noexcept { return ribout_; }
   /// Interned route-target set pool shared by every speaker's RIB.
   [[nodiscard]] const RtSetPool& rt_pool() const noexcept { return pool_; }
-  /// Total Adj-RIB-In footprint across speakers (table + arena capacity,
-  /// plus the shared RT pool) — the B/route the churn bench budgets.
+  /// Total Adj-RIB-In footprint across speakers (chain heads + arena
+  /// capacity, plus the shared RT pool and NLRI key table) — the B/route
+  /// the churn bench budgets.
   [[nodiscard]] std::size_t adj_rib_bytes() const;
   [[nodiscard]] std::size_t adj_rib_routes() const;
 
  private:
+  /// One key's Loc-RIB slot at one speaker.
+  struct LocEntry {
+    bool present = false;
+    /// Which peer (or kInvalidNode: local) supplied the best, for
+    /// reflection.
+    ip::NodeId sender = ip::kInvalidNode;
+    CompactRoute compact;
+    VpnRoute route;  ///< `compact` materialized: what best() returns
+  };
   struct SpeakerState {
+    bool enrolled = false;
     bool reflector = false;
+    bool failed = false;  ///< fail_speaker ran: every session is gone
     std::vector<ip::NodeId> peers;
-    /// Adj-RIB-In: per key, the route each sender currently offers, in a
-    /// compact open-addressed table. Sender kInvalidNode marks
-    /// locally-originated routes.
+    /// Adj-RIB-In: per NLRI id, the route each sender currently offers.
+    /// Sender kInvalidNode marks locally-originated routes.
     AdjRibIn adj_rib_in;
-    std::map<VpnRouteKey, VpnRoute> loc_rib;
-    /// Which peer (or local) supplied the current best, for reflection.
-    std::map<VpnRouteKey, ip::NodeId> best_sender;
+    std::vector<LocEntry> loc_rib;  ///< by NlriId
+    std::size_t loc_rib_size = 0;
   };
 
+  /// `node`'s state; std::out_of_range when it is not enrolled.
+  SpeakerState& speaker(ip::NodeId node);
+  [[nodiscard]] const SpeakerState& speaker(ip::NodeId node) const;
+  SpeakerState& enroll(ip::NodeId node);
   void add_session(ip::NodeId a, ip::NodeId b);
-  void receive_update(ip::NodeId at, ip::NodeId from, VpnRoute route);
-  void receive_withdraw(ip::NodeId at, ip::NodeId from, VpnRouteKey key);
-  /// Re-run best-path selection for `key` at `node`; propagate on change.
-  void decide(ip::NodeId node, const VpnRouteKey& key);
+  /// Re-run best-path selection for `id` at `node`; propagate on change.
+  void decide(ip::NodeId node, NlriId id);
   /// Peers `node` must advertise to when its best for a key came from
   /// `sender` (kInvalidNode = locally originated).
   [[nodiscard]] std::vector<ip::NodeId> advertise_targets(
       ip::NodeId node, ip::NodeId sender) const;
-  /// Stage the (re-)advertisement or withdraw (`route` null) of `key` in
+  /// Stage the (re-)advertisement or withdraw (`route` null) of `id` in
   /// the RibOut.
-  void propagate(ip::NodeId node, ip::NodeId sender, const VpnRouteKey& key,
-                 const VpnRoute* route);
+  void propagate(ip::NodeId node, ip::NodeId sender, NlriId id,
+                 const CompactRoute* route);
   /// Drain `node`'s update groups into packed session messages.
   void flush(ip::NodeId node);
   void apply_packed(ip::NodeId at, ip::NodeId from,
                     const std::vector<RibOut::Entry>& entries);
 
-  static bool better(const VpnRoute& a, const VpnRoute& b) noexcept;
   static bool better_compact(const CompactRoute& a,
                              const CompactRoute& b) noexcept;
 
@@ -123,7 +151,8 @@ class Bgp {
   Mode mode_;
   std::vector<ip::NodeId> speakers_;
   std::vector<ip::NodeId> reflectors_;
-  std::map<ip::NodeId, SpeakerState> state_;
+  std::vector<SpeakerState> state_;  ///< by node id
+  NlriTable nlri_;
   std::vector<std::pair<ip::NodeId, ip::NodeId>> sessions_;
   std::vector<RouteObserver> observers_;
   RtSetPool pool_;

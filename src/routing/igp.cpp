@@ -64,8 +64,8 @@ std::shared_ptr<const Lsa> Igp::build_lsa(ip::NodeId router) {
   auto lsa = std::make_shared<Lsa>();
   lsa->origin = router;
   lsa->sequence = ++st.lsa_seq;
-  for (const net::Adjacency& adj : cp_.topology().adjacencies(router)) {
-    if (!is_member(adj.neighbor)) continue;  // IGP covers provider core only
+  cp_.topology().for_each_adjacency(router, [&](const net::Adjacency& adj) {
+    if (!is_member(adj.neighbor)) return;  // IGP covers provider core only
     const net::Link& link = cp_.topology().link(adj.link);
     LsaLink l;
     l.neighbor = adj.neighbor;
@@ -74,7 +74,7 @@ std::shared_ptr<const Lsa> Igp::build_lsa(ip::NodeId router) {
     l.capacity_bps = link.config().bandwidth_bps;
     l.reservable_bps = te_reservable(router, adj.link);
     lsa->links.push_back(l);
-  }
+  });
   return lsa;
 }
 
@@ -142,12 +142,12 @@ void Igp::originate_and_flood(ip::NodeId router) {
 
 void Igp::flood(ip::NodeId at, const std::shared_ptr<const Lsa>& lsa,
                 ip::NodeId except) {
-  for (const net::Adjacency& adj : cp_.topology().adjacencies(at)) {
-    if (adj.neighbor == except || !is_member(adj.neighbor)) continue;
+  cp_.topology().for_each_adjacency(at, [&](const net::Adjacency& adj) {
+    if (adj.neighbor == except || !is_member(adj.neighbor)) return;
     const ip::NodeId to = adj.neighbor;
     cp_.send_adjacent(at, to, "igp.lsa", lsa->wire_bytes(),
                       [this, to, lsa, at] { receive_lsa(to, lsa, at); });
-  }
+  });
 }
 
 void Igp::receive_lsa(ip::NodeId at, const std::shared_ptr<const Lsa>& lsa,

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <stdexcept>
@@ -53,7 +52,7 @@ class RtSetPool {
 
 /// Fixed-size (24 B) attribute block for one VPN-IPv4 route: everything a
 /// `VpnRoute` carries, with the RT vector replaced by a pool index. The
-/// (RD, prefix) key lives in the table slot, not here.
+/// (RD, prefix) key is the NLRI id's (`NlriTable`), not stored here.
 struct CompactRoute {
   std::uint32_t next_hop = 0;  ///< Ipv4Address::value() of the egress PE
   ip::NodeId next_hop_node = ip::kInvalidNode;
@@ -91,50 +90,120 @@ struct CompactRoute {
   return r;
 }
 
-/// Open-addressed Adj-RIB-In: (RD, prefix) keys in a linear-probe slot
-/// array, per-key sender chains in a free-listed arena of 32 B offer nodes.
-/// Replaces the per-speaker `std::map<key, std::map<sender, VpnRoute>>`
-/// whose node + vector overhead dominated control-plane memory at 10⁵–10⁶
-/// routes. Iteration order within a chain is most-recent-first; callers
-/// needing the legacy lowest-sender tie-break make it explicit.
+/// Dense id of an interned (RD, prefix) VPN-IPv4 key (INTERNALS.md §15.2).
+using NlriId = std::uint32_t;
+inline constexpr NlriId kNoNlri = 0xFFFFFFFFu;
+
+/// The (RD, prefix) keys a BGP instance has seen, each interned to a dense
+/// `NlriId` on first origination so per-speaker RIB state can be plain
+/// vectors indexed by it. Ids are handed out in first-intern order and
+/// never recycled; a linear-probe table of ids answers key lookups. Id
+/// order is not key order: callers that expose an order sort by `key`.
+class NlriTable {
+ public:
+  NlriTable() { slots_.assign(kInitialSlots, kNoNlri); }
+
+  /// Id of `key`, interning it on first sight.
+  NlriId intern(const VpnRouteKey& key) {
+    const std::size_t i = probe(key);
+    if (slots_[i] != kNoNlri) return slots_[i];
+    const auto id = static_cast<NlriId>(keys_.size());
+    keys_.push_back(key);
+    slots_[i] = id;
+    if (keys_.size() * 10 >= slots_.size() * 7) grow();
+    return id;
+  }
+
+  /// Id of `key`, or kNoNlri when it was never interned.
+  [[nodiscard]] NlriId find(const VpnRouteKey& key) const noexcept {
+    return slots_[probe(key)];
+  }
+
+  [[nodiscard]] const VpnRouteKey& key(NlriId id) const { return keys_[id]; }
+  [[nodiscard]] std::size_t size() const noexcept { return keys_.size(); }
+
+  /// Key vector + slot table capacity.
+  [[nodiscard]] std::size_t bytes() const noexcept {
+    return keys_.capacity() * sizeof(VpnRouteKey) +
+           slots_.capacity() * sizeof(NlriId);
+  }
+
+ private:
+  static constexpr std::size_t kInitialSlots = 64;
+
+  static std::uint64_t hash_key(const VpnRouteKey& key) noexcept {
+    const std::uint64_t a =
+        (std::uint64_t{key.first.asn} << 32) | key.first.assigned;
+    const std::uint64_t b =
+        (std::uint64_t{key.second.address().value()} << 8) |
+        key.second.length();
+    std::uint64_t x = a * 0x9E3779B97F4A7C15ull ^ (b + 0xD1B54A32D192ED03ull);
+    x ^= x >> 30;
+    x *= 0xBF58476D1CE4E5B9ull;
+    x ^= x >> 27;
+    x *= 0x94D049BB133111EBull;
+    x ^= x >> 31;
+    return x;
+  }
+
+  /// The slot holding `key`, or the empty slot where it would go.
+  [[nodiscard]] std::size_t probe(const VpnRouteKey& key) const noexcept {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = hash_key(key) & mask;
+    while (slots_[i] != kNoNlri && keys_[slots_[i]] != key) i = (i + 1) & mask;
+    return i;
+  }
+
+  void grow() {
+    slots_.assign(slots_.size() * 2, kNoNlri);
+    const std::size_t mask = slots_.size() - 1;
+    for (NlriId id = 0; id < keys_.size(); ++id) {
+      std::size_t i = hash_key(keys_[id]) & mask;
+      while (slots_[i] != kNoNlri) i = (i + 1) & mask;
+      slots_[i] = id;
+    }
+  }
+
+  std::vector<VpnRouteKey> keys_;  ///< by NlriId
+  std::vector<NlriId> slots_;      ///< power-of-two probe table of ids
+};
+
+/// Adj-RIB-In indexed by NLRI id: one chain head per id over a free-listed
+/// arena of 32 B offer nodes, each holding one sender's `CompactRoute`.
+/// Iteration order within a chain is most-recent-first; callers needing a
+/// sender tie-break make it explicit.
 class AdjRibIn {
  public:
   static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
 
-  AdjRibIn() { slots_.resize(kInitialSlots); }
-
-  /// Insert or replace the offer from `sender` for `key`.
-  void upsert(const VpnRouteKey& key, ip::NodeId sender,
-              const CompactRoute& route) {
-    maybe_grow();
-    std::size_t idx = find_or_claim(key);
-    Slot& s = slots_[idx];
-    for (std::uint32_t o = s.head; o != kNil; o = arena_[o].next) {
+  /// Insert or replace the offer from `sender` for `id`.
+  void upsert(NlriId id, ip::NodeId sender, const CompactRoute& route) {
+    if (id >= heads_.size()) heads_.resize(id + 1, kNil);
+    for (std::uint32_t o = heads_[id]; o != kNil; o = arena_[o].next) {
       if (arena_[o].sender == sender) {
         arena_[o].route = route;
         return;
       }
     }
+    if (heads_[id] == kNil) ++key_count_;
     const std::uint32_t node = alloc_offer();
     arena_[node].sender = sender;
     arena_[node].route = route;
-    arena_[node].next = s.head;
-    s.head = node;
+    arena_[node].next = heads_[id];
+    heads_[id] = node;
     ++route_count_;
   }
 
   /// Remove the offer from `sender`; returns false when absent.
-  bool erase(const VpnRouteKey& key, ip::NodeId sender) {
-    const std::size_t idx = find(key);
-    if (idx == kNotFound) return false;
-    Slot& s = slots_[idx];
-    std::uint32_t* link = &s.head;
-    for (std::uint32_t o = s.head; o != kNil; o = arena_[o].next) {
+  bool erase(NlriId id, ip::NodeId sender) {
+    if (id >= heads_.size()) return false;
+    std::uint32_t* link = &heads_[id];
+    for (std::uint32_t o = heads_[id]; o != kNil; o = arena_[o].next) {
       if (arena_[o].sender == sender) {
         *link = arena_[o].next;
         free_offer(o);
         --route_count_;
-        if (s.head == kNil) bury(idx);
+        if (heads_[id] == kNil) --key_count_;
         return true;
       }
       link = &arena_[o].next;
@@ -142,27 +211,23 @@ class AdjRibIn {
     return false;
   }
 
-  /// Visit every (sender, route) offer for `key`.
+  /// Visit every (sender, route) offer for `id`.
   template <typename F>
-  void for_each(const VpnRouteKey& key, F&& fn) const {
-    const std::size_t idx = find(key);
-    if (idx == kNotFound) return;
-    for (std::uint32_t o = slots_[idx].head; o != kNil; o = arena_[o].next) {
+  void for_each(NlriId id, F&& fn) const {
+    if (id >= heads_.size()) return;
+    for (std::uint32_t o = heads_[id]; o != kNil; o = arena_[o].next) {
       fn(arena_[o].sender, arena_[o].route);
     }
   }
 
-  /// Drop every offer learned from `sender`; returns the affected keys in
-  /// sorted order (matching the legacy std::map sweep, so downstream
-  /// decision order — and therefore message order — stays deterministic).
-  std::vector<VpnRouteKey> erase_sender(ip::NodeId sender) {
-    std::vector<VpnRouteKey> affected;
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-      Slot& s = slots_[i];
-      if (s.state != kUsed) continue;
-      std::uint32_t* link = &s.head;
+  /// Drop every offer learned from `sender`; returns the affected ids in
+  /// ascending id order (callers wanting key order sort them by key).
+  std::vector<NlriId> erase_sender(ip::NodeId sender) {
+    std::vector<NlriId> affected;
+    for (NlriId id = 0; id < heads_.size(); ++id) {
+      std::uint32_t* link = &heads_[id];
       bool hit = false;
-      for (std::uint32_t o = s.head; o != kNil;) {
+      for (std::uint32_t o = *link; o != kNil;) {
         const std::uint32_t nxt = arena_[o].next;
         if (arena_[o].sender == sender) {
           *link = nxt;
@@ -174,10 +239,10 @@ class AdjRibIn {
         }
         o = nxt;
       }
-      if (hit) affected.push_back(key_of(s));
-      if (s.head == kNil) bury(i);
+      if (!hit) continue;
+      affected.push_back(id);
+      if (heads_[id] == kNil) --key_count_;
     }
-    std::sort(affected.begin(), affected.end());
     return affected;
   }
 
@@ -186,121 +251,19 @@ class AdjRibIn {
   }
   [[nodiscard]] std::size_t key_count() const noexcept { return key_count_; }
 
-  /// Table + arena footprint (capacity, not occupancy — what the process
+  /// Head + arena footprint (capacity, not occupancy — what the process
   /// actually pays).
   [[nodiscard]] std::size_t bytes() const noexcept {
-    return slots_.capacity() * sizeof(Slot) + arena_.capacity() * sizeof(Offer);
+    return heads_.capacity() * sizeof(std::uint32_t) +
+           arena_.capacity() * sizeof(Offer);
   }
 
  private:
-  static constexpr std::size_t kInitialSlots = 64;
-  static constexpr std::size_t kNotFound = ~std::size_t{0};
-  static constexpr std::uint8_t kEmpty = 0, kUsed = 1, kTombstone = 2;
-
-  struct Slot {
-    std::uint32_t rd_asn = 0;
-    std::uint32_t rd_assigned = 0;
-    std::uint32_t addr = 0;
-    std::uint8_t plen = 0;
-    std::uint8_t state = kEmpty;
-    std::uint32_t head = kNil;
-  };
   struct Offer {
     ip::NodeId sender = ip::kInvalidNode;
     std::uint32_t next = kNil;
     CompactRoute route;
   };
-
-  static std::uint64_t hash_key(std::uint32_t rd_asn, std::uint32_t rd_assigned,
-                                std::uint32_t addr, std::uint8_t plen) noexcept {
-    std::uint64_t a = (std::uint64_t{rd_asn} << 32) | rd_assigned;
-    std::uint64_t b = (std::uint64_t{addr} << 8) | plen;
-    std::uint64_t x = a * 0x9E3779B97F4A7C15ull ^ (b + 0xD1B54A32D192ED03ull);
-    x ^= x >> 30;
-    x *= 0xBF58476D1CE4E5B9ull;
-    x ^= x >> 27;
-    x *= 0x94D049BB133111EBull;
-    x ^= x >> 31;
-    return x;
-  }
-
-  static bool matches(const Slot& s, const VpnRouteKey& key) noexcept {
-    return s.rd_asn == key.first.asn && s.rd_assigned == key.first.assigned &&
-           s.addr == key.second.address().value() &&
-           s.plen == key.second.length();
-  }
-
-  static VpnRouteKey key_of(const Slot& s) {
-    return {RouteDistinguisher{s.rd_asn, s.rd_assigned},
-            ip::Prefix(ip::Ipv4Address(s.addr), s.plen)};
-  }
-
-  [[nodiscard]] std::size_t find(const VpnRouteKey& key) const noexcept {
-    const std::size_t mask = slots_.size() - 1;
-    std::size_t i = hash_key(key.first.asn, key.first.assigned,
-                             key.second.address().value(),
-                             key.second.length()) &
-                    mask;
-    for (;;) {
-      const Slot& s = slots_[i];
-      if (s.state == kEmpty) return kNotFound;
-      if (s.state == kUsed && matches(s, key)) return i;
-      i = (i + 1) & mask;
-    }
-  }
-
-  std::size_t find_or_claim(const VpnRouteKey& key) {
-    const std::size_t mask = slots_.size() - 1;
-    std::size_t i = hash_key(key.first.asn, key.first.assigned,
-                             key.second.address().value(),
-                             key.second.length()) &
-                    mask;
-    std::size_t grave = kNotFound;
-    for (;;) {
-      Slot& s = slots_[i];
-      if (s.state == kUsed && matches(s, key)) return i;
-      if (s.state == kTombstone && grave == kNotFound) grave = i;
-      if (s.state == kEmpty) {
-        const std::size_t at = grave != kNotFound ? grave : i;
-        Slot& t = slots_[at];
-        t.rd_asn = key.first.asn;
-        t.rd_assigned = key.first.assigned;
-        t.addr = key.second.address().value();
-        t.plen = key.second.length();
-        t.state = kUsed;
-        t.head = kNil;
-        if (at == i) ++occupied_;  // fresh slot, not a recycled tombstone
-        ++key_count_;
-        return at;
-      }
-      i = (i + 1) & mask;
-    }
-  }
-
-  void bury(std::size_t idx) {
-    slots_[idx].state = kTombstone;
-    --key_count_;
-  }
-
-  void maybe_grow() {
-    // Grow when live keys + tombstones pass 70% — keeps probe chains short
-    // and sweeps tombstones out in the rehash.
-    if (occupied_ * 10 < slots_.size() * 7) return;
-    std::vector<Slot> old;
-    old.swap(slots_);
-    slots_.resize(old.size() * 2);
-    occupied_ = 0;
-    key_count_ = 0;
-    const std::size_t mask = slots_.size() - 1;
-    for (const Slot& s : old) {
-      if (s.state != kUsed) continue;
-      std::size_t i = hash_key(s.rd_asn, s.rd_assigned, s.addr, s.plen) & mask;
-      while (slots_[i].state == kUsed) i = (i + 1) & mask;
-      slots_[i] = s;
-      ++occupied_;
-      ++key_count_;
-    }
-  }
 
   std::uint32_t alloc_offer() {
     if (free_head_ != kNil) {
@@ -317,12 +280,11 @@ class AdjRibIn {
     free_head_ = o;
   }
 
-  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> heads_;  ///< by NlriId; kNil when no offer
   std::vector<Offer> arena_;
   std::uint32_t free_head_ = kNil;
-  std::size_t occupied_ = 0;    ///< used + never-buried slots (probe load)
-  std::size_t key_count_ = 0;   ///< live keys
-  std::size_t route_count_ = 0; ///< live (key, sender) offers
+  std::size_t key_count_ = 0;    ///< ids with at least one offer
+  std::size_t route_count_ = 0;  ///< live (id, sender) offers
 };
 
 }  // namespace mvpn::routing

@@ -19,14 +19,18 @@ void RibOut::append(NodeState& ns, std::vector<ip::NodeId> peers,
   }
   Group& g = ns.groups[gid];
   const auto slot = static_cast<std::uint32_t>(g.queue.size());
-  const VpnRouteKey key = entry.key;
+  const NlriId nlri = entry.nlri;
   g.queue.push_back(std::move(entry));
-  ns.queued[key].emplace_back(gid, slot);
+  if (nlri >= ns.queued.size()) ns.queued.resize(nlri + 1, kNil);
+  ns.refs.push_back(Ref{gid, slot, ns.queued[nlri]});
+  ns.queued[nlri] = static_cast<std::uint32_t>(ns.refs.size() - 1);
 }
 
 bool RibOut::enqueue(ip::NodeId node, std::vector<ip::NodeId> peers,
-                     const VpnRouteKey& key, const CompactRoute* route) {
+                     NlriId nlri, const CompactRoute* route) {
+  if (node >= nodes_.size()) nodes_.resize(node + 1);
   NodeState& ns = nodes_[node];
+  ns.live = true;
   std::sort(peers.begin(), peers.end());
   ++nlri_enqueued_;
 
@@ -35,10 +39,14 @@ bool RibOut::enqueue(ip::NodeId node, std::vector<ip::NodeId> peers,
   // cover keep the old payload via a residual-group re-queue, preserving
   // the disjointness invariant (residuals are subsets of pairwise-disjoint
   // old sets, all disjoint from the new set).
-  auto qit = ns.queued.find(key);
-  if (qit != ns.queued.end()) {
-    const auto old_refs = std::move(qit->second);
-    ns.queued.erase(qit);
+  if (nlri < ns.queued.size() && ns.queued[nlri] != kNil) {
+    // The chain runs newest-first; supersede in queueing order.
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> old_refs;
+    for (std::uint32_t r = ns.queued[nlri]; r != kNil; r = ns.refs[r].older) {
+      old_refs.emplace_back(ns.refs[r].gid, ns.refs[r].slot);
+    }
+    std::reverse(old_refs.begin(), old_refs.end());
+    ns.queued[nlri] = kNil;
     for (const auto& [gid, slot] : old_refs) {
       Entry& old = ns.groups[gid].queue[slot];
       if (old.dead) continue;
@@ -49,14 +57,14 @@ bool RibOut::enqueue(ip::NodeId node, std::vector<ip::NodeId> peers,
                           ns.groups[gid].peers.end(), peers.begin(),
                           peers.end(), std::back_inserter(residual));
       if (!residual.empty()) {
-        Entry carry{old.key, old.route, old.withdraw, false};
+        Entry carry{old.nlri, old.route, old.withdraw, false};
         append(ns, std::move(residual), std::move(carry));
       }
     }
   }
 
   Entry e;
-  e.key = key;
+  e.nlri = nlri;
   e.withdraw = route == nullptr;
   if (route != nullptr) e.route = *route;
   append(ns, std::move(peers), std::move(e));
@@ -67,11 +75,11 @@ bool RibOut::enqueue(ip::NodeId node, std::vector<ip::NodeId> peers,
 }
 
 std::vector<RibOut::Message> RibOut::drain(ip::NodeId node,
-                                           const RtSetPool& pool) {
+                                           const RtSetPool& pool,
+                                           const NlriTable& keys) {
   std::vector<Message> out;
-  auto nit = nodes_.find(node);
-  if (nit == nodes_.end()) return out;
-  NodeState& ns = nit->second;
+  if (node >= nodes_.size() || !nodes_[node].live) return out;
+  NodeState& ns = nodes_[node];
   ns.armed = false;
   ++flushes_;
 
@@ -110,9 +118,10 @@ std::vector<RibOut::Message> RibOut::drain(ip::NodeId node,
     };
 
     for (Entry& e : g.queue) {
+      ns.queued[e.nlri] = kNil;
       if (e.dead) continue;
       auto cost_of = [&]() -> std::size_t {
-        std::size_t c = vpn_nlri_wire_bytes(e.key);
+        std::size_t c = vpn_nlri_wire_bytes(keys.key(e.nlri));
         if (!e.withdraw) {
           const AttrKey a{e.route.next_hop, e.route.local_pref,
                           e.route.originator, e.route.rt_set};
@@ -136,10 +145,12 @@ std::vector<RibOut::Message> RibOut::drain(ip::NodeId node,
     cut();
     g.queue.clear();
   }
-  ns.queued.clear();
+  ns.refs.clear();
   return out;
 }
 
-void RibOut::drop_node(ip::NodeId node) { nodes_.erase(node); }
+void RibOut::drop_node(ip::NodeId node) {
+  if (node < nodes_.size()) nodes_[node] = NodeState{};
+}
 
 }  // namespace mvpn::routing

@@ -37,7 +37,7 @@ class RibOut {
   static constexpr std::size_t kMaxMessageBytes = 4096;
 
   struct Entry {
-    VpnRouteKey key;
+    NlriId nlri = kNoNlri;
     CompactRoute route;    ///< meaningful when !withdraw
     bool withdraw = false;
     bool dead = false;     ///< superseded while queued; never hits the wire
@@ -55,23 +55,23 @@ class RibOut {
   };
 
   /// Queue an advertisement (`route` non-null) or withdraw (`route` null)
-  /// of `key` from `node` toward `peers`. Returns true when the caller
+  /// of `nlri` from `node` toward `peers`. Returns true when the caller
   /// must arm a flush event for `node` (i.e. none was pending).
-  bool enqueue(ip::NodeId node, std::vector<ip::NodeId> peers,
-               const VpnRouteKey& key, const CompactRoute* route);
+  bool enqueue(ip::NodeId node, std::vector<ip::NodeId> peers, NlriId nlri,
+               const CompactRoute* route);
 
   /// Pack and return every queued live entry for `node`, clearing its
   /// queues and disarming the flush. `pool` resolves RT-set sizes for
-  /// attribute byte accounting.
-  std::vector<Message> drain(ip::NodeId node, const RtSetPool& pool);
+  /// attribute byte accounting, `keys` each NLRI's prefix length.
+  std::vector<Message> drain(ip::NodeId node, const RtSetPool& pool,
+                             const NlriTable& keys);
 
   /// Forget everything queued at `node` (speaker death: queued updates die
   /// with the TCP sessions).
   void drop_node(ip::NodeId node);
 
   [[nodiscard]] bool armed(ip::NodeId node) const {
-    auto it = nodes_.find(node);
-    return it != nodes_.end() && it->second.armed;
+    return node < nodes_.size() && nodes_[node].armed;
   }
 
   /// --- counters ---------------------------------------------------------
@@ -93,7 +93,7 @@ class RibOut {
   [[nodiscard]] std::uint64_t flushes() const noexcept { return flushes_; }
   [[nodiscard]] std::uint64_t group_count() const noexcept {
     std::uint64_t n = 0;
-    for (const auto& [node, ns] : nodes_) n += ns.groups.size();
+    for (const NodeState& ns : nodes_) n += ns.groups.size();
     return n;
   }
 
@@ -102,19 +102,30 @@ class RibOut {
     std::vector<ip::NodeId> peers;  ///< sorted; the group identity
     std::vector<Entry> queue;
   };
+  static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
+
+  /// One live queued entry of a key: its (group id, queue slot), chained
+  /// to the key's previously queued entry.
+  struct Ref {
+    std::uint32_t gid = 0;
+    std::uint32_t slot = 0;
+    std::uint32_t older = kNil;
+  };
   struct NodeState {
+    bool live = false;  ///< enqueued since creation or the last drop_node
     std::vector<Group> groups;
     std::map<std::vector<ip::NodeId>, std::uint32_t> group_of;
-    /// Live queued entries per key: (group id, queue slot) pairs whose
-    /// peer sets are pairwise disjoint.
-    std::map<VpnRouteKey, std::vector<std::pair<std::uint32_t, std::uint32_t>>>
-        queued;
+    /// Per NLRI id, the newest live queued entry in `refs` (kNil when the
+    /// key has none). A key's live entries have pairwise disjoint peer
+    /// sets; both vectors are reset at each drain.
+    std::vector<std::uint32_t> queued;
+    std::vector<Ref> refs;
     bool armed = false;
   };
 
   void append(NodeState& ns, std::vector<ip::NodeId> peers, Entry entry);
 
-  std::map<ip::NodeId, NodeState> nodes_;
+  std::vector<NodeState> nodes_;  ///< by node id
   std::uint64_t nlri_enqueued_ = 0;
   std::uint64_t superseded_ = 0;
   std::uint64_t messages_packed_ = 0;

@@ -4,6 +4,19 @@
 
 namespace mvpn::vpn {
 
+namespace {
+
+/// Remove `prefix` from `vrf` unless the entry there is a locally
+/// connected site route, which BGP never owns.
+void remove_vpn_route(Vrf& vrf, const ip::Prefix& prefix) {
+  const ip::RouteEntry* cur = vrf.table().find(prefix);
+  if (cur != nullptr && cur->source == ip::RouteSource::kVpn) {
+    vrf.table().remove(prefix);
+  }
+}
+
+}  // namespace
+
 MplsVpnService::MplsVpnService(net::Topology& topo, routing::ControlPlane& cp,
                                routing::Igp& igp, mpls::MplsDomain& domain,
                                mpls::Ldp& ldp, routing::Bgp& bgp,
@@ -23,6 +36,7 @@ void MplsVpnService::add_provider_router(Router& r) {
   if (r.role() == Role::kCe) {
     throw std::invalid_argument("add_provider_router: CE is not a provider");
   }
+  if (r.id() >= providers_.size()) providers_.resize(r.id() + 1, nullptr);
   providers_[r.id()] = &r;
   igp_.add_router(r.id());
   ldp_.enable_router(r.id());
@@ -84,7 +98,7 @@ Vrf& MplsVpnService::ensure_vrf(Router& pe, VpnId vpn) {
 void MplsVpnService::add_site(VpnId vpn, Router& pe, Router& ce,
                               const ip::Prefix& site_prefix,
                               std::uint32_t local_pref) {
-  if (providers_.find(pe.id()) == providers_.end()) {
+  if (provider(pe.id()) == nullptr) {
     throw std::invalid_argument("add_site: PE is not a registered provider");
   }
   const ip::IfIndex pe_if = pe.interface_to(ce.id());
@@ -210,34 +224,37 @@ void MplsVpnService::converge() { topo_.scheduler().run(); }
 void MplsVpnService::import_route(ip::NodeId at,
                                   const routing::VpnRoute& route,
                                   bool withdrawn) {
-  auto prov = providers_.find(at);
-  if (prov == providers_.end()) return;  // a dedicated RR holds no VRFs
-  Router& pe = *prov->second;
+  Router* pe = provider(at);
+  if (pe == nullptr) return;  // a dedicated RR holds no VRFs
   last_route_change_at_ = cp_.now();
-  const routing::VpnRouteKey key{route.rd, route.prefix};
+  const routing::NlriId id = bgp_.nlri_id({route.rd, route.prefix});
 
   if (withdrawn) {
-    auto node_it = imported_.find(at);
-    if (node_it == imported_.end()) return;
-    auto key_it = node_it->second.find(key);
-    if (key_it == node_it->second.end()) return;
-    for (VpnId vpn : key_it->second) {
-      if (Vrf* vrf = pe.vrf_by_vpn(vpn)) {
-        const ip::RouteEntry* cur = vrf->table().find(route.prefix);
-        // Never remove a locally connected site route.
-        if (cur != nullptr && cur->source == ip::RouteSource::kVpn) {
-          vrf->table().remove(route.prefix);
-        }
-      }
+    if (at >= imported_.size() || id >= imported_[at].size()) return;
+    std::vector<VpnId>& importers = imported_[at][id];
+    for (VpnId vpn : importers) {
+      if (Vrf* vrf = pe->vrf_by_vpn(vpn)) remove_vpn_route(*vrf, route.prefix);
     }
-    node_it->second.erase(key_it);
+    importers.clear();
     return;
   }
 
   if (route.next_hop_node == at) return;  // our own origination
-  std::vector<VpnId>& importers = imported_[at][key];
+  if (at >= imported_.size()) imported_.resize(at + 1);
+  std::vector<std::vector<VpnId>>& by_id = imported_[at];
+  if (id >= by_id.size()) by_id.resize(bgp_.nlri_count());
+  std::vector<VpnId>& importers = by_id[id];
+  // A VRF that imported the previous version but does not import this one
+  // (its route targets changed) must lose it now: a later withdraw only
+  // visits the current importers.
+  for (VpnId vpn : importers) {
+    Vrf* vrf = pe->vrf_by_vpn(vpn);
+    if (vrf != nullptr && !vrf->imports(route)) {
+      remove_vpn_route(*vrf, route.prefix);
+    }
+  }
   importers.clear();
-  for (Vrf* vrf : pe.vrfs()) {
+  for (Vrf* vrf : pe->vrfs()) {
     if (!vrf->imports(route)) continue;
     ip::RouteEntry entry;
     entry.prefix = route.prefix;
@@ -252,19 +269,17 @@ void MplsVpnService::import_route(ip::NodeId at,
 
 std::size_t MplsVpnService::total_vrf_count() const {
   std::size_t n = 0;
-  for (const auto& [id, r] : providers_) {
-    n += static_cast<std::size_t>(r->vrf_count());
+  for (const Router* r : providers_) {
+    if (r != nullptr) n += static_cast<std::size_t>(r->vrf_count());
   }
   return n;
 }
 
 std::size_t MplsVpnService::total_vrf_routes() const {
   std::size_t n = 0;
-  for (const auto& [id, r] : providers_) {
-    for (const Vrf* v :
-         const_cast<Router*>(r)->vrfs()) {  // vrfs() is logically const
-      n += v->table().size();
-    }
+  for (Router* r : providers_) {
+    if (r == nullptr) continue;
+    for (const Vrf* v : r->vrfs()) n += v->table().size();
   }
   return n;
 }

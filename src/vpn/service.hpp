@@ -112,6 +112,9 @@ class MplsVpnService {
   };
 
   Vrf& ensure_vrf(Router& pe, VpnId vpn);
+  [[nodiscard]] Router* provider(ip::NodeId id) const {
+    return id < providers_.size() ? providers_[id] : nullptr;
+  }
   void import_route(ip::NodeId at, const routing::VpnRoute& route,
                     bool withdrawn);
 
@@ -125,12 +128,12 @@ class MplsVpnService {
 
   std::map<VpnId, VpnInfo> vpns_;
   VpnId next_vpn_ = 1;
-  std::map<ip::NodeId, Router*> providers_;
+  std::vector<Router*> providers_;  ///< by node id; null for non-providers
   std::vector<ip::NodeId> pes_;
   std::vector<PendingRoute> pending_;
-  /// Which VPN ids imported each (pe, key) — needed to undo on withdraw.
-  std::map<ip::NodeId, std::map<routing::VpnRouteKey, std::vector<VpnId>>>
-      imported_;
+  /// Which VPN ids imported each key at each PE, by node id then NLRI id —
+  /// needed to undo on withdraw or on a route-target change.
+  std::vector<std::vector<std::vector<VpnId>>> imported_;
   sim::SimTime last_route_change_at_ = 0;
   bool started_ = false;
 };

@@ -78,6 +78,16 @@ TEST(MplsDomain, AggregatesState) {
   EXPECT_NE(domain.find(1), nullptr);
 }
 
+TEST(MplsDomain, StateStaysPutAsHigherIdsArrive) {
+  MplsDomain domain;
+  LsrState* first = &domain.state_of(2);
+  for (ip::NodeId n = 3; n < 500; ++n) (void)domain.state_of(n);
+  EXPECT_EQ(&domain.state_of(2), first);  // routers keep this pointer
+  EXPECT_EQ(domain.find(2), first);
+  EXPECT_EQ(domain.find(0), nullptr);     // below the highest id, never made
+  EXPECT_EQ(domain.find(1000), nullptr);  // past every id
+}
+
 // ---------------------------------------------------------------------------
 
 struct MplsFixture {
@@ -708,6 +718,104 @@ TEST(ControlPlaneGolden, CoreLinkFailureAndRestoreMatchRecordedRows) {
   EXPECT_EQ(joined(restored),
             joined(golden::row("control_plane.txt",
                                "topogen_p16_pe64_ce2_p0p1_restored")));
+}
+
+
+// --- VPN route goldens (tests/golden/vpn_routes.txt) ----------------------
+
+/// The vpn_routes.txt row for `bb`'s current state: the Loc-RIB
+/// fingerprint over every BGP speaker and reflector in node order, the
+/// VRF fingerprint over every PE's VRF tables in VPN order, the
+/// bgp.update / bgp.withdraw message and byte counts, and the RibOut
+/// nlri_enqueued / superseded / messages_packed / flushes / group_count
+/// counters, then the Adj-RIB-In offers held across speakers.
+std::vector<std::string> vpn_routes_row(backbone::MplsBackbone& bb) {
+  const routing::Bgp& bgp = bb.bgp;
+  golden::Fnv rib;
+  const std::vector<ip::NodeId>& speakers = bgp.speakers();
+  for (ip::NodeId n = 0; n < bb.topo.node_count(); ++n) {
+    if (bgp.is_reflector(n) ||
+        std::find(speakers.begin(), speakers.end(), n) != speakers.end()) {
+      golden::mix_loc_rib(rib, n, bgp.loc_rib(n));
+    }
+  }
+  golden::Fnv vrfs;
+  for (vpn::Router* pe : bb.pes()) {
+    std::vector<vpn::Vrf*> tables = pe->vrfs();
+    std::sort(tables.begin(), tables.end(),
+              [](const vpn::Vrf* a, const vpn::Vrf* b) {
+                return a->vpn_id() < b->vpn_id();
+              });
+    for (const vpn::Vrf* vrf : tables) {
+      vrfs.mix(pe->id());
+      vrfs.mix(vrf->vpn_id());
+      for (const ip::RouteEntry& e : vrf->table().entries()) {
+        vrfs.mix((std::uint64_t{e.prefix.address().value()} << 8) |
+                 e.prefix.length());
+        vrfs.mix(static_cast<std::uint64_t>(e.source));
+        vrfs.mix(e.vpn_label);
+        vrfs.mix(e.egress_pe);
+      }
+    }
+  }
+  const routing::RibOut& out = bgp.rib_out();
+  return {rib.hex(),
+          vrfs.hex(),
+          std::to_string(bb.cp.message_count("bgp.update")),
+          std::to_string(bb.cp.byte_count("bgp.update")),
+          std::to_string(bb.cp.message_count("bgp.withdraw")),
+          std::to_string(bb.cp.byte_count("bgp.withdraw")),
+          std::to_string(out.nlri_enqueued()),
+          std::to_string(out.superseded()),
+          std::to_string(out.messages_packed()),
+          std::to_string(out.flushes()),
+          std::to_string(out.group_count()),
+          std::to_string(bgp.adj_rib_routes())};
+}
+
+TEST(VpnRoutesGolden, ColdBootMatchesRecordedRows) {
+  for (const auto& [key, spec] :
+       {std::pair<std::string, std::string>{"topogen_p4_pe8_ce2",
+                                            "p=4 pe=8 ce=2"},
+        {"topogen_p16_pe64_ce2", "p=16 pe=64 ce=2"}}) {
+    const auto bb = converged_topogen(spec);
+    EXPECT_EQ(joined(vpn_routes_row(*bb)),
+              joined(golden::row("vpn_routes.txt", key)))
+        << key;
+  }
+}
+
+TEST(VpnRoutesGolden, PeAndReflectorFailuresMatchRecordedRows) {
+  // A PE failure drops its sessions and attachment links; a reflector
+  // failure leaves every client on the surviving reflector. Both re-decide
+  // every key the dead speaker had offered.
+  for (const auto& [key, spec] :
+       {std::pair<std::string, std::string>{"topogen_p4_pe8_ce2_pe0_failed",
+                                            "p=4 pe=8 ce=2"},
+        {"topogen_p16_pe64_ce2_pe0_failed", "p=16 pe=64 ce=2"}}) {
+    const auto bb = converged_topogen(spec);
+    bb->service.fail_pe(bb->pe(0));
+    bb->topo.scheduler().run();
+    EXPECT_EQ(joined(vpn_routes_row(*bb)),
+              joined(golden::row("vpn_routes.txt", key)))
+        << key;
+  }
+  {
+    const auto bb = converged_topogen("p=16 pe=64 ce=2");
+    ip::NodeId rr0 = ip::kInvalidNode;
+    for (ip::NodeId n = 0; n < bb->topo.node_count(); ++n) {
+      if (bb->bgp.is_reflector(n)) {
+        rr0 = n;
+        break;
+      }
+    }
+    ASSERT_NE(rr0, ip::kInvalidNode);
+    bb->bgp.fail_speaker(rr0);
+    bb->topo.scheduler().run();
+    EXPECT_EQ(joined(vpn_routes_row(*bb)),
+              joined(golden::row("vpn_routes.txt",
+                                 "topogen_p16_pe64_ce2_rr0_failed")));
+  }
 }
 
 }  // namespace

@@ -144,6 +144,31 @@ TEST(Topology, AdjacenciesSkipDownLinks) {
   EXPECT_EQ(topo.adjacencies(a.id())[0].neighbor, b.id());
 }
 
+TEST(Topology, AdjacencyVisitorMatchesAdjacencies) {
+  Topology topo;
+  auto& a = topo.add_node<SinkNode>("a");
+  auto& b = topo.add_node<SinkNode>("b");
+  auto& c = topo.add_node<SinkNode>("c");
+  auto& d = topo.add_node<SinkNode>("d");
+  topo.connect(a.id(), c.id());
+  const LinkId down = topo.connect(a.id(), b.id());
+  topo.connect(a.id(), d.id());
+  topo.link(down).set_up(false);
+  std::vector<Adjacency> visited;
+  topo.for_each_adjacency(a.id(),
+                          [&](const Adjacency& adj) { visited.push_back(adj); });
+  const std::vector<Adjacency> listed = topo.adjacencies(a.id());
+  ASSERT_EQ(visited.size(), 2u);  // the down link is skipped
+  ASSERT_EQ(listed.size(), visited.size());
+  for (std::size_t i = 0; i < listed.size(); ++i) {
+    EXPECT_EQ(visited[i].neighbor, listed[i].neighbor);
+    EXPECT_EQ(visited[i].iface, listed[i].iface);
+    EXPECT_EQ(visited[i].link, listed[i].link);
+  }
+  EXPECT_EQ(visited[0].neighbor, c.id());  // interface order
+  EXPECT_EQ(visited[1].neighbor, d.id());
+}
+
 TEST(Link, DeliveryTimingMatchesSerializationPlusPropagation) {
   Topology topo;
   auto& a = topo.add_node<SinkNode>("a");

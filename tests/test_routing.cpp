@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "golden.hpp"
 #include "net/topology.hpp"
@@ -666,40 +670,56 @@ TEST(RtSetPool, InternDedupes) {
 
 TEST(AdjRibIn, UpsertEraseAndSenderSweep) {
   AdjRibIn rib;
-  auto key = [](std::uint32_t n) {
-    return VpnRouteKey{RouteDistinguisher{65000, n},
-                       ip::Prefix(ip::Ipv4Address(10, 0, 0, 0), 16)};
-  };
   CompactRoute r;
   r.vpn_label = 7;
-  // Enough keys to force at least one table growth past the 64-slot start.
-  for (std::uint32_t n = 0; n < 200; ++n) rib.upsert(key(n), 1, r);
+  // Ids arrive out of order, so the head vector grows past ids it has not
+  // seen yet.
+  for (NlriId id = 200; id-- > 0;) rib.upsert(id, 1, r);
   EXPECT_EQ(rib.key_count(), 200u);
   EXPECT_EQ(rib.route_count(), 200u);
   // Second sender on one key; replacement is in-place.
-  rib.upsert(key(5), 2, r);
+  rib.upsert(5, 2, r);
   EXPECT_EQ(rib.route_count(), 201u);
   CompactRoute r2 = r;
   r2.vpn_label = 8;
-  rib.upsert(key(5), 2, r2);
+  rib.upsert(5, 2, r2);
   EXPECT_EQ(rib.route_count(), 201u);
   int seen = 0;
   std::uint32_t label_from_2 = 0;
-  rib.for_each(key(5), [&](ip::NodeId sender, const CompactRoute& rr) {
+  rib.for_each(5, [&](ip::NodeId sender, const CompactRoute& rr) {
     ++seen;
     if (sender == 2) label_from_2 = rr.vpn_label;
   });
   EXPECT_EQ(seen, 2);
   EXPECT_EQ(label_from_2, 8u);
 
-  EXPECT_TRUE(rib.erase(key(7), 1));
-  EXPECT_FALSE(rib.erase(key(7), 1));  // already gone
+  EXPECT_TRUE(rib.erase(7, 1));
+  EXPECT_FALSE(rib.erase(7, 1));    // already gone
+  EXPECT_FALSE(rib.erase(900, 1));  // an id past every head
   const auto affected = rib.erase_sender(1);
-  EXPECT_EQ(affected.size(), 199u);  // all but the erased key(7)
+  EXPECT_EQ(affected.size(), 199u);  // all but the erased id 7
   EXPECT_TRUE(std::is_sorted(affected.begin(), affected.end()));
-  EXPECT_EQ(rib.route_count(), 1u);  // only sender 2's offer on key(5)
+  EXPECT_EQ(rib.route_count(), 1u);  // only sender 2's offer on id 5
   EXPECT_EQ(rib.key_count(), 1u);
   EXPECT_GT(rib.bytes(), 0u);
+}
+
+TEST(NlriTable, InternsDenseIdsAndFindsWithoutInterning) {
+  NlriTable table;
+  auto key = [](std::uint32_t n) {
+    return VpnRouteKey{RouteDistinguisher{65000, n},
+                       ip::Prefix(ip::Ipv4Address(10, 0, 0, 0), 16)};
+  };
+  // Enough keys to force at least one growth past the 64-slot start.
+  for (std::uint32_t n = 0; n < 200; ++n) {
+    EXPECT_EQ(table.intern(key(1000 - n)), n);  // first-intern order
+  }
+  EXPECT_EQ(table.intern(key(1000)), 0u);  // same key, same id
+  EXPECT_EQ(table.find(key(999)), 1u);
+  EXPECT_EQ(table.key(1), key(999));
+  EXPECT_EQ(table.find(key(5)), kNoNlri);
+  EXPECT_EQ(table.size(), 200u);  // find interned nothing
+  EXPECT_GT(table.bytes(), 0u);
 }
 
 TEST(Bgp, WithdrawOnlyFlushBytesDeriveFromPrefix) {
@@ -848,6 +868,128 @@ TEST(Bgp, FailSpeakerKillsItsQueuedUpdates) {
                          ip::Prefix::must_parse("10.2.0.0/16")};
   ASSERT_NE(bgp.best(2, key2), nullptr);
   EXPECT_EQ(bgp.best(0, key2), nullptr);  // dead peer never hears of it
+}
+
+// --- Dense MP-BGP: NLRI ids, node-indexed speakers, id-indexed RIBs -------
+
+/// PEs 0-2 in a full mesh, or as clients of reflector 3.
+std::unique_ptr<Bgp> three_pe_fabric(BgpFixture& f, bool reflected) {
+  for (ip::NodeId n = 0; n < 4; ++n) {
+    f.topo.add_node<Router>("n" + std::to_string(n), Role::kPe);
+  }
+  auto bgp = std::make_unique<Bgp>(
+      f.cp, reflected ? Bgp::Mode::kRouteReflector : Bgp::Mode::kFullMesh);
+  for (ip::NodeId n = 0; n < 3; ++n) bgp->add_speaker(n);
+  if (reflected) bgp->add_route_reflector(3);
+  bgp->start();
+  return bgp;
+}
+
+TEST(Bgp, LocalPrefChangeAloneIsAdvertised) {
+  // Re-originating a key with only its local_pref raised must replace the
+  // best everywhere, or a later, weaker offer wins on stale state.
+  for (const bool reflected : {false, true}) {
+    BgpFixture f;
+    const auto bgp = three_pe_fabric(f, reflected);
+    const VpnRouteKey key{RouteDistinguisher{65000, 1},
+                          ip::Prefix::must_parse("10.1.0.0/16")};
+    VpnRoute k = f.route(1, "10.1.0.0/16", 0, 100);
+    bgp->originate(0, k);
+    f.topo.scheduler().run();
+    const std::uint64_t settled = f.cp.message_count("bgp.update");
+
+    k.local_pref = 300;
+    bgp->originate(0, k);
+    f.topo.scheduler().run();
+    ASSERT_NE(bgp->best(0, key), nullptr);
+    EXPECT_EQ(bgp->best(0, key)->local_pref, 300u) << reflected;
+    EXPECT_GT(f.cp.message_count("bgp.update"), settled) << reflected;
+
+    VpnRoute weaker = f.route(1, "10.1.0.0/16", 1, 111);
+    weaker.local_pref = 200;
+    bgp->originate(1, weaker);
+    f.topo.scheduler().run();
+    for (ip::NodeId n = 0; n < 3; ++n) {
+      const VpnRoute* best = bgp->best(n, key);
+      ASSERT_NE(best, nullptr) << reflected << " speaker " << n;
+      EXPECT_EQ(best->originator, 0u) << reflected << " speaker " << n;
+      EXPECT_EQ(best->local_pref, 300u) << reflected << " speaker " << n;
+    }
+  }
+}
+
+TEST(Bgp, WithdrawOfUnknownKeyIsANoOp) {
+  BgpFixture f;
+  const auto bgp = three_pe_fabric(f, false);
+  bgp->originate(0, f.route(1, "10.1.0.0/16", 0));
+  f.topo.scheduler().run();
+  const std::size_t interned = bgp->nlri_count();
+  const std::uint64_t messages = f.cp.total_messages();
+  const VpnRouteKey never{RouteDistinguisher{65000, 9},
+                          ip::Prefix::must_parse("10.9.0.0/16")};
+  bgp->withdraw(0, never.first, never.second);
+  f.topo.scheduler().run();
+  EXPECT_EQ(bgp->nlri_count(), interned);
+  EXPECT_EQ(bgp->nlri_id(never), kNoNlri);
+  EXPECT_EQ(f.cp.total_messages(), messages);
+  EXPECT_EQ(bgp->best(1, never), nullptr);  // unknown key: no route
+  EXPECT_EQ(bgp->loc_rib_size(1), 1u);
+}
+
+TEST(Bgp, FailSpeakerReDecidesInKeyOrderNotInternOrder) {
+  BgpFixture f;
+  const auto bgp = three_pe_fabric(f, false);
+  // Interned in descending key order: RD 3 before RD 2, /16s before the
+  // /8 they share an RD with.
+  const std::vector<std::pair<std::uint32_t, const char*>> keys{
+      {3, "10.1.0.0/16"}, {2, "10.9.0.0/16"}, {2, "10.5.0.0/16"},
+      {2, "10.0.0.0/8"}};
+  for (const auto& [rd, prefix] : keys) {
+    bgp->originate(1, f.route(rd, prefix, 1));
+  }
+  f.topo.scheduler().run();
+  std::vector<VpnRouteKey> withdrawn_at_2;
+  bgp->on_route([&](ip::NodeId at, const VpnRoute& r, bool withdrawn) {
+    if (at == 2 && withdrawn) withdrawn_at_2.emplace_back(r.rd, r.prefix);
+  });
+  bgp->fail_speaker(1);
+  ASSERT_EQ(withdrawn_at_2.size(), keys.size());
+  EXPECT_TRUE(std::is_sorted(withdrawn_at_2.begin(), withdrawn_at_2.end()));
+  EXPECT_EQ(withdrawn_at_2.front().second, ip::Prefix::must_parse("10.0.0.0/8"));
+  EXPECT_EQ(withdrawn_at_2.back().first.assigned, 3u);
+  // loc_rib() is in key order too.
+  bgp->originate(0, f.route(3, "10.1.0.0/16", 0));
+  bgp->originate(0, f.route(2, "10.2.0.0/16", 0));
+  f.topo.scheduler().run();
+  const std::vector<VpnRoute> rib = bgp->loc_rib(2);
+  ASSERT_EQ(rib.size(), 2u);
+  EXPECT_EQ(rib[0].rd.assigned, 2u);
+  EXPECT_EQ(rib[1].rd.assigned, 3u);
+}
+
+TEST(Bgp, PerSpeakerQueriesThrowForNonSpeakers) {
+  BgpFixture f;
+  const auto bgp = three_pe_fabric(f, true);
+  const VpnRouteKey key{RouteDistinguisher{65000, 1},
+                        ip::Prefix::must_parse("10.1.0.0/16")};
+  bgp->originate(0, f.route(1, "10.1.0.0/16", 0));
+  f.topo.scheduler().run();
+  EXPECT_NE(bgp->best(3, key), nullptr);  // the reflector holds a Loc-RIB
+  f.topo.add_node<Router>("p", Role::kP);  // node 4: in the topology only
+  for (const ip::NodeId stranger :
+       {ip::NodeId{4}, static_cast<ip::NodeId>(f.topo.node_count()),
+        ip::NodeId{1000}}) {
+    EXPECT_THROW((void)bgp->best(stranger, key), std::out_of_range);
+    EXPECT_THROW((void)bgp->loc_rib_size(stranger), std::out_of_range);
+    EXPECT_THROW((void)bgp->adj_rib_in_size(stranger), std::out_of_range);
+    EXPECT_THROW((void)bgp->loc_rib(stranger), std::out_of_range);
+    EXPECT_THROW(bgp->originate(stranger, f.route(1, "10.1.0.0/16", 0)),
+                 std::out_of_range);
+    EXPECT_FALSE(bgp->is_reflector(stranger));
+  }
+  const VpnRouteKey unknown{RouteDistinguisher{65000, 7},
+                            ip::Prefix::must_parse("10.7.0.0/16")};
+  EXPECT_EQ(bgp->best(0, unknown), nullptr);
 }
 
 TEST(Igp, TeOnlyChangeSkipsSpfEntirely) {

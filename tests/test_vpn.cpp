@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+
 #include "backbone/fixtures.hpp"
 #include "test_flows.hpp"
 #include "traffic/sink.hpp"
@@ -405,6 +408,98 @@ TEST(Service, SiteJoinAfterStartPropagates) {
   ASSERT_NE(at_pe0, nullptr);
   EXPECT_NE(at_pe0->table().lookup(ip::Ipv4Address::must_parse("10.2.0.1")),
             nullptr);
+}
+
+TEST(Service, RouteTargetChangeLeavesNoStaleVrfRoute) {
+  // A key re-advertised with a route target one VRF no longer imports must
+  // leave that VRF at once: a later withdraw only visits current importers.
+  backbone::BackboneConfig cfg;
+  cfg.p_count = 1;
+  cfg.pe_count = 2;
+  backbone::MplsBackbone bb(cfg);
+  const VpnId red = bb.service.create_vpn("red");
+  const VpnId blue = bb.service.create_vpn("blue");
+  bb.add_site(red, 1, ip::Prefix::must_parse("10.1.0.0/16"));
+  bb.add_site(blue, 1, ip::Prefix::must_parse("10.2.0.0/16"));
+  bb.start_and_converge();
+
+  const ip::Prefix prefix = ip::Prefix::must_parse("10.9.0.0/16");
+  routing::VpnRoute route;
+  route.rd = bb.service.rd_of(red);
+  route.prefix = prefix;
+  route.next_hop = bb.pe(0).loopback();
+  route.next_hop_node = bb.pe(0).id();
+  route.vpn_label = 4242;
+  route.route_targets = {bb.service.rt_of(red)};
+  bb.bgp.originate(bb.pe(0).id(), route);
+  bb.service.converge();
+  Vrf* red_vrf = bb.pe(1).vrf_by_vpn(red);
+  Vrf* blue_vrf = bb.pe(1).vrf_by_vpn(blue);
+  ASSERT_NE(red_vrf, nullptr);
+  ASSERT_NE(blue_vrf, nullptr);
+  ASSERT_NE(red_vrf->table().find(prefix), nullptr);
+  EXPECT_EQ(blue_vrf->table().find(prefix), nullptr);
+
+  route.route_targets = {bb.service.rt_of(blue)};
+  bb.bgp.originate(bb.pe(0).id(), route);
+  bb.service.converge();
+  EXPECT_EQ(red_vrf->table().find(prefix), nullptr);  // no isolation leak
+  ASSERT_NE(blue_vrf->table().find(prefix), nullptr);
+
+  bb.bgp.withdraw(bb.pe(0).id(), route.rd, prefix);
+  bb.service.converge();
+  EXPECT_EQ(red_vrf->table().find(prefix), nullptr);
+  EXPECT_EQ(blue_vrf->table().find(prefix), nullptr);
+  // Connected site routes are never BGP's to remove.
+  EXPECT_NE(red_vrf->table().find(ip::Prefix::must_parse("10.1.0.0/16")),
+            nullptr);
+}
+
+TEST(Service, KeyInternedAfterConvergenceReachesEveryRibAndVrf) {
+  backbone::BackboneConfig cfg;
+  cfg.p_count = 2;
+  cfg.pe_count = 4;
+  cfg.bgp_mode = routing::Bgp::Mode::kRouteReflector;
+  cfg.route_reflector_count = 2;
+  backbone::MplsBackbone bb(cfg);
+  const VpnId v = bb.service.create_vpn("late");
+  for (std::size_t pe = 0; pe < 4; ++pe) {
+    bb.add_site(v, pe,
+                ip::Prefix(ip::Ipv4Address(10, std::uint8_t(pe + 1), 0, 0), 16));
+  }
+  bb.start_and_converge();
+  const std::size_t interned = bb.bgp.nlri_count();
+
+  // One key through a site joining after start, one through an external
+  // origination: both are interned only now.
+  bb.add_site(v, 2, ip::Prefix::must_parse("10.77.0.0/16"));
+  bb.service.originate_external(v, bb.pe(3),
+                                ip::Prefix::must_parse("192.168.0.0/16"));
+  bb.service.converge();
+  EXPECT_EQ(bb.bgp.nlri_count(), interned + 2);
+  for (const auto& [prefix, origin] :
+       {std::pair{ip::Prefix::must_parse("10.77.0.0/16"), std::size_t{2}},
+        std::pair{ip::Prefix::must_parse("192.168.0.0/16"), std::size_t{3}}}) {
+    const routing::VpnRouteKey key{bb.service.rd_of(v), prefix};
+    for (ip::NodeId n = 0; n < bb.topo.node_count(); ++n) {
+      const bool reflector = bb.bgp.is_reflector(n);
+      const auto& speakers = bb.bgp.speakers();
+      if (!reflector &&
+          std::find(speakers.begin(), speakers.end(), n) == speakers.end()) {
+        continue;
+      }
+      const routing::VpnRoute* best = bb.bgp.best(n, key);
+      ASSERT_NE(best, nullptr) << "node " << n;
+      EXPECT_EQ(best->next_hop_node, bb.pe(origin).id()) << "node " << n;
+    }
+    for (std::size_t pe = 0; pe < 4; ++pe) {
+      if (pe == origin) continue;
+      const ip::RouteEntry* r =
+          bb.pe(pe).vrf_by_vpn(v)->table().find(prefix);
+      ASSERT_NE(r, nullptr) << "PE" << pe;
+      EXPECT_EQ(r->egress_pe, bb.pe(origin).id()) << "PE" << pe;
+    }
+  }
 }
 
 TEST(MembershipDirectory, NotifiesMembersScopedPerVpn) {

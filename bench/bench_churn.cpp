@@ -14,13 +14,13 @@
 //    whose routing was not affected, and the incremental result matches a
 //    fresh network built at the final costs and converged cold.
 //
-// Pass `--json FILE` for the machine-readable summary run_benchmarks.sh
-// guards on.
+// Every claim is deterministic (message counts, fingerprints and RIB byte
+// accounting are functions of the event sequence, not the wall clock), so
+// the binary exits 1 when any of them fails and runs as a ctest.
 
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -342,18 +342,9 @@ SpfResult spf_flap_phase(std::size_t count) {
   return res;
 }
 
-void json_bool(std::ofstream& o, bool b) { o << (b ? "true" : "false"); }
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    }
-  }
-
+int main() {
   std::printf(
       "PR10 — control-plane churn: packed update groups, compact RIB, "
       "incremental SPF\n\n");
@@ -386,7 +377,8 @@ int main(int argc, char** argv) {
   std::printf(
       "E12b — cold boot, 8 PEs + 1 RR, 100000 routes:\n"
       "  wall %.2fs, %llu session msgs, %llu events, "
-      "%zu routes/speaker, adj-rib %.1f B/route, VmHWM %llu MB\n\n",
+      "%zu routes/speaker (want 100000), adj-rib %.1f B/route (budget 96), "
+      "VmHWM %llu MB\n\n",
       big.wall_s, static_cast<unsigned long long>(big.messages),
       static_cast<unsigned long long>(big.events), big.routes_per_speaker,
       b_per_route, static_cast<unsigned long long>(hwm_mb));
@@ -398,8 +390,8 @@ int main(int argc, char** argv) {
       check_golden("churn_flap_storm", storm.fingerprint, storm.messages);
   std::printf(
       "E12c — flap storm (16 PEs, 10 cycles x 8 same-tick withdraw+replace "
-      "per PE):\n  %llu msgs, %llu flaps damped in the flush window, golden "
-      "Loc-RIBs: %s, msgs within golden ceiling: %s\n\n",
+      "per PE):\n  %llu msgs, %llu flaps damped in the flush window (want "
+      "> 0), golden Loc-RIBs: %s, msgs within golden ceiling: %s\n\n",
       static_cast<unsigned long long>(storm.messages),
       static_cast<unsigned long long>(storm.superseded), yes(storm_g.matches),
       yes(storm_g.within_ceiling));
@@ -428,58 +420,11 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(spf.full_runs_incremental_mode),
       static_cast<unsigned long long>(spf.edges_relaxed_incremental));
 
-  if (!json_path.empty()) {
-    std::ofstream out(json_path);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-      return 1;
-    }
-    auto golden_fields = [&](const GoldenCheck& g) {
-      out << "    \"golden\": ";
-      json_bool(out, g.matches);
-      out << ",\n    \"within_golden_ceiling\": ";
-      json_bool(out, g.within_ceiling);
-      out << ",\n    \"fingerprint\": \"" << g.fingerprint
-          << "\",\n    \"messages\": " << g.messages;
-    };
-    out << "{\n  \"cold_boot\": {\n"
-        << "    \"pes\": " << kPes << ",\n    \"routes_per_pe\": " << kRoutes
-        << ",\n";
-    golden_fields(cold_g);
-    out << ",\n    \"wire_bytes\": " << cold.bytes
-        << ",\n    \"events\": " << cold.events
-        << ",\n    \"wall_s\": " << cold.wall_s << "\n  },\n";
-    out << "  \"cold_boot_1e5\": {\n    \"routes\": 100000,\n"
-        << "    \"converged\": ";
-    json_bool(out, big_converged);
-    out << ",\n    \"wall_s\": " << big.wall_s
-        << ",\n    \"messages\": " << big.messages
-        << ",\n    \"rib_bytes_per_route\": " << b_per_route
-        << ",\n    \"vmhwm_mb\": " << hwm_mb << "\n  },\n";
-    out << "  \"flap_storm\": {\n";
-    golden_fields(storm_g);
-    out << ",\n    \"superseded\": " << storm.superseded << "\n  },\n";
-    out << "  \"rr_failover\": {\n";
-    golden_fields(fo_g);
-    out << ",\n    \"routes_at_client\": " << fo.routes_at_client
-        << "\n  },\n";
-    out << "  \"spf_flap\": {\n    \"routers\": " << spf.routers
-        << ",\n    \"identical\": ";
-    json_bool(out, spf.identical);
-    out << ",\n    \"unaffected_full_runs\": " << spf.unaffected_full_runs
-        << ",\n    \"incremental_runs\": " << spf.incremental_runs
-        << ",\n    \"skipped\": " << spf.skipped
-        << ",\n    \"full_runs_incremental_mode\": "
-        << spf.full_runs_incremental_mode
-        << ",\n    \"edges_relaxed_incremental\": "
-        << spf.edges_relaxed_incremental << "\n  }\n}\n";
-    std::printf("churn summary written to %s\n", json_path.c_str());
-  }
-
   const bool ok = cold_g.matches && cold_g.within_ceiling && big_converged &&
                   storm_g.matches && storm_g.within_ceiling && fo_g.matches &&
                   fo_g.within_ceiling && spf.identical &&
-                  spf.unaffected_full_runs == 0;
+                  spf.unaffected_full_runs == 0 && storm.superseded > 0 &&
+                  b_per_route <= 96.0;
   if (!ok) {
     std::fprintf(stderr, "CHURN PHASE FAILURES — see above\n");
     return 1;

@@ -10,6 +10,12 @@
 // per-node switching entries and NMS provisioning actions) and *converge*
 // the BGP/MPLS VPN (counting VRF routes, BGP Loc-RIB entries, LFIB
 // entries and LDP bindings), then print both against the closed form.
+//
+// The `--<phase>-only` modes are the simulator's own performance phases.
+// Each one enforces the wall-clock guards on the ratios it measures: every
+// guard prints its verdict, and the phase exits 1 when any guard is red or
+// when its variants' outputs diverge. The deterministic figures behind
+// them (byte identity, footprints, partition spread) are ctest cases.
 
 #include <algorithm>
 #include <chrono>
@@ -23,22 +29,18 @@
 #include <thread>
 #include <vector>
 
-#include "backbone/fixtures.hpp"
-#include "backbone/partition.hpp"
-#include "backbone/topogen.hpp"
-#include "net/shard_runtime.hpp"
-#include "obs/flow_stats.hpp"
-#include "obs/sync_profiler.hpp"
+#include <unistd.h>
+
+#include "generated_run.hpp"
 #include "obs/trace.hpp"
 #include "qos/classifier.hpp"
-#include "qos/sla.hpp"
 #include "stats/table.hpp"
-#include "traffic/flowset.hpp"
-#include "traffic/sink.hpp"
 
 namespace {
 
 using namespace mvpn;
+using harness::ShardedResult;
+using harness::ThroughputResult;
 
 struct OverlayResult {
   std::size_t vcs = 0;
@@ -102,21 +104,6 @@ MplsResult run_mpls(std::size_t sites, routing::Bgp::Mode mode) {
 // arrivals), so the delivered-packet and executed-event counts are
 // byte-for-byte comparable across builds; only the wall time moves.
 
-struct ThroughputResult {
-  std::size_t flows = 0;
-  double sim_seconds = 0;
-  std::uint64_t delivered = 0;
-  std::uint64_t events = 0;
-  double wall_s = 0;
-
-  [[nodiscard]] double packets_per_sec() const {
-    return wall_s > 0 ? static_cast<double>(delivered) / wall_s : 0.0;
-  }
-  [[nodiscard]] double events_per_sec() const {
-    return wall_s > 0 ? static_cast<double>(events) / wall_s : 0.0;
-  }
-};
-
 /// The throughput, sharded and flowcache workloads: `flows` 1 Mb/s CBR
 /// flows with ids 1000.., flow i from site i % n to site (i + stride) % n,
 /// each with its own host pair and destination port. `set_for(from)` names
@@ -165,6 +152,35 @@ void keep_best(ThroughputResult& best, const ThroughputResult& r) {
 void print_throughput(const ThroughputResult& r, const char* variant,
                       const char* topo);
 
+/// A phase's wall-clock guards. Each check prints its verdict when it is
+/// evaluated and the phase reads exit_code() only after all of them ran,
+/// so one red guard never hides another.
+class Guards {
+ public:
+  void at_least(const char* guard, double value, double threshold) {
+    verdict(guard, value >= threshold, value, ">=", threshold);
+  }
+  void below(const char* guard, double value, double threshold) {
+    verdict(guard, value < threshold, value, "<", threshold);
+  }
+  [[nodiscard]] int exit_code() const { return red_ ? 1 : 0; }
+
+ private:
+  void verdict(const char* guard, bool ok, double value, const char* op,
+               double threshold) {
+    if (ok) {
+      std::printf("  guard ok          : %s %.4f %s %.2f\n", guard, value, op,
+                  threshold);
+      return;
+    }
+    std::fflush(stdout);
+    std::fprintf(stderr, "GUARD FAILED: %s %.4f vs %.2f\n", guard, value,
+                 threshold);
+    red_ = true;
+  }
+  bool red_ = false;
+};
+
 // --- Sharded parallel engine ---------------------------------------------
 //
 // Same end-to-end forwarding benchmark, on a larger 8P/16PE backbone,
@@ -173,35 +189,6 @@ void print_throughput(const ThroughputResult& r, const char* variant,
 // determinism guarantee), so delivered-packet counts must match exactly
 // across shard counts — the phase fails loudly if they do not — and only
 // the wall clock may move.
-
-struct ShardedResult {
-  ThroughputResult thr;
-  std::string sla_csv;  ///< merged per-class table — byte-compared across
-                        ///< shard counts, a stronger identity check than
-                        ///< delivered counts alone
-  std::uint64_t windows = 0;
-  std::uint64_t widened = 0;
-  std::uint64_t handoffs = 0;
-  std::uint64_t batches = 0;
-  std::string sync_table;  ///< rendered SyncProfiler report (profiled runs)
-  std::string sync_json;   ///< same report as one JSON object
-  std::uint64_t flow_records = 0;  ///< IPFIX records cut (flow-on runs)
-  /// Load-concentration figures from the profiled sharded report: the
-  /// busiest lane's share of critical epochs (wall-clock attribution) and
-  /// the busiest lane's event count over the mean (deterministic given the
-  /// plan, so usable as a cross-machine guard).
-  double critical_share = 0.0;
-  double event_spread = 0.0;
-  std::vector<std::uint64_t> node_weight;  ///< measured flow profile
-  /// Megaflow instrumentation: wall time spent building + arming the
-  /// traffic engine, and the FlowSet engine's own memory accounting.
-  double setup_s = 0.0;
-  std::size_t src_state_bytes = 0;
-  std::size_t src_calendar_bytes = 0;
-  /// Router flow-cache totals over the whole topology (ring runs).
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-};
 
 /// Peak resident set size of this process in kB (VmHWM from
 /// /proc/self/status); 0 where the file is unavailable. Monotone across a
@@ -358,14 +345,19 @@ struct ProfiledSet {
 };
 
 /// Shared tail of the sharded phases: print the three interleaved best-of
-/// variants, the speedups against the same-run serial pass, check SLA-table
-/// byte identity across shard counts, and emit the JSON report. With a
-/// ProfiledSet, also print the sync profiles, the profiler-on overhead
-/// ratios, and the profiled-identity verdict, and embed the sync reports
-/// in the JSON.
-int report_sharded_phases(const char* benchmark, const char* topo,
+/// variants and the speedups against the same-run serial pass, check
+/// SLA-table byte identity across shard counts, and guard the 4-shard
+/// speedup. The `speedup_target` bar only means something when the host
+/// can run the shards in parallel: with fewer than 4 hardware threads they
+/// time-slice one core, so the guard instead bounds the coordination
+/// overhead (4-shard wall clock within 30% of serial). With a ProfiledSet,
+/// also print the sync profiles, check profiled identity and guard the
+/// profiler-on overhead: >= 97% of the unprofiled serial rate (the <= 3%
+/// bar), and a looser 85% at 4 shards, where every worker adds a real
+/// per-epoch clock read.
+int report_sharded_phases(const char* guard, const char* topo,
                           const ShardedResult& serial, const ShardedResult& two,
-                          const ShardedResult& four, const char* json_path,
+                          const ShardedResult& four, double speedup_target,
                           const ProfiledSet* prof = nullptr) {
   print_throughput(serial.thr, "shards=1", topo);
   std::printf("\n");
@@ -393,7 +385,8 @@ int report_sharded_phases(const char* benchmark, const char* topo,
         static_cast<unsigned long long>(four.batches));
   }
 
-  double po1 = 0.0, po2 = 0.0, po4 = 0.0;
+  Guards g;
+  g.at_least(guard, s4, hw >= 4 ? speedup_target : 0.70);
   bool profiled_identical = true;
   if (prof != nullptr) {
     // The profiled passes replay the identical event history: delivered
@@ -406,21 +399,25 @@ int report_sharded_phases(const char* benchmark, const char* topo,
         prof->serial->sla_csv == serial.sla_csv &&
         prof->two->sla_csv == serial.sla_csv &&
         prof->four->sla_csv == serial.sla_csv;
-    po1 = serial.thr.wall_s > 0 ? prof->serial->thr.packets_per_sec() /
-                                      serial.thr.packets_per_sec()
-                                : 0.0;
-    po2 = two.thr.wall_s > 0
-              ? prof->two->thr.packets_per_sec() / two.thr.packets_per_sec()
-              : 0.0;
-    po4 = four.thr.wall_s > 0
-              ? prof->four->thr.packets_per_sec() / four.thr.packets_per_sec()
-              : 0.0;
+    const double po1 = serial.thr.wall_s > 0
+                           ? prof->serial->thr.packets_per_sec() /
+                                 serial.thr.packets_per_sec()
+                           : 0.0;
+    const double po2 = two.thr.wall_s > 0 ? prof->two->thr.packets_per_sec() /
+                                                two.thr.packets_per_sec()
+                                          : 0.0;
+    const double po4 = four.thr.wall_s > 0
+                           ? prof->four->thr.packets_per_sec() /
+                                 four.thr.packets_per_sec()
+                           : 0.0;
     std::printf(
         "  profiler on       : %.3fx serial, %.3fx @2 shards, %.3fx @4 "
         "shards (SLA identity %s)\n",
         po1, po2, po4, profiled_identical ? "holds" : "BROKEN");
     std::printf("\n%s\n%s\n%s", prof->serial->sync_table.c_str(),
                 prof->two->sync_table.c_str(), prof->four->sync_table.c_str());
+    g.at_least("profiler_on_serial_ratio", po1, 0.97);
+    g.at_least("profiler_on_shards4_ratio", po4, 0.85);
     if (!profiled_identical) {
       std::fprintf(stderr,
                    "PROFILED IDENTITY FAILED: delivered %llu/%llu/%llu "
@@ -452,69 +449,10 @@ int report_sharded_phases(const char* benchmark, const char* topo,
                      ? "equal"
                      : "differ");
   }
-
-  if (json_path != nullptr) {
-    std::FILE* f = std::fopen(json_path, "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s for writing\n", json_path);
-      return 1;
-    }
-    std::fprintf(
-        f,
-        "{\n"
-        "  \"benchmark\": \"%s\",\n"
-        "  \"topology\": \"%s\",\n"
-        "  \"flows\": %zu,\n"
-        "  \"sim_seconds\": %.1f,\n"
-        "  \"delivered_packets\": %llu,\n"
-        "  \"deterministic\": %s,\n"
-        "  \"hardware_threads\": %u,\n"
-        "  \"serial_packets_per_sec\": %.1f,\n"
-        "  \"shards2_packets_per_sec\": %.1f,\n"
-        "  \"shards4_packets_per_sec\": %.1f,\n"
-        "  \"speedup_shards2\": %.4f,\n"
-        "  \"speedup_shards4\": %.4f,\n"
-        "  \"windows\": %llu,\n"
-        "  \"widened_windows\": %llu,\n"
-        "  \"handoffs\": %llu,\n"
-        "  \"delivery_batches\": %llu",
-        benchmark, topo, serial.thr.flows, serial.thr.sim_seconds,
-        static_cast<unsigned long long>(serial.thr.delivered),
-        deterministic ? "true" : "false", hw, serial.thr.packets_per_sec(),
-        two.thr.packets_per_sec(), four.thr.packets_per_sec(), s2, s4,
-        static_cast<unsigned long long>(four.windows),
-        static_cast<unsigned long long>(four.widened),
-        static_cast<unsigned long long>(four.handoffs),
-        static_cast<unsigned long long>(four.batches));
-    if (prof != nullptr) {
-      std::fprintf(
-          f,
-          ",\n"
-          "  \"serial_profiled_packets_per_sec\": %.1f,\n"
-          "  \"shards2_profiled_packets_per_sec\": %.1f,\n"
-          "  \"shards4_profiled_packets_per_sec\": %.1f,\n"
-          "  \"profiler_on_serial_ratio\": %.4f,\n"
-          "  \"profiler_on_shards2_ratio\": %.4f,\n"
-          "  \"profiler_on_shards4_ratio\": %.4f,\n"
-          "  \"profiled_identical\": %s,\n"
-          "  \"sync_profile\": {\n"
-          "    \"shards1\": %s,\n"
-          "    \"shards2\": %s,\n"
-          "    \"shards4\": %s\n"
-          "  }",
-          prof->serial->thr.packets_per_sec(),
-          prof->two->thr.packets_per_sec(), prof->four->thr.packets_per_sec(),
-          po1, po2, po4, profiled_identical ? "true" : "false",
-          prof->serial->sync_json.c_str(), prof->two->sync_json.c_str(),
-          prof->four->sync_json.c_str());
-    }
-    std::fprintf(f, "\n}\n");
-    std::fclose(f);
-  }
-  return deterministic && profiled_identical ? 0 : 1;
+  return deterministic && profiled_identical ? g.exit_code() : 1;
 }
 
-int run_sharded_phases(const char* json_path) {
+int run_sharded_phases() {
   constexpr std::size_t kFlows = 256;
   constexpr double kSimSeconds = 5.0;
   // Interleave the serial pass with the sharded ones rep by rep and keep
@@ -530,8 +468,8 @@ int run_sharded_phases(const char* json_path) {
     keep_best(two, ring(2));
     keep_best(four, ring(4));
   }
-  return report_sharded_phases("bench_scalability_sharded", "8P/16PE", serial,
-                               two, four, json_path);
+  return report_sharded_phases("sharded_speedup_shards4", "8P/16PE", serial,
+                               two, four, 2.5);
 }
 
 // --- Generated ISP-scale topology, sharded (E1 at data-plane scale) ------
@@ -543,212 +481,28 @@ int run_sharded_phases(const char* json_path) {
 // to amortize window/barrier cost, which the paper-sized 8P/16PE phase is
 // not — this is the phase the >= 2x @4 shards guard runs against on
 // multi-core hosts. Identity across shard counts is checked on the merged
-// per-class SLA table, byte for byte.
+// per-class SLA table, byte for byte. The passes themselves are
+// harness::run_topogen (tests/generated_run.hpp).
 
-/// Knobs for run_topogen beyond the shard count: sync profiler, flow
-/// accounting (tables + exporter + periodic scans, mirroring the scenario
-/// layer's wiring), measured-profile capture, and flow-weighted partition
-/// weights. Defaults reproduce the plain pass.
-struct TopogenOpts {
-  bool profile = false;
-  bool flow = false;
-  bool measure_profile = false;
-  const std::vector<std::uint64_t>* weights = nullptr;
-};
+using harness::run_topogen;
 
-ShardedResult run_topogen(const backbone::GeneratedPlan& plan,
-                          std::uint32_t shards, double sim_seconds,
-                          const TopogenOpts& opt = {}) {
-  const bool profile = opt.profile;
-  backbone::MplsBackbone bb(plan.backbone);
-
-  std::vector<vpn::VpnId> vpns;
-  vpns.reserve(plan.vpns.size());
-  for (const std::string& name : plan.vpns) {
-    vpns.push_back(bb.service.create_vpn(name));
-  }
-  std::vector<backbone::MplsBackbone::Site> sites;
-  sites.reserve(plan.sites.size());
-  for (const backbone::PlanSite& s : plan.sites) {
-    sites.push_back(bb.add_site(vpns[s.vpn], s.pe, s.prefix));
-  }
-  bb.start_and_converge();
-
-  const std::unique_ptr<net::ShardRuntime> runtime =
-      backbone::make_shard_runtime(
-          bb.topo, backbone::compute_shard_plan(
-                       bb.topo, shards,
-                       opt.weights != nullptr ? *opt.weights
-                                              : std::vector<std::uint64_t>{}));
-
-  // Profiled variants attach the epoch-level sync profiler, with a cache
-  // sampler summing the per-router flow-cache counters by shard so the
-  // report carries per-shard hit rates. The profiler lives until after
-  // report() below — past the runtime's last run_until.
-  std::unique_ptr<obs::SyncProfiler> prof;
-  if (profile) {
-    prof = std::make_unique<obs::SyncProfiler>(runtime->shard_count());
-    backbone::attach_sync_profiler(*runtime, bb.topo, *prof);
-  }
-
-  const std::uint32_t lanes = runtime->shard_count();
-  std::vector<std::unique_ptr<qos::SlaProbe>> probes;
-  std::vector<std::unique_ptr<traffic::MeasurementSink>> sinks;
-  for (std::uint32_t s = 0; s < lanes; ++s) {
-    probes.push_back(
-        std::make_unique<qos::SlaProbe>("lane" + std::to_string(s)));
-    sinks.push_back(std::make_unique<traffic::MeasurementSink>(
-        *probes[s], runtime->shard_scheduler(s)));
-  }
-  auto lane_of = [&](std::size_t site) {
-    return runtime->shard_of(sites[site].ce->id());
-  };
-  for (std::size_t s = 0; s < sites.size(); ++s) {
-    sinks[lane_of(s)]->bind(*sites[s].ce);
-  }
-
-  // One SoA FlowSet per lane; every site registered on every lane so
-  // site indices coincide with plan site indices.
-  std::vector<std::unique_ptr<traffic::FlowSet>> fsets;
-  const sim::SimTime tb = bb.topo.base_scheduler().now();
-  const auto setup0 = std::chrono::steady_clock::now();
-  for (std::uint32_t s = 0; s < lanes; ++s) {
-    fsets.push_back(std::make_unique<traffic::FlowSet>(
-        runtime->shard_scheduler(s), probes[s].get(), plan.backbone.seed));
-    for (std::size_t i = 0; i < sites.size(); ++i) {
-      fsets[s]->add_site(
-          *sites[i].ce,
-          ip::Ipv4Address(plan.sites[i].prefix.address().value() + 1));
-    }
-  }
-  for (std::size_t i = 0; i < plan.flows.size(); ++i) {
-    const backbone::PlanFlow& f = plan.flows[i];
-    const auto id = static_cast<std::uint32_t>(1 + i);
-    const vpn::VpnId flow_vpn = vpns[plan.sites[f.from].vpn];
-    sinks[lane_of(f.to)]->expect_flow(id, f.phb, flow_vpn);
-    traffic::FlowSet::FlowDef d;
-    d.flow_id = id;
-    d.from_site = static_cast<std::uint32_t>(f.from);
-    d.to_site = static_cast<std::uint32_t>(f.to);
-    d.kind = f.kind == "cbr"       ? traffic::FlowSet::Kind::kCbr
-             : f.kind == "poisson" ? traffic::FlowSet::Kind::kPoisson
-                                   : traffic::FlowSet::Kind::kOnOff;
-    d.rate_bps = f.rate_bps;
-    d.vpn = flow_vpn;
-    d.phb = f.phb;
-    d.premark = f.phb != qos::Phb::kBe;  // generated CEs carry no ACLs
-    d.dst_port = f.port;
-    d.payload_bytes = static_cast<std::uint32_t>(f.size);
-    d.start = tb + sim::from_seconds(f.start_s);
-    fsets[lane_of(f.from)]->add_flow(d);
-  }
-  double setup_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - setup0)
-          .count();
-
-  // Flow-accounting variants mirror the scenario layer's wiring (§13): one
-  // table per lane, scanned at 0.25 s instants by a periodic engine action,
-  // so the flow-on pass prices the full telemetry pipeline.
-  std::unique_ptr<obs::FlowExporter> fexp;
-  std::vector<std::unique_ptr<obs::FlowStatsTable>> ftable_store;
-  std::vector<obs::FlowStatsTable*> ftables;
-  const sim::SimTime t0 = bb.topo.base_scheduler().now();
-  if (opt.flow) {
-    fexp = std::make_unique<obs::FlowExporter>();
-    // <= 50% table load keeps the probe window from ever filling, so the
-    // eviction/spill path stays off the hot path.
-    const std::size_t flow_slots = std::max(
-        obs::FlowStatsTable::kDefaultSlots, 2 * plan.flows.size());
-    for (std::uint32_t s = 0; s < lanes; ++s) {
-      ftable_store.push_back(std::make_unique<obs::FlowStatsTable>(
-          &runtime->shard_scheduler(s), flow_slots));
-      ftables.push_back(ftable_store.back().get());
-    }
-    runtime->set_flow_stats(ftables);
-    const sim::SimTime scan_period = sim::from_seconds(0.25);
-    runtime->add_periodic_action(
-        t0 + scan_period, scan_period,
-        [&](sim::SimTime at) { fexp->scan(ftables, at); });
-  }
-
-  const std::uint64_t ev0 = runtime->executed_count();
-  const auto wall0 = std::chrono::steady_clock::now();
-  const sim::SimTime t_stop = t0 + sim::from_seconds(sim_seconds);
-  for (auto& fs : fsets) fs->run(t_stop);
-  // Arming the calendars is part of setup.
-  setup_s += std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                           wall0)
-                 .count();
-  runtime->run_until(t0 + sim::from_seconds(sim_seconds + 0.5));
-  const auto wall1 = std::chrono::steady_clock::now();
-
-  ShardedResult r;
-  r.thr.flows = plan.flows.size();
-  r.thr.sim_seconds = sim_seconds;
-  r.setup_s = setup_s;
-  for (const auto& fs : fsets) {
-    r.src_state_bytes += fs->state_bytes();
-    r.src_calendar_bytes += fs->calendar_bytes();
-  }
-  for (auto& s : sinks) r.thr.delivered += s->delivered();
-  r.thr.events = runtime->executed_count() - ev0;
-  r.windows = runtime->windows();
-  r.widened = runtime->widened_windows();
-  r.handoffs = runtime->handoffs();
-  r.batches = runtime->delivery_batches();
-  r.thr.wall_s = std::chrono::duration<double>(wall1 - wall0).count();
-  if (fexp) {
-    fexp->flush(ftables);
-    r.flow_records = fexp->records().size();
-  }
-  runtime->finish();
-  if (opt.measure_profile) {
-    r.node_weight = backbone::measure_flow_profile(bb.topo).node_weight;
-  }
-  qos::SlaProbe master("master");
-  for (auto& p : probes) master.merge_from(*p);
-  r.sla_csv = master.to_csv(sim_seconds);
-  if (prof) {
-    const obs::SyncProfiler::Report srep = prof->report();
-    r.sync_table = srep.to_table();
-    std::ostringstream js;
-    srep.write_json(js);
-    r.sync_json = js.str();
-    if (!srep.lanes.empty() && srep.epochs > 0) {
-      std::uint64_t max_crit = 0, max_ev = 0, sum_ev = 0;
-      for (const auto& l : srep.lanes) {
-        max_crit = std::max(max_crit, l.critical_epochs);
-        max_ev = std::max(max_ev, l.events);
-        sum_ev += l.events;
-      }
-      r.critical_share =
-          static_cast<double>(max_crit) / static_cast<double>(srep.epochs);
-      const double mean_ev =
-          static_cast<double>(sum_ev) / static_cast<double>(srep.lanes.size());
-      r.event_spread =
-          mean_ev > 0 ? static_cast<double>(max_ev) / mean_ev : 0.0;
-    }
-  }
-  return r;
-}
-
-int run_topogen_phases(const char* json_path) {
-  backbone::TopogenParams params;
-  params.p = 16;
-  params.pe = 64;
-  params.ce = 2;
-  params.pod = 8;
-  params.flows = 8192;
-  params.seed = 7;
-  constexpr double kSimSeconds = 1.0;
-  const backbone::GeneratedPlan plan = backbone::generate_plan(params);
+/// The 8192-flow generated plan of the topogen, flow and megaflow phases,
+/// announced with its plan hash.
+backbone::GeneratedPlan announce_isp_plan() {
+  backbone::GeneratedPlan plan = harness::isp_plan(8192);
   std::printf("generated topology: %zu P / %zu PE / %zu sites, %zu flows "
               "(plan hash %016llx)\n\n",
-              params.p, params.pe, plan.sites.size(), plan.flows.size(),
-              static_cast<unsigned long long>(plan.hash()));
+              plan.params.p, plan.params.pe, plan.sites.size(),
+              plan.flows.size(), static_cast<unsigned long long>(plan.hash()));
+  return plan;
+}
+
+int run_topogen_phases() {
+  constexpr double kSimSeconds = 1.0;
+  const backbone::GeneratedPlan plan = announce_isp_plan();
   // Six-way interleave, rep by rep: each unprofiled pass next to its
   // profiled twin, so the profiler-overhead ratios come from the same run
-  // under the same machine load — the ratios run_benchmarks.sh guards.
+  // under the same machine load.
   ShardedResult serial, two, four, serial_p, two_p, four_p;
   for (int i = 0; i < 3; ++i) {
     keep_best(serial, run_topogen(plan, 1, kSimSeconds));
@@ -759,9 +513,9 @@ int run_topogen_phases(const char* json_path) {
     keep_best(four_p, run_topogen(plan, 4, kSimSeconds, {.profile = true}));
   }
   ProfiledSet prof{&serial_p, &two_p, &four_p};
-  return report_sharded_phases("bench_scalability_topogen",
+  return report_sharded_phases("topogen_speedup_shards4",
                                "generated 16P/64PE/128CE", serial, two, four,
-                               json_path, &prof);
+                               2.0, &prof);
 }
 
 // --- Per-flow telemetry plane (E10) --------------------------------------
@@ -769,34 +523,19 @@ int run_topogen_phases(const char* json_path) {
 // A/B of the flow-accounting plane on the same generated workload as the
 // topogen phase: flow-off vs flow-on, interleaved rep by rep, serial and
 // at 4 shards. Flow-on runs the full pipeline — per-lane tables, periodic
-// exporter scans, record cuts — so the serial ratio run_benchmarks.sh
-// guards (>= 0.97x) prices the whole plane, not just the table writes.
-// The merged SLA table must stay byte-identical flow-on vs flow-off and
-// across engine configurations: accounting must observe, never perturb.
-//
-// The phase then closes the telemetry -> partition loop: the serial
-// flow-on pass's measured per-node profile feeds the flow-weighted
-// partitioner, and profiled 4-shard passes compare load concentration
-// under the node-count plan vs the flow-weighted plan. Critical-epoch
-// share is wall-clock attribution; busy-event spread (busiest lane's
-// events over the mean) is deterministic given the plan, so the script
-// can guard on it across machines.
+// exporter scans, record cuts — so the serial ratio the phase guards
+// (>= 0.97x) prices the whole plane, not just the table writes. That bar
+// only resolves on hosts with real parallel headroom: on a time-sliced
+// single core the run-to-run noise is wider than 3%, so there the guard
+// is a coarse >= 0.80x. The merged SLA table must stay byte-identical
+// flow-on vs flow-off and across engine configurations: accounting must
+// observe, never perturb. (What the measured profile buys the partitioner
+// is deterministic, so test_flowstats pins it.)
 
-int run_flow_phases(const char* json_path) {
-  backbone::TopogenParams params;
-  params.p = 16;
-  params.pe = 64;
-  params.ce = 2;
-  params.pod = 8;
-  params.flows = 8192;
-  params.seed = 7;
+int run_flow_phases() {
   constexpr double kSimSeconds = 1.0;
-  const backbone::GeneratedPlan plan = backbone::generate_plan(params);
+  const backbone::GeneratedPlan plan = announce_isp_plan();
   const char* topo = "generated 16P/64PE/128CE";
-  std::printf("generated topology: %zu P / %zu PE / %zu sites, %zu flows "
-              "(plan hash %016llx)\n\n",
-              params.p, params.pe, plan.sites.size(), plan.flows.size(),
-              static_cast<unsigned long long>(plan.hash()));
 
   // Five interleaved reps, best wall each: the flow-on/off ratio compares
   // numbers a few percent apart, so it needs tighter minima than the
@@ -804,8 +543,7 @@ int run_flow_phases(const char* json_path) {
   ShardedResult s_off, s_on, f_off, f_on;
   for (int i = 0; i < 5; ++i) {
     keep_best(s_off, run_topogen(plan, 1, kSimSeconds));
-    keep_best(s_on, run_topogen(plan, 1, kSimSeconds,
-                                {.flow = true, .measure_profile = true}));
+    keep_best(s_on, run_topogen(plan, 1, kSimSeconds, {.flow = true}));
     keep_best(f_off, run_topogen(plan, 4, kSimSeconds));
     keep_best(f_on, run_topogen(plan, 4, kSimSeconds, {.flow = true}));
   }
@@ -824,142 +562,54 @@ int run_flow_phases(const char* json_path) {
                                           : 0.0;
   const unsigned hw = std::thread::hardware_concurrency();
 
-  // The partition comparison: profiled 4-shard passes under the default
-  // node-count plan vs the plan weighted by the profile the flow-on serial
-  // pass just measured.
-  const std::vector<std::uint64_t>& weights = s_on.node_weight;
-  ShardedResult part_node, part_flow;
-  for (int i = 0; i < 3; ++i) {
-    keep_best(part_node, run_topogen(plan, 4, kSimSeconds, {.profile = true}));
-    keep_best(part_flow, run_topogen(plan, 4, kSimSeconds,
-                                     {.profile = true, .weights = &weights}));
-  }
-
   const bool identical = s_on.thr.delivered == s_off.thr.delivered &&
                          f_off.thr.delivered == s_off.thr.delivered &&
                          f_on.thr.delivered == s_off.thr.delivered &&
-                         part_node.thr.delivered == s_off.thr.delivered &&
-                         part_flow.thr.delivered == s_off.thr.delivered &&
                          s_on.sla_csv == s_off.sla_csv &&
                          f_off.sla_csv == s_off.sla_csv &&
-                         f_on.sla_csv == s_off.sla_csv &&
-                         part_node.sla_csv == s_off.sla_csv &&
-                         part_flow.sla_csv == s_off.sla_csv;
+                         f_on.sla_csv == s_off.sla_csv;
   std::printf(
       "  flow accounting   : %.3fx serial, %.3fx @4 shards "
       "(%llu records; identity %s; %u hardware threads)\n",
       fo1, fo4, static_cast<unsigned long long>(s_on.flow_records),
       identical ? "holds" : "BROKEN", hw);
-  std::printf(
-      "  partition (node)  : critical share %.3f, event spread %.3fx, "
-      "%.0f pkts/s\n",
-      part_node.critical_share, part_node.event_spread,
-      part_node.thr.packets_per_sec());
-  std::printf(
-      "  partition (flow)  : critical share %.3f, event spread %.3fx, "
-      "%.0f pkts/s\n",
-      part_flow.critical_share, part_flow.event_spread,
-      part_flow.thr.packets_per_sec());
-  std::printf("\n%s\n%s", part_node.sync_table.c_str(),
-              part_flow.sync_table.c_str());
+  Guards g;
+  g.at_least("flow_on_serial_ratio", fo1, hw >= 4 ? 0.97 : 0.80);
   if (!identical) {
     std::fprintf(stderr,
-                 "FLOW IDENTITY FAILED: delivered %llu/%llu/%llu/%llu vs "
+                 "FLOW IDENTITY FAILED: delivered %llu/%llu/%llu vs "
                  "%llu baseline, SLA tables %s\n",
                  static_cast<unsigned long long>(s_on.thr.delivered),
                  static_cast<unsigned long long>(f_off.thr.delivered),
                  static_cast<unsigned long long>(f_on.thr.delivered),
-                 static_cast<unsigned long long>(part_flow.thr.delivered),
                  static_cast<unsigned long long>(s_off.thr.delivered),
                  s_on.sla_csv == s_off.sla_csv ? "equal" : "differ");
   }
-
-  if (json_path != nullptr) {
-    std::FILE* f = std::fopen(json_path, "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s for writing\n", json_path);
-      return 1;
-    }
-    std::fprintf(
-        f,
-        "{\n"
-        "  \"benchmark\": \"bench_scalability_flow\",\n"
-        "  \"topology\": \"%s\",\n"
-        "  \"flows\": %zu,\n"
-        "  \"sim_seconds\": %.1f,\n"
-        "  \"hardware_threads\": %u,\n"
-        "  \"identical\": %s,\n"
-        "  \"flow_records\": %llu,\n"
-        "  \"serial_packets_per_sec\": %.1f,\n"
-        "  \"serial_flow_packets_per_sec\": %.1f,\n"
-        "  \"shards4_packets_per_sec\": %.1f,\n"
-        "  \"shards4_flow_packets_per_sec\": %.1f,\n"
-        "  \"flow_on_serial_ratio\": %.4f,\n"
-        "  \"flow_on_shards4_ratio\": %.4f,\n"
-        "  \"partition_node\": {\n"
-        "    \"critical_share\": %.4f,\n"
-        "    \"event_spread\": %.4f,\n"
-        "    \"packets_per_sec\": %.1f,\n"
-        "    \"sync_profile\": %s\n"
-        "  },\n"
-        "  \"partition_flow\": {\n"
-        "    \"critical_share\": %.4f,\n"
-        "    \"event_spread\": %.4f,\n"
-        "    \"packets_per_sec\": %.1f,\n"
-        "    \"sync_profile\": %s\n"
-        "  },\n"
-        "  \"critical_share_reduction\": %.4f,\n"
-        "  \"event_spread_reduction\": %.4f\n"
-        "}\n",
-        topo, plan.flows.size(), kSimSeconds, hw,
-        identical ? "true" : "false",
-        static_cast<unsigned long long>(s_on.flow_records),
-        s_off.thr.packets_per_sec(), s_on.thr.packets_per_sec(),
-        f_off.thr.packets_per_sec(), f_on.thr.packets_per_sec(), fo1, fo4,
-        part_node.critical_share, part_node.event_spread,
-        part_node.thr.packets_per_sec(), part_node.sync_json.c_str(),
-        part_flow.critical_share, part_flow.event_spread,
-        part_flow.thr.packets_per_sec(), part_flow.sync_json.c_str(),
-        part_node.critical_share - part_flow.critical_share,
-        part_node.event_spread - part_flow.event_spread);
-    std::fclose(f);
-  }
-  return identical ? 0 : 1;
+  return identical ? g.exit_code() : 1;
 }
 
 // --- Megaflow traffic engine (E11) ---------------------------------------
 //
 // The 10^4/10^5/10^6 flow sweep of the SoA FlowSet engine, after the
 // established 8k-flow workload as a best-of-3 reference point: engine
-// setup time, FlowSet state bytes/flow (the <= 64 B/flow budget
-// run_benchmarks.sh guards), calendar bytes/flow, process VmHWM, and — at
-// 10^5 — serial vs 4-shard byte identity.
+// setup time, FlowSet state bytes/flow, calendar bytes/flow, process
+// VmHWM, and — at 10^5 — serial vs 4-shard byte identity. The phase
+// guards the 10^5-flow build+arm at under 1 s; test_traffic pins the
+// 10^5-flow identity and the <= 64 B/flow state budget.
 // Sim windows shrink as flow counts grow so packet counts stay comparable;
 // stages run in ascending size order because VmHWM is monotone — each
 // reading bounds its own stage from above.
 
-int run_megaflow_phases(const char* json_path) {
-  backbone::TopogenParams params;
-  params.p = 16;
-  params.pe = 64;
-  params.ce = 2;
-  params.pod = 8;
-  params.flows = 8192;
-  params.seed = 7;
+int run_megaflow_phases() {
   constexpr double kSimSeconds = 1.0;
-  const backbone::GeneratedPlan plan8k = backbone::generate_plan(params);
+  const backbone::GeneratedPlan plan8k = announce_isp_plan();
   const char* topo = "generated 16P/64PE/128CE";
-  std::printf("generated topology: %zu P / %zu PE / %zu sites, %zu flows "
-              "(plan hash %016llx)\n\n",
-              params.p, params.pe, plan8k.sites.size(), plan8k.flows.size(),
-              static_cast<unsigned long long>(plan8k.hash()));
 
   ShardedResult fset;
   for (int i = 0; i < 3; ++i) {
     keep_best(fset, run_topogen(plan8k, 1, kSimSeconds));
   }
   print_throughput(fset.thr, "flowset engine, serial", topo);
-  const unsigned hw = std::thread::hardware_concurrency();
   std::printf("  megaflow 8k       : setup %.1f ms, state %.1f B/flow\n",
               fset.setup_s * 1e3,
               fset.thr.flows > 0 ? static_cast<double>(fset.src_state_bytes) /
@@ -967,98 +617,37 @@ int run_megaflow_phases(const char* json_path) {
                                  : 0.0);
 
   struct Stage {
-    std::size_t flows = 0;
-    double sim_s = 0;
-    ShardedResult r;
-    ShardedResult r4;
-    bool ran4 = false;
-    bool identical4 = false;
-    std::uint64_t hwm_kb = 0;
+    std::size_t flows;
+    double sim_s;
   };
-  const std::size_t kStageFlows[] = {10'000, 100'000, 1'000'000};
-  const double kStageSimS[] = {0.5, 0.2, 0.02};
-  std::vector<Stage> stages(3);
-  for (std::size_t i = 0; i < stages.size(); ++i) {
-    stages[i].flows = kStageFlows[i];
-    stages[i].sim_s = kStageSimS[i];
-  }
+  double setup_s_1e5 = 0.0;
   bool identical_1e5 = true;
-  for (Stage& st : stages) {
-    backbone::TopogenParams sp = params;
-    sp.flows = st.flows;
-    const backbone::GeneratedPlan plan = backbone::generate_plan(sp);
-    st.r = run_topogen(plan, 1, st.sim_s);
+  for (const Stage st : {Stage{10'000, 0.5}, Stage{100'000, 0.2},
+                         Stage{1'000'000, 0.02}}) {
+    const backbone::GeneratedPlan plan = harness::isp_plan(st.flows);
+    const ShardedResult r = run_topogen(plan, 1, st.sim_s);
+    const char* verdict = "";
     if (st.flows == 100'000) {
       // The acceptance point: a 10^5-flow generated plan, serial vs
       // 4-shard, byte-identical merged SLA table.
-      st.ran4 = true;
-      st.r4 = run_topogen(plan, 4, st.sim_s);
-      st.identical4 = st.r4.thr.delivered == st.r.thr.delivered &&
-                      st.r4.sla_csv == st.r.sla_csv;
-      identical_1e5 = st.identical4;
+      const ShardedResult r4 = run_topogen(plan, 4, st.sim_s);
+      identical_1e5 =
+          r4.thr.delivered == r.thr.delivered && r4.sla_csv == r.sla_csv;
+      verdict = identical_1e5 ? ", serial==4-shard" : ", 4-SHARD DIFFERS";
+      setup_s_1e5 = r.setup_s;
     }
-    st.hwm_kb = vmhwm_kb();
     std::printf(
         "  %8zu flows     : setup %7.1f ms, %9.0f pkts/s, state %.1f B/flow, "
         "calendar %.1f B/flow, VmHWM %llu MB%s\n",
-        st.flows, st.r.setup_s * 1e3, st.r.thr.packets_per_sec(),
-        static_cast<double>(st.r.src_state_bytes) /
+        st.flows, r.setup_s * 1e3, r.thr.packets_per_sec(),
+        static_cast<double>(r.src_state_bytes) / static_cast<double>(st.flows),
+        static_cast<double>(r.src_calendar_bytes) /
             static_cast<double>(st.flows),
-        static_cast<double>(st.r.src_calendar_bytes) /
-            static_cast<double>(st.flows),
-        static_cast<unsigned long long>(st.hwm_kb / 1024),
-        st.ran4 ? (st.identical4 ? ", serial==4-shard" : ", 4-SHARD DIFFERS")
-                : "");
+        static_cast<unsigned long long>(vmhwm_kb() / 1024), verdict);
   }
-  const Stage& big = stages[1];  // the 10^5 stage run_benchmarks.sh guards
-
-  if (json_path != nullptr) {
-    std::FILE* f = std::fopen(json_path, "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s for writing\n", json_path);
-      return 1;
-    }
-    std::fprintf(
-        f,
-        "{\n"
-        "  \"benchmark\": \"bench_scalability_megaflow\",\n"
-        "  \"topology\": \"%s\",\n"
-        "  \"hardware_threads\": %u,\n"
-        "  \"flowset_packets_per_sec\": %.1f,\n"
-        "  \"flowset_setup_s_8k\": %.4f,\n"
-        "  \"identical_1e5_shards\": %s,\n"
-        "  \"setup_s_1e5\": %.4f,\n"
-        "  \"state_bytes_per_flow_1e5\": %.2f,\n"
-        "  \"calendar_bytes_per_flow_1e5\": %.2f,\n"
-        "  \"sweep\": [\n",
-        topo, hw, fset.thr.packets_per_sec(), fset.setup_s,
-        identical_1e5 ? "true" : "false",
-        big.r.setup_s,
-        static_cast<double>(big.r.src_state_bytes) /
-            static_cast<double>(big.flows),
-        static_cast<double>(big.r.src_calendar_bytes) /
-            static_cast<double>(big.flows));
-    for (std::size_t i = 0; i < stages.size(); ++i) {
-      const Stage& st = stages[i];
-      std::fprintf(
-          f,
-          "    {\"flows\": %zu, \"sim_seconds\": %.3f, \"setup_s\": %.4f, "
-          "\"packets_per_sec\": %.1f, \"delivered\": %llu, "
-          "\"state_bytes_per_flow\": %.2f, \"calendar_bytes_per_flow\": %.2f, "
-          "\"vmhwm_mb\": %llu}%s\n",
-          st.flows, st.sim_s, st.r.setup_s, st.r.thr.packets_per_sec(),
-          static_cast<unsigned long long>(st.r.thr.delivered),
-          static_cast<double>(st.r.src_state_bytes) /
-              static_cast<double>(st.flows),
-          static_cast<double>(st.r.src_calendar_bytes) /
-              static_cast<double>(st.flows),
-          static_cast<unsigned long long>(st.hwm_kb / 1024),
-          i + 1 < stages.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-  }
-  return identical_1e5 ? 0 : 1;
+  Guards g;
+  g.below("megaflow_setup_s_1e5", setup_s_1e5, 1.0);
+  return identical_1e5 ? g.exit_code() : 1;
 }
 
 // --- Flow fastpath cache -------------------------------------------------
@@ -1070,9 +659,11 @@ int run_megaflow_phases(const char* json_path) {
 // exists for) and traffic crosses the ring between opposite PEs.
 // The cache-off and cache-on variants simulate the identical event history
 // — delivered counts and the per-class SLA table must match byte for byte
-// — so the only thing allowed to move is the wall clock.
+// — so the only thing allowed to move is the wall clock. The uncached
+// path IS the pre-fastpath serial pipeline (the cache machinery adds only
+// a disabled branch), and the cached one must beat it by >= 1.4x.
 
-int run_flowcache_phases(const char* json_path) {
+int run_flowcache_phases() {
   constexpr std::size_t kFlows = 64;
   constexpr double kSimSeconds = 5.0;
   // Interleave the variants and keep each side's best wall time, so
@@ -1108,6 +699,8 @@ int run_flowcache_phases(const char* json_path) {
           : 0.0;
   std::printf("  fastpath speedup  : %.2fx (hit rate %.4f)\n", speedup,
               hit_rate);
+  Guards g;
+  g.at_least("fastpath_speedup", speedup, 1.4);
   if (!identical) {
     std::fprintf(stderr,
                  "IDENTITY FAILED: flowcache on/off diverged — delivered "
@@ -1122,38 +715,7 @@ int run_flowcache_phases(const char* json_path) {
                  static_cast<unsigned long long>(off.cache_hits + off.cache_misses));
     return 1;
   }
-
-  if (json_path != nullptr) {
-    std::FILE* f = std::fopen(json_path, "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s for writing\n", json_path);
-      return 1;
-    }
-    std::fprintf(
-        f,
-        "{\n"
-        "  \"benchmark\": \"bench_scalability_flowcache\",\n"
-        "  \"topology\": \"8P/8PE, 48-rule CEs\",\n"
-        "  \"flows\": %zu,\n"
-        "  \"sim_seconds\": %.1f,\n"
-        "  \"delivered_packets\": %llu,\n"
-        "  \"identical\": %s,\n"
-        "  \"flowcache_off_packets_per_sec\": %.1f,\n"
-        "  \"flowcache_on_packets_per_sec\": %.1f,\n"
-        "  \"fastpath_speedup\": %.4f,\n"
-        "  \"cache_hits\": %llu,\n"
-        "  \"cache_misses\": %llu,\n"
-        "  \"hit_rate\": %.6f\n"
-        "}\n",
-        off.thr.flows, off.thr.sim_seconds,
-        static_cast<unsigned long long>(off.thr.delivered),
-        identical ? "true" : "false", off.thr.packets_per_sec(),
-        on.thr.packets_per_sec(), speedup,
-        static_cast<unsigned long long>(on.cache_hits),
-        static_cast<unsigned long long>(on.cache_misses), hit_rate);
-    std::fclose(f);
-  }
-  return identical ? 0 : 1;
+  return identical ? g.exit_code() : 1;
 }
 
 void print_throughput(const ThroughputResult& r, const char* variant,
@@ -1231,30 +793,99 @@ void write_throughput_json(const char* path, const ThroughputResult& off,
   std::fclose(f);
 }
 
-/// Run the off/on phases, print them, optionally enforce the baseline
-/// guard. Returns the process exit code. `flowcache` false measures the
-/// pure slow path (for the cache-off regression guard against a seed
-/// binary).
-int run_throughput_phases(const char* json_path, const char* baseline_path,
-                          bool flowcache) {
-  // Interleave off/on repetitions and keep each side's best wall time:
-  // the deterministic counters are identical across reps, and pairing the
-  // phases keeps machine-load drift from landing on only one side of the
-  // tracing-overhead ratio.
-  ThroughputResult off, on;
+/// Tracing-off and tracing-on passes of the 6P/8PE throughput workload.
+struct TracingPair {
+  ThroughputResult off;
+  ThroughputResult on;
+};
+
+void keep_best(TracingPair& best, const TracingPair& p) {
+  if (best.off.wall_s == 0 || p.off.wall_s < best.off.wall_s) best = p;
+}
+
+/// Interleave off/on repetitions and keep each side's best wall time: the
+/// deterministic counters are identical across reps, and pairing the
+/// phases keeps machine-load drift from landing on only one side of the
+/// tracing-overhead ratio. `flowcache` false measures the pure slow path.
+TracingPair measure_throughput(bool flowcache) {
+  TracingPair best;
   for (int i = 0; i < 5; ++i) {
     RingSpec spec{.p = 6, .pe = 8, .flowcache = flowcache};
-    keep_best(off, run_ring(spec).thr);
+    keep_best(best.off, run_ring(spec).thr);
     spec.tracing = true;
-    keep_best(on, run_ring(spec).thr);
+    keep_best(best.on, run_ring(spec).thr);
   }
+  return best;
+}
+
+/// Headline packets/sec of a seed bench_scalability binary (one compiled
+/// from an earlier tree): it runs its own `--throughput-only --json` phase
+/// as a child process with stdout discarded, and the report it writes is
+/// read back. 0 when no report comes back.
+double seed_packets_per_sec(const char* seed_bin) {
+  char report[] = "/tmp/mvpn_seed_XXXXXX";
+  const int fd = mkstemp(report);
+  if (fd < 0) return 0.0;
+  close(fd);
+  const std::string cmd = std::string("\"") + seed_bin +
+                          "\" --throughput-only --json " + report +
+                          " > /dev/null";
+  // The seed's own guards may fail; its report still holds the reading.
+  (void)std::system(cmd.c_str());
+  const double pps = baseline_packets_per_sec(report);
+  std::remove(report);
+  return pps;
+}
+
+/// Same-machine regression guards against a seed binary. Its passes are
+/// interleaved rep by rep with this binary's cache-off and cache-on passes
+/// and each side keeps its best of 3: sequential phases run minutes apart
+/// on a shared host, so load drift would otherwise land entirely on
+/// whichever side ran during the spike. Cache-off must stay within 3% of
+/// the seed (the fastpath must not tax the slow path it falls back to),
+/// serial within 2%, and tracing-on within 92% of the seed's tracing-off
+/// rate — the latter two also bound the cost of the disabled sync
+/// profiler, one untaken branch per epoch.
+void check_against_seed(const char* seed_bin, TracingPair cache_on,
+                        Guards& g) {
+  double seed_pps = 0.0;
+  TracingPair cache_off;
+  for (int i = 0; i < 3; ++i) {
+    seed_pps = std::max(seed_pps, seed_packets_per_sec(seed_bin));
+    keep_best(cache_off, measure_throughput(false));
+    keep_best(cache_on, measure_throughput(true));
+  }
+  std::printf(
+      "  vs seed binary    : %.0f pkts/s seed, %.0f cache off, %.0f serial, "
+      "%.0f tracing on\n",
+      seed_pps, cache_off.off.packets_per_sec(),
+      cache_on.off.packets_per_sec(), cache_on.on.packets_per_sec());
+  auto vs_seed = [&](const ThroughputResult& r) {
+    return seed_pps > 0 ? r.packets_per_sec() / seed_pps : 0.0;
+  };
+  g.at_least("cache_off_vs_seed", vs_seed(cache_off.off), 0.97);
+  g.at_least("serial_vs_seed", vs_seed(cache_on.off), 0.98);
+  g.at_least("tracing_on_vs_seed", vs_seed(cache_on.on), 0.92);
+}
+
+/// The throughput phase: tracing off vs on, guarded at >= 85% of the
+/// tracing-off rate with every trace category recording (self-relative,
+/// so immune to machine drift), plus the optional baseline-report (>= 90%)
+/// and seed-binary guards.
+int run_throughput_phases(const char* json_path, const char* baseline_path,
+                          const char* seed_bin) {
+  const TracingPair best = measure_throughput(true);
+  const ThroughputResult& off = best.off;
+  const ThroughputResult& on = best.on;
   print_throughput(off, "tracing off");
   std::printf("\n");
   print_throughput(on, "tracing on");
-  if (off.packets_per_sec() > 0) {
-    std::printf("  tracing overhead  : %.1f%%\n",
-                (1.0 - on.packets_per_sec() / off.packets_per_sec()) * 100);
-  }
+  const double tracing_ratio = off.packets_per_sec() > 0
+                                   ? on.packets_per_sec() / off.packets_per_sec()
+                                   : 0.0;
+  std::printf("  tracing overhead  : %.1f%%\n", (1.0 - tracing_ratio) * 100);
+  Guards g;
+  g.at_least("tracing_overhead_ratio", tracing_ratio, 0.85);
 
   double baseline_pps = 0.0;
   if (baseline_path != nullptr) {
@@ -1263,102 +894,70 @@ int run_throughput_phases(const char* json_path, const char* baseline_path,
       const double ratio = off.packets_per_sec() / baseline_pps;
       std::printf("  vs baseline       : %.0f pkts/s (ratio %.3f)\n",
                   baseline_pps, ratio);
-      if (ratio < 0.90) {
-        std::fprintf(stderr,
-                     "OVERHEAD GUARD FAILED: tracing-off throughput %.0f is "
-                     "below 90%% of baseline %.0f\n",
-                     off.packets_per_sec(), baseline_pps);
-        if (json_path != nullptr) {
-          write_throughput_json(json_path, off, on, baseline_pps);
-        }
-        return 1;
-      }
+      g.at_least("vs_baseline_ratio", ratio, 0.90);
     }
   }
+  if (seed_bin != nullptr) check_against_seed(seed_bin, best, g);
   if (json_path != nullptr) {
     write_throughput_json(json_path, off, on, baseline_pps);
   }
-  return 0;
+  return g.exit_code();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool throughput_only = false;
+  enum class Phase { kDefault, kThroughput, kSharded, kTopogen, kFlowcache,
+                     kFlow, kMegaflow };
+  Phase phase = Phase::kDefault;
   const char* json_path = nullptr;
   const char* baseline_path = nullptr;
-  const char* sharded_path = nullptr;
-  const char* flowcache_path = nullptr;
-  const char* topogen_path = nullptr;
-  const char* flow_path = nullptr;
-  const char* megaflow_path = nullptr;
-  bool sharded_only = false;
-  bool flowcache_only = false;
-  bool topogen_only = false;
-  bool flow_only = false;
-  bool megaflow_only = false;
-  bool flowcache = true;
+  const char* seed_bin = nullptr;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--throughput-only") == 0) {
-      throughput_only = true;
+      phase = Phase::kThroughput;
     } else if (std::strcmp(argv[i], "--sharded-only") == 0) {
-      sharded_only = true;
+      phase = Phase::kSharded;
     } else if (std::strcmp(argv[i], "--topogen-only") == 0) {
-      topogen_only = true;
+      phase = Phase::kTopogen;
     } else if (std::strcmp(argv[i], "--flowcache-only") == 0) {
-      flowcache_only = true;
+      phase = Phase::kFlowcache;
     } else if (std::strcmp(argv[i], "--flow-only") == 0) {
-      flow_only = true;
+      phase = Phase::kFlow;
     } else if (std::strcmp(argv[i], "--megaflow-only") == 0) {
-      megaflow_only = true;
-    } else if (std::strcmp(argv[i], "--no-flowcache") == 0) {
-      flowcache = false;
+      phase = Phase::kMegaflow;
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--sharded-json") == 0 && i + 1 < argc) {
-      sharded_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--topogen-json") == 0 && i + 1 < argc) {
-      topogen_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--flow-json") == 0 && i + 1 < argc) {
-      flow_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--megaflow-json") == 0 && i + 1 < argc) {
-      megaflow_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--flowcache-json") == 0 &&
-               i + 1 < argc) {
-      flowcache_path = argv[++i];
     } else if (std::strcmp(argv[i], "--baseline") == 0 && i + 1 < argc) {
       baseline_path = argv[++i];
+    } else if (std::strcmp(argv[i], "--seed-bin") == 0 && i + 1 < argc) {
+      seed_bin = argv[++i];
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--throughput-only] [--sharded-only] "
-                   "[--topogen-only] [--flow-only] [--megaflow-only] "
-                   "[--flowcache-only] "
-                   "[--no-flowcache] [--json FILE] [--sharded-json FILE] "
-                   "[--topogen-json FILE] [--flow-json FILE] "
-                   "[--megaflow-json FILE] "
-                   "[--flowcache-json FILE] [--baseline FILE]\n",
+                   "usage: %s [--throughput-only | --sharded-only | "
+                   "--topogen-only | --flowcache-only | --flow-only | "
+                   "--megaflow-only] [--json FILE] [--baseline FILE] "
+                   "[--seed-bin PATH]\n",
                    argv[0]);
       return 2;
     }
   }
 
-  if (sharded_only) {
-    return run_sharded_phases(sharded_path);
-  }
-  if (topogen_only) {
-    return run_topogen_phases(topogen_path);
-  }
-  if (flow_only) {
-    return run_flow_phases(flow_path);
-  }
-  if (megaflow_only) {
-    return run_megaflow_phases(megaflow_path);
-  }
-  if (flowcache_only) {
-    return run_flowcache_phases(flowcache_path);
-  }
-  if (throughput_only) {
-    return run_throughput_phases(json_path, baseline_path, flowcache);
+  switch (phase) {
+    case Phase::kSharded:
+      return run_sharded_phases();
+    case Phase::kTopogen:
+      return run_topogen_phases();
+    case Phase::kFlow:
+      return run_flow_phases();
+    case Phase::kMegaflow:
+      return run_megaflow_phases();
+    case Phase::kFlowcache:
+      return run_flowcache_phases();
+    case Phase::kThroughput:
+      return run_throughput_phases(json_path, baseline_path, seed_bin);
+    case Phase::kDefault:
+      break;
   }
 
   std::printf(
@@ -1393,5 +992,5 @@ int main(int argc, char** argv) {
       "remaining quadratic (session) term — who wins and why matches the\n"
       "paper's argument.\n\n");
 
-  return run_throughput_phases(json_path, baseline_path, flowcache);
+  return run_throughput_phases(json_path, baseline_path, seed_bin);
 }

@@ -170,8 +170,7 @@ class SyncProfiler : public sim::EngineObserver {
 
     /// Human-readable summary (run_scenario --sync-report, bench output).
     [[nodiscard]] std::string to_table() const;
-    /// One JSON object — the block bench_scalability embeds in
-    /// BENCH_PR7.json and run_scenario writes for --sync-json.
+    /// One JSON object — the block run_scenario writes for --sync-json.
     void write_json(std::ostream& out) const;
   };
   [[nodiscard]] Report report() const;

@@ -10,6 +10,7 @@
 #include "backbone/fixtures.hpp"
 #include "backbone/partition.hpp"
 #include "backbone/scenario_config.hpp"
+#include "generated_run.hpp"
 #include "obs/flow_stats.hpp"
 #include "obs/sinks.hpp"
 #include "obs/sync_profiler.hpp"
@@ -461,6 +462,26 @@ TEST(FlowStats, WeightedPartitionIsValidAndDeterministic) {
     EXPECT_NE(plan.node_shard[link.end_a().node],
               plan.node_shard[link.end_b().node]);
   }
+}
+
+/// The telemetry -> partition loop on the flow-accounting workload (the
+/// 8192-flow generated plan, 1 s): balancing 4 shards by the profile a
+/// serial flow-on run measured, instead of by node count, must pull the
+/// busiest lane's events toward the mean. The spread is a function of the
+/// plan, not the wall clock (node-count 1.95x, flow-weighted 1.15x).
+TEST(FlowStats, WeightedPartitionSpreadsGeneratedLoad) {
+  const backbone::GeneratedPlan plan = harness::isp_plan(8192);
+  const harness::ShardedResult measured = harness::run_topogen(
+      plan, 1, 1.0, {.flow = true, .measure_profile = true});
+  ASSERT_FALSE(measured.node_weight.empty());
+  const harness::ShardedResult by_nodes =
+      harness::run_topogen(plan, 4, 1.0, {.profile = true});
+  const harness::ShardedResult by_flows = harness::run_topogen(
+      plan, 4, 1.0, {.profile = true, .weights = &measured.node_weight});
+  EXPECT_EQ(by_flows.sla_csv, by_nodes.sla_csv);
+  EXPECT_GE(by_nodes.event_spread - by_flows.event_spread, 0.3)
+      << "event spread " << by_nodes.event_spread << "x -> "
+      << by_flows.event_spread << "x";
 }
 
 TEST(FlowStats, FlowProfileRoundTripsThroughText) {

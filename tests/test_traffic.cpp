@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <future>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "backbone/fixtures.hpp"
+#include "generated_run.hpp"
 #include "golden.hpp"
 #include "qos/queues.hpp"
 #include "test_flows.hpp"
@@ -221,6 +223,27 @@ TEST(FlowSet, StateStaysUnder64BytesPerFlow) {
   // entry, regardless of how the build-time vectors grew.
   EXPECT_LE(fs.state_bytes_per_flow(), 64.0);
   EXPECT_EQ(fs.calendar_bytes(), kFlows * 16u);
+}
+
+/// The megaflow acceptance point of bench_scalability --megaflow-only, same
+/// plan and window: 10^5 generated flows over 0.2 s must deliver the same
+/// packets and merged per-class SLA table on one lane and on four, with
+/// the FlowSet engine inside its 64 B/flow source-state budget. The two
+/// simulations share nothing, so the serial one runs beside the sharded
+/// one on its own thread.
+TEST(FlowSet, HundredThousandFlowsMatchAcrossShardsUnder64BytesPerFlow) {
+  const backbone::GeneratedPlan plan = harness::isp_plan(100'000);
+  auto serial_run = std::async(std::launch::async, [&plan] {
+    return harness::run_topogen(plan, 1, 0.2);
+  });
+  const harness::ShardedResult four = harness::run_topogen(plan, 4, 0.2);
+  const harness::ShardedResult serial = serial_run.get();
+  EXPECT_GT(serial.thr.delivered, 0u);
+  EXPECT_EQ(four.thr.delivered, serial.thr.delivered);
+  EXPECT_EQ(four.sla_csv, serial.sla_csv);
+  EXPECT_LE(static_cast<double>(serial.src_state_bytes) /
+                static_cast<double>(plan.flows.size()),
+            64.0);
 }
 
 TEST(MeasurementSink, DenseTableHandlesSparseAndUnknownFlowIds) {

@@ -82,7 +82,7 @@ void attach_sync_profiler(net::ShardRuntime& runtime,
                           const net::Topology& topo,
                           obs::SyncProfiler& profiler);
 
-/// Measured per-node / per-link flow-weight vectors — the `--flow-profile`
+/// Measured per-node / per-link flow-weight vectors — the `flow_profile.txt`
 /// output and the flow-weighted partitioner's input. Weights are link
 /// transmit packet counters folded per node, so they are byte-identical
 /// across shard counts and engine configurations of the same scenario.

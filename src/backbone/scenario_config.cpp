@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
+#include <filesystem>
 #include <fstream>
-#include <iostream>
 #include <map>
 #include <memory>
 #include <optional>
@@ -606,6 +606,61 @@ std::optional<Scenario> Scenario::parse(const std::string& text,
   return sc;
 }
 
+/// Snapshot cadence of an armed run's metrics series, simulated seconds.
+constexpr double kSnapshotPeriodS = 0.5;
+/// Flow-exporter scan cadence: the default idle timeout. Scanning faster
+/// than the smallest timeout only quantizes cut instants more finely at the
+/// cost of an extra table drain per instant.
+constexpr double kFlowScanPeriodS = 0.25;
+
+/// The files of an obs directory (Scenario::set_obs_dir). Scenario::run
+/// opens every one before build(), so an unwritable destination fails
+/// before any work is done.
+struct ObsFiles {
+  std::ofstream trace, events, spans, trace_txt, metrics, engine_metrics,
+      latency, latency_txt, sync, sync_txt, flow_jsonl, flow_bin, flow_txt,
+      flow_profile, partition;
+
+  /// Create `dir` and open (truncate) every file, binary so each holds
+  /// exactly the bytes written. On failure prints one line naming the
+  /// path to `err` and returns false.
+  bool open(const std::string& dir, std::ostream& err) {
+    std::error_code ec;
+    std::filesystem::create_directories(dir, ec);
+    if (ec) {
+      err << "cannot create obs directory " << dir << ": " << ec.message()
+          << "\n";
+      return false;
+    }
+    const std::pair<std::ofstream*, const char*> files[] = {
+        {&trace, "trace.json"},
+        {&events, "events.jsonl"},
+        {&spans, "spans.json"},
+        {&trace_txt, "trace.txt"},
+        {&metrics, "metrics.json"},
+        {&engine_metrics, "engine_metrics.json"},
+        {&latency, "latency.json"},
+        {&latency_txt, "latency.txt"},
+        {&sync, "sync.json"},
+        {&sync_txt, "sync.txt"},
+        {&flow_jsonl, "flow.jsonl"},
+        {&flow_bin, "flow.bin"},
+        {&flow_txt, "flow.txt"},
+        {&flow_profile, "flow_profile.txt"},
+        {&partition, "partition.txt"},
+    };
+    for (const auto& [file, name] : files) {
+      const std::string path = dir + "/" + name;
+      file->open(path, std::ios::binary);
+      if (!*file) {
+        err << "cannot write obs file " << path << "\n";
+        return false;
+      }
+    }
+    return true;
+  }
+};
+
 /// One Scenario::run, stage by stage: build, converge, partition,
 /// observers, arm traffic, run, report. Every engine configuration takes
 /// the same path — a serial run is a one-lane ShardRuntime — so probes,
@@ -614,9 +669,11 @@ std::optional<Scenario> Scenario::parse(const std::string& text,
 /// objects die before the runtime whose schedulers they were armed on, and
 /// the runtime before the backbone it is installed on.
 struct Scenario::Run {
-  Run(const Scenario& scenario, std::ostream& os)
+  Run(const Scenario& scenario, std::ostream& os,
+      std::unique_ptr<ObsFiles> files)
       : sc(scenario),
         out(os),
+        obs(std::move(files)),
         // parse() accepted the spec, so it parses again.
         core_queue(*parse_core_queue(scenario.core_queue_spec_, nullptr)),
         bb([this] {
@@ -635,6 +692,7 @@ struct Scenario::Run {
   void arm_traffic();
   void run();
   bool report();
+  void write_obs();  ///< fill every obs file; report() calls it when armed
 
   /// Refresh the folded observers the metric gauges and the report read:
   /// `probe` from the lane probes, the latency collector from the shards.
@@ -651,6 +709,9 @@ struct Scenario::Run {
 
   const Scenario& sc;
   std::ostream& out;
+  /// Null unless the scenario has an obs directory; then every plane below
+  /// is armed and report() fills each file.
+  std::unique_ptr<ObsFiles> obs;
   CoreQueue core_queue;
   MplsBackbone bb;
   net::Topology& topo;
@@ -671,8 +732,10 @@ struct Scenario::Run {
   std::unique_ptr<obs::FlowExporter> flow_exporter;
   std::vector<std::unique_ptr<obs::FlowStatsTable>> flow_table_store;
   std::vector<obs::FlowStatsTable*> flow_tables;  ///< one per lane
-  obs::MetricsRegistry registry;
+  obs::MetricsRegistry registry;         ///< metrics.json: results
+  obs::MetricsRegistry engine_registry;  ///< engine_metrics.json
   std::optional<obs::PeriodicSnapshots> snapshots;
+  std::optional<obs::PeriodicSnapshots> engine_snapshots;
   std::map<std::size_t, std::unique_ptr<traffic::FlowDispatcher>> dispatch;
   std::vector<std::unique_ptr<traffic::TcpLiteFlow>> tcp_flows;
   /// One SoA FlowSet per lane, holding every cbr/poisson/onoff flow whose
@@ -712,12 +775,7 @@ void Scenario::Run::build() {
   // Arm the flight recorder before convergence so control-plane events
   // (LDP mappings, LSP signaling) land in the trace alongside the data
   // plane.
-  if (sc.obs_.enabled()) {
-    if (sc.obs_.ring_capacity != 0) {
-      topo.recorder().set_capacity(sc.obs_.ring_capacity);
-    }
-    topo.recorder().enable(sc.obs_.trace_mask);
-  }
+  if (obs) topo.recorder().enable();
 
   for (const auto& name : sc.vpns_) {
     vpn_ids[name] = bb.service.create_vpn(name);
@@ -763,12 +821,12 @@ void Scenario::Run::converge() {
   }
 
   // Per-hop delay decomposition: links/routers stamp DelayAnatomy always;
-  // the collector aggregates only when one of the latency outputs is on.
+  // the collector aggregates only in an obs run.
   // Armed before partition(): a sharded runtime gives each shard its own
   // collector only when the topology has one. The tap reads through the
   // ambient accessor so a sharded run records into the delivering shard's
   // collector (folded into `latency` between windows).
-  if (sc.obs_.latency_enabled()) {
+  if (obs) {
     topo.set_latency_collector(&latency);
     for (const auto& site : built) {
       site.ce->add_delivery_tap([&t = topo](const net::Packet& p, vpn::VpnId) {
@@ -792,8 +850,8 @@ void Scenario::Run::partition() {
   }
   const std::uint32_t want = any_tcp ? 1 : sc.shards_;
   ShardPlan plan = compute_shard_plan(topo, want, sc.partition_weights_);
-  if (sc.verbose_ && want > 1) {
-    report_shard_plan(plan, topo, std::cerr, sc.partition_weights_);
+  if (obs) {
+    report_shard_plan(plan, topo, obs->partition, sc.partition_weights_);
     if (plan.parallel()) {
       // Flow balance: the partitioner only sees topology, so report how
       // the declared traffic sources actually land on the shards.
@@ -802,8 +860,8 @@ void Scenario::Run::partition() {
         ++srcs[plan.node_shard[built[f.from].ce->id()]];
       }
       for (std::uint32_t s = 0; s < plan.shard_count; ++s) {
-        std::cerr << "partition: shard " << s << ": " << srcs[s]
-                  << " flow sources\n";
+        obs->partition << "partition: shard " << s << ": " << srcs[s]
+                       << " flow sources\n";
       }
     }
   }
@@ -811,23 +869,20 @@ void Scenario::Run::partition() {
 }
 
 void Scenario::Run::observers() {
-  const ObsOptions& obs = sc.obs_;
   const std::uint32_t lanes = runtime->shard_count();
-  const sim::SimTime now = topo.base_scheduler().now();
-
-  // Engine sync telemetry: per-epoch phase timings + load-imbalance
-  // attribution, or one serial execution phase on one lane.
-  if (obs.sync_enabled()) {
-    sync_prof = std::make_unique<obs::SyncProfiler>(lanes);
-    attach_sync_profiler(*runtime, topo, *sync_prof);
-  }
-
   for (std::uint32_t s = 0; s < lanes; ++s) {
     lane_probes.push_back(
         std::make_unique<qos::SlaProbe>("lane" + std::to_string(s)));
     lane_sinks.push_back(std::make_unique<traffic::MeasurementSink>(
         *lane_probes.back(), runtime->shard_scheduler(s)));
   }
+  if (!obs) return;
+  const sim::SimTime now = topo.base_scheduler().now();
+
+  // Engine sync telemetry: per-epoch phase timings + load-imbalance
+  // attribution, or one serial execution phase on one lane.
+  sync_prof = std::make_unique<obs::SyncProfiler>(lanes);
+  attach_sync_profiler(*runtime, topo, *sync_prof);
 
   // Per-flow telemetry plane: one accounting table per lane, drained into
   // the exporter at exact scan instants by a between-window periodic
@@ -835,55 +890,43 @@ void Scenario::Run::observers() {
   // or after), so the record stream is byte-identical across shard
   // counts. It registers before the metrics action below so coincident
   // instants scan first.
-  if (obs.flow_enabled()) {
-    obs::FlowExporter::Options fopt;
-    fopt.active_timeout = sim::from_seconds(obs.flow_active_timeout_s);
-    fopt.idle_timeout = sim::from_seconds(obs.flow_idle_timeout_s);
-    flow_exporter = std::make_unique<obs::FlowExporter>(fopt);
-    // Size the tables for the declared flow population: at <= 50% load the
-    // probe window practically never fills, so the spill path stays off
-    // the hot path (and one lane keeps the table-resident exporter path).
-    const std::size_t flow_slots =
-        std::max(obs::FlowStatsTable::kDefaultSlots, 2 * sc.flows_.size());
-    for (std::uint32_t s = 0; s < lanes; ++s) {
-      flow_table_store.push_back(std::make_unique<obs::FlowStatsTable>(
-          &runtime->shard_scheduler(s), flow_slots));
-      flow_tables.push_back(flow_table_store.back().get());
-    }
-    runtime->set_flow_stats(flow_tables);
-    if (obs.flow_scan_period_s > 0) {
-      const sim::SimTime period = sim::from_seconds(obs.flow_scan_period_s);
-      runtime->add_periodic_action(now + period, period,
-                                   [this](sim::SimTime at) {
-                                     flow_exporter->scan(flow_tables, at);
-                                   });
-    }
+  flow_exporter = std::make_unique<obs::FlowExporter>();
+  // Size the tables for the declared flow population: at <= 50% load the
+  // probe window practically never fills, so the spill path stays off
+  // the hot path (and one lane keeps the table-resident exporter path).
+  const std::size_t flow_slots =
+      std::max(obs::FlowStatsTable::kDefaultSlots, 2 * sc.flows_.size());
+  for (std::uint32_t s = 0; s < lanes; ++s) {
+    flow_table_store.push_back(std::make_unique<obs::FlowStatsTable>(
+        &runtime->shard_scheduler(s), flow_slots));
+    flow_tables.push_back(flow_table_store.back().get());
   }
+  runtime->set_flow_stats(flow_tables);
+  const sim::SimTime scan = sim::from_seconds(kFlowScanPeriodS);
+  runtime->add_periodic_action(now + scan, scan, [this](sim::SimTime at) {
+    flow_exporter->scan(flow_tables, at);
+  });
 
-  if (obs.enabled() && !obs.metrics_json_path.empty()) {
-    obs::register_topology_metrics(topo, registry);
-    register_sla_metrics(registry, probe);
-    obs::register_latency_metrics(latency, registry, cs_class_namer());
-    if (obs.engine_metrics) {
-      obs::register_engine_metrics(*runtime, registry);
-      if (sync_prof) obs::register_sync_metrics(*sync_prof, registry);
-      if (flow_exporter) {
-        obs::register_flow_metrics(*flow_exporter, flow_tables, registry);
-      }
-    }
-    if (obs.control_metrics) {
-      obs::register_control_metrics(bb.cp, bb.bgp, bb.igp, registry);
-    }
-    // First capture a full period in; the fold makes the observers the
-    // gauges read consistent before each sample.
-    snapshots.emplace(registry);
-    const sim::SimTime period = sim::from_seconds(obs.snapshot_period_s);
-    runtime->add_periodic_action(now + period, period,
-                                 [this](sim::SimTime at) {
-                                   fold();
-                                   snapshots->capture(at);
-                                 });
-  }
+  // Result gauges go to metrics.json, identical at every shard count; the
+  // gauges of how the engine, the profiler, the exporter and the control
+  // plane did their work go to engine_metrics.json.
+  obs::register_topology_metrics(topo, registry);
+  register_sla_metrics(registry, probe);
+  obs::register_latency_metrics(latency, registry, cs_class_namer());
+  obs::register_engine_metrics(*runtime, engine_registry);
+  obs::register_sync_metrics(*sync_prof, engine_registry);
+  obs::register_flow_metrics(*flow_exporter, flow_tables, engine_registry);
+  obs::register_control_metrics(bb.cp, bb.bgp, bb.igp, engine_registry);
+  // First capture a full period in; the fold makes the observers the
+  // gauges read consistent before each sample.
+  snapshots.emplace(registry);
+  engine_snapshots.emplace(engine_registry);
+  const sim::SimTime period = sim::from_seconds(kSnapshotPeriodS);
+  runtime->add_periodic_action(now + period, period, [this](sim::SimTime at) {
+    fold();
+    snapshots->capture(at);
+    engine_snapshots->capture(at);
+  });
 }
 
 traffic::FlowDispatcher& Scenario::Run::dispatcher_for(std::size_t site) {
@@ -1012,8 +1055,58 @@ void Scenario::Run::run() {
   runtime->finish();
 }
 
+void Scenario::Run::write_obs() {
+  ObsFiles& f = *obs;
+  const obs::NodeNamer namer = obs::topology_node_namer(topo);
+  const obs::ClassNamer cnamer = cs_class_namer();
+
+  const obs::FlightRecorder& rec = topo.recorder();
+  obs::write_chrome_trace(rec, f.trace, namer, sync_prof.get());
+  obs::write_jsonl(rec, f.events, namer);
+  obs::write_span_chrome_trace(obs::analyze_spans(rec), f.spans, namer);
+  snapshots->capture(topo.base_scheduler().now());  // after the drain
+  engine_snapshots->capture(topo.base_scheduler().now());
+  snapshots->write_json(f.metrics);
+  engine_snapshots->write_json(f.engine_metrics);
+  f.trace_txt << "obs: " << rec.size() << " trace events held ("
+              << rec.recorded() << " recorded, " << rec.overwritten()
+              << " overwritten); " << snapshots->count()
+              << " metrics snapshots (" << registry.metric_count()
+              << " metrics, " << engine_registry.metric_count()
+              << " engine metrics)\n";
+
+  latency.write_json(f.latency, namer, cnamer);
+  f.latency_txt << "latency anatomy: per-hop decomposition\n"
+                << latency.hop_table(namer, cnamer).render()
+                << "\nlatency anatomy: per-class delay budget\n"
+                << latency.class_table(cnamer).render();
+
+  const obs::SyncProfiler::Report srep = sync_prof->report();
+  f.sync_txt << srep.to_table();
+  srep.write_json(f.sync);
+  f.sync << '\n';
+
+  std::map<std::uint32_t, std::string> vpn_names;
+  for (const auto& [name, id] : vpn_ids) vpn_names[id] = name;
+  const obs::VpnNamer vnamer = [vpn_names = std::move(vpn_names)](
+                                   std::uint32_t id) -> std::string {
+    const auto it = vpn_names.find(id);
+    return it == vpn_names.end() ? "vpn" + std::to_string(id) : it->second;
+  };
+  const obs::PhbNamer pnamer = [](std::uint8_t phb) {
+    return qos::to_string(static_cast<qos::Phb>(phb));
+  };
+  f.flow_txt << "flow conformance: offered vs delivered per VPN x class ("
+             << flow_exporter->records().size() << " flow records)\n"
+             << flow_exporter->rollup_table(vnamer, pnamer).render();
+  flow_exporter->write_jsonl(f.flow_jsonl, namer, vnamer, pnamer);
+  flow_exporter->write_binary(f.flow_bin);
+  // Measured off link transmit counters, which the run maintains whether
+  // or not flow accounting is armed.
+  write_flow_profile(measure_flow_profile(topo), topo, f.flow_profile);
+}
+
 bool Scenario::Run::report() {
-  const ObsOptions& obs = sc.obs_;
   const double run_for_s = sc.run_for_s_;
   out << "converged in "
       << sim::to_seconds(bb.service.last_route_change_at()) * 1e3
@@ -1032,90 +1125,7 @@ bool Scenario::Run::report() {
         << stats::Table::num(tcp_flows[i]->goodput_bps(run_for_s) / 1e6, 2)
         << " Mb/s, retransmits " << tcp_flows[i]->retransmits() << "\n";
   }
-  if (obs.latency_enabled()) {
-    const obs::NodeNamer lnamer = obs::topology_node_namer(topo);
-    if (obs.latency_report) {
-      out << "\nlatency anatomy: per-hop decomposition\n"
-          << latency.hop_table(lnamer, cs_class_namer()).render()
-          << "\nlatency anatomy: per-class delay budget\n"
-          << latency.class_table(cs_class_namer()).render();
-    }
-    if (!obs.latency_json_path.empty()) {
-      std::ofstream lf(obs.latency_json_path);
-      latency.write_json(lf, lnamer, cs_class_namer());
-    }
-  }
-  if (obs.enabled()) {
-    const obs::FlightRecorder& rec = topo.recorder();
-    const obs::NodeNamer namer = obs::topology_node_namer(topo);
-    if (snapshots) {
-      snapshots->capture(topo.base_scheduler().now());  // after the drain
-      std::ofstream mf(obs.metrics_json_path);
-      snapshots->write_json(mf);
-    }
-    if (!obs.events_jsonl_path.empty()) {
-      std::ofstream ef(obs.events_jsonl_path);
-      obs::write_jsonl(rec, ef, namer);
-    }
-    if (!obs.chrome_trace_path.empty()) {
-      std::ofstream cf(obs.chrome_trace_path);
-      obs::write_chrome_trace(rec, cf, namer, sync_prof.get());
-    }
-    if (!obs.spans_trace_path.empty()) {
-      const obs::SpanAnalysis spans = obs::analyze_spans(rec);
-      std::ofstream sf(obs.spans_trace_path);
-      obs::write_span_chrome_trace(spans, sf, namer);
-    }
-    out << "\nobs: " << rec.size() << " trace events held ("
-        << rec.recorded() << " recorded, " << rec.overwritten()
-        << " overwritten)";
-    if (snapshots) {
-      out << "; " << snapshots->count() << " metrics snapshots ("
-          << registry.metric_count() << " metrics)";
-    }
-    out << "\n";
-  }
-  if (sync_prof) {
-    const obs::SyncProfiler::Report srep = sync_prof->report();
-    if (obs.sync_report) out << '\n' << srep.to_table();
-    if (!obs.sync_json_path.empty()) {
-      std::ofstream sf(obs.sync_json_path);
-      srep.write_json(sf);
-      sf << '\n';
-    }
-  }
-  if (flow_exporter) {
-    std::map<std::uint32_t, std::string> vpn_names;
-    for (const auto& [name, id] : vpn_ids) vpn_names[id] = name;
-    obs::VpnNamer vnamer = [vpn_names = std::move(vpn_names)](
-                               std::uint32_t id) -> std::string {
-      const auto it = vpn_names.find(id);
-      return it == vpn_names.end() ? "vpn" + std::to_string(id) : it->second;
-    };
-    obs::PhbNamer pnamer = [](std::uint8_t phb) {
-      return qos::to_string(static_cast<qos::Phb>(phb));
-    };
-    if (obs.flow_report) {
-      out << "\nflow conformance: offered vs delivered per VPN x class ("
-          << flow_exporter->records().size() << " flow records)\n"
-          << flow_exporter->rollup_table(vnamer, pnamer).render();
-    }
-    if (!obs.flow_records_path.empty()) {
-      std::ofstream ff(obs.flow_records_path);
-      flow_exporter->write_jsonl(ff, obs::topology_node_namer(topo), vnamer,
-                                 pnamer);
-    }
-    if (!obs.flow_records_bin_path.empty()) {
-      std::ofstream fb(obs.flow_records_bin_path, std::ios::binary);
-      flow_exporter->write_binary(fb);
-    }
-  }
-  if (!obs.flow_profile_path.empty()) {
-    // Measured off link transmit counters, which the run maintains whether
-    // or not flow accounting was armed.
-    std::ofstream pf(obs.flow_profile_path);
-    write_flow_profile(measure_flow_profile(topo), topo, pf);
-  }
+  if (obs) write_obs();
 
   // Isolation / accounting verdict. In dispatcher mode (tcp present) the
   // sink only sees what no handler claimed, so `delivered` there counts
@@ -1134,18 +1144,12 @@ bool Scenario::Run::report() {
 }
 
 bool Scenario::run(std::ostream& out) const {
-  // The metrics action fires once per period: a non-finite period, or one
-  // that rounds below the 1 ns clock tick, has no capture instants.
-  if (obs_.enabled() && !obs_.metrics_json_path.empty()) {
-    const double p = obs_.snapshot_period_s;
-    if (!std::isfinite(p) || p > kMaxScenarioSeconds ||
-        sim::from_seconds(p) < 1) {
-      out << "bad snapshot period " << p
-          << " s (want a finite value from 1e-9 to 1e6)\n";
-      return false;
-    }
+  std::unique_ptr<ObsFiles> files;
+  if (!obs_dir_.empty()) {
+    files = std::make_unique<ObsFiles>();
+    if (!files->open(obs_dir_, out)) return false;
   }
-  Run r(*this, out);
+  Run r(*this, out, std::move(files));
   r.build();
   r.converge();
   r.partition();
@@ -1155,14 +1159,8 @@ bool Scenario::run(std::ostream& out) const {
   return r.report();
 }
 
-int run_scenario_file(const std::string& path, std::ostream& out) {
-  return run_scenario_file(path, out, ObsOptions{});
-}
-
 int run_scenario_file(const std::string& path, std::ostream& out,
-                      const ObsOptions& obs, std::uint32_t shards,
-                      int flowcache, bool verbose,
-                      std::vector<std::uint64_t> partition_weights) {
+                      const std::string& obs_dir, std::uint32_t shards) {
   std::ifstream in(path);
   if (!in) {
     out << "cannot open " << path << "\n";
@@ -1176,11 +1174,8 @@ int run_scenario_file(const std::string& path, std::ostream& out,
     out << path << ":" << error.line << ": " << error.message << "\n";
     return 2;
   }
-  scenario->set_obs(obs);
+  scenario->set_obs_dir(obs_dir);
   if (shards != 0) scenario->set_shards(shards);
-  if (flowcache >= 0) scenario->set_flowcache(flowcache != 0);
-  scenario->set_verbose(verbose);
-  scenario->set_partition_weights(std::move(partition_weights));
   return scenario->run(out) ? 0 : 1;
 }
 

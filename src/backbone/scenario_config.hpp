@@ -8,82 +8,9 @@
 
 #include "backbone/fixtures.hpp"
 #include "backbone/topogen.hpp"
-#include "obs/trace.hpp"
 #include "traffic/sink.hpp"
 
 namespace mvpn::backbone {
-
-/// Observability hooks for a scenario run: which trace categories to
-/// record and where to write the artefacts. Empty paths skip that output;
-/// all-empty (the default) leaves the flight recorder disabled so the run
-/// costs nothing extra.
-struct ObsOptions {
-  std::uint32_t trace_mask = obs::kAllCategories;
-  std::size_t ring_capacity = 0;      ///< 0: recorder default
-  std::string chrome_trace_path;      ///< Chrome trace_event JSON
-  std::string events_jsonl_path;      ///< one JSON object per trace event
-  std::string metrics_json_path;      ///< periodic metrics snapshot series
-  std::string spans_trace_path;       ///< Chrome duration spans (obs/spans)
-  double snapshot_period_s = 0.5;
-
-  /// Latency-anatomy outputs. These arm the per-hop delay decomposition
-  /// (LatencyCollector), which is independent of the flight recorder.
-  bool latency_report = false;        ///< print decomposition tables
-  std::string latency_json_path;      ///< decomposition JSON
-
-  /// Engine sync telemetry (obs::SyncProfiler): per-epoch phase timings
-  /// and load-imbalance attribution for sharded runs. Independent of the
-  /// flight recorder; serial runs print/emit a one-lane serial report.
-  bool sync_report = false;           ///< print the sync profile table
-  std::string sync_json_path;         ///< machine-readable sync report
-
-  /// Register engine counters (shards, windows, widened, handoffs, ...)
-  /// with the metrics registry. Off by default because the values
-  /// are engine-configuration-dependent — the cross-shard byte-identity
-  /// checks compare metrics snapshots across shard counts.
-  bool engine_metrics = false;
-
-  /// Register control-plane counters (SPF full/incremental/skipped runs,
-  /// BGP updates sent/packed, wire bytes, Adj-RIB occupancy) under
-  /// `control/...`. Off by default, like engine_metrics: they count how
-  /// the control plane did its work, not what the run delivered.
-  bool control_metrics = false;
-
-  /// Per-flow telemetry plane (obs::FlowStatsTable + FlowExporter): one
-  /// accounting table per engine lane, drained into IPFIX-style flow
-  /// records at exact scan instants so the record stream is byte-identical
-  /// across shard counts. Independent of the flight recorder. The
-  /// `engine/flow/...` gauges ride the engine_metrics opt-in above.
-  std::string flow_records_path;      ///< flow records, one JSON per line
-  std::string flow_records_bin_path;  ///< compact binary records ("MVFR")
-  bool flow_report = false;           ///< print per-VPN x class rollup
-  std::string flow_profile_path;      ///< measured node/link flow weights
-  double flow_active_timeout_s = 0.5;
-  double flow_idle_timeout_s = 0.25;
-  /// Exporter scan cadence. Defaults to the idle timeout: scanning faster
-  /// than the smallest timeout only quantizes cut instants more finely at
-  /// the cost of an extra table drain per instant.
-  double flow_scan_period_s = 0.25;
-
-  /// Anything here requires the flight recorder.
-  [[nodiscard]] bool enabled() const noexcept {
-    return !chrome_trace_path.empty() || !events_jsonl_path.empty() ||
-           !metrics_json_path.empty() || !spans_trace_path.empty();
-  }
-  [[nodiscard]] bool latency_enabled() const noexcept {
-    return latency_report || !latency_json_path.empty() ||
-           !metrics_json_path.empty();
-  }
-  [[nodiscard]] bool sync_enabled() const noexcept {
-    return sync_report || !sync_json_path.empty();
-  }
-  /// Flow-record outputs arm the accounting tables. The profile does not:
-  /// it reads link transmit counters the run maintains anyway.
-  [[nodiscard]] bool flow_enabled() const noexcept {
-    return !flow_records_path.empty() || !flow_records_bin_path.empty() ||
-           flow_report;
-  }
-};
 
 /// Line-oriented scenario description language, so experiments can be run
 /// from a text file instead of C++ ('#' starts a comment):
@@ -139,13 +66,28 @@ class Scenario {
 
   /// Build the network, run the traffic, and print the SLA report (and
   /// isolation accounting) to `out`. Returns false if any isolation
-  /// violation was observed.
+  /// violation was observed, or — after one line naming the path, before
+  /// anything is built — if the obs directory or one of its files cannot
+  /// be written.
   bool run(std::ostream& out) const;
 
-  /// Attach observability outputs to the next run() (flight-recorder
-  /// traces, metrics snapshots).
-  void set_obs(ObsOptions obs) { obs_ = std::move(obs); }
-  [[nodiscard]] const ObsOptions& obs() const noexcept { return obs_; }
+  /// Write the next run()'s observability artefacts into `dir` (created if
+  /// missing). Empty (the default) arms nothing: the run costs nothing
+  /// extra. Non-empty arms every plane — flight recorder, latency anatomy,
+  /// sync profiler, flow accounting, metrics — and always writes the same
+  /// files; stdout is the SLA report either way:
+  ///
+  ///   trace.json events.jsonl spans.json trace.txt    flight recorder
+  ///   metrics.json engine_metrics.json                snapshot series
+  ///   latency.json latency.txt                        per-hop delay anatomy
+  ///   sync.json sync.txt                              epoch sync profile
+  ///   flow.jsonl flow.bin flow.txt flow_profile.txt   per-flow records
+  ///   partition.txt                                   shard plan
+  ///
+  /// metrics.json holds result gauges only, byte-identical at every shard
+  /// count; engine_metrics.json holds the engine, sync, flow-exporter and
+  /// control-plane gauges, which describe how the run did its work.
+  void set_obs_dir(std::string dir) { obs_dir_ = std::move(dir); }
 
   /// Partition the topology into `n` shards and run the traffic phase on
   /// the parallel engine (1 = serial, the default; also settable from the
@@ -161,13 +103,8 @@ class Scenario {
   void set_flowcache(bool on) { flowcache_ = on; }
   [[nodiscard]] bool flowcache() const noexcept { return flowcache_; }
 
-  /// Print partition diagnostics (cut size, per-shard node / CE / flow
-  /// balance, lookahead) to stderr when the run goes parallel.
-  void set_verbose(bool on) { verbose_ = on; }
-  [[nodiscard]] bool verbose() const noexcept { return verbose_; }
-
   /// Per-node flow weights for the partitioner (a measured FlowProfile's
-  /// node_weight vector, typically from a prior run's --flow-profile).
+  /// node_weight vector, typically from a prior run's flow_profile.txt).
   /// Empty (the default) keeps the node-count plan. Sharding is
   /// result-transparent, so a different plan changes wall-clock balance
   /// but never the reports.
@@ -248,23 +185,17 @@ class Scenario {
   double run_for_s_ = 2.0;
   std::uint32_t shards_ = 1;
   bool flowcache_ = true;
-  bool verbose_ = false;
   std::vector<std::uint64_t> partition_weights_;
   std::optional<TopogenParams> topogen_;
-  ObsOptions obs_;
+  std::string obs_dir_;
 };
 
 /// Convenience: parse + run from a file path. Returns process-style exit
-/// code (0 ok, 1 isolation violation, 2 parse/usage error).
-/// `shards` != 0 overrides the scenario file's `run shards=` setting;
-/// `flowcache` 0/1 overrides `run flowcache=` (-1 leaves the file's choice);
-/// `verbose` prints partition diagnostics to stderr.
-/// `partition_weights` feeds the flow-weighted partitioner (see
-/// Scenario::set_partition_weights).
-int run_scenario_file(const std::string& path, std::ostream& out);
+/// code (0 ok, 1 isolation violation or unwritable `obs_dir`, 2 parse/usage
+/// error). `obs_dir` is Scenario::set_obs_dir's; `shards` != 0 overrides
+/// the scenario file's `run shards=` setting.
 int run_scenario_file(const std::string& path, std::ostream& out,
-                      const ObsOptions& obs, std::uint32_t shards = 0,
-                      int flowcache = -1, bool verbose = false,
-                      std::vector<std::uint64_t> partition_weights = {});
+                      const std::string& obs_dir = {},
+                      std::uint32_t shards = 0);
 
 }  // namespace mvpn::backbone

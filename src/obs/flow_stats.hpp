@@ -331,8 +331,9 @@ class FlowExporter {
   };
   [[nodiscard]] std::vector<RollupRow> rollup() const;
 
-  /// The `--flow-report` conformance table: offered vs delivered vs the
-  /// delay/loss figures an SLA audit compares against its targets.
+  /// The conformance table (flow.txt under run_scenario --obs DIR):
+  /// offered vs delivered vs the delay/loss figures an SLA audit compares
+  /// against its targets.
   [[nodiscard]] stats::Table rollup_table(const VpnNamer& vpn_namer,
                                           const PhbNamer& phb_namer) const;
 

@@ -168,9 +168,10 @@ class SyncProfiler : public sim::EngineObserver {
     double batch_max = 0.0;
     std::vector<Lane> lanes;
 
-    /// Human-readable summary (run_scenario --sync-report, bench output).
+    /// Human-readable summary (sync.txt under run_scenario --obs DIR,
+    /// bench output).
     [[nodiscard]] std::string to_table() const;
-    /// One JSON object — the block run_scenario writes for --sync-json.
+    /// One JSON object — run_scenario --obs DIR writes it to sync.json.
     void write_json(std::ostream& out) const;
   };
   [[nodiscard]] Report report() const;

@@ -30,8 +30,9 @@ void register_topology_metrics(net::Topology& topo, MetricsRegistry& registry);
 /// NodeNamer (for the trace sinks) backed by the topology's node names.
 [[nodiscard]] NodeNamer topology_node_namer(const net::Topology& topo);
 
-/// Register the parallel engine's counters so --metrics snapshots carry
-/// engine state next to topology state:
+/// Register the parallel engine's counters so a metrics snapshot series
+/// (run_scenario --obs DIR writes them to engine_metrics.json) carries
+/// engine state:
 ///
 ///   engine/shards, engine/lookahead_us
 ///   engine/windows, engine/widened_windows, engine/idle_jumps
@@ -43,8 +44,10 @@ void register_topology_metrics(net::Topology& topo, MetricsRegistry& registry);
 void register_engine_metrics(const net::ShardRuntime& runtime,
                              MetricsRegistry& registry);
 
-/// Register the control-plane fastpath counters (opt-in via
-/// ObsOptions::control_metrics, same contract as engine_metrics):
+/// Register the control-plane fastpath counters. They count how the
+/// control plane did its work, not what the run delivered, so
+/// run_scenario --obs DIR writes them to engine_metrics.json with the
+/// engine gauges, never to metrics.json:
 ///
 ///   control/messages, control/bytes         all control-plane traffic
 ///   control/bgp/sessions                    live iBGP sessions

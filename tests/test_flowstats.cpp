@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -363,23 +363,17 @@ ScenarioRun run_scenario(std::uint32_t shards, bool flow_on) {
   EXPECT_TRUE(scenario.has_value()) << err.message;
   scenario->set_shards(shards);
   ScenarioRun r;
-  const std::string base = ::testing::TempDir() + "flowstats_" +
-                           std::to_string(shards) + "_" +
-                           std::to_string(::getpid());
-  if (flow_on) {
-    backbone::ObsOptions obs;
-    obs.flow_records_path = base + ".jsonl";
-    obs.flow_records_bin_path = base + ".bin";
-    scenario->set_obs(obs);
-  }
+  const std::string dir = ::testing::TempDir() + "flowstats_" +
+                          std::to_string(shards) + "_" +
+                          std::to_string(::getpid());
+  if (flow_on) scenario->set_obs_dir(dir);
   std::ostringstream out;
   EXPECT_TRUE(scenario->run(out));
   r.report = out.str();
   if (flow_on) {
-    r.jsonl = slurp(base + ".jsonl");
-    r.binary = slurp(base + ".bin");
-    std::remove((base + ".jsonl").c_str());
-    std::remove((base + ".bin").c_str());
+    r.jsonl = slurp(dir + "/flow.jsonl");
+    r.binary = slurp(dir + "/flow.bin");
+    std::filesystem::remove_all(dir);
   }
   return r;
 }
@@ -391,9 +385,9 @@ std::string body(const std::string& report) {
   return report.substr(report.find("\n\n"));
 }
 
-/// Arming flow accounting must not change a single result byte: the SLA
-/// table and delivery accounting are identical with the tables on and off,
-/// serially and sharded.
+/// Arming flow accounting (with every other obs plane) must not change a
+/// single result byte: the SLA table and delivery accounting are identical
+/// with an obs directory and without, serially and sharded.
 TEST(FlowStats, ScenarioReportByteIdenticalFlowOnOff) {
   for (const std::uint32_t shards : {1u, 2u, 4u}) {
     const ScenarioRun off = run_scenario(shards, false);
@@ -517,16 +511,14 @@ TEST(FlowStats, MeasuredProfileIdenticalAcrossShardCounts) {
     auto scenario = backbone::Scenario::parse(kScenario, &err);
     EXPECT_TRUE(scenario.has_value()) << err.message;
     scenario->set_shards(shards);
-    backbone::ObsOptions obs;
-    const std::string path = ::testing::TempDir() + "flowprof_" +
-                             std::to_string(shards) + "_" +
-                             std::to_string(::getpid()) + ".txt";
-    obs.flow_profile_path = path;
-    scenario->set_obs(obs);
+    const std::string dir = ::testing::TempDir() + "flowprof_" +
+                            std::to_string(shards) + "_" +
+                            std::to_string(::getpid());
+    scenario->set_obs_dir(dir);
     std::ostringstream out;
     EXPECT_TRUE(scenario->run(out));
-    std::string text = slurp(path);
-    std::remove(path.c_str());
+    std::string text = slurp(dir + "/flow_profile.txt");
+    std::filesystem::remove_all(dir);
     return text;
   };
   const std::string p1 = profile_of(1);

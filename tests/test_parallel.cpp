@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <memory>
@@ -430,13 +431,13 @@ run for=2
 )";
 
 struct ScenarioOutputs {
-  std::string report;        ///< run() output minus the converged banner,
-                             ///< including the flow conformance rollup
-  std::string metrics_json;
+  std::string report;        ///< run() output minus the converged banner
+  std::string metrics_json;  ///< the obs files, empty for a run without one
   std::string latency_json;
   std::string flow_jsonl;    ///< flow-record stream, one JSON per line
   std::string flow_bin;      ///< the same records, binary framing
-  std::string sync_json;     ///< only when the run profiled
+  std::string flow_txt;      ///< the flow conformance rollup
+  std::string sync_json;
   bool ok = false;
 };
 
@@ -457,43 +458,34 @@ std::string strip_converged_line(const std::string& text) {
 }
 
 ScenarioOutputs run_scenario_with_shards(std::uint32_t shards,
-                                         bool sync_profile = false) {
+                                         bool with_obs = true) {
   backbone::ScenarioError err;
   auto sc = backbone::Scenario::parse(kDeterminismScenario, &err);
   EXPECT_TRUE(sc.has_value()) << "line " << err.line << ": " << err.message;
   ScenarioOutputs out;
   if (!sc) return out;
 
-  const std::string dir = ::testing::TempDir();
-  const std::string tag =
-      std::to_string(shards) + (sync_profile ? "_sync" : "");
-  backbone::ObsOptions obs;
-  obs.metrics_json_path = dir + "/par_metrics_" + tag + ".json";
-  obs.latency_json_path = dir + "/par_latency_" + tag + ".json";
-  obs.flow_records_path = dir + "/par_flow_" + tag + ".jsonl";
-  obs.flow_records_bin_path = dir + "/par_flow_" + tag + ".bin";
-  obs.flow_report = true;
-  if (sync_profile) {
-    obs.sync_json_path = dir + "/par_sync_" + tag + ".json";
-  }
-  sc->set_obs(obs);
+  const std::string dir =
+      ::testing::TempDir() + "/par_obs_" + std::to_string(shards);
+  std::filesystem::remove_all(dir);
+  if (with_obs) sc->set_obs_dir(dir);
   sc->set_shards(shards);
 
   std::ostringstream report;
   out.ok = sc->run(report);
   out.report = strip_converged_line(report.str());
-  out.metrics_json = golden::slurp(obs.metrics_json_path);
-  out.latency_json = golden::slurp(obs.latency_json_path);
-  out.flow_jsonl = golden::slurp(obs.flow_records_path);
-  out.flow_bin = golden::slurp(obs.flow_records_bin_path);
+  if (!with_obs) return out;
+  out.metrics_json = golden::slurp(dir + "/metrics.json");
+  out.latency_json = golden::slurp(dir + "/latency.json");
+  out.flow_jsonl = golden::slurp(dir + "/flow.jsonl");
+  out.flow_bin = golden::slurp(dir + "/flow.bin");
+  out.flow_txt = golden::slurp(dir + "/flow.txt");
+  out.sync_json = golden::slurp(dir + "/sync.json");
   EXPECT_FALSE(out.metrics_json.empty());
   EXPECT_FALSE(out.latency_json.empty());
   EXPECT_FALSE(out.flow_jsonl.empty());
   EXPECT_FALSE(out.flow_bin.empty());
-  if (sync_profile) {
-    out.sync_json = golden::slurp(obs.sync_json_path);
-    EXPECT_FALSE(out.sync_json.empty());
-  }
+  EXPECT_FALSE(out.sync_json.empty());
   return out;
 }
 
@@ -506,7 +498,7 @@ TEST(ShardedDeterminism, TwoAndFourShardsMatchSerialByteForByte) {
                                     serial.metrics_json), "");
   EXPECT_EQ(golden::stream_mismatch("determinism_latency",
                                     serial.latency_json), "");
-  EXPECT_NE(serial.report.find("flow conformance"), std::string::npos);
+  EXPECT_NE(serial.flow_txt.find("flow conformance"), std::string::npos);
   for (std::uint32_t shards : {2U, 4U}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
     const ScenarioOutputs par = run_scenario_with_shards(shards);
@@ -518,6 +510,7 @@ TEST(ShardedDeterminism, TwoAndFourShardsMatchSerialByteForByte) {
     EXPECT_EQ(par.latency_json, serial.latency_json);
     EXPECT_EQ(par.flow_jsonl, serial.flow_jsonl);
     EXPECT_EQ(par.flow_bin, serial.flow_bin);
+    EXPECT_EQ(par.flow_txt, serial.flow_txt);
   }
 }
 
@@ -746,27 +739,22 @@ TEST(OneLaneRuntime, RejectsZeroShardsAndIncompleteMaps) {
 // --- Epoch profiler against the real engine -------------------------------
 
 TEST(ShardedDeterminism, ProfilerOnRunIsByteIdenticalAndEmitsReport) {
-  const ScenarioOutputs plain = run_scenario_with_shards(4);
-  const ScenarioOutputs profiled =
-      run_scenario_with_shards(4, /*sync_profile=*/true);
+  const ScenarioOutputs plain = run_scenario_with_shards(4, /*with_obs=*/false);
+  const ScenarioOutputs profiled = run_scenario_with_shards(4);
   ASSERT_TRUE(plain.ok);
   ASSERT_TRUE(profiled.ok);
-  // Observing the engine must not perturb it: every simulation artefact is
-  // bit-identical with the profiler attached.
+  // Observing the engine must not perturb it: the report is bit-identical
+  // with every obs plane, the epoch profiler among them, attached.
   EXPECT_EQ(profiled.report, plain.report);
-  EXPECT_EQ(profiled.metrics_json, plain.metrics_json);
-  EXPECT_EQ(profiled.latency_json, plain.latency_json);
   // ...and the profiled run actually produced a sharded sync report.
   EXPECT_NE(profiled.sync_json.find("\"serial\":false"), std::string::npos)
       << profiled.sync_json;
   EXPECT_NE(profiled.sync_json.find("\"shards\":4"), std::string::npos)
       << profiled.sync_json;
-  EXPECT_TRUE(plain.sync_json.empty());
 
   // A serial profiled run reports one execution phase under the same JSON
   // keys it always had.
-  const ScenarioOutputs serial =
-      run_scenario_with_shards(1, /*sync_profile=*/true);
+  const ScenarioOutputs serial = run_scenario_with_shards(1);
   ASSERT_TRUE(serial.ok);
   EXPECT_NE(serial.sync_json.find("\"serial\":true"), std::string::npos)
       << serial.sync_json;

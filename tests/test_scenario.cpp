@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -352,20 +354,19 @@ run for=3
   EXPECT_EQ(report.find("goodput 0.00", pos), std::string::npos) << report;
 }
 
-/// Both flow-record outputs of a run, under the temp dir.
-ObsOptions flow_record_obs(const std::string& key) {
-  const std::string base = ::testing::TempDir() + "/golden_flow_" + key;
-  ObsOptions obs;
-  obs.flow_records_path = base + ".jsonl";
-  obs.flow_records_bin_path = base + ".bin";
-  return obs;
+/// A fresh obs directory for one run, under the temp dir.
+std::string obs_dir(const std::string& key) {
+  const std::string dir = ::testing::TempDir() + "/obs_" + key;
+  std::filesystem::remove_all(dir);
+  return dir;
 }
 
-/// The JSON-lines and binary record streams a run wrote, against golden
-/// rows `<key>_jsonl` and `<key>_bin` of streams.txt.
-void expect_golden_flow_records(const ObsOptions& obs, const std::string& key) {
-  const std::string jsonl = golden::slurp(obs.flow_records_path);
-  const std::string bin = golden::slurp(obs.flow_records_bin_path);
+/// The JSON-lines and binary record streams a run wrote into `dir`,
+/// against golden rows `<key>_jsonl` and `<key>_bin` of streams.txt.
+void expect_golden_flow_records(const std::string& dir,
+                                const std::string& key) {
+  const std::string jsonl = golden::slurp(dir + "/flow.jsonl");
+  const std::string bin = golden::slurp(dir + "/flow.bin");
   EXPECT_EQ(golden::stream_mismatch(key + "_jsonl", jsonl), "");
   EXPECT_EQ(golden::stream_mismatch(key + "_bin", bin), "");
 }
@@ -378,7 +379,8 @@ std::string body(const std::string& report) {
 TEST(ScenarioRun, GeneratedTopologyMatchesGolden) {
   // A small generated ISP: every flow kind, premarked classes, per-flow
   // start offsets. The report and the flow-record streams must match the
-  // recorded ones byte for byte, serially and on four shards.
+  // recorded ones byte for byte, serially and on four shards; the report
+  // with every obs plane armed.
   const std::string golden_text = golden::read_text("topogen_small.txt");
   ASSERT_FALSE(golden_text.empty());
   for (std::uint32_t shards : {1U, 4U}) {
@@ -389,8 +391,8 @@ TEST(ScenarioRun, GeneratedTopologyMatchesGolden) {
         &err);
     ASSERT_TRUE(sc.has_value()) << err.message;
     const std::string key = "topogen_small_s" + std::to_string(shards);
-    const ObsOptions obs = flow_record_obs(key);
-    sc->set_obs(obs);
+    const std::string dir = obs_dir(key);
+    sc->set_obs_dir(dir);
     sc->set_shards(shards);
     std::ostringstream out;
     EXPECT_TRUE(sc->run(out));
@@ -398,33 +400,79 @@ TEST(ScenarioRun, GeneratedTopologyMatchesGolden) {
     if (shards == 1) {
       EXPECT_EQ(out.str(), golden_text);
     }
-    expect_golden_flow_records(obs, key);
+    expect_golden_flow_records(dir, key);
   }
 }
 
-TEST(ScenarioRun, RejectsSnapshotPeriodWithoutCaptureInstants) {
-  // A period that is non-finite or rounds below the 1 ns clock has no
-  // capture instants: one diagnostic line and `false`, at every shard
-  // count, before anything is built.
-  for (const double period : {1e-12, std::nan(""), 0.0, -1.0}) {
-    for (std::uint32_t shards : {1U, 2U}) {
-      SCOPED_TRACE("period=" + std::to_string(period) +
-                   " shards=" + std::to_string(shards));
-      ScenarioError err;
-      auto sc = Scenario::parse(kMinimal, &err);
-      ASSERT_TRUE(sc.has_value()) << err.message;
-      ObsOptions obs;
-      obs.metrics_json_path = ::testing::TempDir() + "/bad_period.json";
-      obs.snapshot_period_s = period;
-      sc->set_obs(obs);
-      sc->set_shards(shards);
-      std::ostringstream out;
-      EXPECT_FALSE(sc->run(out));
-      const std::string text = out.str();
-      EXPECT_EQ(text.rfind("bad snapshot period", 0), 0U) << text;
-      EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 1) << text;
+TEST(ScenarioRun, ObsDirWritesEveryArtefact) {
+  // One schema check per artefact of an obs directory, on a sharded run so
+  // the engine lanes, the sync profile and the partition are populated.
+  const std::string path =
+      std::string(MVPN_SOURCE_DIR) + "/examples/scenarios/branch_office.scn";
+  const std::string dir = obs_dir("every_artefact");
+  std::ostringstream out;
+  ASSERT_EQ(run_scenario_file(path, out, dir, 2), 0) << out.str();
+  std::map<std::string, std::string> file;
+  for (const char* name :
+       {"trace.json", "events.jsonl", "spans.json", "trace.txt",
+        "metrics.json", "engine_metrics.json", "latency.json", "latency.txt",
+        "sync.json", "sync.txt", "flow.jsonl", "flow.bin", "flow.txt",
+        "flow_profile.txt", "partition.txt"}) {
+    file[name] = golden::slurp(dir + "/" + name);
+    EXPECT_FALSE(file[name].empty()) << name;
+  }
+  EXPECT_EQ(std::distance(std::filesystem::directory_iterator(dir),
+                          std::filesystem::directory_iterator()),
+            15);
+  for (const auto& [name, text] : file) {
+    if (name.ends_with(".json")) {
+      EXPECT_TRUE(text.starts_with("{") || text.starts_with("[")) << name;
+    }
+    if (name.ends_with(".jsonl")) {
+      std::istringstream lines(text);
+      for (std::string line; std::getline(lines, line);) {
+        EXPECT_TRUE(line.starts_with("{")) << name << ": " << line;
+      }
     }
   }
+  EXPECT_TRUE(file["flow.bin"].starts_with("MVFR"));
+  EXPECT_TRUE(file["flow_profile.txt"].starts_with("flowprofile v1"));
+  EXPECT_TRUE(file["trace.txt"].starts_with("obs: "));
+  EXPECT_TRUE(file["partition.txt"].starts_with("partition: "));
+  EXPECT_NE(file["latency.txt"].find("latency anatomy"), std::string::npos);
+  EXPECT_NE(file["sync.txt"].find("sync profile"), std::string::npos);
+  EXPECT_NE(file["flow.txt"].find("flow conformance"), std::string::npos);
+  EXPECT_NE(file["engine_metrics.json"].find("engine/shards"),
+            std::string::npos);
+  EXPECT_EQ(file["metrics.json"].find("engine/"), std::string::npos);
+}
+
+TEST(ScenarioRun, UnwritableObsDirFailsBeforeRunning) {
+  // A directory under a regular file cannot be created, even by root: one
+  // line naming the path, `false`, and no report.
+  const std::string blocker = ::testing::TempDir() + "/obs_blocker";
+  std::ofstream(blocker) << "not a directory\n";
+  const std::string dir = blocker + "/obs";
+  for (std::uint32_t shards : {1U, 2U}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ScenarioError err;
+    auto sc = Scenario::parse(kMinimal, &err);
+    ASSERT_TRUE(sc.has_value()) << err.message;
+    sc->set_obs_dir(dir);
+    sc->set_shards(shards);
+    std::ostringstream out;
+    EXPECT_FALSE(sc->run(out));
+    const std::string text = out.str();
+    EXPECT_EQ(text.rfind("cannot create obs directory " + dir, 0), 0U)
+        << text;
+    EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 1) << text;
+  }
+  std::ostringstream out;
+  EXPECT_EQ(run_scenario_file(std::string(MVPN_SOURCE_DIR) +
+                                  "/examples/scenarios/branch_office.scn",
+                              out, dir),
+            1);
+  EXPECT_EQ(out.str().find("delivered="), std::string::npos) << out.str();
 }
 
 TEST(ScenarioRun, MixedTcpRunAccountsPlainFlows) {
@@ -464,20 +512,21 @@ TEST(ScenarioFile, ShippedDemoSceneMatchesGoldenSerialAndSharded) {
       std::string(MVPN_SOURCE_DIR) + "/examples/scenarios/branch_office.scn";
   const std::string golden_text = golden::read_text("branch_office.txt");
   ASSERT_FALSE(golden_text.empty());
+  // Every obs plane armed: stdout is still the golden report.
   std::ostringstream serial;
-  const ObsOptions serial_obs = flow_record_obs("branch_office_s1");
-  EXPECT_EQ(run_scenario_file(path, serial, serial_obs), 0) << serial.str();
+  const std::string serial_dir = obs_dir("branch_office_s1");
+  EXPECT_EQ(run_scenario_file(path, serial, serial_dir), 0) << serial.str();
   EXPECT_EQ(serial.str(), golden_text);
-  expect_golden_flow_records(serial_obs, "branch_office_s1");
+  expect_golden_flow_records(serial_dir, "branch_office_s1");
   // Four shards requested (the planner uses three on this backbone): the
   // first line adds engine figures; the SLA table and the delivery line
   // after it must not move, nor must the flow records.
   std::ostringstream sharded;
-  const ObsOptions sharded_obs = flow_record_obs("branch_office_s4");
-  EXPECT_EQ(run_scenario_file(path, sharded, sharded_obs, 4), 0);
+  const std::string sharded_dir = obs_dir("branch_office_s4");
+  EXPECT_EQ(run_scenario_file(path, sharded, sharded_dir, 4), 0);
   EXPECT_EQ(body(sharded.str()), body(golden_text));
   EXPECT_NE(sharded.str().find(" shards (lookahead"), std::string::npos);
-  expect_golden_flow_records(sharded_obs, "branch_office_s4");
+  expect_golden_flow_records(sharded_dir, "branch_office_s4");
 }
 
 }  // namespace

@@ -217,18 +217,15 @@ std::string slurp(const std::string& path) {
   return buf.str();
 }
 
-/// Two report lines legitimately differ between engine variants: the
-/// converged banner names the engine (shard count, window/handoff stats),
-/// and the obs summary counts trace events — the flowcache's cached hits
-/// skip per-hop lookup events, so its count depends on cache on/off.
+/// One report line legitimately differs between engine variants: the
+/// converged banner names the engine (shard count, window/handoff stats).
 /// Everything else (SLA table, delivered/leaks) must match byte-for-byte.
 std::string strip_engine_lines(const std::string& text) {
   std::stringstream in(text);
   std::string out;
   std::string line;
   while (std::getline(in, line)) {
-    if (line.find("converged") == std::string::npos &&
-        line.rfind("obs:", 0) != 0) {
+    if (line.find("converged") == std::string::npos) {
       out += line;
       out += '\n';
     }
@@ -272,21 +269,18 @@ Outputs run_generated(std::uint32_t shards, bool flowcache) {
   Outputs out;
   if (!sc) return out;
 
-  const std::string dir = ::testing::TempDir();
-  const std::string tag =
-      std::to_string(shards) + (flowcache ? "_fc" : "_nofc");
-  backbone::ObsOptions obs;
-  obs.metrics_json_path = dir + "/topogen_metrics_" + tag + ".json";
-  obs.latency_json_path = dir + "/topogen_latency_" + tag + ".json";
-  sc->set_obs(obs);
+  const std::string dir = ::testing::TempDir() + "/topogen_obs_" +
+                          std::to_string(shards) +
+                          (flowcache ? "_fc" : "_nofc");
+  sc->set_obs_dir(dir);
   sc->set_shards(shards);
   sc->set_flowcache(flowcache);
 
   std::ostringstream report;
   out.ok = sc->run(report);
   out.report = strip_engine_lines(report.str());
-  out.metrics_json = strip_fastpath_gauges(slurp(obs.metrics_json_path));
-  out.latency_json = slurp(obs.latency_json_path);
+  out.metrics_json = strip_fastpath_gauges(slurp(dir + "/metrics.json"));
+  out.latency_json = slurp(dir + "/latency.json");
   EXPECT_FALSE(out.metrics_json.empty());
   EXPECT_FALSE(out.latency_json.empty());
   return out;

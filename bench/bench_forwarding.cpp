@@ -24,6 +24,7 @@
 #include "qos/classifier.hpp"
 #include "sim/rng.hpp"
 #include "stats/table.hpp"
+#include "vpn/flow_table.hpp"
 
 namespace {
 
@@ -178,42 +179,51 @@ void BM_MplsSwapOperation(benchmark::State& state) {
 
 void BM_FlowFastpathProbe(benchmark::State& state) {
   // The fastpath front-end the routers put before every structure above
-  // (see Router::IngressEntry / ForwardEntry): direct-mapped slot pick by
-  // Fibonacci-hashed flow id, packed 5-tuple key compare, generation-sum
-  // check. The argument is the number of live flows; the cost is
-  // independent of the *backing table* population — that is the point of
-  // the cache.
+  // (see Router::IngressEntry / ForwardEntry): the router's own FlowTable
+  // probe — Fibonacci-hashed home slot, 4-slot window, packed 5-tuple key
+  // compare — then the generation-sum check. The argument is the number
+  // of live flows; the cost is independent of the *backing table*
+  // population — that is the point of the cache.
   struct Slot {
     std::uint64_t addrs = 0;
     std::uint64_t meta = 0;
     std::uint64_t gen_sum = 0;
+    std::uint32_t flow_id = 0;
     std::uint32_t out_iface = 0;
+    [[nodiscard]] std::uint32_t home_key() const noexcept { return flow_id; }
+  };
+  constexpr std::uint64_t kMeta = (std::uint64_t{10000} << 48) |
+                                  (std::uint64_t{20000} << 32) | (17u << 8) |
+                                  1u;
+  const auto addrs_of = [](std::uint32_t id) {
+    return (std::uint64_t{0x0A010001u + id} << 32) | (0x0A020001u + id);
   };
   const auto n_flows = static_cast<std::size_t>(state.range(0));
-  std::vector<Slot> slots(1024);
+  mvpn::vpn::FlowTable<Slot, 1024> table;
   std::vector<std::uint32_t> flow_ids(n_flows);
   const std::uint64_t live_gen = 5;  // what the tables currently sum to
   for (std::size_t f = 0; f < n_flows; ++f) {
     const auto id = static_cast<std::uint32_t>(f + 1);
     flow_ids[f] = id;
-    Slot& s = slots[(id * 0x9E3779B1u) >> 22];
-    s.addrs = (std::uint64_t{0x0A010001u + id} << 32) | (0x0A020001u + id);
-    s.meta = (std::uint64_t{10000} << 48) | (std::uint64_t{20000} << 32) |
-             (17u << 8) | 1u;
-    s.gen_sum = live_gen;
-    s.out_iface = id & 7u;
+    const std::uint64_t addrs = addrs_of(id);
+    Slot& s = *table
+                   .find(id,
+                         [addrs](const Slot& e) {
+                           return e.addrs == addrs && e.meta == kMeta;
+                         })
+                   .slot;
+    s = Slot{addrs, kMeta, live_gen, id, id & 7u};
   }
   std::size_t i = 0;
   std::uint64_t sink = 0;
   for (auto _ : state) {
     const std::uint32_t id = flow_ids[i % n_flows];
-    const Slot& s = slots[(id * 0x9E3779B1u) >> 22];
-    const std::uint64_t addrs =
-        (std::uint64_t{0x0A010001u + id} << 32) | (0x0A020001u + id);
-    const std::uint64_t meta = (std::uint64_t{10000} << 48) |
-                               (std::uint64_t{20000} << 32) | (17u << 8) | 1u;
-    if (s.addrs == addrs && s.meta == meta && s.gen_sum == live_gen) {
-      sink += s.out_iface;  // replay the cached decision
+    const std::uint64_t addrs = addrs_of(id);
+    const auto probe = table.find(id, [addrs](const Slot& e) {
+      return e.addrs == addrs && e.meta == kMeta;
+    });
+    if (probe.found && probe.slot->gen_sum == live_gen) {
+      sink += probe.slot->out_iface;  // replay the cached decision
     }
     benchmark::DoNotOptimize(sink);
     ++i;

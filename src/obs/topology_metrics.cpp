@@ -35,6 +35,9 @@ void register_router(const vpn::Router& r, const std::string& prefix,
     const double probes = static_cast<double>(fc.hits + fc.misses);
     return probes == 0.0 ? 0.0 : static_cast<double>(fc.hits) / probes;
   });
+  reg.add_gauge(prefix + "/router/fastpath/slots", [rp] {
+    return static_cast<double>(rp->flowcache_stats().slots);
+  });
   for (const vpn::Vrf* vrf : const_cast<vpn::Router&>(r).vrfs()) {
     reg.add_gauge(prefix + "/vrf/" + vrf->config().name + "/routes",
                   [vrf] { return static_cast<double>(vrf->table().size()); });

@@ -170,14 +170,17 @@ void Router::inject(net::PacketPtr p) {
   // instead of re-running the rule match. The meters themselves stay in
   // the per-packet path — they are stateful token buckets.
   IngressEntry* e = nullptr;
+  bool found = false;
   FlowKey key;
   if (flowcache_enabled_ && p->flow_id != 0 && !p->esp) {
-    if (ingress_cache_.empty()) ingress_cache_.resize(kFlowSlots);
-    e = &ingress_cache_[flow_slot_of(p->flow_id)];
     key = flow_key_of(*p);
+    const auto probe = ingress_cache_.find(
+        p->flow_id, [&key](const IngressEntry& s) { return s.key == key; });
+    e = probe.slot;
+    found = probe.found;
   }
   bool replayed = false;
-  if (e != nullptr && e->gen_sum != 0 && e->key == key) {
+  if (found) {
     if (e->gen_sum == ingress_gen_sum()) {
       ++fc_stats_.hits;
       phb = e->phb;
@@ -219,6 +222,7 @@ void Router::inject(net::PacketPtr p) {
     if (e != nullptr) {
       ++fc_stats_.misses;
       e->key = key;
+      e->flow_id = p->flow_id;
       e->phb = phb;
       e->rule = rule;
       e->marked = marked;
@@ -379,11 +383,14 @@ void Router::forward_ip(net::PacketPtr p, Vrf* vrf) {
   ForwardEntry* slot = nullptr;
   if (flowcache_enabled_ && p->flow_id != 0 && !p->esp && !p->pvc &&
       outbound_sas_.empty() && !has_pvc_ingress_) {
-    if (forward_cache_.empty()) forward_cache_.resize(kFlowSlots);
-    slot = &forward_cache_[flow_slot_of(p->flow_id)];
     const FlowKey key = flow_key_of(*p);
     const VpnId ctx = vrf != nullptr ? vrf->vpn_id() : kGlobalVpn;
-    if (slot->gen_sum != 0 && slot->key == key && slot->ctx == ctx) {
+    const auto probe =
+        forward_cache_.find(p->flow_id, [&](const ForwardEntry& s) {
+          return s.key == key && s.ctx == ctx;
+        });
+    slot = probe.slot;
+    if (probe.found) {
       if (slot->gen_sum == forward_gen_sum(vrf)) {
         ++fc_stats_.hits;
         replay_forward(*slot, std::move(p));
@@ -396,6 +403,7 @@ void Router::forward_ip(net::PacketPtr p, Vrf* vrf) {
     }
     slot->key = key;
     slot->ctx = ctx;
+    slot->flow_id = p->flow_id;
     slot->gen_sum = 0;  // armed for recording; valid only once resolved
   }
 
@@ -600,9 +608,11 @@ void Router::forward_labeled(net::PacketPtr p) {
   // across ingress and transit.
   TransitEntry* t = nullptr;
   if (flowcache_enabled_) {
-    if (transit_cache_.empty()) transit_cache_.resize(kTransitSlots);
-    t = &transit_cache_[(in_label * 0x9E3779B1u) >> 24];
-    if (t->gen_sum != 0 && t->in_label == in_label) {
+    const auto probe = transit_cache_.find(
+        in_label,
+        [in_label](const TransitEntry& s) { return s.in_label == in_label; });
+    t = probe.slot;
+    if (probe.found) {
       if (t->gen_sum == transit_gen_sum()) {
         ++fc_stats_.hits;
         execute_transit(std::move(p), in_label, t->op, t->out_label,

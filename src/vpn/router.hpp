@@ -17,6 +17,7 @@
 #include "qos/classifier.hpp"
 #include "qos/dscp.hpp"
 #include "qos/meter.hpp"
+#include "vpn/flow_table.hpp"
 #include "vpn/vrf.hpp"
 
 namespace mvpn::vpn {
@@ -180,12 +181,13 @@ class Router : public net::Node {
   /// --- flow fastpath cache (VPP-style, generation-stamped) ----------------
   /// The first packet of a flow runs the full resolution (classifier scan,
   /// meter binding, VRF LPM, tunnel selection / LFIB switch) and records
-  /// the outcome; later packets of the flow replay it from a direct-mapped
-  /// slot. Validity is a sum of monotonic generation counters (router
+  /// the outcome; later packets of the flow replay it from a demand-sized
+  /// FlowTable. Validity is a sum of monotonic generation counters (router
   /// config + the tables the decision read), so any control-plane mutation
   /// makes stale entries self-invalidate on next touch — the same protocol
   /// as the PR-1 LPM cache. Forwarding behaviour is byte-identical with
-  /// the cache on or off; only kFastpath trace events differ.
+  /// the cache on or off; only kFastpath trace events and these stats
+  /// differ.
   void set_flowcache_enabled(bool on) noexcept { flowcache_enabled_ = on; }
   [[nodiscard]] bool flowcache_enabled() const noexcept {
     return flowcache_enabled_;
@@ -194,9 +196,13 @@ class Router : public net::Node {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;       ///< resolutions recorded into a slot
     std::uint64_t invalidated = 0;  ///< stale-generation entries re-resolved
+    std::uint64_t slots = 0;  ///< entries allocated across the three tables
   };
-  [[nodiscard]] const FlowCacheStats& flowcache_stats() const noexcept {
-    return fc_stats_;
+  [[nodiscard]] FlowCacheStats flowcache_stats() const noexcept {
+    FlowCacheStats s = fc_stats_;
+    s.slots = ingress_cache_.capacity() + forward_cache_.capacity() +
+              transit_cache_.capacity();
+    return s;
   }
 
   /// --- counters ------------------------------------------------------------
@@ -214,11 +220,11 @@ class Router : public net::Node {
 
  private:
   /// --- flow fastpath cache internals --------------------------------------
-  /// Full 5-tuple key. The slot is picked by flow id, but the stored key is
-  /// the visible 5-tuple: bidirectional flows (TCP data vs. ACKs) share a
-  /// flow id with swapped addresses/ports, and must never replay each
-  /// other's decision. meta's low bit marks the key as populated so an
-  /// empty slot can never match.
+  /// Full 5-tuple key. The home slot is picked by flow id, but the stored
+  /// key is the visible 5-tuple: bidirectional flows (TCP data vs. ACKs)
+  /// share a flow id with swapped addresses/ports, and must never replay
+  /// each other's decision. meta's low bit marks the key as populated so
+  /// an empty slot can never match.
   struct FlowKey {
     std::uint64_t addrs = 0;  ///< src << 32 | dst
     std::uint64_t meta = 0;   ///< sport<<48 | dport<<32 | proto<<8 | 1
@@ -233,11 +239,12 @@ class Router : public net::Node {
             (std::uint64_t{p.l4.dst_port} << 32) |
             (std::uint64_t{p.ip.protocol} << 8) | 1u};
   }
-  static constexpr std::size_t kFlowSlots = 1024;     // power of two
-  static constexpr std::size_t kTransitSlots = 256;   // power of two
-  [[nodiscard]] static std::size_t flow_slot_of(std::uint32_t flow_id) noexcept {
-    return (flow_id * 0x9E3779B1u) >> 22;  // Fibonacci hash, top 10 bits
-  }
+  /// Table caps (powers of two): a table grows from FlowTable::kStartSlots
+  /// on demand and evicts once it reaches its cap. With 10^5 flows every
+  /// edge table sits at its cap, so a larger one costs memory one for one
+  /// (INTERNALS §10).
+  static constexpr std::size_t kFlowSlotCap = 1024;
+  static constexpr std::size_t kTransitSlotCap = 256;
 
   /// Ingress-edge decision (inject): classification outcome + meter binding.
   struct IngressEntry {
@@ -247,9 +254,12 @@ class Router : public net::Node {
     std::int32_t rule = qos::CbqClassifier::kUnmatched;
     bool marked = false;  ///< a classifier ran: replay the DSCP write
     std::uint8_t dscp = 0;
+    std::uint32_t flow_id = 0;  ///< home key, for re-placement on growth
     qos::Policer* policer = nullptr;  ///< still exercised per packet
     qos::Shaper* shaper = nullptr;    ///< still exercised per packet
+    [[nodiscard]] std::uint32_t home_key() const noexcept { return flow_id; }
   };
+  static_assert(sizeof(IngressEntry) == 56);
 
   enum class FlowAction : std::uint8_t { kLocal, kForward, kImpose };
 
@@ -257,6 +267,7 @@ class Router : public net::Node {
   struct ForwardEntry {
     FlowKey key;
     VpnId ctx = kGlobalVpn;  ///< VRF context the lookup ran in
+    std::uint32_t flow_id = 0;  ///< home key, for re-placement on growth
     std::uint64_t gen_sum = 0;
     FlowAction act = FlowAction::kForward;
     VpnId deliver_vpn = kGlobalVpn;  ///< kLocal
@@ -264,7 +275,9 @@ class Router : public net::Node {
     std::uint32_t tunnel_label = 0;  ///< kImpose
     bool push_tunnel = false;        ///< kImpose
     ip::IfIndex out_iface = ip::kInvalidIf;
+    [[nodiscard]] std::uint32_t home_key() const noexcept { return flow_id; }
   };
+  static_assert(sizeof(ForwardEntry) == 56);
 
   /// LSR transit decision, keyed by incoming label. The LFIB op is
   /// EXP-invariant (EXP rides the shim untouched through swap/pop), so the
@@ -276,7 +289,9 @@ class Router : public net::Node {
     std::uint32_t out_label = 0;
     ip::IfIndex out_iface = ip::kInvalidIf;
     Vrf* vrf = nullptr;  ///< kPopDeliver target (stable: VRFs never die)
+    [[nodiscard]] std::uint32_t home_key() const noexcept { return in_label; }
   };
+  static_assert(sizeof(TransitEntry) == 40);
 
   /// Generation sums: every table a decision read, plus the router-local
   /// config generation. All addends are monotonic, so a sum can never
@@ -364,12 +379,12 @@ class Router : public net::Node {
   bool flowcache_enabled_ = true;
   bool has_pvc_ingress_ = false;  ///< PVC ingress routes disable the cache
   std::uint64_t local_gen_ = 1;   ///< bumped by every config mutator
-  FlowCacheStats fc_stats_;
-  /// Direct-mapped caches, sized lazily on first eligible packet so idle
+  FlowCacheStats fc_stats_;  ///< slots is filled in by flowcache_stats()
+  /// Allocated on the first eligible packet and grown per new flow, so idle
   /// routers (and cache-off runs) pay nothing.
-  std::vector<IngressEntry> ingress_cache_;
-  std::vector<ForwardEntry> forward_cache_;
-  std::vector<TransitEntry> transit_cache_;
+  FlowTable<IngressEntry, kFlowSlotCap> ingress_cache_;
+  FlowTable<ForwardEntry, kFlowSlotCap> forward_cache_;
+  FlowTable<TransitEntry, kTransitSlotCap> transit_cache_;
 };
 
 }  // namespace mvpn::vpn

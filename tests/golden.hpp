@@ -89,6 +89,33 @@ inline std::string stream_mismatch(const std::string& key,
          (want.size() == 2 ? want[0] + " " + want[1] : "no row");
 }
 
+/// `json` (a metrics.json snapshot series) without the `"node/..."`
+/// entries whose name contains `part`; every other byte is kept.
+inline std::string strip_node_gauges(const std::string& json,
+                                     const std::string& part) {
+  std::string out;
+  out.reserve(json.size());
+  std::size_t pos = 0;
+  while (pos < json.size()) {
+    const std::size_t key = json.find("\"node/", pos);
+    if (key == std::string::npos) {
+      out.append(json, pos, std::string::npos);
+      break;
+    }
+    const std::size_t key_end = json.find('"', key + 1);
+    const std::size_t entry_end = json.find_first_of(",}", key_end);
+    const std::string name = json.substr(key, key_end - key);
+    if (name.find(part) != std::string::npos) {
+      out.append(json, pos, key - pos);
+      pos = entry_end + (json[entry_end] == ',' ? 1 : 0);
+    } else {
+      out.append(json, pos, entry_end - pos);
+      pos = entry_end;
+    }
+  }
+  return out;
+}
+
 /// Fold one speaker's Loc-RIB into `f`: the node id, then each route's
 /// key and attributes in Loc-RIB order. The fingerprints in loc_rib.txt
 /// fold every speaker this way, in node order.

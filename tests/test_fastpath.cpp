@@ -10,7 +10,9 @@
 #include "obs/trace.hpp"
 #include "qos/sla.hpp"
 #include "test_flows.hpp"
+#include "traffic/dispatcher.hpp"
 #include "traffic/sink.hpp"
+#include "traffic/tcp_lite.hpp"
 
 namespace mvpn {
 namespace {
@@ -57,6 +59,15 @@ struct FlowFixture {
   std::optional<traffic::FlowSet> src;
 };
 
+void disable_flowcache(net::Topology& topo) {
+  for (std::size_t i = 0; i < topo.node_count(); ++i) {
+    if (auto* r =
+            dynamic_cast<vpn::Router*>(&topo.node(static_cast<ip::NodeId>(i)))) {
+      r->set_flowcache_enabled(false);
+    }
+  }
+}
+
 BackboneConfig small_backbone(std::uint64_t seed) {
   BackboneConfig cfg;
   cfg.p_count = 1;
@@ -99,12 +110,7 @@ TEST(Fastpath, SteadyFlowHitsCacheAfterFirstPacket) {
 /// Disabled cache: identical delivery, zero cache traffic.
 TEST(Fastpath, DisabledCacheStillDeliversWithZeroStats) {
   FlowFixture fx(small_backbone(11));
-  for (std::size_t i = 0; i < fx.bb.topo.node_count(); ++i) {
-    if (auto* r = dynamic_cast<vpn::Router*>(
-            &fx.bb.topo.node(static_cast<ip::NodeId>(i)))) {
-      r->set_flowcache_enabled(false);
-    }
-  }
+  disable_flowcache(fx.bb.topo);
   const sim::SimTime t0 = fx.bb.topo.scheduler().now();
   fx.src->run(t0 + sim::kSecond);
   fx.bb.topo.run_until(t0 + 2 * sim::kSecond);
@@ -115,6 +121,104 @@ TEST(Fastpath, DisabledCacheStillDeliversWithZeroStats) {
   EXPECT_EQ(fx.bb.p(0).flowcache_stats().hits +
                 fx.bb.p(0).flowcache_stats().misses,
             0u);
+  EXPECT_EQ(ce.slots, 0u);  // no table is ever allocated
+}
+
+/// TCP data and its ACKs share a flow id with swapped endpoints, so both
+/// directions hash to one home slot. Their 5-tuple keys differ, and each
+/// must keep its own slot in the probe window instead of evicting the
+/// other on every packet.
+TEST(Fastpath, BidirectionalFlowKeepsBothDirectionsResident) {
+  backbone::Figure2Scenario s = backbone::make_figure2_scenario(104);
+  MplsBackbone& bb = *s.backbone;
+  bb.start_and_converge();
+  traffic::FlowDispatcher at_site1;
+  traffic::FlowDispatcher at_site2;
+  at_site1.attach(*s.v1_site1.ce);
+  at_site2.attach(*s.v1_site2.ce);
+  traffic::TcpLiteFlow::Config cfg;
+  cfg.src = ip::Ipv4Address::must_parse("10.1.0.1");
+  cfg.dst = ip::Ipv4Address::must_parse("10.2.0.1");
+  cfg.vpn = s.vpn1;
+  cfg.total_segments = 200;
+  traffic::TcpLiteFlow flow(*s.v1_site1.ce, at_site1, *s.v1_site2.ce,
+                            at_site2, 1, cfg);
+  flow.start(0);
+  bb.topo.run_until(20 * sim::kSecond);
+  ASSERT_TRUE(flow.complete());
+
+  // The four routers that look the transfer up by flow: both CEs and both
+  // PEs. Each makes 600 lookups (200 segments, 200 ACKs, one direction
+  // twice) into two tables that stay at their 16-slot start size.
+  ASSERT_NE(s.v1_site1.pe_index, s.v1_site2.pe_index);
+  for (vpn::Router* r : {s.v1_site1.ce, &bb.pe(s.v1_site1.pe_index),
+                         &bb.pe(s.v1_site2.pe_index), s.v1_site2.ce}) {
+    SCOPED_TRACE(r->name());
+    const vpn::Router::FlowCacheStats fc = r->flowcache_stats();
+    EXPECT_GE(fc.hits + fc.misses, 600u);
+    EXPECT_LE(fc.misses, 4u);
+    EXPECT_EQ(fc.slots, 32u);
+  }
+}
+
+/// Six flows whose ids share one home slot at every capacity up to the
+/// 1024-slot cap. Each window overflow doubles the table until the cap;
+/// from then on the home slot is evicted again and again. Eviction only
+/// costs re-resolution: delivery and the SLA table equal the cache-off run.
+TEST(Fastpath, CollidingFlowIdsEvictAtCapWithoutChangingResults) {
+  // (id * 0x9E3779B1) >> 22 is 632 for each of these.
+  constexpr std::uint32_t kIds[] = {1, 988, 2585, 3572, 4182, 5169};
+  struct Result {
+    std::uint64_t delivered = 0;
+    std::string sla_csv;
+    vpn::Router::FlowCacheStats ce;
+  };
+  const auto run = [&](bool flowcache) {
+    MplsBackbone bb(small_backbone(37));
+    const vpn::VpnId v = bb.service.create_vpn("V");
+    const auto site_a = bb.add_site(v, 0, ip::Prefix::must_parse("10.1.0.0/16"));
+    const auto site_b = bb.add_site(v, 1, ip::Prefix::must_parse("10.2.0.0/16"));
+    bb.start_and_converge();
+    if (!flowcache) disable_flowcache(bb.topo);
+    // Cached decisions worth getting wrong: a classifier split and an EF
+    // policer whose binding the ingress entries carry.
+    auto classifier = std::make_unique<qos::CbqClassifier>();
+    qos::MatchRule ef;
+    ef.src_port = qos::PortRange{10000, 10002};
+    ef.mark = qos::Phb::kEf;
+    classifier->add_rule(ef);
+    site_a.ce->set_classifier(std::move(classifier));
+    site_a.ce->add_policer(qos::Phb::kEf, 40e3, 3000, 3000);
+
+    qos::SlaProbe probe;
+    traffic::MeasurementSink sink(probe, bb.topo.scheduler());
+    sink.bind(*site_b.ce);
+    traffic::FlowSet src(bb.topo.scheduler(), &probe, bb.topo.seed());
+    for (std::size_t i = 0; i < std::size(kIds); ++i) {
+      auto def = testutil::flow_between(src, kIds[i], *site_a.ce, "10.1.0.1",
+                                        *site_b.ce, "10.2.0.1", 300e3, v);
+      def.src_port = static_cast<std::uint16_t>(10000 + i);
+      def.phb = i < 3 ? qos::Phb::kEf : qos::Phb::kBe;
+      src.add_flow(def);
+      sink.expect_flow(kIds[i], def.phb, v);
+    }
+    const sim::SimTime t0 = bb.topo.scheduler().now();
+    src.run(t0 + sim::kSecond);
+    bb.topo.run_until(t0 + 2 * sim::kSecond);
+    return Result{sink.delivered(), probe.to_csv(1.0),
+                  site_a.ce->flowcache_stats()};
+  };
+
+  const Result on = run(true);
+  const Result off = run(false);
+  EXPECT_GT(on.delivered, 0u);
+  EXPECT_EQ(on.delivered, off.delivered);
+  EXPECT_EQ(on.sla_csv, off.sla_csv);
+  // Both source-CE tables grew to the cap, and re-resolutions beyond the
+  // six flows' first packets show the home slot being evicted.
+  EXPECT_EQ(on.ce.slots, 2u * 1024u);
+  EXPECT_GT(on.ce.misses, 2u * std::size(kIds));
+  EXPECT_GT(on.ce.hits, 0u);
 }
 
 /// An LDP withdrawal — even of a FEC the flow does not ride — bumps the

@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -10,6 +10,7 @@
 #include "backbone/partition.hpp"
 #include "backbone/scenario_config.hpp"
 #include "backbone/topogen.hpp"
+#include "golden.hpp"
 #include "routing/bgp.hpp"
 
 namespace mvpn {
@@ -205,17 +206,11 @@ constexpr const char* kGeneratedScenario =
 
 struct Outputs {
   std::string report;
-  std::string metrics_json;
+  std::string raw_metrics_json;  ///< metrics.json as written
+  std::string metrics_json;      ///< the same without fastpath gauges
   std::string latency_json;
   bool ok = false;
 };
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path);
-  std::stringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
 
 /// One report line legitimately differs between engine variants: the
 /// converged banner names the engine (shard count, window/handoff stats).
@@ -233,38 +228,9 @@ std::string strip_engine_lines(const std::string& text) {
   return out;
 }
 
-/// The per-router fastpath gauges are cache diagnostics, not simulation
-/// results: hit/miss/hit-rate counts track the cache itself, so the
-/// flowcache-off variants would trivially differ from the cache-on serial
-/// baseline. Scrub those entries before the byte-for-byte comparison;
-/// every remaining gauge must still match exactly.
-std::string strip_fastpath_gauges(const std::string& json) {
-  std::string out;
-  out.reserve(json.size());
-  std::size_t pos = 0;
-  while (pos < json.size()) {
-    const std::size_t key = json.find("\"node/", pos);
-    if (key == std::string::npos) {
-      out.append(json, pos, std::string::npos);
-      break;
-    }
-    const std::size_t key_end = json.find('"', key + 1);
-    const std::size_t entry_end = json.find_first_of(",}", key_end);
-    const std::string name = json.substr(key, key_end - key);
-    if (name.find("/fastpath/") != std::string::npos) {
-      out.append(json, pos, key - pos);
-      pos = entry_end + (json[entry_end] == ',' ? 1 : 0);
-    } else {
-      out.append(json, pos, entry_end - pos);
-      pos = entry_end;
-    }
-  }
-  return out;
-}
-
-Outputs run_generated(std::uint32_t shards, bool flowcache) {
+Outputs run_generated(const char* text, std::uint32_t shards, bool flowcache) {
   backbone::ScenarioError err;
-  auto sc = backbone::Scenario::parse(kGeneratedScenario, &err);
+  auto sc = backbone::Scenario::parse(text, &err);
   EXPECT_TRUE(sc.has_value()) << "line " << err.line << ": " << err.message;
   Outputs out;
   if (!sc) return out;
@@ -279,15 +245,21 @@ Outputs run_generated(std::uint32_t shards, bool flowcache) {
   std::ostringstream report;
   out.ok = sc->run(report);
   out.report = strip_engine_lines(report.str());
-  out.metrics_json = strip_fastpath_gauges(slurp(dir + "/metrics.json"));
-  out.latency_json = slurp(dir + "/latency.json");
+  out.raw_metrics_json = golden::slurp(dir + "/metrics.json");
+  // The per-router fastpath gauges are cache diagnostics, not simulation
+  // results: hit/miss/hit-rate counts and table sizes track the cache
+  // itself, so the flowcache-off variants would trivially differ from the
+  // cache-on serial baseline. Every remaining gauge must match exactly.
+  out.metrics_json =
+      golden::strip_node_gauges(out.raw_metrics_json, "/fastpath/");
+  out.latency_json = golden::slurp(dir + "/latency.json");
   EXPECT_FALSE(out.metrics_json.empty());
   EXPECT_FALSE(out.latency_json.empty());
   return out;
 }
 
 TEST(TopogenDeterminism, ShardsAndFlowcacheMatchSerialByteForByte) {
-  const Outputs serial = run_generated(1, true);
+  const Outputs serial = run_generated(kGeneratedScenario, 1, true);
   ASSERT_TRUE(serial.ok);
   struct Variant {
     std::uint32_t shards;
@@ -297,11 +269,76 @@ TEST(TopogenDeterminism, ShardsAndFlowcacheMatchSerialByteForByte) {
                           Variant{1, false}, Variant{4, false}}) {
     SCOPED_TRACE("shards=" + std::to_string(v.shards) +
                  " flowcache=" + (v.flowcache ? "on" : "off"));
-    const Outputs par = run_generated(v.shards, v.flowcache);
+    const Outputs par = run_generated(kGeneratedScenario, v.shards, v.flowcache);
     ASSERT_TRUE(par.ok);
     EXPECT_EQ(par.report, serial.report);
     EXPECT_EQ(par.metrics_json, serial.metrics_json);
     EXPECT_EQ(par.latency_json, serial.latency_json);
+  }
+}
+
+// --- Flow caches past their cap ------------------------------------------
+
+/// 6000 flows over four single-site PEs: every CE originates about 1500
+/// flows (all start inside the first 0.1 s) and receives as many, more
+/// than its 1024-slot ingress and forward caps.
+constexpr const char* kCappedScenario =
+    "topology generated p=4 pe=4 ce=1 pod=4 flows=6000 seed=5\n"
+    "run for=0.15\n";
+
+/// Final `node/NAME/router/fastpath/slots` value per router NAME.
+std::map<std::string, double> final_slots(const std::string& json) {
+  const std::string tail = "/router/fastpath/slots\":";
+  std::map<std::string, double> out;
+  for (std::size_t at = json.find(tail); at != std::string::npos;
+       at = json.find(tail, at + 1)) {
+    const std::size_t name = json.rfind("\"node/", at) + 6;
+    out[json.substr(name, at - name)] =
+        std::stod(json.substr(at + tail.size(), 16));
+  }
+  return out;
+}
+
+TEST(TopogenDeterminism, CappedFlowCachesMatchSerialByteForByte) {
+  const Outputs serial = run_generated(kCappedScenario, 1, true);
+  ASSERT_TRUE(serial.ok);
+  struct Variant {
+    std::uint32_t shards;
+    bool flowcache;
+  };
+  for (const Variant v :
+       {Variant{2, true}, Variant{1, false}, Variant{2, false}}) {
+    SCOPED_TRACE("shards=" + std::to_string(v.shards) +
+                 " flowcache=" + (v.flowcache ? "on" : "off"));
+    const Outputs par = run_generated(kCappedScenario, v.shards, v.flowcache);
+    ASSERT_TRUE(par.ok);
+    EXPECT_EQ(par.report, serial.report);
+    EXPECT_EQ(par.metrics_json, serial.metrics_json);
+    EXPECT_EQ(par.latency_json, serial.latency_json);
+    if (v.flowcache) {
+      // Cache state is per router, so its gauges match across shards too.
+      EXPECT_EQ(par.raw_metrics_json, serial.raw_metrics_json);
+    }
+  }
+
+  const std::map<std::string, double> slots =
+      final_slots(serial.raw_metrics_json);
+  ASSERT_EQ(slots.size(), 12U);
+  for (const auto& [name, n] : slots) {
+    SCOPED_TRACE(name);
+    if (name.starts_with("CE")) {
+      // Ingress and forward tables, each grown to exactly its cap: a
+      // table past the cap would make this sum exceed 2048.
+      EXPECT_EQ(n, 2.0 * 1024);
+    } else if (name.starts_with("PE")) {
+      EXPECT_LE(n, 1024.0 + 256);  // forward + transit caps
+      EXPECT_GT(n, 256.0);         // the forward table grew
+    } else {
+      // A P router switches at most one label per PE loopback. Four keys
+      // never fill a 4-slot window, so its one transit table stays at
+      // the 16-slot start size.
+      EXPECT_EQ(n, 16.0);
+    }
   }
 }
 

@@ -180,7 +180,7 @@ void BM_MplsSwapOperation(benchmark::State& state) {
 void BM_FlowFastpathProbe(benchmark::State& state) {
   // The fastpath front-end the routers put before every structure above
   // (see Router::IngressEntry / ForwardEntry): the router's own FlowTable
-  // probe — Fibonacci-hashed home slot, 4-slot window, packed 5-tuple key
+  // probe — Fibonacci-hashed home slot, 8-slot window, packed 5-tuple key
   // compare — then the generation-sum check. The argument is the number
   // of live flows; the cost is independent of the *backing table*
   // population — that is the point of the cache.

@@ -1,9 +1,9 @@
 #include "qos/sla.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -49,11 +49,12 @@ void SlaProbe::merge_from(const SlaProbe& other) {
     r.latency_s.merge(or_.latency_s);
   }
   for (const auto& [flow_id, f] : other.jitter_by_flow_) {
-    [[maybe_unused]] const auto [it, inserted] =
-        jitter_by_flow_.insert({flow_id, f});
-    assert(inserted &&
-           "SlaProbe::merge_from: flow delivered through two probes — the "
-           "partition split one flow's sink across shards");
+    if (!jitter_by_flow_.insert({flow_id, f}).second) {
+      throw std::logic_error(
+          "SlaProbe::merge_from: flow " + std::to_string(flow_id) +
+          " delivered through two probes — the partition split one flow's "
+          "sink across shards");
+    }
   }
 }
 

@@ -68,7 +68,8 @@ class SlaProbe {
   /// Counters are integers and merge exactly. Each flow delivers through
   /// exactly one sink/shard, so per-flow jitter state never needs to be
   /// combined — flow entries are copied over wholesale; a flow id present
-  /// in both probes is a partitioning bug and asserts in debug builds.
+  /// in both probes is a partitioning bug and throws std::logic_error,
+  /// leaving this probe partly merged.
   void merge_from(const SlaProbe& other);
 
   /// RFC 3550 §6.4.1 inter-arrival jitter for `cls` in seconds: each flow
@@ -82,9 +83,6 @@ class SlaProbe {
   /// order makes the figure partition-independent).
   [[nodiscard]] stats::RunningStats jitter_stats(Phb cls) const;
 
-  [[nodiscard]] const std::map<Phb, ClassReport>& all() const noexcept {
-    return by_class_;
-  }
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
 
   /// Render the standard SLA table (one row per class) for an interval of

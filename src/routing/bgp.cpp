@@ -209,8 +209,8 @@ void Bgp::decide(ip::NodeId node, NlriId id) {
   loc.present = true;
   loc.sender = new_sender;
   loc.compact = best;
-  loc.route = materialize(key, best, pool_);
-  for (const auto& cb : observers_) cb(node, loc.route, false);
+  const VpnRoute route = materialize(key, best, pool_);
+  for (const auto& cb : observers_) cb(node, route, false);
   propagate(node, new_sender, id, &best);
 }
 
@@ -266,11 +266,12 @@ std::size_t Bgp::adj_rib_routes() const {
   return n;
 }
 
-const VpnRoute* Bgp::best(ip::NodeId node, const VpnRouteKey& key) const {
+std::optional<VpnRoute> Bgp::best(ip::NodeId node,
+                                  const VpnRouteKey& key) const {
   const SpeakerState& st = speaker(node);
   const NlriId id = nlri_.find(key);
-  if (id >= st.loc_rib.size() || !st.loc_rib[id].present) return nullptr;
-  return &st.loc_rib[id].route;
+  if (id >= st.loc_rib.size() || !st.loc_rib[id].present) return std::nullopt;
+  return materialize(key, st.loc_rib[id].compact, pool_);
 }
 
 std::vector<VpnRoute> Bgp::loc_rib(ip::NodeId node) const {
@@ -285,7 +286,9 @@ std::vector<VpnRoute> Bgp::loc_rib(ip::NodeId node) const {
   });
   std::vector<VpnRoute> out;
   out.reserve(ids.size());
-  for (NlriId id : ids) out.push_back(st.loc_rib[id].route);
+  for (NlriId id : ids) {
+    out.push_back(materialize(nlri_.key(id), st.loc_rib[id].compact, pool_));
+  }
   return out;
 }
 

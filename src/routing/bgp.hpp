@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -58,8 +59,9 @@ class Bgp {
 
   /// Fired whenever a speaker's Loc-RIB best path for some key changes.
   /// `withdrawn` means the key now has no route at that speaker. The route
-  /// reference is valid for the call only; an observer must not originate
-  /// or withdraw synchronously.
+  /// is built from the compact best path for the call and the reference is
+  /// valid for the call only; an observer must not originate or withdraw
+  /// synchronously.
   using RouteObserver =
       std::function<void(ip::NodeId at, const VpnRoute& route, bool withdrawn)>;
   void on_route(RouteObserver cb) { observers_.push_back(std::move(cb)); }
@@ -72,10 +74,11 @@ class Bgp {
   }
   [[nodiscard]] std::size_t loc_rib_size(ip::NodeId node) const;
   [[nodiscard]] std::size_t adj_rib_in_size(ip::NodeId node) const;
-  /// Best route for `key` at `node`; nullptr when it has none.
-  [[nodiscard]] const VpnRoute* best(ip::NodeId node, const VpnRouteKey& key)
-      const;
-  /// `node`'s Loc-RIB sorted by (RD, prefix).
+  /// Best route for `key` at `node`, built from its compact form; empty
+  /// when it has none.
+  [[nodiscard]] std::optional<VpnRoute> best(ip::NodeId node,
+                                             const VpnRouteKey& key) const;
+  /// `node`'s Loc-RIB sorted by (RD, prefix), each route built on the call.
   [[nodiscard]] std::vector<VpnRoute> loc_rib(ip::NodeId node) const;
   [[nodiscard]] bool is_reflector(ip::NodeId node) const noexcept {
     return node < state_.size() && state_[node].reflector;
@@ -103,15 +106,17 @@ class Bgp {
   [[nodiscard]] std::size_t adj_rib_routes() const;
 
  private:
-  /// One key's Loc-RIB slot at one speaker.
+  /// One key's Loc-RIB slot at one speaker. Only the compact best path
+  /// is stored; every VpnRoute handed out is materialized from it on the
+  /// call, so a Loc-RIB costs 32 B per (speaker, NLRI id) slot.
   struct LocEntry {
     bool present = false;
     /// Which peer (or kInvalidNode: local) supplied the best, for
     /// reflection.
     ip::NodeId sender = ip::kInvalidNode;
     CompactRoute compact;
-    VpnRoute route;  ///< `compact` materialized: what best() returns
   };
+  static_assert(sizeof(LocEntry) <= 32);
   struct SpeakerState {
     bool enrolled = false;
     bool reflector = false;

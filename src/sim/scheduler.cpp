@@ -134,6 +134,13 @@ void Scheduler::run() {
   stopped_ = false;
   while (!stopped_ && pop_and_execute()) {
   }
+  if (!heap_.empty()) return;
+  // Drained: every node is free, so the pool and heap can go. Handles
+  // issued before stay exact no-ops in cancel(): their slot is out of range
+  // or, once the pool regrows, carries a newer sequence number.
+  std::vector<HeapEntry>().swap(heap_);
+  std::vector<Node>().swap(nodes_);
+  free_head_ = kNoSlot;
 }
 
 void Scheduler::run_until(SimTime t_end) {

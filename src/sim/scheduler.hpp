@@ -31,7 +31,8 @@ struct EventId {
 /// recycled event nodes (with small-buffer storage — see InlineCallable),
 /// and the priority queue is an in-house 4-ary heap of 24-byte entries
 /// that moves values out on pop instead of copying the whole event the way
-/// `std::priority_queue::top()` forces.
+/// `std::priority_queue::top()` forces. Only run() returning with an empty
+/// queue gives that storage back (INTERNALS §6).
 class Scheduler {
  public:
   using Handler = InlineCallable;
@@ -43,9 +44,12 @@ class Scheduler {
   /// Cancel a pending event; exact no-op if already fired or cancelled.
   void cancel(EventId id);
 
-  /// Run until the queue drains or stop() is called.
+  /// Run until the queue drains or stop() is called. A run that drains
+  /// the queue also frees the node pool and the heap: a cold boot's burst
+  /// of pending events must not hold memory for the rest of the run.
   void run();
-  /// Run events with time <= t_end, then set now() = t_end.
+  /// Run events with time <= t_end, then set now() = t_end. Keeps the
+  /// pool and heap storage, so windowed runs stay allocation-free.
   void run_until(SimTime t_end);
   /// Request that run()/run_until() return after the current handler.
   void stop() noexcept { stopped_ = true; }

@@ -1,8 +1,9 @@
 #include "traffic/flowset.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace mvpn::traffic {
 
@@ -33,27 +34,29 @@ std::uint16_t FlowSet::intern_template(const FlowDef& def) {
   t.vpn = def.vpn;
   t.mean_on_s = def.on_s;
   t.mean_off_s = def.off_s;
-  for (std::size_t i = 0; i < templates_.size(); ++i) {
-    const Template& o = templates_[i];
-    if (o.kind == t.kind && o.phb == t.phb && o.dscp == t.dscp &&
-        o.protocol == t.protocol && o.src_port == t.src_port &&
-        o.dst_port == t.dst_port && o.payload_bytes == t.payload_bytes &&
-        o.vpn == t.vpn && o.mean_on_s == t.mean_on_s &&
-        o.mean_off_s == t.mean_off_s) {
-      return static_cast<std::uint16_t>(i);
-    }
+  const TemplateKey key = key_of(t);
+  if (const auto it = template_ids_.find(key); it != template_ids_.end()) {
+    return it->second;
   }
-  assert(templates_.size() < 0xFFFF && "FlowSet: too many distinct templates");
+  if (templates_.size() >= 0xFFFF) {
+    throw std::length_error("FlowSet: more than 65535 distinct templates");
+  }
+  template_ids_.emplace(key, static_cast<std::uint16_t>(templates_.size()));
   templates_.push_back(t);
   return static_cast<std::uint16_t>(templates_.size() - 1);
 }
 
 void FlowSet::add_flow(const FlowDef& def) {
-  assert(def.from_site < sites_.size() && def.to_site < sites_.size());
+  if (def.from_site >= sites_.size() || def.to_site >= sites_.size()) {
+    throw std::out_of_range("FlowSet: flow " + std::to_string(def.flow_id) +
+                            " names a site index not added");
+  }
+  // Interned before any row is appended, so a throw leaves no partial row.
+  const std::uint16_t tmpl = intern_template(def);
   flow_id_.push_back(def.flow_id);
   from_site_.push_back(def.from_site);
   to_site_.push_back(def.to_site);
-  tmpl_.push_back(intern_template(def));
+  tmpl_.push_back(tmpl);
   Param p;
   // CBR stores its exact tick interval, Poisson the mean gap in seconds
   // (what exponential() takes), on/off the peak-rate tick interval.

@@ -1,7 +1,10 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
+#include <map>
+#include <tuple>
 #include <vector>
 
 #include "qos/dscp.hpp"
@@ -81,6 +84,9 @@ class FlowSet {
   /// when a flow terminates here. Returns the site index for FlowDef.
   std::uint32_t add_site(vpn::Router& attach, ip::Ipv4Address host);
 
+  /// Throws std::out_of_range when `def` names a site that add_site never
+  /// returned, and std::length_error when it would be the 65536th distinct
+  /// template; either way no row is added.
   void add_flow(const FlowDef& def);
 
   /// Arm the calendar: every flow is inserted at max(start, now) in
@@ -138,6 +144,24 @@ class FlowSet {
     double mean_on_s = 0.2;
     double mean_off_s = 0.2;
   };
+  /// A template's identity: every field but the derived wire_bytes, the
+  /// doubles by bit pattern so the ordering is strict even for NaN.
+  using TemplateKey =
+      std::tuple<Kind, qos::Phb, std::uint8_t, std::uint8_t, std::uint16_t,
+                 std::uint16_t, std::uint32_t, vpn::VpnId, std::uint64_t,
+                 std::uint64_t>;
+  [[nodiscard]] static TemplateKey key_of(const Template& t) noexcept {
+    return {t.kind,
+            t.phb,
+            t.dscp,
+            t.protocol,
+            t.src_port,
+            t.dst_port,
+            t.payload_bytes,
+            t.vpn,
+            std::bit_cast<std::uint64_t>(t.mean_on_s),
+            std::bit_cast<std::uint64_t>(t.mean_off_s)};
+  }
 
   struct Site {
     vpn::Router* attach = nullptr;
@@ -182,6 +206,7 @@ class FlowSet {
 
   std::vector<Site> sites_;
   std::vector<Template> templates_;
+  std::map<TemplateKey, std::uint16_t> template_ids_;  ///< index of each
 
   // --- per-flow SoA state: 4+4+4+2+8+4+4+32 = 62 bytes per flow ---
   std::vector<std::uint32_t> flow_id_;

@@ -5,7 +5,7 @@ namespace mvpn::traffic {
 void MeasurementSink::expect_flow(std::uint32_t flow_id, qos::Phb cls,
                                   vpn::VpnId expected_vpn) {
   if (flow_id >= flows_.size()) flows_.resize(flow_id + 1);
-  flows_[flow_id] = Expected{cls, expected_vpn, true};
+  flows_[flow_id] = Expected{expected_vpn, cls, true};
 }
 
 void MeasurementSink::bind(vpn::Router& ce) {

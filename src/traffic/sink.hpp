@@ -49,10 +49,11 @@ class MeasurementSink {
 
  private:
   struct Expected {
-    qos::Phb cls = qos::Phb::kBe;
     vpn::VpnId vpn = vpn::kGlobalVpn;
+    qos::Phb cls = qos::Phb::kBe;
     bool known = false;
   };
+  static_assert(sizeof(Expected) == 8);
 
   qos::SlaProbe& probe_;
   sim::Scheduler& clock_;

@@ -25,7 +25,10 @@ template <class Entry, std::size_t kCap>
 class FlowTable {
  public:
   static constexpr std::size_t kStartSlots = 16;
-  static constexpr std::size_t kWindow = 4;
+  /// A table doubles as soon as any one window is full; with 4 slots the
+  /// tables doubled while only a quarter of their slots were in use
+  /// (INTERNALS §10).
+  static constexpr std::size_t kWindow = 8;
   static_assert(std::has_single_bit(kCap) && kCap >= kStartSlots);
 
   /// `slot` holds the entry `match` accepted when `found`; otherwise it is

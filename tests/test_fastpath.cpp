@@ -13,6 +13,7 @@
 #include "traffic/dispatcher.hpp"
 #include "traffic/sink.hpp"
 #include "traffic/tcp_lite.hpp"
+#include "vpn/flow_table.hpp"
 
 namespace mvpn {
 namespace {
@@ -161,13 +162,31 @@ TEST(Fastpath, BidirectionalFlowKeepsBothDirectionsResident) {
   }
 }
 
-/// Six flows whose ids share one home slot at every capacity up to the
-/// 1024-slot cap. Each window overflow doubles the table until the cap;
-/// from then on the home slot is evicted again and again. Eviction only
-/// costs re-resolution: delivery and the SLA table equal the cache-off run.
+/// Flow ids whose home slots coincide at every capacity up to the
+/// 1024-slot cap: the hash's top 10 bits, (id * 0x9E3779B1) >> 22, equal
+/// id 1's (632), so they agree on every shorter prefix too.
+std::vector<std::uint32_t> ids_sharing_one_home_slot(std::size_t n) {
+  const auto home = [](std::uint32_t id) { return (id * 0x9E3779B1u) >> 22; };
+  std::vector<std::uint32_t> ids;
+  for (std::uint32_t id = 1; ids.size() < n; ++id) {
+    if (home(id) == home(1)) ids.push_back(id);
+  }
+  return ids;
+}
+
+/// Two more colliding flows than one probe window holds. Each window
+/// overflow doubles the table until the cap; from then on the home slot
+/// is evicted again and again. Eviction only costs re-resolution: delivery
+/// and the SLA table equal the cache-off run.
 TEST(Fastpath, CollidingFlowIdsEvictAtCapWithoutChangingResults) {
-  // (id * 0x9E3779B1) >> 22 is 632 for each of these.
-  constexpr std::uint32_t kIds[] = {1, 988, 2585, 3572, 4182, 5169};
+  // The router tables' probe window; any slot type names it.
+  struct AnySlot {
+    std::uint64_t gen_sum = 0;
+    [[nodiscard]] std::uint32_t home_key() const noexcept { return 0; }
+  };
+  constexpr std::size_t kWindow = vpn::FlowTable<AnySlot, 1024>::kWindow;
+  const std::vector<std::uint32_t> ids =
+      ids_sharing_one_home_slot(kWindow + 2);
   struct Result {
     std::uint64_t delivered = 0;
     std::string sla_csv;
@@ -194,13 +213,13 @@ TEST(Fastpath, CollidingFlowIdsEvictAtCapWithoutChangingResults) {
     traffic::MeasurementSink sink(probe, bb.topo.scheduler());
     sink.bind(*site_b.ce);
     traffic::FlowSet src(bb.topo.scheduler(), &probe, bb.topo.seed());
-    for (std::size_t i = 0; i < std::size(kIds); ++i) {
-      auto def = testutil::flow_between(src, kIds[i], *site_a.ce, "10.1.0.1",
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      auto def = testutil::flow_between(src, ids[i], *site_a.ce, "10.1.0.1",
                                         *site_b.ce, "10.2.0.1", 300e3, v);
       def.src_port = static_cast<std::uint16_t>(10000 + i);
       def.phb = i < 3 ? qos::Phb::kEf : qos::Phb::kBe;
       src.add_flow(def);
-      sink.expect_flow(kIds[i], def.phb, v);
+      sink.expect_flow(ids[i], def.phb, v);
     }
     const sim::SimTime t0 = bb.topo.scheduler().now();
     src.run(t0 + sim::kSecond);
@@ -215,9 +234,9 @@ TEST(Fastpath, CollidingFlowIdsEvictAtCapWithoutChangingResults) {
   EXPECT_EQ(on.delivered, off.delivered);
   EXPECT_EQ(on.sla_csv, off.sla_csv);
   // Both source-CE tables grew to the cap, and re-resolutions beyond the
-  // six flows' first packets show the home slot being evicted.
+  // flows' first packets show the home slot being evicted.
   EXPECT_EQ(on.ce.slots, 2u * 1024u);
-  EXPECT_GT(on.ce.misses, 2u * std::size(kIds));
+  EXPECT_GT(on.ce.misses, 2u * ids.size());
   EXPECT_GT(on.ce.hits, 0u);
 }
 

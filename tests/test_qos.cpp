@@ -546,6 +546,25 @@ TEST(SlaProbe, CsvExportMatchesData) {
   EXPECT_NE(csv.find("EF,1,1,0.0000,10.0000"), std::string::npos);
 }
 
+// Each flow delivers through exactly one probe; a flow id in both probes
+// means the partition split its sink, and the merge refuses it in every
+// build type.
+TEST(SlaProbe, MergeRejectsFlowSplitAcrossProbes) {
+  SlaProbe a;
+  SlaProbe b;
+  a.record_delivered(Phb::kEf, 7, 10 * sim::kMillisecond, 100);
+  b.record_delivered(Phb::kEf, 8, 10 * sim::kMillisecond, 100);
+  SlaProbe merged;
+  merged.merge_from(a);
+  merged.merge_from(b);
+  EXPECT_EQ(merged.report(Phb::kEf).delivered_packets, 2u);
+
+  b.record_delivered(Phb::kEf, 7, 12 * sim::kMillisecond, 100);
+  SlaProbe split;
+  split.merge_from(a);
+  EXPECT_THROW(split.merge_from(b), std::logic_error);
+}
+
 TEST(SlaProbe, TableHasRowPerClass) {
   SlaProbe probe;
   probe.record_sent(Phb::kEf, 100);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -289,8 +290,8 @@ TEST(Bgp, FullMeshPropagatesToAllSpeakers) {
   const VpnRouteKey key{RouteDistinguisher{65000, 1},
                         ip::Prefix::must_parse("10.1.0.0/16")};
   for (ip::NodeId n = 0; n < 4; ++n) {
-    const VpnRoute* best = bgp.best(n, key);
-    ASSERT_NE(best, nullptr) << "speaker " << n;
+    const std::optional<VpnRoute> best = bgp.best(n, key);
+    ASSERT_TRUE(best.has_value()) << "speaker " << n;
     EXPECT_EQ(best->next_hop_node, 0u);
     EXPECT_EQ(best->vpn_label, 100u);
   }
@@ -314,7 +315,7 @@ TEST(Bgp, RouteReflectorReachesEveryClientWithFewerSessions) {
   const VpnRouteKey key{RouteDistinguisher{65000, 1},
                         ip::Prefix::must_parse("10.1.0.0/16")};
   for (ip::NodeId n = 1; n < 5; ++n) {
-    ASSERT_NE(bgp.best(n, key), nullptr) << "client " << n;
+    ASSERT_TRUE(bgp.best(n, key).has_value()) << "client " << n;
   }
 }
 
@@ -330,14 +331,14 @@ TEST(Bgp, WithdrawRemovesEverywhere) {
   f.topo.scheduler().run();
   const VpnRouteKey key{RouteDistinguisher{65000, 1},
                         ip::Prefix::must_parse("10.1.0.0/16")};
-  ASSERT_NE(bgp.best(2, key), nullptr);
+  ASSERT_TRUE(bgp.best(2, key).has_value());
 
   bgp.withdraw(0, RouteDistinguisher{65000, 1},
                ip::Prefix::must_parse("10.1.0.0/16"));
   f.topo.scheduler().run();
-  EXPECT_EQ(bgp.best(0, key), nullptr);
-  EXPECT_EQ(bgp.best(1, key), nullptr);
-  EXPECT_EQ(bgp.best(2, key), nullptr);
+  EXPECT_FALSE(bgp.best(0, key).has_value());
+  EXPECT_FALSE(bgp.best(1, key).has_value());
+  EXPECT_FALSE(bgp.best(2, key).has_value());
   EXPECT_GT(f.cp.message_count("bgp.withdraw"), 0u);
 }
 
@@ -432,7 +433,7 @@ TEST(Bgp, FailSpeakerFlushesItsRoutesEverywhere) {
   f.topo.scheduler().run();
   EXPECT_EQ(bgp.session_count(), 1u);  // only 1-2 remains
   // Speaker 2 fails over to the surviving origin synchronously.
-  ASSERT_NE(bgp.best(2, key), nullptr);
+  ASSERT_TRUE(bgp.best(2, key).has_value());
   EXPECT_EQ(bgp.best(2, key)->next_hop_node, 1u);
 }
 
@@ -543,7 +544,7 @@ TEST(Bgp, TwoReflectorsGiveRedundantPropagation) {
   const VpnRouteKey key{RouteDistinguisher{65000, 1},
                         ip::Prefix::must_parse("10.1.0.0/16")};
   for (ip::NodeId n = 1; n < 4; ++n) {
-    ASSERT_NE(bgp.best(n, key), nullptr);
+    ASSERT_TRUE(bgp.best(n, key).has_value());
     // Each client holds the route from both reflectors in its Adj-RIB-In.
     EXPECT_EQ(bgp.adj_rib_in_size(n), 2u);
   }
@@ -809,8 +810,8 @@ TEST(Bgp, WithdrawThenReplaceInOneFlushWindowYieldsReplacement) {
   const VpnRouteKey key{RouteDistinguisher{65000, 1},
                         ip::Prefix::must_parse("10.1.0.0/16")};
   for (ip::NodeId n = 0; n < 3; ++n) {
-    const VpnRoute* best = bgp.best(n, key);
-    ASSERT_NE(best, nullptr) << "speaker " << n;
+    const std::optional<VpnRoute> best = bgp.best(n, key);
+    ASSERT_TRUE(best.has_value()) << "speaker " << n;
     EXPECT_EQ(best->vpn_label, 200u) << "speaker " << n;
   }
   EXPECT_GT(bgp.rib_out().superseded(), 0u);
@@ -833,7 +834,7 @@ TEST(Bgp, ReflectionTerminatesUnderPacking) {
   const VpnRouteKey key{RouteDistinguisher{65000, 1},
                         ip::Prefix::must_parse("10.1.0.0/16")};
   for (ip::NodeId n = 1; n < 4; ++n) {
-    ASSERT_NE(bgp.best(n, key), nullptr);
+    ASSERT_TRUE(bgp.best(n, key).has_value());
     EXPECT_EQ(bgp.adj_rib_in_size(n), 2u);
   }
   // Re-announcing the identical route is fully damped: no new messages.
@@ -859,15 +860,15 @@ TEST(Bgp, FailSpeakerKillsItsQueuedUpdates) {
   f.topo.scheduler().run();
   const VpnRouteKey key{RouteDistinguisher{65000, 1},
                         ip::Prefix::must_parse("10.1.0.0/16")};
-  EXPECT_EQ(bgp.best(1, key), nullptr);
-  EXPECT_EQ(bgp.best(2, key), nullptr);
+  EXPECT_FALSE(bgp.best(1, key).has_value());
+  EXPECT_FALSE(bgp.best(2, key).has_value());
   // A live speaker whose flush targets the dead peer skips it cleanly.
   bgp.originate(1, f.route(2, "10.2.0.0/16", 1));
   f.topo.scheduler().run();
   const VpnRouteKey key2{RouteDistinguisher{65000, 2},
                          ip::Prefix::must_parse("10.2.0.0/16")};
-  ASSERT_NE(bgp.best(2, key2), nullptr);
-  EXPECT_EQ(bgp.best(0, key2), nullptr);  // dead peer never hears of it
+  ASSERT_TRUE(bgp.best(2, key2).has_value());
+  EXPECT_FALSE(bgp.best(0, key2).has_value());  // dead peer never hears of it
 }
 
 // --- Dense MP-BGP: NLRI ids, node-indexed speakers, id-indexed RIBs -------
@@ -901,7 +902,7 @@ TEST(Bgp, LocalPrefChangeAloneIsAdvertised) {
     k.local_pref = 300;
     bgp->originate(0, k);
     f.topo.scheduler().run();
-    ASSERT_NE(bgp->best(0, key), nullptr);
+    ASSERT_TRUE(bgp->best(0, key).has_value());
     EXPECT_EQ(bgp->best(0, key)->local_pref, 300u) << reflected;
     EXPECT_GT(f.cp.message_count("bgp.update"), settled) << reflected;
 
@@ -910,8 +911,8 @@ TEST(Bgp, LocalPrefChangeAloneIsAdvertised) {
     bgp->originate(1, weaker);
     f.topo.scheduler().run();
     for (ip::NodeId n = 0; n < 3; ++n) {
-      const VpnRoute* best = bgp->best(n, key);
-      ASSERT_NE(best, nullptr) << reflected << " speaker " << n;
+      const std::optional<VpnRoute> best = bgp->best(n, key);
+      ASSERT_TRUE(best.has_value()) << reflected << " speaker " << n;
       EXPECT_EQ(best->originator, 0u) << reflected << " speaker " << n;
       EXPECT_EQ(best->local_pref, 300u) << reflected << " speaker " << n;
     }
@@ -932,7 +933,7 @@ TEST(Bgp, WithdrawOfUnknownKeyIsANoOp) {
   EXPECT_EQ(bgp->nlri_count(), interned);
   EXPECT_EQ(bgp->nlri_id(never), kNoNlri);
   EXPECT_EQ(f.cp.total_messages(), messages);
-  EXPECT_EQ(bgp->best(1, never), nullptr);  // unknown key: no route
+  EXPECT_FALSE(bgp->best(1, never).has_value());  // unknown key: no route
   EXPECT_EQ(bgp->loc_rib_size(1), 1u);
 }
 
@@ -974,7 +975,7 @@ TEST(Bgp, PerSpeakerQueriesThrowForNonSpeakers) {
                         ip::Prefix::must_parse("10.1.0.0/16")};
   bgp->originate(0, f.route(1, "10.1.0.0/16", 0));
   f.topo.scheduler().run();
-  EXPECT_NE(bgp->best(3, key), nullptr);  // the reflector holds a Loc-RIB
+  EXPECT_TRUE(bgp->best(3, key).has_value());  // the reflector holds a Loc-RIB
   f.topo.add_node<Router>("p", Role::kP);  // node 4: in the topology only
   for (const ip::NodeId stranger :
        {ip::NodeId{4}, static_cast<ip::NodeId>(f.topo.node_count()),
@@ -989,7 +990,7 @@ TEST(Bgp, PerSpeakerQueriesThrowForNonSpeakers) {
   }
   const VpnRouteKey unknown{RouteDistinguisher{65000, 7},
                             ip::Prefix::must_parse("10.7.0.0/16")};
-  EXPECT_EQ(bgp->best(0, unknown), nullptr);
+  EXPECT_FALSE(bgp->best(0, unknown).has_value());
 }
 
 TEST(Igp, TeOnlyChangeSkipsSpfEntirely) {

@@ -154,6 +154,67 @@ TEST(Scheduler, StaleCancelCannotKillRecycledSlot) {
   EXPECT_EQ(sched.pending(), 0u);
 }
 
+// A run() that drains the queue gives back the burst's storage: the node
+// pool and the heap are freed, and the scheduler stays usable.
+TEST(Scheduler, DrainingRunFreesPoolAndHeap) {
+  Scheduler sched;
+  int fired = 0;
+  for (int i = 0; i < 1000; ++i) sched.schedule_at(i, [&] { ++fired; });
+  EXPECT_GE(sched.node_pool_size(), 1000u);
+  sched.run();
+  EXPECT_EQ(fired, 1000);
+  EXPECT_EQ(sched.node_pool_size(), 0u);
+  EXPECT_EQ(sched.heap_capacity(), 0u);
+  sched.schedule_in(5, [&] { ++fired; });
+  sched.run();
+  EXPECT_EQ(fired, 1001);
+  EXPECT_EQ(sched.now(), 1004);
+}
+
+// run() cut short by stop() and run_until() with events still pending keep
+// their storage: the pending events live in it.
+TEST(Scheduler, RunWithEventsLeftKeepsStorage) {
+  Scheduler sched;
+  sched.schedule_at(1, [&] { sched.stop(); });
+  sched.schedule_at(2, [] {});
+  sched.run();
+  EXPECT_EQ(sched.pending(), 1u);
+  EXPECT_GT(sched.node_pool_size(), 0u);
+  EXPECT_GT(sched.heap_capacity(), 0u);
+
+  sched.schedule_at(50, [] {});
+  sched.run_until(10);
+  EXPECT_EQ(sched.pending(), 1u);
+  EXPECT_GT(sched.node_pool_size(), 0u);
+  EXPECT_GT(sched.heap_capacity(), 0u);
+}
+
+// Handles issued before the drain's release stay exact no-ops: whether
+// the pool is still empty or has regrown over the same slots.
+TEST(Scheduler, CancelOfHandleFromBeforeReleaseIsNoop) {
+  Scheduler sched;
+  int fired = 0;
+  const EventId early = sched.schedule_at(1, [&] { ++fired; });
+  const EventId dead = sched.schedule_at(2, [&] { ++fired; });
+  sched.cancel(dead);
+  sched.run();
+  ASSERT_EQ(sched.node_pool_size(), 0u);
+  sched.cancel(early);  // out of range of the freed pool
+  sched.cancel(dead);
+  EXPECT_EQ(sched.pending(), 0u);
+
+  const EventId a = sched.schedule_at(3, [&] { ++fired; });
+  const EventId b = sched.schedule_at(4, [&] { ++fired; });
+  EXPECT_EQ(a.slot, early.slot);  // the regrown pool reuses both slots
+  EXPECT_EQ(b.slot, dead.slot);
+  sched.cancel(early);
+  sched.cancel(dead);
+  EXPECT_EQ(sched.pending(), 2u);
+  sched.run();
+  EXPECT_EQ(fired, 3);
+  EXPECT_EQ(sched.pending(), 0u);
+}
+
 TEST(Scheduler, RunUntilSkipsCancelledHeadWithoutAdvancingTime) {
   Scheduler sched;
   int fired = 0;

@@ -335,7 +335,7 @@ TEST(TopogenDeterminism, CappedFlowCachesMatchSerialByteForByte) {
       EXPECT_GT(n, 256.0);         // the forward table grew
     } else {
       // A P router switches at most one label per PE loopback. Four keys
-      // never fill a 4-slot window, so its one transit table stays at
+      // never fill an 8-slot window, so its one transit table stays at
       // the 16-slot start size.
       EXPECT_EQ(n, 16.0);
     }

@@ -225,6 +225,44 @@ TEST(FlowSet, StateStaysUnder64BytesPerFlow) {
   EXPECT_EQ(fs.calendar_bytes(), kFlows * 16u);
 }
 
+// Malformed declarations fail in every build type and leave no partial
+// row behind.
+TEST(FlowSet, AddFlowRejectsUnknownSite) {
+  sim::Scheduler sched;
+  FlowSet fs(sched, nullptr, 1);
+  FlowSet::FlowDef d;
+  d.flow_id = 1;
+  EXPECT_THROW(fs.add_flow(d), std::out_of_range);
+  EXPECT_EQ(fs.flow_count(), 0u);
+}
+
+TEST(FlowSet, AddFlowRejectsTemplateOverflow) {
+  Figure2Scenario s = make_figure2_scenario(7104);
+  sim::Scheduler& sched = s.backbone->topo.scheduler();
+  FlowSet fs(sched, nullptr, s.backbone->topo.seed());
+  const std::uint32_t a =
+      fs.add_site(*s.v1_site1.ce, ip::Ipv4Address::must_parse("10.1.0.1"));
+  FlowSet::FlowDef d;
+  d.from_site = a;
+  d.to_site = a;
+  // One distinct template per flow: 0xFFFF of them fit a 2-byte index.
+  constexpr std::uint32_t kTemplates = 0xFFFF;
+  for (std::uint32_t i = 0; i < kTemplates; ++i) {
+    d.flow_id = i + 1;
+    d.protocol = static_cast<std::uint8_t>(i);
+    d.src_port = static_cast<std::uint16_t>(i >> 8);
+    fs.add_flow(d);
+  }
+  d.flow_id = kTemplates + 1;
+  d.protocol = 0xFF;
+  d.src_port = 0xFF;
+  EXPECT_THROW(fs.add_flow(d), std::length_error);
+  EXPECT_EQ(fs.flow_count(), kTemplates);
+  d.src_port = 0;  // an existing template still interns
+  fs.add_flow(d);
+  EXPECT_EQ(fs.flow_count(), kTemplates + 1);
+}
+
 /// The megaflow acceptance point of bench_scalability --megaflow-only, same
 /// plan and window: 10^5 generated flows over 0.2 s must deliver the same
 /// packets and merged per-class SLA table on one lane and on four, with

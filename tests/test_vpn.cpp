@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "backbone/fixtures.hpp"
@@ -488,8 +489,8 @@ TEST(Service, KeyInternedAfterConvergenceReachesEveryRibAndVrf) {
           std::find(speakers.begin(), speakers.end(), n) == speakers.end()) {
         continue;
       }
-      const routing::VpnRoute* best = bb.bgp.best(n, key);
-      ASSERT_NE(best, nullptr) << "node " << n;
+      const std::optional<routing::VpnRoute> best = bb.bgp.best(n, key);
+      ASSERT_TRUE(best.has_value()) << "node " << n;
       EXPECT_EQ(best->next_hop_node, bb.pe(origin).id()) << "node " << n;
     }
     for (std::size_t pe = 0; pe < 4; ++pe) {

@@ -320,6 +320,9 @@ bool load_flow_profile(std::istream& in, FlowProfile* profile,
     if (kind != "node" && kind != "link") {
       return fail("flow profile: unknown record '" + kind + "'");
     }
+    if (id >= kMaxFlowProfileId) {
+      return fail("flow profile: id out of range: " + line);
+    }
     auto& vec = kind == "node" ? p.node_weight : p.link_weight;
     if (id >= vec.size()) vec.resize(id + 1, 0);
     vec[id] = weight;

@@ -101,8 +101,14 @@ struct FlowProfile {
 /// same scenario: node/link ids with weights, node names as comments.
 void write_flow_profile(const FlowProfile& profile, const net::Topology& topo,
                         std::ostream& out);
+/// Node and link ids in a flow profile stay below this: it fits the 32-bit
+/// NodeId/LinkId and sits far above any generated topology, so a hostile
+/// id can neither wrap `id + 1` nor size a multi-gigabyte vector.
+inline constexpr std::size_t kMaxFlowProfileId = std::size_t{1} << 20;
+
 /// Parse write_flow_profile() output. Returns false (with *err set when
-/// non-null) on malformed input; ids beyond the vectors grow them.
+/// non-null) on malformed input or an id at or above kMaxFlowProfileId;
+/// ids beyond the vectors grow them.
 [[nodiscard]] bool load_flow_profile(std::istream& in, FlowProfile* profile,
                                      std::string* err);
 

@@ -500,6 +500,11 @@ std::optional<Scenario> Scenario::parse(const std::string& text,
         }
       }
       if (line.kv.count("premark") != 0) f.premark = true;
+      // Both endpoints of a self-addressed TcpLite flow would claim its id
+      // on one dispatcher, and the receiver's handler would eat the ACKs.
+      if (f.kind == "tcp" && f.from == f.to) {
+        return fail(line_no, "tcp flow needs from= != to=");
+      }
       sc.flows_.push_back(f);
     } else if (line.directive == "run") {
       if (auto v = kv("for")) {
@@ -681,9 +686,7 @@ struct Scenario::Run {
           c.core_queue = queue_factory_for(core_queue);
           return c;
         }()),
-        topo(bb.topo),
-        any_tcp(std::any_of(sc.flows_.begin(), sc.flows_.end(),
-                            [](const FlowDecl& f) { return f.kind == "tcp"; })) {}
+        topo(bb.topo) {}
 
   void build();
   void converge();
@@ -715,9 +718,6 @@ struct Scenario::Run {
   CoreQueue core_queue;
   MplsBackbone bb;
   net::Topology& topo;
-  /// TCP-lite shares congestion state across its two endpoint CEs, which
-  /// may land on different shards: any tcp flow pins the run to one lane.
-  const bool any_tcp;
   std::map<std::string, vpn::VpnId> vpn_ids;
   std::vector<MplsBackbone::Site> built;
 
@@ -844,12 +844,8 @@ void Scenario::Run::partition() {
   // before this point ran on the topology's scheduler; everything after it
   // that touches the topology from this thread still resolves to the
   // serial objects (sim::current_shard() is kNoShard).
-  if (sc.shards_ > 1 && any_tcp) {
-    out << "shards=" << sc.shards_
-        << " requested; tcp flows pin the run to the serial engine\n";
-  }
-  const std::uint32_t want = any_tcp ? 1 : sc.shards_;
-  ShardPlan plan = compute_shard_plan(topo, want, sc.partition_weights_);
+  ShardPlan plan =
+      compute_shard_plan(topo, sc.shards_, sc.partition_weights_);
   if (obs) {
     report_shard_plan(plan, topo, obs->partition, sc.partition_weights_);
     if (plan.parallel()) {
@@ -934,6 +930,11 @@ traffic::FlowDispatcher& Scenario::Run::dispatcher_for(std::size_t site) {
   if (!d) {
     d = std::make_unique<traffic::FlowDispatcher>();
     d->attach(*built[site].ce);
+    // Whatever the TCP endpoints here do not claim goes to the lane sink.
+    d->set_default([sink = lane_sinks[lane_of(site)].get()](
+                       const net::Packet& p, vpn::VpnId vpn) {
+      sink->on_delivery(p, vpn);
+    });
   }
   return *d;
 }
@@ -956,32 +957,16 @@ traffic::FlowSet& Scenario::Run::flowset_at(std::size_t site) {
 }
 
 void Scenario::Run::arm_traffic() {
-  // TCP flows need a dispatcher on each endpoint; lane 0's sink (the only
-  // lane — tcp pins the run) handles everything the dispatchers do not
-  // claim. Otherwise each CE delivers into its lane's sink.
-  if (any_tcp) {
-    traffic::MeasurementSink* sink = lane_sinks.front().get();
-    for (std::size_t s = 0; s < built.size(); ++s) {
-      dispatcher_for(s).set_default(
-          [sink](const net::Packet& p, vpn::VpnId vpn) {
-            // A delivery neither a TCP endpoint nor a measured-flow handler
-            // claimed. Account it in the sink — it surfaces in the final
-            // delivered/leaks/unknown line (and fails the run when nonzero)
-            // instead of vanishing from the SLA accounting.
-            sink->on_delivery(p, vpn);
-          });
-    }
-  } else {
-    for (std::size_t s = 0; s < built.size(); ++s) {
-      lane_sinks[lane_of(s)]->bind(*built[s].ce);
-    }
+  // Each CE delivers into its lane's sink; a TCP endpoint puts a
+  // dispatcher in front of it (dispatcher_for).
+  for (std::size_t s = 0; s < built.size(); ++s) {
+    lane_sinks[lane_of(s)]->bind(*built[s].ce);
   }
 
   flowsets.resize(runtime->shard_count());
   std::uint32_t flow_id = 1;
   t0 = topo.base_scheduler().now();
   for (const auto& f : sc.flows_) {
-    vpn::Router& ce = *built[f.from].ce;
     if (f.kind == "tcp") {
       traffic::TcpLiteFlow::Config tc;
       tc.src = ip::Ipv4Address(built[f.from].prefix.address().value() + 1);
@@ -992,7 +977,7 @@ void Scenario::Run::arm_traffic() {
       tc.phb = f.phb;
       tc.premark = f.premark;
       tcp_flows.push_back(std::make_unique<traffic::TcpLiteFlow>(
-          ce, dispatcher_for(f.from), *built[f.to].ce,
+          *built[f.from].ce, dispatcher_for(f.from), *built[f.to].ce,
           dispatcher_for(f.to), flow_id, tc));
       ++flow_id;
       continue;
@@ -1015,21 +1000,7 @@ void Scenario::Run::arm_traffic() {
     d.payload_bytes = static_cast<std::uint32_t>(f.size);
     d.start = t0 + sim::from_seconds(f.start_s);
     flowset_at(f.from).add_flow(d);
-    // When dispatchers own the sinks, route measured flows through them,
-    // into lane 0's probe (`probe` is only the fold).
-    if (any_tcp) {
-      qos::SlaProbe* lp = lane_probes.front().get();
-      dispatcher_for(f.to).register_flow(
-          flow_id,
-          [lp, phb = f.phb, &t = topo](const net::Packet& p, vpn::VpnId) {
-            lp->record_delivered(phb, p.flow_id,
-                                 t.scheduler().now() - p.created_at,
-                                 net::kIpv4HeaderBytes + net::kL4HeaderBytes +
-                                     p.payload_bytes);
-          });
-    } else {
-      lane_sinks[lane_of(f.to)]->expect_flow(flow_id, f.phb, flow_vpn);
-    }
+    lane_sinks[lane_of(f.to)]->expect_flow(flow_id, f.phb, flow_vpn);
     ++flow_id;
   }
 
@@ -1038,8 +1009,9 @@ void Scenario::Run::arm_traffic() {
   }
   for (auto& t : tcp_flows) {
     t->start(t0);
-    topo.base_scheduler().schedule_at(t0 + sim::from_seconds(sc.run_for_s_),
-                                      [flow = t.get()] { flow->stop(); });
+    topo.scheduler_of(t->sender().id())
+        .schedule_at(t0 + sim::from_seconds(sc.run_for_s_),
+                     [flow = t.get()] { flow->stop(); });
   }
 }
 
@@ -1127,9 +1099,8 @@ bool Scenario::Run::report() {
   }
   if (obs) write_obs();
 
-  // Isolation / accounting verdict. In dispatcher mode (tcp present) the
-  // sink only sees what no handler claimed, so `delivered` there counts
-  // strays — and `unknown` nonzero means packets escaped SLA accounting.
+  // Isolation / accounting verdict over every measured delivery; TCP
+  // segments and ACKs are their endpoints' and never reach a sink.
   std::uint64_t delivered = 0;
   std::uint64_t leaks = 0;
   std::uint64_t unknown = 0;

@@ -91,8 +91,8 @@ class Scenario {
 
   /// Partition the topology into `n` shards and run the traffic phase on
   /// the parallel engine (1 = serial, the default; also settable from the
-  /// scenario file via `run shards=N`). Scenarios with tcp flows fall back
-  /// to serial — TCP-lite endpoints share congestion state across sites.
+  /// scenario file via `run shards=N`). Every flow kind, tcp included,
+  /// runs at every shard count; only the report's first line differs.
   void set_shards(std::uint32_t n) { shards_ = n == 0 ? 1 : n; }
   [[nodiscard]] std::uint32_t shards() const noexcept { return shards_; }
 
@@ -161,7 +161,7 @@ class Scenario {
     double rate = 0, burst = 0;
   };
   struct FlowDecl {
-    std::string kind;  // cbr | poisson | onoff
+    std::string kind;  // cbr | poisson | onoff | tcp
     std::string vpn;
     std::size_t from = 0, to = 0;
     double rate = 1e6;

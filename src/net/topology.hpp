@@ -187,6 +187,14 @@ class Topology {
     return recorder_;
   }
 
+  /// The scheduler of the lane that owns `n`: its shard's under a sharded
+  /// run, else the topology's own. For coordinator-side code that arms
+  /// events on a node's lane from outside any shard.
+  [[nodiscard]] sim::Scheduler& scheduler_of(ip::NodeId n) noexcept {
+    const std::uint32_t s = shard_of(n);
+    return s == sim::kNoShard ? scheduler_ : *shards_->schedulers[s];
+  }
+
   /// Owning shard of `n`, or sim::kNoShard when no sharding is installed.
   [[nodiscard]] std::uint32_t shard_of(ip::NodeId n) const noexcept {
     if (shards_ == nullptr || n >= shards_->node_shard.size()) {

@@ -7,14 +7,11 @@ namespace mvpn::traffic {
 TcpLiteFlow::TcpLiteFlow(vpn::Router& sender, FlowDispatcher& sender_dispatch,
                          vpn::Router& receiver,
                          FlowDispatcher& receiver_dispatch,
-                         std::uint32_t flow_id, Config config,
-                         qos::SlaProbe* probe)
+                         std::uint32_t flow_id, Config config)
     : sender_(sender),
       receiver_(receiver),
       flow_id_(flow_id),
       config_(config),
-      probe_(probe),
-      sched_(sender.topology().scheduler()),
       cwnd_(config.initial_cwnd),
       ssthresh_(config.initial_ssthresh) {
   // ACKs come back to the sender; data arrives at the receiver.
@@ -27,14 +24,14 @@ TcpLiteFlow::TcpLiteFlow(vpn::Router& sender, FlowDispatcher& sender_dispatch,
   receiver_dispatch.register_flow(flow_id_,
                                   [this](const net::Packet& p, vpn::VpnId) {
                                     if (p.seg && !p.seg->is_ack) {
-                                      on_data(p);
+                                      on_data(p.seg->seq);
                                     }
                                   });
 }
 
 void TcpLiteFlow::start(sim::SimTime at) {
-  started_ = true;
-  sched_.schedule_at(std::max(at, sched_.now()), [this] {
+  sim::Scheduler& lane = sender_.topology().scheduler_of(sender_.id());
+  lane.schedule_at(std::max(at, lane.now()), [this] {
     maybe_send();
     arm_rto();
   });
@@ -42,7 +39,6 @@ void TcpLiteFlow::start(sim::SimTime at) {
 
 void TcpLiteFlow::maybe_send() {
   if (stopped_) return;
-  const auto in_flight = next_seq_ - highest_acked_;
   const auto window = static_cast<std::uint32_t>(cwnd_);
   while (next_seq_ - highest_acked_ < std::max<std::uint32_t>(window, 1) &&
          (config_.total_segments == 0 ||
@@ -50,13 +46,13 @@ void TcpLiteFlow::maybe_send() {
     send_segment(next_seq_, false);
     ++next_seq_;
   }
-  (void)in_flight;
 }
 
 void TcpLiteFlow::send_segment(std::uint32_t seq, bool retransmission) {
   net::PacketPtr p = sender_.topology().packet_factory().make();
+  p->id = packet_id(++segments_sent_);
   p->flow_id = flow_id_;
-  p->created_at = sched_.now();
+  p->created_at = clock().now();
   p->true_vpn_id = config_.vpn;
   p->ip.src = config_.src;
   p->ip.dst = config_.dst;
@@ -67,18 +63,14 @@ void TcpLiteFlow::send_segment(std::uint32_t seq, bool retransmission) {
   p->payload_bytes = config_.mss_payload;
   p->seg = net::SegMeta{seq, false};
   if (retransmission) ++retransmits_;
-  if (probe_ != nullptr && !retransmission) {
-    probe_->record_sent(config_.phb, net::kIpv4HeaderBytes +
-                                         net::kL4HeaderBytes +
-                                         config_.mss_payload);
-  }
   sender_.inject(std::move(p));
 }
 
 void TcpLiteFlow::arm_rto() {
-  sched_.cancel(rto_timer_);
+  sim::Scheduler& lane = clock();
+  lane.cancel(rto_timer_);
   if (stopped_ || complete()) return;
-  rto_timer_ = sched_.schedule_in(config_.rto, [this] { on_rto(); });
+  rto_timer_ = lane.schedule_in(config_.rto, [this] { on_rto(); });
 }
 
 void TcpLiteFlow::on_rto() {
@@ -110,8 +102,8 @@ void TcpLiteFlow::on_ack(std::uint32_t cum_ack) {
       cwnd_ += static_cast<double>(newly) / cwnd_;  // congestion avoidance
     }
     if (complete() && completed_at_ == 0) {
-      completed_at_ = sched_.now();
-      sched_.cancel(rto_timer_);
+      completed_at_ = clock().now();
+      clock().cancel(rto_timer_);
       return;
     }
     arm_rto();
@@ -127,8 +119,7 @@ void TcpLiteFlow::on_ack(std::uint32_t cum_ack) {
   }
 }
 
-void TcpLiteFlow::on_data(const net::Packet& p) {
-  const std::uint32_t seq = p.seg->seq;
+void TcpLiteFlow::on_data(std::uint32_t seq) {
   if (seq == rcv_next_) {
     ++rcv_next_;
     // Drain any buffered in-order continuation.
@@ -136,12 +127,6 @@ void TcpLiteFlow::on_data(const net::Packet& p) {
     while (it != out_of_order_.end() && *it == rcv_next_) {
       ++rcv_next_;
       it = out_of_order_.erase(it);
-    }
-    if (probe_ != nullptr) {
-      probe_->record_delivered(config_.phb, flow_id_,
-                               sched_.now() - p.created_at,
-                               net::kIpv4HeaderBytes + net::kL4HeaderBytes +
-                                   p.payload_bytes);
     }
   } else if (seq > rcv_next_) {
     out_of_order_.insert(seq);
@@ -151,8 +136,9 @@ void TcpLiteFlow::on_data(const net::Packet& p) {
 
 void TcpLiteFlow::send_ack() {
   net::PacketPtr ack = receiver_.topology().packet_factory().make();
+  ack->id = packet_id(kAckBit | ++acks_sent_);
   ack->flow_id = flow_id_;
-  ack->created_at = sched_.now();
+  ack->created_at = clock().now();
   ack->true_vpn_id = config_.vpn;
   ack->ip.src = config_.dst;
   ack->ip.dst = config_.src;

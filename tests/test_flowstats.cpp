@@ -501,6 +501,15 @@ TEST(FlowStats, FlowProfileRoundTripsThroughText) {
   EXPECT_FALSE(backbone::load_flow_profile(bad_header, &q, &err));
   std::istringstream bad_kind("flowprofile v1\nbogus 0 1\n");
   EXPECT_FALSE(backbone::load_flow_profile(bad_kind, &q, &err));
+  // Hostile ids: 2^64-1 used to wrap `id + 1` to an empty resize and
+  // write past the vector; ~4e9 would have sized a 32 GB vector.
+  std::istringstream wrap_id("flowprofile v1\nnode 18446744073709551615 5\n");
+  EXPECT_FALSE(backbone::load_flow_profile(wrap_id, &q, &err));
+  EXPECT_NE(err.find("node 18446744073709551615 5"), std::string::npos)
+      << err;
+  std::istringstream huge_id("flowprofile v1\nlink 4000000000 5\n");
+  EXPECT_FALSE(backbone::load_flow_profile(huge_id, &q, &err));
+  EXPECT_NE(err.find("link 4000000000 5"), std::string::npos) << err;
 }
 
 /// A run's measured profile is itself deterministic across shard counts

@@ -126,6 +126,13 @@ INSTANTIATE_TEST_SUITE_P(
                 "backbone p=1 pe=1\nvpn v\nsite v pe=0 "
                 "prefix=10.0.0.0/8\nflow warp vpn=v from=0 to=0\n",
                 "unknown flow kind"},
+        // Both TcpLite endpoints on one CE would share one dispatcher
+        // entry, and the ACKs would never reach the sender.
+        BadCase{"tcp_self_addressed",
+                "backbone p=1 pe=2\nvpn v\nsite v pe=0 prefix=10.1.0.0/16\n"
+                "site v pe=1 prefix=10.2.0.0/16\n"
+                "flow tcp vpn=v from=1 to=1\n",
+                "tcp flow needs from= != to="},
         BadCase{"flow_site_range",
                 "backbone p=1 pe=1\nvpn v\nsite v pe=0 "
                 "prefix=10.0.0.0/8\nflow cbr vpn=v from=0 to=9\n",
@@ -475,10 +482,28 @@ TEST(ScenarioRun, UnwritableObsDirFailsBeforeRunning) {
   EXPECT_EQ(out.str().find("delivered="), std::string::npos) << out.str();
 }
 
+/// Sum of the SLA table's `delivered` column in a run report: the third
+/// cell of each `| class | sent | delivered | ...` data row.
+std::uint64_t table_delivered(const std::string& report) {
+  std::istringstream in(report);
+  std::uint64_t sum = 0;
+  for (std::string line; std::getline(in, line);) {
+    std::istringstream row(line);
+    std::string bar, cls, sent, delivered;
+    if (row >> bar >> cls >> bar >> sent >> bar >> delivered && bar == "|" &&
+        cls != "class") {
+      sum += std::stoull(delivered);
+    }
+  }
+  return sum;
+}
+
 TEST(ScenarioRun, MixedTcpRunAccountsPlainFlows) {
   // Regression: cbr+tcp runs used to leave the sink unbound as the default
   // dispatcher handler, silently discarding all accounting for the plain
-  // flows. The accounting line must appear and report zero leaks/unknowns.
+  // flows, and later counted only strays in `delivered=`. Every measured
+  // delivery goes through the lane sink: `delivered=` is the table's
+  // delivered column, with zero leaks/unknowns.
   const char* text = R"(
 backbone p=1 pe=2 core_bw=4e6 edge_bw=20e6 seed=13 core_queue=prio
 vpn corp
@@ -495,8 +520,11 @@ run for=3
   std::ostringstream out;
   EXPECT_TRUE(sc->run(out));
   const std::string report = out.str();
-  const auto pos = report.find("delivered=");
+  const auto pos = report.find("\ndelivered=");
   ASSERT_NE(pos, std::string::npos) << report;
+  const std::uint64_t table = table_delivered(report);
+  EXPECT_GT(table, 0u) << report;
+  EXPECT_EQ(std::stoull(report.substr(pos + 11)), table) << report;
   EXPECT_NE(report.find("leaks=0", pos), std::string::npos) << report;
   EXPECT_NE(report.find("unknown=0", pos), std::string::npos) << report;
 }
@@ -508,25 +536,41 @@ TEST(ScenarioFile, MissingFileIsUsageError) {
 }
 
 TEST(ScenarioFile, ShippedDemoSceneMatchesGoldenSerialAndSharded) {
-  const std::string path =
-      std::string(MVPN_SOURCE_DIR) + "/examples/scenarios/branch_office.scn";
-  const std::string golden_text = golden::read_text("branch_office.txt");
-  ASSERT_FALSE(golden_text.empty());
-  // Every obs plane armed: stdout is still the golden report.
-  std::ostringstream serial;
-  const std::string serial_dir = obs_dir("branch_office_s1");
-  EXPECT_EQ(run_scenario_file(path, serial, serial_dir), 0) << serial.str();
-  EXPECT_EQ(serial.str(), golden_text);
-  expect_golden_flow_records(serial_dir, "branch_office_s1");
-  // Four shards requested (the planner uses three on this backbone): the
-  // first line adds engine figures; the SLA table and the delivery line
-  // after it must not move, nor must the flow records.
-  std::ostringstream sharded;
-  const std::string sharded_dir = obs_dir("branch_office_s4");
-  EXPECT_EQ(run_scenario_file(path, sharded, sharded_dir, 4), 0);
-  EXPECT_EQ(body(sharded.str()), body(golden_text));
-  EXPECT_NE(sharded.str().find(" shards (lookahead"), std::string::npos);
-  expect_golden_flow_records(sharded_dir, "branch_office_s4");
+  // branch_office pins its flow records to golden digests too;
+  // elastic_office runs TCP flows beside the open-loop kinds, with TCP
+  // endpoints on different shards at four.
+  for (const std::string name : {"branch_office", "elastic_office"}) {
+    SCOPED_TRACE(name);
+    const std::string path =
+        std::string(MVPN_SOURCE_DIR) + "/examples/scenarios/" + name + ".scn";
+    const std::string golden_text = golden::read_text(name + ".txt");
+    ASSERT_FALSE(golden_text.empty());
+    const bool golden_streams = name == "branch_office";
+    // Every obs plane armed: stdout is still the golden report.
+    std::ostringstream serial;
+    const std::string serial_dir = obs_dir(name + "_s1");
+    EXPECT_EQ(run_scenario_file(path, serial, serial_dir), 0) << serial.str();
+    EXPECT_EQ(serial.str(), golden_text);
+    if (golden_streams) {
+      expect_golden_flow_records(serial_dir, "branch_office_s1");
+    }
+    // Four shards requested (the planner may use fewer): the first line
+    // adds engine figures; the SLA table and the lines after it must not
+    // move, nor must the flow records.
+    std::ostringstream sharded;
+    const std::string sharded_dir = obs_dir(name + "_s4");
+    EXPECT_EQ(run_scenario_file(path, sharded, sharded_dir, 4), 0);
+    EXPECT_EQ(body(sharded.str()), body(golden_text));
+    EXPECT_NE(sharded.str().find(" shards (lookahead"), std::string::npos);
+    if (golden_streams) {
+      expect_golden_flow_records(sharded_dir, "branch_office_s4");
+    }
+    for (const char* file : {"/flow.jsonl", "/flow.bin"}) {
+      EXPECT_EQ(golden::slurp(sharded_dir + file),
+                golden::slurp(serial_dir + file))
+          << file;
+    }
+  }
 }
 
 }  // namespace

@@ -88,6 +88,22 @@ void attach_sync_profiler(net::ShardRuntime& runtime,
   runtime.set_profiler(&profiler);
 }
 
+std::unique_ptr<obs::FlowExporter> attach_flow_exporter(
+    net::ShardRuntime& runtime) {
+  std::vector<const sim::Scheduler*> clocks;
+  for (std::uint32_t s = 0; s < runtime.shard_count(); ++s) {
+    clocks.push_back(&runtime.shard_scheduler(s));
+  }
+  auto exporter = std::make_unique<obs::FlowExporter>(clocks);
+  runtime.set_flow_stats(exporter->tables());
+  // Every lane clock starts at the topology's current instant.
+  const sim::SimTime period = obs::FlowExporter::kIdleTimeout;
+  runtime.add_periodic_action(
+      clocks.front()->now() + period, period,
+      [e = exporter.get()](sim::SimTime at) { e->scan(at); });
+  return exporter;
+}
+
 ShardPlan compute_shard_plan(const net::Topology& topo, std::uint32_t shards) {
   return compute_shard_plan(topo, shards, {});
 }

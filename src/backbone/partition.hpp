@@ -8,6 +8,7 @@
 #include "net/link.hpp"
 #include "net/shard_runtime.hpp"
 #include "net/topology.hpp"
+#include "obs/flow_stats.hpp"
 #include "obs/sync_profiler.hpp"
 #include "sim/time.hpp"
 
@@ -81,6 +82,17 @@ struct ShardPlan {
 void attach_sync_profiler(net::ShardRuntime& runtime,
                           const net::Topology& topo,
                           obs::SyncProfiler& profiler);
+
+/// Arm per-flow accounting on `runtime`: an exporter with one table per
+/// lane, each stamped by its lane clock, installed through set_flow_stats,
+/// and a scan every FlowExporter::kIdleTimeout from the lanes' current
+/// instant as a between-window periodic action (every lane rests past all
+/// events before the instant, none at or after), so the record stream is
+/// byte-identical across shard counts. Call it before registering any
+/// periodic action that should see a coincident instant's records. The
+/// exporter must outlive the runtime's last run_until().
+[[nodiscard]] std::unique_ptr<obs::FlowExporter> attach_flow_exporter(
+    net::ShardRuntime& runtime);
 
 /// Measured per-node / per-link flow-weight vectors — the `flow_profile.txt`
 /// output and the flow-weighted partitioner's input. Weights are link

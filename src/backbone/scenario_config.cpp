@@ -613,10 +613,6 @@ std::optional<Scenario> Scenario::parse(const std::string& text,
 
 /// Snapshot cadence of an armed run's metrics series, simulated seconds.
 constexpr double kSnapshotPeriodS = 0.5;
-/// Flow-exporter scan cadence: the default idle timeout. Scanning faster
-/// than the smallest timeout only quantizes cut instants more finely at the
-/// cost of an extra table drain per instant.
-constexpr double kFlowScanPeriodS = 0.25;
 
 /// The files of an obs directory (Scenario::set_obs_dir). Scenario::run
 /// opens every one before build(), so an unwritable destination fails
@@ -729,9 +725,7 @@ struct Scenario::Run {
   /// deliveries on the destination CE's, each sink reading its lane clock.
   std::vector<std::unique_ptr<qos::SlaProbe>> lane_probes;
   std::vector<std::unique_ptr<traffic::MeasurementSink>> lane_sinks;
-  std::unique_ptr<obs::FlowExporter> flow_exporter;
-  std::vector<std::unique_ptr<obs::FlowStatsTable>> flow_table_store;
-  std::vector<obs::FlowStatsTable*> flow_tables;  ///< one per lane
+  std::unique_ptr<obs::FlowExporter> flow_exporter;  ///< one table per lane
   obs::MetricsRegistry registry;         ///< metrics.json: results
   obs::MetricsRegistry engine_registry;  ///< engine_metrics.json
   std::optional<obs::PeriodicSnapshots> snapshots;
@@ -880,28 +874,9 @@ void Scenario::Run::observers() {
   sync_prof = std::make_unique<obs::SyncProfiler>(lanes);
   attach_sync_profiler(*runtime, topo, *sync_prof);
 
-  // Per-flow telemetry plane: one accounting table per lane, drained into
-  // the exporter at exact scan instants by a between-window periodic
-  // action (every lane rests past all events before the instant, none at
-  // or after), so the record stream is byte-identical across shard
-  // counts. It registers before the metrics action below so coincident
-  // instants scan first.
-  flow_exporter = std::make_unique<obs::FlowExporter>();
-  // Size the tables for the declared flow population: at <= 50% load the
-  // probe window practically never fills, so the spill path stays off
-  // the hot path (and one lane keeps the table-resident exporter path).
-  const std::size_t flow_slots =
-      std::max(obs::FlowStatsTable::kDefaultSlots, 2 * sc.flows_.size());
-  for (std::uint32_t s = 0; s < lanes; ++s) {
-    flow_table_store.push_back(std::make_unique<obs::FlowStatsTable>(
-        &runtime->shard_scheduler(s), flow_slots));
-    flow_tables.push_back(flow_table_store.back().get());
-  }
-  runtime->set_flow_stats(flow_tables);
-  const sim::SimTime scan = sim::from_seconds(kFlowScanPeriodS);
-  runtime->add_periodic_action(now + scan, scan, [this](sim::SimTime at) {
-    flow_exporter->scan(flow_tables, at);
-  });
+  // Per-flow telemetry plane, registered before the metrics action below
+  // so coincident instants scan first.
+  flow_exporter = attach_flow_exporter(*runtime);
 
   // Result gauges go to metrics.json, identical at every shard count; the
   // gauges of how the engine, the profiler, the exporter and the control
@@ -911,7 +886,7 @@ void Scenario::Run::observers() {
   obs::register_latency_metrics(latency, registry, cs_class_namer());
   obs::register_engine_metrics(*runtime, engine_registry);
   obs::register_sync_metrics(*sync_prof, engine_registry);
-  obs::register_flow_metrics(*flow_exporter, flow_tables, engine_registry);
+  obs::register_flow_metrics(*flow_exporter, engine_registry);
   obs::register_control_metrics(bb.cp, bb.bgp, bb.igp, engine_registry);
   // First capture a full period in; the fold makes the observers the
   // gauges read consistent before each sample.
@@ -1019,7 +994,7 @@ void Scenario::Run::run() {
   runtime->run_until(t0 + sim::from_seconds(sc.run_for_s_ + 2.0));
   // Whatever is still accumulating after the drain window exports with
   // cause=final.
-  if (flow_exporter) flow_exporter->flush(flow_tables);
+  if (flow_exporter) flow_exporter->flush();
   // Fold the lanes a final time, then tear the runtime down before any
   // report reads the topology: finish() merges shard trace rings into the
   // master recorder and restores the serial view.

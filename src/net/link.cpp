@@ -43,7 +43,6 @@ void Link::stamp_arrival(Direction& dir, Packet& p) {
 
 void Link::record_drop(const Direction& dir, const Packet& p,
                        obs::DropReason reason) {
-#if MVPN_FLOWSTATS_COMPILED
   // Link-level drops (down link at transmit or at delivery) bypass the
   // queue disc's funnel, so they charge the flow table here. Runs on the
   // owning shard's worker thread: transmit-side on the sender, pump-side
@@ -56,7 +55,6 @@ void Link::record_drop(const Direction& dir, const Packet& p,
         p.flow_id, static_cast<std::uint32_t>(p.wire_size()),
         static_cast<std::uint8_t>(reason));
   }
-#endif
   obs::FlightRecorder& rec = topo_.recorder();
   if (!rec.enabled(obs::Category::kLink)) return;
   rec.record({.packet_id = p.id,

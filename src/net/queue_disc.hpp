@@ -69,7 +69,6 @@ class QueueDisc {
                   obs::DropReason reason = obs::DropReason::kTailDrop,
                   std::uint8_t band = 0) noexcept {
     dropped_.record(p.wire_size());
-#if MVPN_FLOWSTATS_COMPILED
     if (flow_stats_ != nullptr) [[unlikely]] {
       flow_stats_->record_drop(
           obs::FlowStatsTable::make_key(p.ip.src.value(), p.ip.dst.value(),
@@ -78,7 +77,6 @@ class QueueDisc {
           p.flow_id, static_cast<std::uint32_t>(p.wire_size()),
           static_cast<std::uint8_t>(reason));
     }
-#endif
     if (recorder_->enabled(obs::Category::kQueue)) {
       trace_event(obs::EventType::kDrop, p, reason, band);
     }

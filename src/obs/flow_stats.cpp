@@ -5,6 +5,7 @@
 #include <cmath>
 #include <ostream>
 #include <sstream>
+#include <utility>
 
 #include "ip/address.hpp"
 #include "obs/metrics.hpp"
@@ -14,11 +15,6 @@
 namespace mvpn::obs {
 
 namespace {
-
-[[nodiscard]] std::size_t round_up_pow2(std::size_t n) noexcept {
-  if (n < 2) return 2;
-  return std::size_t{1} << std::bit_width(n - 1);
-}
 
 /// Bucket index for a delay: bit_width of the nanosecond count, i.e.
 /// bucket b covers [2^(b-1), 2^b) ns. One instruction on the hot path.
@@ -81,23 +77,22 @@ void put_raw(std::ostream& out, const T& v) {
 // ---------------------------------------------------------------------------
 // FlowStatsTable
 
-FlowStatsTable::FlowStatsTable(const sim::Scheduler* clock, std::size_t slots)
-    : clock_(clock) {
-  const std::size_t n = round_up_pow2(slots);
-  index_shift_ =
-      64u - static_cast<unsigned>(std::countr_zero(static_cast<std::uint64_t>(n)));
-  slots_.resize(n);
-}
+FlowStatsTable::FlowStatsTable(const sim::Scheduler* clock)
+    : clock_(clock),
+      index_shift_(64u - static_cast<unsigned>(std::countr_zero(kInitialSlots))),
+      slots_(kInitialSlots) {}
 
-void FlowStatsTable::claim(Slot& s, const Key& k, std::uint32_t flow_id,
-                           sim::SimTime now) noexcept {
-  s = Slot{};
-  s.key = k;
-  s.flow_id = flow_id;
-  s.gen = gen_;
-  s.first_seen = now;
-  s.last_seen = now;
-  ++claims_;
+void FlowStatsTable::grow() {
+  const std::vector<Slot> old =
+      std::exchange(slots_, std::vector<Slot>(slots_.size() * 2));
+  --index_shift_;
+  const std::uint32_t mask = static_cast<std::uint32_t>(slots_.size() - 1);
+  for (std::uint32_t& idx : live_) {
+    std::uint32_t to = home(old[idx].key);
+    while (is_live(slots_[to])) to = (to + 1) & mask;
+    slots_[to] = old[idx];
+    idx = to;
+  }
 }
 
 FlowStatsTable::Slot& FlowStatsTable::touch(const Key& k,
@@ -106,23 +101,11 @@ FlowStatsTable::Slot& FlowStatsTable::touch(const Key& k,
   // Index by the 5-tuple, not the flow id: distinct flows sharing a key
   // (port reuse between the same site pair) then share a slot, so their
   // accounting folds at touch time exactly as the exporter folds drained
-  // slots by key — the record stream is invariant to which path ran.
-  // Colliding keys probe linearly up to kProbeLimit slots before anything
-  // is displaced, so the spill path stays exceptional even though the key
-  // hash (unlike sequential flow ids) collides at birthday rates.
-  const std::uint32_t mask = static_cast<std::uint32_t>(slots_.size() - 1);
-  constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
+  // slots by key — the record stream is invariant to which lane ran.
+  std::uint32_t mask = static_cast<std::uint32_t>(slots_.size() - 1);
   std::uint32_t idx = home(k);
-  std::uint32_t claim_at = kNoSlot;
-  for (std::uint32_t probe = 0; probe < kProbeLimit;
-       ++probe, idx = (idx + 1) & mask) {
+  for (; is_live(slots_[idx]); idx = (idx + 1) & mask) {
     Slot& s = slots_[idx];
-    if (s.gen != gen_ || s.key.meta == 0) {
-      // Never claimed this generation: the key cannot be parked further
-      // along (claims always take the first reusable slot), stop here.
-      if (claim_at == kNoSlot) claim_at = idx;
-      break;
-    }
     if (s.key == k) {  // hot path: one hash, one compare, home hit
       s.last_seen = now;
       // Keep the smallest id of the 5-tuple's flows so the accumulation's
@@ -130,21 +113,25 @@ FlowStatsTable::Slot& FlowStatsTable::touch(const Key& k,
       if (flow_id < s.flow_id) s.flow_id = flow_id;
       return s;
     }
-    if (s.key.meta == kTombstoneMeta && claim_at == kNoSlot) claim_at = idx;
   }
-  if (claim_at == kNoSlot) {
-    // Window full of live strangers: displace the home incumbent into the
-    // spill map (exact accounting — eviction folds, never loses). The slot
-    // stays occupied, so other keys' probe chains never break.
-    claim_at = home(k);
-    Slot& victim = slots_[claim_at];
-    auto [it, inserted] = spill_.try_emplace(victim.key, victim);
-    if (!inserted) merge_into(it->second, victim);
-    ++evictions_;
+  // A new key this generation. Keeping claims at or under half the slots
+  // bounds every probe run; growing re-places the live slots, so the key
+  // probes again for its empty slot in the doubled array.
+  if (2 * (live_.size() + 1) > slots_.size()) {
+    grow();
+    mask = static_cast<std::uint32_t>(slots_.size() - 1);
+    idx = home(k);
+    while (is_live(slots_[idx])) idx = (idx + 1) & mask;
   }
-  Slot& s = slots_[claim_at];
-  claim(s, k, flow_id, now);
-  live_.push_back(claim_at);
+  Slot& s = slots_[idx];
+  s = Slot{};
+  s.key = k;
+  s.flow_id = flow_id;
+  s.gen = gen_;
+  s.first_seen = now;
+  s.last_seen = now;
+  ++claims_;
+  live_.push_back(idx);
   return s;
 }
 
@@ -152,22 +139,17 @@ void FlowStatsTable::record_offered(const Key& k, std::uint32_t flow_id,
                                     std::uint32_t bytes,
                                     std::uint32_t ingress_pe, std::uint32_t vpn,
                                     std::uint8_t phb) noexcept {
-#if MVPN_FLOWSTATS_COMPILED
   Slot& s = touch(k, flow_id);
   ++s.offered_packets;
   s.offered_bytes += bytes;
   if (s.ingress_pe == kUnknownAttr) s.ingress_pe = ingress_pe;
   if (s.vpn == kUnknownAttr) s.vpn = vpn;
   if (s.phb == kUnknownPhb) s.phb = phb;
-#else
-  (void)k; (void)flow_id; (void)bytes; (void)ingress_pe; (void)vpn; (void)phb;
-#endif
 }
 
 void FlowStatsTable::record_delivered(const Key& k, std::uint32_t flow_id,
                                       std::uint32_t bytes,
                                       sim::SimTime delay) noexcept {
-#if MVPN_FLOWSTATS_COMPILED
   Slot& s = touch(k, flow_id);
   ++s.delivered_packets;
   s.delivered_bytes += bytes;
@@ -175,72 +157,27 @@ void FlowStatsTable::record_delivered(const Key& k, std::uint32_t flow_id,
   if (delay > s.delay_max) s.delay_max = delay;
   s.delay_sum_ns += static_cast<std::uint64_t>(delay < 0 ? 0 : delay);
   ++s.delay_log2[delay_bucket(delay)];
-#else
-  (void)k; (void)flow_id; (void)bytes; (void)delay;
-#endif
 }
 
 void FlowStatsTable::record_drop(const Key& k, std::uint32_t flow_id,
                                  std::uint32_t bytes,
                                  std::uint8_t reason) noexcept {
-#if MVPN_FLOWSTATS_COMPILED
   Slot& s = touch(k, flow_id);
   s.dropped_bytes += bytes;
   ++s.drops[reason < kDropReasons ? reason : kDropReasons - 1];
-#else
-  (void)k; (void)flow_id; (void)bytes; (void)reason;
-#endif
 }
 
 void FlowStatsTable::record_color(const Key& k, std::uint32_t flow_id,
                                   std::uint8_t color) noexcept {
-#if MVPN_FLOWSTATS_COMPILED
   Slot& s = touch(k, flow_id);
   ++s.color[color < 3 ? color : 2];
-#else
-  (void)k; (void)flow_id; (void)color;
-#endif
 }
 
 void FlowStatsTable::drain(const std::function<void(const Slot&)>& fn) {
-  for (const std::uint32_t idx : live_) {
-    Slot& s = slots_[idx];
-    // A duplicate live entry (slot re-claimed after an eviction) was
-    // emptied when its first entry drained; stale generations and
-    // tombstones (slots released by a table-resident cut) likewise skip.
-    if (!is_live(s)) continue;
-    if (!spill_.empty()) {
-      // A flow that spilled and later re-claimed its slot exists in both
-      // structures; fold the resident half in so each key drains once.
-      const auto it = spill_.find(s.key);
-      if (it != spill_.end()) {
-        merge_into(it->second, s);
-        s.key.meta = 0;
-        continue;
-      }
-    }
-    fn(s);
-    s.key.meta = 0;
-  }
-  live_.clear();
-  for (const auto& [key, slot] : spill_) fn(slot);
-  spill_.clear();
-  ++gen_;  // generation bump keeps any straggler slot logically empty
-  ++drains_;
-}
-
-void FlowStatsTable::for_each_live(const std::function<void(Slot&)>& fn) {
-  // Compact the claim log first: duplicates (re-claimed indices) collapse
-  // and released or stale slots drop out, so repeated walks stay O(live).
-  std::sort(live_.begin(), live_.end());
-  live_.erase(std::unique(live_.begin(), live_.end()), live_.end());
-  std::size_t keep = 0;
-  for (const std::uint32_t idx : live_) {
-    if (!is_live(slots_[idx])) continue;
-    live_[keep++] = idx;
-  }
-  live_.resize(keep);
   for (const std::uint32_t idx : live_) fn(slots_[idx]);
+  live_.clear();
+  ++gen_;  // every slot of the old generation is now logically empty
+  ++drains_;
 }
 
 void FlowStatsTable::merge_into(Slot& dst, const Slot& src) noexcept {
@@ -285,12 +222,26 @@ void FlowStatsTable::merge_into(Slot& dst, const Slot& src) noexcept {
 // ---------------------------------------------------------------------------
 // FlowExporter
 
-void FlowExporter::merge_table(FlowStatsTable& table) {
-  table.drain([this](const FlowStatsTable::Slot& s) {
-    ++merged_slots_;
-    auto [it, inserted] = flows_.try_emplace(s.key, s);
-    if (!inserted) FlowStatsTable::merge_into(it->second, s);
-  });
+FlowExporter::FlowExporter(
+    const std::vector<const sim::Scheduler*>& lane_clocks) {
+  tables_.reserve(lane_clocks.size());
+  for (const sim::Scheduler* clock : lane_clocks) tables_.emplace_back(clock);
+}
+
+std::vector<FlowStatsTable*> FlowExporter::tables() {
+  std::vector<FlowStatsTable*> out;
+  for (FlowStatsTable& t : tables_) out.push_back(&t);
+  return out;
+}
+
+void FlowExporter::drain_tables() {
+  for (FlowStatsTable& t : tables_) {
+    t.drain([this](const FlowStatsTable::Slot& s) {
+      ++merged_slots_;
+      auto [it, inserted] = flows_.try_emplace(s.key, s);
+      if (!inserted) FlowStatsTable::merge_into(it->second, s);
+    });
+  }
 }
 
 void FlowExporter::cut(std::vector<FlowMap::iterator>& due, Cause cause) {
@@ -307,14 +258,15 @@ void FlowExporter::cut(std::vector<FlowMap::iterator>& due, Cause cause) {
   }
 }
 
-void FlowExporter::scan(sim::SimTime now) {
+void FlowExporter::scan(sim::SimTime at) {
+  drain_tables();
   std::vector<FlowMap::iterator> idle;
   std::vector<FlowMap::iterator> active;
   for (auto it = flows_.begin(); it != flows_.end(); ++it) {
     const FlowStatsTable::Slot& slot = it->second;
-    if (now - slot.last_seen >= opt_.idle_timeout) {
+    if (at - slot.last_seen >= kIdleTimeout) {
       idle.push_back(it);
-    } else if (now - slot.first_seen >= opt_.active_timeout) {
+    } else if (at - slot.first_seen >= kActiveTimeout) {
       active.push_back(it);
     }
   }
@@ -323,62 +275,11 @@ void FlowExporter::scan(sim::SimTime now) {
 }
 
 void FlowExporter::flush() {
+  drain_tables();
   std::vector<FlowMap::iterator> rest;
   rest.reserve(flows_.size());
   for (auto it = flows_.begin(); it != flows_.end(); ++it) rest.push_back(it);
   cut(rest, Cause::kFinal);
-}
-
-void FlowExporter::cut_slots(std::vector<FlowStatsTable::Slot*>& due,
-                             Cause cause) {
-  std::sort(due.begin(), due.end(),
-            [](const FlowStatsTable::Slot* a, const FlowStatsTable::Slot* b) {
-              return key_less(*a, *b);
-            });
-  for (FlowStatsTable::Slot* s : due) {
-    ++merged_slots_;
-    records_.push_back(Record{*s, cause});
-    FlowStatsTable::release(*s);
-  }
-}
-
-bool FlowExporter::table_resident(
-    const std::vector<FlowStatsTable*>& tables) const {
-  // flows_ can only be populated by a previous fallback merge, and
-  // spill_free() is sticky, so a run that ever spilled stays merged.
-  return tables.size() == 1 && flows_.empty() && tables.front()->spill_free();
-}
-
-void FlowExporter::scan(const std::vector<FlowStatsTable*>& tables,
-                        sim::SimTime now) {
-  if (!table_resident(tables)) {
-    for (FlowStatsTable* t : tables) merge_table(*t);
-    scan(now);
-    return;
-  }
-  std::vector<FlowStatsTable::Slot*> idle;
-  std::vector<FlowStatsTable::Slot*> active;
-  tables.front()->for_each_live([&](FlowStatsTable::Slot& s) {
-    if (now - s.last_seen >= opt_.idle_timeout) {
-      idle.push_back(&s);
-    } else if (now - s.first_seen >= opt_.active_timeout) {
-      active.push_back(&s);
-    }
-  });
-  cut_slots(idle, Cause::kIdle);
-  cut_slots(active, Cause::kActive);
-}
-
-void FlowExporter::flush(const std::vector<FlowStatsTable*>& tables) {
-  if (!table_resident(tables)) {
-    for (FlowStatsTable* t : tables) merge_table(*t);
-    flush();
-    return;
-  }
-  std::vector<FlowStatsTable::Slot*> rest;
-  tables.front()->for_each_live(
-      [&](FlowStatsTable::Slot& s) { rest.push_back(&s); });
-  cut_slots(rest, Cause::kFinal);
 }
 
 void FlowExporter::write_jsonl(
@@ -574,9 +475,7 @@ stats::Table FlowExporter::rollup_table(const VpnNamer& vpn_namer,
 
 // ---------------------------------------------------------------------------
 
-void register_flow_metrics(const FlowExporter& exporter,
-                           const std::vector<FlowStatsTable*>& tables,
-                           MetricsRegistry& registry) {
+void register_flow_metrics(FlowExporter& exporter, MetricsRegistry& registry) {
   const FlowExporter* e = &exporter;
   registry.add_gauge("engine/flow/records", [e] {
     return static_cast<double>(e->records().size());
@@ -587,16 +486,11 @@ void register_flow_metrics(const FlowExporter& exporter,
   registry.add_gauge("engine/flow/merged_slots", [e] {
     return static_cast<double>(e->merged_slots());
   });
+  const std::vector<FlowStatsTable*> tables = exporter.tables();
   for (std::size_t i = 0; i < tables.size(); ++i) {
-    FlowStatsTable* t = tables[i];
-    if (t == nullptr) continue;
-    const std::string prefix = "engine/flow/shard" + std::to_string(i) + "/";
-    registry.add_gauge(prefix + "evictions",
-                       [t] { return static_cast<double>(t->evictions()); });
-    registry.add_gauge(prefix + "claims",
+    const FlowStatsTable* t = tables[i];
+    registry.add_gauge("engine/flow/shard" + std::to_string(i) + "/claims",
                        [t] { return static_cast<double>(t->claims()); });
-    registry.add_gauge(prefix + "spilled",
-                       [t] { return static_cast<double>(t->spilled()); });
   }
 }
 

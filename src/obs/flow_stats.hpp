@@ -19,38 +19,28 @@ namespace mvpn::obs {
 
 class MetricsRegistry;
 
-/// Compile-time gate for the per-flow accounting hooks, in the spirit of
-/// MVPN_TRACE_COMPILED_MASK: building with -DMVPN_FLOWSTATS_COMPILED=0
-/// folds every hook to nothing and lets the optimizer delete the call
-/// sites. Default keeps the hooks compiled in (the runtime gate is the
-/// null table pointer, one predictable branch per hook).
-#ifndef MVPN_FLOWSTATS_COMPILED
-#define MVPN_FLOWSTATS_COMPILED 1
-#endif
-
-/// Per-shard, fixed-capacity flow accounting table — the measurement half
-/// of the IPFIX-style telemetry plane (INTERNALS.md §13).
+/// Per-lane, demand-sized flow accounting table — the measurement half of
+/// the IPFIX-style telemetry plane (INTERNALS.md §13).
 ///
 /// Memory model, mirroring the sync profiler lanes:
-///  * One table per shard (one total in a serial run). Every record_*()
-///    call happens on the owning shard's worker thread inside a window —
-///    data-plane hooks in Router, Link and QueueDisc — so slot writes need
-///    no atomics and never false-share across shards.
+///  * One table per engine lane, owned by the FlowExporter. Every
+///    record_*() call happens on the owning lane's worker thread inside a
+///    window — data-plane hooks in Router, Link and QueueDisc — so slot
+///    writes (and growth) need no atomics and never false-share.
 ///  * drain() runs only on the coordinator thread between windows (the
-///    scenario layer drives it from a periodic global action, so it rides
-///    the same epoch-barrier release/acquire edges the sync profiler's
-///    coordinator reads do) or after the run. It hands every live slot to
-///    the exporter and advances the table generation — an O(1) logical
-///    clear; slots invalidate lazily on next touch.
-///  * Slots are direct-mapped PODs keyed by the packed 5-tuple the Router
-///    flow caches use, indexed by a Fibonacci-style hash of that key.
-///    A colliding flow displaces the incumbent into a spill map (exact
-///    accounting is kept — eviction folds, never loses), so the hot path
-///    stays one hash + one compare while correctness never depends on the
-///    table size.
+///    exporter's periodic scan action rides the same epoch-barrier
+///    release/acquire edges the sync profiler's coordinator reads do) or
+///    after the run. It hands every live slot to the exporter and advances
+///    the table generation — an O(1) logical clear; slots invalidate
+///    lazily on next touch.
+///  * Slots are PODs in a linear-probe array keyed by the packed 5-tuple
+///    the Router flow caches use. The array starts at kInitialSlots and
+///    doubles whenever this generation's claims would pass half of it, so
+///    probes stay short and every accumulation stays resident: accounting
+///    is exact at any flow count, and no caller sizes the table.
 class FlowStatsTable {
  public:
-  static constexpr std::size_t kDefaultSlots = 4096;  // power of two
+  static constexpr std::size_t kInitialSlots = 16;  // power of two
   /// log2(delay ns) buckets: bucket b holds delays in [2^(b-1), 2^b) ns,
   /// bucket 0 holds sub-nanosecond (never in practice). 40 covers ~17 min.
   static constexpr std::size_t kDelayBuckets = 40;
@@ -59,21 +49,9 @@ class FlowStatsTable {
   static constexpr std::size_t kDropReasons = 16;
   static constexpr std::uint32_t kUnknownAttr = 0xFFFFFFFFu;
   static constexpr std::uint8_t kUnknownPhb = 0xFFu;
-  /// Linear-probe window: a colliding key tries this many consecutive
-  /// slots before displacing the home incumbent into the spill map. At
-  /// the <= 25% loads the call sites size for, the window practically
-  /// never fills, so distinct keys keep distinct slots and spill_free()
-  /// holds for whole runs.
-  static constexpr std::uint32_t kProbeLimit = 8;
-  /// Released-slot marker (see release()): a real key's meta has the low
-  /// bit set and 0 means never claimed, so 2 collides with neither. A
-  /// probe search continues past tombstones — a key parked beyond one
-  /// must stay findable — but a claim may reuse the first one seen.
-  static constexpr std::uint64_t kTombstoneMeta = 2;
 
   /// Packed 5-tuple key, bit-identical to the Router flow caches' FlowKey:
   /// addrs = src<<32 | dst; meta = sport<<48 | dport<<32 | proto<<8 | 1.
-  /// meta's low bit marks the key populated, so 0 is the empty sentinel.
   struct Key {
     std::uint64_t addrs = 0;
     std::uint64_t meta = 0;
@@ -92,7 +70,7 @@ class FlowStatsTable {
   /// One flow's accounting since the last drain. POD; merge_into() folds
   /// two of them commutatively, so drain order across shards never shows.
   struct Slot {
-    Key key;                     ///< meta == 0 -> empty
+    Key key;
     std::uint32_t flow_id = 0;
     std::uint32_t gen = 0;       ///< valid iff == table generation
     std::uint32_t ingress_pe = kUnknownAttr;
@@ -120,12 +98,11 @@ class FlowStatsTable {
     }
   };
 
-  /// `clock` stamps first/last-seen times (the owning shard's scheduler —
+  /// `clock` stamps first/last-seen times (the owning lane's scheduler —
   /// the thread every record_*() call arrives on).
-  explicit FlowStatsTable(const sim::Scheduler* clock,
-                          std::size_t slots = kDefaultSlots);
+  explicit FlowStatsTable(const sim::Scheduler* clock);
 
-  // --- hot path (owning shard's worker thread only) -----------------------
+  // --- hot path (owning lane's worker thread only) ------------------------
   void record_offered(const Key& k, std::uint32_t flow_id,
                       std::uint32_t bytes, std::uint32_t ingress_pe,
                       std::uint32_t vpn, std::uint8_t phb) noexcept;
@@ -137,77 +114,48 @@ class FlowStatsTable {
                     std::uint8_t color) noexcept;
 
   // --- drain (coordinator thread, engine quiescent) -----------------------
-  /// Hand every live slot (direct-mapped and spilled) to `fn`, then clear
-  /// the table by advancing its generation. Counts reset lazily.
+  /// Hand every live slot to `fn`, then clear the table by advancing its
+  /// generation. Counts reset lazily; capacity stays.
   void drain(const std::function<void(const Slot&)>& fn);
 
-  /// Walk every live slot in place — no drain, no generation bump — after
-  /// compacting the claim log to unique live indices. Accumulations keep
-  /// growing across calls; `fn` may release() a slot it has consumed.
-  /// Only exact while spill_free() (spilled halves are invisible here).
-  void for_each_live(const std::function<void(Slot&)>& fn);
-
-  /// Free one live slot in place: the flow's next packet re-claims it
-  /// with a fresh accumulation, exactly as after a drain. Tombstoned, not
-  /// zeroed — keys parked past this slot by probing must stay findable.
-  static void release(Slot& s) noexcept { s.key.meta = kTombstoneMeta; }
-
-  /// True while no flow has ever been displaced into the spill map, i.e.
-  /// every accumulation ever made lives in its direct-mapped slot. Sticky
-  /// by construction (evictions only accumulate), which lets the exporter
-  /// commit to cutting records straight out of a single-lane table.
-  [[nodiscard]] bool spill_free() const noexcept { return evictions_ == 0; }
-
-  /// Commutative fold of one slot into another (same key). Used by the
-  /// spill path and the exporter's cross-shard merge.
+  /// Commutative fold of one slot into another (same key): the exporter's
+  /// cross-lane and cross-scan merge.
   static void merge_into(Slot& dst, const Slot& src) noexcept;
 
   // --- introspection ------------------------------------------------------
   [[nodiscard]] std::size_t capacity() const noexcept { return slots_.size(); }
-  /// Flows displaced from their direct-mapped slot into the spill map.
-  [[nodiscard]] std::uint64_t evictions() const noexcept { return evictions_; }
-  /// Flows claimed into a slot since construction (first touches).
+  /// Flows claimed into a slot since construction (first touches per
+  /// generation).
   [[nodiscard]] std::uint64_t claims() const noexcept { return claims_; }
-  /// Current spill-map population (resets at drain).
-  [[nodiscard]] std::size_t spilled() const noexcept { return spill_.size(); }
   [[nodiscard]] std::uint64_t drains() const noexcept { return drains_; }
 
  private:
-  struct KeyHash {
-    [[nodiscard]] std::size_t operator()(const Key& k) const noexcept {
-      return static_cast<std::size_t>(
-          (k.addrs ^ (k.meta * 0x9E3779B97F4A7C15ull)) >> 1);
-    }
-  };
-
   [[nodiscard]] Slot& touch(const Key& k, std::uint32_t flow_id) noexcept;
-  void claim(Slot& s, const Key& k, std::uint32_t flow_id,
-             sim::SimTime now) noexcept;
+  /// Double the slot array, re-placing this generation's live slots and
+  /// rewriting the claim log to their new indices.
+  void grow();
 
   /// Fibonacci-style mix of the packed key, keeping the top log2(slots)
-  /// bits — the start of the key's probe sequence.
+  /// bits — the start of the key's linear probe sequence.
   [[nodiscard]] std::uint32_t home(const Key& k) const noexcept {
     return static_cast<std::uint32_t>(
         ((k.addrs ^ (k.meta * 0x9E3779B97F4A7C15ull)) *
          0x9E3779B97F4A7C15ull) >>
         index_shift_);
   }
-  /// Live = claimed this generation and neither empty nor tombstoned.
+  /// Slots not claimed this generation are logically empty.
   [[nodiscard]] bool is_live(const Slot& s) const noexcept {
-    return s.gen == gen_ && s.key.meta != 0 && s.key.meta != kTombstoneMeta;
+    return s.gen == gen_;
   }
 
   const sim::Scheduler* clock_;
   std::uint32_t gen_ = 1;  ///< slots whose gen differs are logically empty
   unsigned index_shift_;   ///< Fibonacci hash keeps the top log2(slots) bits
   std::vector<Slot> slots_;
-  /// Indices claimed since the last drain, in claim order: drain walks
-  /// this instead of sweeping the whole slot array, so the between-window
-  /// pause costs O(live flows) regardless of capacity. A re-claimed slot
-  /// appears twice; drain marks emitted slots empty so duplicates skip.
+  /// Indices claimed since the last drain, in claim order (one per live
+  /// key): drain walks this instead of sweeping the slot array, so the
+  /// between-window pause costs O(live flows) regardless of capacity.
   std::vector<std::uint32_t> live_;
-  std::unordered_map<Key, Slot, KeyHash> spill_;
-  std::uint64_t evictions_ = 0;
   std::uint64_t claims_ = 0;
   std::uint64_t drains_ = 0;
 };
@@ -220,22 +168,21 @@ using PhbNamer = std::function<std::string(std::uint8_t)>;
 
 /// IPFIX-style flow-record exporter: the coordinator-side half.
 ///
-/// merge_table() drains per-shard tables into a master per-flow
-/// accumulation; scan() applies the active/idle timeout rules at exact
-/// simulation instants and turns expired accumulations into records. Both
-/// the expiry decisions and the emission order are pure functions of
-/// per-flow event times and the scan instants — never of shard count or
-/// drain order — so the record stream is byte-identical across serial and
-/// any sharding of the same scenario.
+/// It owns one FlowStatsTable per engine lane. scan() drains them all into
+/// a master per-flow accumulation and applies the active/idle timeout
+/// rules at an exact simulation instant, turning expired accumulations
+/// into records. Both the expiry decisions and the emission order are pure
+/// functions of per-flow event times and the scan instants — never of lane
+/// count or drain order — so the record stream is byte-identical across
+/// serial and any sharding of the same scenario.
 class FlowExporter {
  public:
-  struct Options {
-    /// A flow accumulating longer than this is cut into a record even
-    /// while still active (IPFIX active timeout).
-    sim::SimTime active_timeout = 500 * sim::kMillisecond;
-    /// A flow silent for this long is expired (IPFIX idle timeout).
-    sim::SimTime idle_timeout = 250 * sim::kMillisecond;
-  };
+  /// A flow accumulating this long is cut into a record even while still
+  /// active (IPFIX active timeout).
+  static constexpr sim::SimTime kActiveTimeout = 500 * sim::kMillisecond;
+  /// A flow silent this long is expired (IPFIX idle timeout). Also the scan
+  /// period: scanning faster only quantizes cut instants more finely.
+  static constexpr sim::SimTime kIdleTimeout = 250 * sim::kMillisecond;
 
   /// Why a record was cut.
   enum class Cause : std::uint8_t { kIdle = 0, kActive = 1, kFinal = 2 };
@@ -245,36 +192,24 @@ class FlowExporter {
     Cause cause = Cause::kFinal;
   };
 
-  FlowExporter() = default;
-  explicit FlowExporter(Options opt) : opt_(opt) {}
+  /// One accounting table per lane, each stamped by that lane's clock.
+  explicit FlowExporter(const std::vector<const sim::Scheduler*>& lane_clocks);
+  /// The engine holds the tables' and the exporter's addresses.
+  FlowExporter(const FlowExporter&) = delete;
+  FlowExporter& operator=(const FlowExporter&) = delete;
 
-  /// Fold one shard table's live slots into the master accumulation and
-  /// clear the table. Call for every table at each scan instant, then
-  /// scan(). Engine must be quiescent (between windows / after the run).
-  void merge_table(FlowStatsTable& table);
+  /// The lane tables, in lane order (for ShardRuntime::set_flow_stats).
+  [[nodiscard]] std::vector<FlowStatsTable*> tables();
 
-  /// Apply timeout expiry at simulation instant `now`: flows idle past the
-  /// idle timeout or accumulating past the active timeout are cut into
-  /// records (sorted by flow id then key, so emission order is stable).
-  void scan(sim::SimTime now);
+  /// Drain every lane table, then cut the flows idle past kIdleTimeout or
+  /// accumulating past kActiveTimeout at simulation instant `at` (sorted
+  /// by flow id then key, so emission order is stable). Engine must be
+  /// quiescent (between windows or after the run).
+  void scan(sim::SimTime at);
 
-  /// End of run: cut every remaining flow (Cause::kFinal).
+  /// End of run: drain every lane table and cut every remaining flow
+  /// (Cause::kFinal).
   void flush();
-
-  /// One scan instant over a run's accounting tables, one per engine
-  /// lane. Several tables must fold together first (merge_table() each,
-  /// then scan()); a single table takes the table-resident path instead:
-  /// the timeout rules walk its live slots, accumulations stay in place
-  /// across scans and only due flows are copied out as records, so the
-  /// per-scan cost is a walk of the live list instead of a full
-  /// drain-and-merge into flows_. That path falls back to merge+scan
-  /// permanently the first time a spill appears — both emit byte-identical
-  /// record streams, so neither the table count nor the switch shows.
-  void scan(const std::vector<FlowStatsTable*>& tables, sim::SimTime now);
-
-  /// End-of-run counterpart of scan(tables, now): cut every remaining
-  /// flow, by the same path selection.
-  void flush(const std::vector<FlowStatsTable*>& tables);
 
   [[nodiscard]] const std::vector<Record>& records() const noexcept {
     return records_;
@@ -349,21 +284,15 @@ class FlowExporter {
   using FlowMap =
       std::unordered_map<FlowStatsTable::Key, FlowStatsTable::Slot, KeyHash>;
 
+  /// Fold every lane table's live slots into flows_ and clear the tables.
+  void drain_tables();
+
   /// `due` holds iterators into flows_ (valid until their own erase): the
   /// sort comparator dereferences them directly and the erase is O(1), so
   /// a cut never re-hashes a key it already found during scan().
   void cut(std::vector<FlowMap::iterator>& due, Cause cause);
 
-  /// Whether scan(tables)/flush(tables) may work on the one table in
-  /// place (no fold needed, nothing ever spilled or merged).
-  [[nodiscard]] bool table_resident(
-      const std::vector<FlowStatsTable*>& tables) const;
-
-  /// The table-resident emission half: sort due slots by (flow id, key),
-  /// copy them into records, release them in place.
-  void cut_slots(std::vector<FlowStatsTable::Slot*>& due, Cause cause);
-
-  Options opt_;
+  std::vector<FlowStatsTable> tables_;  ///< one per lane, never resized
   FlowMap flows_;
   std::vector<Record> records_;
   std::uint64_t merged_slots_ = 0;
@@ -373,9 +302,7 @@ class FlowExporter {
 /// usual engine-metrics opt-in (they depend on shard count and drain
 /// cadence, so they stay out of byte-identity-checked outputs):
 ///   engine/flow/{records,active,merged_slots}
-///   engine/flow/shard<N>/{evictions,claims,spilled}
-void register_flow_metrics(const FlowExporter& exporter,
-                           const std::vector<FlowStatsTable*>& tables,
-                           MetricsRegistry& registry);
+///   engine/flow/shard<N>/claims
+void register_flow_metrics(FlowExporter& exporter, MetricsRegistry& registry);
 
 }  // namespace mvpn::obs

@@ -1,8 +1,10 @@
 #include "obs/spans.hpp"
 
+#include <algorithm>
 #include <ostream>
 #include <string>
 #include <unordered_map>
+#include <utility>
 
 namespace mvpn::obs {
 
@@ -207,7 +209,32 @@ void write_span_chrome_trace(const SpanAnalysis& analysis, std::ostream& out,
         << ",\"dur\":" << us(end - begin) << ",\"pid\":" << pid
         << ",\"tid\":\"" << tid << "\",\"args\":{" << args << "}}";
   };
-  for (const PacketSpan& p : analysis.packets) {
+  // Emit in (first hop start, packet id) and LSP-id order, not in event
+  // stream order: a sharded run merges same-instant events from different
+  // lanes in another order, and the file must not show it.
+  const auto hop_start = [](const PacketSpan& p) {
+    if (p.hops.empty()) return kNoTime;
+    const HopSpan& h = p.hops.front();
+    return h.enqueue_at != kNoTime ? h.enqueue_at : h.tx_at;
+  };
+  std::vector<const PacketSpan*> packets;
+  packets.reserve(analysis.packets.size());
+  for (const PacketSpan& p : analysis.packets) packets.push_back(&p);
+  std::sort(packets.begin(), packets.end(),
+            [&](const PacketSpan* a, const PacketSpan* b) {
+              return std::pair(hop_start(*a), a->packet_id) <
+                     std::pair(hop_start(*b), b->packet_id);
+            });
+  std::vector<const LspTimeline*> lsps;
+  lsps.reserve(analysis.lsps.size());
+  for (const LspTimeline& tl : analysis.lsps) lsps.push_back(&tl);
+  std::sort(lsps.begin(), lsps.end(),
+            [](const LspTimeline* a, const LspTimeline* b) {
+              return a->lsp < b->lsp;
+            });
+
+  for (const PacketSpan* packet : packets) {
+    const PacketSpan& p = *packet;
     for (const HopSpan& h : p.hops) {
       const std::string tid = node_name(namer, h.node);
       const std::string args = "\"packet\":" + std::to_string(p.packet_id) +
@@ -222,7 +249,8 @@ void write_span_chrome_trace(const SpanAnalysis& analysis, std::ostream& out,
       }
     }
   }
-  for (const LspTimeline& tl : analysis.lsps) {
+  for (const LspTimeline* lsp : lsps) {
+    const LspTimeline& tl = *lsp;
     const std::string tid = "lsp" + std::to_string(tl.lsp);
     if (tl.setup_latency() != kNoTime) {
       emit("setup", "signaling", 2, tid, tl.signaled_at, tl.first_up_at,

@@ -109,6 +109,8 @@ struct SpanAnalysis {
 /// "queued" span (enqueue -> dequeue) and a "wire" span (tx -> deliver) on
 /// the transmitting node's track, plus per-LSP "setup" / "outage" spans on
 /// a control-plane track. Complements write_chrome_trace()'s instant view.
+/// Packets come in (first hop start, packet id) order and LSPs by id, so
+/// the same event multiset writes the same file at every shard count.
 void write_span_chrome_trace(const SpanAnalysis& analysis, std::ostream& out,
                              const NodeNamer& namer = {});
 

@@ -32,7 +32,6 @@ Router::Router(net::Topology& topo, ip::NodeId id, std::string name, Role role)
     : net::Node(topo, id, std::move(name)), role_(role) {}
 
 void Router::trace_drop(const net::Packet& p, obs::DropReason reason) noexcept {
-#if MVPN_FLOWSTATS_COMPILED
   // Every router-level drop (TTL, no-route, label miss, police, ESP
   // reject) funnels through here before the trace gate, so the flow table
   // sees drops even when tracing is off.
@@ -41,7 +40,6 @@ void Router::trace_drop(const net::Packet& p, obs::DropReason reason) noexcept {
                     static_cast<std::uint32_t>(p.wire_size()),
                     static_cast<std::uint8_t>(reason));
   }
-#endif
   obs::FlightRecorder& r = rec();
   if (!r.enabled(obs::Category::kVpn)) return;
   r.record({.packet_id = p.id,
@@ -237,12 +235,10 @@ void Router::inject(net::PacketPtr p) {
   if (policer != nullptr) {
     const qos::Color color =
         policer->check(topology().scheduler().now(), p->wire_size());
-#if MVPN_FLOWSTATS_COMPILED
     if (obs::FlowStatsTable* fs = topology().flow_stats()) [[unlikely]] {
       fs->record_color(flow_acct_key(*p), p->flow_id,
                        static_cast<std::uint8_t>(color));
     }
-#endif
     if (color == qos::Color::kRed) {
       counters_.policed.add();
       trace_drop(*p, obs::DropReason::kPoliced);
@@ -333,7 +329,6 @@ void Router::receive(net::PacketPtr p, ip::IfIndex in_if) {
     return;
   }
   Vrf* vrf = vrf_of_interface(in_if);
-#if MVPN_FLOWSTATS_COMPILED
   // A packet arriving on a VRF-bound (customer-facing) interface is the
   // VPN's offered load: exactly once per packet, at the ingress PE, with
   // full attribution. (The egress PE's pop-and-deliver path reaches
@@ -346,7 +341,6 @@ void Router::receive(net::PacketPtr p, ip::IfIndex in_if) {
           static_cast<std::uint8_t>(qos::phb_of_dscp(p->visible_dscp())));
     }
   }
-#endif
   forward_ip(std::move(p), vrf);
 }
 
@@ -731,13 +725,11 @@ void Router::deliver_local(net::PacketPtr p, VpnId vpn) {
     oam_taps_.invoke(*p);
     return;
   }
-#if MVPN_FLOWSTATS_COMPILED
   if (obs::FlowStatsTable* fs = topology().flow_stats()) [[unlikely]] {
     fs->record_delivered(flow_acct_key(*p), p->flow_id,
                          static_cast<std::uint32_t>(p->wire_size()),
                          deliver_now - p->created_at);
   }
-#endif
   if (rec().enabled(obs::Category::kVpn)) {
     rec().record({.packet_id = p->id,
                   .node = id(),

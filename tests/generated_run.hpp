@@ -17,7 +17,6 @@
 #include "backbone/partition.hpp"
 #include "backbone/topogen.hpp"
 #include "net/shard_runtime.hpp"
-#include "obs/flow_stats.hpp"
 #include "obs/sync_profiler.hpp"
 #include "qos/sla.hpp"
 #include "traffic/flowset.hpp"
@@ -181,30 +180,11 @@ inline ShardedResult run_topogen(const backbone::GeneratedPlan& plan,
       std::chrono::duration<double>(std::chrono::steady_clock::now() - setup0)
           .count();
 
-  // Flow-accounting variants mirror the scenario layer's wiring (§13): one
-  // table per lane, scanned at 0.25 s instants by a periodic engine action,
-  // so the flow-on pass prices the full telemetry pipeline.
+  // Flow-accounting variants use the scenario layer's wiring (§13), so the
+  // flow-on pass prices the full telemetry pipeline.
   std::unique_ptr<obs::FlowExporter> fexp;
-  std::vector<std::unique_ptr<obs::FlowStatsTable>> ftable_store;
-  std::vector<obs::FlowStatsTable*> ftables;
+  if (opt.flow) fexp = backbone::attach_flow_exporter(*runtime);
   const sim::SimTime t0 = bb.topo.base_scheduler().now();
-  if (opt.flow) {
-    fexp = std::make_unique<obs::FlowExporter>();
-    // <= 50% table load keeps the probe window from ever filling, so the
-    // eviction/spill path stays off the hot path.
-    const std::size_t flow_slots = std::max(
-        obs::FlowStatsTable::kDefaultSlots, 2 * plan.flows.size());
-    for (std::uint32_t s = 0; s < lanes; ++s) {
-      ftable_store.push_back(std::make_unique<obs::FlowStatsTable>(
-          &runtime->shard_scheduler(s), flow_slots));
-      ftables.push_back(ftable_store.back().get());
-    }
-    runtime->set_flow_stats(ftables);
-    const sim::SimTime scan_period = sim::from_seconds(0.25);
-    runtime->add_periodic_action(
-        t0 + scan_period, scan_period,
-        [&](sim::SimTime at) { fexp->scan(ftables, at); });
-  }
 
   const std::uint64_t ev0 = runtime->executed_count();
   const auto wall0 = std::chrono::steady_clock::now();
@@ -233,7 +213,7 @@ inline ShardedResult run_topogen(const backbone::GeneratedPlan& plan,
   r.batches = runtime->delivery_batches();
   r.thr.wall_s = std::chrono::duration<double>(wall1 - wall0).count();
   if (fexp) {
-    fexp->flush(ftables);
+    fexp->flush();
     r.flow_records = fexp->records().size();
   }
   runtime->finish();

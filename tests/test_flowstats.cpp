@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
+#include <iterator>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -37,7 +39,7 @@ Key key_of(std::uint32_t flow) {
 
 TEST(FlowStats, TableAccountsOfferedDeliveredDropsColor) {
   sim::Scheduler clock;
-  FlowStatsTable t(&clock, 64);
+  FlowStatsTable t(&clock);
   const Key k = key_of(1);
   t.record_offered(k, 1, 500, /*ingress_pe=*/7, /*vpn=*/3, /*phb=*/2);
   t.record_offered(k, 1, 500, 7, 3, 2);
@@ -70,39 +72,49 @@ TEST(FlowStats, TableAccountsOfferedDeliveredDropsColor) {
   EXPECT_EQ(s.last_seen, 10 * sim::kMillisecond);
 }
 
-/// A table sized at the minimum (2 slots) forces collisions: the displaced
-/// incumbent folds into the spill map and nothing is ever lost.
-TEST(FlowStats, SlotEvictionFoldsExactly) {
+/// A fresh table grows from kInitialSlots to hold 10^4 distinct keys:
+/// every key keeps its own exact accumulation across both rounds, and the
+/// table stays a power of two at most half full.
+TEST(FlowStats, TableGrowsAndKeepsEveryFlowExact) {
   sim::Scheduler clock;
-  FlowStatsTable t(&clock, 1);  // rounds up to the 2-slot minimum
-  EXPECT_EQ(t.capacity(), 2u);
-  constexpr std::uint32_t kFlows = 64;
-  constexpr int kPackets = 10;
-  for (int p = 0; p < kPackets; ++p) {
+  FlowStatsTable t(&clock);
+  EXPECT_EQ(t.capacity(), FlowStatsTable::kInitialSlots);
+  constexpr std::uint32_t kFlows = 10000;
+  for (int round = 1; round <= 2; ++round) {
     for (std::uint32_t f = 1; f <= kFlows; ++f) {
-      t.record_offered(key_of(f), f, 100, 1, 1, 0);
+      // Flow f sends f % 7 + 1 packets of 100 + f bytes per round.
+      for (std::uint32_t n = 0; n <= f % 7; ++n) {
+        t.record_offered(key_of(f), f, 100 + f, 1, 1, 0);
+      }
     }
   }
-  EXPECT_GT(t.evictions(), 0u);
-  EXPECT_GT(t.spilled(), 0u);
-
-  std::uint64_t packets = 0, bytes = 0, flows = 0;
+  EXPECT_EQ(std::popcount(t.capacity()), 1);
+  EXPECT_LE(2 * std::size_t{kFlows}, t.capacity());
+  EXPECT_EQ(t.claims(), kFlows);
+  std::vector<bool> seen(kFlows + 1, false);
+  std::size_t flows = 0;
   t.drain([&](const FlowStatsTable::Slot& s) {
     ++flows;
-    packets += s.offered_packets;
-    bytes += s.offered_bytes;
+    ASSERT_GE(s.flow_id, 1u);
+    ASSERT_LE(s.flow_id, kFlows);
+    EXPECT_FALSE(seen[s.flow_id]) << s.flow_id;
+    seen[s.flow_id] = true;
+    EXPECT_EQ(s.key, key_of(s.flow_id));
+    const std::uint64_t packets = 2 * (s.flow_id % 7 + 1);
+    EXPECT_EQ(s.offered_packets, packets) << s.flow_id;
+    EXPECT_EQ(s.offered_bytes, packets * (100 + s.flow_id)) << s.flow_id;
   });
   EXPECT_EQ(flows, kFlows);
-  EXPECT_EQ(packets, std::uint64_t{kFlows} * kPackets);
-  EXPECT_EQ(bytes, std::uint64_t{kFlows} * kPackets * 100);
-  EXPECT_EQ(t.spilled(), 0u);  // drain clears the spill map
+  std::size_t after = 0;
+  t.drain([&](const FlowStatsTable::Slot&) { ++after; });
+  EXPECT_EQ(after, 0u);  // a drain empties the grown table too
 }
 
 /// drain() is an O(1) logical clear: a second round starts from zero, and
 /// an undrained table keeps accumulating.
 TEST(FlowStats, GenerationClearOnDrain) {
   sim::Scheduler clock;
-  FlowStatsTable t(&clock, 16);
+  FlowStatsTable t(&clock);
   t.record_offered(key_of(1), 1, 100, 1, 1, 0);
   std::size_t n = 0;
   t.drain([&](const FlowStatsTable::Slot&) { ++n; });
@@ -121,7 +133,7 @@ TEST(FlowStats, GenerationClearOnDrain) {
 /// merge_into is commutative — fold order across shards never shows.
 TEST(FlowStats, MergeIntoCommutes) {
   sim::Scheduler clock;
-  FlowStatsTable ta(&clock, 16), tb(&clock, 16);
+  FlowStatsTable ta(&clock), tb(&clock);
   const Key k = key_of(9);
   // Shard A saw the ingress side; shard B the egress side.
   ta.record_offered(k, 9, 700, 4, 2, 1);
@@ -155,161 +167,79 @@ TEST(FlowStats, MergeIntoCommutes) {
 // ---------------------------------------------------------------------------
 // FlowExporter units
 
+/// The timeout rules at the exporter's constant timeouts (idle 250 ms,
+/// active 500 ms), scanned every 250 ms the way the engine wiring does:
+/// at a scan instant the lanes have run every event before it, none at it.
 TEST(FlowStats, ExporterCutsIdleActiveAndFinal) {
+  static_assert(FlowExporter::kIdleTimeout == 250 * sim::kMillisecond);
+  static_assert(FlowExporter::kActiveTimeout == 500 * sim::kMillisecond);
   sim::Scheduler clock;
-  FlowStatsTable t(&clock, 64);
-  FlowExporter::Options opt;
-  opt.idle_timeout = 10 * sim::kMillisecond;
-  opt.active_timeout = 100 * sim::kMillisecond;
-  FlowExporter ex(opt);
-
-  // Flow 1 sends one packet then goes silent; flow 2 keeps sending.
-  t.record_offered(key_of(1), 1, 100, 1, 1, 0);
-  t.record_offered(key_of(2), 2, 100, 1, 1, 0);
-  ex.merge_table(t);
-  ex.scan(5 * sim::kMillisecond);
-  EXPECT_TRUE(ex.records().empty());  // nothing expired yet
-  EXPECT_EQ(ex.active_flows(), 2u);
-
-  clock.run_until(20 * sim::kMillisecond);
-  t.record_offered(key_of(2), 2, 100, 1, 1, 0);
-  ex.merge_table(t);
-  ex.scan(20 * sim::kMillisecond);  // flow 1 idle >= 10 ms, flow 2 refreshed
-  ASSERT_EQ(ex.records().size(), 1u);
-  EXPECT_EQ(ex.records()[0].acc.flow_id, 1u);
-  EXPECT_EQ(ex.records()[0].cause, FlowExporter::Cause::kIdle);
-
-  // Keep flow 2 refreshed past the active timeout: cut cause=active.
-  for (int i = 3; i <= 12; ++i) {
-    clock.run_until(i * 10 * sim::kMillisecond);
-    t.record_offered(key_of(2), 2, 100, 1, 1, 0);
-    ex.merge_table(t);
-    ex.scan(clock.now());
+  FlowExporter ex({&clock});
+  FlowStatsTable& t = *ex.tables().front();
+  const auto offer = [&](std::uint32_t key, std::uint32_t id) {
+    t.record_offered(key_of(key), id, 100, 1, 1, 0);
+  };
+  // Flow 1: one packet at 0, then silent. Flow 2: a packet every 50 ms
+  // from 0 to 950. Flows 8, 9 and 7 share key 9's 5-tuple: 8 at 100 ms,
+  // 9 at 150 ms (one accumulation), 7 at 300 ms (after the 250 ms scan
+  // drained it).
+  for (int ms = 0; ms <= 1000; ms += 50) {
+    clock.run_until(ms * sim::kMillisecond);
+    if (ms > 0 && ms % 250 == 0) ex.scan(clock.now());
+    if (ms == 0) offer(1, 1);
+    if (ms < 1000) offer(2, 2);
+    if (ms == 100) offer(9, 8);
+    if (ms == 150) offer(9, 9);
+    if (ms == 300) offer(9, 7);
   }
-  ASSERT_GE(ex.records().size(), 2u);
-  EXPECT_EQ(ex.records()[1].acc.flow_id, 2u);
-  EXPECT_EQ(ex.records()[1].cause, FlowExporter::Cause::kActive);
-
-  // Whatever is still open exports at flush with cause=final.
-  clock.run_until(121 * 10 * sim::kMillisecond);
-  t.record_offered(key_of(3), 3, 100, 1, 1, 0);
-  ex.merge_table(t);
+  // Flow 3 is still open at the end of the run.
+  clock.run_until(1100 * sim::kMillisecond);
+  offer(3, 3);
   ex.flush();
   EXPECT_EQ(ex.active_flows(), 0u);
-  EXPECT_EQ(ex.records().back().cause, FlowExporter::Cause::kFinal);
-  EXPECT_EQ(ex.records().back().acc.flow_id, 3u);
-}
 
-/// Eight distinct keys in an eight-slot table: some inevitably share a
-/// home slot, and linear probing parks the newcomer nearby instead of
-/// displacing the incumbent — the spill path stays untouched, and a
-/// second round of touches finds every parked slot again.
-TEST(FlowStats, ProbingKeepsCollidingKeysResident) {
-  sim::Scheduler clock;
-  FlowStatsTable t(&clock, 8);
-  for (int round = 0; round < 2; ++round) {
-    for (std::uint32_t f = 1; f <= 8; ++f) {
-      t.record_offered(key_of(f), f, 100, 1, 1, 0);
-    }
-  }
-  EXPECT_EQ(t.evictions(), 0u);
-  EXPECT_TRUE(t.spill_free());
-  std::uint64_t flows = 0;
-  t.drain([&](const FlowStatsTable::Slot& s) {
-    ++flows;
-    EXPECT_EQ(s.offered_packets, 2u);  // both rounds hit the same slot
-  });
-  EXPECT_EQ(flows, 8u);
-}
-
-/// The single-table resident fastpath of scan(tables)/flush(tables) must emit
-/// a byte-identical record stream to the drain-and-merge path it
-/// shortcuts — across idle cuts, active cuts, slot reclaim through a
-/// tombstone, and shared-5-tuple folding.
-TEST(FlowStats, ScanTableMatchesMergeScanByteForByte) {
-  sim::Scheduler clock;
-  FlowStatsTable fast(&clock, 64);
-  FlowStatsTable slow(&clock, 64);
-  FlowExporter::Options opt;
-  opt.idle_timeout = 10 * sim::kMillisecond;
-  opt.active_timeout = 100 * sim::kMillisecond;
-  FlowExporter ex_fast(opt);
-  FlowExporter ex_slow(opt);
-  auto touch_both = [&](const Key& k, std::uint32_t f, std::uint32_t bytes) {
-    fast.record_offered(k, f, bytes, 1, 1, 0);
-    slow.record_offered(k, f, bytes, 1, 1, 0);
+  struct Want {
+    std::uint32_t flow;
+    std::uint32_t key;
+    FlowExporter::Cause cause;
+    std::uint64_t packets;
+    sim::SimTime first_ms;
+    sim::SimTime last_ms;
   };
-  for (int ms = 0; ms <= 300; ms += 5) {
-    clock.run_until(ms * sim::kMillisecond);
-    if (ms == 0) touch_both(key_of(1), 1, 100);  // idle-cut early
-    touch_both(key_of(2), 2, 100);  // active-cut, then reclaims its slot
-    if (ms % 20 == 0) touch_both(key_of(3), 3, 50);
-    // Two flow ids sharing a 5-tuple fold into one accumulation.
-    touch_both(key_of(9), 7, 70);
-    touch_both(key_of(9), 8, 70);
-    if (ms > 0 && ms % 25 == 0) {
-      ex_fast.scan({&fast}, clock.now());
-      ex_slow.merge_table(slow);
-      ex_slow.scan(clock.now());
-    }
+  const Want want[] = {
+      // 250: flow 1 silent for 250 ms.
+      {1, 1, FlowExporter::Cause::kIdle, 1, 0, 0},
+      // 500: flow 2 accumulating since 0, packets 0..450.
+      {2, 2, FlowExporter::Cause::kActive, 10, 0, 450},
+      // 750: key 9 silent since 300; the smaller id of its three flows.
+      {7, 9, FlowExporter::Cause::kIdle, 3, 100, 300},
+      // 1000: flow 2 re-accumulated since 500, packets 500..950.
+      {2, 2, FlowExporter::Cause::kActive, 10, 500, 950},
+      // flush: whatever is still open.
+      {3, 3, FlowExporter::Cause::kFinal, 1, 1100, 1100},
+  };
+  const std::vector<FlowExporter::Record>& recs = ex.records();
+  ASSERT_EQ(recs.size(), std::size(want));
+  for (std::size_t i = 0; i < recs.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(recs[i].acc.flow_id, want[i].flow);
+    EXPECT_EQ(recs[i].acc.key, key_of(want[i].key));
+    EXPECT_EQ(recs[i].cause, want[i].cause);
+    EXPECT_EQ(recs[i].acc.offered_packets, want[i].packets);
+    EXPECT_EQ(recs[i].acc.offered_bytes, want[i].packets * 100);
+    EXPECT_EQ(recs[i].acc.first_seen, want[i].first_ms * sim::kMillisecond);
+    EXPECT_EQ(recs[i].acc.last_seen, want[i].last_ms * sim::kMillisecond);
   }
-  ex_fast.flush({&fast});
-  ex_slow.merge_table(slow);
-  ex_slow.flush();
-  EXPECT_TRUE(fast.spill_free());  // the fastpath actually ran
-  std::ostringstream a;
-  std::ostringstream b;
-  ex_fast.write_binary(a);
-  ex_slow.write_binary(b);
-  EXPECT_EQ(a.str(), b.str());
-  EXPECT_GT(ex_fast.records().size(), 3u);
-}
-
-/// A deliberately overloaded table (16 keys, 2 slots) spills immediately;
-/// the single-table scan must then fall back to drain-and-merge for the rest of the
-/// run and still match it byte for byte.
-TEST(FlowStats, ScanTableFallbackOnSpillMatchesMergeScan) {
-  sim::Scheduler clock;
-  FlowStatsTable fast(&clock, 1);  // rounds up to the 2-slot minimum
-  FlowStatsTable slow(&clock, 1);
-  FlowExporter::Options opt;
-  opt.idle_timeout = 10 * sim::kMillisecond;
-  opt.active_timeout = 100 * sim::kMillisecond;
-  FlowExporter ex_fast(opt);
-  FlowExporter ex_slow(opt);
-  for (int ms = 0; ms <= 120; ms += 5) {
-    clock.run_until(ms * sim::kMillisecond);
-    for (std::uint32_t f = 1; f <= 16; ++f) {
-      fast.record_offered(key_of(f), f, 100, 1, 1, 0);
-      slow.record_offered(key_of(f), f, 100, 1, 1, 0);
-    }
-    if (ms > 0 && ms % 25 == 0) {
-      ex_fast.scan({&fast}, clock.now());
-      ex_slow.merge_table(slow);
-      ex_slow.scan(clock.now());
-    }
-  }
-  EXPECT_GT(fast.evictions(), 0u);
-  EXPECT_FALSE(fast.spill_free());
-  ex_fast.flush({&fast});
-  ex_slow.merge_table(slow);
-  ex_slow.flush();
-  std::ostringstream a;
-  std::ostringstream b;
-  ex_fast.write_binary(a);
-  ex_slow.write_binary(b);
-  EXPECT_EQ(a.str(), b.str());
 }
 
 TEST(FlowStats, RollupAggregatesPerVpnAndClass) {
   sim::Scheduler clock;
-  FlowStatsTable t(&clock, 64);
-  FlowExporter ex;
+  FlowExporter ex({&clock});
+  FlowStatsTable& t = *ex.tables().front();
   t.record_offered(key_of(1), 1, 100, 1, /*vpn=*/1, /*phb=*/0);
   t.record_delivered(key_of(1), 1, 100, sim::kMillisecond);
   t.record_offered(key_of(2), 2, 100, 1, /*vpn=*/1, /*phb=*/5);
   t.record_offered(key_of(3), 3, 100, 1, /*vpn=*/2, /*phb=*/0);
-  ex.merge_table(t);
   ex.flush();
   const auto rows = ex.rollup();
   ASSERT_EQ(rows.size(), 3u);

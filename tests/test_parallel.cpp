@@ -27,7 +27,6 @@
 #include "sim/epoch_barrier.hpp"
 #include "sim/parallel_engine.hpp"
 #include "sim/scheduler.hpp"
-#include "sim/spsc_channel.hpp"
 #include "sim/time.hpp"
 #include "traffic/flowset.hpp"
 #include "traffic/sink.hpp"
@@ -35,63 +34,6 @@
 
 namespace mvpn {
 namespace {
-
-// --- SPSC channel ---------------------------------------------------------
-
-TEST(SpscChannel, FifoOrderSingleThread) {
-  sim::SpscChannel<int> ch(8);
-  for (int i = 0; i < 5; ++i) ch.push(i);
-  std::vector<int> got;
-  ch.drain([&](int v) { got.push_back(v); });
-  EXPECT_EQ(got, (std::vector<int>{0, 1, 2, 3, 4}));
-  EXPECT_TRUE(ch.empty());
-}
-
-TEST(SpscChannel, TryPushRefusesWhenFull) {
-  sim::SpscChannel<int> ch(4);  // capacity rounds to 4
-  ASSERT_EQ(ch.capacity(), 4U);
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(ch.try_push(i));
-  EXPECT_FALSE(ch.try_push(99));
-  EXPECT_EQ(ch.try_pop().value_or(-1), 0);
-  EXPECT_TRUE(ch.try_push(4));  // slot freed by the pop
-}
-
-TEST(SpscChannel, SpillPreservesFifoAcrossOverflow) {
-  sim::SpscChannel<int> ch(4);
-  // 10 pushes into a 4-slot ring with no consumer: 4 in the ring, 6 spilt.
-  for (int i = 0; i < 10; ++i) ch.push(i);
-  EXPECT_EQ(ch.spilled(), 6U);
-  std::vector<int> got;
-  ch.drain([&](int v) { got.push_back(v); });
-  ASSERT_EQ(got.size(), 10U);
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(got[static_cast<size_t>(i)], i);
-  EXPECT_TRUE(ch.empty());
-}
-
-TEST(SpscChannel, ThreadedProducerConsumerKeepsOrder) {
-  sim::SpscChannel<std::uint32_t> ch(64);
-  constexpr std::uint32_t kCount = 100000;
-  std::thread producer([&] {
-    for (std::uint32_t i = 0; i < kCount; ++i) ch.push(i);
-  });
-  // Consume with try_pop (ring only) while the producer runs; anything
-  // that spilt gets drained after join. Order must still be 0..N-1.
-  std::vector<std::uint32_t> got;
-  got.reserve(kCount);
-  while (got.size() < kCount) {
-    if (auto v = ch.try_pop()) {
-      got.push_back(*v);
-    } else if (!producer.joinable()) {
-      break;
-    } else if (ch.spilled() > 0) {
-      break;  // producer overflowed; finish after join
-    }
-  }
-  producer.join();
-  ch.drain([&](std::uint32_t v) { got.push_back(v); });
-  ASSERT_EQ(got.size(), kCount);
-  for (std::uint32_t i = 0; i < kCount; ++i) EXPECT_EQ(got[i], i);
-}
 
 // --- Epoch barrier --------------------------------------------------------
 

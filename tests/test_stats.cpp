@@ -6,7 +6,6 @@
 #include "stats/histogram.hpp"
 #include "stats/running_stats.hpp"
 #include "stats/table.hpp"
-#include "stats/time_series.hpp"
 
 namespace mvpn::stats {
 namespace {
@@ -136,40 +135,6 @@ TEST(Histogram, PercentileInterpolation) {
 TEST(Histogram, RejectsBadConstruction) {
   EXPECT_THROW(Histogram(1.0, 1.0, 10), std::invalid_argument);
   EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
-TEST(TimeSeries, CsvAndAggregates) {
-  TimeSeries ts("util");
-  ts.add(0.1, 1.0);
-  ts.add(0.2, 3.0);
-  ts.add(0.3, 2.0);
-  EXPECT_EQ(ts.size(), 3u);
-  EXPECT_DOUBLE_EQ(ts.max_value(), 3.0);
-  EXPECT_DOUBLE_EQ(ts.mean_value(), 2.0);
-  const std::string csv = ts.to_csv();
-  EXPECT_NE(csv.find("time,util"), std::string::npos);
-  EXPECT_NE(csv.find("0.2,3"), std::string::npos);
-}
-
-TEST(RateMeter, WindowedRates) {
-  RateMeter m(1.0, "bps");
-  m.record(0.1, 500);
-  m.record(0.9, 500);
-  m.record(1.5, 2000);
-  m.flush();
-  ASSERT_EQ(m.series().size(), 2u);
-  EXPECT_DOUBLE_EQ(m.series().value_at(0), 1000.0);  // window [0,1)
-  EXPECT_DOUBLE_EQ(m.series().value_at(1), 2000.0);  // window [1,2)
-}
-
-TEST(RateMeter, EmptyWindowsEmitZero) {
-  RateMeter m(1.0, "bps");
-  m.record(0.5, 100);
-  m.record(3.5, 100);  // windows [1,2) and [2,3) are silent
-  m.flush();
-  ASSERT_EQ(m.series().size(), 4u);
-  EXPECT_DOUBLE_EQ(m.series().value_at(1), 0.0);
-  EXPECT_DOUBLE_EQ(m.series().value_at(2), 0.0);
 }
 
 TEST(Table, RendersAligned) {

@@ -18,8 +18,8 @@
 #include "net/packet.hpp"
 #include "obs/metrics.hpp"
 #include "sim/scheduler.hpp"
-#include "stats/histogram.hpp"
 #include "stats/log_histogram.hpp"
+#include "stats/sample_set.hpp"
 
 namespace {
 

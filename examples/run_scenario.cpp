@@ -21,7 +21,7 @@
 // Engine options:
 //   --shards N          partition the topology into N shards and run the
 //                       traffic phase on the parallel engine (default 1:
-//                       the one-lane runtime, no worker threads; overrides
+//                       the one-lane runtime, no extra thread; overrides
 //                       the scenario's `run shards=`)
 //   --partition-profile FILE  flow-weighted partitioning: balance shards
 //                       by the measured per-node flow weights in FILE (a

@@ -45,7 +45,7 @@ void Link::record_drop(const Direction& dir, const Packet& p,
                        obs::DropReason reason) {
   // Link-level drops (down link at transmit or at delivery) bypass the
   // queue disc's funnel, so they charge the flow table here. Runs on the
-  // owning shard's worker thread: transmit-side on the sender, pump-side
+  // owning shard's thread: transmit-side on the sender, pump-side
   // only for local (same-shard) hops.
   if (obs::FlowStatsTable* fs = topo_.flow_stats()) [[unlikely]] {
     fs->record_drop(

@@ -68,7 +68,7 @@ ShardRuntime::ShardRuntime(Topology& topo,
     ctxs_.push_back(std::move(ctx));
   }
   // The master pool becomes coordinator-owned for the parallel phase: a
-  // shard thread releasing a pre-existing packet is a partitioning bug.
+  // lane's slice releasing a pre-existing packet is a partitioning bug.
   topo_.packet_factory().pool().set_owner_shard(sim::kNoShard);
 
   for (std::uint32_t s = 0; s < shard_count; ++s) {
@@ -113,7 +113,7 @@ void ShardRuntime::run_until(sim::SimTime t_end) {
     engine_->run_until(t_end);
     return;
   }
-  // One lane has no epochs to observe: the whole call is one execution
+  // One lane's windows go unobserved: the whole call is one execution
   // phase of the serial report.
   const std::uint64_t ev0 = executed_count();
   const std::uint64_t t0 = steady_ns();
@@ -130,7 +130,7 @@ std::uint64_t ShardRuntime::executed_count() const noexcept {
 void ShardRuntime::set_profiler(obs::SyncProfiler* profiler) {
   profiler_ = profiler;
   per_src_handoffs_.assign(shard_count(), 0);
-  engine_->set_observer(profiler);
+  if (!ctxs_.empty()) engine_->set_observer(profiler);
 }
 
 void ShardRuntime::fold_latency() {
@@ -169,16 +169,17 @@ void ShardRuntime::handoff(std::uint32_t dst_shard, sim::SimTime deliver_at,
   env.pkt.copy_fields_from(p);
   const std::uint32_t src = sim::current_shard();
   if (src == sim::kNoShard) {
-    // Coordinator context (between windows, workers parked): schedule the
+    // Coordinator context (between windows, lanes at rest): schedule the
     // delivery directly, keeping the staging vectors strictly
-    // worker-written during windows.
+    // lane-written during windows.
     ++handoffs_;
     schedule_delivery(std::move(env));
     return;
   }
-  // Plain append: this vector is written only by shard `src`'s worker
-  // during a window and read only by the coordinator between windows; the
-  // epoch barrier's release/acquire pair is the synchronization.
+  // Plain append: this vector is written only by lane `src` during a
+  // window and read only by the coordinator between windows; the epoch
+  // barrier's release/acquire pair (program order, for lane 0) is the
+  // synchronization.
   const std::size_t ch = src * ctxs_.size() + dst_shard;
   env.src = src;
   env.seq = seqs_[ch]++;
@@ -190,7 +191,7 @@ void ShardRuntime::exchange(sim::SimTime /*window_end*/) {
   // profiler-off path keeps its zero-read shape.
   const std::uint64_t t0 = profiler_ != nullptr ? steady_ns() : 0;
 
-  // Harvest batches the workers finished delivering this window; cleared
+  // Harvest batches the lanes finished delivering this window; cleared
   // batches go back to the free list with their capacity intact.
   for (auto& ctx : ctxs_) {
     for (Batch* b : ctx->returned) {
@@ -232,8 +233,8 @@ void ShardRuntime::exchange(sim::SimTime /*window_end*/) {
     // at the same instant fuse into one delivery event that replays them
     // in merge order. Semantically identical to one event per envelope:
     // the fused envelopes' events would have held consecutive insertion
-    // sequences (nothing else schedules between them — the workers are
-    // parked), pre-existing same-instant events carry smaller sequences
+    // sequences (nothing else schedules between them — every lane is at
+    // rest), pre-existing same-instant events carry smaller sequences
     // and still run first, and anything a delivery handler schedules gets
     // a later sequence and still runs after the whole run of envelopes.
     std::size_t i = 0;
@@ -298,7 +299,7 @@ void ShardRuntime::schedule_delivery(Handoff&& env) {
   ShardCtx& ctx = *ctxs_[dst];
   ctx.sched.schedule_at(
       env.deliver_at, [this, &ctx, env = std::move(env)]() mutable {
-        // Runs on the destination shard's worker: materialize from *its*
+        // Runs on the destination shard's lane: materialize from *its*
         // pool (pool().acquire(), not make() — the packet keeps the id the
         // source stamped) and hand to the normal delivery path.
         PacketPtr p = ctx.factory.pool().acquire();

@@ -25,22 +25,24 @@ namespace mvpn::net {
 /// down and folds per-shard trace rings into the master recorder, leaving
 /// the topology exactly as a serial run would.
 ///
-/// One shard is the serial engine, driven through the same API: lane 0
-/// *is* the topology's own scheduler, packet pool, recorder and latency
-/// collector, so no worker thread, barrier, handoff staging or
+/// N shards run on N threads: the thread calling run_until() runs lane 0
+/// and coordinates, each other lane has a peer thread
+/// (sim::ParallelEngine). One shard is that engine with no peers, driven
+/// through the same API: lane 0 *is* the topology's own scheduler, packet
+/// pool, recorder and latency collector, so no barrier, handoff staging or
 /// ShardBinding exists and the topology's ambient accessors keep their
-/// one-null-test serial path. run_until() advances lane 0 inline between
-/// periodic actions (sim::ParallelEngine's one-shard mode) and, with a
-/// profiler attached, records the whole call as one serial execution
-/// phase.
+/// one-null-test serial path. With a profiler attached, a one-shard
+/// run_until() is recorded as one serial execution phase (the engine gets
+/// no observer).
 ///
 /// Handoff transport: each (src, dst) shard pair owns a plain staging
-/// vector. The producing worker appends during its window; the
-/// coordinator drains all staging between windows. No atomics or locks
-/// per envelope — the epoch barrier's release/acquire edges (worker
-/// arrive -> coordinator wait_all_arrived, coordinator open -> worker
-/// next) are the entire synchronization, and clear() keeps each vector's
-/// capacity so the steady state allocates nothing.
+/// vector. The producing lane appends during its window; the coordinator
+/// drains all staging between windows. No atomics or locks per envelope —
+/// lane 0 stages and drains on the same thread, and for the peers the
+/// epoch barrier's release/acquire edges (peer arrive -> coordinator
+/// wait_all_arrived, coordinator open -> peer next) are the entire
+/// synchronization. clear() keeps each vector's capacity so the steady
+/// state allocates nothing.
 ///
 /// Lifetime contract: the Topology outlives the runtime; the runtime must
 /// be finished/destroyed before the topology is used serially again.
@@ -77,10 +79,10 @@ class ShardRuntime {
   ShardRuntime(const ShardRuntime&) = delete;
   ShardRuntime& operator=(const ShardRuntime&) = delete;
 
-  /// Called from net::Link on the *source* shard's worker thread when a
+  /// Called from net::Link on the *source* lane's thread when a
   /// transmission's destination lives on another shard. From coordinator
   /// context (sim::current_shard() == kNoShard, only between windows) the
-  /// delivery is scheduled directly — the staging vectors are worker-owned
+  /// delivery is scheduled directly — the staging vectors are lane-owned
   /// during windows.
   void handoff(std::uint32_t dst_shard, sim::SimTime deliver_at,
                ip::NodeId to, ip::IfIndex iface, const Packet& p);
@@ -100,17 +102,18 @@ class ShardRuntime {
         first, period, [fn = std::move(fn)](sim::SimTime) { fn(); });
   }
 
-  /// Attach an epoch-level sync profiler: the engine feeds it worker and
+  /// Attach an epoch-level sync profiler: the engine feeds it lane and
   /// coordinator epoch records, and the exchange reports drain timing,
-  /// per-source staged-envelope counts and delivery-run sizes. Must be
-  /// attached before the first run_until() (workers latch the observer at
+  /// per-source staged-envelope counts and delivery-run sizes; one shard
+  /// reports each run_until() as one serial phase instead. Must be
+  /// attached before the first run_until() (peers latch the observer at
   /// thread start); null detaches nothing — pass once or never. The
   /// profiler must outlive the runtime's last run_until().
   void set_profiler(obs::SyncProfiler* profiler);
 
   /// Install per-shard flow accounting tables (one per shard, outliving
   /// the runtime): fills ShardBinding::flow_stats so the ambient
-  /// Topology::flow_stats() answers per worker, and repoints every link
+  /// Topology::flow_stats() answers per lane, and repoints every link
   /// queue's drop funnel at the transmitting node's shard table — exactly
   /// the treatment queue trace contexts get. One shard installs its table
   /// as the topology's own. finish() restores the topology's serial table.
@@ -172,8 +175,8 @@ class ShardRuntime {
     sim::Scheduler sched;
     obs::FlightRecorder recorder;
     obs::LatencyCollector latency;
-    /// Batches this shard's worker finished delivering; the coordinator
-    /// harvests them back into the free list between windows.
+    /// Batches this lane finished delivering; the coordinator harvests
+    /// them back into the free list between windows.
     std::vector<Batch*> returned;
 
     ShardCtx() : recorder(&sched) {}
@@ -212,8 +215,8 @@ class ShardRuntime {
   /// reused each exchange, reported to the profiler.
   std::vector<std::uint64_t> per_src_handoffs_;
   bool finished_ = false;
-  // Engine last: its destructor joins the worker threads that reference
-  // the shard schedulers above.
+  // Engine last: its destructor joins the peer threads that reference the
+  // shard schedulers above.
   std::unique_ptr<sim::ParallelEngine> engine_;
 };
 

@@ -26,7 +26,7 @@ class ShardRuntime;
 /// Non-owning view of a sharded runtime, installed on the Topology while a
 /// parallel run is active. Vectors indexed by shard id; `node_shard` maps
 /// every NodeId to its owning shard. Installed/uninstalled only while the
-/// simulation is quiescent (no worker threads running).
+/// simulation is quiescent (no lane running).
 struct ShardBinding {
   std::vector<std::uint32_t> node_shard;
   std::vector<sim::Scheduler*> schedulers;

@@ -24,7 +24,7 @@ class MetricsRegistry;
 ///
 /// Memory model, mirroring the sync profiler lanes:
 ///  * One table per engine lane, owned by the FlowExporter. Every
-///    record_*() call happens on the owning lane's worker thread inside a
+///    record_*() call happens on the owning lane's thread inside a
 ///    window — data-plane hooks in Router, Link and QueueDisc — so slot
 ///    writes (and growth) need no atomics and never false-share.
 ///  * drain() runs only on the coordinator thread between windows (the
@@ -102,7 +102,7 @@ class FlowStatsTable {
   /// the thread every record_*() call arrives on).
   explicit FlowStatsTable(const sim::Scheduler* clock);
 
-  // --- hot path (owning lane's worker thread only) ------------------------
+  // --- hot path (owning lane's thread only) -------------------------------
   void record_offered(const Key& k, std::uint32_t flow_id,
                       std::uint32_t bytes, std::uint32_t ingress_pe,
                       std::uint32_t vpn, std::uint8_t phb) noexcept;

@@ -79,19 +79,6 @@ void MetricsRegistry::add_log_histogram(std::string name,
   sources_[std::move(name) + "/max"] = [h] { return h->max(); };
 }
 
-void MetricsRegistry::add_histogram(std::string name,
-                                    const stats::Histogram* h) {
-  sources_[name + "/total"] = [h] { return static_cast<double>(h->total()); };
-  sources_[name + "/underflow"] = [h] {
-    return static_cast<double>(h->underflow());
-  };
-  sources_[name + "/overflow"] = [h] {
-    return static_cast<double>(h->overflow());
-  };
-  sources_[name + "/p50"] = [h] { return h->percentile(50.0); };
-  sources_[std::move(name) + "/p99"] = [h] { return h->percentile(99.0); };
-}
-
 void MetricsRegistry::remove_prefix(const std::string& prefix) {
   for (auto it = sources_.lower_bound(prefix); it != sources_.end();) {
     if (it->first.compare(0, prefix.size(), prefix) != 0) break;

@@ -9,7 +9,7 @@
 
 #include "sim/time.hpp"
 #include "stats/counter.hpp"
-#include "stats/histogram.hpp"
+#include "stats/sample_set.hpp"
 
 namespace mvpn::obs {
 
@@ -45,8 +45,6 @@ class MetricsRegistry : public stats::CounterHook {
   void add_sample_set(std::string name, const stats::SampleSet* s);
   /// Expands to count/mean/p50/p99/max; all reads are flat-cost.
   void add_log_histogram(std::string name, const stats::LogHistogram* h);
-  /// Expands to total/underflow/overflow/p50/p99.
-  void add_histogram(std::string name, const stats::Histogram* h);
 
   /// Drop every metric whose name starts with `prefix`.
   void remove_prefix(const std::string& prefix);

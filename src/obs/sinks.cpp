@@ -1,8 +1,11 @@
 #include "obs/sinks.hpp"
 
+#include <algorithm>
 #include <ostream>
 #include <set>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "obs/sync_profiler.hpp"
 #include "sim/time.hpp"
@@ -67,7 +70,16 @@ void write_common_fields(std::ostream& out, const TraceEvent& ev) {
 
 void write_jsonl(const FlightRecorder& rec, std::ostream& out,
                  const NodeNamer& namer) {
-  for (const TraceEvent& ev : rec.snapshot()) {
+  // One packet's events at one node and instant are all recorded by one
+  // lane, in one order, so sorting on that key (ties kept in recording
+  // order) writes the same lines at every shard count.
+  std::vector<TraceEvent> events = rec.snapshot();
+  std::stable_sort(events.begin(), events.end(),
+                   [](const TraceEvent& x, const TraceEvent& y) {
+                     return std::tie(x.at, x.packet_id, x.node) <
+                            std::tie(y.at, y.packet_id, y.node);
+                   });
+  for (const TraceEvent& ev : events) {
     out << "{\"t_s\":" << sim::to_seconds(ev.at) << ",\"type\":\""
         << to_string(ev.type) << "\",\"node\":\""
         << node_name(namer, ev.node) << '"';

@@ -16,7 +16,9 @@ using NodeNamer = std::function<std::string(std::uint32_t)>;
 
 /// Export the recorder's retained events as JSON Lines: one self-contained
 /// object per line ({"t_s":..., "type":"drop", "reason":"red_early", ...}),
-/// oldest first. Greppable and streamable — the developer-facing format.
+/// stably sorted by (time, packet id, node) — the order a sharded run's
+/// merged ring shares with the serial one. Greppable and streamable — the
+/// developer-facing format.
 void write_jsonl(const FlightRecorder& rec, std::ostream& out,
                  const NodeNamer& namer = {});
 

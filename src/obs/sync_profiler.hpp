@@ -25,10 +25,12 @@ class MetricsRegistry;
 /// Memory model (INTERNALS.md §12) follows the FlightRecorder discipline:
 ///  * One Lane per shard, cache-line separated. Its ring (fixed-capacity
 ///    POD slots, power-of-two mask), cumulative totals and barrier-wait
-///    sketch are written ONLY by that shard's worker thread, inside
-///    on_worker_epoch() — which the engine calls before arrive(), so every
-///    lane write is ordered before the coordinator's post-barrier reads by
-///    the epoch barrier's release/acquire edge. No per-record atomics.
+///    sketch are written ONLY by that shard's thread, inside
+///    on_worker_epoch() — which the engine calls before the lane reports
+///    back, so every lane write is ordered before the coordinator's
+///    post-barrier reads: by the epoch barrier's release/acquire edge for
+///    a peer thread, by program order for lane 0, whose thread is the
+///    coordinator's. No per-record atomics.
 ///  * Coordinator-owned state (coordinator ring, per-shard epoch rings,
 ///    batch-size sketch, critical-shard attribution) is written only
 ///    between windows: record_exchange()/record_batch() inside the

@@ -5,9 +5,12 @@ namespace mvpn::routing {
 ControlPlane::ControlPlane(net::Topology& topo) : topo_(topo) {}
 
 void ControlPlane::count(std::string_view type, std::size_t bytes) {
-  auto& entry = counts_[std::string(type)];
-  ++entry.first;
-  entry.second += bytes;
+  auto it = counts_.find(type);
+  if (it == counts_.end()) {
+    it = counts_.emplace(std::string(type), Counts::mapped_type{}).first;
+  }
+  ++it->second.first;
+  it->second.second += bytes;
   ++total_messages_;
   total_bytes_ += bytes;
 }
@@ -38,12 +41,12 @@ void ControlPlane::send_session(ip::NodeId from, ip::NodeId to,
 }
 
 std::uint64_t ControlPlane::message_count(std::string_view type) const {
-  auto it = counts_.find(std::string(type));
+  auto it = counts_.find(type);
   return it == counts_.end() ? 0 : it->second.first;
 }
 
 std::uint64_t ControlPlane::byte_count(std::string_view type) const {
-  auto it = counts_.find(std::string(type));
+  auto it = counts_.find(type);
   return it == counts_.end() ? 0 : it->second.second;
 }
 

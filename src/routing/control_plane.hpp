@@ -50,11 +50,11 @@ class ControlPlane {
   [[nodiscard]] std::uint64_t total_bytes() const noexcept {
     return total_bytes_;
   }
-  [[nodiscard]] const std::map<std::string, std::pair<std::uint64_t,
-                                                      std::uint64_t>>&
-  per_type() const noexcept {
-    return counts_;
-  }
+  /// (messages, bytes) per type, in type-name order.
+  using Counts =
+      std::map<std::string, std::pair<std::uint64_t, std::uint64_t>,
+               std::less<>>;
+  [[nodiscard]] const Counts& per_type() const noexcept { return counts_; }
   void reset_counters();
 
   [[nodiscard]] net::Topology& topology() noexcept { return topo_; }
@@ -68,7 +68,7 @@ class ControlPlane {
   net::Topology& topo_;
   sim::SimTime processing_delay_ = 100 * sim::kMicrosecond;
   sim::SimTime session_delay_ = 5 * sim::kMillisecond;
-  std::map<std::string, std::pair<std::uint64_t, std::uint64_t>> counts_;
+  Counts counts_;  ///< heterogeneous lookup: no string per message
   std::uint64_t total_messages_ = 0;
   std::uint64_t total_bytes_ = 0;
 };

@@ -1,6 +1,8 @@
 #include "sim/parallel_engine.hpp"
 
+#include <algorithm>
 #include <chrono>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -22,29 +24,28 @@ inline std::uint64_t steady_ns() {
 ParallelEngine::ParallelEngine(std::vector<ShardRef> shards,
                                SimTime lookahead, Scheduler* global)
     : shards_(std::move(shards)),
-      lookahead_(lookahead),
+      span_(shards_.size() > 1 ? lookahead
+                               : std::numeric_limits<SimTime>::max()),
       global_(global),
-      barrier_(static_cast<std::uint32_t>(shards_.size())) {
+      // The calling thread runs lane 0; only the peers meet at the barrier
+      // (an empty shard list wraps this count and throws just below).
+      barrier_(static_cast<std::uint32_t>(shards_.size()) - 1),
+      lane_errors_(shards_.size()) {
   if (shards_.empty()) {
     throw std::invalid_argument("ParallelEngine: no shards");
   }
-  if (shards_.size() > 1 && lookahead_ < 1) {
+  if (shards_.size() > 1 && lookahead < 1) {
     throw std::invalid_argument(
         "ParallelEngine: lookahead must be at least 1 ns of cross-shard "
         "latency — a zero-delay cut admits same-instant interactions that "
         "conservative windows cannot order");
   }
-  frontier_ = shards_.front().scheduler->now();
-  for (const ShardRef& s : shards_) {
-    if (s.scheduler->now() > frontier_) frontier_ = s.scheduler->now();
-  }
 }
 
 ParallelEngine::~ParallelEngine() {
-  if (workers_running_) {
-    barrier_.shutdown();
-    for (std::thread& t : threads_) t.join();
-  }
+  if (peers_.empty()) return;
+  barrier_.shutdown();
+  for (std::thread& t : peers_) t.join();
 }
 
 void ParallelEngine::add_periodic_action(SimTime first, SimTime period,
@@ -55,71 +56,80 @@ void ParallelEngine::add_periodic_action(SimTime first, SimTime period,
   actions_.push_back(Action{first, period, std::move(fn)});
 }
 
-void ParallelEngine::start_workers() {
-  if (workers_running_) return;
-  workers_running_ = true;
-  threads_.reserve(shards_.size());
-  for (const ShardRef& s : shards_) {
-    // Align stragglers so every shard enters the first window at the same
-    // instant (run_until on an empty queue just advances the clock).
-    if (s.scheduler->now() < frontier_) s.scheduler->run_until(frontier_);
-    threads_.emplace_back([this, s] { worker(s); });
-  }
+std::uint64_t ParallelEngine::stamp() const noexcept {
+  return observer_ != nullptr ? steady_ns() : 0;
 }
 
-void ParallelEngine::worker(ShardRef shard) {
-  const ShardGuard guard(shard.id);
-  std::uint64_t seen_epoch = 0;
+void ParallelEngine::peer(std::uint32_t lane) {
+  const ShardGuard guard(shards_[lane].id);
+  EngineObserver::WorkerEpoch we;
+  std::uint64_t epoch = 0;
   SimTime target = 0;
-  if (observer_ == nullptr) {
-    while (barrier_.next(seen_epoch, target)) {
-      try {
-        shard.scheduler->run_until(target);
-      } catch (...) {
-        const std::lock_guard<std::mutex> g(error_mutex_);
-        if (!worker_error_) worker_error_ = std::current_exception();
-      }
-      barrier_.arrive();
-    }
-    return;
-  }
-  // Instrumented loop: two clock reads bracket the wait, one more closes
-  // the execution phase. The observer hook runs *before* arrive() so its
-  // ring writes are ordered ahead of the coordinator's post-barrier reads
-  // by the arrive/wait_all_arrived release/acquire edge.
-  SimTime window_start = shard.scheduler->now();
   for (;;) {
-    EngineObserver::WorkerEpoch we;
-    we.shard = shard.id;
-    we.begin_ns = steady_ns();
-    if (!barrier_.next(seen_epoch, target, &we.parked)) break;
-    const std::uint64_t t_run = steady_ns();
-    const std::uint64_t ev0 = shard.scheduler->executed_count();
-    try {
-      shard.scheduler->run_until(target);
-    } catch (...) {
-      const std::lock_guard<std::mutex> g(error_mutex_);
-      if (!worker_error_) worker_error_ = std::current_exception();
-    }
-    we.epoch = seen_epoch;
-    we.window_start = window_start;
-    we.window_end = target;
-    we.wait_ns = t_run - we.begin_ns;
-    we.exec_ns = steady_ns() - t_run;
-    we.events = shard.scheduler->executed_count() - ev0;
-    observer_->on_worker_epoch(we);
-    window_start = target;
+    we.begin_ns = stamp();
+    if (!barrier_.next(epoch, target, &we.parked)) return;
+    run_slice(lane, epoch, target, we);
     barrier_.arrive();
   }
 }
 
-void ParallelEngine::rethrow_worker_error() {
-  std::exception_ptr err;
-  {
-    const std::lock_guard<std::mutex> g(error_mutex_);
-    err = worker_error_;
+void ParallelEngine::run_slice(std::uint32_t lane, std::uint64_t epoch,
+                               SimTime target,
+                               EngineObserver::WorkerEpoch& we) noexcept {
+  Scheduler& sched = *shards_[lane].scheduler;
+  const SimTime window_start = sched.now();
+  const std::uint64_t ev0 = sched.executed_count();
+  const std::uint64_t t_run = stamp();
+  try {
+    sched.run_until(target);
+  } catch (...) {
+    if (!lane_errors_[lane]) lane_errors_[lane] = std::current_exception();
   }
-  if (err) std::rethrow_exception(err);
+  if (observer_ == nullptr) return;
+  // The hook runs before the lane reports back, so its writes are ordered
+  // ahead of the coordinator's post-barrier reads (a peer's by the
+  // arrive/wait_all_arrived release/acquire edge, lane 0's by program
+  // order).
+  we.shard = shards_[lane].id;
+  we.epoch = epoch;
+  we.window_start = window_start;
+  we.window_end = target;
+  we.wait_ns = t_run - we.begin_ns;
+  we.exec_ns = steady_ns() - t_run;
+  we.events = sched.executed_count() - ev0;
+  observer_->on_worker_epoch(we);
+}
+
+void ParallelEngine::run_window(EngineObserver::CoordinatorEpoch& ce) {
+  const bool peers = !peers_.empty();
+  // Lane 0 never waits for a window to open: its "wait" is the cost of
+  // opening it for the peers, and it never parks.
+  EngineObserver::WorkerEpoch we;
+  we.begin_ns = stamp();
+  if (peers) barrier_.open(ce.window_end);
+  ce.epoch = windows_ + 1;  // the barrier's epoch number once opened
+  {
+    const ShardGuard guard(shards_.front().id);
+    run_slice(0, ce.epoch, ce.window_end, we);
+  }
+  ce.begin_ns = stamp();
+  if (peers) barrier_.wait_all_arrived(&ce.parked);
+  ce.wait_ns = stamp() - ce.begin_ns;
+  ++windows_;
+  if (ce.widened) ++widened_windows_;
+  if (ce.idle_jump) ++idle_jumps_;
+  rethrow_lane_error();
+  if (exchange_) exchange_(ce.window_end);
+  // After the exchange (drain stats for this epoch are pending in the
+  // profiler) and while the peers are still parked — per-lane state is
+  // stable for the observer to sample.
+  if (observer_ != nullptr) observer_->on_coordinator_epoch(ce);
+}
+
+void ParallelEngine::rethrow_lane_error() const {
+  for (const std::exception_ptr& err : lane_errors_) {
+    if (err) std::rethrow_exception(err);
+  }
 }
 
 SimTime ParallelEngine::next_global_time() const {
@@ -144,34 +154,23 @@ void ParallelEngine::fire_global(SimTime at) {
   }
 }
 
-void ParallelEngine::run_inline(SimTime t_end) {
-  Scheduler& lane = *shards_.front().scheduler;
-  // The lane may have been advanced directly since the last call.
-  if (lane.now() > frontier_) frontier_ = lane.now();
-  while (frontier_ < t_end) {
-    const SimTime global_at = next_global_time();
-    SimTime target = t_end;
-    if (global_at != Scheduler::kNoEventTime && global_at - 1 < target) {
-      target = global_at - 1;
-    }
-    if (target > frontier_) {
-      lane.run_until(target);
-      frontier_ = target;
-    } else {
-      fire_global(global_at);
-    }
-  }
-  if (global_ != nullptr && global_->now() <= t_end) global_->run_until(t_end);
-}
-
 void ParallelEngine::run_until(SimTime t_end) {
-  if (shards_.size() == 1) {
-    run_inline(t_end);
-    return;
+  rethrow_lane_error();
+  // A lane may have been advanced directly since the last call (one lane
+  // is the topology's own scheduler): every lane enters the next window
+  // at the latest clock (run_until on an empty queue just advances it).
+  for (const ShardRef& s : shards_) {
+    frontier_ = std::max(frontier_, s.scheduler->now());
   }
-  start_workers();
+  for (const ShardRef& s : shards_) {
+    if (s.scheduler->now() < frontier_) s.scheduler->run_until(frontier_);
+  }
+  if (peers_.empty()) {
+    for (std::uint32_t lane = 1; lane < shards_.size(); ++lane) {
+      peers_.emplace_back([this, lane] { peer(lane); });
+    }
+  }
   while (frontier_ < t_end) {
-    rethrow_worker_error();
     const SimTime global_at = next_global_time();
     // Global work at time G must see every event before G and none at or
     // after it, so windows stop at G-1; with integer time that boundary is
@@ -180,64 +179,32 @@ void ParallelEngine::run_until(SimTime t_end) {
     if (global_at != Scheduler::kNoEventTime && global_at - 1 < target) {
       target = global_at - 1;
     }
-    if (target > frontier_) {
-      // Adaptive window sizing. Workers are parked between epochs, so the
-      // shard queues are stable and reading them here is race-free. Every
-      // pending event sits at u >= next_min, so remote work lands at
-      // >= next_min + lookahead and a window ending at next_min +
-      // lookahead - 1 is still conservative. next_min >= frontier_ + 1
-      // (all shards have finished events <= frontier_), so the adaptive
-      // window is never narrower than the static frontier_ + lookahead
-      // one; when every shard is idle past the target the window jumps
-      // straight to it.
-      SimTime next_min = Scheduler::kNoEventTime;
-      for (const ShardRef& s : shards_) {
-        const SimTime t = s.scheduler->next_event_time();
-        if (t < next_min) next_min = t;
-      }
-      SimTime window_end;
-      bool idle_jump = false;
-      if (next_min == Scheduler::kNoEventTime || next_min >= target) {
-        window_end = target;
-        idle_jump = true;
-      } else {
-        window_end = next_min + (lookahead_ - 1);
-        if (window_end > target) window_end = target;
-      }
-      const bool widened = window_end > frontier_ + lookahead_;
-      if (widened) ++widened_windows_;
-      if (idle_jump) ++idle_jumps_;
-      if (observer_ == nullptr) {
-        barrier_.open(window_end);
-        barrier_.wait_all_arrived();
-        ++windows_;
-        rethrow_worker_error();
-        if (exchange_) exchange_(window_end);
-      } else {
-        EngineObserver::CoordinatorEpoch ce;
-        ce.window_start = frontier_;
-        ce.window_end = window_end;
-        ce.widened = widened;
-        ce.idle_jump = idle_jump;
-        barrier_.open(window_end);
-        ce.epoch = barrier_.epoch();
-        ce.begin_ns = steady_ns();
-        barrier_.wait_all_arrived(&ce.parked);
-        ce.wait_ns = steady_ns() - ce.begin_ns;
-        ++windows_;
-        rethrow_worker_error();
-        if (exchange_) exchange_(window_end);
-        // After the exchange (drain stats for this epoch are pending in
-        // the profiler) and while workers are still parked — per-shard
-        // state is stable for the observer to sample.
-        observer_->on_coordinator_epoch(ce);
-      }
-      frontier_ = window_end;
-    } else {
+    if (target <= frontier_) {
       fire_global(global_at);
+      continue;
     }
+    // Adaptive window sizing. The peers are parked between epochs, so the
+    // lane queues are stable and reading them here is race-free. Every
+    // pending event sits at u >= next_min, so remote work lands at >=
+    // next_min + lookahead and a window ending at next_min + lookahead - 1
+    // is still conservative. next_min >= frontier_ + 1 (all lanes have
+    // finished events <= frontier_), so the adaptive window is never
+    // narrower than the static frontier_ + lookahead one; when every lane
+    // is idle past the target the window jumps straight to it.
+    SimTime next_min = Scheduler::kNoEventTime;
+    for (const ShardRef& s : shards_) {
+      next_min = std::min(next_min, s.scheduler->next_event_time());
+    }
+    EngineObserver::CoordinatorEpoch ce;
+    ce.window_start = frontier_;
+    ce.idle_jump = next_min >= target;
+    ce.window_end = ce.idle_jump || target - next_min < span_
+                        ? target
+                        : next_min + (span_ - 1);
+    ce.widened = ce.window_end - frontier_ > span_;
+    run_window(ce);
+    frontier_ = ce.window_end;
   }
-  rethrow_worker_error();
   // Leave the global clock at t_end (running any residual events exactly at
   // t_end), so post-run reads see the same instant a serial run_until ends.
   if (global_ != nullptr && global_->now() <= t_end) global_->run_until(t_end);

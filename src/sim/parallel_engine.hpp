@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -16,39 +15,44 @@ namespace mvpn::sim {
 
 /// Conservative parallel discrete-event driver.
 ///
-/// Each shard is one Scheduler advanced by a dedicated worker thread in
-/// lock-step windows. The safety argument (INTERNALS.md §9, §11): with
-/// every cross-shard interaction delayed by at least `lookahead`, an
-/// event executed at time u can only create remote work at times >=
-/// u + lookahead, so any window ending before min(u) + lookahead can be
-/// exchanged at the barrier — before any shard enters the next window —
-/// and the work always lands ahead of its execution time. No shard ever
-/// receives an event in its past, which is exactly the serial causality
-/// guarantee; combined with each Scheduler's (time, insertion-seq) order
-/// and a deterministic exchange order, the parallel run replays the serial
-/// event history.
+/// Each shard (lane) is one Scheduler advanced in lock-step windows. The
+/// safety argument (INTERNALS.md §9, §11): with every cross-shard
+/// interaction delayed by at least `lookahead`, an event executed at time
+/// u can only create remote work at times >= u + lookahead, so any window
+/// ending before min(u) + lookahead can be exchanged at the barrier —
+/// before any lane enters the next window — and the work always lands
+/// ahead of its execution time. No lane ever receives an event in its
+/// past, which is exactly the serial causality guarantee; combined with
+/// each Scheduler's (time, insertion-seq) order and a deterministic
+/// exchange order, the parallel run replays the serial event history.
 ///
-/// Window sizing is adaptive: at every barrier the coordinator (workers
-/// parked, queues stable) reads each shard's next pending event time and
-/// extends the window to next_min + lookahead - 1 — never narrower than
-/// the static frontier + lookahead bound, and when every shard is idle
-/// past the target the window jumps straight to it. Quiet stretches
-/// (converged control plane, sparse flows) therefore cost barriers
-/// proportional to *events*, not to elapsed simulated time.
+/// N lanes run on N threads. The thread that calls run_until() is lane 0
+/// and the coordinator; lanes 1..N-1 each get a peer thread, started by
+/// the first run_until() and parked between calls. Every window the
+/// caller opens the barrier for the peers, runs lane 0's slice inline
+/// under ShardGuard(lane 0), waits for the peers to arrive, then — as
+/// kNoShard, every lane at rest — runs the exchange, the observer's
+/// coordinator hook and any global actions due.
+///
+/// Window sizing is adaptive: between windows the coordinator reads each
+/// lane's next pending event time and extends the window to next_min +
+/// lookahead - 1 — never narrower than the static frontier + lookahead
+/// bound, and when every lane is idle past the target the window jumps
+/// straight to it. Quiet stretches (converged control plane, sparse
+/// flows) therefore cost barriers proportional to *events*, not to
+/// elapsed simulated time.
 ///
 /// The engine itself is topology-agnostic: cross-shard traffic moves
-/// through the `exchange` hook (net::ShardRuntime drains its channels and
+/// through the `exchange` hook (net::ShardRuntime drains its staging and
 /// schedules deliveries there), and anything that must observe a globally
 /// consistent instant — metrics snapshots, leftover events on the serial
 /// "global" scheduler — registers as a global action executed between
-/// windows, when all shards rest at the same time.
+/// windows, when all lanes rest at the same time.
 ///
-/// One shard is the serial engine: no worker thread is started, the
-/// barrier is never opened and the exchange never runs. run_until()
-/// advances the shard inline in windows bounded only by the next global
-/// instant - 1 and `t_end`, so global actions keep the same
-/// tick-before-data edge they have under K shards, and the lookahead is
-/// irrelevant (nothing crosses a cut).
+/// One lane is the same loop with no peers, no barrier and no exchange.
+/// Nothing crosses a cut, so its lookahead is unbounded and each window
+/// ends at min(t_end, next global instant - 1): global actions keep the
+/// tick-before-data edge they have under N lanes.
 class ParallelEngine {
  public:
   struct ShardRef {
@@ -67,20 +71,18 @@ class ParallelEngine {
   ParallelEngine(const ParallelEngine&) = delete;
   ParallelEngine& operator=(const ParallelEngine&) = delete;
 
-  /// Coordinator-side hook run inside every barrier, after all shards
-  /// reached the window end passed in: move cross-shard work now.
+  /// Coordinator-side hook run at every barrier, on the calling thread
+  /// after all lanes reached the window end passed in: move cross-shard
+  /// work now.
   void set_exchange(std::function<void(SimTime window_end)> fn) {
     exchange_ = std::move(fn);
   }
 
   /// Epoch-level instrumentation tap (obs::SyncProfiler). Must be set
-  /// before the first run_until() — workers latch it at thread start.
-  /// Null (the default) keeps the hot loop free of clock reads: the only
-  /// residual cost is one untaken branch per epoch.
+  /// before the first run_until() — peers latch it at thread start.
+  /// Null (the default) keeps the loops free of clock reads: the only
+  /// residual cost is a few untaken branches per epoch.
   void set_observer(EngineObserver* obs) { observer_ = obs; }
-  [[nodiscard]] EngineObserver* observer() const noexcept {
-    return observer_;
-  }
 
   /// Run `fn(at)` between windows at `at` = `first`, `first + period`,
   /// ... — each invocation sees every shard past all events before that
@@ -91,7 +93,10 @@ class ParallelEngine {
                            std::function<void(SimTime at)> fn);
 
   /// Drive all shards (and global actions) to exactly `t_end`. May be
-  /// called repeatedly with increasing times; workers persist in between.
+  /// called repeatedly with increasing times; peers persist in between.
+  /// What a lane's events throw is rethrown here once every peer has
+  /// arrived (the lowest lane's first error), and again on every later
+  /// call: the engine cannot be resumed after a lane failed.
   void run_until(SimTime t_end);
 
   [[nodiscard]] std::uint64_t windows() const noexcept { return windows_; }
@@ -105,10 +110,6 @@ class ParallelEngine {
   [[nodiscard]] std::uint64_t idle_jumps() const noexcept {
     return idle_jumps_;
   }
-  [[nodiscard]] SimTime lookahead() const noexcept { return lookahead_; }
-  [[nodiscard]] std::size_t shard_count() const noexcept {
-    return shards_.size();
-  }
 
  private:
   struct Action {
@@ -117,30 +118,33 @@ class ParallelEngine {
     std::function<void(SimTime)> fn;
   };
 
-  void run_inline(SimTime t_end);
-  void worker(ShardRef shard);
-  void start_workers();
+  void peer(std::uint32_t lane);
+  void run_slice(std::uint32_t lane, std::uint64_t epoch, SimTime target,
+                 EngineObserver::WorkerEpoch& we) noexcept;
+  void run_window(EngineObserver::CoordinatorEpoch& ce);
+  [[nodiscard]] std::uint64_t stamp() const noexcept;
   [[nodiscard]] SimTime next_global_time() const;
   void fire_global(SimTime at);
-  void rethrow_worker_error();
+  void rethrow_lane_error() const;
 
   std::vector<ShardRef> shards_;
-  SimTime lookahead_;
+  /// How far past a lane's next event a window may reach plus one: the
+  /// lookahead, unbounded with one lane.
+  SimTime span_;
   Scheduler* global_;
   EngineObserver* observer_ = nullptr;
   std::function<void(SimTime)> exchange_;
   std::vector<Action> actions_;  ///< small; scanned linearly
 
-  EpochBarrier barrier_;
-  std::vector<std::thread> threads_;
-  bool workers_running_ = false;
+  EpochBarrier barrier_;  ///< parties: the N-1 peers
+  /// First error of each lane, written by the lane's own thread during a
+  /// window and read by the coordinator after the barrier.
+  std::vector<std::exception_ptr> lane_errors_;
   std::uint64_t windows_ = 0;
   std::uint64_t widened_windows_ = 0;
   std::uint64_t idle_jumps_ = 0;
   SimTime frontier_ = 0;  ///< all shards have completed events <= frontier_
-
-  std::mutex error_mutex_;
-  std::exception_ptr worker_error_;
+  std::vector<std::thread> peers_;  ///< lanes 1..N-1, once started
 };
 
 }  // namespace mvpn::sim

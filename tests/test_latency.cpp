@@ -20,8 +20,8 @@
 #include "obs/metrics.hpp"
 #include "obs/spans.hpp"
 #include "qos/sla.hpp"
-#include "stats/histogram.hpp"
 #include "stats/log_histogram.hpp"
+#include "stats/sample_set.hpp"
 #include "test_flows.hpp"
 #include "traffic/sink.hpp"
 

@@ -27,6 +27,7 @@
 #include "sim/epoch_barrier.hpp"
 #include "sim/parallel_engine.hpp"
 #include "sim/scheduler.hpp"
+#include "sim/shard.hpp"
 #include "sim/time.hpp"
 #include "traffic/flowset.hpp"
 #include "traffic/sink.hpp"
@@ -234,7 +235,45 @@ TEST(ParallelEngine, OneShardActionSeesEventsBeforeItsInstantOnly) {
   EXPECT_EQ(instants, (std::vector<sim::SimTime>{kT, 2 * kT}));
   EXPECT_EQ(clocks, (std::vector<sim::SimTime>{kT - 1, 2 * kT - 1}));
   EXPECT_EQ(lane.now(), 2 * kT);
-  EXPECT_EQ(engine.windows(), 0U);
+  // One lane runs the same window loop as N: [0, T - 1] before the action
+  // at T, [T - 1, 2T - 1] before the one at 2T, and [2T - 1, 2T] to reach
+  // the end — three windows, no thread.
+  EXPECT_EQ(engine.windows(), 3U);
+}
+
+TEST(ParallelEngine, LaneExceptionPropagatesAndShutsDown) {
+  // Lane 0 throws on the calling thread, lane 1 on its peer thread; either
+  // way run_until rethrows once the peer has arrived, keeps rethrowing
+  // without opening another window, and the engine still joins its peer.
+  for (const std::uint32_t bad : {0U, 1U}) {
+    SCOPED_TRACE("lane=" + std::to_string(bad));
+    sim::Scheduler a;
+    sim::Scheduler b;
+    sim::Scheduler* lanes[] = {&a, &b};
+    lanes[bad]->schedule_at(3 * sim::kMillisecond, [bad] {
+      throw std::runtime_error("lane " + std::to_string(bad) + " failed");
+    });
+    int other_ticks = 0;
+    lanes[1 - bad]->schedule_at(3 * sim::kMillisecond,
+                                [&other_ticks] { ++other_ticks; });
+    {
+      sim::ParallelEngine engine({{0, &a}, {1, &b}}, sim::kMillisecond,
+                                 nullptr);
+      try {
+        engine.run_until(10 * sim::kMillisecond);
+        ADD_FAILURE() << "run_until did not throw";
+      } catch (const std::runtime_error& e) {
+        EXPECT_EQ(std::string(e.what()),
+                  "lane " + std::to_string(bad) + " failed");
+      }
+      // The healthy lane finished the same window before the rethrow.
+      EXPECT_EQ(other_ticks, 1);
+      const std::uint64_t windows = engine.windows();
+      EXPECT_THROW(engine.run_until(20 * sim::kMillisecond),
+                   std::runtime_error);
+      EXPECT_EQ(engine.windows(), windows);
+    }
+  }
 }
 
 // --- Adaptive window sizing -----------------------------------------------
@@ -630,7 +669,9 @@ TEST(OneLaneRuntime, RunsInlineWithoutThreadsOrBinding) {
   EXPECT_EQ(topo.base_scheduler().now(), t0 + sim::from_seconds(0.3));
   EXPECT_GT(runtime.executed_count(), ev0);
   EXPECT_GT(net.sinks[0]->delivered(), 0U);
-  EXPECT_EQ(runtime.windows(), 0U);
+  // One window up to the action at t0 + 0.1 s, one from there to the end:
+  // the action's next instant, t0 + 1.1 s, lies past it.
+  EXPECT_EQ(runtime.windows(), 2U);
   EXPECT_EQ(runtime.handoffs(), 0U);
 }
 
@@ -665,6 +706,52 @@ TEST(OneLaneRuntime, SnapshotActionStampsItsInstant) {
          << "}}";
     EXPECT_NE(json.find(want.str()), std::string::npos)
         << want.str() << " in " << json;
+  }
+}
+
+TEST(ShardedRuntime, NLanesRunOnNThreads) {
+  // The caller runs lane 0 and coordinates, so K lanes start K - 1
+  // threads: lane 0's events see the calling thread as shard 0, global
+  // actions see it as no shard, and every other lane has its own thread.
+  for (const std::uint32_t lanes : {2U, 4U}) {
+    SCOPED_TRACE("lanes=" + std::to_string(lanes));
+    RingNetwork net;
+    net.start_runtime(lanes);
+    net::ShardRuntime& runtime = *net.runtime;
+    ASSERT_EQ(runtime.shard_count(), lanes);
+    const sim::SimTime t0 = net.bb.topo.base_scheduler().now();
+
+    const std::uint64_t before = thread_count();
+    ASSERT_GT(before, 0U);
+    std::uint64_t during = 0;
+    std::uint32_t action_shard = 0;
+    runtime.add_periodic_action(t0 + sim::from_seconds(0.1),
+                                sim::from_seconds(1.0),
+                                [&during, &action_shard] {
+                                  during = thread_count();
+                                  action_shard = sim::current_shard();
+                                });
+    std::vector<std::thread::id> lane_thread(lanes);
+    std::vector<std::uint32_t> lane_shard(lanes, sim::kNoShard);
+    for (std::uint32_t l = 0; l < lanes; ++l) {
+      runtime.shard_scheduler(l).schedule_at(
+          t0 + sim::from_seconds(0.05), [&lane_thread, &lane_shard, l] {
+            lane_thread[l] = std::this_thread::get_id();
+            lane_shard[l] = sim::current_shard();
+          });
+    }
+    runtime.run_until(t0 + sim::from_seconds(0.2));
+
+    EXPECT_EQ(during, before + lanes - 1);
+    EXPECT_EQ(action_shard, sim::kNoShard);
+    EXPECT_EQ(lane_thread[0], std::this_thread::get_id());
+    for (std::uint32_t l = 0; l < lanes; ++l) {
+      EXPECT_EQ(lane_shard[l], l);
+      for (std::uint32_t m = 0; m < l; ++m) {
+        EXPECT_NE(lane_thread[l], lane_thread[m]) << l << " vs " << m;
+      }
+    }
+    EXPECT_EQ(sim::current_shard(), sim::kNoShard);
   }
 }
 

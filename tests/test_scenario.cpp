@@ -556,7 +556,7 @@ TEST(ScenarioFile, ShippedDemoSceneMatchesGoldenSerialAndSharded) {
     }
     // Four shards requested (the planner may use fewer): the first line
     // adds engine figures; the SLA table and the lines after it must not
-    // move, nor must the flow records or the packet spans.
+    // move, nor must the flow records, the packet spans or the event log.
     std::ostringstream sharded;
     const std::string sharded_dir = obs_dir(name + "_s4");
     EXPECT_EQ(run_scenario_file(path, sharded, sharded_dir, 4), 0);
@@ -565,7 +565,8 @@ TEST(ScenarioFile, ShippedDemoSceneMatchesGoldenSerialAndSharded) {
     if (golden_streams) {
       expect_golden_flow_records(sharded_dir, "branch_office_s4");
     }
-    for (const char* file : {"/flow.jsonl", "/flow.bin", "/spans.json"}) {
+    for (const char* file :
+         {"/flow.jsonl", "/flow.bin", "/spans.json", "/events.jsonl"}) {
       EXPECT_EQ(golden::slurp(sharded_dir + file),
                 golden::slurp(serial_dir + file))
           << file;

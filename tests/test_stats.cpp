@@ -3,8 +3,8 @@
 #include <cmath>
 
 #include "stats/counter.hpp"
-#include "stats/histogram.hpp"
 #include "stats/running_stats.hpp"
+#include "stats/sample_set.hpp"
 #include "stats/table.hpp"
 
 namespace mvpn::stats {
@@ -101,40 +101,6 @@ TEST(SampleSet, InterleavedAddAndQuery) {
   s.add(9);
   EXPECT_DOUBLE_EQ(s.percentile(50), 5.0);
   EXPECT_DOUBLE_EQ(s.percentile(100), 9.0);
-}
-
-TEST(Histogram, BinningAndOverflow) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(-1.0);
-  h.add(0.0);
-  h.add(5.5);
-  h.add(9.999);
-  h.add(10.0);
-  h.add(100.0);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 2u);
-  EXPECT_EQ(h.total(), 6u);
-  EXPECT_EQ(h.bin(0), 1u);
-  EXPECT_EQ(h.bin(5), 1u);
-  EXPECT_EQ(h.bin(9), 1u);
-  EXPECT_DOUBLE_EQ(h.bin_lo(5), 5.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(5), 6.0);
-}
-
-TEST(Histogram, PercentileInterpolation) {
-  Histogram h(0.0, 100.0, 100);
-  for (int i = 0; i < 100; ++i) h.add(i + 0.5);
-  const double p50 = h.percentile(50);
-  EXPECT_GE(p50, 49.0);
-  EXPECT_LE(p50, 51.0);
-  const double p90 = h.percentile(90);
-  EXPECT_GE(p90, 89.0);
-  EXPECT_LE(p90, 91.0);
-}
-
-TEST(Histogram, RejectsBadConstruction) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 10), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
 }
 
 TEST(Table, RendersAligned) {

@@ -1,6 +1,7 @@
 #include "mpls/ldp.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace mvpn::mpls {
 
@@ -73,7 +74,9 @@ void Ldp::announce_egress(ip::NodeId egress, const ip::Prefix& fec) {
   ++generation_;
   const FecId id = intern(fec);
   announced_[id] = true;
-  fec_state(egress, id).owner = egress;
+  FecState& st = fec_state(egress, id);
+  if (st.owner == ip::kInvalidNode) reserve_lib(egress, st);
+  st.owner = egress;
   obs::FlightRecorder& rec = cp_.topology().recorder();
   if (rec.enabled(obs::Category::kSignaling)) {
     // Anchors the span analysis: mapping latency is measured from this
@@ -92,17 +95,29 @@ void Ldp::advertise(ip::NodeId router, FecId id, ip::NodeId owner,
   cp_.topology().for_each_adjacency(router, [&](const net::Adjacency& adj) {
     const ip::NodeId nb = adj.neighbor;
     if (!enabled(nb)) return;  // LDP neighbors: enabled adjacent routers
-    cp_.send_adjacent(router, nb, "ldp.mapping", 30,
-                      [this, nb, router, id, owner, label] {
-                        receive_mapping(nb, router, id, owner, label);
-                      });
+    auto deliver = [this, nb, router, id, owner, label] {
+      receive_mapping(nb, router, id, owner, label);
+    };
+    static_assert(sim::InlineCallable::fits_inline<decltype(deliver)>);
+    cp_.send_adjacent(router, nb, "ldp.mapping", 30, std::move(deliver));
   });
+}
+
+void Ldp::reserve_lib(ip::NodeId router, FecState& st) const {
+  // Liberal retention keeps one mapping per LDP neighbor: size the LIB
+  // once instead of growing it as each neighbor's mapping arrives.
+  std::size_t neighbors = 0;
+  cp_.topology().for_each_adjacency(router, [&](const net::Adjacency& adj) {
+    if (enabled(adj.neighbor)) ++neighbors;
+  });
+  st.remote_labels.reserve(neighbors);
 }
 
 void Ldp::learn_fec(ip::NodeId router, FecId id, ip::NodeId owner) {
   FecState& st = fec_state(router, id);
   if (st.owner != ip::kInvalidNode) return;  // already known
   st.owner = owner;
+  reserve_lib(router, st);
   if (router == owner) return;
   // Independent control: allocate and advertise immediately.
   st.local_label = domain_.state_of(router).allocator.allocate();

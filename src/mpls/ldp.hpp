@@ -72,7 +72,8 @@ class Ldp {
   struct FecState {
     ip::NodeId owner = ip::kInvalidNode;
     std::optional<std::uint32_t> local_label;  // none at the egress (PHP)
-    /// LIB: the label each neighbor advertised (liberal retention).
+    /// LIB: the label each neighbor advertised (liberal retention),
+    /// reserved for every LDP neighbor when the FEC becomes known.
     std::vector<std::pair<ip::NodeId, std::uint32_t>> remote_labels;
   };
 
@@ -91,6 +92,8 @@ class Ldp {
     return router < enabled_.size() && enabled_[router];
   }
 
+  /// Reserve `st`'s LIB for one mapping per LDP neighbor of `router`.
+  void reserve_lib(ip::NodeId router, FecState& st) const;
   void learn_fec(ip::NodeId router, FecId id, ip::NodeId owner);
   void advertise(ip::NodeId router, FecId id, ip::NodeId owner,
                  std::uint32_t label);

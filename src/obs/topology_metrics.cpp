@@ -38,7 +38,7 @@ void register_router(const vpn::Router& r, const std::string& prefix,
   reg.add_gauge(prefix + "/router/fastpath/slots", [rp] {
     return static_cast<double>(rp->flowcache_stats().slots);
   });
-  for (const vpn::Vrf* vrf : const_cast<vpn::Router&>(r).vrfs()) {
+  for (const vpn::Vrf* vrf : r.vrfs()) {
     reg.add_gauge(prefix + "/vrf/" + vrf->config().name + "/routes",
                   [vrf] { return static_cast<double>(vrf->table().size()); });
   }

@@ -129,10 +129,11 @@ void Bgp::flush(ip::NodeId node) {
       // peers were session peers at enqueue, and only fail_speaker ends a
       // session, so the flag is the whole liveness test.
       if (state_[peer].failed) continue;
-      cp_.send_session(node, peer, type, m.wire_bytes,
-                       [this, node, peer, entries = m.entries] {
-                         apply_packed(peer, node, *entries);
-                       });
+      auto deliver = [this, node, peer, entries = m.entries] {
+        apply_packed(peer, node, *entries);
+      };
+      static_assert(sim::InlineCallable::fits_inline<decltype(deliver)>);
+      cp_.send_session(node, peer, type, m.wire_bytes, std::move(deliver));
     }
   }
 }
@@ -166,7 +167,20 @@ void Bgp::withdraw(ip::NodeId pe, const RouteDistinguisher& rd,
   decide(pe, id);
 }
 
+void Bgp::notify(ip::NodeId node, const VpnRoute& route, bool withdrawn) {
+  notifying_ = true;
+  struct Reset {
+    bool& flag;
+    ~Reset() { flag = false; }
+  } reset{notifying_};
+  for (const auto& cb : observers_) cb(node, route, withdrawn);
+}
+
 void Bgp::decide(ip::NodeId node, NlriId id) {
+  // notified_ is the route an observer is reading right now.
+  if (notifying_) {
+    throw std::logic_error("Bgp: best-path decision inside a route observer");
+  }
   SpeakerState& st = state_[node];
   const CompactRoute* new_best = nullptr;
   ip::NodeId new_sender = ip::kInvalidNode;
@@ -196,7 +210,7 @@ void Bgp::decide(ip::NodeId node, NlriId id) {
     VpnRoute gone;
     gone.rd = key.first;
     gone.prefix = key.second;
-    for (const auto& cb : observers_) cb(node, gone, true);
+    notify(node, gone, true);
     propagate(node, old_sender, id, nullptr);
     return;
   }
@@ -209,8 +223,8 @@ void Bgp::decide(ip::NodeId node, NlriId id) {
   loc.present = true;
   loc.sender = new_sender;
   loc.compact = best;
-  const VpnRoute route = materialize(key, best, pool_);
-  for (const auto& cb : observers_) cb(node, route, false);
+  materialize_into(key, best, pool_, notified_);
+  notify(node, notified_, false);
   propagate(node, new_sender, id, &best);
 }
 

@@ -59,9 +59,10 @@ class Bgp {
 
   /// Fired whenever a speaker's Loc-RIB best path for some key changes.
   /// `withdrawn` means the key now has no route at that speaker. The route
-  /// is built from the compact best path for the call and the reference is
-  /// valid for the call only; an observer must not originate or withdraw
-  /// synchronously.
+  /// is rebuilt from the compact best path into storage the next change
+  /// reuses, so the reference is valid for the call only. An observer must
+  /// not originate, withdraw or fail a speaker synchronously: a best-path
+  /// decision started from inside an observer throws std::logic_error.
   using RouteObserver =
       std::function<void(ip::NodeId at, const VpnRoute& route, bool withdrawn)>;
   void on_route(RouteObserver cb) { observers_.push_back(std::move(cb)); }
@@ -152,6 +153,9 @@ class Bgp {
   static bool better_compact(const CompactRoute& a,
                              const CompactRoute& b) noexcept;
 
+  /// Hand `route` to every observer; decide() refuses to run meanwhile.
+  void notify(ip::NodeId node, const VpnRoute& route, bool withdrawn);
+
   ControlPlane& cp_;
   Mode mode_;
   std::vector<ip::NodeId> speakers_;
@@ -160,6 +164,10 @@ class Bgp {
   NlriTable nlri_;
   std::vector<std::pair<ip::NodeId, ip::NodeId>> sessions_;
   std::vector<RouteObserver> observers_;
+  /// The route observers see on a best-path change, rebuilt in place so
+  /// its route-target vector keeps its capacity across changes.
+  VpnRoute notified_;
+  bool notifying_ = false;  ///< an observer call is on the stack
   RtSetPool pool_;
   RibOut ribout_;
   bool started_ = false;

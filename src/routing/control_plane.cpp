@@ -17,7 +17,7 @@ void ControlPlane::count(std::string_view type, std::size_t bytes) {
 
 bool ControlPlane::send_adjacent(ip::NodeId from, ip::NodeId to,
                                  std::string_view type, std::size_t bytes,
-                                 std::function<void()> deliver) {
+                                 sim::InlineCallable deliver) {
   const net::Node& sender = topo_.node(from);
   const ip::IfIndex iface = sender.interface_to(to);
   if (iface == ip::kInvalidIf) return false;
@@ -32,7 +32,7 @@ bool ControlPlane::send_adjacent(ip::NodeId from, ip::NodeId to,
 
 void ControlPlane::send_session(ip::NodeId from, ip::NodeId to,
                                 std::string_view type, std::size_t bytes,
-                                std::function<void()> deliver) {
+                                sim::InlineCallable deliver) {
   (void)from;
   (void)to;
   count(type, bytes);

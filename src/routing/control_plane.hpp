@@ -1,12 +1,12 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <string_view>
 
 #include "net/topology.hpp"
+#include "sim/inline_callable.hpp"
 #include "sim/time.hpp"
 
 namespace mvpn::routing {
@@ -15,7 +15,10 @@ namespace mvpn::routing {
 ///
 /// Protocol implementations (IGP flooding, LDP, RSVP-TE, BGP) deliver typed
 /// closures between nodes through this object instead of hand-crafting
-/// data-plane packets. Two delivery modes:
+/// data-plane packets. A closure is a `sim::InlineCallable` that moves
+/// straight into its scheduler event node: the hot senders' captures fit
+/// its 48 B buffer, so a message costs no heap allocation (INTERNALS §6).
+/// Two delivery modes:
 ///
 ///  * adjacent — hop-by-hop protocol PDUs: delivered after the link's
 ///    propagation delay plus a processing delay; fails when the link is
@@ -33,11 +36,11 @@ class ControlPlane {
   /// Returns false (message lost) when `from`/`to` are not adjacent or the
   /// link between them is down.
   bool send_adjacent(ip::NodeId from, ip::NodeId to, std::string_view type,
-                     std::size_t bytes, std::function<void()> deliver);
+                     std::size_t bytes, sim::InlineCallable deliver);
 
   /// Deliver `deliver` at `to` after the session delay (default 5 ms).
   void send_session(ip::NodeId from, ip::NodeId to, std::string_view type,
-                    std::size_t bytes, std::function<void()> deliver);
+                    std::size_t bytes, sim::InlineCallable deliver);
 
   void set_processing_delay(sim::SimTime d) noexcept { processing_delay_ = d; }
   void set_session_delay(sim::SimTime d) noexcept { session_delay_ = d; }

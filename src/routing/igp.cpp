@@ -1,29 +1,28 @@
 #include "routing/igp.hpp"
 
 #include <algorithm>
-#include <queue>
+#include <functional>
 #include <stdexcept>
+#include <utility>
 
 namespace mvpn::routing {
 
 namespace {
 
-/// Min-heap candidate shared by the full and incremental Dijkstra runs.
-struct Candidate {
-  std::uint32_t cost;
-  ip::NodeId node;
-  bool operator>(const Candidate& o) const noexcept {
-    if (cost != o.cost) return cost > o.cost;
-    return node > o.node;
-  }
-};
-using CandidateQueue =
-    std::priority_queue<Candidate, std::vector<Candidate>, std::greater<>>;
-
 /// Add `n` to the ascending id set `set` (no-op when present).
-void insert_sorted(std::vector<ip::NodeId>& set, ip::NodeId n) {
+template <typename Set>
+void insert_sorted(Set& set, ip::NodeId n) {
   const auto it = std::lower_bound(set.begin(), set.end(), n);
-  if (it == set.end() || *it != n) set.insert(it, n);
+  if (it != set.end() && *it == n) return;
+  const auto pos = it - set.begin();
+  set.push_back(n);
+  std::rotate(set.begin() + pos, set.end() - 1, set.end());
+}
+
+/// Dijkstra candidate key: (cost << 32) | node, so the min-heap pops in
+/// (cost, node) order.
+std::uint64_t candidate(std::uint32_t cost, ip::NodeId node) noexcept {
+  return (std::uint64_t{cost} << 32) | node;
 }
 
 }  // namespace
@@ -145,8 +144,10 @@ void Igp::flood(ip::NodeId at, const std::shared_ptr<const Lsa>& lsa,
   cp_.topology().for_each_adjacency(at, [&](const net::Adjacency& adj) {
     if (adj.neighbor == except || !is_member(adj.neighbor)) return;
     const ip::NodeId to = adj.neighbor;
+    auto deliver = [this, to, lsa, at] { receive_lsa(to, lsa, at); };
+    static_assert(sim::InlineCallable::fits_inline<decltype(deliver)>);
     cp_.send_adjacent(at, to, "igp.lsa", lsa->wire_bytes(),
-                      [this, to, lsa, at] { receive_lsa(to, lsa, at); });
+                      std::move(deliver));
   });
 }
 
@@ -176,7 +177,7 @@ void Igp::classify_dirty(const RouterState& st,
   };
   auto is_parent = [&](ip::NodeId child, ip::NodeId parent) {
     if (child >= st.parents.size()) return false;
-    const std::vector<ip::NodeId>& ps = st.parents[child];
+    const ParentSet& ps = st.parents[child];
     return std::binary_search(ps.begin(), ps.end(), parent);
   };
   constexpr std::uint64_t kInf64 = ~std::uint64_t{0};
@@ -220,18 +221,26 @@ void Igp::classify_dirty(const RouterState& st,
   }
 }
 
-void Igp::dijkstra(RouterState& st, const std::vector<ip::NodeId>& seeds,
+void Igp::dijkstra(RouterState& st, std::span<const ip::NodeId> seeds,
                    bool complete_parents) {
   auto& best = st.best;
   auto& parents = st.parents;
-  CandidateQueue pq;
-  for (ip::NodeId s : seeds) pq.push(Candidate{best[s], s});
+  // A min-heap in storage every run reuses.
+  std::vector<std::uint64_t>& pq = spf_queue_;
+  pq.clear();
+  const auto push = [&pq](std::uint32_t cost, ip::NodeId node) {
+    pq.push_back(candidate(cost, node));
+    std::push_heap(pq.begin(), pq.end(), std::greater<>());
+  };
+  for (ip::NodeId s : seeds) push(best[s], s);
 
   while (!pq.empty()) {
-    const Candidate c = pq.top();
-    pq.pop();
-    if (c.cost > best[c.node]) continue;  // stale
-    const Lsa* lsa = st.lsdb.find(c.node);
+    std::pop_heap(pq.begin(), pq.end(), std::greater<>());
+    const auto cost = static_cast<std::uint32_t>(pq.back() >> 32);
+    const auto node = static_cast<ip::NodeId>(pq.back() & 0xFFFFFFFFu);
+    pq.pop_back();
+    if (cost > best[node]) continue;  // stale
+    const Lsa* lsa = st.lsdb.find(node);
     if (lsa == nullptr) continue;
     for (const LsaLink& l : lsa->links) {
       // Two-way connectivity check: the neighbor must advertise the link.
@@ -242,24 +251,25 @@ void Igp::dijkstra(RouterState& st, const std::vector<ip::NodeId>& seeds,
                       [&](const LsaLink& bl) { return bl.link == l.link; });
       if (!two_way) continue;
       ++edges_relaxed_;
-      const std::uint32_t ncost = c.cost + l.cost;
+      const std::uint32_t ncost = cost + l.cost;
       std::uint32_t& nb = best[l.neighbor];
       if (ncost < nb) {
         nb = ncost;
-        parents[l.neighbor].assign(1, c.node);
-        pq.push(Candidate{ncost, l.neighbor});
+        parents[l.neighbor].clear();
+        parents[l.neighbor].push_back(node);
+        push(ncost, l.neighbor);
         continue;
       }
       if (ncost == nb) {
-        insert_sorted(parents[l.neighbor], c.node);  // equal-cost alternate
+        insert_sorted(parents[l.neighbor], node);  // equal-cost alternate
       }
-      // Reverse-parent completion: when this pop improved c.node, a
+      // Reverse-parent completion: when this pop improved `node`, a
       // settled unchanged neighbor that is now an equal-cost predecessor
       // would never forward-relax into us — pick it up here. Any such
-      // neighbor's distance (c.cost - l.cost < c.cost) is final by the
+      // neighbor's distance (cost - l.cost < cost) is final by the
       // nondecreasing-pop invariant, so the equality test is exact.
-      if (complete_parents && l.cost > 0 && nb + l.cost == c.cost) {
-        insert_sorted(parents[c.node], l.neighbor);
+      if (complete_parents && l.cost > 0 && nb + l.cost == cost) {
+        insert_sorted(parents[node], l.neighbor);
       }
     }
   }
@@ -271,9 +281,10 @@ void Igp::full_spf_run(ip::NodeId router, RouterState& st) {
   // first-hop set can be derived afterwards.
   st.best.assign(routers_.size(), kInfCost);
   st.parents.resize(routers_.size());
-  for (std::vector<ip::NodeId>& ps : st.parents) ps.clear();
+  for (ParentSet& ps : st.parents) ps.clear();
   st.best[router] = 0;
-  dijkstra(st, {router}, /*complete_parents=*/false);
+  dijkstra(st, std::span<const ip::NodeId>(&router, 1),
+           /*complete_parents=*/false);
 }
 
 void Igp::incremental_spf_run(RouterState& st,
@@ -292,50 +303,57 @@ void Igp::rebuild_next_hops(ip::NodeId router, RouterState& st) {
   // First-hop sets over the parent DAG, settled in (distance, id) order:
   // costs are positive, so every parent is strictly closer than its child
   // and its set is final before any child merges it. Sets live back to
-  // back in one arena, each sorted ascending.
+  // back in one arena, each sorted ascending by neighbor; a merged hop
+  // keeps its interface (a function of the neighbor) and takes the
+  // destination's cost.
   const std::size_t n = st.best.size();
-  std::vector<std::uint64_t> order;  // (distance << 32) | node id
+  std::vector<std::uint64_t>& order = settle_order_;  // (distance << 32) | id
+  order.clear();
   for (ip::NodeId v = 0; v < n; ++v) {
     if (v != router && st.best[v] != kInfCost) {
       order.push_back((std::uint64_t{st.best[v]} << 32) | v);
     }
   }
   std::sort(order.begin(), order.end());
-  std::vector<ip::NodeId> arena;
-  std::vector<std::uint32_t> first(n, 0), last(n, 0);
+  const net::Node& self = cp_.topology().node(router);
+  std::vector<NextHopEntry>& hops = st.hops;
+  hops.clear();
+  st.hop_first.assign(n, 0);
+  st.hop_last.assign(n, 0);
+  const auto by_via = [](const NextHopEntry& a, const NextHopEntry& b) {
+    return a.via < b.via;
+  };
+  const auto same_via = [](const NextHopEntry& a, const NextHopEntry& b) {
+    return a.via == b.via;
+  };
   for (const std::uint64_t key : order) {
     const auto dest = static_cast<ip::NodeId>(key & 0xFFFFFFFFu);
-    const auto begin = static_cast<std::uint32_t>(arena.size());
+    const std::uint32_t cost = st.best[dest];
+    const auto begin = static_cast<std::uint32_t>(hops.size());
     for (ip::NodeId p : st.parents[dest]) {
       if (p == router) {
-        arena.push_back(dest);
+        hops.push_back({dest, self.interface_to(dest), cost});
       } else {
-        for (std::uint32_t i = first[p]; i < last[p]; ++i) {
-          const ip::NodeId hop = arena[i];  // copy: push_back may reallocate
-          arena.push_back(hop);
+        for (std::uint32_t i = st.hop_first[p]; i < st.hop_last[p]; ++i) {
+          NextHopEntry hop = hops[i];  // copy: push_back may reallocate
+          hop.cost = cost;
+          hops.push_back(hop);
         }
       }
     }
-    std::sort(arena.begin() + begin, arena.end());
-    arena.erase(std::unique(arena.begin() + begin, arena.end()), arena.end());
-    first[dest] = begin;
-    last[dest] = static_cast<std::uint32_t>(arena.size());
+    std::sort(hops.begin() + begin, hops.end(), by_via);
+    hops.erase(std::unique(hops.begin() + begin, hops.end(), same_via),
+               hops.end());
+    st.hop_first[dest] = begin;
+    st.hop_last[dest] = static_cast<std::uint32_t>(hops.size());
   }
+}
 
-  const net::Node& self = cp_.topology().node(router);
-  st.next_hops.resize(n);
-  for (ip::NodeId dest = 0; dest < n; ++dest) {
-    std::vector<NextHopEntry>& entries = st.next_hops[dest];
-    entries.clear();
-    if (dest == router) continue;
-    for (std::uint32_t i = first[dest]; i < last[dest]; ++i) {
-      NextHopEntry entry;
-      entry.via = arena[i];
-      entry.iface = self.interface_to(arena[i]);
-      entry.cost = st.best[dest];
-      entries.push_back(entry);
-    }
-  }
+std::span<const Igp::NextHopEntry> Igp::hop_set(const RouterState& st,
+                                                ip::NodeId dest) const noexcept {
+  if (dest >= st.hop_first.size()) return {};
+  return std::span<const NextHopEntry>(st.hops).subspan(
+      st.hop_first[dest], st.hop_last[dest] - st.hop_first[dest]);
 }
 
 void Igp::run_spf(ip::NodeId router) {
@@ -413,18 +431,14 @@ double Igp::te_reservable(ip::NodeId from, net::LinkId link) const {
 
 const Igp::NextHopEntry* Igp::next_hop(ip::NodeId router,
                                        ip::NodeId dest) const {
-  const RouterState& st = state(router);
-  if (dest >= st.next_hops.size() || st.next_hops[dest].empty()) {
-    return nullptr;
-  }
-  return &st.next_hops[dest].front();
+  const std::span<const NextHopEntry> set = hop_set(state(router), dest);
+  return set.empty() ? nullptr : &set.front();
 }
 
 std::vector<Igp::NextHopEntry> Igp::next_hops_ecmp(ip::NodeId router,
                                                    ip::NodeId dest) const {
-  const RouterState& st = state(router);
-  return dest < st.next_hops.size() ? st.next_hops[dest]
-                                    : std::vector<NextHopEntry>{};
+  const std::span<const NextHopEntry> set = hop_set(state(router), dest);
+  return {set.begin(), set.end()};
 }
 
 Igp::SpfCounters Igp::router_spf_counters(ip::NodeId router) const {

@@ -3,8 +3,10 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <vector>
 
+#include "net/inline_vec.hpp"
 #include "routing/control_plane.hpp"
 #include "routing/link_state.hpp"
 
@@ -131,6 +133,10 @@ class Igp {
   /// Cost marker for an edge absent on one side of a diff.
   static constexpr std::uint32_t kInfCost = 0xFFFFFFFFu;
 
+  /// Equal-cost predecessors of one node, ascending. Two inline slots
+  /// cover the usual ECMP fan-in, so a first fill allocates nothing.
+  using ParentSet = net::InlineVec<ip::NodeId, 2>;
+
   /// One adjacency change between two copies of an origin's LSA.
   struct DirtyEdge {
     ip::NodeId u = ip::kInvalidNode;  ///< LSA origin
@@ -144,9 +150,13 @@ class Igp {
   struct RouterState {
     bool active = false;
     LinkStateDb lsdb;
-    /// Per destination id: the ECMP next-hop set, ascending by neighbor id
-    /// (element 0 is primary); empty when unreachable.
-    std::vector<std::vector<NextHopEntry>> next_hops;
+    /// ECMP next-hop sets, back to back: destination d's set is
+    /// `hops[hop_first[d], hop_last[d])`, ascending by neighbor id (the
+    /// first is primary) and empty when d is unreachable. Every rebuild
+    /// reuses the three vectors' storage.
+    std::vector<NextHopEntry> hops;
+    std::vector<std::uint32_t> hop_first;
+    std::vector<std::uint32_t> hop_last;
     bool spf_scheduled = false;
     std::uint32_t lsa_seq = 0;
 
@@ -155,7 +165,7 @@ class Igp {
     /// distance (kInfCost when unreached) and the equal-cost predecessor
     /// set, ascending.
     std::vector<std::uint32_t> best;
-    std::vector<std::vector<ip::NodeId>> parents;
+    std::vector<ParentSet> parents;
     bool spf_valid = false;   ///< best/parents reflect some prior run
     std::vector<DirtyEdge> dirty;  ///< graph changes since that run
     bool dirty_full = false;  ///< a brand-new origin appeared: no diff base
@@ -190,12 +200,15 @@ class Igp {
   /// distances) in (cost, node) order, relaxing two-way links and keeping
   /// every equal-cost parent; `complete_parents` adds the incremental
   /// run's reverse-parent completion.
-  void dijkstra(RouterState& st, const std::vector<ip::NodeId>& seeds,
+  void dijkstra(RouterState& st, std::span<const ip::NodeId> seeds,
                 bool complete_parents);
   void full_spf_run(ip::NodeId router, RouterState& st);
   void incremental_spf_run(RouterState& st,
                            const std::vector<ip::NodeId>& seeds);
   void rebuild_next_hops(ip::NodeId router, RouterState& st);
+  /// `router`'s ECMP set toward `dest` (empty when unreachable).
+  [[nodiscard]] std::span<const NextHopEntry> hop_set(
+      const RouterState& st, ip::NodeId dest) const noexcept;
 
   ControlPlane& cp_;
   std::vector<ip::NodeId> members_;
@@ -211,6 +224,10 @@ class Igp {
   std::uint64_t te_only_installs_ = 0;
   std::uint64_t edges_relaxed_ = 0;
   std::vector<std::function<void(ip::NodeId)>> spf_callbacks_;
+  /// Scratch kept for its storage: dijkstra's candidate heap and
+  /// rebuild_next_hops' settle order, both (cost << 32) | node keys.
+  std::vector<std::uint64_t> spf_queue_;
+  std::vector<std::uint64_t> settle_order_;
 };
 
 }  // namespace mvpn::routing

@@ -75,18 +75,27 @@ struct CompactRoute {
   return c;
 }
 
+/// Rebuild `out` from `key` and `c` in place. `out.route_targets` keeps
+/// its capacity, so a reused route allocates only when an RT set outgrows
+/// every set it held before.
+inline void materialize_into(const VpnRouteKey& key, const CompactRoute& c,
+                             const RtSetPool& pool, VpnRoute& out) {
+  out.rd = key.first;
+  out.prefix = key.second;
+  out.next_hop = ip::Ipv4Address(c.next_hop);
+  out.next_hop_node = c.next_hop_node;
+  out.vpn_label = c.vpn_label;
+  const std::vector<RouteTarget>& rts = pool.get(c.rt_set);
+  out.route_targets.assign(rts.begin(), rts.end());
+  out.local_pref = c.local_pref;
+  out.originator = c.originator;
+}
+
 [[nodiscard]] inline VpnRoute materialize(const VpnRouteKey& key,
                                           const CompactRoute& c,
                                           const RtSetPool& pool) {
   VpnRoute r;
-  r.rd = key.first;
-  r.prefix = key.second;
-  r.next_hop = ip::Ipv4Address(c.next_hop);
-  r.next_hop_node = c.next_hop_node;
-  r.vpn_label = c.vpn_label;
-  r.route_targets = pool.get(c.rt_set);
-  r.local_pref = c.local_pref;
-  r.originator = c.originator;
+  materialize_into(key, c, pool, r);
   return r;
 }
 

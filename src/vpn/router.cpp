@@ -89,13 +89,6 @@ void Router::bind_interface_to_vrf(ip::IfIndex iface, VpnId id) {
   bump_config_gen();
 }
 
-std::vector<Vrf*> Router::vrfs() {
-  std::vector<Vrf*> out;
-  out.reserve(vrfs_.size());
-  for (auto& v : vrfs_) out.push_back(v.get());
-  return out;
-}
-
 void Router::add_policer(qos::Phb phb, double cir_bytes_s, double cbs,
                          double ebs) {
   policers_[phb] = std::make_unique<qos::Policer>(cir_bytes_s, cbs, ebs);

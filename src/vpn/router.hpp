@@ -4,6 +4,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <ranges>
 #include <string>
 #include <vector>
 
@@ -88,7 +89,17 @@ class Router : public net::Node {
   [[nodiscard]] Vrf* vrf_of_interface(ip::IfIndex iface);
   void bind_interface_to_vrf(ip::IfIndex iface, VpnId id);
   [[nodiscard]] std::size_t vrf_count() const noexcept { return vrfs_.size(); }
-  [[nodiscard]] std::vector<Vrf*> vrfs();
+  /// Every VRF in creation order, as a view over the router's own storage
+  /// (nothing is copied or allocated).
+  [[nodiscard]] auto vrfs() noexcept {
+    return vrfs_ | std::views::transform(
+                       [](const std::unique_ptr<Vrf>& v) { return v.get(); });
+  }
+  [[nodiscard]] auto vrfs() const noexcept {
+    return vrfs_ | std::views::transform([](const std::unique_ptr<Vrf>& v) {
+             return static_cast<const Vrf*>(v.get());
+           });
+  }
 
   /// --- edge QoS (CE/CPE role, paper §5) ----------------------------------
   void set_classifier(std::unique_ptr<qos::CbqClassifier> c) {

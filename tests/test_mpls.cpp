@@ -741,7 +741,8 @@ std::vector<std::string> vpn_routes_row(backbone::MplsBackbone& bb) {
   }
   golden::Fnv vrfs;
   for (vpn::Router* pe : bb.pes()) {
-    std::vector<vpn::Vrf*> tables = pe->vrfs();
+    const auto view = pe->vrfs();
+    std::vector<vpn::Vrf*> tables(view.begin(), view.end());
     std::sort(tables.begin(), tables.end(),
               [](const vpn::Vrf* a, const vpn::Vrf* b) {
                 return a->vpn_id() < b->vpn_id();

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <tuple>
+#include <vector>
 
 #include "backbone/fixtures.hpp"
 #include "ip/dir24_fib.hpp"
 #include "ip/prefix_trie.hpp"
 #include "ipsec/esp.hpp"
+#include "qos/meter.hpp"
 #include "qos/queues.hpp"
 #include "qos/token_bucket.hpp"
 #include "test_flows.hpp"
@@ -483,6 +487,66 @@ TEST_P(BucketRates, LongRunThroughputBoundedByCir) {
 
 INSTANTIATE_TEST_SUITE_P(Cirs, BucketRates,
                          ::testing::Values(50e3, 200e3, 1e6));
+
+// --- Meters: conforming bytes over any interval ---------------------------
+
+/// Largest excess, over every window [t_i, t_j] between two arrivals, of
+/// the bytes counted at arrivals i..j above CBS + CIR·(t_j − t_i).
+/// O(n): the best window ending at j starts where CIR·t_i − S_{i−1} peaks.
+double worst_window_excess(const std::vector<sim::SimTime>& at,
+                           const std::vector<std::uint64_t>& counted,
+                           double cir, double cbs) {
+  long double before_i = 0;  // S_{i-1}: bytes counted before arrival i
+  long double best_start = -1e300L;
+  long double worst = -1e300L;
+  for (std::size_t j = 0; j < at.size(); ++j) {
+    const long double t = static_cast<long double>(at[j]) / 1e9L;
+    best_start = std::max(best_start, cir * t - before_i);
+    before_i += static_cast<long double>(counted[j]);
+    // S_j - S_{i-1} - CIR (t_j - t_i) - CBS, maximised over i <= j.
+    worst = std::max(worst, before_i - cir * t + best_start - cbs);
+  }
+  return static_cast<double>(worst);
+}
+
+class MeterBound
+    : public ::testing::TestWithParam<std::tuple<double, double>> {};
+
+TEST_P(MeterBound, ConformingBytesWithinCbsPlusCirTimesT) {
+  // Seeded exponential arrivals at about the committed rate, so the bucket
+  // both fills during gaps and drains in bursts. Token-bucket accepted
+  // bytes and srTCM green bytes must satisfy the (CBS, CIR) arrival curve
+  // on every window, up to floating-point slack only.
+  const auto [cir, cbs] = GetParam();
+  constexpr double kSlackBytes = 1e-6;
+  qos::TokenBucket tb(cir, cbs);
+  qos::SrTcmMeter meter(cir, cbs, cbs);
+  sim::Rng rng(7 + static_cast<std::uint64_t>(cir + cbs));
+  std::vector<sim::SimTime> at;
+  std::vector<std::uint64_t> accepted;
+  std::vector<std::uint64_t> green;
+  sim::SimTime now = 0;
+  for (int i = 0; i < 20000; ++i) {
+    now += sim::from_seconds(rng.exponential(850.0 / cir));
+    const auto bytes =
+        static_cast<std::size_t>(200 + rng.uniform_int(0, 1300));
+    at.push_back(now);
+    accepted.push_back(tb.consume(now, bytes) ? bytes : 0);
+    green.push_back(meter.meter(now, bytes) == qos::Color::kGreen ? bytes : 0);
+  }
+  EXPECT_LE(worst_window_excess(at, accepted, cir, cbs), kSlackBytes)
+      << "token bucket cir=" << cir << " cbs=" << cbs;
+  EXPECT_LE(worst_window_excess(at, green, cir, cbs), kSlackBytes)
+      << "srTCM green cir=" << cir << " cbs=" << cbs;
+  // The bound is tight enough to matter: some packets were refused.
+  EXPECT_LT(std::count(accepted.begin(), accepted.end(), 0u), 20000);
+  EXPECT_GT(std::count(accepted.begin(), accepted.end(), 0u), 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CirCbs, MeterBound,
+    ::testing::Combine(::testing::Values(50e3, 200e3, 1e6),
+                       ::testing::Values(1500.0, 3000.0, 20000.0)));
 
 }  // namespace
 }  // namespace mvpn

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "backbone/fixtures.hpp"
 #include "golden.hpp"
 #include "net/topology.hpp"
 #include "routing/bgp.hpp"
@@ -991,6 +993,132 @@ TEST(Bgp, PerSpeakerQueriesThrowForNonSpeakers) {
   const VpnRouteKey unknown{RouteDistinguisher{65000, 7},
                             ip::Prefix::must_parse("10.7.0.0/16")};
   EXPECT_FALSE(bgp->best(0, unknown).has_value());
+}
+
+bool same_route(const VpnRoute& a, const VpnRoute& b) {
+  return a.rd == b.rd && a.prefix == b.prefix && a.next_hop == b.next_hop &&
+         a.next_hop_node == b.next_hop_node && a.vpn_label == b.vpn_label &&
+         a.route_targets == b.route_targets && a.local_pref == b.local_pref &&
+         a.originator == b.originator;
+}
+
+TEST(Bgp, ObserversSeeExactRouteTargetsAcrossBestPathChanges) {
+  // Observers read one route that decide() rebuilds in place. Moving a
+  // best path from 3 route targets to 1 and back, then withdrawing it,
+  // must hand every observer exactly Bgp::best() — no stale RTs — and
+  // leave each VRF importing exactly what that route's RTs select.
+  backbone::BackboneConfig cfg;
+  cfg.p_count = 1;
+  cfg.pe_count = 3;
+  backbone::MplsBackbone bb(cfg);
+  std::vector<vpn::VpnId> vpns;
+  for (const char* name : {"A", "B", "C"}) {
+    vpns.push_back(bb.service.create_vpn(name));
+  }
+  for (std::size_t pe = 0; pe < 3; ++pe) {
+    for (std::size_t v = 0; v < vpns.size(); ++v) {
+      bb.add_site(vpns[v], pe,
+                  ip::Prefix::must_parse("172.16." +
+                                         std::to_string(pe * 3 + v) + ".0/24"));
+    }
+  }
+  bb.start_and_converge();
+
+  struct Seen {
+    VpnRoute route;
+    bool withdrawn = false;
+  };
+  // Two observers after the service's own, each keeping its last event
+  // per speaker.
+  std::vector<std::vector<std::optional<Seen>>> seen(2);
+  for (std::size_t o = 0; o < seen.size(); ++o) {
+    seen[o].resize(bb.topo.node_count());
+    bb.bgp.on_route(
+        [&seen, o](ip::NodeId at, const VpnRoute& r, bool withdrawn) {
+          seen[o][at] = Seen{r, withdrawn};
+        });
+  }
+
+  const ip::Prefix prefix = ip::Prefix::must_parse("10.77.0.0/16");
+  const RouteDistinguisher rd{65000, 77};
+  const VpnRouteKey key{rd, prefix};
+  // PE1 (re-)originates the key with the RTs of `targets`.
+  auto offer = [&](std::vector<vpn::VpnId> targets) {
+    VpnRoute r;
+    r.rd = rd;
+    r.prefix = prefix;
+    r.next_hop = bb.pe(1).loopback();
+    r.next_hop_node = bb.pe(1).id();
+    r.vpn_label = 501;
+    for (vpn::VpnId v : targets) r.route_targets.push_back(bb.service.rt_of(v));
+    bb.bgp.originate(bb.pe(1).id(), r);
+    bb.topo.scheduler().run();
+  };
+  auto check = [&](const std::string& step, std::size_t expected_rts) {
+    for (ip::NodeId s : bb.bgp.speakers()) {
+      const std::optional<VpnRoute> best = bb.bgp.best(s, key);
+      if (best) {
+        EXPECT_EQ(best->route_targets.size(), expected_rts) << step << " " << s;
+      }
+      for (std::size_t o = 0; o < seen.size(); ++o) {
+        const std::optional<Seen>& last = seen[o][s];
+        ASSERT_TRUE(last.has_value()) << step << " observer " << o << " " << s;
+        EXPECT_EQ(last->withdrawn, !best.has_value()) << step << " " << s;
+        if (best) {
+          EXPECT_TRUE(same_route(last->route, *best))
+              << step << " observer " << o << " speaker " << s;
+        }
+      }
+    }
+    for (vpn::Router* pe : bb.pes()) {
+      const std::optional<VpnRoute> best = bb.bgp.best(pe->id(), key);
+      for (const vpn::Vrf* vrf : pe->vrfs()) {
+        const bool want = best.has_value() &&
+                          best->next_hop_node != pe->id() &&
+                          vrf->imports(*best);
+        const ip::RouteEntry* e = vrf->table().find(prefix);
+        EXPECT_EQ(e != nullptr, want)
+            << step << " " << pe->name() << " vrf " << vrf->config().name;
+        if (e != nullptr && want) {
+          EXPECT_EQ(e->egress_pe, best->next_hop_node) << step;
+          EXPECT_EQ(e->vpn_label, best->vpn_label) << step;
+        }
+      }
+    }
+  };
+
+  // One originator replaces its route, so every speaker's best path moves
+  // 3 RTs -> 1 RT -> 3 RTs: the rebuilt route shrinks, then regrows in
+  // place. (Two competing originators would test something else: in a
+  // full mesh a PE whose own route loses to a peer's never withdraws it.)
+  offer({vpns[0], vpns[1], vpns[2]});
+  check("three RTs", 3);
+  offer({vpns[1]});
+  check("one RT", 1);
+  offer({vpns[2], vpns[0], vpns[1]});
+  check("back to three RTs", 3);
+  bb.bgp.withdraw(bb.pe(1).id(), rd, prefix);
+  bb.topo.scheduler().run();
+  check("withdrawn", 0);
+}
+
+TEST(Bgp, ObserverThatReentersDecideThrows) {
+  BgpFixture f;
+  const auto bgp = three_pe_fabric(f, false);
+  bool reenter = true;
+  bgp->on_route([&](ip::NodeId at, const VpnRoute&, bool withdrawn) {
+    if (reenter && at == 0 && !withdrawn) {
+      bgp->originate(0, f.route(2, "10.2.0.0/16", 0));
+    }
+  });
+  EXPECT_THROW(bgp->originate(0, f.route(1, "10.1.0.0/16", 0)),
+               std::logic_error);
+  reenter = false;  // the guard resets once the observer call unwinds
+  EXPECT_NO_THROW(bgp->originate(0, f.route(3, "10.3.0.0/16", 0)));
+  f.topo.scheduler().run();
+  const VpnRouteKey key{RouteDistinguisher{65000, 3},
+                        ip::Prefix::must_parse("10.3.0.0/16")};
+  EXPECT_TRUE(bgp->best(2, key).has_value());
 }
 
 TEST(Igp, TeOnlyChangeSkipsSpfEntirely) {

@@ -6,6 +6,7 @@
 //     pattern: every fired event schedules its successor),
 //   * the same churn with a PacketPtr capture (the link-transmit shape),
 //   * the cancel/re-arm pattern of retransmission timers (TcpLite's RTO),
+//   * a control-plane flood: fan-out onto a few same-instant delays,
 //   * pooled packet acquire/release vs a fresh heap allocation per packet.
 //
 // All loops reach a steady state where the scheduler's node pool and the
@@ -108,6 +109,44 @@ void BM_CancelRearm(benchmark::State& state) {
       static_cast<double>(sched.node_pool_size());
 }
 BENCHMARK(BM_CancelRearm);
+
+/// Control-plane flood shape (IGP flooding, LDP and BGP bursts): every
+/// fired event schedules `k` successors on a lattice of three fixed delays
+/// (a link's propagation delay or the session delay, plus the processing
+/// delay), so about 10⁵ pending events share a few instants. The
+/// `heap_capacity` counter shows how many heap entries that burst needs.
+void BM_SameInstantFanout(benchmark::State& state) {
+  static constexpr sim::SimTime kDelays[] = {1'100'000, 2'100'000,
+                                             5'100'000};
+  static constexpr std::size_t kPendingCap = 100'000;
+  struct Flood {
+    sim::Scheduler* sched;
+    std::uint64_t* fired;
+    std::int64_t k;
+    void operator()() const {
+      ++*fired;
+      if (sched->pending() >= kPendingCap) return;
+      for (std::int64_t i = 0; i < k; ++i) {
+        sched->schedule_in(kDelays[i % 3], Flood{sched, fired, k});
+      }
+    }
+  };
+  sim::Scheduler sched;
+  std::uint64_t fired = 0;
+  sched.schedule_in(1, Flood{&sched, &fired, state.range(0)});
+  while (sched.pending() < kPendingCap / 2) {
+    sched.run_until(sched.now() + 100'000);
+  }
+  fired = 0;
+  for (auto _ : state) {
+    sched.run_until(sched.now() + 100'000);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(fired));
+  state.counters["pending"] = static_cast<double>(sched.pending());
+  state.counters["heap_capacity"] =
+      static_cast<double>(sched.heap_capacity());
+}
+BENCHMARK(BM_SameInstantFanout)->Arg(2)->Arg(3);
 
 /// Pooled packet lifecycle: acquire, touch, release back to the freelist.
 void BM_PacketPoolAcquireRelease(benchmark::State& state) {

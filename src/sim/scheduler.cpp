@@ -24,8 +24,7 @@ void Scheduler::heap_push(HeapEntry e) {
   }
 }
 
-Scheduler::HeapEntry Scheduler::heap_pop_min() {
-  const HeapEntry min = heap_.front();
+void Scheduler::heap_pop_min() {
   HeapEntry last = heap_.back();
   heap_.pop_back();
   if (!heap_.empty()) {
@@ -46,14 +45,13 @@ Scheduler::HeapEntry Scheduler::heap_pop_min() {
     }
     heap_[i] = last;
   }
-  return min;
 }
 
 std::uint32_t Scheduler::acquire_node() {
   if (free_head_ != kNoSlot) {
     const std::uint32_t slot = free_head_;
-    free_head_ = nodes_[slot].next_free;
-    nodes_[slot].next_free = kNoSlot;
+    free_head_ = nodes_[slot].next;
+    nodes_[slot].next = kNoSlot;
     return slot;
   }
   nodes_.emplace_back();
@@ -65,8 +63,42 @@ void Scheduler::release_node(std::uint32_t slot) {
   n.fn.reset();
   n.seq = 0;
   n.cancelled = false;
-  n.next_free = free_head_;
+  n.next = free_head_;
   free_head_ = slot;
+}
+
+void Scheduler::append(SimTime t, std::uint64_t seq, std::uint32_t slot) {
+  for (OpenTail& tail : open_tails_) {
+    if (tail.time == t) {
+      nodes_[tail.slot].next = slot;
+      tail.slot = slot;
+      return;
+    }
+  }
+  heap_push(HeapEntry{t, seq, slot});
+  // The victim's bucket stays in the heap, closed: a later event at its
+  // time opens a newer bucket, which sorts after it by sequence number.
+  open_tails_[next_victim_] = OpenTail{t, slot};
+  next_victim_ = (next_victim_ + 1) % kOpenTails;
+}
+
+std::uint32_t Scheduler::take_head() {
+  HeapEntry& head = heap_.front();
+  const std::uint32_t slot = head.slot;
+  const std::uint32_t next = nodes_[slot].next;
+  if (next != kNoSlot) {
+    // Same bucket, same key: the heap needs no sift.
+    head.slot = next;
+    return slot;
+  }
+  for (OpenTail& tail : open_tails_) {
+    if (tail.slot == slot) {
+      tail = OpenTail{};
+      break;
+    }
+  }
+  heap_pop_min();
+  return slot;
 }
 
 EventId Scheduler::schedule_at(SimTime t, Handler fn) {
@@ -78,7 +110,8 @@ EventId Scheduler::schedule_at(SimTime t, Handler fn) {
   Node& n = nodes_[slot];
   n.fn = std::move(fn);
   n.seq = seq;
-  heap_push(HeapEntry{t, seq, slot});
+  append(t, seq, slot);
+  ++live_;
   return EventId{seq, slot};
 }
 
@@ -98,28 +131,29 @@ void Scheduler::cancel(EventId id) {
   // kill an unrelated event nor skew pending().
   if (n.seq != id.seq || n.cancelled) return;
   n.cancelled = true;
-  ++cancelled_live_;
+  --live_;
 }
 
 bool Scheduler::drop_cancelled_head() {
   while (!heap_.empty()) {
-    const HeapEntry& top = heap_.front();
-    if (!nodes_[top.slot].cancelled) return true;
-    const HeapEntry e = heap_pop_min();
-    --cancelled_live_;
-    release_node(e.slot);
+    const std::uint32_t slot = heap_.front().slot;
+    if (!nodes_[slot].cancelled) return true;
+    take_head();
+    release_node(slot);
   }
   return false;
 }
 
 bool Scheduler::pop_and_execute() {
   if (!drop_cancelled_head()) return false;
-  const HeapEntry e = heap_pop_min();
+  const SimTime t = heap_.front().time;
+  const std::uint32_t slot = take_head();
   // Move the handler out before running it: the handler may schedule new
   // events, which can grow nodes_ and invalidate references into it.
-  Handler fn = std::move(nodes_[e.slot].fn);
-  release_node(e.slot);
-  now_ = e.time;
+  Handler fn = std::move(nodes_[slot].fn);
+  release_node(slot);
+  now_ = t;
+  --live_;
   ++executed_;
   fn();
   return true;
@@ -141,6 +175,8 @@ void Scheduler::run() {
   std::vector<HeapEntry>().swap(heap_);
   std::vector<Node>().swap(nodes_);
   free_head_ = kNoSlot;
+  open_tails_ = {};
+  next_victim_ = 0;
 }
 
 void Scheduler::run_until(SimTime t_end) {

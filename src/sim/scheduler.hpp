@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -27,10 +28,17 @@ struct EventId {
 /// a given seed. Handlers may schedule further events and may cancel
 /// not-yet-fired events.
 ///
+/// The heap orders instants, not events: each 24-byte entry is a bucket of
+/// events at one time, a FIFO chain of pooled nodes. A control-plane burst
+/// lands on a few delay-lattice instants (INTERNALS §1), so most events
+/// join an open bucket through a small cache of open tails and most pops
+/// advance a chain without a sift. Events at distinct times cost one
+/// bucket each.
+///
 /// Steady-state operation is allocation-free: handlers live in pooled,
 /// recycled event nodes (with small-buffer storage — see InlineCallable),
-/// and the priority queue is an in-house 4-ary heap of 24-byte entries
-/// that moves values out on pop instead of copying the whole event the way
+/// and the priority queue is an in-house 4-ary heap that moves values out
+/// on pop instead of copying the whole event the way
 /// `std::priority_queue::top()` forces. Only run() returning with an empty
 /// queue gives that storage back (INTERNALS §6).
 class Scheduler {
@@ -62,9 +70,7 @@ class Scheduler {
   /// const: cancelled heads are compacted away so the answer is exact.
   [[nodiscard]] SimTime next_event_time();
 
-  [[nodiscard]] std::size_t pending() const noexcept {
-    return heap_.size() - cancelled_live_;
-  }
+  [[nodiscard]] std::size_t pending() const noexcept { return live_; }
   [[nodiscard]] std::uint64_t executed_count() const noexcept {
     return executed_;
   }
@@ -86,15 +92,30 @@ class Scheduler {
   struct Node {
     Handler fn;
     std::uint64_t seq = 0;  ///< matches the handed-out EventId; 0 when free
-    std::uint32_t next_free = kNoSlot;
+    /// A pending node's successor in its bucket, a free node's in the free
+    /// list (a node is never both); kNoSlot ends either chain.
+    std::uint32_t next = kNoSlot;
     bool cancelled = false;
   };
 
+  /// One bucket: the pending events at `time` from `seq` on, chained from
+  /// node `slot` (the head). Buckets of one time hold disjoint, increasing
+  /// sequence ranges, so (time, seq of the first event) orders them.
   struct HeapEntry {
     SimTime time;
     std::uint64_t seq;
     std::uint32_t slot;
   };
+
+  /// Tail of a bucket that schedule_at may still append to.
+  struct OpenTail {
+    SimTime time = -1;  ///< -1 marks an empty entry: times are >= 0
+    std::uint32_t slot = kNoSlot;
+  };
+  /// Fully associative, round-robin. A time has at most one entry, and it
+  /// names the newest bucket of that time: an evicted bucket is never
+  /// appended to again, and a drained one clears its entry.
+  static constexpr std::size_t kOpenTails = 4;
 
   [[nodiscard]] static bool earlier(const HeapEntry& a,
                                     const HeapEntry& b) noexcept {
@@ -103,19 +124,28 @@ class Scheduler {
   }
 
   void heap_push(HeapEntry e);
-  HeapEntry heap_pop_min();
+  void heap_pop_min();
 
   std::uint32_t acquire_node();
   void release_node(std::uint32_t slot);
 
-  /// Pop cancelled entries off the heap head; returns false when empty.
+  /// Chain node `slot` (event `seq`) onto the open bucket of time `t`, or
+  /// open a new bucket for it.
+  void append(SimTime t, std::uint64_t seq, std::uint32_t slot);
+  /// Unlink the head bucket's first node and return its slot; a drained
+  /// bucket leaves the heap and the tail cache.
+  std::uint32_t take_head();
+
+  /// Pop cancelled events off the heap head; returns false when empty.
   bool drop_cancelled_head();
   bool pop_and_execute();
 
-  std::vector<HeapEntry> heap_;  ///< implicit 4-ary min-heap
+  std::vector<HeapEntry> heap_;  ///< implicit 4-ary min-heap of buckets
   std::vector<Node> nodes_;
   std::uint32_t free_head_ = kNoSlot;
-  std::size_t cancelled_live_ = 0;  ///< cancelled entries still in heap_
+  std::array<OpenTail, kOpenTails> open_tails_{};
+  std::size_t next_victim_ = 0;  ///< open_tails_ entry the next bucket takes
+  std::size_t live_ = 0;         ///< scheduled, not yet fired or cancelled
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 1;
   std::uint64_t executed_ = 0;

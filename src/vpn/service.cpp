@@ -229,7 +229,9 @@ void MplsVpnService::import_route(ip::NodeId at,
   last_route_change_at_ = cp_.now();
   const routing::NlriId id = bgp_.nlri_id({route.rd, route.prefix});
 
-  if (withdrawn) {
+  if (withdrawn || route.next_hop_node == at) {
+    // Gone, or our own origination is best now: no VRF here may keep an
+    // imported copy of the key.
     if (at >= imported_.size() || id >= imported_[at].size()) return;
     std::vector<VpnId>& importers = imported_[at][id];
     for (VpnId vpn : importers) {
@@ -239,7 +241,6 @@ void MplsVpnService::import_route(ip::NodeId at,
     return;
   }
 
-  if (route.next_hop_node == at) return;  // our own origination
   if (at >= imported_.size()) imported_.resize(at + 1);
   std::vector<std::vector<VpnId>>& by_id = imported_[at];
   if (id >= by_id.size()) by_id.resize(bgp_.nlri_count());

@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <iterator>
+#include <map>
 #include <memory>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "sim/rng.hpp"
@@ -272,6 +278,213 @@ TEST(Scheduler, RandomTimesFireInNondecreasingOrder) {
     EXPECT_LE(fire_times[i - 1], fire_times[i]);
   }
   EXPECT_EQ(sched.executed_count(), 5000u);
+}
+
+// Ordering property: seeded random runs against a reference model that
+// fires the pending set in sorted (time, seq) order. Ties are heavy (eight
+// lattice delays plus the open instants themselves), more instants are
+// open at once than the scheduler's tail cache holds, handlers schedule at
+// now() and at other open instants, cancels hit the first, a middle and
+// the last event of an instant, run_until() and run() are cut mid-instant
+// by stop(), and draining runs free the storage before the next round
+// regrows it. Every fire and every step checks the fired event and
+// pending() against the model. It catches a scheduler that appends to an
+// evicted, older bucket of a time while a newer one is open (later events
+// fire too early), and one that keeps a drained bucket's tail cached
+// (events chained onto a freed node never fire).
+class OrderingModel {
+ public:
+  explicit OrderingModel(std::uint64_t seed) : rng_(seed) {}
+
+  void round() {
+    const auto fresh = rng_.uniform_int(1, 40);
+    for (std::int64_t i = 0; i < fresh; ++i) schedule(pick_time());
+    if (rng_.bernoulli(0.3)) cancel_some();
+    if (rng_.bernoulli(0.2)) cancel_stale();
+    stop_requested_ = false;
+    if (rng_.bernoulli(0.6)) {
+      const SimTime t_end = sched_.now() + rng_.uniform_int(0, 40);
+      sched_.run_until(t_end);
+      if (stop_requested_) {
+        if (!model_.empty() && model_.begin()->first == sched_.now()) {
+          ++stats.stopped_mid_instant;
+        }
+      } else {
+        expect(model_.empty() || model_.begin()->first > t_end,
+               "run_until left an event at or before t_end");
+        expect(sched_.now() == t_end, "run_until did not reach t_end");
+      }
+    } else {
+      // Half the runs drain: handlers stop feeding the queue (beyond an
+      // occasional event at now()) and never stop().
+      draining_ = rng_.bernoulli(0.5);
+      sched_.run();
+      draining_ = false;
+      if (!stop_requested_) {
+        ++stats.drains;
+        expect(model_.empty(), "run() returned with events pending");
+        expect(sched_.node_pool_size() == 0 && sched_.heap_capacity() == 0,
+               "a draining run() kept its storage");
+      }
+    }
+    expect(sched_.pending() == model_.size(), "pending() after a step");
+  }
+
+  struct Stats {
+    std::uint64_t fired = 0;
+    std::uint64_t ties = 0;  ///< events scheduled at an already open instant
+    std::uint64_t cancels[3] = {0, 0, 0};  ///< first, middle, last
+    std::uint64_t stale_cancels = 0;
+    std::uint64_t stopped_mid_instant = 0;
+    std::uint64_t drains = 0;
+    std::size_t max_open_instants = 0;
+  } stats;
+  std::uint64_t mismatches = 0;
+  const char* first_mismatch = nullptr;
+
+ private:
+  struct Fire {
+    OrderingModel* model;
+    std::uint64_t seq;
+    void operator()() const { model->on_fire(seq); }
+  };
+  struct Event {
+    EventId id;
+    SimTime time;
+    bool live;
+  };
+  static constexpr SimTime kLattice[] = {1, 2, 3, 5, 8, 13, 21, 34};
+  static constexpr std::size_t kPendingCap = 3000;
+
+  void expect(bool ok, const char* what) {
+    if (ok) return;
+    ++mismatches;
+    if (first_mismatch == nullptr) first_mismatch = what;
+  }
+
+  SimTime pick_time() {
+    // Open instants are never in the past unless the scheduler lost an
+    // event; lower_bound keeps that a model mismatch, not a throw.
+    auto it = open_.lower_bound(sched_.now());
+    const auto open = std::distance(it, open_.end());
+    if (open > 0 && rng_.bernoulli(0.5)) {
+      std::advance(it, rng_.uniform_int(0, open - 1));
+      return it->first;
+    }
+    if (rng_.bernoulli(0.2)) return sched_.now();
+    const auto last = static_cast<std::int64_t>(std::size(kLattice)) - 1;
+    return sched_.now() + kLattice[rng_.uniform_int(0, last)];
+  }
+
+  void schedule(SimTime t) {
+    const std::uint64_t seq = events_.size();
+    if (open_.count(t) != 0) ++stats.ties;
+    events_.push_back(Event{sched_.schedule_at(t, Fire{this, seq}), t, true});
+    model_.emplace(t, seq);
+    ++open_[t];
+    stats.max_open_instants = std::max(stats.max_open_instants, open_.size());
+  }
+
+  void forget(std::uint64_t seq) {
+    Event& e = events_[seq];
+    e.live = false;
+    model_.erase({e.time, seq});
+    if (--open_[e.time] == 0) open_.erase(e.time);
+  }
+
+  // Cancel the first, a middle or the last pending event of one instant.
+  void cancel_some() {
+    if (open_.empty()) return;
+    auto it = open_.begin();
+    std::advance(it, rng_.uniform_int(
+                         0, static_cast<std::int64_t>(open_.size()) - 1));
+    std::vector<std::uint64_t> at;
+    for (auto m = model_.lower_bound({it->first, 0});
+         m != model_.end() && m->first == it->first; ++m) {
+      at.push_back(m->second);
+    }
+    const auto where = rng_.uniform_int(0, 2);
+    const std::size_t idx = where == 0   ? 0
+                            : where == 1 ? at.size() / 2
+                                         : at.size() - 1;
+    ++stats.cancels[where];
+    sched_.cancel(events_[at[idx]].id);
+    forget(at[idx]);
+    if (rng_.bernoulli(0.3)) sched_.cancel(events_[at[idx]].id);  // twice
+  }
+
+  // A handle whose event already fired or was cancelled: an exact no-op.
+  void cancel_stale() {
+    if (events_.empty()) return;
+    const auto seq = static_cast<std::uint64_t>(rng_.uniform_int(
+        0, static_cast<std::int64_t>(events_.size()) - 1));
+    if (events_[seq].live) return;
+    ++stats.stale_cancels;
+    sched_.cancel(events_[seq].id);
+  }
+
+  void on_fire(std::uint64_t seq) {
+    ++stats.fired;
+    expect(!model_.empty() &&
+               *model_.begin() == std::make_pair(sched_.now(), seq),
+           "an event fired out of (time, seq) order");
+    if (!events_[seq].live) {
+      expect(false, "a cancelled event fired");
+      return;
+    }
+    forget(seq);
+    expect(sched_.pending() == model_.size(), "pending() inside a handler");
+    if (draining_) {
+      if (rng_.bernoulli(0.2)) schedule(sched_.now());
+      return;
+    }
+    if (model_.size() < kPendingCap) {
+      const auto now_n = rng_.uniform_int(0, 2);
+      for (std::int64_t i = 0; i < now_n; ++i) schedule(sched_.now());
+      const auto other = rng_.uniform_int(0, 2);
+      for (std::int64_t i = 0; i < other; ++i) schedule(pick_time());
+    }
+    if (rng_.bernoulli(0.1)) cancel_some();
+    if (rng_.bernoulli(0.02)) {
+      stop_requested_ = true;
+      sched_.stop();
+    }
+  }
+
+  Scheduler sched_;
+  Rng rng_;
+  std::vector<Event> events_;  ///< by model seq (order of scheduling)
+  std::set<std::pair<SimTime, std::uint64_t>> model_;  ///< pending
+  std::map<SimTime, std::size_t> open_;  ///< pending events per instant
+  bool stop_requested_ = false;
+  bool draining_ = false;
+};
+
+TEST(Scheduler, RandomRunsMatchSortedReferenceModel) {
+  OrderingModel::Stats total;
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    OrderingModel model(seed);
+    for (int r = 0; r < 150; ++r) model.round();
+    ASSERT_EQ(model.mismatches, 0u)
+        << "seed " << seed << ": " << model.first_mismatch;
+    const OrderingModel::Stats& s = model.stats;
+    total.fired += s.fired;
+    total.ties += s.ties;
+    for (int i = 0; i < 3; ++i) total.cancels[i] += s.cancels[i];
+    total.stale_cancels += s.stale_cancels;
+    total.stopped_mid_instant += s.stopped_mid_instant;
+    total.drains += s.drains;
+    total.max_open_instants =
+        std::max(total.max_open_instants, s.max_open_instants);
+  }
+  // The runs reach every shape the property is about.
+  EXPECT_GT(total.fired, 50'000u);
+  EXPECT_GT(total.ties, total.fired / 4);
+  EXPECT_GT(total.max_open_instants, 8u);  // twice the tail cache
+  for (const std::uint64_t c : total.cancels) EXPECT_GT(c, 100u);
+  EXPECT_GT(total.stale_cancels, 100u);
+  EXPECT_GT(total.stopped_mid_instant, 10u);
+  EXPECT_GT(total.drains, 100u);
 }
 
 TEST(InlineCallable, SmallCaptureStaysInline) {

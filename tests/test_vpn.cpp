@@ -456,6 +456,56 @@ TEST(Service, RouteTargetChangeLeavesNoStaleVrfRoute) {
             nullptr);
 }
 
+TEST(Service, OwnOriginationBecomingBestDropsImportedCopy) {
+  // PE2 first imports PE1's route for an external prefix, then originates
+  // the same key at a higher local_pref. Its own route wins, so its VRF
+  // must lose PE1's copy: no connected route hides it, unlike a site
+  // prefix. Nothing is withdrawn, so the full-mesh withdraw path (which
+  // takes its targets from the new best's sender) stays out of the test.
+  backbone::BackboneConfig cfg;
+  cfg.p_count = 1;
+  cfg.pe_count = 3;
+  backbone::MplsBackbone bb(cfg);
+  const VpnId v = bb.service.create_vpn("ext");
+  for (std::size_t pe = 0; pe < 3; ++pe) {
+    bb.add_site(v, pe,
+                ip::Prefix(ip::Ipv4Address(10, std::uint8_t(pe + 1), 0, 0), 16));
+  }
+  const ip::Prefix prefix = ip::Prefix::must_parse("192.168.0.0/16");
+  bb.service.originate_external(v, bb.pe(1), prefix);  // local_pref 100
+  bb.start_and_converge();
+  Vrf* at_pe2 = bb.pe(2).vrf_by_vpn(v);
+  ASSERT_NE(at_pe2, nullptr);
+  const ip::RouteEntry* imported = at_pe2->table().find(prefix);
+  ASSERT_NE(imported, nullptr);
+  EXPECT_EQ(imported->egress_pe, bb.pe(1).id());
+
+  routing::VpnRoute own;
+  own.rd = bb.service.rd_of(v);
+  own.prefix = prefix;
+  own.next_hop = bb.pe(2).loopback();
+  own.next_hop_node = bb.pe(2).id();
+  own.vpn_label = at_pe2->vpn_label();
+  own.route_targets = {bb.service.rt_of(v)};
+  own.local_pref = 200;
+  bb.bgp.originate(bb.pe(2).id(), own);
+  bb.service.converge();
+
+  const routing::VpnRouteKey key{own.rd, prefix};
+  for (std::size_t pe = 0; pe < 3; ++pe) {
+    const std::optional<routing::VpnRoute> best =
+        bb.bgp.best(bb.pe(pe).id(), key);
+    ASSERT_TRUE(best.has_value()) << "PE" << pe;
+    EXPECT_EQ(best->next_hop_node, bb.pe(2).id()) << "PE" << pe;
+  }
+  EXPECT_EQ(at_pe2->table().find(prefix), nullptr);  // no stale import
+  for (std::size_t pe : {0, 1}) {
+    const ip::RouteEntry* r = bb.pe(pe).vrf_by_vpn(v)->table().find(prefix);
+    ASSERT_NE(r, nullptr) << "PE" << pe;
+    EXPECT_EQ(r->egress_pe, bb.pe(2).id()) << "PE" << pe;
+  }
+}
+
 TEST(Service, KeyInternedAfterConvergenceReachesEveryRibAndVrf) {
   backbone::BackboneConfig cfg;
   cfg.p_count = 2;

@@ -12,8 +12,7 @@
 //                         trace.json events.jsonl spans.json trace.txt
 //                         metrics.json engine_metrics.json
 //                         latency.json latency.txt  sync.json sync.txt
-//                         flow.jsonl flow.bin flow.txt flow_profile.txt
-//                         partition.txt
+//                         flow.jsonl flow.bin flow.txt partition.txt
 //                       (Scenario::set_obs_dir in
 //                       src/backbone/scenario_config.hpp says what each
 //                       holds). An unwritable DIR fails before the run.
@@ -23,9 +22,6 @@
 //                       traffic phase on the parallel engine (default 1:
 //                       the one-lane runtime, no extra thread; overrides
 //                       the scenario's `run shards=`)
-//   --partition-profile FILE  flow-weighted partitioning: balance shards
-//                       by the measured per-node flow weights in FILE (a
-//                       flow_profile.txt) instead of node counts
 //   --no-flowcache      disable the per-router flow fastpath caches (slow
 //                       path only; overrides the scenario's `run
 //                       flowcache=`). Results are identical either way —
@@ -45,9 +41,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <vector>
 
-#include "backbone/partition.hpp"
 #include "backbone/scenario_config.hpp"
 #include "backbone/topogen.hpp"
 
@@ -71,7 +65,6 @@ run for=5
 int usage(const char* prog) {
   std::fprintf(stderr,
                "usage: %s [--obs DIR] [--shards N] [--no-flowcache]\n"
-               "          [--partition-profile FILE]\n"
                "          [--topogen \"p=.. pe=.. ce=.. flows=..\"]\n"
                "          [scenario.scn]\n",
                prog);
@@ -84,7 +77,6 @@ int main(int argc, char** argv) {
   std::string obs_dir;
   std::string scenario_path;
   std::string topogen_spec;
-  std::string partition_profile_path;
   std::size_t shards = 0;  // 0: use the scenario's setting
   bool no_flowcache = false;
   for (int i = 1; i < argc; ++i) {
@@ -98,8 +90,6 @@ int main(int argc, char** argv) {
     bool ok = true;
     if (arg == "--obs") {
       ok = value(obs_dir);
-    } else if (arg == "--partition-profile") {
-      ok = value(partition_profile_path);
     } else if (arg == "--topogen") {
       ok = value(topogen_spec);
     } else if (arg == "--shards") {
@@ -120,24 +110,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--topogen and a scenario file are exclusive\n");
     return usage(argv[0]);
   }
-  std::vector<std::uint64_t> partition_weights;
-  if (!partition_profile_path.empty()) {
-    std::ifstream pf(partition_profile_path);
-    if (!pf) {
-      std::fprintf(stderr, "cannot open %s\n",
-                   partition_profile_path.c_str());
-      return 2;
-    }
-    mvpn::backbone::FlowProfile profile;
-    std::string err;
-    if (!mvpn::backbone::load_flow_profile(pf, &profile, &err)) {
-      std::fprintf(stderr, "%s: %s\n", partition_profile_path.c_str(),
-                   err.c_str());
-      return 2;
-    }
-    partition_weights = std::move(profile.node_weight);
-  }
-
   std::string text;
   if (!scenario_path.empty()) {
     std::ifstream in(scenario_path);
@@ -179,6 +151,5 @@ int main(int argc, char** argv) {
     scenario->set_shards(static_cast<std::uint32_t>(shards));
   }
   if (no_flowcache) scenario->set_flowcache(false);
-  scenario->set_partition_weights(std::move(partition_weights));
   return scenario->run(std::cout) ? 0 : 1;
 }

@@ -2,14 +2,11 @@
 
 #include <algorithm>
 #include <functional>
-#include <istream>
 #include <limits>
 #include <memory>
 #include <numeric>
 #include <ostream>
 #include <set>
-#include <sstream>
-#include <string>
 #include <utility>
 
 #include "vpn/router.hpp"
@@ -105,11 +102,6 @@ std::unique_ptr<obs::FlowExporter> attach_flow_exporter(
 }
 
 ShardPlan compute_shard_plan(const net::Topology& topo, std::uint32_t shards) {
-  return compute_shard_plan(topo, shards, {});
-}
-
-ShardPlan compute_shard_plan(const net::Topology& topo, std::uint32_t shards,
-                             const std::vector<std::uint64_t>& node_weight) {
   const auto n = static_cast<std::uint32_t>(topo.node_count());
   ShardPlan plan;
   if (shards < 1) shards = 1;
@@ -124,22 +116,9 @@ ShardPlan compute_shard_plan(const net::Topology& topo, std::uint32_t shards,
     return plan;
   }
 
-  // Per-node balance weights: all-1 (node counting — the historical plan)
-  // unless a measured flow profile supplies real load. Zero weights clamp
-  // to 1 so idle nodes still count as occupancy, and so the unweighted
-  // call is exactly the all-1 case.
-  std::vector<std::uint64_t> w(n, 1);
-  for (std::size_t v = 0; v < node_weight.size() && v < w.size(); ++v) {
-    w[v] = std::max<std::uint64_t>(node_weight[v], 1);
-  }
-
   // Balance target: the engine's wall clock follows the busiest shard, so
-  // no shard should exceed its fair share by more than rounding — but an
-  // indivisible heaviest node must still fit somewhere.
-  const std::uint64_t total_w = std::accumulate(w.begin(), w.end(),
-                                                std::uint64_t{0});
-  const std::uint64_t cap = std::max((total_w + shards - 1) / shards,
-                                     *std::max_element(w.begin(), w.end()));
+  // no shard should hold more than its fair share of nodes, rounded up.
+  const std::uint32_t cap = (n + shards - 1) / shards;
 
   // Step 1 — pick the cut-delay threshold D. Only links with delay >= D may
   // cross shards (lookahead = min cut delay >= D), so every component of
@@ -168,10 +147,10 @@ ShardPlan compute_shard_plan(const net::Topology& topo, std::uint32_t shards,
           uf.unite(l.end_a().node, l.end_b().node);
         }
       }
-      std::vector<std::uint64_t> root_w(n, 0);
-      for (std::uint32_t v = 0; v < n; ++v) root_w[uf.find(v)] += w[v];
-      const std::uint64_t largest =
-          *std::max_element(root_w.begin(), root_w.end());
+      std::uint32_t largest = 0;
+      for (std::uint32_t v = 0; v < n; ++v) {
+        largest = std::max(largest, uf.size_of(v));
+      }
       if (largest > cap) continue;
       // Number clusters by first appearance (node-id order): deterministic.
       std::vector<std::uint32_t> root_cluster(n, kUnassigned);
@@ -192,8 +171,8 @@ ShardPlan compute_shard_plan(const net::Topology& topo, std::uint32_t shards,
     }
   }
 
-  std::vector<std::uint64_t> weight(clusters, 0);
-  for (std::uint32_t v = 0; v < n; ++v) weight[cluster_of[v]] += w[v];
+  std::vector<std::uint32_t> size(clusters, 0);
+  for (std::uint32_t v = 0; v < n; ++v) ++size[cluster_of[v]];
   std::vector<std::set<std::uint32_t>> adj(clusters);
   for (net::LinkId id = 0; id < topo.link_count(); ++id) {
     const net::Link& l = topo.link(id);
@@ -212,20 +191,20 @@ ShardPlan compute_shard_plan(const net::Topology& topo, std::uint32_t shards,
   // Frontier-based growth keeps regions contiguous where the cap allows,
   // which keeps cross-shard traffic (not correctness) low.
   std::vector<std::uint32_t> region_of(clusters, kUnassigned);
-  std::vector<std::uint64_t> region_weight;
+  std::vector<std::uint32_t> region_size;
   std::uint32_t seed_scan = 0;
-  while (region_weight.size() < shards) {
+  while (region_size.size() < shards) {
     while (seed_scan < clusters && region_of[seed_scan] != kUnassigned) {
       ++seed_scan;
     }
     if (seed_scan == clusters) break;  // every cluster already placed
-    const auto r = static_cast<std::uint32_t>(region_weight.size());
-    region_weight.push_back(0);
+    const auto r = static_cast<std::uint32_t>(region_size.size());
+    region_size.push_back(0);
     std::set<std::uint32_t> frontier{seed_scan};
     while (!frontier.empty()) {
       std::uint32_t pick = kUnassigned;
       for (std::uint32_t c : frontier) {
-        if (region_weight[r] + weight[c] <= cap) {
+        if (region_size[r] + size[c] <= cap) {
           pick = c;
           break;
         }
@@ -233,7 +212,7 @@ ShardPlan compute_shard_plan(const net::Topology& topo, std::uint32_t shards,
       if (pick == kUnassigned) break;  // region full (nothing fits)
       frontier.erase(pick);
       region_of[pick] = r;
-      region_weight[r] += weight[pick];
+      region_size[r] += size[pick];
       for (std::uint32_t nbr : adj[pick]) {
         if (region_of[nbr] == kUnassigned) frontier.insert(nbr);
       }
@@ -248,15 +227,15 @@ ShardPlan compute_shard_plan(const net::Topology& topo, std::uint32_t shards,
   for (std::uint32_t c = 0; c < clusters; ++c) {
     if (region_of[c] != kUnassigned) continue;
     std::uint32_t best = 0;
-    for (std::uint32_t r = 1; r < region_weight.size(); ++r) {
-      if (region_weight[r] < region_weight[best]) best = r;
+    for (std::uint32_t r = 1; r < region_size.size(); ++r) {
+      if (region_size[r] < region_size[best]) best = r;
     }
     region_of[c] = best;
-    region_weight[best] += weight[c];
+    region_size[best] += size[c];
   }
 
   // Number shards by each one's smallest node id (deterministic).
-  std::vector<std::uint32_t> remap(region_weight.size(), kUnassigned);
+  std::vector<std::uint32_t> remap(region_size.size(), kUnassigned);
   std::uint32_t next = 0;
   for (std::uint32_t v = 0; v < n; ++v) {
     const std::uint32_t r = region_of[cluster_of[v]];
@@ -276,80 +255,8 @@ ShardPlan compute_shard_plan(const net::Topology& topo, std::uint32_t shards,
   return plan;
 }
 
-FlowProfile measure_flow_profile(const net::Topology& topo) {
-  FlowProfile p;
-  p.node_weight.assign(topo.node_count(), 0);
-  p.link_weight.assign(topo.link_count(), 0);
-  for (net::LinkId id = 0; id < topo.link_count(); ++id) {
-    const net::Link& l = topo.link(id);
-    const ip::NodeId a = l.end_a().node;
-    const ip::NodeId b = l.end_b().node;
-    const std::uint64_t ab = l.tx_from(a).packets.value();
-    const std::uint64_t ba = l.tx_from(b).packets.value();
-    p.link_weight[id] = ab + ba;
-    // Every packet on the wire is work at both ends: enqueue/serialize at
-    // the sender, receive/forward at the receiver.
-    p.node_weight[a] += ab + ba;
-    p.node_weight[b] += ab + ba;
-  }
-  return p;
-}
-
-void write_flow_profile(const FlowProfile& profile, const net::Topology& topo,
-                        std::ostream& out) {
-  out << "flowprofile v1\n";
-  out << "nodes " << profile.node_weight.size() << "\n";
-  for (std::size_t v = 0; v < profile.node_weight.size(); ++v) {
-    out << "node " << v << " " << profile.node_weight[v];
-    if (v < topo.node_count()) out << " # " << topo.node(v).name();
-    out << "\n";
-  }
-  out << "links " << profile.link_weight.size() << "\n";
-  for (std::size_t l = 0; l < profile.link_weight.size(); ++l) {
-    out << "link " << l << " " << profile.link_weight[l] << "\n";
-  }
-}
-
-bool load_flow_profile(std::istream& in, FlowProfile* profile,
-                       std::string* err) {
-  auto fail = [err](const std::string& why) {
-    if (err != nullptr) *err = why;
-    return false;
-  };
-  std::string line;
-  if (!std::getline(in, line) || line.rfind("flowprofile v1", 0) != 0) {
-    return fail("flow profile: missing 'flowprofile v1' header");
-  }
-  FlowProfile p;
-  while (std::getline(in, line)) {
-    const std::size_t hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    std::istringstream ls(line);
-    std::string kind;
-    if (!(ls >> kind)) continue;  // blank / comment-only line
-    if (kind == "nodes" || kind == "links") continue;  // counts are advisory
-    std::size_t id = 0;
-    std::uint64_t weight = 0;
-    if (!(ls >> id >> weight)) {
-      return fail("flow profile: malformed line: " + line);
-    }
-    if (kind != "node" && kind != "link") {
-      return fail("flow profile: unknown record '" + kind + "'");
-    }
-    if (id >= kMaxFlowProfileId) {
-      return fail("flow profile: id out of range: " + line);
-    }
-    auto& vec = kind == "node" ? p.node_weight : p.link_weight;
-    if (id >= vec.size()) vec.resize(id + 1, 0);
-    vec[id] = weight;
-  }
-  *profile = std::move(p);
-  return true;
-}
-
 void report_shard_plan(const ShardPlan& plan, const net::Topology& topo,
-                       std::ostream& out,
-                       const std::vector<std::uint64_t>& node_weight) {
+                       std::ostream& out) {
   out << "partition: " << plan.shard_count << " shards, cut "
       << plan.cut_links.size() << "/" << topo.link_count()
       << " links, lookahead " << sim::to_seconds(plan.lookahead) * 1e6
@@ -357,28 +264,15 @@ void report_shard_plan(const ShardPlan& plan, const net::Topology& topo,
   if (!plan.parallel()) return;
   std::vector<std::size_t> nodes(plan.shard_count, 0);
   std::vector<std::size_t> ces(plan.shard_count, 0);
-  std::vector<std::uint64_t> flow_w(plan.shard_count, 0);
-  std::uint64_t total_w = 0;
   for (ip::NodeId v = 0; v < topo.node_count(); ++v) {
     const std::uint32_t s = plan.node_shard[v];
     ++nodes[s];
     const auto* r = dynamic_cast<const vpn::Router*>(&topo.node(v));
     if (r != nullptr && r->role() == vpn::Role::kCe) ++ces[s];
-    if (v < node_weight.size()) {
-      flow_w[s] += node_weight[v];
-      total_w += node_weight[v];
-    }
   }
   for (std::uint32_t s = 0; s < plan.shard_count; ++s) {
     out << "partition: shard " << s << ": " << nodes[s] << " nodes, "
-        << ces[s] << " CE sites";
-    if (total_w != 0) {
-      out << ", flow weight " << flow_w[s] << " ("
-          << static_cast<double>(flow_w[s]) * 100.0 /
-                 static_cast<double>(total_w)
-          << "%)";
-    }
-    out << "\n";
+        << ces[s] << " CE sites\n";
   }
 }
 

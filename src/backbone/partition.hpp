@@ -55,20 +55,6 @@ struct ShardPlan {
 [[nodiscard]] ShardPlan compute_shard_plan(const net::Topology& topo,
                                            std::uint32_t shards);
 
-/// Flow-weighted variant: identical scheme, but the balance cap bounds the
-/// sum of per-node *weights* (one weight per NodeId; a measured flow
-/// profile's packet counts) instead of node counts. The engine's wall
-/// clock follows the busiest shard, and the sync profiler showed node
-/// counts are a poor proxy for busyness at generated scale (one shard
-/// critical in 96% of epochs), so balancing measured flow weight is the
-/// lever that spreads the critical path. Weights are clamped to >= 1, and
-/// the cap to >= the heaviest single node (an indivisible fast cluster
-/// must land somewhere). An empty `node_weight` means all-1 and reproduces
-/// the node-count plan exactly.
-[[nodiscard]] ShardPlan compute_shard_plan(
-    const net::Topology& topo, std::uint32_t shards,
-    const std::vector<std::uint64_t>& node_weight);
-
 /// Bring up the engine `plan` asks for on the converged topology: its
 /// shards when it splits the topology over a cut with a positive
 /// lookahead, else one lane (the serial engine; see net::ShardRuntime).
@@ -94,44 +80,11 @@ void attach_sync_profiler(net::ShardRuntime& runtime,
 [[nodiscard]] std::unique_ptr<obs::FlowExporter> attach_flow_exporter(
     net::ShardRuntime& runtime);
 
-/// Measured per-node / per-link flow-weight vectors — the `flow_profile.txt`
-/// output and the flow-weighted partitioner's input. Weights are link
-/// transmit packet counters folded per node, so they are byte-identical
-/// across shard counts and engine configurations of the same scenario.
-struct FlowProfile {
-  std::vector<std::uint64_t> node_weight;  ///< NodeId -> packets touched
-  std::vector<std::uint64_t> link_weight;  ///< LinkId -> packets carried
-};
-
-/// Read the profile off the (already-run) topology's link counters:
-/// link_weight = packets transmitted in both directions, node_weight = sum
-/// of transmit counters on every incident link direction (sent + received
-/// load, each hop charged to both endpoints).
-[[nodiscard]] FlowProfile measure_flow_profile(const net::Topology& topo);
-
-/// Line-oriented text format ("flowprofile v1"), stable across runs of the
-/// same scenario: node/link ids with weights, node names as comments.
-void write_flow_profile(const FlowProfile& profile, const net::Topology& topo,
-                        std::ostream& out);
-/// Node and link ids in a flow profile stay below this: it fits the 32-bit
-/// NodeId/LinkId and sits far above any generated topology, so a hostile
-/// id can neither wrap `id + 1` nor size a multi-gigabyte vector.
-inline constexpr std::size_t kMaxFlowProfileId = std::size_t{1} << 20;
-
-/// Parse write_flow_profile() output. Returns false (with *err set when
-/// non-null) on malformed input or an id at or above kMaxFlowProfileId;
-/// ids beyond the vectors grow them.
-[[nodiscard]] bool load_flow_profile(std::istream& in, FlowProfile* profile,
-                                     std::string* err);
-
 /// Human-readable partition diagnostics: cut size, the lookahead the cut
 /// admits, and per-shard node / CE-site balance (CEs are where traffic
 /// sources and sinks live, so their spread predicts flow balance). One
-/// line per shard, meant for stderr under a verbose flag. When
-/// `node_weight` is non-empty, each shard line also reports its share of
-/// the total flow weight — the figure the weighted partitioner balances.
+/// line per shard.
 void report_shard_plan(const ShardPlan& plan, const net::Topology& topo,
-                       std::ostream& out,
-                       const std::vector<std::uint64_t>& node_weight = {});
+                       std::ostream& out);
 
 }  // namespace mvpn::backbone

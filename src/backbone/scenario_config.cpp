@@ -317,13 +317,15 @@ std::optional<Scenario> Scenario::parse(const std::string& text,
     } else if (line.directive == "backbone") {
       have_backbone = true;
       if (auto v = kv("p")) {
-        if (!to_size(*v, sc.backbone_.p_count)) {
-          return fail(line_no, "bad p=");
+        if (!to_count(*v, kMaxCoreRouters, sc.backbone_.p_count)) {
+          return fail(line_no, "bad p= (want 0.." +
+                                   std::to_string(kMaxCoreRouters) + ")");
         }
       }
       if (auto v = kv("pe")) {
-        if (!to_size(*v, sc.backbone_.pe_count)) {
-          return fail(line_no, "bad pe=");
+        if (!to_count(*v, kMaxPeRouters, sc.backbone_.pe_count)) {
+          return fail(line_no, "bad pe= (want 0.." +
+                                   std::to_string(kMaxPeRouters) + ")");
         }
       }
       if (auto v = kv("core_bw")) {
@@ -352,8 +354,10 @@ std::optional<Scenario> Scenario::parse(const std::string& text,
         }
       }
       if (auto v = kv("rr")) {
-        if (!to_size(*v, sc.backbone_.route_reflector_count)) {
-          return fail(line_no, "bad rr=");
+        if (!to_count(*v, kMaxRouteReflectors,
+                      sc.backbone_.route_reflector_count)) {
+          return fail(line_no, "bad rr= (want 0.." +
+                                   std::to_string(kMaxRouteReflectors) + ")");
         }
       }
       if (auto v = kv("core_queue")) {
@@ -620,7 +624,7 @@ constexpr double kSnapshotPeriodS = 0.5;
 struct ObsFiles {
   std::ofstream trace, events, spans, trace_txt, metrics, engine_metrics,
       latency, latency_txt, sync, sync_txt, flow_jsonl, flow_bin, flow_txt,
-      flow_profile, partition;
+      partition;
 
   /// Create `dir` and open (truncate) every file, binary so each holds
   /// exactly the bytes written. On failure prints one line naming the
@@ -647,7 +651,6 @@ struct ObsFiles {
         {&flow_jsonl, "flow.jsonl"},
         {&flow_bin, "flow.bin"},
         {&flow_txt, "flow.txt"},
-        {&flow_profile, "flow_profile.txt"},
         {&partition, "partition.txt"},
     };
     for (const auto& [file, name] : files) {
@@ -838,10 +841,9 @@ void Scenario::Run::partition() {
   // before this point ran on the topology's scheduler; everything after it
   // that touches the topology from this thread still resolves to the
   // serial objects (sim::current_shard() is kNoShard).
-  ShardPlan plan =
-      compute_shard_plan(topo, sc.shards_, sc.partition_weights_);
+  ShardPlan plan = compute_shard_plan(topo, sc.shards_);
   if (obs) {
-    report_shard_plan(plan, topo, obs->partition, sc.partition_weights_);
+    report_shard_plan(plan, topo, obs->partition);
     if (plan.parallel()) {
       // Flow balance: the partitioner only sees topology, so report how
       // the declared traffic sources actually land on the shards.
@@ -1048,9 +1050,6 @@ void Scenario::Run::write_obs() {
              << flow_exporter->rollup_table(vnamer, pnamer).render();
   flow_exporter->write_jsonl(f.flow_jsonl, namer, vnamer, pnamer);
   flow_exporter->write_binary(f.flow_bin);
-  // Measured off link transmit counters, which the run maintains whether
-  // or not flow accounting is armed.
-  write_flow_profile(measure_flow_profile(topo), topo, f.flow_profile);
 }
 
 bool Scenario::Run::report() {

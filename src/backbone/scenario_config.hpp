@@ -40,7 +40,9 @@ namespace mvpn::backbone {
 ///
 /// Each directive accepts only the keys shown; an unknown key is a parse
 /// error that names it. Counts (p=, pe=, seed=, ...) must be finite,
-/// non-negative and in range; core_bw=, edge_bw=, rate=, on=, off=, cir=,
+/// non-negative and in range (p=, pe=, rr= and the generated topology's
+/// p=, pe=, ce=, pod=, flows= at most the kMax* caps in
+/// backbone/topogen.hpp); core_bw=, edge_bw=, rate=, on=, off=, cir=,
 /// cbs=, ebs= and burst= must be finite and > 0 (a flow rate= at least
 /// 1 b/s); durations (for=, start=, on=, off=) at most 1e6 s; size= at
 /// most 65507 bytes. core_queue= wfq weights must be finite and > 0, drr
@@ -81,7 +83,7 @@ class Scenario {
   ///   metrics.json engine_metrics.json                snapshot series
   ///   latency.json latency.txt                        per-hop delay anatomy
   ///   sync.json sync.txt                              epoch sync profile
-  ///   flow.jsonl flow.bin flow.txt flow_profile.txt   per-flow records
+  ///   flow.jsonl flow.bin flow.txt                    per-flow records
   ///   partition.txt                                   shard plan
   ///
   /// metrics.json holds result gauges only, byte-identical at every shard
@@ -102,19 +104,6 @@ class Scenario {
   /// benchmarking of the fastpath.
   void set_flowcache(bool on) { flowcache_ = on; }
   [[nodiscard]] bool flowcache() const noexcept { return flowcache_; }
-
-  /// Per-node flow weights for the partitioner (a measured FlowProfile's
-  /// node_weight vector, typically from a prior run's flow_profile.txt).
-  /// Empty (the default) keeps the node-count plan. Sharding is
-  /// result-transparent, so a different plan changes wall-clock balance
-  /// but never the reports.
-  void set_partition_weights(std::vector<std::uint64_t> w) {
-    partition_weights_ = std::move(w);
-  }
-  [[nodiscard]] const std::vector<std::uint64_t>& partition_weights()
-      const noexcept {
-    return partition_weights_;
-  }
 
   /// True when the scenario came from a `topology generated` directive.
   [[nodiscard]] bool generated() const noexcept {
@@ -185,7 +174,6 @@ class Scenario {
   double run_for_s_ = 2.0;
   std::uint32_t shards_ = 1;
   bool flowcache_ = true;
-  std::vector<std::uint64_t> partition_weights_;
   std::optional<TopogenParams> topogen_;
   std::string obs_dir_;
 };

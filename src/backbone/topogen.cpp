@@ -59,13 +59,22 @@ bool to_size(const std::string& s, std::size_t& out) {
   return true;
 }
 
+bool to_count(const std::string& s, std::size_t cap, std::size_t& out) {
+  std::size_t v = 0;
+  if (!to_size(s, v) || v > cap) return false;
+  out = v;
+  return true;
+}
+
 bool apply_topogen_param(TopogenParams& params, const std::string& key,
                          const std::string& value) {
-  if (key == "p") return to_size(value, params.p);
-  if (key == "pe") return to_size(value, params.pe);
-  if (key == "ce") return to_size(value, params.ce);
-  if (key == "pod") return to_size(value, params.pod);
-  if (key == "flows") return to_size(value, params.flows);
+  if (key == "p") return to_count(value, kMaxCoreRouters, params.p);
+  if (key == "pe") return to_count(value, kMaxPeRouters, params.pe);
+  if (key == "ce") return to_count(value, kMaxSitesPerPe, params.ce);
+  if (key == "pod") return to_count(value, kMaxPeRouters, params.pod);
+  if (key == "flows") {
+    return to_count(value, kMaxGeneratedFlows, params.flows);
+  }
   if (key == "core_bw") {
     return to_double(value, params.core_bw_bps) &&
            std::isfinite(params.core_bw_bps) && params.core_bw_bps > 0;

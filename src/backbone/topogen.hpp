@@ -37,9 +37,22 @@ struct TopogenParams {
 
 /// Strict numeric parsing shared by the scenario and topogen front ends:
 /// the whole token must parse. to_size also rejects negative, non-finite
-/// and out-of-range values instead of casting them.
+/// and out-of-range values instead of casting them; to_count also rejects
+/// values above `cap`. Each leaves `out` untouched when it fails.
 bool to_double(const std::string& s, double& out);
 bool to_size(const std::string& s, std::size_t& out);
+bool to_count(const std::string& s, std::size_t cap, std::size_t& out);
+
+/// Largest counts the text front ends (a `backbone` line, `topology
+/// generated` and run_scenario --topogen) accept, so one line cannot make
+/// parse or build size a multi-gigabyte plan or overflow pe × ce. Each cap
+/// sits well above every shipped scenario, test and benchmark; pod= shares
+/// pe='s. generate_plan itself takes any count.
+inline constexpr std::size_t kMaxCoreRouters = 1024;      ///< p=
+inline constexpr std::size_t kMaxPeRouters = 2048;        ///< pe=, pod=
+inline constexpr std::size_t kMaxRouteReflectors = 64;    ///< rr=
+inline constexpr std::size_t kMaxSitesPerPe = 64;         ///< ce=
+inline constexpr std::size_t kMaxGeneratedFlows = 2'000'000;  ///< flows=
 
 /// Largest flow payload a scenario may declare: an IPv4 datagram's 65535
 /// bytes less the 20-byte IP and 8-byte L4 headers.

@@ -3,10 +3,9 @@
 // The generated-topology data-plane pass shared by bench_scalability's
 // topogen, flow and megaflow phases and by the ctest cases that pin their
 // deterministic figures (test_traffic's 10^5-flow megaflow identity and
-// footprint, test_flowstats' flow-weighted partition spread), so a test
-// and the phase it stands in for run the same code on the same plan.
+// footprint), so a test and the phase it stands in for run the same code
+// on the same plan.
 
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -50,10 +49,6 @@ struct ShardedResult {
   std::uint64_t batches = 0;
   std::string sync_table;  ///< rendered SyncProfiler report (profiled runs)
   std::uint64_t flow_records = 0;  ///< IPFIX records cut (flow-on runs)
-  /// Profiled runs: the busiest lane's event count over the mean —
-  /// deterministic given the plan, unlike any wall-clock attribution.
-  double event_spread = 0.0;
-  std::vector<std::uint64_t> node_weight;  ///< measured flow profile
   /// Megaflow instrumentation: wall time spent building + arming the
   /// traffic engine, and the FlowSet engine's own memory accounting.
   double setup_s = 0.0;
@@ -77,15 +72,12 @@ inline backbone::GeneratedPlan isp_plan(std::size_t flows) {
   return backbone::generate_plan(params);
 }
 
-/// Knobs for run_topogen beyond the shard count: sync profiler, flow
+/// Knobs for run_topogen beyond the shard count: sync profiler and flow
 /// accounting (tables + exporter + periodic scans, mirroring the scenario
-/// layer's wiring), measured-profile capture, and flow-weighted partition
-/// weights. Defaults reproduce the plain pass.
+/// layer's wiring). Defaults reproduce the plain pass.
 struct TopogenOpts {
   bool profile = false;
   bool flow = false;
-  bool measure_profile = false;
-  const std::vector<std::uint64_t>* weights = nullptr;
 };
 
 /// Build, converge and partition `plan`, drive `sim_seconds` of its flows
@@ -110,10 +102,7 @@ inline ShardedResult run_topogen(const backbone::GeneratedPlan& plan,
 
   const std::unique_ptr<net::ShardRuntime> runtime =
       backbone::make_shard_runtime(
-          bb.topo, backbone::compute_shard_plan(
-                       bb.topo, shards,
-                       opt.weights != nullptr ? *opt.weights
-                                              : std::vector<std::uint64_t>{}));
+          bb.topo, backbone::compute_shard_plan(bb.topo, shards));
 
   // Profiled variants attach the epoch-level sync profiler, with a cache
   // sampler summing the per-router flow-cache counters by shard so the
@@ -217,25 +206,10 @@ inline ShardedResult run_topogen(const backbone::GeneratedPlan& plan,
     r.flow_records = fexp->records().size();
   }
   runtime->finish();
-  if (opt.measure_profile) {
-    r.node_weight = backbone::measure_flow_profile(bb.topo).node_weight;
-  }
   qos::SlaProbe master("master");
   for (auto& p : probes) master.merge_from(*p);
   r.sla_csv = master.to_csv(sim_seconds);
-  if (prof) {
-    const obs::SyncProfiler::Report srep = prof->report();
-    r.sync_table = srep.to_table();
-    std::uint64_t max_ev = 0, sum_ev = 0;
-    for (const auto& l : srep.lanes) {
-      max_ev = std::max(max_ev, l.events);
-      sum_ev += l.events;
-    }
-    if (sum_ev > 0) {
-      r.event_spread = static_cast<double>(max_ev) * srep.lanes.size() /
-                       static_cast<double>(sum_ev);
-    }
-  }
+  if (prof) r.sync_table = prof->report().to_table();
   return r;
 }
 

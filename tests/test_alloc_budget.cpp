@@ -1,4 +1,5 @@
-// Heap-allocation budget of a control-plane cold boot.
+// Heap-allocation budgets: a control-plane cold boot, and a scenario
+// whose counts exceed their caps.
 //
 // This executable replaces the global allocation functions with counting
 // versions, which is why it is its own test binary: no other suite runs
@@ -16,20 +17,24 @@
 #include <vector>
 
 #include "backbone/fixtures.hpp"
+#include "backbone/scenario_config.hpp"
 #include "backbone/topogen.hpp"
 
 namespace {
 
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_bytes{0};
 
 void* counted_alloc(std::size_t n) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(n, std::memory_order_relaxed);
   if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
   throw std::bad_alloc();
 }
 
 void* counted_aligned_alloc(std::size_t n, std::align_val_t al) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(n, std::memory_order_relaxed);
   const auto a = static_cast<std::size_t>(al);
   // aligned_alloc wants a size that is a multiple of the alignment.
   const std::size_t rounded = (n + a - 1) / a * a;
@@ -123,6 +128,23 @@ TEST(AllocBudget, ColdBootStaysUnderHalfAnAllocationPerMessage) {
   // label sets and SPF next hops stopped allocating, this measured
   // 103,876, or 2.215 per message.
   EXPECT_LE(per_message, 0.5);
+}
+
+TEST(AllocBudget, OverCapCountsFailBeforeSizingAnything) {
+  // Each count one over its cap: parse fails having allocated only its
+  // line buffers, nothing sized from the count (flows=2000001 would
+  // reserve hundreds of megabytes of plan).
+  for (const char* text :
+       {"backbone p=1025 pe=1\n", "backbone p=1 pe=2049\n",
+        "backbone p=1 pe=1 bgp=rr rr=65\n", "topology generated p=1025\n",
+        "topology generated pe=2049\n", "topology generated ce=65\n",
+        "topology generated pod=2049\n",
+        "topology generated flows=2000001\n"}) {
+    backbone::ScenarioError err;
+    const std::uint64_t before = g_bytes.load();
+    EXPECT_FALSE(backbone::Scenario::parse(text, &err).has_value()) << text;
+    EXPECT_LT(g_bytes.load() - before, 16u * 1024) << text;
+  }
 }
 
 }  // namespace

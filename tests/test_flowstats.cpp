@@ -9,10 +9,7 @@
 #include <string>
 #include <vector>
 
-#include "backbone/fixtures.hpp"
-#include "backbone/partition.hpp"
 #include "backbone/scenario_config.hpp"
-#include "generated_run.hpp"
 #include "obs/flow_stats.hpp"
 #include "obs/sinks.hpp"
 #include "obs/sync_profiler.hpp"
@@ -342,129 +339,6 @@ TEST(FlowStats, RecordStreamByteIdenticalAcrossShardCounts) {
   // The SLA body is also engine-invariant, flow accounting on.
   EXPECT_EQ(body(s1.report), body(s2.report));
   EXPECT_EQ(body(s1.report), body(s4.report));
-}
-
-// ---------------------------------------------------------------------------
-// Flow-weighted partitioning
-
-TEST(FlowStats, WeightedPartitionAllOnesMatchesNodeCountPlan) {
-  backbone::BackboneConfig cfg;
-  cfg.p_count = 4;
-  cfg.pe_count = 8;
-  cfg.seed = 7;
-  backbone::MplsBackbone bb(cfg);
-  const auto base = backbone::compute_shard_plan(bb.topo, 4);
-  const auto empty_w = backbone::compute_shard_plan(bb.topo, 4, {});
-  const auto ones = backbone::compute_shard_plan(
-      bb.topo, 4, std::vector<std::uint64_t>(bb.topo.node_count(), 1));
-  EXPECT_EQ(base.node_shard, empty_w.node_shard);
-  EXPECT_EQ(base.node_shard, ones.node_shard);
-  EXPECT_EQ(base.cut_links, ones.cut_links);
-  EXPECT_EQ(base.lookahead, ones.lookahead);
-}
-
-TEST(FlowStats, WeightedPartitionIsValidAndDeterministic) {
-  backbone::BackboneConfig cfg;
-  cfg.p_count = 4;
-  cfg.pe_count = 8;
-  cfg.seed = 7;
-  backbone::MplsBackbone bb(cfg);
-  std::vector<std::uint64_t> w(bb.topo.node_count(), 1);
-  // Skew the load heavily onto a few nodes.
-  for (std::size_t v = 0; v < w.size(); ++v) {
-    w[v] = (v % 5 == 0) ? 1000 : 1 + v;
-  }
-  const auto plan = backbone::compute_shard_plan(bb.topo, 4, w);
-  const auto again = backbone::compute_shard_plan(bb.topo, 4, w);
-  EXPECT_EQ(plan.node_shard, again.node_shard);
-  ASSERT_EQ(plan.node_shard.size(), bb.topo.node_count());
-  for (const std::uint32_t s : plan.node_shard) {
-    EXPECT_LT(s, plan.shard_count);
-  }
-  for (const net::LinkId l : plan.cut_links) {
-    const net::Link& link = bb.topo.link(l);
-    EXPECT_NE(plan.node_shard[link.end_a().node],
-              plan.node_shard[link.end_b().node]);
-  }
-}
-
-/// The telemetry -> partition loop on the flow-accounting workload (the
-/// 8192-flow generated plan, 1 s): balancing 4 shards by the profile a
-/// serial flow-on run measured, instead of by node count, must pull the
-/// busiest lane's events toward the mean. The spread is a function of the
-/// plan, not the wall clock (node-count 1.95x, flow-weighted 1.15x).
-TEST(FlowStats, WeightedPartitionSpreadsGeneratedLoad) {
-  const backbone::GeneratedPlan plan = harness::isp_plan(8192);
-  const harness::ShardedResult measured = harness::run_topogen(
-      plan, 1, 1.0, {.flow = true, .measure_profile = true});
-  ASSERT_FALSE(measured.node_weight.empty());
-  const harness::ShardedResult by_nodes =
-      harness::run_topogen(plan, 4, 1.0, {.profile = true});
-  const harness::ShardedResult by_flows = harness::run_topogen(
-      plan, 4, 1.0, {.profile = true, .weights = &measured.node_weight});
-  EXPECT_EQ(by_flows.sla_csv, by_nodes.sla_csv);
-  EXPECT_GE(by_nodes.event_spread - by_flows.event_spread, 0.3)
-      << "event spread " << by_nodes.event_spread << "x -> "
-      << by_flows.event_spread << "x";
-}
-
-TEST(FlowStats, FlowProfileRoundTripsThroughText) {
-  backbone::FlowProfile p;
-  p.node_weight = {10, 0, 33, 7};
-  p.link_weight = {5, 12};
-  backbone::BackboneConfig cfg;
-  cfg.p_count = 1;
-  cfg.pe_count = 2;
-  cfg.seed = 3;
-  backbone::MplsBackbone bb(cfg);
-  std::ostringstream out;
-  backbone::write_flow_profile(p, bb.topo, out);
-
-  backbone::FlowProfile q;
-  std::string err;
-  std::istringstream in(out.str());
-  ASSERT_TRUE(backbone::load_flow_profile(in, &q, &err)) << err;
-  EXPECT_EQ(p.node_weight, q.node_weight);
-  EXPECT_EQ(p.link_weight, q.link_weight);
-
-  std::istringstream bad_header("notaprofile v9\n");
-  EXPECT_FALSE(backbone::load_flow_profile(bad_header, &q, &err));
-  std::istringstream bad_kind("flowprofile v1\nbogus 0 1\n");
-  EXPECT_FALSE(backbone::load_flow_profile(bad_kind, &q, &err));
-  // Hostile ids: 2^64-1 used to wrap `id + 1` to an empty resize and
-  // write past the vector; ~4e9 would have sized a 32 GB vector.
-  std::istringstream wrap_id("flowprofile v1\nnode 18446744073709551615 5\n");
-  EXPECT_FALSE(backbone::load_flow_profile(wrap_id, &q, &err));
-  EXPECT_NE(err.find("node 18446744073709551615 5"), std::string::npos)
-      << err;
-  std::istringstream huge_id("flowprofile v1\nlink 4000000000 5\n");
-  EXPECT_FALSE(backbone::load_flow_profile(huge_id, &q, &err));
-  EXPECT_NE(err.find("link 4000000000 5"), std::string::npos) << err;
-}
-
-/// A run's measured profile is itself deterministic across shard counts
-/// (link transmit counters are result state, not engine state).
-TEST(FlowStats, MeasuredProfileIdenticalAcrossShardCounts) {
-  const auto profile_of = [](std::uint32_t shards) {
-    backbone::ScenarioError err;
-    auto scenario = backbone::Scenario::parse(kScenario, &err);
-    EXPECT_TRUE(scenario.has_value()) << err.message;
-    scenario->set_shards(shards);
-    const std::string dir = ::testing::TempDir() + "flowprof_" +
-                            std::to_string(shards) + "_" +
-                            std::to_string(::getpid());
-    scenario->set_obs_dir(dir);
-    std::ostringstream out;
-    EXPECT_TRUE(scenario->run(out));
-    std::string text = slurp(dir + "/flow_profile.txt");
-    std::filesystem::remove_all(dir);
-    return text;
-  };
-  const std::string p1 = profile_of(1);
-  EXPECT_FALSE(p1.empty());
-  EXPECT_EQ(p1.substr(0, 14), "flowprofile v1");
-  EXPECT_EQ(p1, profile_of(2));
-  EXPECT_EQ(p1, profile_of(4));
 }
 
 // ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@
 #include "backbone/fixtures.hpp"
 #include "backbone/partition.hpp"
 #include "backbone/scenario_config.hpp"
+#include "generated_run.hpp"
 #include "golden.hpp"
 #include "ip/address.hpp"
 #include "net/shard_runtime.hpp"
@@ -388,6 +389,59 @@ TEST(Partitioner, PlanIsDeterministic) {
   EXPECT_EQ(p1.node_shard, p2.node_shard);
   EXPECT_EQ(p1.cut_links, p2.cut_links);
   EXPECT_EQ(p1.lookahead, p2.lookahead);
+}
+
+/// The fields shard_plans.txt holds for `plan`: an FNV-1a fingerprint of
+/// the shard count, every node's shard and every cut link, then the shard
+/// count, the cut size and the lookahead in nanoseconds.
+std::string plan_row(const backbone::ShardPlan& plan) {
+  golden::Fnv f;
+  f.mix(plan.shard_count);
+  for (const std::uint32_t s : plan.node_shard) f.mix(s);
+  for (const net::LinkId l : plan.cut_links) f.mix(l);
+  return f.hex() + " " + std::to_string(plan.shard_count) + " " +
+         std::to_string(plan.cut_links.size()) + " " +
+         std::to_string(plan.lookahead);
+}
+
+std::string golden_plan_row(const std::string& key) {
+  std::string out;
+  for (const std::string& f : golden::row("shard_plans.txt", key)) {
+    out += (out.empty() ? "" : " ") + f;
+  }
+  return out;
+}
+
+TEST(ShardPlanGolden, NodeCountPlansUnchanged) {
+  // harness::isp_plan's 16P/64PE backbone with its 128 sites: the plan
+  // the generated-topology bench phases and isp_sharded run on.
+  const backbone::GeneratedPlan isp = harness::isp_plan(16);
+  backbone::MplsBackbone gen(isp.backbone);
+  std::vector<vpn::VpnId> vpns;
+  for (const std::string& name : isp.vpns) {
+    vpns.push_back(gen.service.create_vpn(name));
+  }
+  for (const backbone::PlanSite& s : isp.sites) {
+    gen.add_site(vpns[s.vpn], s.pe, s.prefix);
+  }
+  for (const std::uint32_t shards : {2U, 4U}) {
+    const std::string key = "isp_p16_pe64_ce2_s" + std::to_string(shards);
+    EXPECT_EQ(plan_row(backbone::compute_shard_plan(gen.topo, shards)),
+              golden_plan_row(key))
+        << key;
+  }
+
+  // The topology examples/scenarios/branch_office.scn builds.
+  backbone::BackboneConfig cfg;
+  cfg.p_count = 2;
+  cfg.pe_count = 2;
+  cfg.seed = 11;
+  backbone::MplsBackbone office(cfg);
+  const vpn::VpnId corp = office.service.create_vpn("corp");
+  office.add_site(corp, 0, ip::Prefix::must_parse("10.1.0.0/16"));
+  office.add_site(corp, 1, ip::Prefix::must_parse("10.2.0.0/16"));
+  EXPECT_EQ(plan_row(backbone::compute_shard_plan(office.topo, 4)),
+            golden_plan_row("branch_office_s4"));
 }
 
 // --- End-to-end determinism: serial vs sharded scenario runs --------------

@@ -7,6 +7,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "backbone/scenario_config.hpp"
@@ -86,6 +87,11 @@ struct BadCase {
 };
 
 class ScenarioParseErrors : public ::testing::TestWithParam<BadCase> {};
+
+// The *_over_cap cases below sit one over these caps.
+static_assert(kMaxCoreRouters == 1024 && kMaxPeRouters == 2048 &&
+              kMaxRouteReflectors == 64 && kMaxSitesPerPe == 64 &&
+              kMaxGeneratedFlows == 2'000'000);
 
 TEST_P(ScenarioParseErrors, ReportsUsefulError) {
   const BadCase& c = GetParam();
@@ -215,6 +221,23 @@ INSTANTIATE_TEST_SUITE_P(
                 "bad for="},
         BadCase{"topogen_rate_zero", "topology generated rate=0\n",
                 "bad topogen rate=0"},
+        // Counts one over their caps fail before anything is sized from
+        // them (flows=5e8 used to expand a multi-gigabyte plan in parse).
+        BadCase{"p_over_cap", "backbone p=1025 pe=1\n", "bad p="},
+        BadCase{"pe_over_cap", "backbone p=1 pe=2049\n", "bad pe="},
+        BadCase{"rr_over_cap", "backbone p=1 pe=1 bgp=rr rr=65\n",
+                "bad rr="},
+        BadCase{"topogen_p_over_cap", "topology generated p=1025\n",
+                "bad topogen p=1025"},
+        BadCase{"topogen_pe_over_cap", "topology generated pe=2049\n",
+                "bad topogen pe=2049"},
+        BadCase{"topogen_ce_over_cap", "topology generated ce=65\n",
+                "bad topogen ce=65"},
+        BadCase{"topogen_pod_over_cap", "topology generated pod=2049\n",
+                "bad topogen pod=2049"},
+        BadCase{"topogen_flows_over_cap",
+                "topology generated flows=2000001\n",
+                "bad topogen flows=2000001"},
         // Link bandwidths feed transmission_time: zero or non-finite
         // values used to abort the run with a time in the past.
         BadCase{"core_bw_zero", "backbone p=1 pe=1 core_bw=0\n",
@@ -292,6 +315,26 @@ INSTANTIATE_TEST_SUITE_P(
                 "backbone p=1 pe=1\nvpn v\nsite v pe=0 prefix=10.0.0.0/8\n"
                 "run for=1 spf=full\n",
                 "unknown key spf="}));
+
+TEST(ScenarioParse, CountCapsAreInclusive) {
+  TopogenParams params;
+  for (const auto& [key, cap] :
+       {std::pair{"p", kMaxCoreRouters}, std::pair{"pe", kMaxPeRouters},
+        std::pair{"ce", kMaxSitesPerPe}, std::pair{"pod", kMaxPeRouters},
+        std::pair{"flows", kMaxGeneratedFlows}}) {
+    EXPECT_TRUE(apply_topogen_param(params, key, std::to_string(cap))) << key;
+    EXPECT_FALSE(apply_topogen_param(params, key, std::to_string(cap + 1)))
+        << key;
+  }
+  // A rejected value leaves the parameter as it was.
+  EXPECT_EQ(params.flows, kMaxGeneratedFlows);
+  ScenarioError err;
+  EXPECT_TRUE(Scenario::parse("backbone p=1 pe=1 bgp=rr rr=64\nvpn v\n"
+                              "site v pe=0 prefix=10.0.0.0/8\n",
+                              &err)
+                  .has_value())
+      << err.message;
+}
 
 TEST(ScenarioParse, ErrorCarriesLineNumber) {
   ScenarioError err;
@@ -424,13 +467,13 @@ TEST(ScenarioRun, ObsDirWritesEveryArtefact) {
        {"trace.json", "events.jsonl", "spans.json", "trace.txt",
         "metrics.json", "engine_metrics.json", "latency.json", "latency.txt",
         "sync.json", "sync.txt", "flow.jsonl", "flow.bin", "flow.txt",
-        "flow_profile.txt", "partition.txt"}) {
+        "partition.txt"}) {
     file[name] = golden::slurp(dir + "/" + name);
     EXPECT_FALSE(file[name].empty()) << name;
   }
   EXPECT_EQ(std::distance(std::filesystem::directory_iterator(dir),
                           std::filesystem::directory_iterator()),
-            15);
+            14);
   for (const auto& [name, text] : file) {
     if (name.ends_with(".json")) {
       EXPECT_TRUE(text.starts_with("{") || text.starts_with("[")) << name;
@@ -443,7 +486,6 @@ TEST(ScenarioRun, ObsDirWritesEveryArtefact) {
     }
   }
   EXPECT_TRUE(file["flow.bin"].starts_with("MVFR"));
-  EXPECT_TRUE(file["flow_profile.txt"].starts_with("flowprofile v1"));
   EXPECT_TRUE(file["trace.txt"].starts_with("obs: "));
   EXPECT_TRUE(file["partition.txt"].starts_with("partition: "));
   EXPECT_NE(file["latency.txt"].find("latency anatomy"), std::string::npos);

@@ -1,5 +1,7 @@
 #include "ip/route_table.hpp"
 
+#include <algorithm>
+
 namespace mvpn::ip {
 
 std::string to_string(RouteSource s) {
@@ -11,6 +13,16 @@ std::string to_string(RouteSource s) {
     case RouteSource::kVpn: return "vpn";
   }
   return "?";
+}
+
+void RouteTable::allocate_cache() const {
+  cache_ = std::make_unique<CacheSlot[]>(kCacheSlots);
+}
+
+void RouteTable::invalidate_cache() noexcept {
+  if (static_cast<std::uint32_t>(++generation_) != 0) return;
+  ++generation_;
+  if (cache_ != nullptr) std::fill_n(cache_.get(), kCacheSlots, CacheSlot{});
 }
 
 bool RouteTable::install(const RouteEntry& entry) {

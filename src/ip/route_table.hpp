@@ -1,8 +1,8 @@
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -93,6 +93,14 @@ struct RouteEntry {
 /// addresses per table, so the 32-level pointer chase is paid once per
 /// (address, table-version) instead of once per packet. Any mutation bumps
 /// the table generation, which invalidates every cached slot at once.
+///
+/// The cache lives out of line and is allocated by the first lookup(), so
+/// a table no lookup reaches (a route reflector's, or a VRF no traffic
+/// enters) is 32 bytes plus its trie, not 6 KiB. Each 16-byte slot stamps
+/// the low word of the generation; when that word wraps, the cache is
+/// cleared, so a slot filled 2^32 mutations ago can never match again.
+/// The slot count is fixed and keyed by address, not sized by route count:
+/// CEs and VRFs see many more destinations than they hold routes.
 class RouteTable {
  public:
   /// Install `entry`; if a route for the same prefix exists, keep the one
@@ -108,12 +116,12 @@ class RouteTable {
 
   /// Longest-prefix match; nullptr if no route covers `addr`.
   [[nodiscard]] const RouteEntry* lookup(Ipv4Address addr) const {
+    if (cache_ == nullptr) [[unlikely]] allocate_cache();
     CacheSlot& slot = cache_[cache_index(addr)];
-    if (slot.generation == generation_ && slot.addr == addr.value()) {
-      return slot.entry;
-    }
+    const auto stamp = static_cast<std::uint32_t>(generation_);
+    if (slot.stamp == stamp && slot.addr == addr.value()) return slot.entry;
     const RouteEntry* entry = trie_.longest_match(addr);
-    slot = CacheSlot{addr.value(), generation_, entry};
+    slot = CacheSlot{addr.value(), stamp, entry};
     return entry;
   }
 
@@ -136,23 +144,29 @@ class RouteTable {
   }
 
  private:
+  friend struct RouteTableTestAccess;
+
   static constexpr std::size_t kCacheSlots = 256;  // power of two
 
   struct CacheSlot {
     std::uint32_t addr = 0;
-    std::uint64_t generation = 0;  // 0 never matches: generation_ starts at 1
+    std::uint32_t stamp = 0;  // 0 never matches: the live stamp skips 0
     const RouteEntry* entry = nullptr;
   };
+  static_assert(sizeof(CacheSlot) == 16);
 
   static std::size_t cache_index(Ipv4Address addr) noexcept {
     // Fibonacci hash: site addresses differ mostly in the middle octets.
     return (addr.value() * 0x9E3779B1u) >> 24 & (kCacheSlots - 1);
   }
 
-  void invalidate_cache() noexcept { ++generation_; }
+  void allocate_cache() const;
+  /// Bump the generation; on a low-word wrap, clear every slot and skip
+  /// the stamp 0 that empty slots carry.
+  void invalidate_cache() noexcept;
 
   PrefixTrie<RouteEntry> trie_;
-  mutable std::array<CacheSlot, kCacheSlots> cache_{};
+  mutable std::unique_ptr<CacheSlot[]> cache_;  ///< kCacheSlots, or null
   std::uint64_t generation_ = 1;
 };
 

@@ -5,20 +5,6 @@
 
 namespace mvpn::mpls {
 
-namespace {
-
-/// The label `nb` advertised in `lib`, if any.
-const std::uint32_t* remote_label(
-    const std::vector<std::pair<ip::NodeId, std::uint32_t>>& lib,
-    ip::NodeId nb) {
-  for (const auto& [from, label] : lib) {
-    if (from == nb) return &label;
-  }
-  return nullptr;
-}
-
-}  // namespace
-
 Ldp::Ldp(routing::ControlPlane& cp, routing::Igp& igp, MplsDomain& domain)
     : cp_(cp), igp_(igp), domain_(domain) {
   igp_.on_spf([this](ip::NodeId router) { on_spf(router); });
@@ -54,15 +40,55 @@ std::optional<Ldp::FecId> Ldp::fec_id(const ip::Prefix& fec) const {
 
 Ldp::FecState& Ldp::fec_state(ip::NodeId router, FecId id) {
   if (router >= lib_.size()) lib_.resize(router + 1);
-  std::vector<FecState>& row = lib_[router];
-  if (id >= row.size()) row.resize(fecs_.size());
-  return row[id];
+  RouterLib& lib = lib_[router];
+  if (id < lib.fecs.size()) return lib.fecs[id];
+  if (lib.fecs.empty()) {
+    // Lay out the neighbour slots once: the enabled neighbours in
+    // adjacency order, each once however many links reach it.
+    cp_.topology().for_each_adjacency(router, [&](const net::Adjacency& adj) {
+      if (enabled(adj.neighbor) &&
+          std::find(lib.peers.begin(), lib.peers.end(), adj.neighbor) ==
+              lib.peers.end()) {
+        lib.peers.push_back(adj.neighbor);
+      }
+    });
+  }
+  lib.fecs.resize(fecs_.size());
+  lib.remote.resize(fecs_.size() * lib.peers.size(), ip::kNoLabel);
+  return lib.fecs[id];
 }
 
 const Ldp::FecState* Ldp::known(ip::NodeId router, FecId id) const {
-  if (router >= lib_.size() || id >= lib_[router].size()) return nullptr;
-  const FecState& st = lib_[router][id];
+  if (router >= lib_.size() || id >= lib_[router].fecs.size()) return nullptr;
+  const FecState& st = lib_[router].fecs[id];
   return st.owner == ip::kInvalidNode ? nullptr : &st;
+}
+
+const std::uint32_t* Ldp::remote_label(ip::NodeId router, FecId id,
+                                       ip::NodeId nb) const {
+  const RouterLib& lib = lib_[router];
+  const std::size_t n = lib.peers.size();
+  for (std::size_t slot = 0; slot < n; ++slot) {
+    if (lib.peers[slot] != nb) continue;
+    const std::uint32_t& label = lib.remote[id * n + slot];
+    return label != ip::kNoLabel ? &label : nullptr;
+  }
+  return nullptr;
+}
+
+std::size_t Ldp::peer_slot(RouterLib& lib, ip::NodeId from) {
+  const std::size_t n = lib.peers.size();
+  for (std::size_t slot = 0; slot < n; ++slot) {
+    if (lib.peers[slot] == from) return slot;
+  }
+  std::vector<std::uint32_t> wider(lib.fecs.size() * (n + 1), ip::kNoLabel);
+  for (std::size_t f = 0; f < lib.fecs.size(); ++f) {
+    std::copy_n(lib.remote.begin() + static_cast<std::ptrdiff_t>(f * n), n,
+                wider.begin() + static_cast<std::ptrdiff_t>(f * (n + 1)));
+  }
+  lib.remote.swap(wider);
+  lib.peers.push_back(from);
+  return n;
 }
 
 std::size_t Ldp::fec_count() const {
@@ -74,9 +100,7 @@ void Ldp::announce_egress(ip::NodeId egress, const ip::Prefix& fec) {
   ++generation_;
   const FecId id = intern(fec);
   announced_[id] = true;
-  FecState& st = fec_state(egress, id);
-  if (st.owner == ip::kInvalidNode) reserve_lib(egress, st);
-  st.owner = egress;
+  fec_state(egress, id).owner = egress;
   obs::FlightRecorder& rec = cp_.topology().recorder();
   if (rec.enabled(obs::Category::kSignaling)) {
     // Anchors the span analysis: mapping latency is measured from this
@@ -103,39 +127,24 @@ void Ldp::advertise(ip::NodeId router, FecId id, ip::NodeId owner,
   });
 }
 
-void Ldp::reserve_lib(ip::NodeId router, FecState& st) const {
-  // Liberal retention keeps one mapping per LDP neighbor: size the LIB
-  // once instead of growing it as each neighbor's mapping arrives.
-  std::size_t neighbors = 0;
-  cp_.topology().for_each_adjacency(router, [&](const net::Adjacency& adj) {
-    if (enabled(adj.neighbor)) ++neighbors;
-  });
-  st.remote_labels.reserve(neighbors);
-}
-
 void Ldp::learn_fec(ip::NodeId router, FecId id, ip::NodeId owner) {
   FecState& st = fec_state(router, id);
   if (st.owner != ip::kInvalidNode) return;  // already known
   st.owner = owner;
-  reserve_lib(router, st);
   if (router == owner) return;
   // Independent control: allocate and advertise immediately.
   st.local_label = domain_.state_of(router).allocator.allocate();
-  advertise(router, id, owner, *st.local_label);
+  advertise(router, id, owner, st.local_label);
 }
 
 void Ldp::receive_mapping(ip::NodeId at, ip::NodeId from, FecId id,
                           ip::NodeId owner, std::uint32_t label) {
   if (!enabled(at)) return;
   learn_fec(at, id, owner);
-  auto& lib = fec_state(at, id).remote_labels;
-  const auto it = std::find_if(lib.begin(), lib.end(),
-                               [from](const auto& m) { return m.first == from; });
-  if (it == lib.end()) {
-    lib.emplace_back(from, label);
-  } else {
-    it->second = label;  // liberal retention: newest mapping wins
-  }
+  RouterLib& lib = lib_[at];
+  const std::size_t slot = peer_slot(lib, from);
+  // Liberal retention: newest mapping wins.
+  lib.remote[id * lib.peers.size() + slot] = label;
   ++generation_;
   obs::FlightRecorder& rec = cp_.topology().recorder();
   if (rec.enabled(obs::Category::kSignaling)) {
@@ -149,25 +158,25 @@ void Ldp::receive_mapping(ip::NodeId at, ip::NodeId from, FecId id,
 }
 
 void Ldp::refresh_lfib(ip::NodeId router, FecId id) {
-  const FecState& st = lib_[router][id];
-  if (router == st.owner || !st.local_label) return;
+  const FecState& st = lib_[router].fecs[id];
+  if (router == st.owner || st.local_label == ip::kNoLabel) return;
   Lfib& lfib = domain_.state_of(router).lfib;
 
   const routing::Igp::NextHopEntry* nh = igp_.next_hop(router, st.owner);
   if (nh == nullptr) {
-    lfib.remove(*st.local_label);
+    lfib.remove(st.local_label);
     return;
   }
-  const std::uint32_t* remote = remote_label(st.remote_labels, nh->via);
+  const std::uint32_t* remote = remote_label(router, id, nh->via);
   if (remote == nullptr) {
     // Next hop has not given us a label yet; entry stays absent until the
     // mapping arrives (liberal retention will then satisfy it instantly).
-    lfib.remove(*st.local_label);
+    lfib.remove(st.local_label);
     return;
   }
 
   LfibEntry entry;
-  entry.in_label = *st.local_label;
+  entry.in_label = st.local_label;
   entry.next_hop = nh->via;
   entry.out_iface = nh->iface;
   entry.fec = fecs_[id];
@@ -196,10 +205,14 @@ void Ldp::withdraw_fec(const ip::Prefix& fec) {
   for (ip::NodeId router = 0; router < lib_.size(); ++router) {
     const FecState* st = known(router, *id);
     if (st == nullptr) continue;
-    if (st->local_label) {
-      domain_.state_of(router).lfib.remove(*st->local_label);
+    if (st->local_label != ip::kNoLabel) {
+      domain_.state_of(router).lfib.remove(st->local_label);
     }
-    lib_[router][*id] = FecState{};
+    RouterLib& lib = lib_[router];
+    lib.fecs[*id] = FecState{};
+    const std::size_t n = lib.peers.size();
+    std::fill_n(lib.remote.begin() + static_cast<std::ptrdiff_t>(*id * n), n,
+                ip::kNoLabel);
   }
   announced_[*id] = false;
 }
@@ -213,7 +226,7 @@ std::optional<Ldp::Ftn> Ldp::ftn(ip::NodeId router,
 
   const routing::Igp::NextHopEntry* nh = igp_.next_hop(router, st->owner);
   if (nh == nullptr) return std::nullopt;
-  const std::uint32_t* remote = remote_label(st->remote_labels, nh->via);
+  const std::uint32_t* remote = remote_label(router, *id, nh->via);
   if (remote == nullptr) return std::nullopt;
 
   Ftn f;
@@ -229,9 +242,10 @@ std::optional<Ldp::Ftn> Ldp::ftn(ip::NodeId router,
 
 std::size_t Ldp::bindings_at(ip::NodeId router) const {
   if (router >= lib_.size()) return 0;
-  std::size_t n = 0;
-  for (const FecState& st : lib_[router]) n += st.remote_labels.size();
-  return n;
+  const std::vector<std::uint32_t>& remote = lib_[router].remote;
+  return static_cast<std::size_t>(
+      std::count_if(remote.begin(), remote.end(),
+                    [](std::uint32_t l) { return l != ip::kNoLabel; }));
 }
 
 }  // namespace mvpn::mpls

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <utility>
 #include <vector>
 
 #include "mpls/domain.hpp"
@@ -71,10 +70,19 @@ class Ldp {
   /// learns the FEC (and again after a withdraw).
   struct FecState {
     ip::NodeId owner = ip::kInvalidNode;
-    std::optional<std::uint32_t> local_label;  // none at the egress (PHP)
-    /// LIB: the label each neighbor advertised (liberal retention),
-    /// reserved for every LDP neighbor when the FEC becomes known.
-    std::vector<std::pair<ip::NodeId, std::uint32_t>> remote_labels;
+    std::uint32_t local_label = ip::kNoLabel;  ///< kNoLabel at the egress (PHP)
+  };
+  static_assert(sizeof(FecState) == 8);
+
+  /// One router's LIB, flat: a row per FEC, and the label each LDP
+  /// neighbour advertised for it (liberal retention) in one array indexed
+  /// [FEC id][neighbour slot], kNoLabel where none has. A neighbour's slot
+  /// is its place among the router's enabled neighbours in adjacency
+  /// order, fixed when the router's first row is made.
+  struct RouterLib {
+    std::vector<FecState> fecs;         ///< by FEC id
+    std::vector<ip::NodeId> peers;      ///< by neighbour slot
+    std::vector<std::uint32_t> remote;  ///< [FEC id * peers.size() + slot]
   };
 
   /// First entry of `by_prefix_` whose prefix is not below `fec`.
@@ -92,8 +100,12 @@ class Ldp {
     return router < enabled_.size() && enabled_[router];
   }
 
-  /// Reserve `st`'s LIB for one mapping per LDP neighbor of `router`.
-  void reserve_lib(ip::NodeId router, FecState& st) const;
+  /// The label `nb` advertised to `router` for `id`, or nullptr.
+  [[nodiscard]] const std::uint32_t* remote_label(ip::NodeId router, FecId id,
+                                                  ip::NodeId nb) const;
+  /// `lib`'s slot for neighbour `from`, widening every row by one for a
+  /// neighbour enabled after the slots were laid out.
+  static std::size_t peer_slot(RouterLib& lib, ip::NodeId from);
   void learn_fec(ip::NodeId router, FecId id, ip::NodeId owner);
   void advertise(ip::NodeId router, FecId id, ip::NodeId owner,
                  std::uint32_t label);
@@ -109,7 +121,7 @@ class Ldp {
   std::vector<ip::Prefix> fecs_;              ///< by FEC id
   std::vector<FecId> by_prefix_;              ///< FEC ids in prefix order
   std::vector<bool> announced_;               ///< by FEC id
-  std::vector<std::vector<FecState>> lib_;    ///< [router][FEC id]
+  std::vector<RouterLib> lib_;                ///< by node id
   std::uint64_t generation_ = 1;
 };
 

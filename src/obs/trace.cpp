@@ -77,10 +77,13 @@ FlightRecorder::FlightRecorder(const sim::Scheduler* clock,
 }
 
 void FlightRecorder::set_capacity(std::size_t capacity) {
-  const std::size_t cap = round_up_pow2(capacity == 0 ? 1 : capacity);
-  ring_.assign(cap, TraceEvent{});
-  index_mask_ = cap - 1;
+  index_mask_ = round_up_pow2(capacity == 0 ? 1 : capacity) - 1;
   head_ = 0;
+  if (!ring_.empty()) ring_ = std::vector<TraceEvent>(this->capacity());
+}
+
+void FlightRecorder::allocate_ring() noexcept {
+  ring_.assign(capacity(), TraceEvent{});
 }
 
 std::vector<TraceEvent> FlightRecorder::snapshot() const {

@@ -99,9 +99,14 @@ struct TraceEvent {
 ///
 /// The contract every hot path relies on:
 ///  * disabled (the default) costs one mask load + predictable branch per
-///    call site — `enabled()` is inline and the mask is 0;
+///    call site — `enabled()` is inline and the mask is 0 — and holds no
+///    ring: the configured capacity is only a number until the first
+///    enable() allocates it (a recorder that is never enabled, as in every
+///    untraced run, never pays its capacity × 40 B);
 ///  * enabled costs one clock read and one array store per event — the
-///    ring never allocates after set_capacity();
+///    ring allocates once, at the first enable() (or the first write into
+///    a recorder that was never enabled, as the shard merge does), and
+///    never again until set_capacity();
 ///  * when the ring wraps, the oldest events are overwritten and counted
 ///    in overwritten() — recording never fails and never grows memory.
 class FlightRecorder {
@@ -113,9 +118,12 @@ class FlightRecorder {
 
   static constexpr std::size_t kDefaultCapacity = 1u << 16;
 
-  /// Turn on the given categories (ANDed with the compile-time mask).
+  /// Turn on the given categories (ANDed with the compile-time mask),
+  /// allocating the ring if this is the first time any is on.
   void enable(std::uint32_t categories = kAllCategories) noexcept {
-    if (clock_ != nullptr) mask_ = categories & kCompiledTraceMask;
+    if (clock_ == nullptr) return;
+    mask_ = categories & kCompiledTraceMask;
+    if (mask_ != 0 && ring_.empty()) allocate_ring();
   }
   void disable() noexcept { mask_ = 0; }
 
@@ -124,17 +132,25 @@ class FlightRecorder {
   }
   [[nodiscard]] std::uint32_t mask() const noexcept { return mask_; }
 
-  /// Resize the ring (rounded up to a power of two) and clear it.
+  /// Set the ring size (rounded up to a power of two) and clear it. An
+  /// allocated ring is reallocated at the new size; an unallocated one
+  /// stays unallocated.
   void set_capacity(std::size_t capacity);
-  [[nodiscard]] std::size_t capacity() const noexcept { return ring_.size(); }
+  /// The configured size, whether or not the ring is allocated yet.
+  [[nodiscard]] std::size_t capacity() const noexcept {
+    return index_mask_ + 1;
+  }
+  /// Heap bytes the ring holds: 0 until the first enable() or write.
+  [[nodiscard]] std::size_t ring_bytes() const noexcept {
+    return ring_.capacity() * sizeof(TraceEvent);
+  }
 
   /// Append `ev` (timestamped now). Callers are expected to have checked
   /// enabled() — record() itself never re-checks, keeping the hot path to
   /// exactly one branch when tracing is off.
   void record(TraceEvent ev) noexcept {
     ev.at = clock_->now();
-    ring_[static_cast<std::size_t>(head_) & index_mask_] = ev;
-    ++head_;
+    append_stamped(ev);
   }
 
   /// Append a pre-stamped event, keeping `ev.at` as-is. This is the merge
@@ -143,6 +159,7 @@ class FlightRecorder {
   /// (at, shard) order — re-stamping with the master clock would collapse
   /// every merged event onto the merge instant.
   void append_stamped(const TraceEvent& ev) noexcept {
+    if (ring_.empty()) [[unlikely]] allocate_ring();
     ring_[static_cast<std::size_t>(head_) & index_mask_] = ev;
     ++head_;
   }
@@ -151,12 +168,11 @@ class FlightRecorder {
   [[nodiscard]] std::uint64_t recorded() const noexcept { return head_; }
   /// Events lost to ring wraparound.
   [[nodiscard]] std::uint64_t overwritten() const noexcept {
-    return head_ > ring_.size() ? head_ - ring_.size() : 0;
+    return head_ > capacity() ? head_ - capacity() : 0;
   }
   /// Events currently held (<= capacity).
   [[nodiscard]] std::size_t size() const noexcept {
-    return head_ < ring_.size() ? static_cast<std::size_t>(head_)
-                                : ring_.size();
+    return head_ < capacity() ? static_cast<std::size_t>(head_) : capacity();
   }
 
   /// Retained events, oldest first.
@@ -165,11 +181,14 @@ class FlightRecorder {
   void clear() noexcept { head_ = 0; }
 
  private:
+  /// Size the ring to capacity() (zeroed). Out of line: it runs once.
+  void allocate_ring() noexcept;
+
   const sim::Scheduler* clock_;
   std::uint32_t mask_ = 0;  ///< 0 = disabled (the default)
   std::uint64_t head_ = 0;  ///< next write position (monotonic)
-  std::size_t index_mask_ = 0;
-  std::vector<TraceEvent> ring_;
+  std::size_t index_mask_ = 0;  ///< capacity() - 1
+  std::vector<TraceEvent> ring_;  ///< empty until the first enable()/write
 };
 
 /// Process-wide permanently-disabled recorder (clock-less, so enable() is

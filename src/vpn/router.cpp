@@ -166,7 +166,8 @@ void Router::inject(net::PacketPtr p) {
   if (flowcache_enabled_ && p->flow_id != 0 && !p->esp) {
     key = flow_key_of(*p);
     const auto probe = ingress_cache_.find(
-        p->flow_id, [&key](const IngressEntry& s) { return s.key == key; });
+        p->flow_id, key.tag_key(),
+        [&key](const IngressEntry& s) { return s.key == key; });
     e = probe.slot;
     found = probe.found;
   }
@@ -185,7 +186,7 @@ void Router::inject(net::PacketPtr p) {
     } else {
       ++fc_stats_.invalidated;
       trace_fastpath(obs::EventType::kFastpathInvalidate, *p, p->flow_id, 0);
-      e->gen_sum = 0;
+      ingress_cache_.release(e);
     }
   }
 
@@ -220,7 +221,7 @@ void Router::inject(net::PacketPtr p) {
       e->dscp = p->ip.dscp;
       e->policer = policer;
       e->shaper = shaper;
-      e->gen_sum = ingress_gen_sum();
+      ingress_cache_.commit(e, ingress_gen_sum());
       trace_fastpath(obs::EventType::kFastpathResolve, *p, p->flow_id, 0);
     }
   }
@@ -372,8 +373,8 @@ void Router::forward_ip(net::PacketPtr p, Vrf* vrf) {
       outbound_sas_.empty() && !has_pvc_ingress_) {
     const FlowKey key = flow_key_of(*p);
     const VpnId ctx = vrf != nullptr ? vrf->vpn_id() : kGlobalVpn;
-    const auto probe =
-        forward_cache_.find(p->flow_id, [&](const ForwardEntry& s) {
+    const auto probe = forward_cache_.find(
+        p->flow_id, key.tag_key(), [&](const ForwardEntry& s) {
           return s.key == key && s.ctx == ctx;
         });
     slot = probe.slot;
@@ -386,12 +387,13 @@ void Router::forward_ip(net::PacketPtr p, Vrf* vrf) {
       ++fc_stats_.invalidated;
       trace_fastpath(obs::EventType::kFastpathInvalidate, *p, p->flow_id,
                      static_cast<std::uint8_t>(slot->act));
-      slot->gen_sum = 0;
     }
+    // Armed for recording (a stale or evicted entry is freed first);
+    // valid only once resolved.
+    forward_cache_.release(slot);
     slot->key = key;
     slot->ctx = ctx;
     slot->flow_id = p->flow_id;
-    slot->gen_sum = 0;  // armed for recording; valid only once resolved
   }
 
   // Core routers see only the outer header of encrypted traffic.
@@ -501,7 +503,7 @@ void Router::record_forward(ForwardEntry* slot, const net::Packet& p,
   slot->tunnel_label = tunnel_label;
   slot->push_tunnel = push_tunnel;
   slot->out_iface = out_iface;
-  slot->gen_sum = forward_gen_sum(vrf);
+  forward_cache_.commit(slot, forward_gen_sum(vrf));
   trace_fastpath(obs::EventType::kFastpathResolve, p, p.flow_id,
                  static_cast<std::uint8_t>(act));
 }
@@ -596,7 +598,7 @@ void Router::forward_labeled(net::PacketPtr p) {
   TransitEntry* t = nullptr;
   if (flowcache_enabled_) {
     const auto probe = transit_cache_.find(
-        in_label,
+        in_label, in_label,
         [in_label](const TransitEntry& s) { return s.in_label == in_label; });
     t = probe.slot;
     if (probe.found) {
@@ -609,7 +611,7 @@ void Router::forward_labeled(net::PacketPtr p) {
       ++fc_stats_.invalidated;
       trace_fastpath(obs::EventType::kFastpathInvalidate, *p, in_label,
                      static_cast<std::uint8_t>(t->op));
-      t->gen_sum = 0;
+      transit_cache_.release(t);
     }
   }
 
@@ -636,7 +638,7 @@ void Router::forward_labeled(net::PacketPtr p) {
     t->out_label = entry->out_label;
     t->out_iface = entry->out_iface;
     t->vrf = vrf;
-    t->gen_sum = transit_gen_sum();
+    transit_cache_.commit(t, transit_gen_sum());
     trace_fastpath(obs::EventType::kFastpathResolve, *p, in_label,
                    static_cast<std::uint8_t>(entry->op));
   }

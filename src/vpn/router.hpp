@@ -242,6 +242,10 @@ class Router : public net::Node {
     [[nodiscard]] bool operator==(const FlowKey& o) const noexcept {
       return addrs == o.addrs && meta == o.meta;
     }
+    /// Equal keys give equal tag keys, whatever their flow ids.
+    [[nodiscard]] std::uint64_t tag_key() const noexcept {
+      return addrs ^ meta;
+    }
   };
   [[nodiscard]] static FlowKey flow_key_of(const net::Packet& p) noexcept {
     return FlowKey{
@@ -269,6 +273,9 @@ class Router : public net::Node {
     qos::Policer* policer = nullptr;  ///< still exercised per packet
     qos::Shaper* shaper = nullptr;    ///< still exercised per packet
     [[nodiscard]] std::uint32_t home_key() const noexcept { return flow_id; }
+    [[nodiscard]] std::uint64_t tag_key() const noexcept {
+      return key.tag_key();
+    }
   };
   static_assert(sizeof(IngressEntry) == 56);
 
@@ -287,6 +294,9 @@ class Router : public net::Node {
     bool push_tunnel = false;        ///< kImpose
     ip::IfIndex out_iface = ip::kInvalidIf;
     [[nodiscard]] std::uint32_t home_key() const noexcept { return flow_id; }
+    [[nodiscard]] std::uint64_t tag_key() const noexcept {
+      return key.tag_key();
+    }
   };
   static_assert(sizeof(ForwardEntry) == 56);
 
@@ -301,6 +311,7 @@ class Router : public net::Node {
     ip::IfIndex out_iface = ip::kInvalidIf;
     Vrf* vrf = nullptr;  ///< kPopDeliver target (stable: VRFs never die)
     [[nodiscard]] std::uint32_t home_key() const noexcept { return in_label; }
+    [[nodiscard]] std::uint64_t tag_key() const noexcept { return in_label; }
   };
   static_assert(sizeof(TransitEntry) == 40);
 

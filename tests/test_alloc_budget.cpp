@@ -19,6 +19,8 @@
 #include "backbone/fixtures.hpp"
 #include "backbone/scenario_config.hpp"
 #include "backbone/topogen.hpp"
+#include "net/topology.hpp"
+#include "obs/trace.hpp"
 
 namespace {
 
@@ -122,12 +124,39 @@ TEST(AllocBudget, ColdBootStaysUnderHalfAnAllocationPerMessage) {
   std::printf("cold boot: %llu allocations, %llu messages, %.3f per message\n",
               static_cast<unsigned long long>(allocations),
               static_cast<unsigned long long>(messages), per_message);
-  // Measured (RelWithDebInfo, and the same in the ASan build): 15,568
-  // allocations for 46,904 messages, 0.332 per message. Before message
-  // closures became inline scheduler events and best-path changes, LDP
-  // label sets and SPF next hops stopped allocating, this measured
-  // 103,876, or 2.215 per message.
+  // Measured (RelWithDebInfo, and the same in the ASan build): 10,662
+  // allocations for 46,904 messages, 0.227 per message. It was 15,568
+  // (0.332) while each router's LDP LIB held one remote-label vector per
+  // FEC, and 103,876 (2.215) before message closures became inline
+  // scheduler events and best-path changes, LDP label sets and SPF next
+  // hops stopped allocating.
   EXPECT_LE(per_message, 0.5);
+}
+
+TEST(AllocBudget, UntracedTopologyHoldsNoTraceRing) {
+  const std::uint64_t before = g_bytes.load();
+  net::Topology topo(1);
+  const std::uint64_t built = g_bytes.load() - before;
+  std::printf("empty topology: %llu bytes\n",
+              static_cast<unsigned long long>(built));
+  // The flight recorder's 65,536-event ring (2.5 MiB) waits for enable().
+  EXPECT_LT(built, 256u * 1024);
+
+  // The first enable() allocates the ring, once; re-enabling and
+  // recording past wraparound allocate nothing more.
+  obs::FlightRecorder& rec = topo.recorder();
+  const std::uint64_t allocations = g_allocations.load();
+  const std::uint64_t bytes = g_bytes.load();
+  rec.enable();
+  EXPECT_EQ(g_allocations.load() - allocations, 1u);
+  EXPECT_EQ(g_bytes.load() - bytes, rec.capacity() * sizeof(obs::TraceEvent));
+  rec.disable();
+  rec.enable();
+  for (std::size_t i = 0; i < 2 * rec.capacity(); ++i) {
+    rec.record({.type = obs::EventType::kEnqueue});
+  }
+  EXPECT_EQ(g_allocations.load() - allocations, 1u);
+  EXPECT_EQ(rec.overwritten(), rec.capacity());
 }
 
 TEST(AllocBudget, OverCapCountsFailBeforeSizingAnything) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <utility>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -238,6 +239,116 @@ TEST(Fastpath, CollidingFlowIdsEvictAtCapWithoutChangingResults) {
   EXPECT_EQ(on.ce.slots, 2u * 1024u);
   EXPECT_GT(on.ce.misses, 2u * ids.size());
   EXPECT_GT(on.ce.hits, 0u);
+}
+
+/// A bare FlowTable slot keyed by its flow id.
+struct IdSlot {
+  std::uint32_t id = 0;
+  std::uint64_t gen_sum = 0;
+  [[nodiscard]] std::uint32_t home_key() const noexcept { return id; }
+  [[nodiscard]] std::uint64_t tag_key() const noexcept { return id; }
+};
+
+/// `n` distinct pseudo-random flow ids (a full-period LCG mod 2^32).
+std::vector<std::uint32_t> scattered_ids(std::size_t n) {
+  std::vector<std::uint32_t> ids;
+  std::uint32_t x = 12345;
+  for (std::size_t i = 0; i < n; ++i) {
+    x = x * 1664525u + 1013904223u;
+    ids.push_back(x);
+  }
+  return ids;
+}
+
+/// The 16-slot tag window lets a table fill further before it doubles.
+/// The capacities on the right are what the 8-slot window without tags
+/// reached for the same ids; no table may need more, and every id put in
+/// must be found again.
+TEST(FlowTable, WiderWindowNeverOutgrowsEightSlotTableAndFindsAll) {
+  using Table = vpn::FlowTable<IdSlot, (1u << 16)>;
+  for (const auto& [n, eight_slot_capacity] :
+       {std::pair<std::size_t, std::size_t>{64, 128}, {256, 512},
+        {1024, 4096}}) {
+    SCOPED_TRACE(n);
+    Table t;
+    const std::vector<std::uint32_t> ids = scattered_ids(n);
+    for (const std::uint32_t id : ids) {
+      const auto probe =
+          t.find(id, id, [id](const IdSlot& s) { return s.id == id; });
+      ASSERT_FALSE(probe.found);
+      probe.slot->id = id;
+      t.commit(probe.slot, 1);
+    }
+    EXPECT_LE(t.capacity(), eight_slot_capacity);
+    for (const std::uint32_t id : ids) {
+      const auto probe =
+          t.find(id, id, [id](const IdSlot& s) { return s.id == id; });
+      ASSERT_TRUE(probe.found) << id;
+      EXPECT_EQ(probe.slot->id, id);
+    }
+  }
+}
+
+/// A slot released through the table is free again: its tag clears with
+/// its gen_sum, so a new flow takes it instead of evicting a live entry.
+TEST(FlowTable, ReleasedSlotIsReusedByAnotherFlow) {
+  // Capped at its 16-slot start size, which one window spans: 16 flows
+  // fill it, and only a released slot can take a 17th without eviction.
+  vpn::FlowTable<IdSlot, 16> t;
+  std::vector<std::uint32_t> ids = scattered_ids(16 + 16);
+  std::vector<std::uint32_t> resident(ids.begin(), ids.begin() + 16);
+  const auto find = [&t](std::uint32_t id) {
+    return t.find(id, id, [id](const IdSlot& s) { return s.id == id; });
+  };
+  for (const std::uint32_t id : resident) {
+    const auto probe = find(id);
+    probe.slot->id = id;
+    t.commit(probe.slot, 1);
+  }
+  ASSERT_EQ(t.capacity(), 16u);
+  for (std::size_t round = 0; round < 16; ++round) {
+    SCOPED_TRACE(round);
+    IdSlot* released = find(resident[round]).slot;
+    t.release(released);
+    EXPECT_FALSE(find(resident[round]).found);
+    const std::uint32_t newcomer = ids[16 + round];
+    const auto probe = find(newcomer);
+    ASSERT_FALSE(probe.found);
+    EXPECT_EQ(probe.slot, released);
+    probe.slot->id = newcomer;
+    t.commit(probe.slot, 1);
+    resident[round] = newcomer;
+    for (const std::uint32_t id : resident) EXPECT_TRUE(find(id).found) << id;
+  }
+  EXPECT_EQ(t.capacity(), 16u);
+}
+
+/// Tags come from the matched key, not the home key: two flows with
+/// different ids but one visible 5-tuple share a decision whenever the
+/// entry lies in the second flow's window, as they did before tags.
+TEST(FlowTable, MatchingEntryIsFoundUnderAnotherHomeKey) {
+  struct KeyedSlot {
+    std::uint32_t flow_id = 0;
+    std::uint64_t key = 0;
+    std::uint64_t gen_sum = 0;
+    [[nodiscard]] std::uint32_t home_key() const noexcept { return flow_id; }
+    [[nodiscard]] std::uint64_t tag_key() const noexcept { return key; }
+  };
+  // At its 16-slot start size one window spans the table, so every home
+  // key's window holds every entry.
+  vpn::FlowTable<KeyedSlot, 16> t;
+  constexpr std::uint64_t kKey = 0x0A0100010A020001u;
+  const auto match = [](const KeyedSlot& s) { return s.key == kKey; };
+  const auto first = t.find(1, kKey, match);
+  ASSERT_FALSE(first.found);
+  first.slot->flow_id = 1;
+  first.slot->key = kKey;
+  t.commit(first.slot, 1);
+  for (const std::uint32_t other : {2u, 3u, 1000u}) {
+    const auto probe = t.find(other, kKey, match);
+    EXPECT_TRUE(probe.found) << other;
+    EXPECT_EQ(probe.slot, first.slot) << other;
+  }
 }
 
 /// An LDP withdrawal — even of a FEC the flow does not ride — bumps the

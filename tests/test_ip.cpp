@@ -11,6 +11,15 @@
 #include "sim/rng.hpp"
 
 namespace mvpn::ip {
+
+/// Test-only access to RouteTable's generation, to reach the cache-stamp
+/// wrap without 2^32 mutations.
+struct RouteTableTestAccess {
+  static void set_generation(RouteTable& t, std::uint64_t g) {
+    t.generation_ = g;
+  }
+};
+
 namespace {
 
 TEST(Ipv4Address, ParseAndFormat) {
@@ -217,6 +226,37 @@ TEST(RouteTable, LookupCacheInvalidatedByMutation) {
   EXPECT_EQ(table.lookup(addr), nullptr);  // negative result, re-resolved
   table.install(cover);
   EXPECT_EQ(table.lookup(addr)->next_hop.node, 1u);
+}
+
+// Cache slots stamp the low 32 bits of the generation. A slot filled
+// before that word wraps must never answer after it, even once the word
+// comes round to the slot's stamp again.
+TEST(RouteTable, LookupCacheClearedWhenStampWraps) {
+  RouteTable table;
+  RouteEntry cover;
+  cover.prefix = Prefix::must_parse("10.0.0.0/8");
+  cover.next_hop.node = 1;
+  cover.next_hop.iface = 0;
+  table.install(cover);
+
+  const Ipv4Address addr = Ipv4Address::must_parse("10.1.2.3");
+  RouteTableTestAccess::set_generation(table, 5);
+  EXPECT_EQ(table.lookup(addr)->next_hop.node, 1u);  // slot stamped 5
+
+  // The next mutation wraps the low word; stamp 0 (empty slots) is skipped.
+  RouteTableTestAccess::set_generation(table, 0xFFFFFFFFu);
+  RouteEntry specific;
+  specific.prefix = Prefix::must_parse("10.1.0.0/16");
+  specific.next_hop.node = 2;
+  specific.next_hop.iface = 0;
+  table.install(specific);
+  EXPECT_EQ(table.generation(), 0x100000001u);
+
+  // Four mutations later the low word is 5 again: the slot filled before
+  // the wrap would match here had the wrap not cleared it.
+  RouteTableTestAccess::set_generation(table, 0x100000005u);
+  EXPECT_EQ(table.lookup(addr)->next_hop.node, 2u);
+  EXPECT_EQ(table.lookup(addr)->next_hop.node, 2u);  // refilled, a hit
 }
 
 TEST(RouteTable, EntriesSnapshot) {

@@ -156,6 +156,46 @@ TEST(Ldp, DistributesLabelsAlongChain) {
   EXPECT_EQ(f.ldp.fec_count(), 1u);
 }
 
+// A router's LIB lays out one slot per enabled LDP neighbour when it first
+// learns a FEC. A neighbour enabled after that gets a slot of its own, and
+// the mappings already held move with the widened rows.
+TEST(Ldp, NeighbourEnabledLaterGetsASlotAndKeepsEarlierMappings) {
+  MplsFixture f;
+  auto& a = f.add("a");
+  auto& b = f.add("b");
+  auto& c = f.topo.add_node<Router>("c", Role::kP);  // IGP now, LDP later
+  f.igp.add_router(c.id());
+  c.set_lsr_state(&f.domain.state_of(c.id()));
+  f.link(a, b);
+  f.link(b, c);
+  f.converge();
+
+  const ip::Prefix fec_a = ip::Prefix::host(a.loopback());
+  f.ldp.announce_egress(a.id(), fec_a);
+  f.topo.scheduler().run();
+  EXPECT_EQ(f.ldp.bindings_at(b.id()), 1u);  // a's implicit null
+
+  f.ldp.enable_router(c.id());
+  const ip::Prefix fec_c = ip::Prefix::host(c.loopback());
+  f.ldp.announce_egress(c.id(), fec_c);
+  f.topo.scheduler().run();
+
+  const auto b_to_a = f.ldp.ftn(b.id(), fec_a);
+  ASSERT_TRUE(b_to_a.has_value());
+  EXPECT_EQ(b_to_a->next_hop, a.id());
+  EXPECT_TRUE(b_to_a->implicit_null);
+  const auto b_to_c = f.ldp.ftn(b.id(), fec_c);
+  ASSERT_TRUE(b_to_c.has_value());
+  EXPECT_EQ(b_to_c->next_hop, c.id());
+  EXPECT_TRUE(b_to_c->implicit_null);
+  const auto a_to_c = f.ldp.ftn(a.id(), fec_c);
+  ASSERT_TRUE(a_to_c.has_value());
+  EXPECT_EQ(a_to_c->next_hop, b.id());
+  EXPECT_FALSE(a_to_c->implicit_null);
+  // fec_a from a; fec_c from c and, liberally retained, from a.
+  EXPECT_EQ(f.ldp.bindings_at(b.id()), 3u);
+}
+
 TEST(Ldp, LongerChainSwapsInTheMiddle) {
   MplsFixture f;
   auto& a = f.add("a");

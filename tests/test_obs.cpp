@@ -73,6 +73,49 @@ TEST(FlightRecorder, WraparoundOverwritesOldest) {
   EXPECT_TRUE(rec.snapshot().empty());
 }
 
+TEST(FlightRecorder, RingAllocatedAtFirstEnable) {
+  sim::Scheduler sched;
+  FlightRecorder rec(&sched, 8);
+  EXPECT_EQ(rec.capacity(), 8u);  // configured...
+  EXPECT_EQ(rec.ring_bytes(), 0u);  // ...but not allocated
+  rec.enable(0);
+  EXPECT_EQ(rec.ring_bytes(), 0u);  // no category on: still nothing
+  rec.enable();
+  const std::size_t bytes = rec.ring_bytes();
+  EXPECT_EQ(bytes, 8u * sizeof(TraceEvent));
+
+  for (std::uint32_t i = 0; i < 20; ++i) {
+    rec.record({.a = i, .type = EventType::kEnqueue});
+  }
+  rec.disable();
+  rec.enable();  // re-enabling keeps the ring and its contents
+  EXPECT_EQ(rec.ring_bytes(), bytes);
+  EXPECT_EQ(rec.recorded(), 20u);
+  EXPECT_EQ(rec.overwritten(), 12u);
+  const auto events = rec.snapshot();
+  ASSERT_EQ(events.size(), 8u);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(events[i].a, 12u + i);
+  }
+
+  rec.set_capacity(16);  // an allocated ring is reallocated at the new size
+  EXPECT_EQ(rec.ring_bytes(), 16u * sizeof(TraceEvent));
+  EXPECT_EQ(rec.size(), 0u);
+}
+
+TEST(FlightRecorder, MergeIntoNeverEnabledRecorderAllocates) {
+  sim::Scheduler sched;
+  FlightRecorder rec(&sched, 4);
+  rec.set_capacity(4);
+  EXPECT_EQ(rec.ring_bytes(), 0u);  // set_capacity keeps a ring unallocated
+  rec.append_stamped({.at = 7, .a = 1, .type = EventType::kLspUp});
+  EXPECT_EQ(rec.ring_bytes(), 4u * sizeof(TraceEvent));
+  const auto events = rec.snapshot();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].at, 7);
+  EXPECT_EQ(events[0].a, 1u);
+}
+
 TEST(FlightRecorder, CapacityRoundsUpToPowerOfTwo) {
   sim::Scheduler sched;
   FlightRecorder rec(&sched, 6);

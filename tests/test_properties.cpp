@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
 #include <set>
 #include <tuple>
 #include <vector>
@@ -9,9 +11,11 @@
 #include "ip/dir24_fib.hpp"
 #include "ip/prefix_trie.hpp"
 #include "ipsec/esp.hpp"
+#include "net/topology.hpp"
 #include "qos/meter.hpp"
 #include "qos/queues.hpp"
 #include "qos/token_bucket.hpp"
+#include "sim/rng.hpp"
 #include "test_flows.hpp"
 #include "traffic/sink.hpp"
 
@@ -433,6 +437,84 @@ TEST(HotPath, SteadyStateZeroAllocation) {
   EXPECT_EQ(pool.allocated(), allocated_warm);  // ...with zero new packets
   EXPECT_EQ(s.backbone->topo.scheduler().node_pool_size(), nodes_warm);
 }
+
+// --- M/D/1 queueing: Pollaczek-Khinchine --------------------------------------
+
+/// Records the egress-queue wait of every packet it receives.
+class QueueWaitSink : public net::Node {
+ public:
+  using Node::Node;
+  void receive(net::PacketPtr p, ip::IfIndex) override {
+    waits.push_back(p->delay.queue);
+  }
+  std::vector<sim::SimTime> waits;
+};
+
+/// Mean `DelayAnatomy::queue` of Poisson arrivals of 500 B packets at load
+/// `rho` into one 1 Mb/s drop-tail link (4 ms deterministic service) whose
+/// buffer never fills, over packets [warmup, n) of one seeded run.
+double md1_mean_wait_s(double rho, std::uint64_t seed, int n, int warmup) {
+  net::Topology topo(seed);
+  auto& src = topo.add_node<QueueWaitSink>("src");
+  auto& dst = topo.add_node<QueueWaitSink>("dst");
+  net::LinkConfig cfg;
+  cfg.bandwidth_bps = 1e6;
+  cfg.prop_delay = 0;
+  cfg.queue_factory = net::DropTailQueue::factory(std::size_t{1} << 20);
+  topo.connect(src.id(), dst.id(), cfg);
+
+  constexpr double kServiceS = 500 * 8 / 1e6;
+  sim::Rng rng(seed);
+  sim::SimTime at = 0;
+  for (int i = 0; i < n; ++i) {
+    at += sim::from_seconds(rng.exponential(kServiceS / rho));
+    topo.scheduler().schedule_at(at, [&topo, &src] {
+      net::PacketPtr p = topo.packet_factory().make();
+      p->payload_bytes = 472;  // 500 B on the wire
+      p->created_at = topo.scheduler().now();
+      src.send(std::move(p), 0);
+    });
+  }
+  topo.scheduler().run();
+  EXPECT_EQ(dst.waits.size(), static_cast<std::size_t>(n));  // no drops
+  double sum = 0;
+  for (std::size_t i = static_cast<std::size_t>(warmup); i < dst.waits.size();
+       ++i) {
+    sum += sim::to_seconds(dst.waits[i]);
+  }
+  return sum / static_cast<double>(n - warmup);
+}
+
+class Md1Wait : public ::testing::TestWithParam<double> {};
+
+// The mean queueing delay of an M/D/1 queue is W = rho / (2 mu (1 - rho)).
+// Each seed's mean is one sample (waits within a run are correlated, the
+// runs are independent); the mean over seeds must lie within the 99%
+// Student-t interval of W.
+TEST_P(Md1Wait, MeanQueueDelayMatchesPollaczekKhinchine) {
+  const double rho = GetParam();
+  constexpr double kMu = 1e6 / (500 * 8);  // packets per second
+  constexpr int kSeeds = 10;
+  constexpr double kT99 = 3.250;  // two-sided 99%, 9 degrees of freedom
+  std::vector<double> means;
+  for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    means.push_back(md1_mean_wait_s(rho, seed, 20000, 2000));
+  }
+  double mean = 0;
+  for (const double m : means) mean += m;
+  mean /= kSeeds;
+  double var = 0;
+  for (const double m : means) var += (m - mean) * (m - mean);
+  const double se = std::sqrt(var / (kSeeds - 1) / kSeeds);
+  const double expected = rho / (2 * kMu * (1 - rho));
+  std::printf("rho=%.2f  W_pk=%.4f ms  mean=%.4f ms  se=%.4f ms  z=%+.2f\n",
+              rho, expected * 1e3, mean * 1e3, se * 1e3,
+              (mean - expected) / se);
+  EXPECT_NEAR(mean, expected, kT99 * se) << "rho=" << rho;
+}
+
+INSTANTIATE_TEST_SUITE_P(Load, Md1Wait,
+                         ::testing::Values(0.3, 0.5, 0.7, 0.85));
 
 // --- Replay window property ----------------------------------------------------
 

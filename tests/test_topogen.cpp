@@ -327,15 +327,18 @@ TEST(TopogenDeterminism, CappedFlowCachesMatchSerialByteForByte) {
   for (const auto& [name, n] : slots) {
     SCOPED_TRACE(name);
     if (name.starts_with("CE")) {
-      // Ingress and forward tables, each grown to exactly its cap: a
-      // table past the cap would make this sum exceed 2048.
-      EXPECT_EQ(n, 2.0 * 1024);
+      // The forward table grows to exactly its cap. The ingress table
+      // keeps its 16-slot start size: a CE's flows carry at most 12
+      // distinct 5-tuples (3 remote sites x 4 ports), and one 16-slot
+      // window spans the whole start table. A table past its cap would
+      // make this sum exceed 1040.
+      EXPECT_EQ(n, 16.0 + 1024);
     } else if (name.starts_with("PE")) {
       EXPECT_LE(n, 1024.0 + 256);  // forward + transit caps
       EXPECT_GT(n, 256.0);         // the forward table grew
     } else {
       // A P router switches at most one label per PE loopback. Four keys
-      // never fill an 8-slot window, so its one transit table stays at
+      // never fill a 16-slot window, so its one transit table stays at
       // the 16-slot start size.
       EXPECT_EQ(n, 16.0);
     }

@@ -180,17 +180,15 @@ void BM_MplsSwapOperation(benchmark::State& state) {
 void BM_FlowFastpathProbe(benchmark::State& state) {
   // The fastpath front-end the routers put before every structure above
   // (see Router::IngressEntry / ForwardEntry): the router's own FlowTable
-  // probe — Fibonacci-hashed home slot, 16-slot tag window, packed 5-tuple
-  // key compare — then the generation-sum check. The argument is the number
-  // of live flows; the cost is independent of the *backing table*
-  // population — that is the point of the cache.
+  // probe — home slot and tag hashed from the packed 5-tuple, 16-slot tag
+  // window, key compare — then the generation-sum check. The argument is
+  // the number of live flows; the cost is independent of the *backing
+  // table* population — that is the point of the cache.
   struct Slot {
     std::uint64_t addrs = 0;
     std::uint64_t meta = 0;
     std::uint64_t gen_sum = 0;
-    std::uint32_t flow_id = 0;
     std::uint32_t out_iface = 0;
-    [[nodiscard]] std::uint32_t home_key() const noexcept { return flow_id; }
     [[nodiscard]] std::uint64_t tag_key() const noexcept {
       return addrs ^ meta;
     }
@@ -210,12 +208,12 @@ void BM_FlowFastpathProbe(benchmark::State& state) {
     flow_ids[f] = id;
     const std::uint64_t addrs = addrs_of(id);
     Slot* s = table
-                  .find(id, addrs ^ kMeta,
+                  .find(addrs ^ kMeta,
                         [addrs](const Slot& e) {
                           return e.addrs == addrs && e.meta == kMeta;
                         })
                   .slot;
-    *s = Slot{addrs, kMeta, 0, id, id & 7u};
+    *s = Slot{addrs, kMeta, 0, id & 7u};
     table.commit(s, live_gen);
   }
   std::size_t i = 0;
@@ -223,7 +221,7 @@ void BM_FlowFastpathProbe(benchmark::State& state) {
   for (auto _ : state) {
     const std::uint32_t id = flow_ids[i % n_flows];
     const std::uint64_t addrs = addrs_of(id);
-    const auto probe = table.find(id, addrs ^ kMeta, [addrs](const Slot& e) {
+    const auto probe = table.find(addrs ^ kMeta, [addrs](const Slot& e) {
       return e.addrs == addrs && e.meta == kMeta;
     });
     if (probe.found && probe.slot->gen_sum == live_gen) {

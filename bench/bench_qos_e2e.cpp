@@ -131,7 +131,7 @@ RunResult run_with_queue(const char* label, const LateQueueFactory& queue,
   auto row = [&](qos::Phb phb) {
     const auto& r = probe.report(phb);
     return ClassRow{r.loss_fraction(), r.latency_s.percentile(99) * 1e3,
-                    probe.jitter_stats(phb).mean() * 1e3,
+                    probe.jitter_mean_s(phb) * 1e3,
                     r.goodput_bps(duration_s) / 1e6};
   };
   return RunResult{row(qos::Phb::kEf), row(qos::Phb::kAf21),

@@ -254,8 +254,7 @@ void register_sla_metrics(obs::MetricsRegistry& registry,
     add("latency_ms_p99",
         [](const Report& r) { return r.latency_s.percentile(99.0) * 1e3; });
     registry.add_gauge(base + "/jitter_ms_mean", [&probe, phb] {
-      return probe.has_class(phb) ? probe.jitter_stats(phb).mean() * 1e3
-                                  : 0.0;
+      return probe.has_class(phb) ? probe.jitter_mean_s(phb) * 1e3 : 0.0;
     });
     registry.add_gauge(base + "/jitter_rfc3550_ms", [&probe, phb] {
       return probe.has_class(phb) ? probe.rfc3550_jitter_s(phb) * 1e3 : 0.0;

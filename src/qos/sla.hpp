@@ -1,14 +1,15 @@
 #pragma once
 
-#include <map>
+#include <array>
+#include <cstdint>
+#include <optional>
 #include <string>
-#include <unordered_map>
+#include <vector>
 
 #include "net/packet.hpp"
 #include "qos/dscp.hpp"
 #include "sim/time.hpp"
 #include "stats/log_histogram.hpp"
-#include "stats/running_stats.hpp"
 #include "stats/table.hpp"
 
 namespace mvpn::qos {
@@ -31,6 +32,14 @@ namespace mvpn::qos {
 /// bounded-memory LogHistogram sketch (exact mean/min/max, ~0.8% relative
 /// error on percentiles), so the probe survives million-packet runs in
 /// O(1) memory.
+///
+/// Layout (INTERNALS §6). Class reports sit in a `kPhbCount` array, each
+/// made at its class's first record. Per-flow jitter state is a dense
+/// 32 B record appended at the flow's first delivery, found through a
+/// flow-id-indexed `uint32` slot index (flow ids are dense: FlowSet and
+/// the sinks index by them too). Walking that index in id order is the
+/// ascending-id fold, so no query sorts. A probe allocates nothing until
+/// its first record.
 class SlaProbe {
  public:
   explicit SlaProbe(std::string name = "sla");
@@ -78,10 +87,11 @@ class SlaProbe {
   /// of the class has delivered at least two packets.
   [[nodiscard]] double rfc3550_jitter_s(Phb cls) const;
 
-  /// |delta one-way delay| statistics for `cls`: per-flow accumulators
+  /// Mean |delta one-way delay| for `cls` in seconds: per-flow means
   /// merged in ascending flow-id order (see the class comment for why that
-  /// order makes the figure partition-independent).
-  [[nodiscard]] stats::RunningStats jitter_stats(Phb cls) const;
+  /// order makes the figure partition-independent). 0 until some flow of
+  /// the class has delivered at least two packets.
+  [[nodiscard]] double jitter_mean_s(Phb cls) const;
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
 
@@ -93,17 +103,27 @@ class SlaProbe {
   [[nodiscard]] std::string to_csv(double interval_s) const;
 
  private:
+  /// One flow's jitter state. `deltas` and `delta_mean_s` are the count
+  /// and mean of a Welford accumulator over the flow's |delta delay|
+  /// samples; the class mean needs nothing else, because Welford's add
+  /// and Chan's merge update a mean from the count and mean alone. A flow
+  /// delivers fewer than 2^32 packets.
   struct FlowJitter {
     sim::SimTime last_latency = 0;
-    double j_s = 0.0;            ///< RFC 3550 running jitter estimate
-    stats::RunningStats jitter;  ///< |delta delay| samples (seconds)
-    bool has_delta = false;
+    double j_s = 0.0;           ///< RFC 3550 running jitter estimate
+    double delta_mean_s = 0.0;  ///< mean |delta delay| (seconds)
+    std::uint32_t deltas = 0;   ///< |delta delay| samples; 0 = one delivery
     Phb cls{};
   };
+  static_assert(sizeof(FlowJitter) == 32);
+
+  ClassReport& class_report(Phb cls);
 
   std::string name_;
-  std::map<Phb, ClassReport> by_class_;
-  std::unordered_map<std::uint32_t, FlowJitter> jitter_by_flow_;
+  std::array<std::optional<ClassReport>, kPhbCount> by_class_;
+  std::vector<FlowJitter> flows_;  ///< in first-delivery order
+  /// Flow id -> index in flows_ + 1; 0 = no delivery yet.
+  std::vector<std::uint32_t> slot_of_;
 };
 
 }  // namespace mvpn::qos

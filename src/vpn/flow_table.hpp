@@ -10,26 +10,28 @@ namespace mvpn::vpn {
 /// Demand-sized open-addressed table behind the router's flow fastpath
 /// caches (INTERNALS §10).
 ///
-/// A table allocates kStartSlots entries on its first lookup. A key's home
-/// slot is the Fibonacci hash of its 32-bit home key (the flow id, or the
-/// in-label for transit) scaled to the current capacity, and a lookup scans
-/// the kWindow slots from there. When that window holds neither the wanted
-/// entry nor an empty slot, the table doubles and re-places its live
-/// entries by their stored home keys; at `kCap` it stops growing and the
-/// home slot is evicted instead. Only a miss can grow a table, so traffic
-/// whose flows are all resident never allocates.
+/// A table allocates kStartSlots entries on its first lookup. Every entry
+/// is homed by its matched key: the key `match` compares, folded to 64
+/// bits (`Entry::tag_key()`), is hashed once, its top bits scaled to the
+/// current capacity give the home slot, and a lookup scans the kWindow
+/// slots from there. Entries that match each other therefore share one
+/// home, and a key is held once however many flows use it. When the
+/// window holds neither the wanted entry nor an empty slot, the table
+/// doubles and re-places its live entries by their keys; at `kCap` it
+/// stops growing and the home slot is evicted instead. Only a miss can
+/// grow a table, so traffic whose keys are all resident never allocates.
 ///
 /// Beside the entries sits one tag byte per slot: 0 for an empty slot,
-/// else the top byte of the live entry's hashed tag key (never 0). The tag
-/// key is what `match` compares, folded to 64 bits, so entries that match
-/// always share a tag whatever their home keys. A probe reads the window's
-/// tags and touches an entry only when its tag equals the wanted key's, so
-/// a miss scans 16 bytes instead of 16 entries.
+/// else eight bits of the same hash that the home slot does not use
+/// (never 0). A probe reads the window's tags and touches an entry only
+/// when its tag equals the wanted key's, so a miss scans 16 bytes instead
+/// of 16 entries. Were the tag taken from the home bits, every entry in
+/// a window would share it and the filter would pass them all.
 ///
-/// `Entry` is a plain slot with a `gen_sum` member and `home_key()` and
-/// `tag_key()` accessors. A slot is free exactly when its `gen_sum` is 0
-/// and its tag is 0; callers keep the two in step by changing `gen_sum`
-/// only through commit() and release().
+/// `Entry` is a plain slot with a `gen_sum` member and a `tag_key()`
+/// accessor. A slot is free exactly when its `gen_sum` is 0 and its tag
+/// is 0; callers keep the two in step by changing `gen_sum` only through
+/// commit() and release().
 template <class Entry, std::size_t kCap>
 class FlowTable {
  public:
@@ -39,7 +41,10 @@ class FlowTable {
   /// 4, 41% with 8 (INTERNALS §10). Tags keep a 16-slot miss at one
   /// 16-byte read.
   static constexpr std::size_t kWindow = 16;
-  static_assert(std::has_single_bit(kCap) && kCap >= kStartSlots);
+  /// The home slot takes the hash's top log2(capacity) bits and the tag
+  /// bits 32..39, so the two stay disjoint up to 2^24 slots.
+  static_assert(std::has_single_bit(kCap) && kCap >= kStartSlots &&
+                kCap <= (std::size_t{1} << 24));
 
   /// `slot` holds the entry `match` accepted when `found`; otherwise it is
   /// where the caller records the new entry (an empty slot, or the evicted
@@ -49,14 +54,14 @@ class FlowTable {
     bool found = false;
   };
 
-  /// `tag_key` must equal the `tag_key()` of every entry `match` accepts.
+  /// `key` must equal the `tag_key()` of every entry `match` accepts.
   template <class Match>
-  [[nodiscard]] Probe find(std::uint32_t home_key, std::uint64_t tag_key,
-                           Match&& match) {
+  [[nodiscard]] Probe find(std::uint64_t key, Match&& match) {
     if (slots_ == nullptr) grow();
-    const std::uint8_t tag = tag_of(tag_key);
+    const std::uint64_t h = hash(key);
+    const std::uint8_t tag = tag_of(h);
     for (;;) {
-      const std::size_t home = hash(home_key) >> shift_;
+      const std::size_t home = h >> shift_;
       std::size_t empty = kNoSlot;
       for (std::size_t i = 0; i < kWindow; ++i) {
         const std::size_t at = (home + i) & mask_;
@@ -77,7 +82,8 @@ class FlowTable {
   /// under `gen_sum`, which must not be 0.
   void commit(Entry* e, std::uint64_t gen_sum) noexcept {
     e->gen_sum = gen_sum;
-    tags_[static_cast<std::size_t>(e - slots_.get())] = tag_of(e->tag_key());
+    tags_[static_cast<std::size_t>(e - slots_.get())] =
+        tag_of(hash(e->tag_key()));
   }
 
   /// Free `e` (a slot find() returned): a stale entry, or an evicted one
@@ -85,6 +91,14 @@ class FlowTable {
   void release(Entry* e) noexcept {
     e->gen_sum = 0;
     tags_[static_cast<std::size_t>(e - slots_.get())] = 0;
+  }
+
+  /// The home slot of `key` in a table of `capacity` slots (a power of two
+  /// from kStartSlots to kCap): the hash's top log2(capacity) bits. Keys
+  /// that share a home at kCap share it at every smaller capacity too.
+  [[nodiscard]] static std::size_t home_slot(std::uint64_t key,
+                                             std::size_t capacity) noexcept {
+    return hash(key) >> (64 - std::countr_zero(capacity));
   }
 
   /// Allocated entries (0 until the first lookup).
@@ -95,14 +109,15 @@ class FlowTable {
  private:
   static constexpr std::size_t kNoSlot = ~std::size_t{0};
 
-  [[nodiscard]] static std::uint32_t hash(std::uint32_t key) noexcept {
-    return key * 0x9E3779B1u;
+  /// A 64-bit Fibonacci hash of the key with its high half folded into
+  /// the low one first, so every key bit reaches both the home bits and
+  /// the tag bits.
+  [[nodiscard]] static std::uint64_t hash(std::uint64_t key) noexcept {
+    return (key ^ (key >> 32)) * 0x9E3779B97F4A7C15ull;
   }
-  /// The top byte of a 64-bit Fibonacci hash, which every key bit
-  /// reaches; never 0, the empty tag.
-  [[nodiscard]] static std::uint8_t tag_of(std::uint64_t key) noexcept {
-    const auto t =
-        static_cast<std::uint8_t>((key * 0x9E3779B97F4A7C15ull) >> 56);
+  /// Bits 32..39 of the hash; never 0, the empty tag.
+  [[nodiscard]] static std::uint8_t tag_of(std::uint64_t h) noexcept {
+    const auto t = static_cast<std::uint8_t>(h >> 32);
     return t != 0 ? t : 1;
   }
 
@@ -115,12 +130,12 @@ class FlowTable {
     slots_ = std::make_unique<Entry[]>(n);
     tags_ = std::make_unique<std::uint8_t[]>(n);
     mask_ = n - 1;
-    shift_ = 32 - static_cast<unsigned>(std::countr_zero(n));
+    shift_ = 64 - static_cast<unsigned>(std::countr_zero(n));
     for (std::size_t j = 0; j < old_n; ++j) {
       if (old_tags[j] == 0) continue;
-      const std::size_t home = hash(old[j].home_key()) >> shift_;
+      const std::size_t home = home_slot(old[j].tag_key(), n);
       // A live entry whose new window is already full is dropped: it is a
-      // cache entry, so the flow's next packet just resolves again.
+      // cache entry, so the next packet with its key just resolves again.
       for (std::size_t i = 0; i < kWindow; ++i) {
         const std::size_t at = (home + i) & mask_;
         if (tags_[at] == 0) {
@@ -135,7 +150,7 @@ class FlowTable {
   std::unique_ptr<Entry[]> slots_;
   std::unique_ptr<std::uint8_t[]> tags_;  ///< 0 = empty, else tag_of()
   std::size_t mask_ = 0;  ///< capacity - 1
-  unsigned shift_ = 0;    ///< 32 - log2(capacity): the hash's top bits
+  unsigned shift_ = 0;    ///< 64 - log2(capacity): the hash's top bits
 };
 
 }  // namespace mvpn::vpn

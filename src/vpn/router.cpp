@@ -166,8 +166,7 @@ void Router::inject(net::PacketPtr p) {
   if (flowcache_enabled_ && p->flow_id != 0 && !p->esp) {
     key = flow_key_of(*p);
     const auto probe = ingress_cache_.find(
-        p->flow_id, key.tag_key(),
-        [&key](const IngressEntry& s) { return s.key == key; });
+        key.tag_key(), [&key](const IngressEntry& s) { return s.key == key; });
     e = probe.slot;
     found = probe.found;
   }
@@ -214,7 +213,6 @@ void Router::inject(net::PacketPtr p) {
     if (e != nullptr) {
       ++fc_stats_.misses;
       e->key = key;
-      e->flow_id = p->flow_id;
       e->phb = phb;
       e->rule = rule;
       e->marked = marked;
@@ -373,8 +371,8 @@ void Router::forward_ip(net::PacketPtr p, Vrf* vrf) {
       outbound_sas_.empty() && !has_pvc_ingress_) {
     const FlowKey key = flow_key_of(*p);
     const VpnId ctx = vrf != nullptr ? vrf->vpn_id() : kGlobalVpn;
-    const auto probe = forward_cache_.find(
-        p->flow_id, key.tag_key(), [&](const ForwardEntry& s) {
+    const auto probe =
+        forward_cache_.find(key.tag_key(), [&](const ForwardEntry& s) {
           return s.key == key && s.ctx == ctx;
         });
     slot = probe.slot;
@@ -393,7 +391,6 @@ void Router::forward_ip(net::PacketPtr p, Vrf* vrf) {
     forward_cache_.release(slot);
     slot->key = key;
     slot->ctx = ctx;
-    slot->flow_id = p->flow_id;
   }
 
   // Core routers see only the outer header of encrypted traffic.
@@ -598,7 +595,7 @@ void Router::forward_labeled(net::PacketPtr p) {
   TransitEntry* t = nullptr;
   if (flowcache_enabled_) {
     const auto probe = transit_cache_.find(
-        in_label, in_label,
+        in_label,
         [in_label](const TransitEntry& s) { return s.in_label == in_label; });
     t = probe.slot;
     if (probe.found) {

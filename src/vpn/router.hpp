@@ -231,18 +231,19 @@ class Router : public net::Node {
 
  private:
   /// --- flow fastpath cache internals --------------------------------------
-  /// Full 5-tuple key. The home slot is picked by flow id, but the stored
-  /// key is the visible 5-tuple: bidirectional flows (TCP data vs. ACKs)
-  /// share a flow id with swapped addresses/ports, and must never replay
-  /// each other's decision. meta's low bit marks the key as populated so
-  /// an empty slot can never match.
+  /// Full 5-tuple key. Entries are homed and matched by it, so flows
+  /// that share a visible 5-tuple share one entry, while bidirectional
+  /// flows (TCP data vs. ACKs share a flow id with swapped
+  /// addresses/ports) keep one entry per direction and never replay each
+  /// other's decision. meta's low bit marks the key as populated so an
+  /// empty slot can never match.
   struct FlowKey {
     std::uint64_t addrs = 0;  ///< src << 32 | dst
     std::uint64_t meta = 0;   ///< sport<<48 | dport<<32 | proto<<8 | 1
     [[nodiscard]] bool operator==(const FlowKey& o) const noexcept {
       return addrs == o.addrs && meta == o.meta;
     }
-    /// Equal keys give equal tag keys, whatever their flow ids.
+    /// What FlowTable homes and tags by: equal keys fold equally.
     [[nodiscard]] std::uint64_t tag_key() const noexcept {
       return addrs ^ meta;
     }
@@ -255,9 +256,9 @@ class Router : public net::Node {
             (std::uint64_t{p.ip.protocol} << 8) | 1u};
   }
   /// Table caps (powers of two): a table grows from FlowTable::kStartSlots
-  /// on demand and evicts once it reaches its cap. With 10^5 flows every
-  /// edge table sits at its cap, so a larger one costs memory one for one
-  /// (INTERNALS §10).
+  /// on demand and evicts once it reaches its cap. A table needs about
+  /// as many slots as its router sees distinct keys, so most stay far
+  /// below the cap (INTERNALS §10).
   static constexpr std::size_t kFlowSlotCap = 1024;
   static constexpr std::size_t kTransitSlotCap = 256;
 
@@ -265,40 +266,36 @@ class Router : public net::Node {
   struct IngressEntry {
     FlowKey key;
     std::uint64_t gen_sum = 0;  ///< 0 = empty
-    qos::Phb phb = qos::Phb::kBe;
-    std::int32_t rule = qos::CbqClassifier::kUnmatched;
-    bool marked = false;  ///< a classifier ran: replay the DSCP write
-    std::uint8_t dscp = 0;
-    std::uint32_t flow_id = 0;  ///< home key, for re-placement on growth
     qos::Policer* policer = nullptr;  ///< still exercised per packet
     qos::Shaper* shaper = nullptr;    ///< still exercised per packet
-    [[nodiscard]] std::uint32_t home_key() const noexcept { return flow_id; }
+    std::int32_t rule = qos::CbqClassifier::kUnmatched;
+    qos::Phb phb = qos::Phb::kBe;
+    bool marked = false;  ///< a classifier ran: replay the DSCP write
+    std::uint8_t dscp = 0;
     [[nodiscard]] std::uint64_t tag_key() const noexcept {
       return key.tag_key();
     }
   };
-  static_assert(sizeof(IngressEntry) == 56);
+  static_assert(sizeof(IngressEntry) == 48);
 
   enum class FlowAction : std::uint8_t { kLocal, kForward, kImpose };
 
   /// Forwarding decision (forward_ip): terminal action for the flow.
   struct ForwardEntry {
     FlowKey key;
-    VpnId ctx = kGlobalVpn;  ///< VRF context the lookup ran in
-    std::uint32_t flow_id = 0;  ///< home key, for re-placement on growth
     std::uint64_t gen_sum = 0;
-    FlowAction act = FlowAction::kForward;
+    VpnId ctx = kGlobalVpn;  ///< VRF context the lookup ran in
     VpnId deliver_vpn = kGlobalVpn;  ///< kLocal
     std::uint32_t vpn_label = 0;     ///< kImpose
     std::uint32_t tunnel_label = 0;  ///< kImpose
-    bool push_tunnel = false;        ///< kImpose
     ip::IfIndex out_iface = ip::kInvalidIf;
-    [[nodiscard]] std::uint32_t home_key() const noexcept { return flow_id; }
+    FlowAction act = FlowAction::kForward;
+    bool push_tunnel = false;        ///< kImpose
     [[nodiscard]] std::uint64_t tag_key() const noexcept {
       return key.tag_key();
     }
   };
-  static_assert(sizeof(ForwardEntry) == 56);
+  static_assert(sizeof(ForwardEntry) == 48);
 
   /// LSR transit decision, keyed by incoming label. The LFIB op is
   /// EXP-invariant (EXP rides the shim untouched through swap/pop), so the
@@ -310,7 +307,6 @@ class Router : public net::Node {
     std::uint32_t out_label = 0;
     ip::IfIndex out_iface = ip::kInvalidIf;
     Vrf* vrf = nullptr;  ///< kPopDeliver target (stable: VRFs never die)
-    [[nodiscard]] std::uint32_t home_key() const noexcept { return in_label; }
     [[nodiscard]] std::uint64_t tag_key() const noexcept { return in_label; }
   };
   static_assert(sizeof(TransitEntry) == 40);

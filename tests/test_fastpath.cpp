@@ -163,31 +163,49 @@ TEST(Fastpath, BidirectionalFlowKeepsBothDirectionsResident) {
   }
 }
 
-/// Flow ids whose home slots coincide at every capacity up to the
-/// 1024-slot cap: the hash's top 10 bits, (id * 0x9E3779B1) >> 22, equal
-/// id 1's (632), so they agree on every shorter prefix too.
-std::vector<std::uint32_t> ids_sharing_one_home_slot(std::size_t n) {
-  const auto home = [](std::uint32_t id) { return (id * 0x9E3779B1u) >> 22; };
-  std::vector<std::uint32_t> ids;
-  for (std::uint32_t id = 1; ids.size() < n; ++id) {
-    if (home(id) == home(1)) ids.push_back(id);
-  }
-  return ids;
+/// The flow cache's tag key for a UDP packet src:sport -> dst:dport: the
+/// visible 5-tuple packed as INTERNALS §10 lays it out, folded to 64 bits.
+std::uint64_t udp_flow_key(const char* src, std::uint16_t sport,
+                           const char* dst, std::uint16_t dport) {
+  const std::uint64_t addrs =
+      (std::uint64_t{ip::Ipv4Address::must_parse(src).value()} << 32) |
+      ip::Ipv4Address::must_parse(dst).value();
+  const std::uint64_t meta = (std::uint64_t{sport} << 48) |
+                             (std::uint64_t{dport} << 32) | (17u << 8) | 1u;
+  return addrs ^ meta;
 }
 
-/// Two more colliding flows than one probe window holds. Each window
-/// overflow doubles the table until the cap; from then on the home slot
-/// is evicted again and again. Eviction only costs re-resolution: delivery
-/// and the SLA table equal the cache-off run.
-TEST(Fastpath, CollidingFlowIdsEvictAtCapWithoutChangingResults) {
-  // The router tables' probe window; any slot type names it.
+/// More distinct 5-tuples on one home slot than one probe window holds.
+/// Each window overflow doubles the table until the cap; from then on the
+/// home slot is evicted again and again. Eviction only costs
+/// re-resolution: delivery and the SLA table equal the cache-off run.
+TEST(Fastpath, CollidingKeysEvictAtCapWithoutChangingResults) {
+  // Any slot type names the router tables' window and homing rule.
   struct AnySlot {
     std::uint64_t gen_sum = 0;
-    [[nodiscard]] std::uint32_t home_key() const noexcept { return 0; }
+    [[nodiscard]] std::uint64_t tag_key() const noexcept { return 0; }
   };
-  constexpr std::size_t kWindow = vpn::FlowTable<AnySlot, 1024>::kWindow;
-  const std::vector<std::uint32_t> ids =
-      ids_sharing_one_home_slot(kWindow + 2);
+  using Table = vpn::FlowTable<AnySlot, 1024>;
+  // The first three flows send from port 10000 (classified EF), the rest
+  // from 20000; each takes the lowest unused destination port whose key
+  // shares the first flow's home slot at the cap, and so at every smaller
+  // capacity.
+  const auto ports = [] {
+    std::vector<std::pair<std::uint16_t, std::uint16_t>> out;
+    const auto home = [](std::uint16_t sport, std::uint16_t dport) {
+      return Table::home_slot(
+          udp_flow_key("10.1.0.1", sport, "10.2.0.1", dport), 1024);
+    };
+    const std::size_t target = home(10000, 1);
+    std::uint16_t dport = 1;
+    for (std::size_t i = 0; i < Table::kWindow + 2; ++i) {
+      const std::uint16_t sport = i < 3 ? 10000 : 20000;
+      if (i == 3) dport = 1;
+      while (home(sport, dport) != target) ++dport;
+      out.emplace_back(sport, dport++);
+    }
+    return out;
+  }();
   struct Result {
     std::uint64_t delivered = 0;
     std::string sla_csv;
@@ -204,7 +222,7 @@ TEST(Fastpath, CollidingFlowIdsEvictAtCapWithoutChangingResults) {
     // policer whose binding the ingress entries carry.
     auto classifier = std::make_unique<qos::CbqClassifier>();
     qos::MatchRule ef;
-    ef.src_port = qos::PortRange{10000, 10002};
+    ef.src_port = qos::PortRange{10000, 10000};
     ef.mark = qos::Phb::kEf;
     classifier->add_rule(ef);
     site_a.ce->set_classifier(std::move(classifier));
@@ -214,13 +232,15 @@ TEST(Fastpath, CollidingFlowIdsEvictAtCapWithoutChangingResults) {
     traffic::MeasurementSink sink(probe, bb.topo.scheduler());
     sink.bind(*site_b.ce);
     traffic::FlowSet src(bb.topo.scheduler(), &probe, bb.topo.seed());
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      auto def = testutil::flow_between(src, ids[i], *site_a.ce, "10.1.0.1",
+    for (std::size_t i = 0; i < ports.size(); ++i) {
+      const auto id = static_cast<std::uint32_t>(i + 1);
+      auto def = testutil::flow_between(src, id, *site_a.ce, "10.1.0.1",
                                         *site_b.ce, "10.2.0.1", 300e3, v);
-      def.src_port = static_cast<std::uint16_t>(10000 + i);
+      def.src_port = ports[i].first;
+      def.dst_port = ports[i].second;
       def.phb = i < 3 ? qos::Phb::kEf : qos::Phb::kBe;
       src.add_flow(def);
-      sink.expect_flow(ids[i], def.phb, v);
+      sink.expect_flow(id, def.phb, v);
     }
     const sim::SimTime t0 = bb.topo.scheduler().now();
     src.run(t0 + sim::kSecond);
@@ -237,15 +257,14 @@ TEST(Fastpath, CollidingFlowIdsEvictAtCapWithoutChangingResults) {
   // Both source-CE tables grew to the cap, and re-resolutions beyond the
   // flows' first packets show the home slot being evicted.
   EXPECT_EQ(on.ce.slots, 2u * 1024u);
-  EXPECT_GT(on.ce.misses, 2u * ids.size());
+  EXPECT_GT(on.ce.misses, 2u * ports.size());
   EXPECT_GT(on.ce.hits, 0u);
 }
 
-/// A bare FlowTable slot keyed by its flow id.
+/// A bare FlowTable slot keyed by a flow id.
 struct IdSlot {
   std::uint32_t id = 0;
   std::uint64_t gen_sum = 0;
-  [[nodiscard]] std::uint32_t home_key() const noexcept { return id; }
   [[nodiscard]] std::uint64_t tag_key() const noexcept { return id; }
 };
 
@@ -274,7 +293,7 @@ TEST(FlowTable, WiderWindowNeverOutgrowsEightSlotTableAndFindsAll) {
     const std::vector<std::uint32_t> ids = scattered_ids(n);
     for (const std::uint32_t id : ids) {
       const auto probe =
-          t.find(id, id, [id](const IdSlot& s) { return s.id == id; });
+          t.find(id, [id](const IdSlot& s) { return s.id == id; });
       ASSERT_FALSE(probe.found);
       probe.slot->id = id;
       t.commit(probe.slot, 1);
@@ -282,7 +301,7 @@ TEST(FlowTable, WiderWindowNeverOutgrowsEightSlotTableAndFindsAll) {
     EXPECT_LE(t.capacity(), eight_slot_capacity);
     for (const std::uint32_t id : ids) {
       const auto probe =
-          t.find(id, id, [id](const IdSlot& s) { return s.id == id; });
+          t.find(id, [id](const IdSlot& s) { return s.id == id; });
       ASSERT_TRUE(probe.found) << id;
       EXPECT_EQ(probe.slot->id, id);
     }
@@ -298,7 +317,7 @@ TEST(FlowTable, ReleasedSlotIsReusedByAnotherFlow) {
   std::vector<std::uint32_t> ids = scattered_ids(16 + 16);
   std::vector<std::uint32_t> resident(ids.begin(), ids.begin() + 16);
   const auto find = [&t](std::uint32_t id) {
-    return t.find(id, id, [id](const IdSlot& s) { return s.id == id; });
+    return t.find(id, [id](const IdSlot& s) { return s.id == id; });
   };
   for (const std::uint32_t id : resident) {
     const auto probe = find(id);
@@ -323,32 +342,99 @@ TEST(FlowTable, ReleasedSlotIsReusedByAnotherFlow) {
   EXPECT_EQ(t.capacity(), 16u);
 }
 
-/// Tags come from the matched key, not the home key: two flows with
-/// different ids but one visible 5-tuple share a decision whenever the
-/// entry lies in the second flow's window, as they did before tags.
-TEST(FlowTable, MatchingEntryIsFoundUnderAnotherHomeKey) {
-  struct KeyedSlot {
-    std::uint32_t flow_id = 0;
-    std::uint64_t key = 0;
-    std::uint64_t gen_sum = 0;
-    [[nodiscard]] std::uint32_t home_key() const noexcept { return flow_id; }
-    [[nodiscard]] std::uint64_t tag_key() const noexcept { return key; }
-  };
-  // At its 16-slot start size one window spans the table, so every home
-  // key's window holds every entry.
-  vpn::FlowTable<KeyedSlot, 16> t;
-  constexpr std::uint64_t kKey = 0x0A0100010A020001u;
-  const auto match = [](const KeyedSlot& s) { return s.key == kKey; };
-  const auto first = t.find(1, kKey, match);
-  ASSERT_FALSE(first.found);
-  first.slot->flow_id = 1;
-  first.slot->key = kKey;
-  t.commit(first.slot, 1);
-  for (const std::uint32_t other : {2u, 3u, 1000u}) {
-    const auto probe = t.find(other, kKey, match);
-    EXPECT_TRUE(probe.found) << other;
-    EXPECT_EQ(probe.slot, first.slot) << other;
+/// A slot keyed by a packed 5-tuple, carrying the flow id that recorded it.
+struct TupleSlot {
+  std::uint64_t addrs = 0;
+  std::uint64_t meta = 0;
+  std::uint64_t gen_sum = 0;
+  std::uint32_t flow_id = 0;
+  [[nodiscard]] std::uint64_t tag_key() const noexcept {
+    return addrs ^ meta;
   }
+};
+
+/// Entries are homed by their matched key, so flows with different ids
+/// but one visible 5-tuple share one entry wherever the table stands: a
+/// thousand of them fill exactly one slot of the start-size table.
+TEST(FlowTable, FlowIdsSharingOneKeyFillOneSlot) {
+  vpn::FlowTable<TupleSlot, 1024> t;
+  constexpr std::uint64_t kAddrs = 0x0A0100010A020001u;
+  constexpr std::uint64_t kMeta = (std::uint64_t{10000} << 48) |
+                                  (std::uint64_t{20000} << 32) |
+                                  (17u << 8) | 1u;
+  const auto match = [](const TupleSlot& s) {
+    return s.addrs == kAddrs && s.meta == kMeta;
+  };
+  TupleSlot* first = nullptr;
+  for (std::uint32_t id = 1; id <= 1000; ++id) {
+    const auto probe = t.find(kAddrs ^ kMeta, match);
+    if (id == 1) {
+      ASSERT_FALSE(probe.found);
+      first = probe.slot;
+      *first = TupleSlot{kAddrs, kMeta, 0, id};
+      t.commit(first, 1);
+      continue;
+    }
+    ASSERT_TRUE(probe.found) << id;
+    ASSERT_EQ(probe.slot, first) << id;
+    EXPECT_EQ(probe.slot->flow_id, 1u);  // the recording flow's entry
+  }
+  EXPECT_EQ(t.capacity(), (vpn::FlowTable<TupleSlot, 1024>::kStartSlots));
+}
+
+/// A TCP data flow and its ACKs share a flow id with swapped endpoints.
+/// Their keys differ, so each direction gets and keeps its own entry, and
+/// a lookup for one never returns the other's.
+TEST(FlowTable, DataAndAckDirectionsNeverShareAnEntry) {
+  const std::uint32_t a = 0x0A010001u;  // 10.1.0.1
+  const std::uint32_t b = 0x0A020001u;  // 10.2.0.1
+  const auto pack = [](std::uint32_t src, std::uint16_t sport,
+                       std::uint32_t dst, std::uint16_t dport) {
+    return TupleSlot{(std::uint64_t{src} << 32) | dst,
+                     (std::uint64_t{sport} << 48) |
+                         (std::uint64_t{dport} << 32) | (6u << 8) | 1u,
+                     0, 0};
+  };
+  vpn::FlowTable<TupleSlot, 1024> t;
+  const auto find = [&t](const TupleSlot& k) {
+    return t.find(k.tag_key(), [&k](const TupleSlot& s) {
+      return s.addrs == k.addrs && s.meta == k.meta;
+    });
+  };
+  // Several port pairs, including ones whose ports swap onto each other.
+  for (const auto& [sp, dp] : {std::pair<std::uint16_t, std::uint16_t>{
+                                   40000, 80},
+                               {5001, 5001},
+                               {1, 2},
+                               {2, 1}}) {
+    SCOPED_TRACE(std::to_string(sp) + "->" + std::to_string(dp));
+    const TupleSlot data = pack(a, sp, b, dp);
+    const TupleSlot ack = pack(b, dp, a, sp);
+    ASSERT_NE(data.tag_key(), ack.tag_key());
+    auto d = find(data);
+    if (!d.found) {
+      *d.slot = data;
+      d.slot->flow_id = 7;
+      t.commit(d.slot, 1);
+    }
+    auto k = find(ack);
+    ASSERT_FALSE(k.found && k.slot == d.slot);
+    if (!k.found) {
+      *k.slot = ack;
+      k.slot->flow_id = 7;
+      t.commit(k.slot, 2);
+    }
+    for (int round = 0; round < 3; ++round) {
+      const auto d2 = find(data);
+      const auto k2 = find(ack);
+      ASSERT_TRUE(d2.found);
+      ASSERT_TRUE(k2.found);
+      EXPECT_NE(d2.slot, k2.slot);
+      EXPECT_EQ(d2.slot->addrs, data.addrs);
+      EXPECT_EQ(k2.slot->addrs, ack.addrs);
+    }
+  }
+  EXPECT_EQ(t.capacity(), (vpn::FlowTable<TupleSlot, 1024>::kStartSlots));
 }
 
 /// An LDP withdrawal — even of a FEC the flow does not ride — bumps the

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+#include <random>
+#include <vector>
+
 #include "net/packet.hpp"
 #include "qos/admission.hpp"
 #include "qos/classifier.hpp"
@@ -8,6 +13,7 @@
 #include "qos/queues.hpp"
 #include "qos/sla.hpp"
 #include "qos/token_bucket.hpp"
+#include "stats/running_stats.hpp"
 
 namespace mvpn::qos {
 namespace {
@@ -532,9 +538,8 @@ TEST(SlaProbe, JitterFromConsecutiveDeltas) {
   probe.record_delivered(Phb::kEf, 1, 10 * sim::kMillisecond, 100);
   probe.record_delivered(Phb::kEf, 1, 14 * sim::kMillisecond, 100);
   probe.record_delivered(Phb::kEf, 1, 12 * sim::kMillisecond, 100);
-  const stats::RunningStats j = probe.jitter_stats(Phb::kEf);
-  EXPECT_EQ(j.count(), 2u);
-  EXPECT_NEAR(j.mean(), 0.003, 1e-9);  // (4ms + 2ms) / 2
+  EXPECT_NEAR(probe.jitter_mean_s(Phb::kEf), 0.003, 1e-9);  // (4 + 2) / 2 ms
+  EXPECT_EQ(probe.jitter_mean_s(Phb::kBe), 0.0);
 }
 
 TEST(SlaProbe, CsvExportMatchesData) {
@@ -561,6 +566,110 @@ TEST(SlaProbe, MergeRejectsFlowSplitAcrossProbes) {
 
   b.record_delivered(Phb::kEf, 7, 12 * sim::kMillisecond, 100);
   SlaProbe split;
+  split.merge_from(a);
+  EXPECT_THROW(split.merge_from(b), std::logic_error);
+}
+
+/// The per-flow jitter fold as a map of full accumulators: one
+/// stats::RunningStats of |delta delay| and one RFC 3550 EWMA per flow,
+/// folded per class in ascending flow-id order.
+class ReferenceJitter {
+ public:
+  void deliver(Phb cls, std::uint32_t flow_id, sim::SimTime latency) {
+    auto [it, inserted] = flows_.try_emplace(flow_id);
+    Flow& f = it->second;
+    if (!inserted) {
+      const sim::SimTime delta = latency > f.last ? latency - f.last
+                                                  : f.last - latency;
+      const double d_s = sim::to_seconds(delta);
+      f.deltas.add(d_s);
+      f.j_s += (d_s - f.j_s) / 16.0;
+    }
+    f.last = latency;
+    f.cls = cls;
+  }
+  [[nodiscard]] double mean_s(Phb cls) const {
+    stats::RunningStats out;
+    for (const auto& [id, f] : flows_) {
+      if (f.cls == cls) out.merge(f.deltas);
+    }
+    return out.mean();
+  }
+  [[nodiscard]] double rfc3550_s(Phb cls) const {
+    double sum = 0.0;
+    std::size_t n = 0;
+    for (const auto& [id, f] : flows_) {
+      if (f.cls != cls || f.deltas.count() == 0) continue;
+      sum += f.j_s;
+      ++n;
+    }
+    return n == 0 ? 0.0 : sum / static_cast<double>(n);
+  }
+
+ private:
+  struct Flow {
+    sim::SimTime last = 0;
+    double j_s = 0.0;
+    stats::RunningStats deltas;
+    Phb cls{};
+  };
+  std::map<std::uint32_t, Flow> flows_;
+};
+
+/// One probe fed every delivery, and two probes fed a random flow
+/// partition of them and merged, print the same SLA table, and their
+/// jitter figures equal the per-flow reference fold bit for bit.
+TEST(SlaProbe, MergedProbesMatchOneProbeAndTheReferenceFold) {
+  constexpr Phb kClasses[] = {Phb::kEf, Phb::kAf11, Phb::kAf21, Phb::kBe};
+  std::mt19937_64 rng(20240531);
+  struct Flow {
+    std::uint32_t id;
+    Phb cls;
+    bool in_b;  // which half of the partition delivers it
+  };
+  // 1,000 flows with gaps in their ids, as a lane's share of ids has.
+  std::vector<Flow> flows;
+  for (std::uint32_t k = 0; k < 1000; ++k) {
+    flows.push_back({1 + 3 * k + static_cast<std::uint32_t>(rng() % 3),
+                     kClasses[rng() % 4], (rng() & 1) != 0});
+  }
+  SlaProbe one("one");
+  SlaProbe a("a");
+  SlaProbe b("b");
+  ReferenceJitter ref;
+  for (int i = 0; i < 40000; ++i) {
+    const Flow& f = flows[rng() % flows.size()];
+    const std::size_t bytes = 100 + rng() % 1400;
+    one.record_sent(f.cls, bytes);
+    (f.in_b ? b : a).record_sent(f.cls, bytes);
+    if (rng() % 10 == 0) continue;  // lost
+    const auto latency = static_cast<sim::SimTime>(
+        sim::kMillisecond + rng() % (80 * sim::kMillisecond));
+    one.record_delivered(f.cls, f.id, latency, bytes);
+    (f.in_b ? b : a).record_delivered(f.cls, f.id, latency, bytes);
+    ref.deliver(f.cls, f.id, latency);
+  }
+  SlaProbe merged("merged");
+  merged.merge_from(b);
+  merged.merge_from(a);
+
+  EXPECT_EQ(merged.to_csv(2.0), one.to_csv(2.0));
+  EXPECT_EQ(merged.to_table(2.0).render(), one.to_table(2.0).render());
+  for (const Phb cls : kClasses) {
+    SCOPED_TRACE(to_string(cls));
+    ASSERT_TRUE(one.has_class(cls));
+    EXPECT_GT(ref.mean_s(cls), 0.0);
+    EXPECT_EQ(one.jitter_mean_s(cls), ref.mean_s(cls));
+    EXPECT_EQ(merged.jitter_mean_s(cls), ref.mean_s(cls));
+    EXPECT_EQ(one.rfc3550_jitter_s(cls), ref.rfc3550_s(cls));
+    EXPECT_EQ(merged.rfc3550_jitter_s(cls), ref.rfc3550_s(cls));
+  }
+
+  // A flow that also delivers through the other probe splits its sink.
+  const Flow& moved = flows.front();
+  (moved.in_b ? a : b)
+      .record_delivered(moved.cls, moved.id, sim::kMillisecond, 100);
+  SlaProbe split("split");
   split.merge_from(a);
   EXPECT_THROW(split.merge_from(b), std::logic_error);
 }

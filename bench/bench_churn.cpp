@@ -109,6 +109,9 @@ struct BgpFabric {
       rrs.push_back(r.id());
       bgp.add_route_reflector(r.id());
     }
+    for (ip::NodeId pe : pes) {
+      bgp.set_membership(pe, {routing::RouteTarget{65000, 1}});
+    }
     bgp.start();
   }
 
@@ -401,9 +404,11 @@ int main() {
   const GoldenCheck fo_g =
       check_golden("churn_rr_failover", fo.fingerprint, fo.messages);
   std::printf(
-      "E12d — RR failover at t=7ms (reflections in flight): golden final "
-      "state: %s (%zu routes at a surviving client)\n\n",
-      yes(fo_g.matches), fo.routes_at_client);
+      "E12d — RR failover at t=7ms (reflections in flight): %llu msgs, "
+      "golden final state: %s (%zu routes at a surviving client), msgs "
+      "within golden ceiling: %s\n\n",
+      static_cast<unsigned long long>(fo.messages), yes(fo_g.matches),
+      fo.routes_at_client, yes(fo_g.within_ceiling));
 
   // ---- phase 5: single-link cost flap, incremental vs cold reference ------
   const SpfResult spf = spf_flap_phase(48);

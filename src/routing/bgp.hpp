@@ -20,13 +20,21 @@ namespace mvpn::routing {
 /// the scalability story (experiments E1/E7 count its sessions, messages
 /// and per-node state).
 ///
+/// Distribution is scoped by route-target membership (RFC 4684): each PE
+/// declares the RTs its VRFs import, and a route goes to a PE only when
+/// its RTs meet that set, so a PE holds BGP state only for the VPNs it
+/// serves. One target rule (`advertise_targets`) decides every send, and
+/// every best-path change withdraws the route from the peers it no longer
+/// reaches (RFC 4271 §9.2).
+///
 /// Advertisements and withdraws stage through a per-speaker RibOut (update
 /// groups keyed by export-policy peer set), flushed by one scheduled event
 /// per speaker per flush instant into MTU-bounded multi-NLRI messages
 /// (INTERNALS.md §15). Each (RD, prefix) is interned to a dense `NlriId`
-/// on first origination; speakers are indexed by node id and their
-/// Adj-RIB-In and Loc-RIB by NLRI id (§15.2). Final Loc-RIBs are pinned
-/// by the fingerprints in tests/golden/loc_rib.txt and vpn_routes.txt.
+/// on first origination; speakers are indexed by node id, and each holds
+/// a dense row per NLRI id it was offered, shared by its Adj-RIB-In and
+/// Loc-RIB (§15.2). Final Loc-RIBs are pinned by the fingerprints in
+/// tests/golden/loc_rib.txt and vpn_routes.txt.
 class Bgp {
  public:
   enum class Mode { kFullMesh, kRouteReflector };
@@ -39,8 +47,19 @@ class Bgp {
   /// themselves and serve every speaker as a client).
   void add_route_reflector(ip::NodeId rr);
 
-  /// Establish all sessions per the mode (counts OPEN exchanges).
+  /// Establish all sessions per the mode (counts OPEN exchanges). Each
+  /// speaker's membership rides with its session establishment: peers know
+  /// it from the start, and one `bgp.rtc` message is counted per session
+  /// and direction whose speaker declared a non-empty set.
   void start();
+
+  /// Declare the route targets `pe`'s VRFs import (its RT membership,
+  /// RFC 4684). A speaker is sent only the VPN routes whose RTs meet its
+  /// membership — nothing before its first declaration; reflectors take
+  /// every route. After start a changed set travels to every session peer
+  /// as a `bgp.rtc` message, and each peer then sends the routes the new
+  /// set reaches and withdraws the ones it no longer does.
+  void set_membership(ip::NodeId pe, std::vector<RouteTarget> rts);
 
   /// Inject a locally-originated route at `pe` (e.g. learned from an
   /// attached CE) and propagate.
@@ -81,6 +100,11 @@ class Bgp {
                                              const VpnRouteKey& key) const;
   /// `node`'s Loc-RIB sorted by (RD, prefix), each route built on the call.
   [[nodiscard]] std::vector<VpnRoute> loc_rib(ip::NodeId node) const;
+  /// `node`'s Adj-RIB-In offers as (sender, route), sorted by (RD, prefix)
+  /// then sender, each route built on the call. Sender kInvalidNode marks
+  /// a local origination.
+  [[nodiscard]] std::vector<std::pair<ip::NodeId, VpnRoute>> adj_rib_in(
+      ip::NodeId node) const;
   [[nodiscard]] bool is_reflector(ip::NodeId node) const noexcept {
     return node < state_.size() && state_[node].reflector;
   }
@@ -105,11 +129,24 @@ class Bgp {
   /// the churn bench budgets.
   [[nodiscard]] std::size_t adj_rib_bytes() const;
   [[nodiscard]] std::size_t adj_rib_routes() const;
+  /// `node`'s own RIB footprint: its Adj-RIB-In (row index, rows, offer
+  /// arena) plus its Loc-RIB rows, by capacity.
+  [[nodiscard]] std::size_t rib_bytes(ip::NodeId node) const;
+  /// `node`'s dense row of NLRI `id` (AdjRibIn::kNil when `node` was never
+  /// offered it). Rows are numbered per speaker in first-offer order and
+  /// never recycled, so per-(speaker, key) state elsewhere can be a
+  /// vector sized by `row_count`.
+  [[nodiscard]] std::uint32_t row_of(ip::NodeId node, NlriId id) const {
+    return speaker(node).adj_rib_in.row_of(id);
+  }
+  [[nodiscard]] std::size_t row_count(ip::NodeId node) const {
+    return speaker(node).adj_rib_in.row_count();
+  }
 
  private:
   /// One key's Loc-RIB slot at one speaker. Only the compact best path
   /// is stored; every VpnRoute handed out is materialized from it on the
-  /// call, so a Loc-RIB costs 32 B per (speaker, NLRI id) slot.
+  /// call, so a Loc-RIB costs 32 B per row of the speaker.
   struct LocEntry {
     bool present = false;
     /// Which peer (or kInvalidNode: local) supplied the best, for
@@ -118,15 +155,22 @@ class Bgp {
     CompactRoute compact;
   };
   static_assert(sizeof(LocEntry) <= 32);
+  /// Memberships are RT-set pool ids; 0 is the empty set, which every
+  /// speaker has until it declares one.
+  struct Peer {
+    ip::NodeId node = ip::kInvalidNode;
+    std::uint16_t membership = 0;  ///< what this peer last declared to us
+  };
   struct SpeakerState {
     bool enrolled = false;
     bool reflector = false;
     bool failed = false;  ///< fail_speaker ran: every session is gone
-    std::vector<ip::NodeId> peers;
-    /// Adj-RIB-In: per NLRI id, the route each sender currently offers.
+    std::vector<Peer> peers;
+    std::uint16_t membership = 0;  ///< own declared RT set
+    /// Adj-RIB-In: per row, the route each sender currently offers.
     /// Sender kInvalidNode marks locally-originated routes.
     AdjRibIn adj_rib_in;
-    std::vector<LocEntry> loc_rib;  ///< by NlriId
+    std::vector<LocEntry> loc_rib;  ///< by adj_rib_in row
     std::size_t loc_rib_size = 0;
   };
 
@@ -137,14 +181,22 @@ class Bgp {
   void add_session(ip::NodeId a, ip::NodeId b);
   /// Re-run best-path selection for `id` at `node`; propagate on change.
   void decide(ip::NodeId node, NlriId id);
-  /// Peers `node` must advertise to when its best for a key came from
-  /// `sender` (kInvalidNode = locally originated).
+  /// The target rule: the peers `node` advertises its best `route` for a
+  /// key to when that best came from `sender` (kInvalidNode = locally
+  /// originated), in `peers` order. Every send and every withdraw is
+  /// decided by it.
   [[nodiscard]] std::vector<ip::NodeId> advertise_targets(
-      ip::NodeId node, ip::NodeId sender) const;
-  /// Stage the (re-)advertisement or withdraw (`route` null) of `id` in
-  /// the RibOut.
-  void propagate(ip::NodeId node, ip::NodeId sender, NlriId id,
+      ip::NodeId node, ip::NodeId sender, const CompactRoute& route) const;
+  /// Stage the advertisement or withdraw (`route` null) of `id` toward
+  /// `targets` in the RibOut.
+  void propagate(ip::NodeId node, std::vector<ip::NodeId> targets, NlriId id,
                  const CompactRoute* route);
+  /// `from` declared membership `set` to `at`: send or withdraw the
+  /// Loc-RIB routes whose targets at `at` gain or lose `from`.
+  void apply_membership(ip::NodeId at, ip::NodeId from, std::uint16_t set);
+  /// `st`'s present Loc-RIB rows in (RD, prefix) order.
+  [[nodiscard]] std::vector<std::uint32_t> rows_in_key_order(
+      const SpeakerState& st) const;
   /// Drain `node`'s update groups into packed session messages.
   void flush(ip::NodeId node);
   void apply_packed(ip::NodeId at, ip::NodeId from,

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <stdexcept>
@@ -177,42 +178,58 @@ class NlriTable {
   std::vector<NlriId> slots_;      ///< power-of-two probe table of ids
 };
 
-/// Adj-RIB-In indexed by NLRI id: one chain head per id over a free-listed
-/// arena of 32 B offer nodes, each holding one sender's `CompactRoute`.
+/// One speaker's Adj-RIB-In. Each NLRI id the speaker has been offered gets
+/// a dense row on first offer (INTERNALS.md §15.2): a linear-probe table
+/// maps the id to its row, and each row heads a chain over a free-listed
+/// arena of 32 B offer nodes, each holding one sender's `CompactRoute`. So
+/// the RIB is sized by the keys this speaker holds, not by how many keys
+/// the whole BGP instance has interned; the speaker's Loc-RIB and the VPN
+/// importer index reuse the same row numbers. Rows are never recycled.
 /// Iteration order within a chain is most-recent-first; callers needing a
 /// sender tie-break make it explicit.
 class AdjRibIn {
  public:
   static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
 
+  /// Row of `id`, or kNil when this RIB was never offered it.
+  [[nodiscard]] std::uint32_t row_of(NlriId id) const noexcept {
+    return slots_.empty() ? kNil : slots_[probe(id)];
+  }
+  [[nodiscard]] NlriId nlri_of(std::uint32_t row) const {
+    return rows_[row].id;
+  }
+  [[nodiscard]] std::size_t row_count() const noexcept { return rows_.size(); }
+
   /// Insert or replace the offer from `sender` for `id`.
   void upsert(NlriId id, ip::NodeId sender, const CompactRoute& route) {
-    if (id >= heads_.size()) heads_.resize(id + 1, kNil);
-    for (std::uint32_t o = heads_[id]; o != kNil; o = arena_[o].next) {
+    std::uint32_t& head = rows_[ensure_row(id)].head;
+    for (std::uint32_t o = head; o != kNil; o = arena_[o].next) {
       if (arena_[o].sender == sender) {
         arena_[o].route = route;
         return;
       }
     }
-    if (heads_[id] == kNil) ++key_count_;
+    if (head == kNil) ++key_count_;
     const std::uint32_t node = alloc_offer();
+    // alloc_offer may grow the arena, never the rows: `head` stays valid.
     arena_[node].sender = sender;
     arena_[node].route = route;
-    arena_[node].next = heads_[id];
-    heads_[id] = node;
+    arena_[node].next = head;
+    head = node;
     ++route_count_;
   }
 
   /// Remove the offer from `sender`; returns false when absent.
   bool erase(NlriId id, ip::NodeId sender) {
-    if (id >= heads_.size()) return false;
-    std::uint32_t* link = &heads_[id];
-    for (std::uint32_t o = heads_[id]; o != kNil; o = arena_[o].next) {
+    const std::uint32_t row = row_of(id);
+    if (row == kNil) return false;
+    std::uint32_t* link = &rows_[row].head;
+    for (std::uint32_t o = *link; o != kNil; o = arena_[o].next) {
       if (arena_[o].sender == sender) {
         *link = arena_[o].next;
         free_offer(o);
         --route_count_;
-        if (heads_[id] == kNil) --key_count_;
+        if (rows_[row].head == kNil) --key_count_;
         return true;
       }
       link = &arena_[o].next;
@@ -223,8 +240,9 @@ class AdjRibIn {
   /// Visit every (sender, route) offer for `id`.
   template <typename F>
   void for_each(NlriId id, F&& fn) const {
-    if (id >= heads_.size()) return;
-    for (std::uint32_t o = heads_[id]; o != kNil; o = arena_[o].next) {
+    const std::uint32_t row = row_of(id);
+    if (row == kNil) return;
+    for (std::uint32_t o = rows_[row].head; o != kNil; o = arena_[o].next) {
       fn(arena_[o].sender, arena_[o].route);
     }
   }
@@ -233,8 +251,8 @@ class AdjRibIn {
   /// ascending id order (callers wanting key order sort them by key).
   std::vector<NlriId> erase_sender(ip::NodeId sender) {
     std::vector<NlriId> affected;
-    for (NlriId id = 0; id < heads_.size(); ++id) {
-      std::uint32_t* link = &heads_[id];
+    for (Row& row : rows_) {
+      std::uint32_t* link = &row.head;
       bool hit = false;
       for (std::uint32_t o = *link; o != kNil;) {
         const std::uint32_t nxt = arena_[o].next;
@@ -249,9 +267,10 @@ class AdjRibIn {
         o = nxt;
       }
       if (!hit) continue;
-      affected.push_back(id);
-      if (heads_[id] == kNil) --key_count_;
+      affected.push_back(row.id);
+      if (row.head == kNil) --key_count_;
     }
+    std::sort(affected.begin(), affected.end());
     return affected;
   }
 
@@ -260,19 +279,48 @@ class AdjRibIn {
   }
   [[nodiscard]] std::size_t key_count() const noexcept { return key_count_; }
 
-  /// Head + arena footprint (capacity, not occupancy — what the process
-  /// actually pays).
+  /// Row index + arena footprint (capacity, not occupancy — what the
+  /// process actually pays).
   [[nodiscard]] std::size_t bytes() const noexcept {
-    return heads_.capacity() * sizeof(std::uint32_t) +
-           arena_.capacity() * sizeof(Offer);
+    return slots_.capacity() * sizeof(std::uint32_t) +
+           rows_.capacity() * sizeof(Row) + arena_.capacity() * sizeof(Offer);
   }
 
  private:
+  struct Row {
+    NlriId id = kNoNlri;
+    std::uint32_t head = kNil;  ///< newest offer; kNil when none
+  };
   struct Offer {
     ip::NodeId sender = ip::kInvalidNode;
     std::uint32_t next = kNil;
     CompactRoute route;
   };
+  static constexpr std::size_t kInitialSlots = 16;
+
+  /// The slot holding `id`'s row, or the empty slot where it would go.
+  [[nodiscard]] std::size_t probe(NlriId id) const noexcept {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = (std::uint64_t{id} * 0x9E3779B97F4A7C15ull >> 32) & mask;
+    while (slots_[i] != kNil && rows_[slots_[i]].id != id) i = (i + 1) & mask;
+    return i;
+  }
+
+  std::uint32_t ensure_row(NlriId id) {
+    if (slots_.empty()) slots_.assign(kInitialSlots, kNil);
+    const std::size_t i = probe(id);
+    if (slots_[i] != kNil) return slots_[i];
+    const auto row = static_cast<std::uint32_t>(rows_.size());
+    rows_.push_back(Row{id, kNil});
+    slots_[i] = row;
+    if (rows_.size() * 10 >= slots_.size() * 7) {
+      slots_.assign(slots_.size() * 2, kNil);
+      for (std::uint32_t r = 0; r < rows_.size(); ++r) {
+        slots_[probe(rows_[r].id)] = r;
+      }
+    }
+    return row;
+  }
 
   std::uint32_t alloc_offer() {
     if (free_head_ != kNil) {
@@ -289,10 +337,11 @@ class AdjRibIn {
     free_head_ = o;
   }
 
-  std::vector<std::uint32_t> heads_;  ///< by NlriId; kNil when no offer
+  std::vector<std::uint32_t> slots_;  ///< power-of-two probe table of rows
+  std::vector<Row> rows_;             ///< by row, in first-offer order
   std::vector<Offer> arena_;
   std::uint32_t free_head_ = kNil;
-  std::size_t key_count_ = 0;    ///< ids with at least one offer
+  std::size_t key_count_ = 0;    ///< rows with at least one offer
   std::size_t route_count_ = 0;  ///< live (id, sender) offers
 };
 

@@ -21,6 +21,11 @@ void RibOut::append(NodeState& ns, std::vector<ip::NodeId> peers,
   const auto slot = static_cast<std::uint32_t>(g.queue.size());
   const NlriId nlri = entry.nlri;
   g.queue.push_back(std::move(entry));
+  link(ns, nlri, gid, slot);
+}
+
+void RibOut::link(NodeState& ns, NlriId nlri, std::uint32_t gid,
+                  std::uint32_t slot) {
   if (nlri >= ns.queued.size()) ns.queued.resize(nlri + 1, kNil);
   ns.refs.push_back(Ref{gid, slot, ns.queued[nlri]});
   ns.queued[nlri] = static_cast<std::uint32_t>(ns.refs.size() - 1);
@@ -38,7 +43,10 @@ bool RibOut::enqueue(ip::NodeId node, std::vector<ip::NodeId> peers,
   // new entry simply see the newer action; peers the new entry does NOT
   // cover keep the old payload via a residual-group re-queue, preserving
   // the disjointness invariant (residuals are subsets of pairwise-disjoint
-  // old sets, all disjoint from the new set).
+  // old sets, all disjoint from the new set). An old entry none of whose
+  // peers the new one covers (a withdraw to the peers a best path no
+  // longer reaches, queued beside the advertisement to the rest) stands
+  // as it is.
   if (nlri < ns.queued.size() && ns.queued[nlri] != kNil) {
     // The chain runs newest-first; supersede in queueing order.
     std::vector<std::pair<std::uint32_t, std::uint32_t>> old_refs;
@@ -50,12 +58,16 @@ bool RibOut::enqueue(ip::NodeId node, std::vector<ip::NodeId> peers,
     for (const auto& [gid, slot] : old_refs) {
       Entry& old = ns.groups[gid].queue[slot];
       if (old.dead) continue;
-      old.dead = true;
-      ++superseded_;
       std::vector<ip::NodeId> residual;
       std::set_difference(ns.groups[gid].peers.begin(),
                           ns.groups[gid].peers.end(), peers.begin(),
                           peers.end(), std::back_inserter(residual));
+      if (residual.size() == ns.groups[gid].peers.size()) {
+        link(ns, nlri, gid, slot);
+        continue;
+      }
+      old.dead = true;
+      ++superseded_;
       if (!residual.empty()) {
         Entry carry{old.nlri, old.route, old.withdraw, false};
         append(ns, std::move(residual), std::move(carry));

@@ -124,6 +124,9 @@ class RibOut {
   };
 
   void append(NodeState& ns, std::vector<ip::NodeId> peers, Entry entry);
+  /// Chain the entry at (`gid`, `slot`) as `nlri`'s newest live one.
+  static void link(NodeState& ns, NlriId nlri, std::uint32_t gid,
+                   std::uint32_t slot);
 
   std::vector<NodeState> nodes_;  ///< by node id
   std::uint64_t nlri_enqueued_ = 0;

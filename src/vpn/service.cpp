@@ -15,6 +15,16 @@ void remove_vpn_route(Vrf& vrf, const ip::Prefix& prefix) {
   }
 }
 
+void install_vpn_route(Vrf& vrf, const routing::VpnRoute& route) {
+  ip::RouteEntry entry;
+  entry.prefix = route.prefix;
+  entry.source = ip::RouteSource::kVpn;
+  entry.admin_distance = ip::default_admin_distance(ip::RouteSource::kVpn);
+  entry.vpn_label = route.vpn_label;
+  entry.egress_pe = route.next_hop_node;
+  vrf.table().install(entry);
+}
+
 }  // namespace
 
 MplsVpnService::MplsVpnService(net::Topology& topo, routing::ControlPlane& cp,
@@ -92,7 +102,34 @@ Vrf& MplsVpnService::ensure_vrf(Router& pe, VpnId vpn) {
   entry.op = mpls::LabelOp::kPopDeliver;
   entry.vrf_id = vpn;
   lsr.lfib.install(entry);
+
+  // The new VRF imports what the PE already holds, and the PE's RT
+  // membership grows so its peers send the rest (before start() this only
+  // records the set; the sessions carry it when they come up).
+  if (started_) {
+    for (const routing::VpnRoute& route : bgp_.loc_rib(pe.id())) {
+      if (route.next_hop_node == pe.id() || !vrf.imports(route)) continue;
+      install_vpn_route(vrf, route);
+      importers_of(pe.id(), route).push_back(vpn);
+    }
+  }
+  std::vector<routing::RouteTarget> membership;
+  for (const Vrf* v : pe.vrfs()) {
+    const auto& rts = v->config().import_targets;
+    membership.insert(membership.end(), rts.begin(), rts.end());
+  }
+  bgp_.set_membership(pe.id(), std::move(membership));
   return vrf;
+}
+
+std::vector<VpnId>& MplsVpnService::importers_of(
+    ip::NodeId at, const routing::VpnRoute& route) {
+  const std::uint32_t row =
+      bgp_.row_of(at, bgp_.nlri_id({route.rd, route.prefix}));
+  if (at >= imported_.size()) imported_.resize(at + 1);
+  std::vector<std::vector<VpnId>>& by_row = imported_[at];
+  if (row >= by_row.size()) by_row.resize(bgp_.row_count(at));
+  return by_row[row];
 }
 
 void MplsVpnService::add_site(VpnId vpn, Router& pe, Router& ce,
@@ -227,13 +264,13 @@ void MplsVpnService::import_route(ip::NodeId at,
   Router* pe = provider(at);
   if (pe == nullptr) return;  // a dedicated RR holds no VRFs
   last_route_change_at_ = cp_.now();
-  const routing::NlriId id = bgp_.nlri_id({route.rd, route.prefix});
+  // The key has a BGP row at `at` (it was offered there), so indexing the
+  // importers by that row sizes them by what this PE holds.
+  std::vector<VpnId>& importers = importers_of(at, route);
 
   if (withdrawn || route.next_hop_node == at) {
     // Gone, or our own origination is best now: no VRF here may keep an
     // imported copy of the key.
-    if (at >= imported_.size() || id >= imported_[at].size()) return;
-    std::vector<VpnId>& importers = imported_[at][id];
     for (VpnId vpn : importers) {
       if (Vrf* vrf = pe->vrf_by_vpn(vpn)) remove_vpn_route(*vrf, route.prefix);
     }
@@ -241,10 +278,6 @@ void MplsVpnService::import_route(ip::NodeId at,
     return;
   }
 
-  if (at >= imported_.size()) imported_.resize(at + 1);
-  std::vector<std::vector<VpnId>>& by_id = imported_[at];
-  if (id >= by_id.size()) by_id.resize(bgp_.nlri_count());
-  std::vector<VpnId>& importers = by_id[id];
   // A VRF that imported the previous version but does not import this one
   // (its route targets changed) must lose it now: a later withdraw only
   // visits the current importers.
@@ -257,15 +290,18 @@ void MplsVpnService::import_route(ip::NodeId at,
   importers.clear();
   for (Vrf* vrf : pe->vrfs()) {
     if (!vrf->imports(route)) continue;
-    ip::RouteEntry entry;
-    entry.prefix = route.prefix;
-    entry.source = ip::RouteSource::kVpn;
-    entry.admin_distance = ip::default_admin_distance(ip::RouteSource::kVpn);
-    entry.vpn_label = route.vpn_label;
-    entry.egress_pe = route.next_hop_node;
-    vrf->table().install(entry);
+    install_vpn_route(*vrf, route);
     importers.push_back(vrf->vpn_id());
   }
+}
+
+std::size_t MplsVpnService::importer_bytes(ip::NodeId pe) const {
+  if (pe >= imported_.size()) return 0;
+  std::size_t n = imported_[pe].capacity() * sizeof(std::vector<VpnId>);
+  for (const std::vector<VpnId>& v : imported_[pe]) {
+    n += v.capacity() * sizeof(VpnId);
+  }
+  return n;
 }
 
 std::size_t MplsVpnService::total_vrf_count() const {

@@ -48,7 +48,9 @@ class MplsVpnService {
 
   /// Grant `importer` import of `exported`'s routes (extranet policy, one
   /// direction; call twice for mutual extranet). Must precede the sites'
-  /// attachment to take effect for their VRFs.
+  /// attachment to take effect for their VRFs. A PE's RT membership is the
+  /// union of its VRFs' import targets, these included, so the grant also
+  /// scopes which routes its BGP peers send it.
   void add_extranet_import(VpnId importer, VpnId exported);
 
   /// Attach a CE (and its site prefix) to a PE for the given VPN. The
@@ -89,6 +91,9 @@ class MplsVpnService {
   [[nodiscard]] std::size_t total_vrf_routes() const;
   [[nodiscard]] std::size_t total_bgp_loc_rib() const;
   [[nodiscard]] std::size_t site_count(VpnId vpn) const;
+  /// Heap bytes of `pe`'s importer index (which VRFs imported each key),
+  /// sized by `pe`'s BGP rows, by capacity.
+  [[nodiscard]] std::size_t importer_bytes(ip::NodeId pe) const;
 
   [[nodiscard]] routing::Bgp& bgp() noexcept { return bgp_; }
   [[nodiscard]] routing::Igp& igp() noexcept { return igp_; }
@@ -117,6 +122,9 @@ class MplsVpnService {
   }
   void import_route(ip::NodeId at, const routing::VpnRoute& route,
                     bool withdrawn);
+  /// The VPNs whose VRFs at `at` imported `route`'s key.
+  std::vector<VpnId>& importers_of(ip::NodeId at,
+                                   const routing::VpnRoute& route);
 
   net::Topology& topo_;
   routing::ControlPlane& cp_;
@@ -131,8 +139,9 @@ class MplsVpnService {
   std::vector<Router*> providers_;  ///< by node id; null for non-providers
   std::vector<ip::NodeId> pes_;
   std::vector<PendingRoute> pending_;
-  /// Which VPN ids imported each key at each PE, by node id then NLRI id —
-  /// needed to undo on withdraw or on a route-target change.
+  /// Which VPN ids imported each key at each PE, by node id then the
+  /// PE's BGP row of the key (Bgp::row_of) — needed to undo on withdraw or
+  /// on a route-target change.
   std::vector<std::vector<std::vector<VpnId>>> imported_;
   sim::SimTime last_route_change_at_ = 0;
   bool started_ = false;

@@ -840,6 +840,16 @@ TEST(VpnRoutesGolden, PeAndReflectorFailuresMatchRecordedRows) {
     EXPECT_EQ(joined(vpn_routes_row(*bb)),
               joined(golden::row("vpn_routes.txt", key)))
         << key;
+    // Every surviving PE has dropped every route via PE0: the reflectors
+    // withdraw each other's copies instead of keeping them as best.
+    for (vpn::Router* pe : bb->pes()) {
+      if (pe == &bb->pe(0)) continue;
+      for (const vpn::Vrf* vrf : pe->vrfs()) {
+        for (const ip::RouteEntry& e : vrf->table().entries()) {
+          EXPECT_NE(e.egress_pe, bb->pe(0).id()) << key << " " << pe->name();
+        }
+      }
+    }
   }
   {
     const auto bb = converged_topogen("p=16 pe=64 ce=2");

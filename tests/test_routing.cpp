@@ -275,6 +275,14 @@ struct BgpFixture {
     r.route_targets.push_back(RouteTarget{65000, rd_low});
     return r;
   }
+
+  /// Make every PE speaker of `bgp` import the RTs fixture routes carry
+  /// (65000:1 to 65000:9), so distribution reaches all of them.
+  static void import_all(Bgp& bgp) {
+    std::vector<RouteTarget> rts;
+    for (std::uint32_t n = 1; n <= 9; ++n) rts.push_back(RouteTarget{65000, n});
+    for (ip::NodeId pe : bgp.speakers()) bgp.set_membership(pe, rts);
+  }
 };
 
 TEST(Bgp, FullMeshPropagatesToAllSpeakers) {
@@ -284,6 +292,7 @@ TEST(Bgp, FullMeshPropagatesToAllSpeakers) {
     f.topo.add_node<Router>("pe" + std::to_string(n), Role::kPe);
     bgp.add_speaker(n);
   }
+  f.import_all(bgp);
   bgp.start();
   EXPECT_EQ(bgp.session_count(), 6u);  // 4*3/2
 
@@ -308,6 +317,7 @@ TEST(Bgp, RouteReflectorReachesEveryClientWithFewerSessions) {
   }
   for (ip::NodeId n = 0; n < 5; ++n) bgp.add_speaker(n);
   bgp.add_route_reflector(5);
+  f.import_all(bgp);
   bgp.start();
   EXPECT_EQ(bgp.session_count(), 5u);  // clients to one RR
   EXPECT_TRUE(bgp.is_reflector(5));
@@ -328,6 +338,7 @@ TEST(Bgp, WithdrawRemovesEverywhere) {
     f.topo.add_node<Router>("pe" + std::to_string(n), Role::kPe);
     bgp.add_speaker(n);
   }
+  f.import_all(bgp);
   bgp.start();
   bgp.originate(0, f.route(1, "10.1.0.0/16", 0));
   f.topo.scheduler().run();
@@ -351,6 +362,7 @@ TEST(Bgp, BestPathPrefersLocalPrefThenLowerOriginator) {
     f.topo.add_node<Router>("pe" + std::to_string(n), Role::kPe);
     bgp.add_speaker(n);
   }
+  f.import_all(bgp);
   bgp.start();
   // Same key from two origins (multihomed site).
   VpnRoute from1 = f.route(1, "10.1.0.0/16", 1, 111);
@@ -381,6 +393,7 @@ TEST(Bgp, OverlappingPrefixesDistinctByRd) {
     f.topo.add_node<Router>("pe" + std::to_string(n), Role::kPe);
     bgp.add_speaker(n);
   }
+  f.import_all(bgp);
   bgp.start();
   bgp.originate(0, f.route(1, "10.1.0.0/16", 0, 100));
   bgp.originate(0, f.route(2, "10.1.0.0/16", 0, 200));  // same prefix, RD 2
@@ -403,6 +416,7 @@ TEST(Bgp, ObserverFiresOnChangeOnly) {
   }
   int events = 0;
   bgp.on_route([&](ip::NodeId, const VpnRoute&, bool) { ++events; });
+  f.import_all(bgp);
   bgp.start();
   bgp.originate(0, f.route(1, "10.1.0.0/16", 0));
   f.topo.scheduler().run();
@@ -421,6 +435,7 @@ TEST(Bgp, FailSpeakerFlushesItsRoutesEverywhere) {
     f.topo.add_node<Router>("pe" + std::to_string(n), Role::kPe);
     bgp.add_speaker(n);
   }
+  f.import_all(bgp);
   bgp.start();
   EXPECT_EQ(bgp.session_count(), 3u);
   // Speaker 0 and 1 both offer the same prefix; 0 wins on originator id.
@@ -538,6 +553,7 @@ TEST(Bgp, TwoReflectorsGiveRedundantPropagation) {
   for (ip::NodeId n = 0; n < 4; ++n) bgp.add_speaker(n);
   bgp.add_route_reflector(4);
   bgp.add_route_reflector(5);
+  f.import_all(bgp);
   bgp.start();
   // 4 clients x 2 RRs + RR-RR = 9 sessions.
   EXPECT_EQ(bgp.session_count(), 9u);
@@ -559,6 +575,7 @@ TEST(Bgp, LocRibSnapshot) {
     f.topo.add_node<Router>("pe" + std::to_string(n), Role::kPe);
     bgp.add_speaker(n);
   }
+  f.import_all(bgp);
   bgp.start();
   bgp.originate(0, f.route(1, "10.1.0.0/16", 0));
   bgp.originate(0, f.route(1, "10.2.0.0/16", 0));
@@ -732,6 +749,7 @@ TEST(Bgp, WithdrawOnlyFlushBytesDeriveFromPrefix) {
     f.topo.add_node<Router>("pe" + std::to_string(n), Role::kPe);
     bgp.add_speaker(n);
   }
+  f.import_all(bgp);
   bgp.start();
   bgp.originate(0, f.route(1, "10.1.0.0/16", 0));
   f.topo.scheduler().run();
@@ -761,6 +779,7 @@ TEST(Bgp, RrScriptConvergesToGoldenRibs) {
   for (ip::NodeId n = 0; n < kClients; ++n) bgp.add_speaker(n);
   bgp.add_route_reflector(kClients);
   bgp.add_route_reflector(kClients + 1);
+  f.import_all(bgp);
   bgp.start();
 
   // Multihomed prefixes, flaps, a withdraw, and a mid-stream failure.
@@ -800,6 +819,7 @@ TEST(Bgp, WithdrawThenReplaceInOneFlushWindowYieldsReplacement) {
     f.topo.add_node<Router>("pe" + std::to_string(n), Role::kPe);
     bgp.add_speaker(n);
   }
+  f.import_all(bgp);
   bgp.start();
   bgp.originate(0, f.route(1, "10.1.0.0/16", 0, 100));
   f.topo.scheduler().run();
@@ -828,6 +848,7 @@ TEST(Bgp, ReflectionTerminatesUnderPacking) {
   for (ip::NodeId n = 0; n < 4; ++n) bgp.add_speaker(n);
   bgp.add_route_reflector(4);
   bgp.add_route_reflector(5);
+  f.import_all(bgp);
   bgp.start();
   bgp.originate(0, f.route(1, "10.1.0.0/16", 0));
   f.topo.scheduler().run();  // returning at all proves no reflection loop
@@ -852,6 +873,7 @@ TEST(Bgp, FailSpeakerKillsItsQueuedUpdates) {
     f.topo.add_node<Router>("pe" + std::to_string(n), Role::kPe);
     bgp.add_speaker(n);
   }
+  f.import_all(bgp);
   bgp.start();
   // Queued at pe0 but the speaker dies before its flush event fires: the
   // update dies with the sessions, exactly like an un-ACKed TCP send.
@@ -884,6 +906,7 @@ std::unique_ptr<Bgp> three_pe_fabric(BgpFixture& f, bool reflected) {
       f.cp, reflected ? Bgp::Mode::kRouteReflector : Bgp::Mode::kFullMesh);
   for (ip::NodeId n = 0; n < 3; ++n) bgp->add_speaker(n);
   if (reflected) bgp->add_route_reflector(3);
+  BgpFixture::import_all(*bgp);
   bgp->start();
   return bgp;
 }
@@ -1100,6 +1123,50 @@ TEST(Bgp, ObserversSeeExactRouteTargetsAcrossBestPathChanges) {
   bb.bgp.withdraw(bb.pe(1).id(), rd, prefix);
   bb.topo.scheduler().run();
   check("withdrawn", 0);
+}
+
+TEST(Bgp, OneVpnPeStateScalesWithItsVpnNotTheGlobalNlriCount) {
+  // 2 or 16 VPNs, each on its own pair of PEs with 8 sites, behind 2
+  // reflectors. PE0 serves one VPN: its Loc-RIB, Adj-RIB-In and importer
+  // index hold that VPN's 8 keys whatever the global NLRI count.
+  struct Footprint {
+    std::size_t nlri = 0;
+    std::size_t rows = 0;
+    std::size_t rib_bytes = 0;
+    std::size_t importer_bytes = 0;
+  };
+  auto measure = [](std::size_t vpns) {
+    backbone::BackboneConfig cfg;
+    cfg.p_count = 2;
+    cfg.pe_count = 2 * vpns;
+    cfg.bgp_mode = Bgp::Mode::kRouteReflector;
+    cfg.route_reflector_count = 2;
+    backbone::MplsBackbone bb(cfg);
+    for (std::size_t v = 0; v < vpns; ++v) {
+      const vpn::VpnId id = bb.service.create_vpn("V" + std::to_string(v));
+      for (std::size_t site = 0; site < 8; ++site) {
+        bb.add_site(id, 2 * v + site % 2,
+                    ip::Prefix(ip::Ipv4Address(10, std::uint8_t(v),
+                                               std::uint8_t(site), 0),
+                               24));
+      }
+    }
+    bb.start_and_converge();
+    const ip::NodeId pe0 = bb.pe(0).id();
+    EXPECT_EQ(bb.bgp.loc_rib_size(pe0), 8u);
+    return Footprint{bb.bgp.nlri_count(), bb.bgp.row_count(pe0),
+                     bb.bgp.rib_bytes(pe0), bb.service.importer_bytes(pe0)};
+  };
+  const Footprint small = measure(2);
+  const Footprint large = measure(16);
+  EXPECT_EQ(small.nlri, 16u);
+  EXPECT_EQ(large.nlri, 128u);
+  EXPECT_EQ(small.rows, 8u);
+  EXPECT_EQ(large.rows, 8u);
+  EXPECT_GT(small.rib_bytes, 0u);
+  EXPECT_EQ(large.rib_bytes, small.rib_bytes);
+  EXPECT_GT(small.importer_bytes, 0u);
+  EXPECT_EQ(large.importer_bytes, small.importer_bytes);
 }
 
 TEST(Bgp, ObserverThatReentersDecideThrows) {

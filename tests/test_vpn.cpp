@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <optional>
+#include <random>
+#include <set>
+#include <tuple>
 #include <utility>
+#include <vector>
 
 #include "backbone/fixtures.hpp"
 #include "test_flows.hpp"
@@ -793,6 +798,510 @@ TEST(Service, AddSiteValidatesAdjacency) {
   EXPECT_THROW(bb.service.add_site(v, bb.pe(0), orphan_ce,
                                    ip::Prefix::must_parse("10.1.0.0/16")),
                std::invalid_argument);
+}
+
+// --- Scoped, withdraw-correct route distribution ---------------------------
+
+/// A 1P backbone of `pe_count` PEs in a full iBGP mesh, or as clients of
+/// `rr_count` route reflectors.
+std::unique_ptr<backbone::MplsBackbone> bgp_backbone(std::size_t pe_count,
+                                                     std::size_t rr_count) {
+  backbone::BackboneConfig cfg;
+  cfg.p_count = 1;
+  cfg.pe_count = pe_count;
+  if (rr_count > 0) {
+    cfg.bgp_mode = routing::Bgp::Mode::kRouteReflector;
+    cfg.route_reflector_count = rr_count;
+  }
+  return std::make_unique<backbone::MplsBackbone>(cfg);
+}
+
+std::vector<ip::NodeId> reflectors_of(const backbone::MplsBackbone& bb) {
+  std::vector<ip::NodeId> out;
+  for (ip::NodeId n = 0; n < bb.topo.node_count(); ++n) {
+    if (bb.bgp.is_reflector(n)) out.push_back(n);
+  }
+  return out;
+}
+
+/// The VPN route `pe` originates for `prefix` in `vpn`'s VRF there.
+routing::VpnRoute vrf_route(backbone::MplsBackbone& bb, VpnId vpn,
+                            vpn::Router& pe, const ip::Prefix& prefix,
+                            std::uint32_t local_pref = 100) {
+  routing::VpnRoute r;
+  r.rd = bb.service.rd_of(vpn);
+  r.prefix = prefix;
+  r.next_hop = pe.loopback();
+  r.next_hop_node = pe.id();
+  r.vpn_label = pe.vrf_by_vpn(vpn)->vpn_label();
+  r.route_targets.push_back(bb.service.rt_of(vpn));
+  r.local_pref = local_pref;
+  return r;
+}
+
+/// Seeded random originations, withdraws, route-target changes, VRF
+/// additions, extranet grants and speaker failures. After every drain
+/// each VRF must equal the import computed directly from the live
+/// originations, no speaker may hold a route its originator no longer
+/// offers, and no PE may hold an offer whose RTs miss its import set.
+class DistributionOracle {
+ public:
+  DistributionOracle(std::size_t rr_count, std::uint64_t seed)
+      : bb_(bgp_backbone(4, rr_count)), rng_(seed) {
+    for (const char* name : {"A", "B", "C"}) {
+      vpns_.push_back(bb_->service.create_vpn(name));
+    }
+    // Each PE starts with one VRF and one site route.
+    for (std::size_t pe = 0; pe < 4; ++pe) {
+      add_vrf(pe, pe % vpns_.size(), 0);
+    }
+    bb_->start_and_converge();
+  }
+
+  void step() {
+    const int op = pick(20);
+    if (op < 6) {
+      originate();
+    } else if (op < 10) {
+      withdraw();
+    } else if (op < 13) {
+      change_targets();
+    } else if (op < 16) {
+      add_vrf(pick(4), pick(vpns_.size()), pick(kPrefixes));
+    } else if (op < 19) {
+      const std::size_t importer = pick(vpns_.size());
+      const std::size_t exported = pick(vpns_.size());
+      if (importer != exported) {
+        bb_->service.add_extranet_import(vpns_[importer], vpns_[exported]);
+      }
+    } else {
+      fail_one();
+    }
+    bb_->topo.scheduler().run();
+  }
+
+  void check(const std::string& where) const {
+    const routing::Bgp& bgp = bb_->bgp;
+    std::vector<ip::NodeId> speakers = bgp.speakers();
+    for (ip::NodeId rr : reflectors_of(*bb_)) speakers.push_back(rr);
+    for (ip::NodeId s : speakers) {
+      if (failed_.count(s) != 0) continue;
+      const bool reflector = bgp.is_reflector(s);
+      const std::vector<routing::RouteTarget> wants =
+          reflector ? std::vector<routing::RouteTarget>{} : imports_at(s);
+      std::set<routing::VpnRouteKey> held;
+      for (const routing::VpnRoute& r : bgp.loc_rib(s)) {
+        const routing::VpnRouteKey key{r.rd, r.prefix};
+        held.insert(key);
+        const std::optional<routing::VpnRoute> ref = reference_best(key);
+        ASSERT_TRUE(ref.has_value())
+            << where << ": speaker " << s << " holds a withdrawn route "
+            << r.prefix.to_string() << " from " << r.originator;
+        EXPECT_TRUE(same(r, *ref)) << where << ": speaker " << s << " key "
+                                   << r.prefix.to_string();
+      }
+      for (const auto& [key, by_pe] : live_) {
+        const std::optional<routing::VpnRoute> ref = reference_best(key);
+        if (!ref) continue;
+        const bool want = reflector || meets(ref->route_targets, wants);
+        EXPECT_EQ(held.count(key) != 0, want)
+            << where << ": speaker " << s << " key " << key.second.to_string();
+      }
+      if (reflector) continue;
+      for (const auto& [sender, r] : bgp.adj_rib_in(s)) {
+        if (sender == ip::kInvalidNode) continue;
+        EXPECT_TRUE(meets(r.route_targets, wants))
+            << where << ": PE " << s << " holds an unwanted offer "
+            << r.prefix.to_string() << " from " << sender;
+      }
+    }
+    for (vpn::Router* pe : bb_->pes()) {
+      if (failed_.count(pe->id()) != 0) continue;
+      for (const Vrf* vrf : pe->vrfs()) {
+        std::vector<std::tuple<ip::Prefix, std::uint32_t, ip::NodeId>> got;
+        for (const ip::RouteEntry& e : vrf->table().entries()) {
+          if (e.source != ip::RouteSource::kVpn) continue;
+          got.emplace_back(e.prefix, e.vpn_label, e.egress_pe);
+        }
+        std::vector<std::tuple<ip::Prefix, std::uint32_t, ip::NodeId>> want;
+        for (const auto& [key, by_pe] : live_) {
+          const std::optional<routing::VpnRoute> ref = reference_best(key);
+          if (!ref || ref->originator == pe->id() || !vrf->imports(*ref)) {
+            continue;
+          }
+          want.emplace_back(ref->prefix, ref->vpn_label, ref->originator);
+        }
+        std::sort(got.begin(), got.end());
+        std::sort(want.begin(), want.end());
+        EXPECT_EQ(got, want) << where << ": " << pe->name() << " VRF "
+                             << vrf->config().name;
+      }
+    }
+  }
+
+ private:
+  static constexpr std::size_t kPrefixes = 3;
+
+  std::size_t pick(std::size_t n) { return rng_() % n; }
+
+  ip::Prefix prefix(std::size_t vpn, std::size_t index) const {
+    return ip::Prefix(ip::Ipv4Address(10, std::uint8_t(vpn + 1),
+                                      std::uint8_t(index), 0),
+                      24);
+  }
+
+  /// Give PE `pe` a VRF for VPN `vpn` (the service creates it on first
+  /// origination) and originate `index`'s prefix there.
+  void add_vrf(std::size_t pe, std::size_t vpn, std::size_t index) {
+    vpn::Router& router = bb_->pe(pe);
+    if (failed_.count(router.id()) != 0) return;
+    const ip::Prefix p = prefix(vpn, index);
+    bb_->service.originate_external(vpns_[vpn], router, p);
+    live_[{bb_->service.rd_of(vpns_[vpn]), p}][router.id()] =
+        vrf_route(*bb_, vpns_[vpn], router, p);
+  }
+
+  void originate() {
+    vpn::Router& router = bb_->pe(pick(4));
+    if (failed_.count(router.id()) != 0 || router.vrf_count() == 0) return;
+    const auto vrfs = router.vrfs();
+    const VpnId vpn = vrfs[pick(vrfs.size())]->vpn_id();
+    const std::size_t vpn_index =
+        std::find(vpns_.begin(), vpns_.end(), vpn) - vpns_.begin();
+    routing::VpnRoute r =
+        vrf_route(*bb_, vpn, router, prefix(vpn_index, pick(kPrefixes)),
+                  pick(2) == 0 ? 100 : 200);
+    if (pick(4) == 0) {
+      r.route_targets.push_back(bb_->service.rt_of(vpns_[pick(vpns_.size())]));
+    }
+    bb_->bgp.originate(router.id(), r);
+    live_[{r.rd, r.prefix}][router.id()] = r;
+  }
+
+  /// A random live origination as (key, originator), if any.
+  std::optional<std::pair<routing::VpnRouteKey, ip::NodeId>> any_live() {
+    std::vector<std::pair<routing::VpnRouteKey, ip::NodeId>> all;
+    for (const auto& [key, by_pe] : live_) {
+      for (const auto& [pe, r] : by_pe) all.emplace_back(key, pe);
+    }
+    if (all.empty()) return std::nullopt;
+    return all[pick(all.size())];
+  }
+
+  void withdraw() {
+    const auto o = any_live();
+    if (!o) return;
+    bb_->bgp.withdraw(o->second, o->first.first, o->first.second);
+    live_[o->first].erase(o->second);
+  }
+
+  void change_targets() {
+    const auto o = any_live();
+    if (!o) return;
+    routing::VpnRoute& r = live_[o->first][o->second];
+    if (r.route_targets.size() > 1) {
+      r.route_targets.resize(1);
+    } else {
+      r.route_targets.push_back(bb_->service.rt_of(vpns_[pick(vpns_.size())]));
+    }
+    bb_->bgp.originate(o->second, r);
+  }
+
+  void fail_one() {
+    if (!failed_.empty()) return;  // one failure per run
+    const std::vector<ip::NodeId> rrs = reflectors_of(*bb_);
+    ip::NodeId victim;
+    if (!rrs.empty() && pick(2) == 0) {
+      victim = rrs[0];
+      bb_->bgp.fail_speaker(victim);
+    } else {
+      vpn::Router& pe = bb_->pe(pick(4));
+      victim = pe.id();
+      bb_->service.fail_pe(pe);
+      for (auto& [key, by_pe] : live_) by_pe.erase(victim);
+    }
+    failed_.insert(victim);
+  }
+
+  std::vector<routing::RouteTarget> imports_at(ip::NodeId pe) const {
+    std::vector<routing::RouteTarget> out;
+    const auto& pes = bb_->pes();
+    const vpn::Router& router = **std::find_if(
+        pes.begin(), pes.end(), [pe](const Router* r) { return r->id() == pe; });
+    for (const Vrf* vrf : router.vrfs()) {
+      const auto& rts = vrf->config().import_targets;
+      out.insert(out.end(), rts.begin(), rts.end());
+    }
+    return out;
+  }
+
+  static bool meets(const std::vector<routing::RouteTarget>& rts,
+                    const std::vector<routing::RouteTarget>& wants) {
+    return std::any_of(rts.begin(), rts.end(), [&](const auto& rt) {
+      return std::find(wants.begin(), wants.end(), rt) != wants.end();
+    });
+  }
+
+  static bool same(const routing::VpnRoute& a, const routing::VpnRoute& b) {
+    return a.originator == b.originator && a.vpn_label == b.vpn_label &&
+           a.local_pref == b.local_pref && a.next_hop == b.next_hop &&
+           a.route_targets == b.route_targets;
+  }
+
+  /// The best live origination of `key`: highest local_pref, then lowest
+  /// originator.
+  std::optional<routing::VpnRoute> reference_best(
+      const routing::VpnRouteKey& key) const {
+    const auto it = live_.find(key);
+    if (it == live_.end()) return std::nullopt;
+    std::optional<routing::VpnRoute> best;
+    for (const auto& [pe, r] : it->second) {
+      routing::VpnRoute c = r;
+      c.originator = pe;
+      if (!best || c.local_pref > best->local_pref ||
+          (c.local_pref == best->local_pref && c.originator < best->originator)) {
+        best = c;
+      }
+    }
+    return best;
+  }
+
+  std::unique_ptr<backbone::MplsBackbone> bb_;
+  std::mt19937_64 rng_;
+  std::vector<VpnId> vpns_;
+  /// Live originations: key -> originating PE -> route.
+  std::map<routing::VpnRouteKey, std::map<ip::NodeId, routing::VpnRoute>>
+      live_;
+  std::set<ip::NodeId> failed_;
+};
+
+TEST(Distribution, RandomSequencesMatchTheReferenceImport) {
+  for (const std::size_t rrs : {std::size_t{0}, std::size_t{2}}) {
+    for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u}) {
+      DistributionOracle oracle(rrs, seed);
+      const std::string run = (rrs == 0 ? "mesh" : "2rr") + std::string(" seed ") +
+                              std::to_string(seed);
+      oracle.check(run + " boot");
+      for (int step = 0; step < 60; ++step) {
+        oracle.step();
+        oracle.check(run + " step " + std::to_string(step));
+        if (::testing::Test::HasFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(Distribution, FullMeshPeWithdrawsItsOwnRouteWhenAPeersWins) {
+  // 1P/3PE mesh: PE1 and PE2 originate one key, PE2 at higher preference.
+  // PE1's best moves to PE2's route, so PE1 must withdraw its own; after
+  // both withdraw, no speaker may keep either copy.
+  auto bb = bgp_backbone(3, 0);
+  const VpnId v = bb->service.create_vpn("A");
+  for (std::size_t pe = 0; pe < 3; ++pe) {
+    bb->add_site(v, pe, ip::Prefix(ip::Ipv4Address(10, 0, std::uint8_t(pe), 0), 24));
+  }
+  bb->start_and_converge();
+  const ip::Prefix p = ip::Prefix::must_parse("10.9.0.0/16");
+  const routing::VpnRouteKey key{bb->service.rd_of(v), p};
+  bb->bgp.originate(bb->pe(1).id(), vrf_route(*bb, v, bb->pe(1), p, 100));
+  bb->bgp.originate(bb->pe(2).id(), vrf_route(*bb, v, bb->pe(2), p, 200));
+  bb->topo.scheduler().run();
+  for (std::size_t pe = 0; pe < 3; ++pe) {
+    ASSERT_TRUE(bb->bgp.best(bb->pe(pe).id(), key).has_value());
+    EXPECT_EQ(bb->bgp.best(bb->pe(pe).id(), key)->originator, bb->pe(2).id());
+  }
+  bb->bgp.withdraw(bb->pe(2).id(), key.first, p);
+  bb->topo.scheduler().run();
+  for (std::size_t pe = 0; pe < 3; ++pe) {
+    ASSERT_TRUE(bb->bgp.best(bb->pe(pe).id(), key).has_value());
+    EXPECT_EQ(bb->bgp.best(bb->pe(pe).id(), key)->originator, bb->pe(1).id())
+        << "PE" << pe;
+  }
+  bb->bgp.withdraw(bb->pe(1).id(), key.first, p);
+  bb->topo.scheduler().run();
+  for (std::size_t pe = 0; pe < 3; ++pe) {
+    EXPECT_FALSE(bb->bgp.best(bb->pe(pe).id(), key).has_value()) << "PE" << pe;
+    EXPECT_EQ(bb->pe(pe).vrf_by_vpn(v)->table().find(p), nullptr) << "PE" << pe;
+  }
+}
+
+TEST(Distribution, TwoReflectorsDropAWithdrawnOrFailedPesRoutes) {
+  // 4 PEs, 2 RRs: each RR also holds the other's reflected copy. When the
+  // originator withdraws (or fails), each RR's best moves to that copy,
+  // which it must not reflect back; both copies die and every client
+  // loses the route.
+  for (const bool fail : {false, true}) {
+    auto bb = bgp_backbone(4, 2);
+    const VpnId v = bb->service.create_vpn("A");
+    for (std::size_t pe = 0; pe < 4; ++pe) {
+      bb->add_site(v, pe, ip::Prefix(ip::Ipv4Address(10, 0, std::uint8_t(pe), 0), 24));
+    }
+    bb->start_and_converge();
+    const ip::Prefix p = ip::Prefix(ip::Ipv4Address(10, 0, 0, 0), 24);
+    const routing::VpnRouteKey key{bb->service.rd_of(v), p};
+    for (ip::NodeId rr : reflectors_of(*bb)) {
+      ASSERT_TRUE(bb->bgp.best(rr, key).has_value());
+    }
+    if (fail) {
+      bb->service.fail_pe(bb->pe(0));
+    } else {
+      bb->service.remove_site(v, bb->pe(0), p);
+    }
+    bb->topo.scheduler().run();
+    for (ip::NodeId rr : reflectors_of(*bb)) {
+      EXPECT_FALSE(bb->bgp.best(rr, key).has_value()) << fail << " RR " << rr;
+    }
+    for (std::size_t pe = 1; pe < 4; ++pe) {
+      EXPECT_FALSE(bb->bgp.best(bb->pe(pe).id(), key).has_value())
+          << fail << " PE" << pe;
+      for (const ip::RouteEntry& e : bb->pe(pe).vrf_by_vpn(v)->table().entries()) {
+        EXPECT_NE(e.egress_pe, bb->pe(0).id()) << fail << " PE" << pe;
+      }
+    }
+  }
+}
+
+TEST(Distribution, ReflectorsReofferTheirCopyWhenTheDirectRouteReturns) {
+  // PE0 withdraws a route and re-originates it 1 ms later, inside the
+  // session delay. Each reflector's best falls back to the other's copy
+  // (withdrawing its own copy from that reflector), then returns to
+  // PE0's direct route with identical attributes: that sender move
+  // reaches the other reflector again, so each ends holding both offers.
+  auto bb = bgp_backbone(4, 2);
+  const VpnId v = bb->service.create_vpn("A");
+  for (std::size_t pe = 0; pe < 4; ++pe) {
+    bb->add_site(v, pe, ip::Prefix(ip::Ipv4Address(10, 0, std::uint8_t(pe), 0), 24));
+  }
+  bb->start_and_converge();
+  const ip::Prefix p = ip::Prefix::must_parse("10.9.0.0/16");
+  const routing::VpnRoute r = vrf_route(*bb, v, bb->pe(0), p);
+  auto offers_at = [&](ip::NodeId n) {
+    std::size_t count = 0;
+    for (const auto& [sender, route] : bb->bgp.adj_rib_in(n)) {
+      if (route.prefix == p) ++count;
+    }
+    return count;
+  };
+  bb->bgp.originate(bb->pe(0).id(), r);
+  bb->topo.scheduler().run();
+  for (ip::NodeId rr : reflectors_of(*bb)) EXPECT_EQ(offers_at(rr), 2u);
+  bb->bgp.withdraw(bb->pe(0).id(), r.rd, p);
+  bb->topo.run_until(bb->topo.scheduler().now() + sim::kMillisecond);
+  bb->bgp.originate(bb->pe(0).id(), r);
+  bb->topo.scheduler().run();
+  for (ip::NodeId rr : reflectors_of(*bb)) {
+    EXPECT_EQ(offers_at(rr), 2u) << "RR " << rr;
+  }
+  for (std::size_t pe = 1; pe < 4; ++pe) {
+    EXPECT_EQ(offers_at(bb->pe(pe).id()), 2u) << "PE" << pe;
+  }
+}
+
+TEST(Membership, PeWithoutAVrfHoldsNoStateForThatVpn) {
+  for (const std::size_t rrs : {std::size_t{0}, std::size_t{2}}) {
+    auto bb = bgp_backbone(4, rrs);
+    const VpnId a = bb->service.create_vpn("A");
+    const VpnId b = bb->service.create_vpn("B");
+    bb->add_site(a, 0, ip::Prefix::must_parse("10.1.0.0/16"));
+    bb->add_site(a, 1, ip::Prefix::must_parse("10.2.0.0/16"));
+    bb->add_site(b, 2, ip::Prefix::must_parse("10.1.0.0/16"));
+    bb->add_site(b, 3, ip::Prefix::must_parse("10.2.0.0/16"));
+    bb->start_and_converge();
+    const routing::RouteDistinguisher rd_b = bb->service.rd_of(b);
+    const routing::NlriId b_key =
+        bb->bgp.nlri_id({rd_b, ip::Prefix::must_parse("10.2.0.0/16")});
+    ASSERT_NE(b_key, routing::kNoNlri);
+    for (std::size_t pe : {0u, 1u}) {
+      const ip::NodeId n = bb->pe(pe).id();
+      for (const auto& [sender, r] : bb->bgp.adj_rib_in(n)) {
+        EXPECT_NE(r.rd, rd_b) << rrs << " PE" << pe;
+      }
+      for (const routing::VpnRoute& r : bb->bgp.loc_rib(n)) {
+        EXPECT_NE(r.rd, rd_b) << rrs << " PE" << pe;
+      }
+      EXPECT_EQ(bb->bgp.row_of(n, b_key), routing::AdjRibIn::kNil);
+      EXPECT_EQ(bb->bgp.loc_rib_size(n), 2u);  // its VPN's two routes
+    }
+    // Reflectors hold everything.
+    for (ip::NodeId rr : reflectors_of(*bb)) {
+      EXPECT_EQ(bb->bgp.loc_rib_size(rr), 4u);
+    }
+  }
+}
+
+TEST(Membership, VrfAddedAfterConvergeReceivesItsVpnsRoutes) {
+  for (const std::size_t rrs : {std::size_t{0}, std::size_t{2}}) {
+    auto bb = bgp_backbone(4, rrs);
+    const VpnId a = bb->service.create_vpn("A");
+    const VpnId b = bb->service.create_vpn("B");
+    bb->add_site(a, 0, ip::Prefix::must_parse("10.1.0.0/16"));
+    bb->add_site(a, 1, ip::Prefix::must_parse("10.2.0.0/16"));
+    bb->add_site(b, 2, ip::Prefix::must_parse("10.1.0.0/16"));
+    bb->start_and_converge();
+    const std::uint64_t rtc = bb->cp.message_count("bgp.rtc");
+    // PE3 has no VRF at all, PE2 none for A: both gain one after converge.
+    bb->add_site(a, 3, ip::Prefix::must_parse("10.3.0.0/16"));
+    bb->add_site(a, 2, ip::Prefix::must_parse("10.4.0.0/16"));
+    bb->topo.scheduler().run();
+    EXPECT_EQ(bb->cp.message_count("bgp.rtc"), rtc + 2 * (rrs == 0 ? 3 : rrs))
+        << rrs;
+    for (std::size_t pe = 0; pe < 4; ++pe) {
+      const Vrf* vrf = bb->pe(pe).vrf_by_vpn(a);
+      ASSERT_NE(vrf, nullptr);
+      EXPECT_EQ(vrf->table().size(), 4u) << rrs << " PE" << pe;
+      for (const char* dst : {"10.1.0.1", "10.2.0.1", "10.3.0.1", "10.4.0.1"}) {
+        EXPECT_NE(vrf->table().lookup(ip::Ipv4Address::must_parse(dst)), nullptr)
+            << rrs << " PE" << pe << " " << dst;
+      }
+    }
+    // PE2's VRF for B still holds only B's route.
+    EXPECT_EQ(bb->pe(2).vrf_by_vpn(b)->table().size(), 1u);
+  }
+}
+
+TEST(Membership, ExtranetImportReceivesTheExportedVpnsRoutes) {
+  for (const std::size_t rrs : {std::size_t{0}, std::size_t{2}}) {
+    auto bb = bgp_backbone(3, rrs);
+    const VpnId hub = bb->service.create_vpn("hub");
+    const VpnId spoke = bb->service.create_vpn("spoke");
+    const VpnId late = bb->service.create_vpn("late");
+    bb->service.add_extranet_import(hub, spoke);
+    bb->add_site(hub, 0, ip::Prefix::must_parse("10.1.0.0/16"));
+    bb->add_site(spoke, 1, ip::Prefix::must_parse("10.2.0.0/16"));
+    bb->start_and_converge();
+    const Vrf* vrf = bb->pe(0).vrf_by_vpn(hub);
+    const ip::RouteEntry* e =
+        vrf->table().lookup(ip::Ipv4Address::must_parse("10.2.0.1"));
+    ASSERT_NE(e, nullptr) << rrs;
+    EXPECT_EQ(e->egress_pe, bb->pe(1).id());
+    // A grant made after converge takes effect for a VRF created later,
+    // on a PE that held nothing of the exported VPN before.
+    bb->service.add_extranet_import(late, spoke);
+    bb->add_site(late, 2, ip::Prefix::must_parse("10.3.0.0/16"));
+    bb->topo.scheduler().run();
+    EXPECT_NE(bb->pe(2).vrf_by_vpn(late)->table().lookup(
+                  ip::Ipv4Address::must_parse("10.2.0.1")),
+              nullptr)
+        << rrs;
+  }
+}
+
+TEST(Membership, MembershipMessagesHaveTheirOwnType) {
+  auto bb = bgp_backbone(4, 2);
+  const VpnId a = bb->service.create_vpn("A");
+  const VpnId b = bb->service.create_vpn("B");
+  bb->service.add_extranet_import(a, b);
+  bb->add_site(a, 0, ip::Prefix::must_parse("10.1.0.0/16"));
+  bb->add_site(b, 1, ip::Prefix::must_parse("10.2.0.0/16"));
+  bb->add_site(b, 2, ip::Prefix::must_parse("10.3.0.0/16"));
+  bb->start_and_converge();
+  // PEs 0-2 declare to both reflectors as the sessions come up; PE3 has no
+  // VRF and declares nothing. PE0 imports two RTs, the others one:
+  // 19 B header + 13 B per RT.
+  EXPECT_EQ(bb->cp.message_count("bgp.rtc"), 6u);
+  EXPECT_EQ(bb->cp.byte_count("bgp.rtc"), 2 * (19 + 26) + 4 * (19 + 13));
+  EXPECT_EQ(bb->bgp.loc_rib_size(bb->pe(3).id()), 0u);
+  EXPECT_EQ(bb->bgp.adj_rib_in_size(bb->pe(3).id()), 0u);
 }
 
 }  // namespace
